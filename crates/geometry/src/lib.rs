@@ -10,10 +10,12 @@
 //!   a macro footprint and its pins.
 //! * [`ShapeCurve`] — the Pareto set of bounding boxes that can hold a
 //!   placement of a set of hard blocks, plus horizontal/vertical composition
-//!   (the "shape curve" Γ of the paper, Sect. II-D / IV-A).
-//! * [`SlicingTree`] and [`PolishExpression`] — the slicing-structure layout
-//!   representation used during layout generation (Sect. IV-E), together with
-//!   the three Wong–Liu simulated-annealing moves.
+//!   by a linear merge (the "shape curve" Γ of the paper, Sect. II-D / IV-A).
+//! * [`PolishExpression`] — the slicing-tree layout representation used
+//!   during layout generation (Sect. IV-E), together with the three Wong–Liu
+//!   simulated-annealing moves, applied in place and undoable.
+//! * [`SpanCache`] — per-node values of a slicing tree (shape curves, area
+//!   budgets) that a move recomposes only around the tokens it touched.
 //!
 //! All dimensions are in integer database units (DBU); a typical convention
 //! is 1 DBU = 1 nm, but nothing in this crate depends on the physical unit.
@@ -47,7 +49,9 @@ pub use orientation::Orientation;
 pub use point::Point;
 pub use rect::Rect;
 pub use shape_curve::ShapeCurve;
-pub use slicing::{CutDirection, PolishExpression, PolishToken, SlicingNode, SlicingTree};
+pub use slicing::{
+    CutDirection, Move, MoveKind, NodeValues, PolishExpression, PolishToken, SpanCache,
+};
 
 /// Integer database unit used for all coordinates in the workspace.
 pub type Dbu = i64;

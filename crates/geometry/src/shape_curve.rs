@@ -6,7 +6,7 @@
 //! Only the Pareto-minimal points are stored: a box `(w, h)` is feasible iff
 //! there is a curve point `(w', h')` with `w' <= w` and `h' <= h`.
 
-use crate::Dbu;
+use crate::{CutDirection, Dbu};
 use serde::{Deserialize, Serialize};
 
 /// A Pareto-minimal set of feasible `(width, height)` bounding boxes.
@@ -28,9 +28,20 @@ use serde::{Deserialize, Serialize};
 /// assert!(stacked.fits(2, 6));   // rotated 2x4 under 2x2
 /// assert!(!stacked.fits(3, 3));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ShapeCurve {
     points: Vec<(Dbu, Dbu)>,
+}
+
+impl Clone for ShapeCurve {
+    fn clone(&self) -> Self {
+        Self { points: self.points.clone() }
+    }
+
+    // reuses the destination's buffer, unlike the derived `clone_from`
+    fn clone_from(&mut self, source: &Self) {
+        self.points.clone_from(&source.points);
+    }
 }
 
 impl ShapeCurve {
@@ -87,16 +98,7 @@ impl ShapeCurve {
 
     /// Returns `true` if a `width x height` box can hold the block's macros.
     pub fn fits(&self, width: Dbu, height: Dbu) -> bool {
-        if self.points.is_empty() {
-            return true;
-        }
-        // Find the widest curve point not exceeding `width`; heights are
-        // decreasing in width so that point has the smallest feasible height.
-        let idx = self.points.partition_point(|&(w, _)| w <= width);
-        if idx == 0 {
-            return false;
-        }
-        self.points[..idx].iter().any(|&(_, h)| h <= height)
+        self.points.is_empty() || self.min_height_for_width(width).is_some_and(|h| h <= height)
     }
 
     /// The minimum area over all Pareto points (0 for an unconstrained curve).
@@ -120,8 +122,10 @@ impl ShapeCurve {
         if self.points.is_empty() {
             return Some(0);
         }
+        // Heights strictly decrease with width, so the widest point within
+        // the budget is the lowest one.
         let idx = self.points.partition_point(|&(w, _)| w <= width);
-        self.points[..idx].iter().map(|&(_, h)| h).min()
+        idx.checked_sub(1).map(|i| self.points[i].1)
     }
 
     /// For a given height budget, the minimum width needed (``None`` if no
@@ -130,54 +134,111 @@ impl ShapeCurve {
         if self.points.is_empty() {
             return Some(0);
         }
-        self.points.iter().filter(|&&(_, h)| h <= height).map(|&(w, _)| w).min()
+        // The points within the budget form a suffix; its first is the narrowest.
+        let idx = self.points.partition_point(|&(_, h)| h > height);
+        self.points.get(idx).map(|&(w, _)| w)
     }
 
     /// Composes two curves side by side (widths add, heights max).
     pub fn compose_horizontal(&self, other: &ShapeCurve) -> ShapeCurve {
-        self.compose(other, true)
+        let mut out = ShapeCurve::unconstrained();
+        out.compose_from(self, other, true);
+        out
     }
 
     /// Composes two curves stacked vertically (heights add, widths max).
     pub fn compose_vertical(&self, other: &ShapeCurve) -> ShapeCurve {
-        self.compose(other, false)
+        let mut out = ShapeCurve::unconstrained();
+        out.compose_from(self, other, false);
+        out
     }
 
-    fn compose(&self, other: &ShapeCurve, horizontal: bool) -> ShapeCurve {
-        if self.points.is_empty() {
-            return other.clone();
+    /// Overwrites `self` with the curve of a slicing node that cuts in
+    /// direction `cut` over the children `left` and `right`, pruned to
+    /// `limit` points: the children sit side by side under a vertical cut
+    /// and stacked under a horizontal one. Reuses `self`'s buffer, so an
+    /// annealer can recompose nodes without allocating.
+    pub fn set_to_cut(
+        &mut self,
+        cut: CutDirection,
+        left: &ShapeCurve,
+        right: &ShapeCurve,
+        limit: usize,
+    ) {
+        self.compose_from(left, right, cut == CutDirection::Vertical);
+        self.prune(limit);
+    }
+
+    /// Stockmeyer's linear merge of two Pareto staircases (O(p + q) instead
+    /// of the p·q product of every point pair).
+    ///
+    /// Side by side, a pair's height is the taller of its two points, and
+    /// only the taller side can lower it: stepping that side to its next,
+    /// lower point is the only step that reaches a new Pareto point, and on
+    /// a tie both sides step. Each step strictly grows the
+    /// summed width and strictly lowers the height, so the walk emits the
+    /// Pareto set in order with nothing to sort or filter, and it ends when
+    /// the taller side has no lower point. Stacking is the same walk with
+    /// the axes swapped, run from the widest points and reversed at the end.
+    fn compose_from(&mut self, a: &ShapeCurve, b: &ShapeCurve, side_by_side: bool) {
+        if a.points.is_empty() {
+            self.points.clone_from(&b.points);
+            return;
         }
-        if other.points.is_empty() {
-            return self.clone();
+        if b.points.is_empty() {
+            self.points.clone_from(&a.points);
+            return;
         }
-        let mut combos = Vec::with_capacity(self.points.len() * other.points.len());
-        for &(w1, h1) in &self.points {
-            for &(w2, h2) in &other.points {
-                if horizontal {
-                    combos.push((w1 + w2, h1.max(h2)));
-                } else {
-                    combos.push((w1.max(w2), h1 + h2));
-                }
+        // The k-th point of a curve as (summed, maxed) coordinates, in the
+        // order that walks the maxed coordinate downwards.
+        let key = |c: &[(Dbu, Dbu)], k: usize| {
+            if side_by_side {
+                c[k]
+            } else {
+                let (w, h) = c[c.len() - 1 - k];
+                (h, w)
             }
+        };
+        let out = &mut self.points;
+        out.clear();
+        let (mut i, mut j) = (0, 0);
+        loop {
+            let (sa, ma) = key(&a.points, i);
+            let (sb, mb) = key(&b.points, j);
+            let (summed, maxed) = (sa + sb, ma.max(mb));
+            out.push(if side_by_side { (summed, maxed) } else { (maxed, summed) });
+            let (step_a, step_b) = (ma >= mb, mb >= ma);
+            if (step_a && i + 1 == a.points.len()) || (step_b && j + 1 == b.points.len()) {
+                break;
+            }
+            i += usize::from(step_a);
+            j += usize::from(step_b);
         }
-        ShapeCurve::from_points(combos)
+        if !side_by_side {
+            out.reverse();
+        }
     }
 
     /// Keeps at most `limit` points, preserving the extremes and an evenly
     /// spread selection in between. Used to bound curve growth during
     /// bottom-up composition.
-    pub fn pruned(&self, limit: usize) -> ShapeCurve {
-        if self.points.len() <= limit || limit == 0 {
-            return self.clone();
-        }
+    pub fn pruned(mut self, limit: usize) -> ShapeCurve {
+        self.prune(limit);
+        self
+    }
+
+    fn prune(&mut self, limit: usize) {
         let n = self.points.len();
-        let mut kept = Vec::with_capacity(limit);
+        if n <= limit || limit == 0 {
+            return;
+        }
+        // The kept indices strictly increase and never fall behind their
+        // slot, so the selection compacts in place and keeps distinct points.
         for i in 0..limit {
             let idx = i * (n - 1) / (limit - 1).max(1);
-            kept.push(self.points[idx]);
+            self.points[i] = self.points[idx];
         }
-        kept.dedup();
-        ShapeCurve { points: kept }
+        self.points.truncate(limit);
     }
 
     /// Number of Pareto points.
@@ -266,7 +327,7 @@ mod tests {
     #[test]
     fn pruning_keeps_extremes() {
         let c = ShapeCurve::from_points((1..=20).map(|i| (i, 21 - i)));
-        let p = c.pruned(5);
+        let p = c.clone().pruned(5);
         assert_eq!(p.len(), 5);
         assert_eq!(p.points().first(), c.points().first());
         assert_eq!(p.points().last(), c.points().last());

@@ -1,4 +1,5 @@
-//! Slicing structures: normalized Polish expressions and slicing trees.
+//! Slicing structures: normalized Polish expressions and the per-node values
+//! of the slicing trees they encode.
 //!
 //! The layout of a set of blocks is represented by a *slicing tree*: every
 //! internal node cuts its rectangle either vertically or horizontally and the
@@ -155,132 +156,137 @@ impl PolishExpression {
         operands == self.num_blocks && operators + 1 == operands
     }
 
-    /// Applies one random Wong–Liu move, returning the indices it touched so
-    /// the caller can undo it by restoring a clone. The move kinds are chosen
-    /// with equal probability as in the paper.
-    pub fn random_move<R: Rng + ?Sized>(&mut self, rng: &mut R) -> MoveKind {
+    /// Applies one random Wong–Liu move in place and returns it: its kind and
+    /// the contiguous token span it changed, which is what
+    /// [`PolishExpression::undo`] and [`SpanCache::update`] need. The move
+    /// kinds are chosen with equal probability as in the paper.
+    pub fn random_move<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Move {
         // Retry until a move succeeds; M3 can fail on particular positions.
         loop {
-            match rng.gen_range(0..3) {
-                0 => {
-                    if self.move_swap_operands(rng) {
-                        return MoveKind::OperandSwap;
-                    }
-                }
-                1 => {
-                    if self.move_invert_chain(rng) {
-                        return MoveKind::ChainInvert;
-                    }
-                }
-                _ => {
-                    if self.move_swap_operand_operator(rng) {
-                        return MoveKind::OperandOperatorSwap;
-                    }
-                }
+            let applied = match rng.gen_range(0..3) {
+                0 => self.move_swap_operands(rng),
+                1 => self.move_invert_chain(rng),
+                _ => self.move_swap_operand_operator(rng),
+            };
+            if let Some(mv) = applied {
+                return mv;
             }
+        }
+    }
+
+    /// Reverts `mv`, which must be the last move applied to `self`.
+    pub fn undo(&mut self, mv: Move) {
+        match mv.kind {
+            MoveKind::OperandSwap | MoveKind::OperandOperatorSwap => {
+                self.tokens.swap(mv.first, mv.last);
+            }
+            MoveKind::ChainInvert => self.flip_operators(mv.first, mv.last),
         }
     }
 
     /// M1: swaps two adjacent operands (adjacent in operand order, ignoring
     /// the operators between them). Always succeeds for ≥ 2 blocks.
-    pub fn move_swap_operands<R: Rng + ?Sized>(&mut self, rng: &mut R) -> bool {
+    pub fn move_swap_operands<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<Move> {
         if self.num_blocks < 2 {
-            return false;
+            return None;
         }
-        let operand_positions: Vec<usize> = self
-            .tokens
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| t.is_operand().then_some(i))
-            .collect();
-        let k = rng.gen_range(0..operand_positions.len() - 1);
-        self.tokens.swap(operand_positions[k], operand_positions[k + 1]);
-        true
+        let k = rng.gen_range(0..self.num_blocks - 1);
+        let mut operands =
+            self.tokens.iter().enumerate().filter(|(_, t)| t.is_operand()).map(|(i, _)| i);
+        let first = operands.nth(k)?;
+        let last = operands.next()?;
+        self.tokens.swap(first, last);
+        Some(Move { kind: MoveKind::OperandSwap, first, last })
     }
 
     /// M2: complements every operator in a randomly chosen maximal operator
     /// chain (`H` ↔ `V`). Always succeeds when at least one operator exists.
-    pub fn move_invert_chain<R: Rng + ?Sized>(&mut self, rng: &mut R) -> bool {
-        let chains = self.operator_chains();
-        if chains.is_empty() {
-            return false;
+    pub fn move_invert_chain<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<Move> {
+        let chains = self.operator_chains().count();
+        if chains == 0 {
+            return None;
         }
-        let (start, len) = chains[rng.gen_range(0..chains.len())];
-        for t in &mut self.tokens[start..start + len] {
+        let (start, len) = self.operator_chains().nth(rng.gen_range(0..chains))?;
+        let last = start + len - 1;
+        self.flip_operators(start, last);
+        Some(Move { kind: MoveKind::ChainInvert, first: start, last })
+    }
+
+    /// M3: swaps a randomly chosen adjacent operand/operator pair, provided
+    /// the result still satisfies balloting and normalization. Returns `None`
+    /// if the chosen position is infeasible.
+    pub fn move_swap_operand_operator<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<Move> {
+        if self.tokens.len() < 3 {
+            return None;
+        }
+        let candidates = self.mixed_pairs().count();
+        if candidates == 0 {
+            return None;
+        }
+        let i = self.mixed_pairs().nth(rng.gen_range(0..candidates))?;
+        if !self.can_swap_operand_operator(i) {
+            return None;
+        }
+        self.tokens.swap(i, i + 1);
+        Some(Move { kind: MoveKind::OperandOperatorSwap, first: i, last: i + 1 })
+    }
+
+    /// Whether swapping the operand/operator pair at tokens `i` and `i + 1`
+    /// leaves a valid expression (what [`PolishExpression::is_valid`] would
+    /// say after the swap), checked locally instead of rescanning every
+    /// token.
+    ///
+    /// Moving the operator right only adds an operand to one prefix, so
+    /// balloting holds, and the operator must differ from a following
+    /// operator. Moving it left removes that operand from the prefix ending
+    /// at `i`, which must keep more operands than operators, and the
+    /// operator must differ from a preceding one.
+    pub fn can_swap_operand_operator(&self, i: usize) -> bool {
+        match (self.tokens.get(i), self.tokens.get(i + 1)) {
+            (Some(PolishToken::Operator(dir)), Some(PolishToken::Operand(_))) => {
+                self.tokens.get(i + 2) != Some(&PolishToken::Operator(*dir))
+            }
+            (Some(PolishToken::Operand(_)), Some(PolishToken::Operator(dir))) => {
+                let operators = self.tokens[..i].iter().filter(|t| !t.is_operand()).count();
+                // after the swap the prefix `..=i` holds `i - operators`
+                // operands and `operators + 1` operators
+                operators + 1 < i - operators && self.tokens[i - 1] != PolishToken::Operator(*dir)
+            }
+            _ => false,
+        }
+    }
+
+    fn flip_operators(&mut self, first: usize, last: usize) {
+        for t in &mut self.tokens[first..=last] {
             if let PolishToken::Operator(dir) = t {
                 *dir = dir.flipped();
             }
         }
-        true
     }
 
-    /// M3: swaps a randomly chosen adjacent operand/operator pair, provided
-    /// the result still satisfies balloting and normalization. Returns `false`
-    /// if the chosen position is infeasible.
-    pub fn move_swap_operand_operator<R: Rng + ?Sized>(&mut self, rng: &mut R) -> bool {
-        if self.tokens.len() < 3 {
-            return false;
-        }
-        let candidates: Vec<usize> = (0..self.tokens.len() - 1)
-            .filter(|&i| self.tokens[i].is_operand() != self.tokens[i + 1].is_operand())
-            .collect();
-        if candidates.is_empty() {
-            return false;
-        }
-        let i = candidates[rng.gen_range(0..candidates.len())];
-        self.tokens.swap(i, i + 1);
-        if self.is_valid() {
-            true
-        } else {
-            self.tokens.swap(i, i + 1);
-            false
-        }
+    /// Positions `i` where tokens `i` and `i + 1` are one operand and one
+    /// operator, in either order.
+    fn mixed_pairs(&self) -> impl Iterator<Item = usize> + '_ {
+        self.tokens
+            .windows(2)
+            .enumerate()
+            .filter(|(_, pair)| pair[0].is_operand() != pair[1].is_operand())
+            .map(|(i, _)| i)
     }
 
     /// Maximal runs of consecutive operators as `(start_index, length)`.
-    fn operator_chains(&self) -> Vec<(usize, usize)> {
-        let mut chains = Vec::new();
+    fn operator_chains(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         let mut i = 0;
-        while i < self.tokens.len() {
-            if !self.tokens[i].is_operand() {
-                let start = i;
-                while i < self.tokens.len() && !self.tokens[i].is_operand() {
-                    i += 1;
-                }
-                chains.push((start, i - start));
-            } else {
+        std::iter::from_fn(move || {
+            while i < self.tokens.len() && self.tokens[i].is_operand() {
                 i += 1;
             }
-        }
-        chains
-    }
-
-    /// Builds the slicing tree corresponding to this expression.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the expression is invalid (cannot happen for expressions
-    /// produced through the public API).
-    pub fn to_tree(&self) -> SlicingTree {
-        let mut stack: Vec<usize> = Vec::new();
-        let mut nodes: Vec<SlicingNode> = Vec::new();
-        for t in &self.tokens {
-            match *t {
-                PolishToken::Operand(block) => {
-                    nodes.push(SlicingNode::Leaf { block });
-                    stack.push(nodes.len() - 1);
-                }
-                PolishToken::Operator(cut) => {
-                    let right = stack.pop().expect("valid polish expression");
-                    let left = stack.pop().expect("valid polish expression");
-                    nodes.push(SlicingNode::Internal { cut, left, right });
-                    stack.push(nodes.len() - 1);
-                }
+            let start = i;
+            while i < self.tokens.len() && !self.tokens[i].is_operand() {
+                i += 1;
             }
-        }
-        let root = stack.pop().expect("valid polish expression");
-        assert!(stack.is_empty(), "valid polish expression leaves one root");
-        SlicingTree { nodes, root }
+            (i > start).then_some((start, i - start))
+        })
     }
 }
 
@@ -295,68 +301,183 @@ pub enum MoveKind {
     OperandOperatorSwap,
 }
 
-/// A node of a [`SlicingTree`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SlicingNode {
-    /// A leaf holding a block index.
-    Leaf {
-        /// Index of the block this leaf represents.
-        block: usize,
-    },
-    /// An internal node cutting its rectangle into two children.
-    Internal {
-        /// Cut direction applied at this node.
+/// One applied Wong–Liu move: its kind and the contiguous span of tokens it
+/// changed. Every move edits one such span (Wong & Liu, DAC 1986), which is
+/// what lets [`SpanCache`] recompose only the subtrees around it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Move {
+    /// Which move was applied.
+    pub kind: MoveKind,
+    /// First token the move changed.
+    pub first: usize,
+    /// Last token the move changed (inclusive).
+    pub last: usize,
+}
+
+/// Computes the values a [`SpanCache`] keeps at the nodes of a slicing tree.
+pub trait NodeValues {
+    /// The value kept at every node.
+    type Value: Default;
+
+    /// Writes the value of the leaf holding `block` into `out`.
+    fn leaf(&self, block: usize, out: &mut Self::Value);
+
+    /// Writes the value of a node cutting in direction `cut` over its
+    /// `left` (or bottom) and `right` (or top) children into `out`.
+    fn cut(
+        &self,
         cut: CutDirection,
-        /// Index of the left / bottom child in [`SlicingTree::nodes`].
-        left: usize,
-        /// Index of the right / top child in [`SlicingTree::nodes`].
-        right: usize,
-    },
+        left: &Self::Value,
+        right: &Self::Value,
+        out: &mut Self::Value,
+    );
 }
 
-/// An explicit slicing tree produced from a [`PolishExpression`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SlicingTree {
-    nodes: Vec<SlicingNode>,
-    root: usize,
+/// The value of every node of a slicing tree, kept in postfix order and
+/// recomposed incrementally as annealing moves edit the expression.
+///
+/// Token `k` of a Polish expression is the root of the subtree whose tokens
+/// are `start(k)..=k`. A node reads only the tokens of its own span, so a
+/// node whose span misses the span a [`Move`] touched keeps its subtree and
+/// its value. [`SpanCache::update`] recomposes just the nodes whose span
+/// meets the touched one, the nodes inside it and their ancestors, into
+/// scratch slots; [`SpanCache::commit`] keeps them when the annealer accepts
+/// the move and [`SpanCache::discard`] drops them when it rejects. Values
+/// keep their buffers across moves, so a warm cache does not allocate.
+///
+/// Until the move is settled, [`SpanCache::start`], [`SpanCache::value`]
+/// and [`SpanCache::root`] describe the moved expression.
+#[derive(Debug, Clone, Default)]
+pub struct SpanCache<T> {
+    start: Vec<usize>,
+    value: Vec<T>,
+    next_start: Vec<usize>,
+    next_value: Vec<T>,
+    /// Whether a node's scratch slot holds the unsettled move's value.
+    pending: Vec<bool>,
+    /// The nodes with `pending` set.
+    touched: Vec<usize>,
+    compositions: u64,
 }
 
-impl SlicingTree {
-    /// All nodes of the tree; children indices refer into this slice.
-    pub fn nodes(&self) -> &[SlicingNode] {
-        &self.nodes
+impl<T: Default> SpanCache<T> {
+    /// An empty cache; [`SpanCache::rebuild`] fills it.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Index of the root node.
-    pub fn root(&self) -> usize {
-        self.root
-    }
-
-    /// Node accessor.
-    pub fn node(&self, idx: usize) -> &SlicingNode {
-        &self.nodes[idx]
-    }
-
-    /// Number of leaf blocks in the tree.
-    pub fn num_leaves(&self) -> usize {
-        self.nodes.iter().filter(|n| matches!(n, SlicingNode::Leaf { .. })).count()
-    }
-
-    /// Visits leaves in left-to-right order, yielding block indices.
-    pub fn leaf_order(&self) -> Vec<usize> {
-        let mut out = Vec::with_capacity(self.num_leaves());
-        self.collect_leaves(self.root, &mut out);
-        out
-    }
-
-    fn collect_leaves(&self, idx: usize, out: &mut Vec<usize>) {
-        match &self.nodes[idx] {
-            SlicingNode::Leaf { block } => out.push(*block),
-            SlicingNode::Internal { left, right, .. } => {
-                self.collect_leaves(*left, out);
-                self.collect_leaves(*right, out);
+    /// Computes every node of `expr` from scratch, dropping any unsettled move.
+    pub fn rebuild<V: NodeValues<Value = T>>(&mut self, expr: &PolishExpression, values: &V) {
+        self.discard();
+        let len = expr.tokens.len();
+        self.start.resize(len, 0);
+        self.next_start.resize(len, 0);
+        self.pending.resize(len, false);
+        self.value.resize_with(len, T::default);
+        self.next_value.resize_with(len, T::default);
+        for (k, &token) in expr.tokens.iter().enumerate() {
+            let (done, rest) = self.value.split_at_mut(k);
+            match token {
+                PolishToken::Operand(block) => {
+                    self.start[k] = k;
+                    values.leaf(block, &mut rest[0]);
+                }
+                PolishToken::Operator(cut) => {
+                    let left = self.start[k - 1] - 1;
+                    self.start[k] = self.start[left];
+                    values.cut(cut, &done[left], &done[k - 1], &mut rest[0]);
+                    self.compositions += 1;
+                }
             }
         }
+    }
+
+    /// Recomposes the nodes of `expr` whose span meets the span `mv`
+    /// touched. `expr` must be the cached expression with `mv` applied; any
+    /// earlier unsettled move is dropped first.
+    pub fn update<V: NodeValues<Value = T>>(
+        &mut self,
+        expr: &PolishExpression,
+        mv: Move,
+        values: &V,
+    ) {
+        self.discard();
+        for k in mv.first..expr.tokens.len() {
+            let start = match expr.tokens[k] {
+                PolishToken::Operand(block) if k <= mv.last => {
+                    values.leaf(block, &mut self.next_value[k]);
+                    k
+                }
+                PolishToken::Operand(_) => continue,
+                PolishToken::Operator(cut) => {
+                    let left = self.start(k - 1) - 1;
+                    let start = self.start(left);
+                    if k > mv.last && start > mv.last {
+                        continue;
+                    }
+                    let Self { value, next_value, pending, .. } = self;
+                    let (done, rest) = next_value.split_at_mut(k);
+                    let child = |c: usize| if pending[c] { &done[c] } else { &value[c] };
+                    values.cut(cut, child(left), child(k - 1), &mut rest[0]);
+                    self.compositions += 1;
+                    start
+                }
+            };
+            self.next_start[k] = start;
+            self.pending[k] = true;
+            self.touched.push(k);
+        }
+    }
+
+    /// Keeps the values of the last [`SpanCache::update`].
+    pub fn commit(&mut self) {
+        for &k in &self.touched {
+            std::mem::swap(&mut self.value[k], &mut self.next_value[k]);
+            self.start[k] = self.next_start[k];
+            self.pending[k] = false;
+        }
+        self.touched.clear();
+    }
+
+    /// Drops the values of the last [`SpanCache::update`].
+    pub fn discard(&mut self) {
+        for &k in &self.touched {
+            self.pending[k] = false;
+        }
+        self.touched.clear();
+    }
+
+    /// First token of the subtree rooted at token `k`.
+    pub fn start(&self, k: usize) -> usize {
+        if self.pending[k] {
+            self.next_start[k]
+        } else {
+            self.start[k]
+        }
+    }
+
+    /// The value of the node at token `k`.
+    pub fn value(&self, k: usize) -> &T {
+        if self.pending[k] {
+            &self.next_value[k]
+        } else {
+            &self.value[k]
+        }
+    }
+
+    /// The value of the root (the last token).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache was never built.
+    pub fn root(&self) -> &T {
+        self.value(self.value.len() - 1)
+    }
+
+    /// Internal-node compositions performed since the cache was created:
+    /// a clock-free measure of the annealer's work.
+    pub fn compositions(&self) -> u64 {
+        self.compositions
     }
 }
 
@@ -423,12 +544,22 @@ mod tests {
         }
     }
 
+    /// Block indices left to right: the operands in postfix order.
+    fn leaf_order(e: &PolishExpression) -> Vec<usize> {
+        e.tokens()
+            .iter()
+            .filter_map(|t| match *t {
+                PolishToken::Operand(block) => Some(block),
+                PolishToken::Operator(_) => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn single_block_tree() {
         let e = PolishExpression::chain(1, CutDirection::Vertical);
-        let t = e.to_tree();
-        assert_eq!(t.num_leaves(), 1);
-        assert_eq!(t.leaf_order(), vec![0]);
+        assert_eq!(e.tokens(), &[PolishToken::Operand(0)]);
+        assert_eq!(leaf_order(&e), vec![0]);
     }
 
     #[test]
@@ -438,20 +569,19 @@ mod tests {
         for _ in 0..100 {
             e.random_move(&mut rng);
         }
-        let t = e.to_tree();
-        let mut leaves = t.leaf_order();
+        let mut leaves = leaf_order(&e);
         leaves.sort_unstable();
         assert_eq!(leaves, vec![0, 1, 2, 3, 4, 5]);
-        assert_eq!(t.nodes().len(), 2 * 6 - 1);
+        assert_eq!(e.tokens().len(), 2 * 6 - 1);
     }
 
     #[test]
     fn operand_swap_changes_leaf_order() {
         let mut rng = StdRng::seed_from_u64(3);
         let mut e = PolishExpression::chain(4, CutDirection::Vertical);
-        let before = e.to_tree().leaf_order();
-        e.move_swap_operands(&mut rng);
-        let after = e.to_tree().leaf_order();
+        let before = leaf_order(&e);
+        e.move_swap_operands(&mut rng).unwrap();
+        let after = leaf_order(&e);
         assert_ne!(before, after);
     }
 
@@ -459,7 +589,7 @@ mod tests {
     fn chain_invert_flips_cuts() {
         let mut rng = StdRng::seed_from_u64(5);
         let mut e = PolishExpression::chain(2, CutDirection::Vertical);
-        assert!(e.move_invert_chain(&mut rng));
+        assert!(e.move_invert_chain(&mut rng).is_some());
         match e.tokens()[2] {
             PolishToken::Operator(dir) => assert_eq!(dir, CutDirection::Horizontal),
             _ => panic!("expected operator"),

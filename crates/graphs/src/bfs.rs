@@ -32,7 +32,12 @@ impl BfsResult {
 /// * `num_nodes` — number of nodes in the graph,
 /// * `sources` — the seed nodes (distance 0); the *source index* recorded for
 ///   reached nodes is the position of the seed in this slice,
-/// * `successors` — adjacency callback returning the out-neighbors of a node,
+/// * `targets` — the nodes the caller will read: the search stops as soon as
+///   every one of them is discovered (`None` searches the whole component).
+///   BFS fixes a node's distance, source and predecessor when it discovers
+///   the node and never changes them, so the targets' entries are exactly
+///   those of a full search; entries of other nodes may stay unreached,
+/// * `successors` — adjacency callback yielding the out-neighbors of a node,
 /// * `can_traverse` — filter deciding whether the search may continue *through*
 ///   a node (sources are always expanded; targets that cannot be traversed are
 ///   still reached and recorded, they just do not propagate further).
@@ -44,32 +49,53 @@ impl BfsResult {
 ///
 /// // path graph 0 - 1 - 2 - 3
 /// let adj = vec![vec![1], vec![0, 2], vec![1, 3], vec![2]];
-/// let r = multi_source_bfs(4, &[0], |n| adj[n].clone(), |_| true);
+/// let r = multi_source_bfs(4, &[0], None, |n| adj[n].iter().copied(), |_| true);
 /// assert_eq!(r.distance, vec![0, 1, 2, 3]);
 /// assert_eq!(r.predecessor[3], 2);
+///
+/// // stop once node 1 is found: node 3 is never reached
+/// let r = multi_source_bfs(4, &[0], Some(&[1]), |n| adj[n].iter().copied(), |_| true);
+/// assert_eq!(r.distance[1], 1);
+/// assert!(!r.reached(3));
 /// ```
-pub fn multi_source_bfs<S, T>(
+pub fn multi_source_bfs<S, I, T>(
     num_nodes: usize,
     sources: &[usize],
+    targets: Option<&[usize]>,
     mut successors: S,
     mut can_traverse: T,
 ) -> BfsResult
 where
-    S: FnMut(usize) -> Vec<usize>,
+    S: FnMut(usize) -> I,
+    I: IntoIterator<Item = usize>,
     T: FnMut(usize) -> bool,
 {
     let mut distance = vec![u32::MAX; num_nodes];
     let mut source = vec![usize::MAX; num_nodes];
     let mut predecessor = vec![usize::MAX; num_nodes];
+    // A mark on every target, and how many are still undiscovered
+    // (`usize::MAX` when there are no targets: the count never reaches 0).
+    let mut is_target = Vec::new();
+    let mut undiscovered = usize::MAX;
+    if let Some(targets) = targets {
+        is_target = vec![false; num_nodes];
+        undiscovered = 0;
+        for &t in targets.iter().filter(|&&t| t < num_nodes) {
+            undiscovered += usize::from(!is_target[t]);
+            is_target[t] = true;
+        }
+    }
     let mut queue = VecDeque::new();
     for (i, &s) in sources.iter().enumerate() {
         if s < num_nodes && distance[s] == u32::MAX {
             distance[s] = 0;
             source[s] = i;
             queue.push_back(s);
+            undiscovered -= usize::from(is_target.get(s) == Some(&true));
         }
     }
-    while let Some(u) = queue.pop_front() {
+    'search: while undiscovered > 0 {
+        let Some(u) = queue.pop_front() else { break };
         // Only sources and traversable nodes expand further.
         if distance[u] != 0 && !can_traverse(u) {
             continue;
@@ -80,6 +106,12 @@ where
                 source[v] = source[u];
                 predecessor[v] = u;
                 queue.push_back(v);
+                if is_target.get(v) == Some(&true) {
+                    undiscovered -= 1;
+                    if undiscovered == 0 {
+                        break 'search;
+                    }
+                }
             }
         }
     }
@@ -106,7 +138,7 @@ mod tests {
     #[test]
     fn single_source_distances() {
         let adj = grid_adj();
-        let r = multi_source_bfs(6, &[0], |n| adj[n].clone(), |_| true);
+        let r = multi_source_bfs(6, &[0], None, |n| adj[n].iter().copied(), |_| true);
         assert_eq!(r.distance, vec![0, 1, 2, 1, 2, 3]);
         assert!(r.reached(5));
     }
@@ -114,7 +146,7 @@ mod tests {
     #[test]
     fn multi_source_takes_nearest() {
         let adj = grid_adj();
-        let r = multi_source_bfs(6, &[0, 5], |n| adj[n].clone(), |_| true);
+        let r = multi_source_bfs(6, &[0, 5], None, |n| adj[n].iter().copied(), |_| true);
         assert_eq!(r.distance, vec![0, 1, 1, 1, 1, 0]);
         assert_eq!(r.source[1], 0);
         assert_eq!(r.source[2], 1);
@@ -124,7 +156,7 @@ mod tests {
     fn blocked_nodes_are_reached_but_not_traversed() {
         // 0 -> 1 -> 2 ; node 1 cannot be traversed
         let adj = [vec![1], vec![2], vec![]];
-        let r = multi_source_bfs(3, &[0], |n| adj[n].clone(), |n| n != 1);
+        let r = multi_source_bfs(3, &[0], None, |n| adj[n].iter().copied(), |n| n != 1);
         assert_eq!(r.distance[1], 1);
         assert!(!r.reached(2));
     }
@@ -132,7 +164,7 @@ mod tests {
     #[test]
     fn unreachable_nodes_flagged() {
         let adj = [vec![], vec![]];
-        let r = multi_source_bfs(2, &[0], |n: usize| adj[n].clone(), |_| true);
+        let r = multi_source_bfs(2, &[0], None, |n: usize| adj[n].iter().copied(), |_| true);
         assert!(!r.reached(1));
         assert_eq!(r.source[1], usize::MAX);
     }
@@ -140,7 +172,7 @@ mod tests {
     #[test]
     fn duplicate_sources_keep_first() {
         let adj = [vec![1], vec![]];
-        let r = multi_source_bfs(2, &[0, 0], |n| adj[n].clone(), |_| true);
+        let r = multi_source_bfs(2, &[0, 0], None, |n| adj[n].iter().copied(), |_| true);
         assert_eq!(r.source[0], 0);
     }
 }

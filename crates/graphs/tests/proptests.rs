@@ -55,7 +55,7 @@ proptest! {
             }
             adj
         };
-        let r = multi_source_bfs(num_nodes, &[source], |n| adj[n].clone(), |_| true);
+        let r = multi_source_bfs(num_nodes, &[source], None, |n| adj[n].clone(), |_| true);
         prop_assert_eq!(r.distance[source], 0);
         // relaxation check: no edge can shortcut a BFS distance by more than 1
         for (a, succs) in adj.iter().enumerate() {
@@ -71,6 +71,30 @@ proptest! {
                 prop_assert!(r.reached(p));
                 prop_assert_eq!(r.distance[n], r.distance[p] + 1);
             }
+        }
+    }
+
+    #[test]
+    fn bfs_early_exit_matches_a_full_search_on_its_targets(
+        edges in prop::collection::vec((0usize..40, 0usize..40), 0..120),
+        num_nodes in 1usize..40,
+        sources in prop::collection::vec(0usize..40, 1..5),
+        targets in prop::collection::vec(0usize..45, 0..8),
+        blocked in prop::collection::vec(0usize..40, 0..6),
+    ) {
+        let mut adj = vec![Vec::new(); num_nodes];
+        for &(a, b) in &edges {
+            adj[a % num_nodes].push(b % num_nodes);
+        }
+        let sources: Vec<usize> = sources.iter().map(|s| s % num_nodes).collect();
+        let traverse = |n: usize| !blocked.contains(&n);
+        let full = multi_source_bfs(num_nodes, &sources, None, |n| adj[n].iter().copied(), traverse);
+        let early =
+            multi_source_bfs(num_nodes, &sources, Some(&targets), |n| adj[n].iter().copied(), traverse);
+        for &t in targets.iter().filter(|&&t| t < num_nodes) {
+            prop_assert_eq!(early.distance[t], full.distance[t], "distance of {}", t);
+            prop_assert_eq!(early.source[t], full.source[t], "source of {}", t);
+            prop_assert_eq!(early.predecessor[t], full.predecessor[t], "predecessor of {}", t);
         }
     }
 

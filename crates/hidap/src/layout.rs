@@ -15,7 +15,10 @@
 //! ports and already-placed context blocks).
 
 use crate::config::HidapConfig;
-use geometry::{CutDirection, Point, PolishExpression, Rect, ShapeCurve, SlicingNode, SlicingTree};
+use geometry::{
+    CutDirection, Move, NodeValues, Point, PolishExpression, PolishToken, Rect, ShapeCurve,
+    SpanCache,
+};
 use graphs::AffinityMatrix;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -90,19 +93,23 @@ pub fn generate_layout<R: Rng + ?Sized>(
     }
 
     let mut expr = PolishExpression::chain(n, CutDirection::Vertical);
-    let (mut current_cost, mut current_rects) = evaluate_expression(problem, &expr, config);
+    let mut evaluator = LayoutEvaluator::new(problem, config);
+    let mut current_cost = evaluator.rebuild(&expr);
     let mut best_cost = current_cost;
-    let mut best_rects = current_rects.clone();
-    let mut best_expr = expr.clone();
+    let mut best_rects = evaluator.rects().to_vec();
 
-    // Calibrate the initial temperature from the magnitude of random move deltas.
+    // Calibrate the initial temperature from the magnitude of random move
+    // deltas along a walk that keeps every move.
     let mut deltas = Vec::new();
     let mut probe = expr.clone();
     for _ in 0..(4 * n).max(16) {
-        probe.random_move(rng);
-        let (c, _) = evaluate_expression(problem, &probe, config);
+        let mv = probe.random_move(rng);
+        let c = evaluator.try_move(&probe, mv);
+        evaluator.accept();
         deltas.push((c - current_cost).abs());
     }
+    // the walk left the evaluator on `probe`; the annealing starts from `expr`
+    evaluator.rebuild(&expr);
     let avg_delta = deltas.iter().sum::<f64>() / deltas.len() as f64;
     let mut temperature =
         if avg_delta > 0.0 { -avg_delta / config.sa_initial_acceptance.ln() } else { 1.0 };
@@ -110,40 +117,110 @@ pub fn generate_layout<R: Rng + ?Sized>(
     let moves_per_step = config.sa_moves_per_block * n;
     for _ in 0..config.sa_temperature_steps {
         for _ in 0..moves_per_step {
-            let mut candidate = expr.clone();
-            candidate.random_move(rng);
-            let (cost, rects) = evaluate_expression(problem, &candidate, config);
+            let mv = expr.random_move(rng);
+            let cost = evaluator.try_move(&expr, mv);
             let delta = cost - current_cost;
             if delta <= 0.0 || rng.gen::<f64>() < (-delta / temperature.max(1e-9)).exp() {
-                expr = candidate;
+                evaluator.accept();
                 current_cost = cost;
-                current_rects = rects;
                 if current_cost < best_cost {
                     best_cost = current_cost;
-                    best_rects = current_rects.clone();
-                    best_expr = expr.clone();
+                    best_rects.copy_from_slice(evaluator.rects());
                 }
+            } else {
+                expr.undo(mv);
+                evaluator.reject();
             }
         }
         temperature *= config.sa_cooling;
     }
 
-    let _ = best_expr;
-    let (cost, penalty, wl) = evaluate_rects(problem, &best_rects, config);
+    let (cost, penalty, wl) = evaluator.score(&best_rects);
     debug_assert!((cost - best_cost).abs() < 1e-6 || best_cost <= cost);
     LayoutResult { rects: best_rects, cost, penalty, wirelength: wl }
 }
 
-/// Evaluates a Polish expression: budgets areas top-down and computes the
-/// penalized cost. Returns the cost and the block rectangles.
-pub fn evaluate_expression(
-    problem: &LayoutProblem,
-    expr: &PolishExpression,
-    config: &HidapConfig,
-) -> (f64, Vec<Rect>) {
-    let rects = budget_areas(problem, expr, config);
-    let (cost, _, _) = evaluate_rects(problem, &rects, config);
-    (cost, rects)
+/// Incremental evaluation of one level's layout candidates.
+///
+/// The bottom-up budget of every slicing node (summed target area and
+/// composed shape curve) lives in a [`SpanCache`], so a move recomposes only
+/// the nodes around the tokens it touched. The top-down area budgeting and
+/// the cost then run over reused buffers. The nonzero affinities are listed
+/// once, in the row-major order of the dense matrix, so the wirelength adds
+/// exactly the terms a scan of the matrix adds, in the same order, and the
+/// cost equals [`budget_areas`] followed by [`evaluate_rects`] bit for bit.
+pub struct LayoutEvaluator<'a> {
+    problem: &'a LayoutProblem,
+    config: &'a HidapConfig,
+    budgets: SpanCache<Budget>,
+    /// Nonzero affinities `(i, j, a)` with movable `i < j`, row-major.
+    edges: Vec<(usize, usize, f64)>,
+    /// Block centers followed by the positions of the fixed nodes.
+    centers: Vec<Point>,
+    rects: Vec<Rect>,
+}
+
+impl<'a> LayoutEvaluator<'a> {
+    /// An evaluator for `problem`; [`LayoutEvaluator::rebuild`] sets its
+    /// first expression.
+    pub fn new(problem: &'a LayoutProblem, config: &'a HidapConfig) -> Self {
+        let rects = vec![problem.region; problem.blocks.len()];
+        Self {
+            problem,
+            config,
+            budgets: SpanCache::new(),
+            edges: affinity_edges(problem),
+            centers: node_centers(problem, &rects),
+            rects,
+        }
+    }
+
+    /// Evaluates `expr` from scratch and makes it the current expression.
+    /// Returns its cost.
+    pub fn rebuild(&mut self, expr: &PolishExpression) -> f64 {
+        self.budgets.rebuild(expr, &self.budgeting());
+        self.evaluate(expr)
+    }
+
+    /// Evaluates `expr`, the current expression with `mv` applied, and
+    /// returns its cost. Settle the move with [`LayoutEvaluator::accept`] or
+    /// [`LayoutEvaluator::reject`].
+    pub fn try_move(&mut self, expr: &PolishExpression, mv: Move) -> f64 {
+        self.budgets.update(expr, mv, &self.budgeting());
+        self.evaluate(expr)
+    }
+
+    /// Makes the last evaluated move part of the current expression.
+    pub fn accept(&mut self) {
+        self.budgets.commit();
+    }
+
+    /// Forgets the last evaluated move (the caller undoes it on the expression).
+    pub fn reject(&mut self) {
+        self.budgets.discard();
+    }
+
+    /// The block rectangles of the last evaluated expression.
+    pub fn rects(&self) -> &[Rect] {
+        &self.rects
+    }
+
+    /// `(cost, penalty, wirelength)` of a set of block rectangles, as
+    /// [`evaluate_rects`] computes it.
+    pub fn score(&mut self, rects: &[Rect]) -> (f64, f64, f64) {
+        set_block_centers(&mut self.centers, rects);
+        score(self.problem, self.config, rects, &self.edges, &self.centers)
+    }
+
+    fn budgeting(&self) -> Budgeting<'a> {
+        Budgeting { blocks: &self.problem.blocks, limit: self.config.shape_curve_limit }
+    }
+
+    fn evaluate(&mut self, expr: &PolishExpression) -> f64 {
+        assign_rects(self.problem.region, expr, &self.budgets, &mut self.rects);
+        set_block_centers(&mut self.centers, &self.rects);
+        score(self.problem, self.config, &self.rects, &self.edges, &self.centers).0
+    }
 }
 
 /// Computes the block rectangles implied by a Polish expression via top-down
@@ -153,110 +230,117 @@ pub fn budget_areas(
     expr: &PolishExpression,
     config: &HidapConfig,
 ) -> Vec<Rect> {
-    let tree = expr.to_tree();
-    let n_nodes = tree.nodes().len();
-
-    // Bottom-up characterization of every subtree: target area, min area, shape curve.
-    let mut target = vec![0f64; n_nodes];
-    let mut shapes: Vec<ShapeCurve> = vec![ShapeCurve::unconstrained(); n_nodes];
-    characterize(&tree, tree.root(), problem, config, &mut target, &mut shapes);
-
-    // The region is a budget: scale target areas so they fill it exactly.
-    let region_area = problem.region.area() as f64;
-    let total_target: f64 = target[tree.root()].max(1.0);
-    let scale = region_area / total_target;
-
+    let mut budgets = SpanCache::new();
+    budgets.rebuild(expr, &Budgeting { blocks: &problem.blocks, limit: config.shape_curve_limit });
     let mut rects = vec![problem.region; problem.blocks.len()];
-    assign(&tree, tree.root(), problem.region, &target, &shapes, scale, &mut rects);
+    assign_rects(problem.region, expr, &budgets, &mut rects);
     rects
 }
 
-fn characterize(
-    tree: &SlicingTree,
-    idx: usize,
-    problem: &LayoutProblem,
-    config: &HidapConfig,
-    target: &mut [f64],
-    shapes: &mut [ShapeCurve],
-) {
-    match tree.node(idx) {
-        SlicingNode::Leaf { block } => {
-            target[idx] = problem.blocks[*block].target_area.max(1) as f64;
-            shapes[idx] = problem.blocks[*block].shape.clone();
-        }
-        SlicingNode::Internal { cut, left, right } => {
-            characterize(tree, *left, problem, config, target, shapes);
-            characterize(tree, *right, problem, config, target, shapes);
-            target[idx] = target[*left] + target[*right];
-            let combined = match cut {
-                CutDirection::Vertical => shapes[*left].compose_horizontal(&shapes[*right]),
-                CutDirection::Horizontal => shapes[*left].compose_vertical(&shapes[*right]),
-            };
-            shapes[idx] = combined.pruned(config.shape_curve_limit);
-        }
+/// Bottom-up characterization of a slicing subtree: its summed target area
+/// and the shape curve of its macros.
+#[derive(Debug, Default)]
+struct Budget {
+    target: f64,
+    shape: ShapeCurve,
+}
+
+/// Computes [`Budget`]s from the level's blocks, pruning curves to `limit`.
+struct Budgeting<'a> {
+    blocks: &'a [LayoutBlock],
+    limit: usize,
+}
+
+impl NodeValues for Budgeting<'_> {
+    type Value = Budget;
+
+    fn leaf(&self, block: usize, out: &mut Budget) {
+        let block = &self.blocks[block];
+        out.target = block.target_area.max(1) as f64;
+        out.shape.clone_from(&block.shape);
+    }
+
+    fn cut(&self, cut: CutDirection, left: &Budget, right: &Budget, out: &mut Budget) {
+        out.target = left.target + right.target;
+        out.shape.set_to_cut(cut, &left.shape, &right.shape, self.limit);
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Splits `region` top-down over the slicing tree of `expr`, writing one
+/// rectangle per block into `rects`.
+fn assign_rects(
+    region: Rect,
+    expr: &PolishExpression,
+    budgets: &SpanCache<Budget>,
+    rects: &mut [Rect],
+) {
+    // The region is a budget: scale target areas so they fill it exactly.
+    let region_area = region.area() as f64;
+    let total_target: f64 = budgets.root().target.max(1.0);
+    let scale = region_area / total_target;
+    assign(expr.tokens(), budgets, expr.tokens().len() - 1, region, scale, rects);
+}
+
 fn assign(
-    tree: &SlicingTree,
-    idx: usize,
+    tokens: &[PolishToken],
+    budgets: &SpanCache<Budget>,
+    k: usize,
     rect: Rect,
-    target: &[f64],
-    shapes: &[ShapeCurve],
     scale: f64,
     rects: &mut [Rect],
 ) {
-    match tree.node(idx) {
-        SlicingNode::Leaf { block } => {
-            rects[*block] = rect;
+    let cut = match tokens[k] {
+        PolishToken::Operand(block) => {
+            rects[block] = rect;
+            return;
         }
-        SlicingNode::Internal { cut, left, right } => {
-            let t_left = target[*left] * scale;
-            let t_right = target[*right] * scale;
-            let total = (t_left + t_right).max(1.0);
-            match cut {
-                CutDirection::Vertical => {
-                    let width = rect.width();
-                    let mut w_left = ((width as f64) * t_left / total).round() as i64;
-                    // Shape-curve driven adjustment: move area between the two
-                    // children if a child's macros cannot fit in its share.
-                    let h = rect.height();
-                    let need_left = shapes[*left].min_width_for_height(h).unwrap_or(width);
-                    let need_right = shapes[*right].min_width_for_height(h).unwrap_or(width);
-                    if w_left < need_left {
-                        w_left = need_left.min(width - need_right).max(w_left);
-                    }
-                    if width - w_left < need_right {
-                        let w_right = need_right.min(width - need_left).max(width - w_left);
-                        w_left = width - w_right;
-                    }
-                    let w_left = w_left.clamp(0, width);
-                    let x = rect.llx + w_left;
-                    let (l, r) = rect.split_vertical(x);
-                    assign(tree, *left, l, target, shapes, scale, rects);
-                    assign(tree, *right, r, target, shapes, scale, rects);
-                }
-                CutDirection::Horizontal => {
-                    let height = rect.height();
-                    let mut h_bottom = ((height as f64) * t_left / total).round() as i64;
-                    let w = rect.width();
-                    let need_bottom = shapes[*left].min_height_for_width(w).unwrap_or(height);
-                    let need_top = shapes[*right].min_height_for_width(w).unwrap_or(height);
-                    if h_bottom < need_bottom {
-                        h_bottom = need_bottom.min(height - need_top).max(h_bottom);
-                    }
-                    if height - h_bottom < need_top {
-                        let h_top = need_top.min(height - need_bottom).max(height - h_bottom);
-                        h_bottom = height - h_top;
-                    }
-                    let h_bottom = h_bottom.clamp(0, height);
-                    let y = rect.lly + h_bottom;
-                    let (b, t) = rect.split_horizontal(y);
-                    assign(tree, *left, b, target, shapes, scale, rects);
-                    assign(tree, *right, t, target, shapes, scale, rects);
-                }
+        PolishToken::Operator(cut) => cut,
+    };
+    let (left, right) = (budgets.start(k - 1) - 1, k - 1);
+    let (l, r) = (budgets.value(left), budgets.value(right));
+    let t_left = l.target * scale;
+    let t_right = r.target * scale;
+    let total = (t_left + t_right).max(1.0);
+    match cut {
+        CutDirection::Vertical => {
+            let width = rect.width();
+            let mut w_left = ((width as f64) * t_left / total).round() as i64;
+            // Shape-curve driven adjustment: move area between the two
+            // children if a child's macros cannot fit in its share.
+            let h = rect.height();
+            let need_left = l.shape.min_width_for_height(h).unwrap_or(width);
+            let need_right = r.shape.min_width_for_height(h).unwrap_or(width);
+            if w_left < need_left {
+                w_left = need_left.min(width - need_right).max(w_left);
             }
+            if width - w_left < need_right {
+                let w_right = need_right.min(width - need_left).max(width - w_left);
+                w_left = width - w_right;
+            }
+            let w_left = w_left.clamp(0, width);
+            let x = rect.llx + w_left;
+            let (lr, rr) = rect.split_vertical(x);
+            assign(tokens, budgets, left, lr, scale, rects);
+            assign(tokens, budgets, right, rr, scale, rects);
+        }
+        CutDirection::Horizontal => {
+            let height = rect.height();
+            let mut h_bottom = ((height as f64) * t_left / total).round() as i64;
+            let w = rect.width();
+            let need_bottom = l.shape.min_height_for_width(w).unwrap_or(height);
+            let need_top = r.shape.min_height_for_width(w).unwrap_or(height);
+            if h_bottom < need_bottom {
+                h_bottom = need_bottom.min(height - need_top).max(h_bottom);
+            }
+            if height - h_bottom < need_top {
+                let h_top = need_top.min(height - need_bottom).max(height - h_bottom);
+                h_bottom = height - h_top;
+            }
+            let h_bottom = h_bottom.clamp(0, height);
+            let y = rect.lly + h_bottom;
+            let (b, t) = rect.split_horizontal(y);
+            assign(tokens, budgets, left, b, scale, rects);
+            assign(tokens, budgets, right, t, scale, rects);
         }
     }
 }
@@ -267,13 +351,23 @@ pub fn evaluate_rects(
     rects: &[Rect],
     config: &HidapConfig,
 ) -> (f64, f64, f64) {
+    score(problem, config, rects, &affinity_edges(problem), &node_centers(problem, rects))
+}
+
+fn score(
+    problem: &LayoutProblem,
+    config: &HidapConfig,
+    rects: &[Rect],
+    edges: &[(usize, usize, f64)],
+    centers: &[Point],
+) -> (f64, f64, f64) {
     let violations = collect_violations(problem, rects);
     let region_area = (problem.region.area() as f64).max(1.0);
     let penalty = 1.0
         + config.penalty_target_area * violations.target_area / region_area
         + config.penalty_min_area * violations.min_area / region_area
         + config.penalty_macro * violations.macro_area / region_area;
-    let wirelength = wirelength_proxy(problem, rects);
+    let wirelength = sum_wirelength(edges, centers);
     (wirelength * penalty, penalty, wirelength)
 }
 
@@ -301,10 +395,30 @@ fn collect_violations(problem: &LayoutProblem, rects: &[Rect]) -> Violations {
 
 /// The Σ affinity · distance objective over block centers and fixed nodes.
 pub fn wirelength_proxy(problem: &LayoutProblem, rects: &[Rect]) -> f64 {
-    let n = problem.blocks.len();
+    sum_wirelength(&affinity_edges(problem), &node_centers(problem, rects))
+}
+
+/// The nonzero affinities `(i, j, a)` between a movable block `i` and any
+/// later node `j`, in the row-major order of the dense matrix.
+fn affinity_edges(problem: &LayoutProblem) -> Vec<(usize, usize, f64)> {
     let total_nodes = problem.affinity.len();
+    let mut edges = Vec::new();
+    for i in 0..problem.blocks.len() {
+        let row = problem.affinity.row(i);
+        for (j, &a) in row.iter().enumerate().take(total_nodes).skip(i + 1) {
+            if a > 0.0 {
+                edges.push((i, j, a));
+            }
+        }
+    }
+    edges
+}
+
+/// The center of every block rectangle, followed by the position of every
+/// fixed node (the region center for fixed nodes without one).
+fn node_centers(problem: &LayoutProblem, rects: &[Rect]) -> Vec<Point> {
     let mut centers: Vec<Point> = rects.iter().map(Rect::center).collect();
-    for idx in n..total_nodes {
+    for idx in problem.blocks.len()..problem.affinity.len() {
         centers.push(
             problem
                 .fixed_positions
@@ -314,15 +428,20 @@ pub fn wirelength_proxy(problem: &LayoutProblem, rects: &[Rect]) -> f64 {
                 .unwrap_or_else(|| problem.region.center()),
         );
     }
+    centers
+}
+
+/// Overwrites the block prefix of `centers` with the centers of `rects`.
+fn set_block_centers(centers: &mut [Point], rects: &[Rect]) {
+    for (center, rect) in centers.iter_mut().zip(rects) {
+        *center = rect.center();
+    }
+}
+
+fn sum_wirelength(edges: &[(usize, usize, f64)], centers: &[Point]) -> f64 {
     let mut wl = 0.0;
-    for i in 0..n {
-        let row = problem.affinity.row(i);
-        for j in (i + 1)..total_nodes {
-            let a = row[j];
-            if a > 0.0 {
-                wl += a * centers[i].manhattan_distance(centers[j]) as f64;
-            }
-        }
+    for &(i, j, a) in edges {
+        wl += a * centers[i].manhattan_distance(centers[j]) as f64;
     }
     wl
 }

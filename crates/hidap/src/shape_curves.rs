@@ -8,7 +8,7 @@
 //! node's macros generates a set of small-area shape combinations.
 
 use crate::config::HidapConfig;
-use geometry::{CutDirection, PolishExpression, ShapeCurve, SlicingNode, SlicingTree};
+use geometry::{CutDirection, NodeValues, PolishExpression, ShapeCurve, SpanCache};
 use netlist::design::{CellKind, Design};
 use netlist::hierarchy::{HierarchyNodeId, HierarchyTree};
 use rand::Rng;
@@ -84,16 +84,27 @@ pub fn macro_packing_curve<R: Rng + ?Sized>(
     config: &HidapConfig,
     rng: &mut R,
 ) -> ShapeCurve {
+    anneal_packing(leaves, config, rng).0
+}
+
+/// [`macro_packing_curve`], also returning how many slicing nodes the
+/// annealer composed.
+fn anneal_packing<R: Rng + ?Sized>(
+    leaves: &[ShapeCurve],
+    config: &HidapConfig,
+    rng: &mut R,
+) -> (ShapeCurve, u64) {
     match leaves.len() {
-        0 => ShapeCurve::unconstrained(),
-        1 => leaves[0].clone(),
+        0 => (ShapeCurve::unconstrained(), 0),
+        1 => (leaves[0].clone(), 0),
         _ => {
+            let packing = Packing { leaves, limit: config.shape_curve_limit };
             let mut expr = PolishExpression::chain(leaves.len(), CutDirection::Vertical);
+            let mut curves = SpanCache::new();
+            curves.rebuild(&expr, &packing);
             let mut accumulated: Vec<(i64, i64)> = Vec::new();
-            let mut current_curve = compose_expression(&expr, leaves, config.shape_curve_limit);
-            let mut current_cost = current_curve.min_area();
-            accumulated.extend_from_slice(current_curve.points());
-            let mut best_cost = current_cost;
+            let mut current_cost = curves.root().min_area();
+            accumulated.extend_from_slice(curves.root().points());
 
             let iterations = config.shape_curve_effort * leaves.len();
             // Simple annealing: temperature proportional to the total macro area.
@@ -101,22 +112,23 @@ pub fn macro_packing_curve<R: Rng + ?Sized>(
             let mut temperature = (total_area as f64) * 0.5 + 1.0;
             let cooling = 0.97_f64;
             for _ in 0..iterations {
-                let mut candidate = expr.clone();
-                candidate.random_move(rng);
-                let curve = compose_expression(&candidate, leaves, config.shape_curve_limit);
-                let cost = curve.min_area();
+                let mv = expr.random_move(rng);
+                curves.update(&expr, mv, &packing);
+                let cost = curves.root().min_area();
                 let delta = (cost - current_cost) as f64;
                 let accept = delta <= 0.0 || rng.gen::<f64>() < (-delta / temperature).exp();
                 if accept {
-                    expr = candidate;
+                    curves.commit();
                     current_cost = cost;
-                    current_curve = curve;
-                    accumulated.extend_from_slice(current_curve.points());
-                    best_cost = best_cost.min(cost);
+                    accumulated.extend_from_slice(curves.root().points());
+                } else {
+                    expr.undo(mv);
+                    curves.discard();
                 }
                 temperature = (temperature * cooling).max(1.0);
             }
-            ShapeCurve::from_points(accumulated).pruned(config.shape_curve_limit)
+            let curve = ShapeCurve::from_points(accumulated).pruned(config.shape_curve_limit);
+            (curve, curves.compositions())
         }
     }
 }
@@ -128,22 +140,27 @@ pub fn compose_expression(
     leaves: &[ShapeCurve],
     limit: usize,
 ) -> ShapeCurve {
-    let tree = expr.to_tree();
-    compose_node(&tree, tree.root(), leaves, limit)
+    let mut curves = SpanCache::new();
+    curves.rebuild(expr, &Packing { leaves, limit });
+    curves.root().clone()
 }
 
-fn compose_node(tree: &SlicingTree, idx: usize, leaves: &[ShapeCurve], limit: usize) -> ShapeCurve {
-    match tree.node(idx) {
-        SlicingNode::Leaf { block } => leaves[*block].clone(),
-        SlicingNode::Internal { cut, left, right } => {
-            let l = compose_node(tree, *left, leaves, limit);
-            let r = compose_node(tree, *right, leaves, limit);
-            let combined = match cut {
-                CutDirection::Vertical => l.compose_horizontal(&r),
-                CutDirection::Horizontal => l.compose_vertical(&r),
-            };
-            combined.pruned(limit)
-        }
+/// Slicing-node curves of a macro packing: a leaf is its macro's curve, a
+/// cut composes its children and prunes to `limit` points.
+struct Packing<'a> {
+    leaves: &'a [ShapeCurve],
+    limit: usize,
+}
+
+impl NodeValues for Packing<'_> {
+    type Value = ShapeCurve;
+
+    fn leaf(&self, block: usize, out: &mut ShapeCurve) {
+        out.clone_from(&self.leaves[block]);
+    }
+
+    fn cut(&self, cut: CutDirection, left: &ShapeCurve, right: &ShapeCurve, out: &mut ShapeCurve) {
+        out.set_to_cut(cut, left, right, self.limit);
     }
 }
 
@@ -227,5 +244,22 @@ mod tests {
         let a = macro_packing_curve(&leaves, &config(), &mut rng1);
         let b = macro_packing_curve(&leaves, &config(), &mut rng2);
         assert_eq!(a, b);
+    }
+
+    /// A clock-free work counter: the exact number of slicing nodes one
+    /// fixed-seed packing composes. Recomposing only the nodes around each
+    /// move stays well below the `(n − 1) × moves` compositions of
+    /// rebuilding every node per move.
+    #[test]
+    fn packing_composes_only_nodes_around_each_move() {
+        let leaves: Vec<ShapeCurve> =
+            (0..40).map(|i| ShapeCurve::from_macro(4 + i % 7, 3 + i % 5, i % 3 != 0)).collect();
+        let config = config();
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let (_, compositions) = anneal_packing(&leaves, &config, &mut rng);
+        let moves = (config.shape_curve_effort * leaves.len()) as u64;
+        let rebuild_every_move = (leaves.len() as u64 - 1) * moves;
+        assert!(compositions < rebuild_every_move, "{compositions} >= {rebuild_every_move}");
+        assert_eq!(compositions, 26_076);
     }
 }

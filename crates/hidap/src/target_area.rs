@@ -42,15 +42,17 @@ pub fn target_area_assignment(
         }
     }
 
+    // Only the glue cells' entries are read, so the search stops once every
+    // glue cell is discovered.
+    let glue_nodes: Vec<usize> = blocks.glue_cells.iter().map(|&c| gnet.cell_node(c)).collect();
     let result = multi_source_bfs(
         gnet.num_nodes(),
         &sources,
+        Some(&glue_nodes),
         |n| {
             // search the netlist as an undirected graph so glue on either side
             // of a block boundary is captured
-            let mut adj = gnet.successors(n).to_vec();
-            adj.extend_from_slice(gnet.predecessors(n));
-            adj
+            gnet.successors(n).iter().chain(gnet.predecessors(n)).copied()
         },
         |n| {
             // traverse through anything that is not part of another block
@@ -63,8 +65,7 @@ pub fn target_area_assignment(
 
     let mut extra_area = vec![0_i128; blocks.len()];
     let mut unassigned_area: i128 = 0;
-    for &glue in &blocks.glue_cells {
-        let node = gnet.cell_node(glue);
+    for (&glue, &node) in blocks.glue_cells.iter().zip(&glue_nodes) {
         let area = design.cell(glue).area();
         if result.reached(node) && result.source[node] != usize::MAX {
             let block = source_block[result.source[node]];
