@@ -18,10 +18,9 @@ use placer_core::{
     BatchGrid, BatchOutcome, BatchRunner, EffortLevel, PlaceContext, PlaceError, PlaceOutcome,
     PlaceRequest, Placer, WirelengthObjective,
 };
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the handFP proxy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HandFpConfig {
     /// Seeds to try.
     pub seeds: Vec<u64>,

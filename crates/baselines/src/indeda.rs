@@ -22,13 +22,10 @@ use hidap::legalize::{legalize_macros, MacroFootprint, MacroFootprints};
 use hidap::placement::{MacroPlacement, PlacedMacro};
 use hidap::HidapError;
 use netlist::design::{CellId, Design};
-use rand::Rng;
-use rand_chacha::rand_core::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use rand::{ChaCha8Rng, Rng, SeedableRng};
 
 /// Configuration of the IndEDA-style baseline placer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IndEdaConfig {
     /// Simulated-annealing moves per macro per temperature step.
     pub moves_per_macro: usize,
@@ -80,7 +77,7 @@ impl IndEdaConfig {
 /// (proposal counter, moved macro, resulting corner and rotation — both
 /// macros for swap moves). Regression tests pin it so any change to the
 /// move scoring or acceptance behaviour is caught explicitly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AnnealTrace {
     /// Number of proposed moves (fixed by the configuration).
     pub proposed: u64,

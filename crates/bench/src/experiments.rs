@@ -5,7 +5,6 @@ use eval::{EvalConfig, Evaluator, PlacementMetrics};
 use hidap::{HidapConfig, HidapFlow, MacroPlacement};
 use netlist::design::Design;
 use placer_core::{BatchGrid, BatchRunner, PlaceContext, PlaceRequest, WirelengthObjective};
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use workload::presets::generate_circuit;
 
@@ -22,7 +21,7 @@ pub const TABLE_SCENARIOS: [&str; 9] =
     ["c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8", "large_soc"];
 
 /// How much compute each flow is allowed to spend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Effort {
     /// Reduced effort: suitable for CI and quick experiments (the default of
     /// every harness binary).
@@ -88,7 +87,7 @@ impl Effort {
 }
 
 /// The measured outcome of one flow on one circuit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowResult {
     /// Flow name (`IndEDA`, `HiDaP`, `handFP`).
     pub flow: String,
@@ -109,7 +108,7 @@ pub struct FlowResult {
 }
 
 /// The three-flow comparison for one circuit — one group of rows of Table III.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CircuitComparison {
     /// Circuit name.
     pub circuit: String,

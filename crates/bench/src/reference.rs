@@ -20,9 +20,7 @@ use geometry::{Orientation, Point, Rect};
 use graphs::seqgraph::SeqGraphConfig;
 use graphs::{NetGraph, SeqGraph};
 use netlist::design::{CellId, CellKind, Design};
-use rand::Rng;
-use rand_chacha::rand_core::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use rand::{ChaCha8Rng, Rng, SeedableRng};
 use std::collections::HashMap;
 
 /// The pre-refactor standard-cell placer: every per-cell datum in a

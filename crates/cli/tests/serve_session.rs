@@ -176,3 +176,29 @@ fn serve_session_reports_loader_errors_without_dying() {
     assert_eq!(errs[1].get("code"), Some("load-failed"));
     assert!(errs[1].get("reason").unwrap().contains("verilog="), "the required field is named");
 }
+
+#[test]
+fn serve_session_rejects_an_overwide_vector_and_keeps_serving() {
+    let dir = temp_dir("wide");
+    let verilog = dir.join("wide.v");
+    std::fs::write(
+        &verilog,
+        "module top (a, z);\n  input [2097151:0] a;\n  output z;\nendmodule\n",
+    )
+    .unwrap();
+    let opts = cli::parse_args(&["--serve".into()]).unwrap();
+    let script =
+        format!("hello client=ci\nintern verilog={}\nstats\nshutdown\n", verilog.display());
+    let out = SharedWriter::new(Vec::new());
+    let end = cli::run_serve_session(&opts, script.as_bytes(), out.clone()).unwrap();
+    assert_eq!(end, server::SessionEnd::Shutdown);
+    let frames = parse_transcript(&out.lock());
+    let errs: Vec<&Frame> = frames.iter().filter(|f| f.name == "err").collect();
+    assert_eq!(errs.len(), 1, "{frames:#?}");
+    assert_eq!(errs[0].get("cmd"), Some("intern"));
+    assert_eq!(errs[0].get("code"), Some("load-failed"));
+    let reason = errs[0].get("reason").unwrap();
+    assert!(reason.contains("line 2: vector [2097151:0] is wider than 1048576 bits"), "{reason}");
+    assert!(frames.iter().any(|f| f.name == "stats"), "the daemon still answers: {frames:#?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

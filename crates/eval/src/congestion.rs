@@ -11,10 +11,9 @@ use crate::placer::CellPlacement;
 use geometry::{Point, Rect};
 use netlist::design::{CellKind, Design};
 use netlist::PlacementView;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the congestion estimator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CongestionConfig {
     /// Number of bins per die edge.
     pub bins: usize,
@@ -38,7 +37,7 @@ impl Default for CongestionConfig {
 }
 
 /// The congestion map and its summary statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CongestionMap {
     /// Bins per edge.
     pub bins: usize,

@@ -4,10 +4,9 @@ use crate::placer::CellPlacement;
 use geometry::Rect;
 use netlist::design::{CellKind, Design};
 use netlist::PlacementView;
-use serde::{Deserialize, Serialize};
 
 /// A grid of standard-cell density (cell area per bin area).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DensityMap {
     /// Bins per die edge.
     pub bins: usize,

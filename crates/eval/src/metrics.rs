@@ -12,11 +12,10 @@ use geometry::Point;
 use graphs::SeqGraph;
 use netlist::design::Design;
 use netlist::PlacementView;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Configuration of the whole evaluation pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EvalConfig {
     /// Standard-cell placer settings.
     pub placer: PlacerConfig,
@@ -44,7 +43,7 @@ impl EvalConfig {
 }
 
 /// The metrics of one placed flow — one row of Table III.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlacementMetrics {
     /// Half-perimeter wirelength.
     pub hpwl: Hpwl,

@@ -28,13 +28,10 @@ use geometry::{Orientation, Point, Rect};
 use netlist::dense::DenseMap;
 use netlist::design::{CellId, CellKind, Design};
 use netlist::PlacementView;
-use rand::Rng;
-use rand_chacha::rand_core::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use rand::{ChaCha8Rng, Rng, SeedableRng};
 
 /// Configuration of the standard-cell placer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlacerConfig {
     /// Number of Gauss–Seidel connectivity sweeps.
     pub iterations: usize,
@@ -59,7 +56,7 @@ impl Default for PlacerConfig {
 ///
 /// Positions live in a dense id-indexed store; cells outside the map (or with
 /// an empty slot) are unplaced.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CellPlacement {
     /// Location of every cell (cell center), indexed densely by cell id.
     pub positions: DenseMap<CellId, Option<Point>>,

@@ -16,10 +16,9 @@ use geometry::Point;
 use graphs::{SeqGraph, SeqNodeId};
 use netlist::dense::DenseMap;
 use netlist::design::Design;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the timing estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingConfig {
     /// Clock period in picoseconds.
     pub clock_period_ps: f64,
@@ -36,7 +35,7 @@ impl Default for TimingConfig {
 }
 
 /// The timing report of a placed design.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TimingReport {
     /// Worst slack in picoseconds (positive when timing is met).
     pub worst_slack_ps: f64,

@@ -6,10 +6,9 @@ use crate::placer::CellPlacement;
 use geometry::Point;
 use netlist::design::{CellId, Design};
 use netlist::{Connectivity, NetId};
-use serde::{Deserialize, Serialize};
 
 /// Wirelength report.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Hpwl {
     /// Total half-perimeter wirelength in DBU.
     pub dbu: i128,

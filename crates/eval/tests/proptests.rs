@@ -69,7 +69,7 @@ fn any_orientation() -> impl Strategy<Value = Orientation> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, .. ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 24 })]
 
     /// Incremental deltas over a random move sequence stay bit-identical to
     /// a full recompute after every single move.

@@ -1,7 +1,6 @@
 //! Macro orientations following the LEF/DEF convention.
 
 use crate::{Dbu, Point};
-use serde::{Deserialize, Serialize};
 
 /// One of the eight orientations a macro can take in a DEF placement.
 ///
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!((w, h), (10, 30));
 /// assert!(Orientation::W.swaps_axes());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Orientation {
     /// North: no rotation (R0).
     #[default]

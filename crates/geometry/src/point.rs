@@ -1,7 +1,6 @@
 //! 2-D integer points.
 
 use crate::Dbu;
-use serde::{Deserialize, Serialize};
 
 /// A point in the plane, in database units.
 ///
@@ -14,9 +13,7 @@ use serde::{Deserialize, Serialize};
 /// let b = Point::new(13, 16);
 /// assert_eq!(a.manhattan_distance(b), 7);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct Point {
     /// Horizontal coordinate.
     pub x: Dbu,

@@ -1,7 +1,6 @@
 //! Axis-aligned rectangles.
 
 use crate::{Dbu, Point};
-use serde::{Deserialize, Serialize};
 
 /// An axis-aligned rectangle defined by its lower-left and upper-right corners.
 ///
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(die.contains_rect(&macro_box));
 /// assert_eq!(macro_box.area(), 600);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Rect {
     /// Lower-left x coordinate.
     pub llx: Dbu,

@@ -7,7 +7,6 @@
 //! there is a curve point `(w', h')` with `w' <= w` and `h' <= h`.
 
 use crate::{CutDirection, Dbu};
-use serde::{Deserialize, Serialize};
 
 /// A Pareto-minimal set of feasible `(width, height)` bounding boxes.
 ///
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(stacked.fits(2, 6));   // rotated 2x4 under 2x2
 /// assert!(!stacked.fits(3, 3));
 /// ```
-#[derive(Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Default)]
 pub struct ShapeCurve {
     points: Vec<(Dbu, Dbu)>,
 }

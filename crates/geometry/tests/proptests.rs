@@ -6,8 +6,7 @@ use geometry::{
 };
 use proptest::prelude::*;
 use proptest::test_runner::ProptestConfig;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{ChaCha8Rng, Rng, SeedableRng};
 
 /// The composition as a definition: every pair of points combined, reduced
 /// to its Pareto set. `ShapeCurve` composes with a linear merge instead; this
@@ -40,7 +39,7 @@ fn arb_curve(coord: i64, max_points: usize) -> impl Strategy<Value = ShapeCurve>
 
 /// Leaf curves for the span-cache tests: rotatable and fixed macros.
 fn leaf_curves(n: usize, seed: u64) -> Vec<ShapeCurve> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
     (0..n)
         .map(|_| {
             let (w, h) = (rng.gen_range(1i64..9), rng.gen_range(1i64..9));
@@ -87,7 +86,7 @@ fn oracle_root(expr: &PolishExpression, leaves: &[ShapeCurve], limit: usize) -> 
 /// FNV-1a over the tokens of every expression a move sequence visits.
 /// Every `reject_every`-th move (0: none) is undone after it is hashed.
 fn move_sequence_hash(n: usize, seed: u64, moves: usize, reject_every: usize) -> u64 {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut expr = PolishExpression::chain(n, CutDirection::Vertical);
     let mut hash = 0xcbf2_9ce4_8422_2325_u64;
     for step in 0..moves {
@@ -267,7 +266,7 @@ proptest! {
 
     #[test]
     fn polish_moves_preserve_validity_and_leaf_set(n in 2usize..12, seed in 0u64..500, moves in 1usize..60) {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut expr = PolishExpression::chain(n, CutDirection::Vertical);
         for _ in 0..moves {
             expr.random_move(&mut rng);
@@ -294,7 +293,7 @@ proptest! {
     ) {
         let leaves = leaf_curves(n, seed);
         let packing = Packing { leaves: &leaves, limit };
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xace);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xace);
         let mut expr = PolishExpression::chain(n, CutDirection::Vertical);
         let mut cache = SpanCache::new();
         cache.rebuild(&expr, &packing);
@@ -328,7 +327,7 @@ proptest! {
         seed in 0u64..1000,
         moves in 0usize..40,
     ) {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut expr = PolishExpression::chain(n, CutDirection::Horizontal);
         for _ in 0..moves {
             expr.random_move(&mut rng);
@@ -350,7 +349,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 4000, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 4000 })]
 
     #[test]
     fn linear_merge_equals_the_all_pairs_product(

@@ -19,10 +19,9 @@
 //! ```
 
 use netlist::HeapSize;
-use serde::{Deserialize, Serialize};
 
 /// A dense `n × n` affinity matrix in one flat row-major buffer.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct AffinityMatrix {
     n: usize,
     data: Vec<f64>,

@@ -18,7 +18,6 @@ use crate::affinity::AffinityMatrix;
 use crate::histogram::FlowHistogram;
 use crate::seqgraph::{SeqGraph, SeqNodeId, SeqNodeKind};
 use netlist::HeapSize;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Assignment of sequential-graph nodes to dataflow blocks.
@@ -26,7 +25,7 @@ use std::collections::VecDeque;
 /// `block_of[s]` is the block index of sequential node `s`, or `None` when
 /// the node is glue logic (not part of any block). Port nodes should also be
 /// `None`; they become their own dataflow nodes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockAssignment {
     /// Number of blocks.
     pub num_blocks: usize,
@@ -72,7 +71,7 @@ impl BlockAssignment {
 }
 
 /// A node of the dataflow graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DataflowNode {
     /// A block of the current floorplanning level.
     Block {
@@ -108,7 +107,7 @@ impl DataflowNode {
 }
 
 /// An edge of the dataflow graph, holding the two flow histograms.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DataflowEdge {
     /// Block-flow histogram (paths through glue logic only).
     pub block_flow: FlowHistogram,
@@ -132,7 +131,7 @@ impl DataflowEdge {
 ///
 /// Nodes `0..num_blocks` are the blocks (in [`BlockAssignment`] order),
 /// followed by one node per multi-bit port array.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataflowGraph {
     nodes: Vec<DataflowNode>,
     /// Flat row-major edge map: `edges[i * n + j]` is the edge `i → j`.
@@ -141,7 +140,7 @@ pub struct DataflowGraph {
 }
 
 /// Parameters for dataflow-graph construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DataflowConfig {
     /// Maximum latency explored by the flow searches (BFS depth bound).
     pub max_latency: u32,

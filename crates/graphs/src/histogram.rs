@@ -12,7 +12,6 @@
 //! where `k` controls the exponential decay impact of latency.
 
 use netlist::HeapSize;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A latency → bits histogram describing the dataflow along one edge.
@@ -29,7 +28,7 @@ use std::collections::BTreeMap;
 /// assert!((h.score(1) - (64.0 + 32.0 / 3.0)).abs() < 1e-9);
 /// assert!(h.score(2) < h.score(1));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FlowHistogram {
     bins: BTreeMap<u32, u64>,
 }

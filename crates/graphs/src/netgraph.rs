@@ -6,10 +6,9 @@
 //! derived.
 
 use netlist::design::{CellId, CellKind, Design, PortId};
-use serde::{Deserialize, Serialize};
 
 /// A node of the netlist graph: either a cell or a primary port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NetGraphNode {
     /// A cell of the design.
     Cell(CellId),
@@ -39,7 +38,7 @@ pub enum NetGraphNode {
 /// assert_eq!(gnet.num_nodes(), 2);
 /// assert_eq!(gnet.successors(0), &[1]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetGraph {
     num_cells: usize,
     num_ports: usize,

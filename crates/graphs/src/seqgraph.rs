@@ -17,11 +17,10 @@ use crate::netgraph::{NetGraph, NetGraphNode};
 use netlist::arrays::split_array_name;
 use netlist::dense::{DenseId, DenseMap};
 use netlist::design::{CellId, CellKind, Design, PortId};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Identifier of a node in a [`SeqGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SeqNodeId(pub u32);
 
 /// Sequential-node ids are dense (`0..num_nodes`), so per-node data can live
@@ -39,7 +38,7 @@ impl netlist::dense::DenseId for SeqNodeId {
 }
 
 /// Kind of a sequential-graph node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SeqNodeKind {
     /// A hard macro.
     Macro,
@@ -50,7 +49,7 @@ pub enum SeqNodeKind {
 }
 
 /// A node of the sequential graph: a macro, a register array or a port array.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SeqNode {
     /// Kind of the node.
     pub kind: SeqNodeKind,
@@ -67,7 +66,7 @@ pub struct SeqNode {
 }
 
 /// Configuration for [`SeqGraph`] construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SeqGraphConfig {
     /// Register arrays narrower than this many bits are discarded
     /// (macros and ports are always kept). `1` keeps everything.
@@ -110,7 +109,7 @@ impl Default for SeqGraphConfig {
 /// let reg = gseq.nodes().position(|n| n.kind == SeqNodeKind::Register).unwrap();
 /// assert_eq!(gseq.node(graphs::SeqNodeId(reg as u32)).width, 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SeqGraph {
     nodes: Vec<SeqNode>,
     succ: Vec<Vec<(usize, u64)>>,

@@ -12,14 +12,13 @@
 use geometry::ShapeCurve;
 use netlist::design::CellId;
 use netlist::hierarchy::HierarchyNodeId;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a block within one floorplanning level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlockId(pub usize);
 
 /// What a block was created from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockKind {
     /// A hierarchy-tree node selected by declustering (HCB member).
     Hierarchy(HierarchyNodeId),
@@ -28,7 +27,7 @@ pub enum BlockKind {
 }
 
 /// A block of the current floorplanning level.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Block {
     /// Origin of the block.
     pub kind: BlockKind,
@@ -66,7 +65,7 @@ impl Block {
 
 /// The set of blocks of one floorplanning level, together with the glue
 /// (HCG) cells that must be folded into their target areas.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct BlockSet {
     /// The blocks, indexed by [`BlockId`].
     pub blocks: Vec<Block>,

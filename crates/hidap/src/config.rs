@@ -1,7 +1,5 @@
 //! Configuration of the HiDaP flow.
 
-use serde::{Deserialize, Serialize};
-
 /// All tunable parameters of the HiDaP flow.
 ///
 /// The defaults follow the values reported in the paper where they are given
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// let cfg = HidapConfig { lambda: 0.8, ..HidapConfig::default() };
 /// assert_eq!(cfg.lambda, 0.8);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HidapConfig {
     /// Blend between block flow (λ) and macro flow (1 − λ) in the dataflow
     /// affinity (Sect. IV-D). The paper evaluates λ ∈ {0.2, 0.5, 0.8}.

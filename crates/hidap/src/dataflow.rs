@@ -12,11 +12,10 @@ use graphs::dataflow::DataflowConfig;
 use graphs::{AffinityMatrix, BlockAssignment, DataflowGraph, SeqGraph};
 use netlist::dense::DenseMap;
 use netlist::design::{CellId, Design};
-use serde::{Deserialize, Serialize};
 
 /// A fixed dataflow context node: a group of cells that already has a known
 /// location (a block placed at an enclosing hierarchy level).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FixedGroup {
     /// Display name.
     pub name: String,

@@ -12,8 +12,7 @@ use graphs::seqgraph::SeqGraphConfig;
 use graphs::{NetGraph, SeqGraph};
 use netlist::design::Design;
 use netlist::hierarchy::HierarchyTree;
-use rand_chacha::rand_core::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use rand::{ChaCha8Rng, SeedableRng};
 
 /// A checkpoint the flow reports as it moves through its stages.
 ///

@@ -2,11 +2,10 @@
 
 use geometry::{Orientation, Point, Rect};
 use netlist::design::{CellId, Design};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Placement of a single macro.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlacedMacro {
     /// The macro cell.
     pub cell: CellId,
@@ -17,7 +16,7 @@ pub struct PlacedMacro {
 }
 
 /// The result of a macro-placement flow: one entry per macro of the design.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MacroPlacement {
     /// Placed macros, in design macro order.
     pub macros: Vec<PlacedMacro>,

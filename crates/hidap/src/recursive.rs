@@ -268,8 +268,7 @@ mod tests {
     use super::*;
     use graphs::seqgraph::SeqGraphConfig;
     use netlist::design::DesignBuilder;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{ChaCha8Rng, SeedableRng};
     use std::collections::HashMap;
 
     /// Fig. 1-style design: two clusters of 4 macros each with a register
@@ -304,7 +303,7 @@ mod tests {
         let gnet = NetGraph::from_design(&design);
         let gseq = SeqGraph::from_design(&design, &SeqGraphConfig { min_register_bits: 1 });
         let mut fp = RecursiveFloorplanner::new(&design, &ht, &gnet, &gseq, &curves, &config);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
         fp.floorplan(ht.root(), design.die(), &[], 0, &mut rng);
         assert_eq!(fp.footprints.len(), 8, "all 8 macros placed");
         // the top level identified the two clusters
@@ -326,7 +325,7 @@ mod tests {
         let gnet = NetGraph::from_design(&design);
         let gseq = SeqGraph::from_design(&design, &SeqGraphConfig { min_register_bits: 1 });
         let mut fp = RecursiveFloorplanner::new(&design, &ht, &gnet, &gseq, &curves, &config);
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = ChaCha8Rng::seed_from_u64(2);
         fp.floorplan(ht.root(), design.die(), &[], 0, &mut rng);
 
         let top: HashMap<&str, Rect> =
@@ -356,7 +355,7 @@ mod tests {
         let gnet = NetGraph::from_design(&design);
         let gseq = SeqGraph::from_design(&design, &SeqGraphConfig { min_register_bits: 1 });
         let mut fp = RecursiveFloorplanner::new(&design, &ht, &gnet, &gseq, &curves, &config);
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
         fp.floorplan(ht.root(), design.die(), &[], 0, &mut rng);
         assert!(fp.footprints.is_empty());
     }

@@ -11,16 +11,13 @@ use crate::config::HidapConfig;
 use geometry::{CutDirection, NodeValues, PolishExpression, ShapeCurve, SpanCache};
 use netlist::design::{CellKind, Design};
 use netlist::hierarchy::{HierarchyNodeId, HierarchyTree};
-use rand::Rng;
-use rand_chacha::rand_core::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use rand::{ChaCha8Rng, Rng, SeedableRng};
 use std::collections::HashMap;
 
 /// The set SΓ: one shape curve per hierarchy node that contains macros.
 ///
 /// Nodes without macros are unconstrained and are not stored explicitly.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ShapeCurveSet {
     curves: HashMap<HierarchyNodeId, ShapeCurve>,
 }

@@ -9,9 +9,7 @@ use hidap::shape_curves::{compose_expression, macro_packing_curve};
 use hidap::HidapConfig;
 use netlist::design::DesignBuilder;
 use proptest::prelude::*;
-use rand::Rng;
-use rand_chacha::rand_core::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use rand::{ChaCha8Rng, Rng, SeedableRng};
 
 fn soft_blocks(areas: &[i128]) -> Vec<LayoutBlock> {
     areas

@@ -6,12 +6,11 @@
 //! (Sect. IV-D, step 2): `data_reg[13]`, `data_reg_13` and `data_reg13`
 //! are all bits of the array `data_reg`.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The result of splitting a bit-level name into an array base name and a
 /// bit index.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 // lint:allow(heap-size): elaboration transient (per-bit name scratch); dropped before
 // any design reaches a store
 pub struct ArrayBit {
@@ -66,7 +65,7 @@ pub fn split_array_name(name: &str) -> ArrayBit {
 }
 
 /// A group of bit-level items recognized as one array.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 // lint:allow(heap-size): elaboration transient grouping bits during parsing; never
 // resident in a byte-budgeted store
 pub struct ArrayGroup<T> {

@@ -1,8 +1,8 @@
 //! Minimal little-endian binary codec for the disk spill tier.
 //!
-//! The workspace's `serde` shim is a no-op marker crate, so spilled
-//! artifacts are written with this hand-rolled codec instead: fixed-width
-//! little-endian integers, length-prefixed arrays and strings, and a
+//! The workspace has no serialization framework, so spilled artifacts
+//! are written with this hand-rolled codec: fixed-width little-endian
+//! integers, length-prefixed arrays and strings, and a
 //! truncation-tolerant [`Reader`] whose every accessor returns `Option` —
 //! a short or corrupt buffer decodes to `None`, never a panic, so the
 //! spill tier can degrade to a rebuild miss on any malformed file.

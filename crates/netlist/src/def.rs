@@ -18,11 +18,10 @@
 use crate::design::{CellId, Design, PortId};
 use crate::error::ParseError;
 use geometry::{Dbu, Orientation, Point, Rect};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 
 /// Placement status of a DEF component.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlaceStatus {
     /// Placed but movable.
     Placed,
@@ -33,7 +32,7 @@ pub enum PlaceStatus {
 }
 
 /// One component (cell instance) entry of a DEF file.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 // lint:allow(heap-size): parser AST transient; consumed by apply_to and dropped
 pub struct DefComponent {
     /// Instance name.
@@ -49,7 +48,7 @@ pub struct DefComponent {
 }
 
 /// One pin (primary port) entry of a DEF file.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 // lint:allow(heap-size): parser AST transient; consumed by apply_to and dropped
 pub struct DefPin {
     /// Pin name.
@@ -59,7 +58,7 @@ pub struct DefPin {
 }
 
 /// Parsed contents of a DEF file.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 // lint:allow(heap-size): parser AST transient; consumed by apply_to and dropped
 pub struct DefFile {
     /// Design name.
@@ -411,7 +410,7 @@ fn parse_pins(lx: &mut Lexer<'_>) -> Result<Vec<DefPin>, ParseError> {
 }
 
 /// A macro placement to be written out as DEF.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 // lint:allow(heap-size): DEF-emit transient; built, written out, dropped
 pub struct PlacementEntry {
     /// Instance name.

@@ -8,23 +8,22 @@
 use crate::connectivity::Connectivity;
 use crate::names::NameTable;
 use geometry::{Dbu, Point, Rect};
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// Identifier of a cell inside a [`Design`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CellId(pub u32);
 
 /// Identifier of a primary port inside a [`Design`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PortId(pub u32);
 
 /// Identifier of a net inside a [`Design`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NetId(pub u32);
 
 /// What kind of circuit element a cell is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CellKind {
     /// A hard macro (memory, analog block, ...), with fixed footprint.
     Macro,
@@ -35,7 +34,7 @@ pub enum CellKind {
 }
 
 /// Direction of a primary port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PortDirection {
     /// Input port: drives logic inside the design.
     Input,
@@ -46,7 +45,7 @@ pub enum PortDirection {
 }
 
 /// A cell instance of the design.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cell {
     /// Full hierarchical instance name (e.g. `u_core/u_alu/add_42`).
     pub name: String,
@@ -75,7 +74,7 @@ impl Cell {
 }
 
 /// A primary port of the design.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Port {
     /// Port name (e.g. `axi_rdata[31]`).
     pub name: String,
@@ -88,7 +87,7 @@ pub struct Port {
 }
 
 /// A net of the design (single driver, multiple sinks).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Net {
     /// Net name.
     pub name: String,
@@ -116,7 +115,7 @@ impl Net {
 ///
 /// Construct one through [`DesignBuilder`] or one of the parsers
 /// ([`crate::verilog`], [`crate::def`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Design {
     name: String,
     cells: Vec<Cell>,

@@ -23,14 +23,13 @@
 
 use crate::design::{CellId, CellKind, Design, NetId, PortId};
 use geometry::{Dbu, Point, Rect};
-use serde::{Deserialize, Serialize};
 
 /// One typed ECO edit.
 ///
 /// Ids refer to the design the edit is applied to; the textual script form
 /// (see [`parse_edit_script`]) uses names instead and resolves them at parse
 /// time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DesignEdit {
     /// Resizes a cell footprint (macro resize is the classic ECO).  Pure
     /// geometry: wiring and sequential names are untouched.

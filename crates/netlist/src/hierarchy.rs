@@ -6,15 +6,14 @@
 //! is what hierarchical declustering (Sect. IV-B) consumes.
 
 use crate::design::{CellId, CellKind, Design};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Identifier of a node in a [`HierarchyTree`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct HierarchyNodeId(pub u32);
 
 /// One level of the design hierarchy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HierarchyNode {
     /// Full hierarchical path of this level (empty string for the root/top).
     pub path: String,
@@ -48,7 +47,7 @@ pub struct HierarchyNode {
 /// assert_eq!(ht.node(ht.root()).subtree_macros, 1);
 /// assert!(ht.find("u_mem").is_some());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HierarchyTree {
     nodes: Vec<HierarchyNode>,
     root: HierarchyNodeId,

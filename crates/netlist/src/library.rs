@@ -4,11 +4,10 @@
 //! [`crate::lef`] parser.
 
 use geometry::{Dbu, Point};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A pin of a library macro, with its location in the macro's local frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PinDef {
     /// Pin name (e.g. `D[12]`, `Q`, `CLK`).
     pub name: String,
@@ -17,7 +16,7 @@ pub struct PinDef {
 }
 
 /// A library cell definition (macro or standard cell).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MacroDef {
     /// Library cell name (e.g. `RAM256x32`).
     pub name: String,
@@ -61,7 +60,7 @@ impl MacroDef {
 /// assert!(lib.find_macro("RAM64x32").is_some());
 /// assert_eq!(lib.blocks().count(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Library {
     macros: Vec<MacroDef>,
     index: HashMap<String, usize>,

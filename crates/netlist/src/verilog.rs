@@ -29,6 +29,12 @@ use crate::error::ParseError;
 use crate::library::Library;
 use crate::names::NameTable;
 
+/// The widest vector, in bits, that a declaration or part-select may span.
+/// Elaboration creates one name per bit, so wider ranges are rejected where
+/// they are read. IEEE 1364 lets tools cap vector length at no less than
+/// 2^16 bits; the emitted presets use at most 256.
+const MAX_VECTOR_BITS: u64 = 1 << 20;
+
 /// A port declaration: name, direction, optional (msb, lsb) range.
 type PortDecl = (String, PortDirection, Option<(i64, i64)>);
 
@@ -216,7 +222,20 @@ impl<'a> Parser<'a> {
         self.expect_symbol(':')?;
         let lsb = self.parse_int()?;
         self.expect_symbol(']')?;
+        self.check_width(msb, lsb)?;
         Ok(Some((msb, lsb)))
+    }
+
+    /// Rejects a `[a:b]` range wider than [`MAX_VECTOR_BITS`].
+    fn check_width(&self, a: i64, b: i64) -> Result<(), ParseError> {
+        if a.abs_diff(b) < MAX_VECTOR_BITS {
+            Ok(())
+        } else {
+            Err(ParseError::at_line(
+                self.line(),
+                format!("vector [{a}:{b}] is wider than {MAX_VECTOR_BITS} bits"),
+            ))
+        }
     }
 
     fn parse_int(&mut self) -> Result<i64, ParseError> {
@@ -258,6 +277,7 @@ impl<'a> Parser<'a> {
                     if self.eat_symbol(':')? {
                         let b = self.parse_int()?;
                         self.expect_symbol(']')?;
+                        self.check_width(a, b)?;
                         // bits are listed in source order, i.e. from `a` to `b`
                         let v: Vec<String> = if a >= b {
                             (b..=a).rev().map(|i| format!("{base}[{i}]")).collect()
@@ -906,5 +926,59 @@ endmodule
         let g = d.find_cell("u/g").unwrap();
         let fanin_net = d.cell(g).fanin[0];
         assert_eq!(d.net(fanin_net).name, "q");
+    }
+
+    /// Parses `src` and expects the width check to reject it on `line`.
+    fn assert_too_wide(src: &str, line: usize, range: &str) {
+        let err = parse_verilog(src, Some("top"), &ElaborateOptions::default()).unwrap_err();
+        assert_eq!(err.line, Some(line), "{err}");
+        assert_eq!(err.message, format!("vector {range} is wider than 1048576 bits"));
+    }
+
+    #[test]
+    fn too_wide_port_declaration_is_rejected() {
+        let src = r#"
+module top (a, z);
+  input [2097151:0] a;
+  output z;
+  BUF u1 (.A(a[0]), .Y(z));
+endmodule
+"#;
+        assert_too_wide(src, 3, "[2097151:0]");
+    }
+
+    #[test]
+    fn too_wide_part_select_is_rejected() {
+        let src = r#"
+module top (input a, output z);
+  wire [3:0] w;
+  BUF u1 (.A(w[0:2097151]), .Y(z));
+endmodule
+"#;
+        assert_too_wide(src, 4, "[0:2097151]");
+    }
+
+    #[test]
+    fn bare_bus_to_too_wide_child_port_is_rejected() {
+        // the child's declaration is rejected before the bare-bus
+        // connection `.a(w)` could expand it bit by bit
+        let src = r#"
+module sub (input [2097151:0] a, output y);
+  BUF g (.A(a[0]), .Y(y));
+endmodule
+module top (input [3:0] w, output z);
+  sub u (.a(w), .y(z));
+endmodule
+"#;
+        assert_too_wide(src, 2, "[2097151:0]");
+    }
+
+    #[test]
+    fn vector_width_limit_is_inclusive() {
+        // 2^20 bits parse (the table is not elaborated here); one more fails
+        assert!(parse_modules("module top (input [1048575:0] a); endmodule").is_ok());
+        assert!(parse_modules("module top (input [0:-1048575] a); endmodule").is_ok());
+        assert!(parse_modules("module top (input [1048576:0] a); endmodule").is_err());
+        assert!(parse_modules("module top (input [-1:1048575] a); endmodule").is_err());
     }
 }

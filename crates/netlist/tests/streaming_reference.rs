@@ -1250,7 +1250,7 @@ fn build_random_verilog(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 48 })]
 
     #[test]
     fn verilog_streaming_matches_reference_on_random_workloads(

@@ -6,11 +6,10 @@ use eval::{CellPlacement, EvalConfig, PlacementMetrics};
 use geometry::Rect;
 use hidap::MacroPlacement;
 use netlist::design::Design;
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
 /// Compute-budget tiers shared by every flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EffortLevel {
     /// Reduced effort for CI and quick experiments.
     Fast,
@@ -151,7 +150,7 @@ impl<'a> PlaceRequest<'a> {
 }
 
 /// Wall-clock duration of one flow stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageTiming {
     /// Stage name (`hierarchy`, `shape_curves`, `floorplan`, `flipping`,
     /// `legalize`, `evaluate`, ...).

@@ -78,7 +78,7 @@ fn run_job(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 12, .. ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 12 })]
 
     #[test]
     fn any_interleaving_under_a_tiny_budget_matches_the_unbounded_oracle(

@@ -160,7 +160,7 @@ fn run_job(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 8, .. ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 8 })]
 
     #[test]
     fn spilled_and_revived_runs_match_the_spill_less_oracle(

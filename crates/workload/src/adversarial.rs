@@ -25,9 +25,7 @@ use crate::generator::{SocConfig, SocGenerator, SubsystemConfig};
 use geometry::{Dbu, Point, Rect};
 use netlist::design::{CellId, Design, DesignBuilder, NetId, PortDirection, PortId};
 use netlist::edit::DesignEdit;
-use rand::Rng;
-use rand_chacha::rand_core::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use rand::{ChaCha8Rng, Rng, SeedableRng};
 
 /// Names of the adversarial presets accepted by [`adversarial_design`].
 pub const ADVERSARIAL_PRESETS: [&str; 4] =

@@ -19,13 +19,10 @@
 use geometry::{Dbu, Point, Rect};
 use netlist::design::{CellId, Design, DesignBuilder, NetId, PortDirection};
 use netlist::library::{Library, MacroDef, PinDef};
-use rand::Rng;
-use rand_chacha::rand_core::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use rand::{ChaCha8Rng, Rng, SeedableRng};
 
 /// Configuration of one subsystem.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SubsystemConfig {
     /// Instance name (e.g. `u_cpu0`).
     pub name: String,
@@ -56,7 +53,7 @@ impl SubsystemConfig {
 }
 
 /// Configuration of a whole synthetic SoC.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SocConfig {
     /// Design name.
     pub name: String,

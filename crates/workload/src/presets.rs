@@ -8,10 +8,9 @@
 use crate::generator::{GeneratedDesign, SocConfig, SocGenerator, SubsystemConfig};
 use geometry::{Dbu, Point, Rect};
 use netlist::design::{Design, DesignBuilder, PortDirection};
-use serde::{Deserialize, Serialize};
 
 /// Description of one benchmark circuit of the paper.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CircuitPreset {
     /// Circuit name (`c1` … `c8`).
     pub name: &'static str,

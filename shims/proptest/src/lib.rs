@@ -18,9 +18,9 @@ pub mod prelude {
     //! The glob-imported surface, mirroring `proptest::prelude`.
 
     pub use crate::any;
-    pub use crate::strategy::{Just, Strategy};
+    pub use crate::strategy::Strategy;
     pub use crate::test_runner::{ProptestConfig, TestCaseError};
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, proptest};
+    pub use crate::{prop_assert, prop_assert_eq, proptest};
 
     pub mod prop {
         //! Module alias so `prop::collection::vec` etc. resolve after a glob
@@ -146,20 +146,6 @@ macro_rules! prop_assert_eq {
             return ::std::result::Result::Err($crate::test_runner::TestCaseError::fail(
                 format!("{}: {:?} != {:?}", format!($($fmt)+), l, r),
             ));
-        }
-    }};
-}
-
-/// Asserts inequality inside a [`proptest!`] body.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($left:expr, $right:expr) => {{
-        let (l, r) = (&$left, &$right);
-        if !(l != r) {
-            return ::std::result::Result::Err($crate::test_runner::TestCaseError::fail(format!(
-                "assertion failed: {:?} != {:?}",
-                l, r
-            )));
         }
     }};
 }

@@ -30,17 +30,6 @@ impl<S: Strategy + ?Sized> Strategy for &S {
     }
 }
 
-/// A strategy producing one fixed value.
-#[derive(Debug, Clone)]
-pub struct Just<T: Clone>(pub T);
-
-impl<T: Clone> Strategy for Just<T> {
-    type Value = T;
-    fn generate(&self, _rng: &mut TestRng) -> T {
-        self.0.clone()
-    }
-}
-
 /// The [`Strategy::prop_map`] combinator.
 pub struct Map<S, F> {
     inner: S,
@@ -124,11 +113,5 @@ mod tests {
             let v = strat.generate(&mut rng);
             assert!((5..16).contains(&v));
         }
-    }
-
-    #[test]
-    fn just_returns_fixed_value() {
-        let mut rng = TestRng::seed_from_u64(2);
-        assert_eq!(Just(7).generate(&mut rng), 7);
     }
 }

@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// The RNG driving case generation (deterministic per test).
-pub type TestRng = rand::rngs::StdRng;
+pub type TestRng = rand::ChaCha8Rng;
 
 /// Creates the deterministic case RNG (used by the `proptest!` expansion so
 /// consumer crates don't need a direct `rand` dependency).
@@ -17,16 +17,13 @@ pub fn new_rng(seed: u64) -> TestRng {
 pub struct ProptestConfig {
     /// Number of generated cases per test.
     pub cases: u32,
-    /// Maximum rejected cases before giving up (accepted for compatibility;
-    /// this shim has no `prop_assume`, so nothing is ever rejected).
-    pub max_global_rejects: u32,
 }
 
 impl Default for ProptestConfig {
     fn default() -> Self {
         // the real default of 256 cases is overkill for the heavyweight flow
         // tests; 32 keep good coverage at CI-friendly runtimes
-        Self { cases: 32, max_global_rejects: 1024 }
+        Self { cases: 32 }
     }
 }
 

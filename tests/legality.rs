@@ -37,7 +37,7 @@ fn arbitrary_soc() -> impl Strategy<Value = SocConfig> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 8, .. ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 8 })]
 
     #[test]
     fn hidap_always_produces_legal_placements(config in arbitrary_soc()) {
