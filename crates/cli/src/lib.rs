@@ -39,7 +39,7 @@
 
 #![forbid(unsafe_code)]
 
-use eval::{EvalConfig, Evaluator};
+use eval::EvalConfig;
 use geometry::Rect;
 use hidap::MacroPlacement;
 use netlist::design::Design;
@@ -360,19 +360,21 @@ pub struct PlacementInfo {
 
 /// Runs the selected flow on a loaded design through the engine API.
 pub fn place(design: &Design, opts: &Options) -> Result<MacroPlacement, String> {
-    place_outcome(design, opts).map(|(outcome, _)| outcome.placement)
+    place_outcome(design, opts, &mut PlaceContext::new()).map(|(outcome, _)| outcome.placement)
 }
 
-/// Like [`place`], but returns the full [`PlaceOutcome`] (stage timings,
-/// metrics) and sweep information.
+/// Like [`place`], but runs in `ctx` and returns the full [`PlaceOutcome`]
+/// (stage timings, metrics) and sweep information. The graphs the flow
+/// builds stay in `ctx`'s artifact cache, so evaluating the result with
+/// [`PlaceContext::evaluator`] does not build them again.
 pub fn place_outcome(
     design: &Design,
     opts: &Options,
+    ctx: &mut PlaceContext,
 ) -> Result<(PlaceOutcome, PlacementInfo), String> {
     let registry = baselines::default_registry();
     let placer = registry.create(&opts.flow).map_err(|e| e.to_string())?;
     let effort = effort_level(opts)?;
-    let mut ctx = PlaceContext::new();
     if opts.sweep {
         if placer.is_composite() {
             return Err(format!(
@@ -393,7 +395,7 @@ pub fn place_outcome(
         let runner = BatchRunner::new().with_jobs(opts.jobs);
         let template = PlaceRequest::new(design).with_effort(effort);
         let batch = runner
-            .run(placer.as_ref(), &template, &grid, &mut ctx)
+            .run(placer.as_ref(), &template, &grid, ctx)
             .map_err(|e| format!("placement failed: {e}"))?;
         let info = PlacementInfo {
             seed: batch.winner.seed,
@@ -407,8 +409,7 @@ pub fn place_outcome(
             .with_seed(opts.seed)
             .with_effort(effort)
             .with_lambda(opts.lambda);
-        let outcome =
-            placer.place(&request, &mut ctx).map_err(|e| format!("placement failed: {e}"))?;
+        let outcome = placer.place(&request, ctx).map_err(|e| format!("placement failed: {e}"))?;
         let info =
             PlacementInfo { seed: outcome.seed, lambda: outcome.lambda, candidates: 1, jobs: 1 };
         Ok((outcome, info))
@@ -870,8 +871,15 @@ pub fn run(opts: &Options) -> Result<String, String> {
     if opts.manifest.is_some() {
         return run_manifest(opts);
     }
+    run_placement(opts, &mut PlaceContext::new())
+}
+
+/// Loads and places one design in `ctx`, writes the outputs, and reports.
+/// The report evaluates through `ctx`, whose artifact cache already holds
+/// the graphs the placement built.
+fn run_placement(opts: &Options, ctx: &mut PlaceContext) -> Result<String, String> {
     let (design, dbu) = load_design(opts)?;
-    let (outcome, info) = place_outcome(&design, opts)?;
+    let (outcome, info) = place_outcome(&design, opts, ctx)?;
     let placement = &outcome.placement;
     let mut output = String::new();
     output.push_str(&format!(
@@ -922,7 +930,7 @@ pub fn run(opts: &Options) -> Result<String, String> {
     }
     if opts.report {
         let eval_cfg = EvalConfig { dbu_per_micron: dbu, ..EvalConfig::standard() };
-        let metrics = Evaluator::new(eval_cfg).evaluate(&design, placement);
+        let metrics = ctx.evaluator(eval_cfg).evaluate(&design, placement);
         output.push_str(&format!(
             "wirelength: {:.4} m\ncongestion (GRC%): {:.2}\nWNS: {:.2}% of clock\nTNS: {:.1} ns\npeak cell density: {:.2}\n",
             metrics.wirelength_m,
@@ -1173,6 +1181,66 @@ sub/b.v lef=b.lef top=chip
         assert!(usage.contains("docs/PROTOCOL.md"), "{usage}");
         assert!(usage.contains("docs/ECO.md"), "{usage}");
         assert!(usage.contains("replace"), "{usage}");
+    }
+
+    #[test]
+    fn report_evaluates_with_the_graphs_the_placement_built() {
+        use workload::emit::{emit_lef, emit_verilog};
+        use workload::{SocConfig, SocGenerator, SubsystemConfig};
+        let generated = SocGenerator::new(SocConfig {
+            name: "report_soc".into(),
+            subsystems: vec![
+                SubsystemConfig::balanced("u_cpu", 2, 4),
+                SubsystemConfig::balanced("u_dsp", 2, 4),
+            ],
+            channels: vec![(0, 1), (1, 0)],
+            io_subsystems: vec![0],
+            io_bits: 4,
+            utilization: 0.5,
+            aspect_ratio: 1.0,
+            seed: 3,
+        })
+        .generate();
+        let dir = std::env::temp_dir().join(format!("hidap_cli_report_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (verilog, lef) = (dir.join("report_soc.v"), dir.join("report_soc.lef"));
+        std::fs::write(&verilog, emit_verilog(&generated.design)).unwrap();
+        std::fs::write(&lef, emit_lef(&generated.design, &generated.library, 1000)).unwrap();
+        let opts = parse_args(&args(&[
+            "--verilog",
+            verilog.to_str().unwrap(),
+            "--lef",
+            lef.to_str().unwrap(),
+            "--effort",
+            "fast",
+            "--report",
+        ]))
+        .unwrap();
+
+        let mut ctx = PlaceContext::new();
+        let report = run_placement(&opts, &mut ctx).unwrap();
+        let stats = ctx.artifacts().stats();
+        // the placement built each graph once, and the report's evaluation
+        // fetched the placement's Gseq instead of building its own
+        assert_eq!((stats.net.misses, stats.seq.misses), (1, 1), "each graph is built once");
+        assert_eq!(stats.seq.hits, 1, "the report reuses the placement's Gseq");
+
+        // the report equals what a fresh evaluator computes for the placement
+        let (design, dbu) = load_design(&opts).unwrap();
+        let placement = place(&design, &opts).unwrap();
+        let fresh =
+            eval::Evaluator::new(EvalConfig { dbu_per_micron: dbu, ..EvalConfig::standard() })
+                .evaluate(&design, &placement);
+        for line in [
+            format!("wirelength: {:.4} m", fresh.wirelength_m),
+            format!("congestion (GRC%): {:.2}", fresh.grc_percent()),
+            format!("WNS: {:.2}% of clock", fresh.wns_percent()),
+            format!("TNS: {:.1} ns", fresh.tns_ns()),
+            format!("peak cell density: {:.2}", fresh.density.peak()),
+        ] {
+            assert!(report.lines().any(|l| l == line), "missing '{line}' in:\n{report}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

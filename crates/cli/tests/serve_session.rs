@@ -177,28 +177,75 @@ fn serve_session_reports_loader_errors_without_dying() {
     assert!(errs[1].get("reason").unwrap().contains("verilog="), "the required field is named");
 }
 
+/// A chain of `n` modules, each instantiating the next, one per line.
+fn module_chain(n: usize) -> String {
+    let mut src = String::new();
+    for i in 0..n - 1 {
+        src.push_str(&format!("module m{i} (input a); m{} u (.a(a)); endmodule\n", i + 1));
+    }
+    src.push_str(&format!("module m{} (input a); BUF g (.A(a)); endmodule\n", n - 1));
+    src
+}
+
 #[test]
 fn serve_session_rejects_an_overwide_vector_and_keeps_serving() {
-    let dir = temp_dir("wide");
-    let verilog = dir.join("wide.v");
-    std::fs::write(
-        &verilog,
-        "module top (a, z);\n  input [2097151:0] a;\n  output z;\nendmodule\n",
-    )
-    .unwrap();
+    // (file text, top module, expected reason): each used to either slip
+    // through or abort the daemon with a stack overflow
+    let depth = 200_000;
+    let unclosed = format!("{}a{}", "{".repeat(depth), "}".repeat(depth - 1));
+    let rows: Vec<(String, Option<&str>, &str)> = vec![
+        (
+            "module top (a, z);\n  input [2097151:0] a;\n  output z;\nendmodule\n".into(),
+            None,
+            "line 2: vector [2097151:0] is wider than 1048576 bits",
+        ),
+        (
+            "module top (input a, output y);\n  wire n;\n  BUF g (.A(a), .Y(n));\n  \
+             top u_again (.a(n), .y(y));\n  BUF h (.A(n), .Y(y));\nendmodule\n"
+                .into(),
+            Some("top"),
+            "line 4: instance 'u_again' instantiates module 'top' inside itself",
+        ),
+        (
+            "module top (input a);\n  ping u0 (.a(a));\nendmodule\n\
+             module ping (input a);\n  pong u1 (.a(a));\nendmodule\n\
+             module pong (input a);\n  ping u2 (.a(a));\nendmodule\n"
+                .into(),
+            None,
+            "line 8: instance 'u2' instantiates module 'ping' inside itself",
+        ),
+        (
+            format!("module top (input a);\n  BUF u1 (.A({unclosed}));\nendmodule\n"),
+            Some("top"),
+            "line 2: expected '}', found Some(Symbol(')'))",
+        ),
+        (
+            module_chain(40_000),
+            None,
+            "line 256: instance 'u' of module 'm256' is nested deeper than 256 levels",
+        ),
+    ];
+    let dir = temp_dir("rejects");
     let opts = cli::parse_args(&["--serve".into()]).unwrap();
-    let script =
-        format!("hello client=ci\nintern verilog={}\nstats\nshutdown\n", verilog.display());
-    let out = SharedWriter::new(Vec::new());
-    let end = cli::run_serve_session(&opts, script.as_bytes(), out.clone()).unwrap();
-    assert_eq!(end, server::SessionEnd::Shutdown);
-    let frames = parse_transcript(&out.lock());
-    let errs: Vec<&Frame> = frames.iter().filter(|f| f.name == "err").collect();
-    assert_eq!(errs.len(), 1, "{frames:#?}");
-    assert_eq!(errs[0].get("cmd"), Some("intern"));
-    assert_eq!(errs[0].get("code"), Some("load-failed"));
-    let reason = errs[0].get("reason").unwrap();
-    assert!(reason.contains("line 2: vector [2097151:0] is wider than 1048576 bits"), "{reason}");
-    assert!(frames.iter().any(|f| f.name == "stats"), "the daemon still answers: {frames:#?}");
+    for (i, (text, top, expected)) in rows.iter().enumerate() {
+        let verilog = dir.join(format!("bad{i}.v"));
+        std::fs::write(&verilog, text).unwrap();
+        let top = top.map(|t| format!(" top={t}")).unwrap_or_default();
+        let script = format!(
+            "hello client=ci\nintern verilog={}{top}\nstats\nshutdown\n",
+            verilog.display()
+        );
+        let out = SharedWriter::new(Vec::new());
+        let end = cli::run_serve_session(&opts, script.as_bytes(), out.clone()).unwrap();
+        assert_eq!(end, server::SessionEnd::Shutdown);
+        let frames = parse_transcript(&out.lock());
+        let errs: Vec<&Frame> = frames.iter().filter(|f| f.name == "err").collect();
+        assert_eq!(errs.len(), 1, "row {i}: {frames:#?}");
+        assert_eq!(errs[0].get("cmd"), Some("intern"));
+        assert_eq!(errs[0].get("code"), Some("load-failed"));
+        let reason = errs[0].get("reason").unwrap();
+        assert!(reason.contains(expected), "row {i}: {reason}");
+        assert!(frames.iter().any(|f| f.name == "stats"), "row {i}: the daemon still answers");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

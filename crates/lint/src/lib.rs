@@ -111,7 +111,8 @@ the site with // lint:allow(hash-iter): <why the order cannot escape>.",
 daemon-panic (R2): panics reachable from a client request kill the daemon.
 
 Scope: non-test code of crates/server/src/* and placer-core's service.rs and
-scheduler.rs — everything between frame decode and job completion.
+scheduler.rs — everything between frame decode and job completion — plus
+netlist's verilog.rs, which `intern` runs on client-named files.
 
 `hidap --serve` promises that a malformed or hostile frame produces a
 structured `err code=...` frame and the session lives on. A stray .unwrap(),
@@ -699,6 +700,7 @@ fn on_daemon_path(path: &str) -> bool {
     path.starts_with("crates/server/src/")
         || path == "crates/placer-core/src/service.rs"
         || path == "crates/placer-core/src/scheduler.rs"
+        || path == "crates/netlist/src/verilog.rs"
 }
 
 /// R2: panic sources on the daemon request path.

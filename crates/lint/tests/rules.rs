@@ -123,6 +123,9 @@ mod tests {
     // same content: flagged on the daemon path, clean in an ordinary crate
     assert_eq!(rules_of(&check("crates/server/src/foo.rs", body)), ["daemon-panic"]);
     assert_eq!(check("crates/hidap/src/foo.rs", body), []);
+    // `intern` elaborates client files through the Verilog parser, not (yet) LEF
+    assert_eq!(rules_of(&check("crates/netlist/src/verilog.rs", body)), ["daemon-panic"]);
+    assert_eq!(check("crates/netlist/src/lef.rs", body), []);
 }
 
 #[test]

@@ -665,9 +665,21 @@ impl DesignBuilder {
     pub fn add_net(&mut self, name: impl Into<String>) -> NetId {
         let name = name.into();
         let hash = NameTable::hash_name(&name);
-        if let Some(id) = self.net_index.find(hash, |id| self.nets[id as usize].name == name) {
-            return NetId(id);
-        }
+        self.find_net(hash, &name).unwrap_or_else(|| self.push_net(hash, name))
+    }
+
+    /// Like [`DesignBuilder::add_net`], but borrows the name: only a net not
+    /// seen before allocates, at the name's exact length.
+    pub(crate) fn intern_net(&mut self, name: &str) -> NetId {
+        let hash = NameTable::hash_name(name);
+        self.find_net(hash, name).unwrap_or_else(|| self.push_net(hash, name.to_owned()))
+    }
+
+    fn find_net(&self, hash: u64, name: &str) -> Option<NetId> {
+        self.net_index.find(hash, |id| self.nets[id as usize].name == name).map(NetId)
+    }
+
+    fn push_net(&mut self, hash: u64, name: String) -> NetId {
         let id = NetId(self.nets.len() as u32);
         self.nets.push(Net { name, ..Default::default() });
         self.net_index.insert(hash, id.0);

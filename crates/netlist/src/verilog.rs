@@ -18,16 +18,24 @@
 //! hierarchy tree can be rebuilt (this is exactly the RTL-stage hierarchy
 //! information the paper exploits).
 //!
-//! The parser is *streaming*: tokens are borrowed slices of the source text
-//! produced one at a time by a cursor — never a materialized token vector,
-//! which costs gigabytes at a million cells — and the module table and the
-//! flattener's per-instance port maps are compact sorted structures rather
-//! than `HashMap`s.
+//! The parser is *streaming* and *borrowing*: tokens are slices of the
+//! source text produced one at a time by a cursor — never a materialized
+//! token vector, which costs gigabytes at a million cells — and the module
+//! table holds those slices too, with every instance's connections in one
+//! per-module vector. Flattening writes each net name into reused buffers
+//! and allocates only the names the [`Design`] keeps, at their exact length.
+//!
+//! Elaboration is total: a recursive instantiation, a hierarchy deeper than
+//! 256 levels or a vector wider than 2^20 bits is a [`ParseError`] with a
+//! line, and nothing recurses on nesting depth that the input controls
+//! without a bound.
 
 use crate::design::{CellKind, Design, DesignBuilder, PortDirection};
 use crate::error::ParseError;
 use crate::library::Library;
 use crate::names::NameTable;
+use std::fmt::Write as _;
+use std::ops::Range;
 
 /// The widest vector, in bits, that a declaration or part-select may span.
 /// Elaboration creates one name per bit, so wider ranges are rejected where
@@ -35,24 +43,88 @@ use crate::names::NameTable;
 /// 2^16 bits; the emitted presets use at most 256.
 const MAX_VECTOR_BITS: u64 = 1 << 20;
 
-/// A port declaration: name, direction, optional (msb, lsb) range.
-type PortDecl = (String, PortDirection, Option<(i64, i64)>);
+/// The deepest module hierarchy, in levels counting the top module, that
+/// elaboration descends. Flattening recurses once per level, so the bound
+/// keeps it well inside a 2 MiB thread stack; real hierarchies are tens of
+/// levels deep.
+const MAX_HIERARCHY_DEPTH: usize = 256;
 
-/// A parsed (unflattened) Verilog module.
-#[derive(Debug, Clone, Default)]
-struct Module {
-    name: String,
-    /// port name -> (direction, msb, lsb) ; scalar ports have msb == lsb == None
-    ports: Vec<PortDecl>,
-    instances: Vec<Instance>,
+/// A port declaration: name, direction, optional (msb, lsb) range.
+type PortDecl<'a> = (&'a str, PortDirection, Option<(i64, i64)>);
+
+/// A parsed (unflattened) Verilog module. Names borrow the source text.
+struct Module<'a> {
+    name: &'a str,
+    ports: Vec<PortDecl<'a>>,
+    instances: Vec<Instance<'a>>,
+    /// The connections of every instance, in source order.
+    connections: Vec<Connection<'a>>,
 }
 
-#[derive(Debug, Clone)]
-struct Instance {
-    cell: String,
-    name: String,
-    /// (port, net expression) pairs
-    connections: Vec<(String, String)>,
+struct Instance<'a> {
+    cell: &'a str,
+    name: &'a str,
+    /// Line of the instantiation, for elaboration errors.
+    line: usize,
+    /// This instance's slice of [`Module::connections`].
+    connections: Range<usize>,
+}
+
+/// One connected pin bit. Unconnected pins (`.X()`, or an escaped name of
+/// zero length) are not recorded: flattening would skip them anyway.
+#[derive(Clone, Copy)]
+struct Connection<'a> {
+    pin: Pin<'a>,
+    net: NetBit<'a>,
+}
+
+/// A pin name: `base`, then the `[index]` of a `.D[3](...)` connection (not
+/// legal Verilog but seen in some netlists), then the `[bit]` of a
+/// multi-bit connection.
+#[derive(Clone, Copy)]
+struct Pin<'a> {
+    base: &'a str,
+    index: Option<i64>,
+    bit: Option<usize>,
+}
+
+impl Pin<'_> {
+    fn write_to(self, out: &mut String) {
+        out.push_str(self.base);
+        if let Some(i) = self.index {
+            let _ = write!(out, "[{i}]");
+        }
+        if let Some(b) = self.bit {
+            let _ = write!(out, "[{b}]");
+        }
+    }
+}
+
+/// One bit of a net expression, written out as a name only when the
+/// flattener needs it.
+#[derive(Clone, Copy)]
+enum NetBit<'a> {
+    /// `name`
+    Name(&'a str),
+    /// `name[i]`
+    Bit(&'a str, i64),
+    /// A constant like `1'b0`, an anonymous tie net `__const_1'b0`.
+    Const(&'a str),
+}
+
+impl NetBit<'_> {
+    fn write_to(self, out: &mut String) {
+        match self {
+            NetBit::Name(name) => out.push_str(name),
+            NetBit::Bit(name, i) => {
+                let _ = write!(out, "{name}[{i}]");
+            }
+            NetBit::Const(value) => {
+                out.push_str("__const_");
+                out.push_str(value);
+            }
+        }
+    }
 }
 
 /// Tokenizer output. Tokens borrow from the source text — no allocation per
@@ -64,84 +136,85 @@ enum Token<'a> {
     Number(&'a str),
 }
 
-/// Streaming tokenizer: a cursor over the source text producing one token per
-/// call.
+/// Streaming tokenizer: a cursor over the rest of the source text producing
+/// one token per call.
 struct Lexer<'a> {
-    text: &'a str,
-    pos: usize,
+    rest: &'a str,
     line: usize,
+}
+
+/// Splits `s` at byte `n`, a char boundary `find` reported on `s`.
+fn split(s: &str, n: usize) -> (&str, &str) {
+    s.split_at_checked(n).unwrap_or((s, ""))
 }
 
 impl<'a> Lexer<'a> {
     fn new(text: &'a str) -> Self {
-        Self { text, pos: 0, line: 1 }
+        Self { rest: text, line: 1 }
+    }
+
+    /// Takes the first `n` bytes of the rest of the text.
+    fn take(&mut self, n: usize) -> &'a str {
+        let (token, rest) = split(self.rest, n);
+        self.rest = rest;
+        token
     }
 
     fn next_token(&mut self) -> Result<Option<(usize, Token<'a>)>, ParseError> {
         loop {
-            let rest = &self.text[self.pos..];
-            let Some(c) = rest.chars().next() else { return Ok(None) };
+            let mut chars = self.rest.chars();
+            let Some(c) = chars.next() else { return Ok(None) };
+            let after = chars.as_str();
             match c {
                 '\n' => {
                     self.line += 1;
-                    self.pos += 1;
+                    self.rest = after;
                 }
-                c if c.is_whitespace() => {
-                    self.pos += c.len_utf8();
-                }
-                '/' => match rest[1..].chars().next() {
-                    Some('/') => match rest.find('\n') {
-                        Some(n) => {
-                            self.line += 1;
-                            self.pos += n + 1;
-                        }
-                        None => self.pos = self.text.len(),
-                    },
-                    Some('*') => {
-                        let body = &rest[2..];
-                        match body.find("*/") {
-                            Some(n) => {
-                                self.line += body[..n].matches('\n').count();
-                                self.pos += 2 + n + 2;
-                            }
-                            None => {
-                                self.line += body.matches('\n').count();
-                                self.pos = self.text.len();
-                            }
-                        }
+                c if c.is_whitespace() => self.rest = after,
+                '/' if after.starts_with('/') => match after.find('\n') {
+                    Some(n) => {
+                        self.line += 1;
+                        self.rest = split(after, n + 1).1;
                     }
-                    _ => {
-                        self.pos += 1;
-                        return Ok(Some((self.line, Token::Symbol('/'))));
-                    }
+                    None => self.rest = "",
                 },
+                '/' if after.starts_with('*') => {
+                    let body = split(after, 1).1;
+                    match body.find("*/") {
+                        Some(n) => {
+                            let (comment, rest) = split(body, n);
+                            self.line += comment.matches('\n').count();
+                            self.rest = split(rest, 2).1;
+                        }
+                        None => {
+                            self.line += body.matches('\n').count();
+                            self.rest = "";
+                        }
+                    }
+                }
                 '\\' => {
                     // escaped identifier: `\name with specials ` terminated by whitespace
-                    let start = self.pos + 1;
-                    let end = self.text[start..]
-                        .find(char::is_whitespace)
-                        .map_or(self.text.len(), |n| start + n);
-                    self.pos = end;
-                    return Ok(Some((self.line, Token::Ident(&self.text[start..end]))));
+                    self.rest = after;
+                    let n = after.find(char::is_whitespace).unwrap_or(after.len());
+                    return Ok(Some((self.line, Token::Ident(self.take(n)))));
                 }
                 c if c.is_alphabetic() || c == '_' => {
-                    let start = self.pos;
-                    let end = rest
+                    let n = self
+                        .rest
                         .find(|c2: char| !(c2.is_alphanumeric() || c2 == '_' || c2 == '$'))
-                        .map_or(self.text.len(), |n| start + n);
-                    self.pos = end;
-                    return Ok(Some((self.line, Token::Ident(&self.text[start..end]))));
+                        .unwrap_or(self.rest.len());
+                    return Ok(Some((self.line, Token::Ident(self.take(n)))));
                 }
                 c if c.is_ascii_digit() => {
-                    let start = self.pos;
-                    let end = rest
+                    let n = self
+                        .rest
                         .find(|c2: char| !(c2.is_alphanumeric() || c2 == '\'' || c2 == '_'))
-                        .map_or(self.text.len(), |n| start + n);
-                    self.pos = end;
-                    return Ok(Some((self.line, Token::Number(&self.text[start..end]))));
+                        .unwrap_or(self.rest.len());
+                    return Ok(Some((self.line, Token::Number(self.take(n)))));
                 }
-                '(' | ')' | '[' | ']' | '{' | '}' | ',' | ';' | ':' | '.' | '=' | '-' | '+' => {
-                    self.pos += 1;
+                '(' | ')' | '[' | ']' | '{' | '}' | ',' | ';' | ':' | '.' | '=' | '-' | '+'
+                | '/' => {
+                    self.rest = after;
                     return Ok(Some((self.line, Token::Symbol(c))));
                 }
                 other => {
@@ -256,20 +329,32 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Parses a net expression: `name`, `name[3]`, `name[7:4]`, or a
-    /// concatenation `{a, b[3], ...}`. Returns the list of bit-level net names.
-    fn parse_net_expr(&mut self) -> Result<Vec<String>, ParseError> {
-        if self.eat_symbol('{')? {
-            let mut nets = Vec::new();
+    /// Parses a net expression — `name`, `name[3]`, `name[7:4]`, a constant,
+    /// or a concatenation `{a, b[3], ...}` — and appends its bits to `bits`
+    /// in source order. Concatenations are parsed without recursion: nesting
+    /// only groups bits, so a depth counter is all the state it needs.
+    fn parse_net_expr(&mut self, bits: &mut Vec<NetBit<'a>>) -> Result<(), ParseError> {
+        let mut depth = 0usize;
+        loop {
+            while self.eat_symbol('{')? {
+                depth += 1;
+            }
+            self.parse_net_term(bits)?;
             loop {
-                nets.extend(self.parse_net_expr()?);
-                if !self.eat_symbol(',')? {
+                if depth == 0 {
+                    return Ok(());
+                }
+                if self.eat_symbol(',')? {
                     break;
                 }
+                self.expect_symbol('}')?;
+                depth -= 1;
             }
-            self.expect_symbol('}')?;
-            return Ok(nets);
         }
+    }
+
+    /// Parses one operand of a net expression (no braces).
+    fn parse_net_term(&mut self, bits: &mut Vec<NetBit<'a>>) -> Result<(), ParseError> {
         match self.next()? {
             Some(Token::Ident(base)) => {
                 if self.eat_symbol('[')? {
@@ -279,23 +364,23 @@ impl<'a> Parser<'a> {
                         self.expect_symbol(']')?;
                         self.check_width(a, b)?;
                         // bits are listed in source order, i.e. from `a` to `b`
-                        let v: Vec<String> = if a >= b {
-                            (b..=a).rev().map(|i| format!("{base}[{i}]")).collect()
+                        if a >= b {
+                            bits.extend((b..=a).rev().map(|i| NetBit::Bit(base, i)));
                         } else {
-                            (a..=b).map(|i| format!("{base}[{i}]")).collect()
-                        };
-                        Ok(v)
+                            bits.extend((a..=b).map(|i| NetBit::Bit(base, i)));
+                        }
                     } else {
                         self.expect_symbol(']')?;
-                        Ok(vec![format!("{base}[{a}]")])
+                        bits.push(NetBit::Bit(base, a));
                     }
                 } else {
-                    Ok(vec![base.to_string()])
+                    bits.push(NetBit::Name(base));
                 }
+                Ok(())
             }
             Some(Token::Number(n)) => {
-                // constant like 1'b0 — treat as an anonymous tie net
-                Ok(vec![format!("__const_{n}")])
+                bits.push(NetBit::Const(n));
+                Ok(())
             }
             other => Err(ParseError::at_line(
                 self.line(),
@@ -307,26 +392,30 @@ impl<'a> Parser<'a> {
 
 /// The module table: definition-ordered modules with a compact name index.
 #[derive(Default)]
-struct ModuleTable {
-    modules: Vec<Module>,
+struct ModuleTable<'a> {
+    modules: Vec<Module<'a>>,
     index: NameTable,
 }
 
-impl ModuleTable {
-    fn find(&self, name: &str) -> Option<&Module> {
-        self.index
-            .find(NameTable::hash_name(name), |id| self.modules[id as usize].name == name)
-            .map(|id| &self.modules[id as usize])
+impl<'a> ModuleTable<'a> {
+    /// The id (definition position) and definition of module `name`.
+    fn find(&self, name: &str) -> Option<(usize, &Module<'a>)> {
+        let id = self.index.find(NameTable::hash_name(name), |id| {
+            self.modules.get(id as usize).is_some_and(|m| m.name == name)
+        })? as usize;
+        self.modules.get(id).map(|m| (id, m))
     }
 
-    fn insert(&mut self, m: Module) {
-        let hash = NameTable::hash_name(&m.name);
-        match self.index.find(hash, |id| self.modules[id as usize].name == m.name) {
+    fn insert(&mut self, m: Module<'a>) {
+        match self.find(m.name) {
             // a redefinition overwrites the earlier one, like map insertion did
-            Some(id) => self.modules[id as usize] = m,
+            Some((id, _)) => {
+                if let Some(slot) = self.modules.get_mut(id) {
+                    *slot = m;
+                }
+            }
             None => {
-                let id = self.modules.len() as u32;
-                self.index.insert(hash, id);
+                self.index.insert(NameTable::hash_name(m.name), self.modules.len() as u32);
                 self.modules.push(m);
             }
         }
@@ -334,27 +423,28 @@ impl ModuleTable {
 }
 
 /// Parses Verilog source text into the module table.
-fn parse_modules(text: &str) -> Result<ModuleTable, ParseError> {
+fn parse_modules(text: &str) -> Result<ModuleTable<'_>, ParseError> {
     let mut p = Parser::new(text);
     let mut table = ModuleTable::default();
+    let mut bits = Vec::new();
     while let Some(tok) = p.peek()? {
-        match tok {
-            Token::Ident("module") => {
-                p.next()?;
-                let m = parse_module(&mut p)?;
-                table.insert(m);
-            }
-            _ => {
-                p.next()?;
-            }
+        p.next()?;
+        if tok == Token::Ident("module") {
+            table.insert(parse_module(&mut p, &mut bits)?);
         }
     }
     Ok(table)
 }
 
-fn parse_module(p: &mut Parser<'_>) -> Result<Module, ParseError> {
-    let name = p.expect_ident()?.to_string();
-    let mut module = Module { name, ..Default::default() };
+/// Parses one module after its `module` keyword. `bits` is scratch space for
+/// the bits of one net expression.
+fn parse_module<'a>(
+    p: &mut Parser<'a>,
+    bits: &mut Vec<NetBit<'a>>,
+) -> Result<Module<'a>, ParseError> {
+    let name = p.expect_ident()?;
+    let mut module =
+        Module { name, ports: Vec::new(), instances: Vec::new(), connections: Vec::new() };
     // Header port list. ANSI-style declarations (`input [1:0] a, output y`)
     // are recorded directly; non-ANSI headers only list names and the
     // directions come from declarations in the body.
@@ -368,11 +458,7 @@ fn parse_module(p: &mut Parser<'_>) -> Result<Module, ParseError> {
             match p.peek()? {
                 Some(Token::Ident(kw @ ("input" | "output" | "inout"))) => {
                     p.next()?;
-                    dir = Some(match kw {
-                        "input" => PortDirection::Input,
-                        "output" => PortDirection::Output,
-                        _ => PortDirection::Inout,
-                    });
+                    dir = Some(direction(kw));
                     if matches!(p.peek()?, Some(Token::Ident("wire" | "reg"))) {
                         p.next()?;
                     }
@@ -381,7 +467,7 @@ fn parse_module(p: &mut Parser<'_>) -> Result<Module, ParseError> {
                 Some(Token::Ident(pname)) => {
                     p.next()?;
                     if let Some(d) = dir {
-                        module.ports.push((pname.to_string(), d, range));
+                        module.ports.push((pname, d, range));
                     }
                 }
                 _ => {
@@ -401,11 +487,7 @@ fn parse_module(p: &mut Parser<'_>) -> Result<Module, ParseError> {
             }
             Token::Ident(kw @ ("input" | "output" | "inout")) => {
                 p.next()?;
-                let dir = match kw {
-                    "input" => PortDirection::Input,
-                    "output" => PortDirection::Output,
-                    _ => PortDirection::Inout,
-                };
+                let dir = direction(kw);
                 // optional `wire` keyword
                 if p.peek()? == Some(Token::Ident("wire")) {
                     p.next()?;
@@ -413,7 +495,7 @@ fn parse_module(p: &mut Parser<'_>) -> Result<Module, ParseError> {
                 let range = p.parse_range()?;
                 loop {
                     let pname = p.expect_ident()?;
-                    module.ports.push((pname.to_string(), dir, range));
+                    module.ports.push((pname, dir, range));
                     if !p.eat_symbol(',')? {
                         break;
                     }
@@ -442,39 +524,35 @@ fn parse_module(p: &mut Parser<'_>) -> Result<Module, ParseError> {
             }
             Token::Ident(cell) => {
                 p.next()?;
-                let inst_name = p.expect_ident()?.to_string();
+                let line = p.line();
+                let name = p.expect_ident()?;
                 p.expect_symbol('(')?;
-                let mut connections = Vec::new();
+                let start = module.connections.len();
                 if !p.eat_symbol(')')? {
                     loop {
                         p.expect_symbol('.')?;
-                        let port = p.expect_ident()?;
-                        // port may itself have an index suffix like .D[3] — not
-                        // legal Verilog but seen in some netlists; handled by
-                        // parse_net_expr style indexing of the port name.
-                        let port = if p.peek()? == Some(Token::Symbol('[')) {
-                            p.next()?;
+                        let base = p.expect_ident()?;
+                        let index = if p.eat_symbol('[')? {
                             let i = p.parse_int()?;
                             p.expect_symbol(']')?;
-                            format!("{port}[{i}]")
+                            Some(i)
                         } else {
-                            port.to_string()
+                            None
                         };
                         p.expect_symbol('(')?;
-                        let nets = if p.peek()? == Some(Token::Symbol(')')) {
-                            Vec::new() // unconnected pin: .X()
-                        } else {
-                            p.parse_net_expr()?
-                        };
+                        bits.clear();
+                        if p.peek()? != Some(Token::Symbol(')')) {
+                            p.parse_net_expr(bits)?;
+                        }
                         p.expect_symbol(')')?;
-                        // expand multi-bit connections into port[i] names
-                        if nets.len() <= 1 {
-                            connections
-                                .push((port.clone(), nets.first().cloned().unwrap_or_default()));
-                        } else {
-                            for (i, n) in nets.iter().enumerate() {
-                                let bit = nets.len() - 1 - i;
-                                connections.push((format!("{port}[{bit}]"), n.clone()));
+                        // a multi-bit connection becomes one pin per bit, msb first
+                        let multi = bits.len() > 1;
+                        for (i, &net) in bits.iter().enumerate() {
+                            if !matches!(net, NetBit::Name("")) {
+                                let bit = multi.then(|| bits.len() - 1 - i);
+                                module
+                                    .connections
+                                    .push(Connection { pin: Pin { base, index, bit }, net });
                             }
                         }
                         if !p.eat_symbol(',')? {
@@ -484,11 +562,8 @@ fn parse_module(p: &mut Parser<'_>) -> Result<Module, ParseError> {
                     p.expect_symbol(')')?;
                 }
                 p.expect_symbol(';')?;
-                module.instances.push(Instance {
-                    cell: cell.to_string(),
-                    name: inst_name,
-                    connections,
-                });
+                let connections = start..module.connections.len();
+                module.instances.push(Instance { cell, name, line, connections });
             }
             _ => {
                 p.next()?;
@@ -496,6 +571,14 @@ fn parse_module(p: &mut Parser<'_>) -> Result<Module, ParseError> {
         }
     }
     Ok(module)
+}
+
+fn direction(keyword: &str) -> PortDirection {
+    match keyword {
+        "input" => PortDirection::Input,
+        "output" => PortDirection::Output,
+        _ => PortDirection::Inout,
+    }
 }
 
 /// Options controlling how cells are classified during elaboration.
@@ -537,34 +620,40 @@ pub fn parse_verilog(
         return Err(ParseError::new("no modules found"));
     }
     let top_name = match top {
-        Some(t) => {
-            if modules.find(t).is_none() {
-                return Err(ParseError::new(format!("top module '{t}' not found")));
-            }
-            t.to_string()
-        }
+        Some(t) => t,
         None => infer_top(&modules)?,
     };
-    let mut builder = DesignBuilder::new(top_name.clone());
+    let (top_id, top_module) = modules
+        .find(top_name)
+        .ok_or_else(|| ParseError::new(format!("top module '{top_name}' not found")))?;
+    let mut ctx = Flattener {
+        modules: &modules,
+        opts,
+        builder: DesignBuilder::new(top_name),
+        active: vec![top_id],
+        path: String::new(),
+        pin: String::new(),
+        net: String::new(),
+        global: String::new(),
+    };
     // top-level ports
-    let top_module = modules.find(&top_name).expect("resolved above");
-    for (pname, dir, range) in &top_module.ports {
+    let mut port = String::new();
+    for &(pname, dir, range) in &top_module.ports {
         match range {
             Some((msb, lsb)) => {
-                let (hi, lo) = ((*msb).max(*lsb), (*msb).min(*lsb));
-                for i in lo..=hi {
-                    builder.add_port(format!("{pname}[{i}]"), *dir);
+                for i in msb.min(lsb)..=msb.max(lsb) {
+                    port.clear();
+                    let _ = write!(port, "{pname}[{i}]");
+                    ctx.builder.add_port(port.as_str(), dir);
                 }
             }
             None => {
-                builder.add_port(pname.clone(), *dir);
+                ctx.builder.add_port(pname, dir);
             }
         }
     }
-    let mut ctx = Flattener { modules: &modules, opts, builder };
-    ctx.flatten(&top_name, "", &PortMap::default())?;
+    ctx.flatten(top_module, &PortMap::default())?;
     let mut design = ctx.builder.build();
-    design.bind_library(&opts.library);
     connect_top_ports(&mut design);
     Ok(design)
 }
@@ -593,20 +682,20 @@ fn connect_top_ports(design: &mut Design) {
     }
 }
 
-fn infer_top(modules: &ModuleTable) -> Result<String, ParseError> {
+fn infer_top<'a>(modules: &ModuleTable<'a>) -> Result<&'a str, ParseError> {
     let mut instantiated: Vec<&str> =
-        modules.modules.iter().flat_map(|m| m.instances.iter().map(|i| i.cell.as_str())).collect();
+        modules.modules.iter().flat_map(|m| m.instances.iter().map(|i| i.cell)).collect();
     instantiated.sort_unstable();
     instantiated.dedup();
-    let candidates: Vec<&str> = modules
+    let candidates: Vec<&'a str> = modules
         .modules
         .iter()
-        .map(|m| m.name.as_str())
+        .map(|m| m.name)
         .filter(|k| instantiated.binary_search(k).is_err())
         .collect();
-    match candidates.len() {
-        1 => Ok(candidates[0].to_string()),
-        0 => Err(ParseError::new("could not infer top module (cyclic instantiation?)")),
+    match candidates.as_slice() {
+        [top] => Ok(*top),
+        [] => Err(ParseError::new("could not infer top module (cyclic instantiation?)")),
         _ => Err(ParseError::new(format!(
             "multiple top candidates: {}; pass one explicitly",
             candidates.join(", ")
@@ -615,132 +704,212 @@ fn infer_top(modules: &ModuleTable) -> Result<String, ParseError> {
 }
 
 /// Sorted (local net → global net) map used while flattening one hierarchical
-/// instance; replaces a per-instance `HashMap` with a binary-searched vector.
-#[derive(Debug, Default)]
-struct PortMap(Vec<(String, String)>);
+/// instance. Keys and values are written into one string arena, so a map
+/// allocates per instance, not per binding.
+#[derive(Default)]
+struct PortMap {
+    text: String,
+    /// `(key start, key end = value start, value end)` offsets into `text`.
+    entries: Vec<(usize, usize, usize)>,
+}
 
 impl PortMap {
-    fn from_entries(mut entries: Vec<(String, String)>) -> Self {
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        // keep the *last* binding of a duplicated port, like map insertion did
-        let mut map: Vec<(String, String)> = Vec::with_capacity(entries.len());
-        for e in entries {
-            match map.last_mut() {
-                Some(last) if last.0 == e.0 => *last = e,
-                _ => map.push(e),
+    fn insert(&mut self, key: &str, value: &str) {
+        let start = self.text.len();
+        self.text.push_str(key);
+        let mid = self.text.len();
+        self.text.push_str(value);
+        self.entries.push((start, mid, self.text.len()));
+    }
+
+    /// Sorts the bindings by key for [`PortMap::get`], keeping the *last*
+    /// binding of a duplicated port, like map insertion did.
+    fn sorted(mut self) -> Self {
+        let text = self.text.as_str();
+        let key = |&(start, mid, _): &(usize, usize, usize)| text.get(start..mid);
+        self.entries.sort_by(|a, b| key(a).cmp(&key(b))); // stable: source order within a key
+        self.entries.dedup_by(|later, earlier| {
+            let duplicate = key(later) == key(earlier);
+            if duplicate {
+                *earlier = *later;
             }
-        }
-        Self(map)
+            duplicate
+        });
+        self
     }
 
     fn get(&self, key: &str) -> Option<&str> {
-        self.0.binary_search_by(|(k, _)| k.as_str().cmp(key)).ok().map(|i| self.0[i].1.as_str())
+        let i = self
+            .entries
+            .binary_search_by(|&(start, mid, _)| self.text.get(start..mid).cmp(&Some(key)))
+            .ok()?;
+        self.entries.get(i).and_then(|&(_, mid, end)| self.text.get(mid..end))
     }
 }
 
-struct Flattener<'a> {
-    modules: &'a ModuleTable,
-    opts: &'a ElaborateOptions,
-    builder: DesignBuilder,
+/// Writes the global name of local net `net` into `out`: through the port
+/// map if the net is a port of the enclosing module, otherwise by prefixing
+/// the instance path.
+fn resolve_net(out: &mut String, path: &str, port_map: &PortMap, net: &str) {
+    out.clear();
+    if let Some(global) = port_map.get(net) {
+        out.push_str(global);
+    } else if net.starts_with("__const_") || path.is_empty() {
+        out.push_str(net);
+    } else {
+        out.push_str(path);
+        out.push('/');
+        out.push_str(net);
+    }
 }
 
-impl<'a> Flattener<'a> {
-    /// Recursively instantiates `module_name` under hierarchical prefix `path`.
-    /// `port_map` maps the module's local net names to global net names.
-    fn flatten(
-        &mut self,
-        module_name: &str,
-        path: &str,
-        port_map: &PortMap,
-    ) -> Result<(), ParseError> {
-        let module = self.modules.find(module_name).expect("checked by caller");
+/// Appends instance `name` to the hierarchical `path`.
+fn push_path(path: &mut String, name: &str) {
+    if !path.is_empty() {
+        path.push('/');
+    }
+    path.push_str(name);
+}
+
+struct Flattener<'t, 'a> {
+    modules: &'t ModuleTable<'a>,
+    opts: &'t ElaborateOptions,
+    builder: DesignBuilder,
+    /// Ids of the modules on the active instantiation path, top first.
+    active: Vec<usize>,
+    /// Instance path of the module being flattened (`u_core/u_alu`).
+    path: String,
+    /// Reused buffers: a pin name, a local net name, its global name.
+    pin: String,
+    net: String,
+    global: String,
+}
+
+impl<'t, 'a> Flattener<'t, 'a> {
+    /// Instantiates the cells of `module` under the current path. `port_map`
+    /// maps the module's local net names to global net names.
+    fn flatten(&mut self, module: &'t Module<'a>, port_map: &PortMap) -> Result<(), ParseError> {
         for inst in &module.instances {
-            let inst_path =
-                if path.is_empty() { inst.name.clone() } else { format!("{path}/{}", inst.name) };
-            if let Some(child) = self.modules.find(&inst.cell) {
-                // hierarchical instance: build a port map for the child.
-                // Child port ranges are looked up through a sorted slice so a
-                // wide port list stays O(C log P) rather than O(C·P).
-                let mut child_ranges: Vec<(&str, Option<(i64, i64)>)> =
-                    child.ports.iter().map(|(n, _, r)| (n.as_str(), *r)).collect();
-                child_ranges.sort_by(|a, b| a.0.cmp(b.0)); // stable: first decl of a duplicate wins
-                child_ranges.dedup_by(|a, b| a.0 == b.0);
-                let mut entries: Vec<(String, String)> = Vec::with_capacity(inst.connections.len());
-                for (port, net) in &inst.connections {
-                    if net.is_empty() {
-                        continue;
-                    }
-                    // When a vectored child port is connected to a bare bus
-                    // name, expand the connection bit by bit so nested levels
-                    // resolve individual bits consistently.
-                    let child_range = child_ranges
-                        .binary_search_by(|(n, _)| (*n).cmp(port.as_str()))
-                        .ok()
-                        .and_then(|i| child_ranges[i].1);
-                    if let (Some((msb, lsb)), false) = (child_range, net.contains('[')) {
-                        let (hi, lo) = (msb.max(lsb), msb.min(lsb));
-                        for i in lo..=hi {
-                            let global = self.resolve_net(path, port_map, &format!("{net}[{i}]"));
-                            entries.push((format!("{port}[{i}]"), global));
-                        }
-                        continue;
-                    }
-                    let global = self.resolve_net(path, port_map, net);
-                    entries.push((port.clone(), global));
-                }
-                self.flatten(&inst.cell, &inst_path, &PortMap::from_entries(entries))?;
-            } else {
-                // leaf cell
-                let kind = self.classify(&inst.cell);
-                let (w, h) = match self.opts.library.find_macro(&inst.cell) {
-                    Some(m) => (m.width, m.height),
-                    None => (1, 1),
-                };
-                let cell_id =
-                    self.builder.add_cell(inst_path.clone(), inst.cell.clone(), kind, w, h, path);
-                for (port, net) in &inst.connections {
-                    if net.is_empty() {
-                        continue;
-                    }
-                    let global = self.resolve_net(path, port_map, net);
-                    let net_id = self.builder.add_net(global);
-                    if is_output_pin(port) {
-                        self.builder.connect_driver(net_id, cell_id);
-                    } else {
-                        self.builder.connect_sink(net_id, cell_id);
-                    }
-                }
+            let connections = module.connections.get(inst.connections.clone()).unwrap_or_default();
+            match self.modules.find(inst.cell) {
+                Some((id, child)) => self.flatten_child(inst, id, child, connections, port_map)?,
+                None => self.add_leaf(inst, connections, port_map),
             }
         }
         Ok(())
     }
 
-    fn classify(&self, cell: &str) -> CellKind {
-        if let Some(m) = self.opts.library.find_macro(cell) {
-            if m.is_block {
-                return CellKind::Macro;
+    /// Flattens hierarchical instance `inst` of module `child` (with id
+    /// `id`): builds the child's port map, then descends one level.
+    fn flatten_child(
+        &mut self,
+        inst: &Instance<'a>,
+        id: usize,
+        child: &'t Module<'a>,
+        connections: &[Connection<'a>],
+        port_map: &PortMap,
+    ) -> Result<(), ParseError> {
+        if self.active.contains(&id) {
+            return Err(ParseError::at_line(
+                inst.line,
+                format!(
+                    "instance '{}' instantiates module '{}' inside itself",
+                    inst.name, child.name
+                ),
+            ));
+        }
+        if self.active.len() >= MAX_HIERARCHY_DEPTH {
+            return Err(ParseError::at_line(
+                inst.line,
+                format!(
+                    "instance '{}' of module '{}' is nested deeper than {MAX_HIERARCHY_DEPTH} levels",
+                    inst.name, child.name
+                ),
+            ));
+        }
+        // Child port ranges are looked up through a sorted slice so a wide
+        // port list stays O(C log P) rather than O(C·P).
+        let mut child_ranges: Vec<(&str, Option<(i64, i64)>)> =
+            child.ports.iter().map(|&(n, _, r)| (n, r)).collect();
+        child_ranges.sort_by(|a, b| a.0.cmp(b.0)); // stable: first decl of a duplicate wins
+        child_ranges.dedup_by(|a, b| a.0 == b.0);
+        let mut map = PortMap::default();
+        for conn in connections {
+            self.pin.clear();
+            conn.pin.write_to(&mut self.pin);
+            self.net.clear();
+            conn.net.write_to(&mut self.net);
+            let child_range = child_ranges
+                .binary_search_by(|(n, _)| (*n).cmp(self.pin.as_str()))
+                .ok()
+                .and_then(|i| child_ranges.get(i))
+                .and_then(|&(_, r)| r);
+            match child_range {
+                // When a vectored child port is connected to a bare bus
+                // name, expand the connection bit by bit so nested levels
+                // resolve individual bits consistently.
+                Some((msb, lsb)) if !self.net.contains('[') => {
+                    let (pin_len, net_len) = (self.pin.len(), self.net.len());
+                    for i in msb.min(lsb)..=msb.max(lsb) {
+                        self.net.truncate(net_len);
+                        let _ = write!(self.net, "[{i}]");
+                        resolve_net(&mut self.global, &self.path, port_map, &self.net);
+                        self.pin.truncate(pin_len);
+                        let _ = write!(self.pin, "[{i}]");
+                        map.insert(&self.pin, &self.global);
+                    }
+                }
+                _ => {
+                    resolve_net(&mut self.global, &self.path, port_map, &self.net);
+                    map.insert(&self.pin, &self.global);
+                }
             }
         }
-        if self.opts.flop_prefixes.iter().any(|p| cell.starts_with(p.as_str())) {
-            CellKind::Flop
-        } else {
-            CellKind::Comb
-        }
+        let map = map.sorted();
+        let outer = self.path.len();
+        push_path(&mut self.path, inst.name);
+        self.active.push(id);
+        let result = self.flatten(child, &map);
+        self.active.pop();
+        self.path.truncate(outer);
+        result
     }
 
-    /// Maps a local net name to a global one: through the port map if the net
-    /// is a port of the enclosing module, otherwise by prefixing the path.
-    fn resolve_net(&self, path: &str, port_map: &PortMap, net: &str) -> String {
-        if let Some(global) = port_map.get(net) {
-            return global.to_string();
-        }
-        if net.starts_with("__const_") {
-            return net.to_string();
-        }
-        if path.is_empty() {
-            net.to_string()
-        } else {
-            format!("{path}/{net}")
+    /// Adds leaf instance `inst` as a cell and connects its pins, creating
+    /// each net at its first reference.
+    fn add_leaf(
+        &mut self,
+        inst: &Instance<'a>,
+        connections: &[Connection<'a>],
+        port_map: &PortMap,
+    ) {
+        let def = self.opts.library.find_macro(inst.cell);
+        let kind = match def {
+            Some(m) if m.is_block => CellKind::Macro,
+            _ if self.opts.flop_prefixes.iter().any(|p| inst.cell.starts_with(p.as_str())) => {
+                CellKind::Flop
+            }
+            _ => CellKind::Comb,
+        };
+        let (width, height) = def.map_or((1, 1), |m| (m.width, m.height));
+        // every name the design keeps is allocated at its exact length
+        // (`String::clone` allocates `len` bytes)
+        let hier_path = self.path.clone();
+        let outer = self.path.len();
+        push_path(&mut self.path, inst.name);
+        let cell_name = self.path.clone();
+        self.path.truncate(outer);
+        let cell = self.builder.add_cell(cell_name, inst.cell, kind, width, height, hier_path);
+        for conn in connections {
+            self.net.clear();
+            conn.net.write_to(&mut self.net);
+            resolve_net(&mut self.global, &self.path, port_map, &self.net);
+            let net = self.builder.intern_net(&self.global);
+            if is_output_pin(conn.pin.base) {
+                self.builder.connect_driver(net, cell);
+            } else {
+                self.builder.connect_sink(net, cell);
+            }
         }
     }
 }
@@ -971,6 +1140,89 @@ module top (input [3:0] w, output z);
 endmodule
 "#;
         assert_too_wide(src, 2, "[2097151:0]");
+    }
+
+    /// Parses `src` (top inferred when `top` is `None`) and returns the error.
+    fn parse_err(src: &str, top: Option<&str>) -> ParseError {
+        parse_verilog(src, top, &ElaborateOptions::default()).unwrap_err()
+    }
+
+    #[test]
+    fn self_instantiation_is_rejected() {
+        let src = "module top (input a, output y);\n\
+                   \n\
+                   BUF g (.A(a), .Y(y));\n\
+                   top u_again (.a(a), .y(y));\n\
+                   \n\
+                   endmodule\n";
+        let err = parse_err(src, Some("top"));
+        assert_eq!(err.line, Some(4), "{err}");
+        assert_eq!(err.message, "instance 'u_again' instantiates module 'top' inside itself");
+    }
+
+    #[test]
+    fn mutual_instantiation_is_rejected() {
+        let src = "module top (input a, output y);\n  ping u0 (.a(a), .y(y));\nendmodule\n\
+                   module ping (input a, output y);\n  pong u1 (.a(a), .y(y));\nendmodule\n\
+                   module pong (input a, output y);\n  ping u2 (.a(a), .y(y));\nendmodule\n";
+        let err = parse_err(src, None);
+        assert_eq!(err.line, Some(8), "{err}");
+        assert_eq!(err.message, "instance 'u2' instantiates module 'ping' inside itself");
+    }
+
+    #[test]
+    fn deeply_nested_concatenation_parses_without_recursion() {
+        let depth = 200_000;
+        let nested = format!("{}a{}", "{".repeat(depth), "}".repeat(depth));
+        let src = format!(
+            "module top (input a, output z);\n  BUF u1 (.A({nested}), .Y(z));\nendmodule\n"
+        );
+        let d = parse_verilog(&src, Some("top"), &ElaborateOptions::default()).unwrap();
+        let u1 = d.cell(d.find_cell("u1").unwrap());
+        assert_eq!(u1.fanin.len(), 1, "nesting only groups the one bit");
+        assert_eq!(d.net(u1.fanin[0]).name, "a");
+        // one brace left open is an error at the connection's line
+        let open = format!("{}a{}", "{".repeat(depth), "}".repeat(depth - 1));
+        let src =
+            format!("module top (input a, output z);\n  BUF u1 (.A({open}), .Y(z));\nendmodule\n");
+        let err = parse_err(&src, Some("top"));
+        assert_eq!(err.line, Some(2), "{err}");
+        assert_eq!(err.message, "expected '}', found Some(Symbol(')'))");
+    }
+
+    /// A chain of `n` modules `m0 → m1 → … → m{n-1}`, one per line, each
+    /// instantiating the next; the last holds one buffer.
+    fn module_chain(n: usize) -> String {
+        let mut src = String::new();
+        for i in 0..n - 1 {
+            src.push_str(&format!(
+                "module m{i} (input a, output y); m{} u (.a(a), .y(y)); endmodule\n",
+                i + 1
+            ));
+        }
+        src.push_str(&format!(
+            "module m{} (input a, output y); BUF g (.A(a), .Y(y)); endmodule\n",
+            n - 1
+        ));
+        src
+    }
+
+    #[test]
+    fn hierarchy_deeper_than_the_limit_is_rejected() {
+        // 40,000 levels: flattening stops at the bound instead of recursing
+        let err = parse_err(&module_chain(40_000), None);
+        assert_eq!(err.line, Some(MAX_HIERARCHY_DEPTH), "{err}");
+        assert_eq!(
+            err.message,
+            format!(
+                "instance 'u' of module 'm{MAX_HIERARCHY_DEPTH}' is nested deeper than 256 levels"
+            )
+        );
+        // exactly the limit elaborates; one level more does not
+        let opts = ElaborateOptions::default();
+        let d = parse_verilog(&module_chain(MAX_HIERARCHY_DEPTH), None, &opts).unwrap();
+        assert!(d.find_cell(&format!("{}g", "u/".repeat(MAX_HIERARCHY_DEPTH - 1))).is_some());
+        assert!(parse_verilog(&module_chain(MAX_HIERARCHY_DEPTH + 1), None, &opts).is_err());
     }
 
     #[test]

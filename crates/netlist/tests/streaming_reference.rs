@@ -1198,22 +1198,44 @@ fn def_streaming_matches_reference_on_written_def() {
     assert_eq!(streaming, reference);
 }
 
-/// A random hierarchical netlist: leaf cells wired through bus and scalar
-/// nets inside a `sub` module instantiated (twice) by `top`, with escaped
-/// identifiers, concatenations, comments and unconnected pins sprinkled in.
-fn build_random_verilog(
-    gates: &[(u8, u8, u8)],
-    bus_width: usize,
+/// Which optional constructs a random netlist contains.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
     use_escaped: bool,
     blank_comment: bool,
-) -> String {
+    /// `sub` lists its port names in the header and declares them in the body.
+    non_ansi: bool,
+    /// A stale definition of `sub` precedes the one that wins.
+    redefined: bool,
+    /// `top` also instantiates `mid`, which passes its bus on to a `sub`:
+    /// the leaf bits resolve through two port maps.
+    three_levels: bool,
+    /// `top` connects `sub`'s vectored port to an escaped name containing
+    /// `[`, which is bound as one name rather than expanded bit by bit.
+    escaped_bus: bool,
+}
+
+/// A random hierarchical netlist: leaf cells wired through bus and scalar
+/// nets inside a `sub` module instantiated (twice, or more) by `top`, with
+/// escaped identifiers, concatenations, part-selects in either direction,
+/// constants, indexed pins, repeated instance names, comments and
+/// unconnected pins sprinkled in.
+fn build_random_verilog(gates: &[(u8, u8, u8)], bus_width: usize, shape: Shape) -> String {
     let mut src = String::new();
-    if blank_comment {
+    if shape.blank_comment {
         src.push_str("// header comment\n/* block\n comment */\n");
     }
     let w = bus_width.max(1);
-    src.push_str(&format!("module sub (input [{}:0] a, input clk, output y);\n", w - 1));
-    if use_escaped {
+    if shape.redefined {
+        src.push_str("module sub (input a, output y);\n  BUF stale (.A(a), .Y(y));\nendmodule\n");
+    }
+    if shape.non_ansi {
+        src.push_str("module sub (a, clk, y);\n");
+        src.push_str(&format!("  input [{}:0] a;\n  input clk;\n  output y;\n", w - 1));
+    } else {
+        src.push_str(&format!("module sub (input [{}:0] a, input clk, output y);\n", w - 1));
+    }
+    if shape.use_escaped {
         src.push_str("  wire \\esc$wire ;\n");
         src.push_str("  BUF e0 (.A(a[0]), .Y(\\esc$wire ));\n");
     }
@@ -1226,25 +1248,40 @@ fn build_random_verilog(
         };
         let sb = (src_bit as usize) % w;
         let db = (dst_bit as usize) % w;
-        match kind % 3 {
-            0 => src.push_str(&format!("  {cell} g{i} (.A(a[{sb}]), .B(a[{db}]), .Y(n{i}));\n")),
-            1 => src.push_str(&format!(
-                "  {cell} g{i} (.D({{a[{sb}], a[{db}]}}), .CK(clk), .Q(n{i}));\n"
-            )),
-            _ => src.push_str(&format!(
-                "  {cell} g{i} (.A(n{}), .E(), .Y(n{i}));\n",
-                i.saturating_sub(1)
-            )),
-        }
+        let prev = i.saturating_sub(1);
+        let line = match kind % 7 {
+            0 => format!("  {cell} g{i} (.A(a[{sb}]), .B(a[{db}]), .Y(n{i}));\n"),
+            1 => format!("  {cell} g{i} (.D({{a[{sb}], a[{db}]}}), .CK(clk), .Q(n{i}));\n"),
+            2 => format!("  {cell} g{i} (.A(n{prev}), .E(), .Y(n{i}));\n"),
+            // an indexed pin, scalar and multi-bit
+            3 => format!("  {cell} g{i} (.D[{sb}]({{a[{sb}], a[{db}]}}), .Q[0](n{i}));\n"),
+            // constants, alone and inside a concatenation
+            4 => format!("  {cell} g{i} (.A(1'b{}), .B({{a[{db}], 1'b0}}), .Y(n{i}));\n", sb % 2),
+            // a part-select: descending when db > sb, ascending when db < sb
+            5 => format!("  {cell} g{i} (.D(a[{db}:{sb}]), .Q(n{i}));\n"),
+            // a repeated instance name attaches more pins to the earlier cell
+            _ => format!("  {cell} g{prev} (.A(a[{sb}]), .Y(n{i}));\n"),
+        };
+        src.push_str(&line);
     }
     src.push_str(&format!("  BUF gy (.A(n{}), .Y(y));\n", gates.len().saturating_sub(1)));
     src.push_str("endmodule\n\n");
+    if shape.three_levels {
+        src.push_str(&format!("module mid (input [{}:0] a, input clk, output y);\n", w - 1));
+        src.push_str("  sub u_leaf (.a(a), .clk(clk), .y(y));\nendmodule\n\n");
+    }
     src.push_str(&format!(
         "module top (input [{}:0] bus, input clk, output o1, output o2);\n",
         w - 1
     ));
     src.push_str("  sub u0 (.a(bus), .clk(clk), .y(o1));\n");
     src.push_str(&format!("  sub u1 (.a({{bus[{}:0]}}), .clk(clk), .y(o2));\n", w - 1));
+    if shape.three_levels {
+        src.push_str("  mid u_mid (.a(bus), .clk(clk), .y(mid_y));\n");
+    }
+    if shape.escaped_bus {
+        src.push_str("  wire \\bus[0]x ;\n  sub u_esc (.a(\\bus[0]x ), .clk(clk), .y(esc_y));\n");
+    }
     src.push_str("endmodule\n");
     src
 }
@@ -1254,12 +1291,21 @@ proptest! {
 
     #[test]
     fn verilog_streaming_matches_reference_on_random_workloads(
-        gates in prop::collection::vec((0u8..12, 0u8..16, 0u8..16), 1..24),
+        gates in prop::collection::vec((0u8..28, 0u8..16, 0u8..16), 1..24),
         bus_width in 1usize..9,
-        use_escaped in any::<bool>(),
-        blank_comment in any::<bool>(),
+        flags in (
+            any::<bool>(),
+            any::<bool>(),
+            any::<bool>(),
+            any::<bool>(),
+            any::<bool>(),
+            any::<bool>(),
+        ),
     ) {
-        let src = build_random_verilog(&gates, bus_width, use_escaped, blank_comment);
+        let (use_escaped, blank_comment, non_ansi, redefined, three_levels, escaped_bus) = flags;
+        let shape =
+            Shape { use_escaped, blank_comment, non_ansi, redefined, three_levels, escaped_bus };
+        let src = build_random_verilog(&gates, bus_width, shape);
         let opts = ElaborateOptions::default();
         let streaming = netlist::verilog::parse_verilog(&src, Some("top"), &opts)
             .expect("generated netlist parses (streaming)");

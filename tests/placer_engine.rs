@@ -117,7 +117,7 @@ fn indeda_sweep_collapses_the_lambda_axis() {
         lambdas: vec![0.2, 0.5, 0.8],
         ..cli::Options::default()
     };
-    let (_, info) = cli::place_outcome(&generated.design, &opts).unwrap();
+    let (_, info) = cli::place_outcome(&generated.design, &opts, &mut PlaceContext::new()).unwrap();
     // 2 seeds x 1 collapsed λ, not 2 x 3
     assert_eq!(info.candidates, 2);
 }
