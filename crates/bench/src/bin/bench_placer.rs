@@ -47,7 +47,9 @@
 //!    only (the CI shape), `--scales 0.5,2` overrides the list.
 //!
 //! All parts cross-check that the before/after paths produce bit-identical
-//! results, and the timings land in `BENCH_placer.json`. Warm/cold ratios
+//! results, and the timings land in `BENCH_placer.json` (`--quick` writes
+//! the uncommitted `BENCH_placer.quick.json`, `--out` overrides either, and
+//! an unknown argument or an unparsable value exits 2). Warm/cold ratios
 //! are measured **floor against floor**: a store is only cold once, but
 //! fresh stores are cheap, so the cold time is the minimum over N fresh
 //! services and the warm time the minimum over N repeats on the survivor.
@@ -214,68 +216,64 @@ fn sweep_point(scale: f64) -> ScalePoint {
     }
 }
 
+const USAGE: &str = "usage: bench_placer [--quick] [--scale <f>] [--repeats <n>] \
+[--candidates <n>] [--scale-sweep] [--scales <f,f,...>] [--out <file>] [--spill-dir <dir>]";
+
+/// Prints `msg` and the usage, then exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("bench_placer: {msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// The parsed value of `flag`, or a usage error.
+fn value<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
+    let Some(v) = value else { usage_error(&format!("{flag} needs a value")) };
+    v.parse().unwrap_or_else(|_| usage_error(&format!("invalid {flag} value '{v}'")))
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = std::env::args().skip(1);
     let mut scale = 1.0f64;
     let mut repeats = 3usize;
     let mut candidates = 16usize;
-    let mut out_path = "BENCH_placer.json".to_string();
+    let mut out_path: Option<String> = None;
     let mut quick = false;
     let mut spill_dir_arg: Option<std::path::PathBuf> = None;
     let mut scale_sweep = false;
     let mut sweep_scales: Option<Vec<f64>> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" if i + 1 < args.len() => {
-                scale = args[i + 1].parse().unwrap_or(1.0);
-                i += 2;
-            }
-            "--repeats" if i + 1 < args.len() => {
-                repeats = args[i + 1].parse().unwrap_or(3).max(1);
-                i += 2;
-            }
-            "--candidates" if i + 1 < args.len() => {
-                candidates = args[i + 1].parse().unwrap_or(16).max(1);
-                i += 2;
-            }
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--scale" => scale = value("--scale", args.next()),
+            "--repeats" => repeats = value::<usize>("--repeats", args.next()).max(1),
+            "--candidates" => candidates = value::<usize>("--candidates", args.next()).max(1),
             "--quick" => {
                 // CI-sized run: the same equality checks on a small design
                 quick = true;
                 scale = 0.05;
                 repeats = 1;
                 candidates = 4;
-                i += 1;
             }
-            "--scale-sweep" => {
-                scale_sweep = true;
-                i += 1;
-            }
-            "--scales" if i + 1 < args.len() => {
+            "--scale-sweep" => scale_sweep = true,
+            "--scales" => {
+                let list: String = value("--scales", args.next());
                 sweep_scales = Some(
-                    args[i + 1]
-                        .split(',')
-                        .map(|s| s.trim().parse().expect("--scales takes comma-separated floats"))
-                        .collect(),
+                    list.split(',').map(|s| value("--scales", Some(s.trim().into()))).collect(),
                 );
-                i += 2;
             }
-            "--out" if i + 1 < args.len() => {
-                out_path = args[i + 1].clone();
-                i += 2;
+            "--out" => out_path = Some(value("--out", args.next())),
+            // scratch directory for the artifact-revive pass; defaults to a
+            // per-process temp dir, wiped before each round
+            "--spill-dir" => {
+                spill_dir_arg = Some(value::<String>("--spill-dir", args.next()).into())
             }
-            "--spill-dir" if i + 1 < args.len() => {
-                // scratch directory for the artifact-revive pass; defaults
-                // to a per-process temp dir, wiped before each round
-                spill_dir_arg = Some(std::path::PathBuf::from(&args[i + 1]));
-                i += 2;
-            }
-            other => {
-                eprintln!("ignoring unknown argument '{other}'");
-                i += 1;
-            }
+            other => usage_error(&format!("unknown argument '{other}'")),
         }
     }
+    // the committed BENCH_placer.json is the full run's; a quick run never
+    // overwrites it unless asked to
+    let out_path = out_path.unwrap_or_else(|| {
+        if quick { "BENCH_placer.quick.json" } else { "BENCH_placer.json" }.to_string()
+    });
     // warm timings are min-of-N; the quick run leans on more repeats to
     // beat scheduler noise on a small design
     let warm_passes = if quick { 5 } else { 3 };

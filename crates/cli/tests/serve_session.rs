@@ -187,26 +187,46 @@ fn module_chain(n: usize) -> String {
     src
 }
 
+/// One malformed input of [`serve_session_rejects_an_overwide_vector_and_keeps_serving`]:
+/// the file texts, the top module and the expected reason.
+struct BadInput {
+    verilog: String,
+    lef: Option<&'static str>,
+    def: Option<&'static str>,
+    top: Option<&'static str>,
+    expected: &'static str,
+}
+
+impl BadInput {
+    fn verilog(verilog: String, top: Option<&'static str>, expected: &'static str) -> Self {
+        Self { verilog, lef: None, def: None, top, expected }
+    }
+}
+
+/// A one-macro netlist for the LEF/DEF rows.
+const ONE_RAM: &str = "module top (input a, output y);\n  RAM u_ram (.A(a), .Y(y));\nendmodule\n";
+
 #[test]
 fn serve_session_rejects_an_overwide_vector_and_keeps_serving() {
-    // (file text, top module, expected reason): each used to either slip
-    // through or abort the daemon with a stack overflow
+    // each used to either slip through or abort the daemon: with a stack
+    // overflow (Verilog), a panic in the DEF reader (swapped DIEAREA
+    // corners) or a panic in the first placement (negative LEF SIZE)
     let depth = 200_000;
     let unclosed = format!("{}a{}", "{".repeat(depth), "}".repeat(depth - 1));
-    let rows: Vec<(String, Option<&str>, &str)> = vec![
-        (
+    let rows = [
+        BadInput::verilog(
             "module top (a, z);\n  input [2097151:0] a;\n  output z;\nendmodule\n".into(),
             None,
             "line 2: vector [2097151:0] is wider than 1048576 bits",
         ),
-        (
+        BadInput::verilog(
             "module top (input a, output y);\n  wire n;\n  BUF g (.A(a), .Y(n));\n  \
              top u_again (.a(n), .y(y));\n  BUF h (.A(n), .Y(y));\nendmodule\n"
                 .into(),
             Some("top"),
             "line 4: instance 'u_again' instantiates module 'top' inside itself",
         ),
-        (
+        BadInput::verilog(
             "module top (input a);\n  ping u0 (.a(a));\nendmodule\n\
              module ping (input a);\n  pong u1 (.a(a));\nendmodule\n\
              module pong (input a);\n  ping u2 (.a(a));\nendmodule\n"
@@ -214,27 +234,48 @@ fn serve_session_rejects_an_overwide_vector_and_keeps_serving() {
             None,
             "line 8: instance 'u2' instantiates module 'ping' inside itself",
         ),
-        (
+        BadInput::verilog(
             format!("module top (input a);\n  BUF u1 (.A({unclosed}));\nendmodule\n"),
             Some("top"),
             "line 2: expected '}', found Some(Symbol(')'))",
         ),
-        (
+        BadInput::verilog(
             module_chain(40_000),
             None,
             "line 256: instance 'u' of module 'm256' is nested deeper than 256 levels",
         ),
+        BadInput {
+            verilog: ONE_RAM.into(),
+            lef: Some("MACRO RAM\n  CLASS BLOCK ;\n  SIZE -60 BY 40 ;\nEND RAM\n"),
+            def: None,
+            top: Some("top"),
+            expected: "line 3: negative SIZE of MACRO RAM",
+        },
+        BadInput {
+            verilog: ONE_RAM.into(),
+            lef: Some("MACRO RAM\n  CLASS BLOCK ;\n  SIZE 60 BY 40 ;\nEND RAM\n"),
+            def: Some("DESIGN top ;\nUNITS DISTANCE MICRONS 1000 ;\nDIEAREA ( 1023363 852803 ) ( 0 0 ) ;\n"),
+            top: Some("top"),
+            expected: "line 3: DIEAREA ( 1023363 852803 ) ( 0 0 )",
+        },
     ];
     let dir = temp_dir("rejects");
     let opts = cli::parse_args(&["--serve".into()]).unwrap();
-    for (i, (text, top, expected)) in rows.iter().enumerate() {
-        let verilog = dir.join(format!("bad{i}.v"));
-        std::fs::write(&verilog, text).unwrap();
-        let top = top.map(|t| format!(" top={t}")).unwrap_or_default();
-        let script = format!(
-            "hello client=ci\nintern verilog={}{top}\nstats\nshutdown\n",
-            verilog.display()
-        );
+    for (i, row) in rows.iter().enumerate() {
+        let mut intern = String::from("intern");
+        for (key, text) in
+            [("verilog", Some(row.verilog.as_str())), ("lef", row.lef), ("def", row.def)]
+        {
+            if let Some(text) = text {
+                let path = dir.join(format!("bad{i}.{key}"));
+                std::fs::write(&path, text).unwrap();
+                intern.push_str(&format!(" {key}={}", path.display()));
+            }
+        }
+        if let Some(top) = row.top {
+            intern.push_str(&format!(" top={top}"));
+        }
+        let script = format!("hello client=ci\n{intern}\nstats\nshutdown\n");
         let out = SharedWriter::new(Vec::new());
         let end = cli::run_serve_session(&opts, script.as_bytes(), out.clone()).unwrap();
         assert_eq!(end, server::SessionEnd::Shutdown);
@@ -244,7 +285,7 @@ fn serve_session_rejects_an_overwide_vector_and_keeps_serving() {
         assert_eq!(errs[0].get("cmd"), Some("intern"));
         assert_eq!(errs[0].get("code"), Some("load-failed"));
         let reason = errs[0].get("reason").unwrap();
-        assert!(reason.contains(expected), "row {i}: {reason}");
+        assert!(reason.contains(row.expected), "row {i}: {reason}");
         assert!(frames.iter().any(|f| f.name == "stats"), "row {i}: the daemon still answers");
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -7,6 +7,7 @@
 //! The reported `GRC%` is the percentage of bins whose demand exceeds their
 //! capacity, matching the "global routing overflow percentage" of Table III.
 
+use crate::grid::BinGrid;
 use crate::placer::CellPlacement;
 use geometry::{Point, Rect};
 use netlist::design::{CellKind, Design};
@@ -76,13 +77,10 @@ pub(crate) fn estimate_congestion_with_ports(
     config: &CongestionConfig,
     port_pos: &[Option<Point>],
 ) -> CongestionMap {
-    let die = design.die();
-    let bins = config.bins.max(2);
-    let bin_w = (die.width() as f64 / bins as f64).max(1.0);
-    let bin_h = (die.height() as f64 / bins as f64).max(1.0);
+    let grid = BinGrid::new(design.die(), config.bins);
+    let bins = grid.bins();
 
     // capacity per bin
-    let mut capacity = vec![0.0f64; bins * bins];
     let macro_rects: Vec<Rect> = design
         .cells()
         .filter(|(_, c)| c.kind == CellKind::Macro)
@@ -93,40 +91,24 @@ pub(crate) fn estimate_congestion_with_ports(
             })
         })
         .collect();
+    let covered = grid.macro_coverage(&macro_rects);
+    let mut capacity = vec![0.0f64; bins * bins];
     for bx in 0..bins {
         for by in 0..bins {
-            let rect = bin_rect(die, bins, bx, by);
+            let rect = grid.bin_rect(bx, by);
             let base = (rect.width() + rect.height()) as f64 * config.supply_per_dbu;
-            let macro_overlap: f64 = macro_rects.iter().map(|m| m.overlap_area(&rect) as f64).sum();
-            let frac_covered = (macro_overlap / (rect.area() as f64).max(1.0)).min(1.0);
-            capacity[bx * bins + by] =
-                base * (1.0 - frac_covered * (1.0 - config.macro_capacity_fraction));
+            let i = bx * bins + by;
+            let frac_covered = (covered[i] / (rect.area() as f64).max(1.0)).min(1.0);
+            capacity[i] = base * (1.0 - frac_covered * (1.0 - config.macro_capacity_fraction));
         }
     }
 
     // demand per bin (RUDY), walking the flat CSR net→pin arrays
     let csr = design.connectivity();
-    let mut demand = vec![0.0f64; bins * bins];
-    for net in design.net_ids() {
-        let Some(bb) = crate::wirelength::net_bounding_box(csr, net, placement, port_pos) else {
-            continue;
-        };
-        let wire = (bb.width() + bb.height()) as f64 * config.wire_pitch;
-        let bb_area = (bb.area() as f64).max(1.0);
-        let density = wire / bb_area; // demand per unit area
-
-        let x0 = bin_index(bb.llx - die.llx, bin_w, bins);
-        let x1 = bin_index(bb.urx - die.llx, bin_w, bins);
-        let y0 = bin_index(bb.lly - die.lly, bin_h, bins);
-        let y1 = bin_index(bb.ury - die.lly, bin_h, bins);
-        for bx in x0..=x1 {
-            for by in y0..=y1 {
-                let rect = bin_rect(die, bins, bx, by);
-                let overlap = rect.overlap_area(&bb).max(if bb.area() == 0 { 1 } else { 0 }) as f64;
-                demand[bx * bins + by] += density * overlap;
-            }
-        }
-    }
+    let boxes = design.net_ids().filter_map(|net| {
+        crate::wirelength::net_bounding_box(csr, net, |c| placement.position(c), port_pos)
+    });
+    let demand = grid.rudy_demand(boxes, config.wire_pitch);
 
     let mut overflow = 0usize;
     let mut peak: f64 = 0.0;
@@ -151,21 +133,6 @@ pub(crate) fn estimate_congestion_with_ports(
         overflow_percent: 100.0 * overflow as f64 / (bins * bins) as f64,
         peak_utilization: peak,
     }
-}
-
-fn bin_rect(die: Rect, bins: usize, bx: usize, by: usize) -> Rect {
-    let bin_w = die.width() as f64 / bins as f64;
-    let bin_h = die.height() as f64 / bins as f64;
-    Rect::new(
-        die.llx + (bx as f64 * bin_w) as i64,
-        die.lly + (by as f64 * bin_h) as i64,
-        die.llx + ((bx + 1) as f64 * bin_w) as i64,
-        die.lly + ((by + 1) as f64 * bin_h) as i64,
-    )
-}
-
-fn bin_index(offset: i64, bin_size: f64, bins: usize) -> usize {
-    ((offset as f64 / bin_size) as usize).min(bins - 1)
 }
 
 #[cfg(test)]
@@ -248,6 +215,25 @@ mod tests {
         let c_map = estimate_congestion(&d, &clustered, &no_macros(), &cfg);
         let s_map = estimate_congestion(&d, &spread, &no_macros(), &cfg);
         assert!(c_map.peak_utilization > s_map.peak_utilization);
+    }
+
+    #[test]
+    fn demand_stays_inside_the_box_on_a_die_narrower_than_the_bin_count() {
+        // a 16 × 16 DBU die under 32 bins of 1 DBU: the net's box spans
+        // columns and rows 4..12, and only those 64 bins may carry demand
+        let d = chain_design(2, Rect::new(0, 0, 16, 16));
+        let mut placement = CellPlacement::default();
+        placement.set_position(d.find_cell("c0").unwrap(), Point::new(4, 4));
+        placement.set_position(d.find_cell("c1").unwrap(), Point::new(12, 12));
+        let map = estimate_congestion(&d, &placement, &no_macros(), &CongestionConfig::default());
+        for x in 0..32 {
+            for y in 0..32 {
+                let inside = (4..12).contains(&x) && (4..12).contains(&y);
+                assert_eq!(map.at(x, y) > 0.0, inside, "bin ({x}, {y}): {}", map.at(x, y));
+            }
+        }
+        // 16 units of wire over 64 bins of capacity (1 + 1) · 0.55 each
+        assert_eq!(map.peak_utilization, 16.0 / 64.0 / 1.1);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Standard-cell density maps (the Fig. 9 visualization).
 
+use crate::grid::BinGrid;
 use crate::placer::CellPlacement;
 use geometry::Rect;
 use netlist::design::{CellKind, Design};
@@ -24,11 +25,9 @@ impl DensityMap {
         macro_placement: &impl PlacementView,
         bins: usize,
     ) -> Self {
-        let die = design.die();
-        let bins = bins.max(2);
-        let bin_w = (die.width() as f64 / bins as f64).max(1.0);
-        let bin_h = (die.height() as f64 / bins as f64).max(1.0);
-        let bin_area = bin_w * bin_h;
+        let grid = BinGrid::new(design.die(), bins);
+        let bins = grid.bins();
+        let bin_area = grid.bin_area();
 
         let macro_rects: Vec<Rect> = design
             .cells()
@@ -47,26 +46,16 @@ impl DensityMap {
                 continue;
             }
             let Some(p) = placement.position(id) else { continue };
-            let bx = (((p.x - die.llx) as f64 / bin_w) as usize).min(bins - 1);
-            let by = (((p.y - die.lly) as f64 / bin_h) as usize).min(bins - 1);
+            let (bx, by) = grid.bin_of(p);
             cell_area[bx * bins + by] += cell.area() as f64;
         }
 
-        let mut density = vec![0.0f64; bins * bins];
-        for bx in 0..bins {
-            for by in 0..bins {
-                let rect = Rect::new(
-                    die.llx + (bx as f64 * bin_w) as i64,
-                    die.lly + (by as f64 * bin_h) as i64,
-                    die.llx + ((bx + 1) as f64 * bin_w) as i64,
-                    die.lly + ((by + 1) as f64 * bin_h) as i64,
-                );
-                let macro_overlap: f64 =
-                    macro_rects.iter().map(|m| m.overlap_area(&rect) as f64).sum();
-                let free = (bin_area - macro_overlap).max(bin_area * 0.01);
-                density[bx * bins + by] = cell_area[bx * bins + by] / free;
-            }
-        }
+        let covered = grid.macro_coverage(&macro_rects);
+        let density = cell_area
+            .iter()
+            .zip(&covered)
+            .map(|(&area, &macro_overlap)| area / (bin_area - macro_overlap).max(bin_area * 0.01))
+            .collect();
         Self { bins, density }
     }
 

@@ -277,7 +277,8 @@ impl Evaluator {
         let config = self.config;
         self.scratch_ports.clear();
         self.scratch_ports.extend(design.ports().map(|(_, p)| p.position));
-        let hpwl = total_hpwl_with_ports(design, &cell_placement, &self.scratch_ports);
+        let hpwl =
+            total_hpwl_with_ports(design, |c| cell_placement.position(c), &self.scratch_ports);
         let congestion = estimate_congestion_with_ports(
             design,
             &cell_placement,

@@ -24,6 +24,8 @@
 //! sums are integer arithmetic; `bench::reference` preserves the rescan
 //! formulation and `bench_placer` asserts the equality at `large_soc` scale.
 
+use crate::grid::BinGrid;
+use crate::wirelength::total_hpwl_with_ports;
 use geometry::{Orientation, Point, Rect};
 use netlist::dense::DenseMap;
 use netlist::design::{CellId, CellKind, Design};
@@ -106,8 +108,10 @@ pub fn place_standard_cells(
 /// Warm-start variant of [`place_standard_cells`]: seeds the Gauss–Seidel
 /// state from a previous [`CellPlacement`] instead of the centroid
 /// initialization, and early-exits the sweep loop as soon as a sweep stops
-/// improving HPWL (tracked exactly through
-/// [`crate::IncrementalHpwl`] — integer deltas, no drift).
+/// improving HPWL. The HPWL of the working positions is computed exactly
+/// (integer sums, no drift) in one pass over every net's pins before the
+/// first sweep and after each sweep that moved a cell; the loop stops when a
+/// sweep moves nothing or leaves the HPWL no lower than before it.
 ///
 /// On a small ECO edit the seed is near the fixpoint, so the loop converges
 /// in far fewer sweeps than the cold `config.iterations`; the second element
@@ -280,18 +284,15 @@ fn place_cells_impl(
     for id in 0..n {
         occ_start[id + 1] = occ_start[id] + csr.nets_of(CellId(id as u32)).len();
     }
-    // Warm runs track the exact HPWL of the working positions through an
-    // incremental session, so a sweep that stops improving ends the loop
-    // early; cold runs keep the fixed iteration count (bit-identical to the
-    // pre-warm-start formulation).
-    let mut hpwl_session = warm.map(|_| {
-        let seed = CellPlacement { positions: pos.iter().map(|&p| Some(p)).collect() };
-        crate::wirelength::IncrementalHpwl::new(design, &seed)
-    });
+    // Warm runs stop as soon as a sweep that moved a cell did not lower the
+    // HPWL of the working positions (one full pass before the first sweep
+    // and after each moving one); cold runs keep the fixed iteration count.
+    let hpwl =
+        |pos: &[Point]| total_hpwl_with_ports(design, |c| Some(pos[c.0 as usize]), &port_pos).dbu;
+    let mut warm_hpwl = warm.map(|_| hpwl(&pos));
     let mut sweeps_run = 0usize;
     for _ in 0..config.iterations {
         sweeps_run += 1;
-        let mut sweep_delta: i128 = 0;
         let mut moved_any = false;
         for id in 0..n {
             if is_fixed[id] {
@@ -322,14 +323,18 @@ fn place_cells_impl(
                     }
                     pos[id] = new;
                     moved_any = true;
-                    if let Some(h) = hpwl_session.as_mut() {
-                        sweep_delta += h.move_cell(CellId(id as u32), new);
-                    }
                 }
             }
         }
-        if hpwl_session.is_some() && (!moved_any || sweep_delta >= 0) {
-            break;
+        if let Some(before) = warm_hpwl.as_mut() {
+            if !moved_any {
+                break;
+            }
+            let after = hpwl(&pos);
+            if after >= *before {
+                break;
+            }
+            *before = after;
         }
     }
 
@@ -347,55 +352,40 @@ fn spread(
     macro_rects: &[Rect],
     config: &PlacerConfig,
 ) {
-    let bins = config.bins.max(2);
-    let bin_w = (die.width() as f64 / bins as f64).max(1.0);
-    let bin_h = (die.height() as f64 / bins as f64).max(1.0);
-    let bin_area = bin_w * bin_h;
+    let grid = BinGrid::new(die, config.bins);
+    let bins = grid.bins();
+    let bin_area = grid.bin_area();
 
     // Free capacity per bin: bin area minus macro overlap, times utilization.
-    let mut capacity = vec![vec![0.0f64; bins]; bins];
-    for (bx, row) in capacity.iter_mut().enumerate() {
-        for (by, cap) in row.iter_mut().enumerate() {
-            let bin_rect = Rect::new(
-                die.llx + (bx as f64 * bin_w) as i64,
-                die.lly + (by as f64 * bin_h) as i64,
-                die.llx + ((bx + 1) as f64 * bin_w) as i64,
-                die.lly + ((by + 1) as f64 * bin_h) as i64,
-            );
-            let macro_overlap: f64 =
-                macro_rects.iter().map(|m| m.overlap_area(&bin_rect) as f64).sum();
-            *cap = ((bin_area - macro_overlap) * config.target_utilization).max(0.0);
-        }
-    }
-
-    let bin_of = |p: Point| -> (usize, usize) {
-        let bx = (((p.x - die.llx) as f64 / bin_w) as usize).min(bins - 1);
-        let by = (((p.y - die.lly) as f64 / bin_h) as usize).min(bins - 1);
-        (bx, by)
-    };
+    let capacity: Vec<f64> = grid
+        .macro_coverage(macro_rects)
+        .into_iter()
+        .map(|macro_overlap| ((bin_area - macro_overlap) * config.target_utilization).max(0.0))
+        .collect();
 
     for _ in 0..config.spreading_passes {
         // Usage and membership per bin, accumulated in cell-id order.
-        let mut usage = vec![vec![0.0f64; bins]; bins];
+        let mut usage = vec![0.0f64; bins * bins];
         let mut members: Vec<Vec<CellId>> = vec![Vec::new(); bins * bins];
         for id in 0..pos.len() {
             if is_fixed[id] {
                 continue;
             }
-            let b = bin_of(pos[id]);
-            usage[b.0][b.1] += area[id] as f64;
-            members[b.0 * bins + b.1].push(CellId(id as u32));
+            let (bx, by) = grid.bin_of(pos[id]);
+            usage[bx * bins + by] += area[id] as f64;
+            members[bx * bins + by].push(CellId(id as u32));
         }
         // Move cells from over-full bins to the nearest bin with headroom.
         let mut moved_any = false;
         for bx in 0..bins {
             for by in 0..bins {
-                let over = usage[bx][by] - capacity[bx][by];
+                let b = bx * bins + by;
+                let over = usage[b] - capacity[b];
                 if over <= 0.0 {
                     continue;
                 }
                 // move the smallest cells first until the bin fits
-                let mut cells = std::mem::take(&mut members[bx * bins + by]);
+                let mut cells = std::mem::take(&mut members[b]);
                 cells.sort_by_key(|&c| area[c.0 as usize]);
                 let mut to_free = over;
                 // The nearest-bin search only depends on the free room of
@@ -410,22 +400,22 @@ fn spread(
                         break;
                     }
                     let target = match cached_target {
-                        Some((tx, ty)) if capacity[tx][ty] - usage[tx][ty] > 0.0 => Some((tx, ty)),
+                        Some((tx, ty))
+                            if capacity[tx * bins + ty] - usage[tx * bins + ty] > 0.0 =>
+                        {
+                            Some((tx, ty))
+                        }
                         _ => {
                             cached_target = nearest_bin_with_room(&usage, &capacity, bins, bx, by);
                             cached_target
                         }
                     };
                     if let Some((tx, ty)) = target {
-                        let target_center = Point::new(
-                            die.llx + ((tx as f64 + 0.5) * bin_w) as i64,
-                            die.lly + ((ty as f64 + 0.5) * bin_h) as i64,
-                        );
                         let cell_area = area[cell.0 as usize] as f64;
-                        usage[bx][by] -= cell_area;
-                        usage[tx][ty] += cell_area;
+                        usage[b] -= cell_area;
+                        usage[tx * bins + ty] += cell_area;
                         to_free -= cell_area;
-                        pos[cell.0 as usize] = die.clamp_point(target_center);
+                        pos[cell.0 as usize] = die.clamp_point(grid.bin_center(tx, ty));
                         moved_any = true;
                     } else {
                         break;
@@ -440,8 +430,8 @@ fn spread(
 }
 
 fn nearest_bin_with_room(
-    usage: &[Vec<f64>],
-    capacity: &[Vec<f64>],
+    usage: &[f64],
+    capacity: &[f64],
     bins: usize,
     bx: usize,
     by: usize,
@@ -457,7 +447,7 @@ fn nearest_bin_with_room(
                 if tx.abs_diff(bx).max(ty.abs_diff(by)) != radius {
                     continue;
                 }
-                let room = capacity[tx][ty] - usage[tx][ty];
+                let room = capacity[tx * bins + ty] - usage[tx * bins + ty];
                 if room > 0.0 {
                     let d = (tx.abs_diff(bx) + ty.abs_diff(by)) as f64;
                     if best.as_ref().map(|(bd, _)| d < *bd).unwrap_or(true) {

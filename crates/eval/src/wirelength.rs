@@ -1,6 +1,7 @@
 //! Half-perimeter wirelength (HPWL): the one-shot [`total_hpwl`] and the
 //! [`IncrementalHpwl`] session that maintains per-net bounding boxes under
-//! single-cell moves for annealing-style loops.
+//! single-cell moves for annealing-style loops (the IndEDA baseline's
+//! refinement).
 
 use crate::placer::CellPlacement;
 use geometry::Point;
@@ -23,7 +24,7 @@ impl Hpwl {
     }
 }
 
-/// The bounding box of a net's placed pins (cell centers from `placement`,
+/// The bounding box of a net's placed pins (cell centers from `cell_pos`,
 /// port positions from the prefetched `port_pos` slice), accumulated
 /// incrementally over the design's CSR [`netlist::Connectivity`] view — no
 /// per-net point buffer and no hash lookups.
@@ -31,9 +32,9 @@ impl Hpwl {
 /// Returns `None` for nets with fewer than two placed pins (they contribute
 /// neither wirelength nor routing demand).
 pub(crate) fn net_bounding_box(
-    csr: &netlist::Connectivity,
-    net: netlist::NetId,
-    placement: &CellPlacement,
+    csr: &Connectivity,
+    net: NetId,
+    cell_pos: impl Fn(CellId) -> Option<Point>,
     port_pos: &[Option<Point>],
 ) -> Option<geometry::Rect> {
     let mut min_x = i64::MAX;
@@ -43,7 +44,7 @@ pub(crate) fn net_bounding_box(
     let mut pins = 0usize;
     for &pin in csr.pins(net) {
         let p = if let Some(c) = pin.cell() {
-            placement.position(c)
+            cell_pos(c)
         } else {
             pin.port().and_then(|p| port_pos[p.0 as usize])
         };
@@ -64,21 +65,23 @@ pub(crate) fn net_bounding_box(
 /// placed pins contribute nothing.
 pub fn total_hpwl(design: &Design, placement: &CellPlacement) -> Hpwl {
     let port_pos: Vec<Option<Point>> = design.ports().map(|(_, p)| p.position).collect();
-    total_hpwl_with_ports(design, placement, &port_pos)
+    total_hpwl_with_ports(design, |c| placement.position(c), &port_pos)
 }
 
-/// [`total_hpwl`] with a caller-provided port-position buffer (the
-/// `Evaluator` session reuses one across candidates).
+/// [`total_hpwl`] over the cell positions `cell_pos` looks up (a
+/// [`CellPlacement`], or the standard-cell placer's working positions), with
+/// a caller-provided port-position buffer (the `Evaluator` session reuses one
+/// across candidates).
 pub(crate) fn total_hpwl_with_ports(
     design: &Design,
-    placement: &CellPlacement,
+    cell_pos: impl Fn(CellId) -> Option<Point>,
     port_pos: &[Option<Point>],
 ) -> Hpwl {
     let csr = design.connectivity();
     let mut total: i128 = 0;
     let mut routed = 0usize;
     for net in design.net_ids() {
-        let Some(bb) = net_bounding_box(csr, net, placement, port_pos) else { continue };
+        let Some(bb) = net_bounding_box(csr, net, &cell_pos, port_pos) else { continue };
         total += (bb.width() + bb.height()) as i128;
         routed += 1;
     }

@@ -4,10 +4,21 @@
 //!   sequences stay bit-identical to a full [`eval::total_hpwl`] recompute,
 //! * `hidap::MacroPlacement` read through [`netlist::PlacementView`] agrees
 //!   with its legacy `to_map()` interchange on every macro, and the
-//!   [`eval::Evaluator`] produces bit-identical metrics through either.
+//!   [`eval::Evaluator`] produces bit-identical metrics through either,
+//! * the bin grid shared by spreading, congestion and density: its per-bin
+//!   macro coverage equals the all-pairs sum bit for bit, a box's column ×
+//!   row overlap equals `Rect::overlap_area`, and the RUDY demand of boxes
+//!   inside the die sums to their wire length (ROADMAP item 3), also on
+//!   dies narrower than the bin count.
+
+// The grid is crate-private; the tests compile its source as their own module.
+#[allow(dead_code)]
+#[path = "../src/grid.rs"]
+mod grid;
 
 use eval::{CellPlacement, Evaluator, IncrementalHpwl};
 use geometry::{Orientation, Point, Rect};
+use grid::BinGrid;
 use hidap::{MacroPlacement, PlacedMacro};
 use netlist::design::{CellId, Design, DesignBuilder, PortDirection};
 use netlist::PlacementView;
@@ -68,8 +79,135 @@ fn any_orientation() -> impl Strategy<Value = Orientation> {
     ])
 }
 
+/// A die from raw draws: lower-left anywhere near the origin, and edges that
+/// are either wide or narrower than 64 DBU (below the bin count of many
+/// grids).
+fn die_of(llx: i64, lly: i64, w: i64, h: i64, narrow: (bool, bool)) -> Rect {
+    let w = if narrow.0 { 1 + w % 63 } else { w };
+    let h = if narrow.1 { 1 + h % 63 } else { h };
+    Rect::new(llx, lly, llx + w, lly + h)
+}
+
+/// A rectangle from four raw draws: free coordinates around the die (so it
+/// may stick out or lie outside), or, when `snap`, spanning whole bins so its
+/// edges lie on bin edges.
+fn rect_of(grid: &BinGrid, die: Rect, raw: (i64, i64, i64, i64), snap: bool) -> Rect {
+    let (a, b, c, d) = raw;
+    if snap {
+        let n = grid.bins() as i64;
+        let (x0, x1) = (a.rem_euclid(n) as usize, c.rem_euclid(n) as usize);
+        let (y0, y1) = (b.rem_euclid(n) as usize, d.rem_euclid(n) as usize);
+        let lo = grid.bin_rect(x0.min(x1), y0.min(y1));
+        let hi = grid.bin_rect(x0.max(x1), y0.max(y1));
+        return Rect::new(lo.llx, lo.lly, hi.urx, hi.ury);
+    }
+    // coordinates within the die, widened by a quarter on each side
+    let at = |v: i64, lo: i64, len: i64| lo - len / 4 + v.rem_euclid(len + len / 2 + 1);
+    let (x0, x1) = (at(a, die.llx, die.width()), at(c, die.llx, die.width()));
+    let (y0, y1) = (at(b, die.lly, die.height()), at(d, die.lly, die.height()));
+    Rect::new(x0.min(x1), y0.min(y1), x0.max(x1), y0.max(y1))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24 })]
+
+    /// Macro coverage visits only the bins each macro overlaps, yet equals
+    /// the all-pairs per-bin sum in macro order bit for bit: empty,
+    /// overlapping, bin-edge-aligned and partly-outside macro sets alike.
+    #[test]
+    fn macro_coverage_equals_the_all_pairs_sum(
+        corner in (-5_000i64..5_000, -5_000i64..5_000),
+        size in (1i64..40_000, 1i64..40_000),
+        narrow in (any::<bool>(), any::<bool>()),
+        bins in 2usize..40,
+        macros in prop::collection::vec(
+            ((-100_000i64..100_000, -100_000i64..100_000, -100_000i64..100_000, -100_000i64..100_000), any::<bool>()),
+            0..8,
+        ),
+    ) {
+        let die = die_of(corner.0, corner.1, size.0, size.1, narrow);
+        let grid = BinGrid::new(die, bins);
+        let rects: Vec<Rect> = macros.iter().map(|&(raw, snap)| rect_of(&grid, die, raw, snap)).collect();
+        let covered = grid.macro_coverage(&rects);
+        let n = grid.bins();
+        prop_assert_eq!(covered.len(), n * n);
+        for bx in 0..n {
+            for by in 0..n {
+                let bin = grid.bin_rect(bx, by);
+                let all_pairs = rects.iter().fold(0.0f64, |sum, m| sum + m.overlap_area(&bin) as f64);
+                prop_assert_eq!(
+                    covered[bx * n + by].to_bits(),
+                    all_pairs.to_bits(),
+                    "bin ({}, {}) of {:?} over {:?}", bx, by, bin, rects
+                );
+            }
+        }
+    }
+
+    /// A box's overlap with a bin is its column overlap times its row
+    /// overlap, equal to `Rect::overlap_area`, and no bin outside the box's
+    /// `bin_span` overlaps it.
+    #[test]
+    fn column_times_row_overlap_equals_overlap_area(
+        corner in (-5_000i64..5_000, -5_000i64..5_000),
+        size in (1i64..40_000, 1i64..40_000),
+        narrow in (any::<bool>(), any::<bool>()),
+        bins in 2usize..40,
+        boxes in prop::collection::vec(
+            ((-100_000i64..100_000, -100_000i64..100_000, -100_000i64..100_000, -100_000i64..100_000), any::<bool>()),
+            1..6,
+        ),
+    ) {
+        let die = die_of(corner.0, corner.1, size.0, size.1, narrow);
+        let grid = BinGrid::new(die, bins);
+        let n = grid.bins();
+        let (mut cols, mut rows) = (Vec::new(), Vec::new());
+        for (raw, snap) in boxes {
+            let r = rect_of(&grid, die, raw, snap);
+            grid.column_overlaps(&r, (0, n - 1), &mut cols);
+            grid.row_overlaps(&r, (0, n - 1), &mut rows);
+            let ((x0, x1), (y0, y1)) = grid.bin_span(&r);
+            for (bx, &ox) in cols.iter().enumerate() {
+                for (by, &oy) in rows.iter().enumerate() {
+                    let exact = grid.bin_rect(bx, by).overlap_area(&r);
+                    prop_assert_eq!(ox * oy, exact, "bin ({}, {}) and {:?}", bx, by, r);
+                    let in_span = (x0..=x1).contains(&bx) && (y0..=y1).contains(&by);
+                    prop_assert!(in_span || exact == 0, "bin ({}, {}) outside the span of {:?}", bx, by, r);
+                }
+            }
+        }
+    }
+
+    /// RUDY conserves demand: boxes of positive area inside the die put
+    /// exactly `(w + h) · wire_pitch` each onto the grid, also when the die
+    /// is narrower or shorter than the bin count.
+    #[test]
+    fn rudy_demand_sums_to_the_wire_length(
+        corner in (-5_000i64..5_000, -5_000i64..5_000),
+        size in (1i64..40_000, 1i64..40_000),
+        narrow in (any::<bool>(), any::<bool>()),
+        bins in 2usize..80,
+        wire_pitch in 0.1f64..4.0,
+        boxes in prop::collection::vec((0i64..1_000_000, 0i64..1_000_000, 0i64..1_000_000, 0i64..1_000_000), 1..12),
+    ) {
+        let die = die_of(corner.0, corner.1, size.0, size.1, narrow);
+        let grid = BinGrid::new(die, bins);
+        let rects: Vec<Rect> = boxes
+            .iter()
+            .map(|&(a, b, c, d)| {
+                let (x0, x1) = (die.llx + a % (die.width() + 1), die.llx + c % (die.width() + 1));
+                let (y0, y1) = (die.lly + b % (die.height() + 1), die.lly + d % (die.height() + 1));
+                Rect::new(x0.min(x1), y0.min(y1), x0.max(x1), y0.max(y1))
+            })
+            .filter(|r| r.area() > 0)
+            .collect();
+        let demand: f64 = grid.rudy_demand(rects.iter().copied(), wire_pitch).iter().sum();
+        let wire: f64 = rects.iter().map(|r| (r.width() + r.height()) as f64 * wire_pitch).sum();
+        prop_assert!(
+            (demand - wire).abs() <= 1e-9 * wire.max(1.0),
+            "demand {} against wire {} on {:?} with {} bins", demand, wire, die, bins
+        );
+    }
 
     /// Incremental deltas over a random move sequence stay bit-identical to
     /// a full recompute after every single move.

@@ -112,7 +112,8 @@ daemon-panic (R2): panics reachable from a client request kill the daemon.
 
 Scope: non-test code of crates/server/src/* and placer-core's service.rs and
 scheduler.rs — everything between frame decode and job completion — plus
-netlist's verilog.rs, which `intern` runs on client-named files.
+netlist's verilog.rs, lef.rs and def.rs, which `intern` runs on client-named
+files.
 
 `hidap --serve` promises that a malformed or hostile frame produces a
 structured `err code=...` frame and the session lives on. A stray .unwrap(),
@@ -701,6 +702,8 @@ fn on_daemon_path(path: &str) -> bool {
         || path == "crates/placer-core/src/service.rs"
         || path == "crates/placer-core/src/scheduler.rs"
         || path == "crates/netlist/src/verilog.rs"
+        || path == "crates/netlist/src/lef.rs"
+        || path == "crates/netlist/src/def.rs"
 }
 
 /// R2: panic sources on the daemon request path.

@@ -123,9 +123,13 @@ mod tests {
     // same content: flagged on the daemon path, clean in an ordinary crate
     assert_eq!(rules_of(&check("crates/server/src/foo.rs", body)), ["daemon-panic"]);
     assert_eq!(check("crates/hidap/src/foo.rs", body), []);
-    // `intern` elaborates client files through the Verilog parser, not (yet) LEF
-    assert_eq!(rules_of(&check("crates/netlist/src/verilog.rs", body)), ["daemon-panic"]);
-    assert_eq!(check("crates/netlist/src/lef.rs", body), []);
+    // `intern` reads client files through the Verilog, LEF and DEF parsers,
+    // but no other netlist module is on the request path
+    for parser in ["verilog", "lef", "def"] {
+        let path = format!("crates/netlist/src/{parser}.rs");
+        assert_eq!(rules_of(&check(&path, body)), ["daemon-panic"], "{path}");
+    }
+    assert_eq!(check("crates/netlist/src/design.rs", body), []);
 }
 
 #[test]

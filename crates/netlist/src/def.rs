@@ -104,8 +104,8 @@ impl DefFile {
 /// Streaming word lexer with bounded lookahead: whitespace-separated words
 /// with `#` comments stripped and trailing `;` split into its own token.
 struct Lexer<'a> {
-    text: &'a str,
-    pos: usize,
+    /// The text not yet lexed.
+    rest: &'a str,
     line: usize,
     pending_semi: Option<usize>,
     buf: VecDeque<(usize, &'a str)>,
@@ -113,7 +113,7 @@ struct Lexer<'a> {
 
 impl<'a> Lexer<'a> {
     fn new(text: &'a str) -> Self {
-        Self { text, pos: 0, line: 1, pending_semi: None, buf: VecDeque::new() }
+        Self { rest: text, line: 1, pending_semi: None, buf: VecDeque::new() }
     }
 
     fn next_raw(&mut self) -> Option<(usize, &'a str)> {
@@ -121,27 +121,25 @@ impl<'a> Lexer<'a> {
             return Some((line, ";"));
         }
         loop {
-            let rest = &self.text[self.pos..];
-            let c = rest.chars().next()?;
+            let mut chars = self.rest.chars();
+            let c = chars.next()?;
             match c {
                 '\n' => {
                     self.line += 1;
-                    self.pos += 1;
+                    self.rest = chars.as_str();
                 }
-                c if c.is_whitespace() => {
-                    self.pos += c.len_utf8();
+                c if c.is_whitespace() => self.rest = chars.as_str(),
+                // the comment runs up to (not through) its newline
+                '#' => {
+                    self.rest = self.rest.find('\n').and_then(|n| self.rest.get(n..)).unwrap_or("")
                 }
-                '#' => match rest.find('\n') {
-                    Some(n) => self.pos += n,
-                    None => self.pos = self.text.len(),
-                },
                 _ => {
-                    let start = self.pos;
-                    let end = rest
+                    let end = self
+                        .rest
                         .find(|c2: char| c2.is_whitespace() || c2 == '#')
-                        .map_or(self.text.len(), |n| start + n);
-                    self.pos = end;
-                    let word = &self.text[start..end];
+                        .unwrap_or(self.rest.len());
+                    let (word, rest) = self.rest.split_at_checked(end)?;
+                    self.rest = rest;
                     let line = self.line;
                     if word != ";" && word.ends_with(';') {
                         self.pending_semi = Some(line);
@@ -174,53 +172,55 @@ impl<'a> Lexer<'a> {
     }
 }
 
+/// Reads a number as DBU, rounded. A number that is not finite or does not
+/// fit an `i64` is an error.
 fn parse_int_tok(line: usize, t: &str) -> Result<i64, ParseError> {
     t.parse::<f64>()
+        .ok()
+        .filter(|v| v.is_finite() && v.abs() < i64::MAX as f64)
         .map(|v| v.round() as i64)
-        .map_err(|_| ParseError::at_line(line, format!("invalid number '{t}'")))
+        .ok_or_else(|| ParseError::at_line(line, format!("invalid number '{t}'")))
 }
 
-/// Collects the next `count` numeric tokens (skipping parentheses, stopping at
+/// Collects the next `N` numeric tokens (skipping parentheses, stopping at
 /// `;`) by peeking from `offset` without consuming anything.
-fn peek_numbers(lx: &mut Lexer<'_>, offset: usize, count: usize) -> Result<Vec<Dbu>, ParseError> {
-    let mut nums = Vec::with_capacity(count);
+fn peek_numbers<const N: usize>(lx: &mut Lexer<'_>, offset: usize) -> Result<[Dbu; N], ParseError> {
+    let mut nums = [0; N];
     let mut k = offset;
-    while nums.len() < count {
-        let Some((line, t)) = lx.peek_at(k) else { break };
-        if t == "(" || t == ")" {
-            k += 1;
-            continue;
+    for num in &mut nums {
+        loop {
+            match lx.peek_at(k) {
+                Some((_, "(" | ")")) => k += 1,
+                Some((line, t)) if t != ";" => {
+                    *num = parse_int_tok(line, t)?;
+                    k += 1;
+                    break;
+                }
+                _ => return Err(ParseError::new("not enough numeric fields")),
+            }
         }
-        if t == ";" {
-            break;
-        }
-        nums.push(parse_int_tok(line, t)?);
-        k += 1;
-    }
-    if nums.len() < count {
-        return Err(ParseError::new("not enough numeric fields"));
     }
     Ok(nums)
 }
 
-/// Consumes tokens until `count` numbers have been read, skipping parentheses
+/// Consumes tokens until `N` numbers have been read, skipping parentheses
 /// and stopping (without consuming) at `;`.
-fn take_numbers(lx: &mut Lexer<'_>, count: usize) -> Result<Vec<Dbu>, ParseError> {
-    let mut nums = Vec::with_capacity(count);
-    while nums.len() < count {
-        let Some((line, t)) = lx.peek() else { break };
-        if t == "(" || t == ")" {
-            lx.next();
-            continue;
+fn take_numbers<const N: usize>(lx: &mut Lexer<'_>) -> Result<[Dbu; N], ParseError> {
+    let mut nums = [0; N];
+    for num in &mut nums {
+        loop {
+            match lx.peek() {
+                Some((_, "(" | ")")) => {
+                    lx.next();
+                }
+                Some((line, t)) if t != ";" => {
+                    *num = parse_int_tok(line, t)?;
+                    lx.next();
+                    break;
+                }
+                _ => return Err(ParseError::new("not enough numeric fields")),
+            }
         }
-        if t == ";" {
-            break;
-        }
-        nums.push(parse_int_tok(line, t)?);
-        lx.next();
-    }
-    if nums.len() < count {
-        return Err(ParseError::new("not enough numeric fields"));
     }
     Ok(nums)
 }
@@ -234,7 +234,7 @@ fn take_numbers(lx: &mut Lexer<'_>, count: usize) -> Result<Vec<Dbu>, ParseError
 pub fn parse_def(text: &str) -> Result<DefFile, ParseError> {
     let mut def = DefFile { dbu_per_micron: 1000, ..Default::default() };
     let mut lx = Lexer::new(text);
-    while let Some((_, tok)) = lx.peek() {
+    while let Some((line, tok)) = lx.peek() {
         match tok {
             "DESIGN" => {
                 lx.next();
@@ -252,6 +252,12 @@ pub fn parse_def(text: &str) -> Result<DefFile, ParseError> {
                             .peek_at(k + 1)
                             .ok_or_else(|| ParseError::new("unexpected end of DEF"))?;
                         def.dbu_per_micron = parse_int_tok(line, t)?;
+                        if def.dbu_per_micron <= 0 {
+                            return Err(ParseError::at_line(
+                                line,
+                                format!("invalid DISTANCE MICRONS value '{t}' (must be positive)"),
+                            ));
+                        }
                         for _ in 0..=(k + 1) {
                             lx.next();
                         }
@@ -263,8 +269,17 @@ pub fn parse_def(text: &str) -> Result<DefFile, ParseError> {
             }
             "DIEAREA" => {
                 // DIEAREA ( x1 y1 ) ( x2 y2 ) ;
-                let nums = peek_numbers(&mut lx, 1, 4)?;
-                def.die = Rect::new(nums[0], nums[1], nums[2], nums[3]);
+                let [llx, lly, urx, ury] = peek_numbers(&mut lx, 1)?;
+                if urx < llx || ury < lly {
+                    return Err(ParseError::at_line(
+                        line,
+                        format!(
+                            "DIEAREA ( {llx} {lly} ) ( {urx} {ury} ): the second corner must be \
+                             the upper right"
+                        ),
+                    ));
+                }
+                def.die = Rect::new(llx, lly, urx, ury);
                 lx.next();
             }
             "COMPONENTS" => {
@@ -333,8 +348,8 @@ fn parse_components(lx: &mut Lexer<'_>) -> Result<Vec<DefComponent>, ParseError>
                         comp.status =
                             if t == "FIXED" { PlaceStatus::Fixed } else { PlaceStatus::Placed };
                         lx.next();
-                        let nums = take_numbers(lx, 2)?;
-                        comp.location = Point::new(nums[0], nums[1]);
+                        let [x, y] = take_numbers(lx)?;
+                        comp.location = Point::new(x, y);
                         // orientation is the token following the closing paren
                         while matches!(lx.peek(), Some((_, "(" | ")"))) {
                             lx.next();
@@ -395,8 +410,8 @@ fn parse_pins(lx: &mut Lexer<'_>) -> Result<Vec<DefPin>, ParseError> {
                 }
                 if t == "PLACED" || t == "FIXED" {
                     lx.next();
-                    let nums = take_numbers(lx, 2)?;
-                    pin.location = Some(Point::new(nums[0], nums[1]));
+                    let [x, y] = take_numbers(lx)?;
+                    pin.location = Some(Point::new(x, y));
                 } else {
                     lx.next();
                 }
@@ -475,7 +490,9 @@ pub fn write_def(
 ) -> String {
     let mut buf = Vec::new();
     write_def_to(&mut buf, design_name, dbu_per_micron, die, entries, pins)
+        // lint:allow(daemon-panic): `io::Write` for `Vec<u8>` never returns an error
         .expect("writing to a Vec cannot fail");
+    // lint:allow(daemon-panic): every write above formats `&str`s and integers, all UTF-8
     String::from_utf8(buf).expect("the DEF emitter writes UTF-8 only")
 }
 
@@ -612,6 +629,30 @@ END DESIGN
     fn unterminated_components_is_error() {
         let text = "COMPONENTS 1 ;\n- a CELL + PLACED ( 0 0 ) N ;\n";
         assert!(parse_def(text).is_err());
+    }
+
+    #[test]
+    fn swapped_diearea_corners_are_an_error_with_their_line() {
+        let text = "DESIGN t ;\nDIEAREA ( 1023363 852803 ) ( 0 0 ) ;\n";
+        let err = parse_def(text).unwrap_err();
+        assert_eq!(err.line, Some(2), "{err}");
+        assert!(err.message.contains("DIEAREA"), "{err}");
+        assert!(parse_def("DIEAREA ( 0 10 ) ( 10 0 ) ;\n").is_err());
+    }
+
+    #[test]
+    fn non_finite_and_non_positive_values_are_errors_with_their_line() {
+        for text in [
+            "DIEAREA ( 0 0 ) ( inf 10 ) ;\n",
+            "DIEAREA ( 0 NaN ) ( 10 10 ) ;\n",
+            "COMPONENTS 1 ;\n- a CELL + PLACED ( 1e300 0 ) N ;\nEND COMPONENTS\n",
+            "PINS 1 ;\n- p + PLACED ( 0 -inf ) N ;\nEND PINS\n",
+            "UNITS DISTANCE MICRONS 0 ;\n",
+            "UNITS DISTANCE MICRONS -2000 ;\n",
+        ] {
+            let err = parse_def(text).unwrap_err();
+            assert!(err.line.is_some(), "{text}: {err}");
+        }
     }
 
     #[test]

@@ -30,8 +30,8 @@ pub struct LefFile {
 /// Streaming word lexer: whitespace-separated words with `#` comments
 /// stripped and a trailing `;` split into its own token.
 struct Lexer<'a> {
-    text: &'a str,
-    pos: usize,
+    /// The text not yet lexed.
+    rest: &'a str,
     line: usize,
     pending_semi: Option<usize>,
     peeked: Option<(usize, &'a str)>,
@@ -39,7 +39,7 @@ struct Lexer<'a> {
 
 impl<'a> Lexer<'a> {
     fn new(text: &'a str) -> Self {
-        Self { text, pos: 0, line: 1, pending_semi: None, peeked: None }
+        Self { rest: text, line: 1, pending_semi: None, peeked: None }
     }
 
     fn next_raw(&mut self) -> Option<(usize, &'a str)> {
@@ -47,27 +47,25 @@ impl<'a> Lexer<'a> {
             return Some((line, ";"));
         }
         loop {
-            let rest = &self.text[self.pos..];
-            let c = rest.chars().next()?;
+            let mut chars = self.rest.chars();
+            let c = chars.next()?;
             match c {
                 '\n' => {
                     self.line += 1;
-                    self.pos += 1;
+                    self.rest = chars.as_str();
                 }
-                c if c.is_whitespace() => {
-                    self.pos += c.len_utf8();
+                c if c.is_whitespace() => self.rest = chars.as_str(),
+                // the comment runs up to (not through) its newline
+                '#' => {
+                    self.rest = self.rest.find('\n').and_then(|n| self.rest.get(n..)).unwrap_or("")
                 }
-                '#' => match rest.find('\n') {
-                    Some(n) => self.pos += n,
-                    None => self.pos = self.text.len(),
-                },
                 _ => {
-                    let start = self.pos;
-                    let end = rest
+                    let end = self
+                        .rest
                         .find(|c2: char| c2.is_whitespace() || c2 == '#')
-                        .map_or(self.text.len(), |n| start + n);
-                    self.pos = end;
-                    let word = &self.text[start..end];
+                        .unwrap_or(self.rest.len());
+                    let (word, rest) = self.rest.split_at_checked(end)?;
+                    self.rest = rest;
                     let line = self.line;
                     if word == ";" {
                         return Some((line, ";"));
@@ -120,9 +118,18 @@ pub fn parse_lef(text: &str) -> Result<LefFile, ParseError> {
                     lx.next();
                     if t == "MICRONS" {
                         if let Some((vline, v)) = lx.peek() {
-                            dbu_per_micron = v.parse::<f64>().map_err(|_| {
-                                ParseError::at_line(vline, "invalid DATABASE MICRONS value")
-                            })? as i64;
+                            dbu_per_micron = v
+                                .parse::<f64>()
+                                .ok()
+                                .filter(|v| v.is_finite())
+                                .map(|v| v as i64)
+                                .filter(|&dbu| dbu > 0)
+                                .ok_or_else(|| {
+                                    ParseError::at_line(
+                                        vline,
+                                        format!("invalid DATABASE MICRONS value '{v}' (must be a positive number)"),
+                                    )
+                                })?;
                         }
                     }
                 }
@@ -166,6 +173,12 @@ fn parse_macro(lx: &mut Lexer<'_>, start_line: usize, dbu: i64) -> Result<MacroD
                     return Err(ParseError::at_line(line, "SIZE missing BY keyword"));
                 }
                 let h = next_micron(lx, dbu)?;
+                if w < 0 || h < 0 {
+                    return Err(ParseError::at_line(
+                        line,
+                        format!("negative SIZE of MACRO {name}"),
+                    ));
+                }
                 def.width = w;
                 def.height = h;
             }
@@ -199,7 +212,7 @@ fn parse_pin(lx: &mut Lexer<'_>, start_line: usize, dbu: i64) -> Result<PinDef, 
                 let x2 = next_micron(lx, dbu)?;
                 let y2 = next_micron(lx, dbu)?;
                 if !have_rect {
-                    offset = Point::new((x1 + x2) / 2, (y1 + y2) / 2);
+                    offset = Point::new(midpoint(x1, x2), midpoint(y1, y2));
                     have_rect = true;
                 }
             }
@@ -213,12 +226,22 @@ fn parse_pin(lx: &mut Lexer<'_>, start_line: usize, dbu: i64) -> Result<PinDef, 
     Err(ParseError::at_line(start_line, format!("unterminated PIN {name}")))
 }
 
+/// Reads a length in microns as DBU. A number that is not finite or whose
+/// DBU value does not fit an `i64` is an error.
 fn next_micron(lx: &mut Lexer<'_>, dbu: i64) -> Result<Dbu, ParseError> {
     let (line, t) =
         lx.next().ok_or_else(|| ParseError::new("unexpected end of file in numeric field"))?;
-    let v: f64 =
-        t.parse().map_err(|_| ParseError::at_line(line, format!("invalid number '{t}'")))?;
-    Ok((v * dbu as f64).round() as Dbu)
+    t.parse::<f64>()
+        .ok()
+        .map(|v| v * dbu as f64)
+        .filter(|v| v.is_finite() && v.abs() < i64::MAX as f64)
+        .map(|v| v.round() as Dbu)
+        .ok_or_else(|| ParseError::at_line(line, format!("invalid number '{t}'")))
+}
+
+/// `(a + b) / 2` without overflowing.
+fn midpoint(a: Dbu, b: Dbu) -> Dbu {
+    ((i128::from(a) + i128::from(b)) / 2) as Dbu
 }
 
 #[cfg(test)]
@@ -293,6 +316,45 @@ END DFFX1
     fn malformed_size_is_error() {
         assert!(parse_lef("MACRO M\n SIZE x BY 1 ;\nEND M\n").is_err());
         assert!(parse_lef("MACRO M\n SIZE 1 1 ;\nEND M\n").is_err());
+    }
+
+    #[test]
+    fn negative_size_is_an_error_with_its_line() {
+        let err = parse_lef("MACRO M\n CLASS BLOCK ;\n SIZE -60 BY 40 ;\nEND M\n").unwrap_err();
+        assert_eq!(err.line, Some(3), "{err}");
+        assert!(err.message.contains("negative SIZE"), "{err}");
+        assert!(parse_lef("MACRO M\n SIZE 60 BY -0.5 ;\nEND M\n").is_err());
+    }
+
+    #[test]
+    fn non_finite_numbers_are_errors_with_their_line() {
+        for text in [
+            "MACRO M\n SIZE inf BY 1 ;\nEND M\n",
+            "MACRO M\n SIZE 1 BY NaN ;\nEND M\n",
+            "MACRO M\n SIZE 1e300 BY 1 ;\nEND M\n",
+            "MACRO M\n SIZE 1 BY 1 ;\n PIN A\n  PORT\n   RECT 0 0 -inf 1 ;\n  END\n END A\nEND M\n",
+        ] {
+            let err = parse_lef(text).unwrap_err();
+            assert!(err.line.is_some() && err.message.contains("invalid number"), "{text}: {err}");
+        }
+    }
+
+    #[test]
+    fn non_positive_database_microns_is_an_error_with_its_line() {
+        for units in ["0", "-1000", "0.5", "nan", "inf"] {
+            let text = format!("UNITS\n  DATABASE MICRONS {units} ;\nEND UNITS\n");
+            let err = parse_lef(&text).unwrap_err();
+            assert_eq!(err.line, Some(2), "{units}: {err}");
+            assert!(err.message.contains("DATABASE MICRONS"), "{units}: {err}");
+        }
+    }
+
+    #[test]
+    fn pin_offset_of_a_huge_rect_does_not_overflow() {
+        let text = "MACRO M\n SIZE 1 BY 1 ;\n PIN A\n  PORT\n   RECT 9e15 9e15 9e15 9e15 ;\n  END\n END A\nEND M\n";
+        let lef = parse_lef(text).unwrap();
+        let offset = lef.library.find_macro("M").unwrap().find_pin("A").unwrap().offset;
+        assert_eq!(offset, Point::new(9_000_000_000_000_000_000, 9_000_000_000_000_000_000));
     }
 
     #[test]
