@@ -20,8 +20,8 @@
 //!    builds — the CI gate), then every design **released, evicted and
 //!    re-interned** and a rebuilt pass run from empty caches. A fourth
 //!    **revived** pass repeats the lifecycle on a spill-dir-backed store
-//!    (`docs/MEMORY.md`): eviction demotes every graph and the designs'
-//!    CSR to disk, and the pass after re-interning is asserted in-process
+//!    (`docs/MEMORY.md`): eviction demotes every graph to disk, and the
+//!    pass after re-interning is asserted in-process
 //!    to perform zero graph rebuilds — every miss served by
 //!    deserialization. Placements and metrics must be bit-identical
 //!    across all four passes (eviction changes timing, never results).
@@ -120,10 +120,10 @@ struct ScalePoint {
 }
 
 /// Ceiling on the streaming parsers' per-cell resident cost (the parsed
-/// `Design`'s `heap_bytes` over its cell count, before the CSR is built).
+/// `Design`'s `heap_bytes` over its cell count, its CSR wiring included).
 /// Small designs carry fixed overheads, so the bound is calibrated against
-/// the quick scales (~395 B/cell at 0.05, falling with scale) and holds
-/// with ≥1.5x headroom at every measured point;
+/// the quick scales (~266 B/cell at 0.05, falling with scale) and holds
+/// with ≥2x headroom at every measured point;
 /// a regression in the parsers' compaction (owned-token vectors, per-name
 /// `String`s) blows past it immediately.
 const PARSE_BYTES_PER_CELL_CEILING: usize = 600;
@@ -176,7 +176,6 @@ fn sweep_point(scale: f64) -> ScalePoint {
     );
 
     eprintln!("scale sweep: placing {cells} cells ...");
-    design.connectivity(); // build the CSR outside the placer timing
     let base = grid_macro_placement(&design, 0);
     let cfg = PlacerConfig::default();
     let t = Instant::now();
@@ -642,8 +641,8 @@ fn main() {
     //
     // The same eviction lifecycle as the rebuilt pass, but the store carries
     // a scratch spill directory (the bench-owned analogue of `--spill-dir`,
-    // see docs/MEMORY.md): eviction demotes every Gnet/Gseq and the designs'
-    // cached CSR to disk, and the pass after re-interning *revives* them by
+    // see docs/MEMORY.md): eviction demotes every Gnet/Gseq to disk, and
+    // the pass after re-interning *revives* them by
     // deserialization — ZERO constructor runs. Cold and revived samples are
     // paired per round and keep running minimums (the noise-floor pattern
     // above), with rounds extending until the revived floor dips under its
@@ -715,11 +714,6 @@ fn main() {
         revived_stats.seq.revives as usize, fleet_size,
         "every evicted SeqGraph is revived from disk"
     );
-    let revive_svc_stats = revived_service.stats();
-    assert_eq!(
-        revive_svc_stats.csr_revives as usize, fleet_size,
-        "re-interning revives every design's spilled CSR connectivity"
-    );
     for (cold, revived) in art_cold.iter().zip(&art_revived) {
         assert_eq!(
             cold.outcome.placement, revived.outcome.placement,
@@ -741,13 +735,12 @@ fn main() {
     let _ = std::fs::remove_dir_all(&spill_dir);
     println!(
         "artifact revive ({fleet_size} designs x2): cold {:.1} ms, revived {:.1} ms \
-         ({speedup_revived:.2}x, 0 graphs rebuilt, {} Gnet + {} Gseq + {} CSR revived; \
+         ({speedup_revived:.2}x, 0 graphs rebuilt, {} Gnet + {} Gseq revived; \
          {revived_vs_warm:.2}x of the warm floor {:.1} ms)",
         art_spill_cold_s * 1e3,
         art_revived_s * 1e3,
         revived_stats.net.revives,
         revived_stats.seq.revives,
-        revive_svc_stats.csr_revives,
         art_warm_s * 1e3
     );
 
@@ -1064,7 +1057,7 @@ fn main() {
     };
 
     let json = format!(
-        "{{\n  \"bench\": \"placer_sweep_plus_hpwl\",\n  \"workload\": \"large_soc\",\n  \"scale\": {scale},\n  \"cells\": {},\n  \"nets\": {},\n  \"pins\": {},\n  \"macros\": {},\n  \"repeats\": {repeats},\n  \"hashmap_place_ms\": {:.3},\n  \"hashmap_hpwl_ms\": {:.3},\n  \"dense_place_ms\": {:.3},\n  \"dense_hpwl_ms\": {:.3},\n  \"speedup_place\": {:.3},\n  \"speedup_hpwl\": {:.3},\n  \"speedup_combined\": {:.3},\n  \"hpwl_dbu\": {},\n  \"routed_nets\": {},\n  \"results_bit_identical\": true,\n  \"evaluator_reuse\": {{\n    \"candidates\": {candidates},\n    \"oneshot_ms\": {:.3},\n    \"reused_ms\": {:.3},\n    \"reused_parallel_ms\": {:.3},\n    \"workers\": {workers},\n    \"speedup\": {:.3},\n    \"speedup_parallel\": {:.3},\n    \"metrics_bit_identical\": true\n  }},\n  \"service_reuse\": {{\n    \"designs\": {fleet_size},\n    \"fleet_scale\": {fleet_scale},\n    \"jobs_per_pass\": {fleet_size},\n    \"cold_ms\": {:.3},\n    \"warm_ms\": {:.3},\n    \"speedup\": {:.3},\n    \"seq_graphs_built\": {seq_built},\n    \"seq_graphs_reused\": {seq_reused},\n    \"metrics_bit_identical\": true\n  }},\n  \"artifact_reuse\": {{\n    \"designs\": {fleet_size},\n    \"fleet_scale\": {fleet_scale},\n    \"cold_ms\": {:.3},\n    \"warm_ms\": {:.3},\n    \"rebuilt_ms\": {:.3},\n    \"revived_ms\": {:.3},\n    \"speedup\": {:.3},\n    \"speedup_revived\": {:.3},\n    \"revived_vs_warm\": {:.3},\n    \"net_graphs_built\": {net_built},\n    \"net_graphs_reused\": {net_reused},\n    \"warm_net_graph_builds\": 0,\n    \"warm_seq_graph_builds\": 0,\n    \"revived_graph_rebuilds\": 0,\n    \"net_graphs_revived\": {},\n    \"seq_graphs_revived\": {},\n    \"csr_revived\": {},\n    \"designs_evicted\": {evicted},\n    \"metrics_bit_identical\": true\n  }},\n  \"serve_session\": {{\n    \"jobs\": {fleet_size},\n    \"fleet_scale\": {fleet_scale},\n    \"cold_ms\": {:.3},\n    \"warm_ms\": {:.3},\n    \"speedup\": {:.3},\n    \"warm_graph_rebuilds\": 0,\n    \"metrics_bit_identical_to_direct\": true\n  }},\n  \"eco_incremental\": {{\n    \"fleet_scale\": {fleet_scale},\n    \"edit\": \"resize one macro +10% width (pure geometry)\",\n    \"cold_ms\": {:.3},\n    \"warm_ms\": {:.3},\n    \"speedup\": {:.3},\n    \"warm_net_graph_builds\": 0,\n    \"warm_seq_graph_builds\": 0,\n    \"warm_bit_identical_to_direct\": true\n  }},\n  \"warm_samples\": {warm_passes},\n  \"scale_curve\": {scale_curve_json}\n}}\n",
+        "{{\n  \"bench\": \"placer_sweep_plus_hpwl\",\n  \"workload\": \"large_soc\",\n  \"scale\": {scale},\n  \"cells\": {},\n  \"nets\": {},\n  \"pins\": {},\n  \"macros\": {},\n  \"repeats\": {repeats},\n  \"hashmap_place_ms\": {:.3},\n  \"hashmap_hpwl_ms\": {:.3},\n  \"dense_place_ms\": {:.3},\n  \"dense_hpwl_ms\": {:.3},\n  \"speedup_place\": {:.3},\n  \"speedup_hpwl\": {:.3},\n  \"speedup_combined\": {:.3},\n  \"hpwl_dbu\": {},\n  \"routed_nets\": {},\n  \"results_bit_identical\": true,\n  \"evaluator_reuse\": {{\n    \"candidates\": {candidates},\n    \"oneshot_ms\": {:.3},\n    \"reused_ms\": {:.3},\n    \"reused_parallel_ms\": {:.3},\n    \"workers\": {workers},\n    \"speedup\": {:.3},\n    \"speedup_parallel\": {:.3},\n    \"metrics_bit_identical\": true\n  }},\n  \"service_reuse\": {{\n    \"designs\": {fleet_size},\n    \"fleet_scale\": {fleet_scale},\n    \"jobs_per_pass\": {fleet_size},\n    \"cold_ms\": {:.3},\n    \"warm_ms\": {:.3},\n    \"speedup\": {:.3},\n    \"seq_graphs_built\": {seq_built},\n    \"seq_graphs_reused\": {seq_reused},\n    \"metrics_bit_identical\": true\n  }},\n  \"artifact_reuse\": {{\n    \"designs\": {fleet_size},\n    \"fleet_scale\": {fleet_scale},\n    \"cold_ms\": {:.3},\n    \"warm_ms\": {:.3},\n    \"rebuilt_ms\": {:.3},\n    \"revived_ms\": {:.3},\n    \"speedup\": {:.3},\n    \"speedup_revived\": {:.3},\n    \"revived_vs_warm\": {:.3},\n    \"net_graphs_built\": {net_built},\n    \"net_graphs_reused\": {net_reused},\n    \"warm_net_graph_builds\": 0,\n    \"warm_seq_graph_builds\": 0,\n    \"revived_graph_rebuilds\": 0,\n    \"net_graphs_revived\": {},\n    \"seq_graphs_revived\": {},\n    \"designs_evicted\": {evicted},\n    \"metrics_bit_identical\": true\n  }},\n  \"serve_session\": {{\n    \"jobs\": {fleet_size},\n    \"fleet_scale\": {fleet_scale},\n    \"cold_ms\": {:.3},\n    \"warm_ms\": {:.3},\n    \"speedup\": {:.3},\n    \"warm_graph_rebuilds\": 0,\n    \"metrics_bit_identical_to_direct\": true\n  }},\n  \"eco_incremental\": {{\n    \"fleet_scale\": {fleet_scale},\n    \"edit\": \"resize one macro +10% width (pure geometry)\",\n    \"cold_ms\": {:.3},\n    \"warm_ms\": {:.3},\n    \"speedup\": {:.3},\n    \"warm_net_graph_builds\": 0,\n    \"warm_seq_graph_builds\": 0,\n    \"warm_bit_identical_to_direct\": true\n  }},\n  \"warm_samples\": {warm_passes},\n  \"scale_curve\": {scale_curve_json}\n}}\n",
         design.num_cells(),
         design.num_nets(),
         csr.num_pins(),
@@ -1095,7 +1088,6 @@ fn main() {
         revived_vs_warm,
         revived_stats.net.revives,
         revived_stats.seq.revives,
-        revive_svc_stats.csr_revives,
         serve_cold_s * 1e3,
         serve_warm_s * 1e3,
         speedup_serve,

@@ -1,35 +1,40 @@
-//! Reference implementations preserved verbatim as the *before* side of the
+//! Reference implementations kept as the *before* side of the
 //! `bench_placer` comparisons. They must produce exactly the same results as
 //! the current implementations — the bench binary asserts it — so the
-//! speedup numbers compare identical work.
+//! speedup numbers compare identical work. Every one of them reads the
+//! design's one wiring, the CSR [`netlist::Connectivity`]; what they keep is
+//! the older algorithm around it.
 //!
 //! Two generations are kept:
 //!
 //! * the pre-dense-data-plane (PR 2) versions of
 //!   [`eval::place_standard_cells`] and [`eval::total_hpwl`]
 //!   ([`place_standard_cells_hashmap`], [`total_hpwl_hashmap`]: per-cell
-//!   `HashMap` stores, per-net `Vec` walks),
+//!   `HashMap` stores and lookups),
 //! * the pre-evaluation-session (PR 3) one-shot pipeline
 //!   ([`evaluate_placement_reference`]: the dense placer with the
-//!   rescan-every-pin Gauss–Seidel sweep, plus a per-net-`Vec` `NetGraph` and
-//!   a fresh `SeqGraph` per call — what `eval::evaluate_placement` did before
-//!   the reused [`eval::Evaluator`] existed).
+//!   rescan-every-pin Gauss–Seidel sweep, plus the per-net driver × sink
+//!   `NetGraph` construction and a fresh `SeqGraph` per call — what
+//!   `eval::evaluate_placement` did before the reused [`eval::Evaluator`]
+//!   existed).
 
 use eval::{CellPlacement, EvalConfig, Hpwl, PlacementMetrics, PlacerConfig};
 use geometry::{Orientation, Point, Rect};
 use graphs::seqgraph::SeqGraphConfig;
 use graphs::{NetGraph, SeqGraph};
 use netlist::design::{CellId, CellKind, Design};
+use netlist::PinRef;
 use rand::{ChaCha8Rng, Rng, SeedableRng};
 use std::collections::HashMap;
 
 /// The pre-refactor standard-cell placer: every per-cell datum in a
-/// `HashMap<CellId, …>`, every net walk through the `Cell`/`Net` `Vec`s.
+/// `HashMap<CellId, …>`, looked up once per pin of every net walk.
 pub fn place_standard_cells_hashmap(
     design: &Design,
     macro_placement: &HashMap<CellId, (Point, Orientation)>,
     config: &PlacerConfig,
 ) -> HashMap<CellId, Point> {
+    let csr = design.connectivity();
     let die = design.die();
     let die_center = die.center();
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
@@ -57,19 +62,11 @@ pub fn place_standard_cells_hashmap(
         }
         let mut sum = (0i128, 0i128);
         let mut count = 0i128;
-        for &net in cell.fanin.iter().chain(cell.fanout.iter()) {
-            let n = design.net(net);
-            if let Some(d) = n.driver_cell {
-                if let Some(&p) = positions.get(&d) {
+        for &net in csr.nets_of(id) {
+            for &pin in csr.pins(net).iter().filter(|p| p.is_driver()) {
+                if let Some(p) = pin_position(design, &positions, pin) {
                     sum.0 += p.x as i128;
                     sum.1 += p.y as i128;
-                    count += 1;
-                }
-            }
-            if let Some(p) = n.driver_port {
-                if let Some(pos) = design.port(p).position {
-                    sum.0 += pos.x as i128;
-                    sum.1 += pos.y as i128;
                     count += 1;
                 }
             }
@@ -85,37 +82,18 @@ pub fn place_standard_cells_hashmap(
     }
 
     for _ in 0..config.iterations {
-        for (id, cell) in design.cells() {
+        for id in design.cell_ids() {
             if is_fixed[&id] {
                 continue;
             }
             let mut sum = (0i128, 0i128);
             let mut count = 0i128;
-            for &net in cell.fanin.iter().chain(cell.fanout.iter()) {
-                let n = design.net(net);
-                let mut add = |p: Point| {
-                    sum.0 += p.x as i128;
-                    sum.1 += p.y as i128;
-                    count += 1;
-                };
-                if let Some(d) = n.driver_cell {
-                    if d != id {
-                        add(positions[&d]);
-                    }
-                }
-                for &s in &n.sink_cells {
-                    if s != id {
-                        add(positions[&s]);
-                    }
-                }
-                if let Some(p) = n.driver_port {
-                    if let Some(pos) = design.port(p).position {
-                        add(pos);
-                    }
-                }
-                for &p in &n.sink_ports {
-                    if let Some(pos) = design.port(p).position {
-                        add(pos);
+            for &net in csr.nets_of(id) {
+                for &pin in csr.pins(net).iter().filter(|p| p.cell() != Some(id)) {
+                    if let Some(p) = pin_position(design, &positions, pin) {
+                        sum.0 += p.x as i128;
+                        sum.1 += p.y as i128;
+                        count += 1;
                     }
                 }
             }
@@ -128,6 +106,15 @@ pub fn place_standard_cells_hashmap(
 
     spread_hashmap(design, &mut positions, &is_fixed, &macro_rects, config);
     positions
+}
+
+/// Where a pin sits: its cell's entry in `positions`, or its port's fixed
+/// position.
+fn pin_position(design: &Design, positions: &HashMap<CellId, Point>, pin: PinRef) -> Option<Point> {
+    match pin.cell() {
+        Some(c) => positions.get(&c).copied(),
+        None => pin.port().and_then(|p| design.port(p).position),
+    }
 }
 
 fn spread_hashmap(
@@ -437,11 +424,11 @@ fn spread_dense(
     }
 }
 
-/// The pre-session one-shot evaluation pipeline, preserved verbatim: the
-/// rescan-sweep placer, plus a per-net-`Vec` `NetGraph` and a fresh
-/// `SeqGraph` rebuilt on every call — exactly what `evaluate_placement` did
-/// before the reused [`eval::Evaluator`] session existed. Metrics are
-/// bit-identical to `Evaluator::evaluate`; the bench binary asserts it.
+/// The pre-session one-shot evaluation pipeline: the rescan-sweep placer,
+/// plus [`NetGraph::from_design_reference`] and a fresh `SeqGraph` rebuilt
+/// on every call — what `evaluate_placement` did before the reused
+/// [`eval::Evaluator`] session existed. Metrics are bit-identical to
+/// `Evaluator::evaluate`; the bench binary asserts it.
 pub fn evaluate_placement_reference(
     design: &Design,
     macro_placement: &HashMap<CellId, (Point, Orientation)>,
@@ -472,30 +459,13 @@ pub fn evaluate_placement_reference(
 
 /// The pre-refactor HPWL: per-net point buffer, hash lookups per pin.
 pub fn total_hpwl_hashmap(design: &Design, positions: &HashMap<CellId, Point>) -> Hpwl {
+    let csr = design.connectivity();
     let mut total: i128 = 0;
     let mut routed = 0usize;
-    for (_, net) in design.nets() {
-        let mut points: Vec<Point> = Vec::with_capacity(net.degree());
-        if let Some(c) = net.driver_cell {
-            if let Some(&p) = positions.get(&c) {
-                points.push(p);
-            }
-        }
-        for &c in &net.sink_cells {
-            if let Some(&p) = positions.get(&c) {
-                points.push(p);
-            }
-        }
-        if let Some(p) = net.driver_port {
-            if let Some(pos) = design.port(p).position {
-                points.push(pos);
-            }
-        }
-        for &p in &net.sink_ports {
-            if let Some(pos) = design.port(p).position {
-                points.push(pos);
-            }
-        }
+    for net in design.net_ids() {
+        let pins = csr.pins(net);
+        let mut points: Vec<Point> = Vec::with_capacity(pins.len());
+        points.extend(pins.iter().filter_map(|&pin| pin_position(design, positions, pin)));
         if points.len() < 2 {
             continue;
         }

@@ -88,9 +88,9 @@ pub struct Options {
     /// admission control. `None` leaves the store unbounded.
     pub memory_budget_mib: Option<f64>,
     /// Disk spill directory for the `--manifest` batch store or the
-    /// `--serve` daemon store: budget-evicted artifacts (`Gnet`, `Gseq`,
-    /// CSR connectivity) demote to content-addressed files there and revive
-    /// by deserialization instead of reconstruction, and every successful
+    /// `--serve` daemon store: budget-evicted artifacts (`Gnet`, `Gseq`)
+    /// demote to content-addressed files there and revive by
+    /// deserialization instead of reconstruction, and every successful
     /// job persists a warm-start seed so `replace` survives a daemon
     /// restart pointed at the same directory (see `docs/MEMORY.md`).
     /// `None` (the default) spills nothing.
@@ -754,12 +754,9 @@ pub fn run_manifest(opts: &Options) -> Result<String, String> {
     ));
     if opts.spill_dir.is_some() {
         output.push_str(&format!(
-            "spill: {} artifacts spilled, {} revived; CSR {} spilled, {} revived; {} seeds \
-             persisted, {} revived\n",
+            "spill: {} artifacts spilled, {} revived; {} seeds persisted, {} revived\n",
             stats.artifacts.spills(),
             stats.artifacts.revives(),
-            stats.csr_spills,
-            stats.csr_revives,
             stats.seed_spills,
             stats.seed_revives,
         ));

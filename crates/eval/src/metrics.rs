@@ -104,8 +104,7 @@ pub struct DesignKey {
 }
 
 impl DesignKey {
-    /// The identity key of a design (builds and caches the design's
-    /// connectivity view if it was not materialized yet).
+    /// The identity key of a design.
     pub fn of(design: &Design) -> Self {
         Self {
             name: design.name().to_string(),

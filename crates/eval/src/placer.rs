@@ -16,7 +16,7 @@
 //! macro-placement flows, which is how the paper uses its commercial placer.
 //!
 //! All per-cell state lives in dense id-indexed arrays and every netlist
-//! traversal runs over the design's CSR [`netlist::Connectivity`] view, so
+//! traversal runs over the design's CSR [`netlist::Connectivity`], so
 //! the Gauss–Seidel inner loop touches no hash map and no per-cell `Vec`s.
 //! The sweeps maintain exact per-net position sums under each cell move
 //! (Σ degree listing-visits per iteration instead of Σ degree² pin-visits),

@@ -26,7 +26,7 @@ impl Hpwl {
 
 /// The bounding box of a net's placed pins (cell centers from `cell_pos`,
 /// port positions from the prefetched `port_pos` slice), accumulated
-/// incrementally over the design's CSR [`netlist::Connectivity`] view — no
+/// incrementally over the design's CSR [`netlist::Connectivity`] — no
 /// per-net point buffer and no hash lookups.
 ///
 /// Returns `None` for nets with fewer than two placed pins (they contribute

@@ -15,9 +15,6 @@ pub struct BfsResult {
     pub distance: Vec<u32>,
     /// Index of the source that first reached each node, `usize::MAX` if unreachable.
     pub source: Vec<usize>,
-    /// Predecessor of each node on its shortest path, `usize::MAX` for sources
-    /// and unreachable nodes.
-    pub predecessor: Vec<usize>,
 }
 
 impl BfsResult {
@@ -34,7 +31,7 @@ impl BfsResult {
 ///   reached nodes is the position of the seed in this slice,
 /// * `targets` — the nodes the caller will read: the search stops as soon as
 ///   every one of them is discovered (`None` searches the whole component).
-///   BFS fixes a node's distance, source and predecessor when it discovers
+///   BFS fixes a node's distance and source when it discovers
 ///   the node and never changes them, so the targets' entries are exactly
 ///   those of a full search; entries of other nodes may stay unreached,
 /// * `successors` — adjacency callback yielding the out-neighbors of a node,
@@ -51,7 +48,6 @@ impl BfsResult {
 /// let adj = vec![vec![1], vec![0, 2], vec![1, 3], vec![2]];
 /// let r = multi_source_bfs(4, &[0], None, |n| adj[n].iter().copied(), |_| true);
 /// assert_eq!(r.distance, vec![0, 1, 2, 3]);
-/// assert_eq!(r.predecessor[3], 2);
 ///
 /// // stop once node 1 is found: node 3 is never reached
 /// let r = multi_source_bfs(4, &[0], Some(&[1]), |n| adj[n].iter().copied(), |_| true);
@@ -72,7 +68,6 @@ where
 {
     let mut distance = vec![u32::MAX; num_nodes];
     let mut source = vec![usize::MAX; num_nodes];
-    let mut predecessor = vec![usize::MAX; num_nodes];
     // A mark on every target, and how many are still undiscovered
     // (`usize::MAX` when there are no targets: the count never reaches 0).
     let mut is_target = Vec::new();
@@ -104,7 +99,6 @@ where
             if v < num_nodes && distance[v] == u32::MAX {
                 distance[v] = distance[u] + 1;
                 source[v] = source[u];
-                predecessor[v] = u;
                 queue.push_back(v);
                 if is_target.get(v) == Some(&true) {
                     undiscovered -= 1;
@@ -115,12 +109,12 @@ where
             }
         }
     }
-    BfsResult { distance, source, predecessor }
+    BfsResult { distance, source }
 }
 
 impl HeapSize for BfsResult {
     fn heap_bytes(&self) -> usize {
-        self.distance.heap_bytes() + self.source.heap_bytes() + self.predecessor.heap_bytes()
+        self.distance.heap_bytes() + self.source.heap_bytes()
     }
 }
 

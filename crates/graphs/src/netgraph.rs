@@ -6,6 +6,7 @@
 //! derived.
 
 use netlist::design::{CellId, CellKind, Design, PortId};
+use netlist::PinRef;
 
 /// A node of the netlist graph: either a cell or a primary port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -90,28 +91,26 @@ impl NetGraph {
         Self { num_cells, num_ports, succ, pred }
     }
 
-    /// The pre-CSR construction, preserved verbatim as the *before* side of
-    /// the `bench_placer` evaluation-boundary comparison: walks the per-net
-    /// `Vec` fields (`driver_cell`, `sink_cells`, …) instead of the packed
-    /// pin arrays. Produces a graph identical to
-    /// [`NetGraph::from_design`] (the sort + dedup canonicalizes edge
-    /// order), only slower to build.
+    /// The first construction, kept as the *before* side of the
+    /// `bench_placer` evaluation-boundary comparison: fresh driver and sink
+    /// lists per net instead of reused scratch buffers. It reads the same
+    /// CSR pins as [`NetGraph::from_design`] and produces an identical graph
+    /// (the sort + dedup canonicalizes edge order).
     pub fn from_design_reference(design: &Design) -> Self {
+        let csr = design.connectivity();
         let num_cells = design.num_cells();
         let num_ports = design.num_ports();
         let n = num_cells + num_ports;
         let mut succ = vec![Vec::new(); n];
         let mut pred = vec![Vec::new(); n];
-        for (_, net) in design.nets() {
-            let mut drivers: Vec<usize> = Vec::new();
-            if let Some(c) = net.driver_cell {
-                drivers.push(c.0 as usize);
-            }
-            if let Some(p) = net.driver_port {
-                drivers.push(num_cells + p.0 as usize);
-            }
-            let mut sinks: Vec<usize> = net.sink_cells.iter().map(|c| c.0 as usize).collect();
-            sinks.extend(net.sink_ports.iter().map(|p| num_cells + p.0 as usize));
+        let node = |pin: &PinRef| match pin.cell() {
+            Some(c) => c.0 as usize,
+            None => num_cells + pin.port().expect("pin is a cell or a port").0 as usize,
+        };
+        for net in design.net_ids() {
+            let pins = csr.pins(net);
+            let drivers: Vec<usize> = pins.iter().filter(|p| p.is_driver()).map(node).collect();
+            let sinks: Vec<usize> = pins.iter().filter(|p| !p.is_driver()).map(node).collect();
             for &d in &drivers {
                 for &s in &sinks {
                     if d != s {

@@ -64,12 +64,13 @@ proptest! {
                 prop_assert!(r.distance[b] <= r.distance[a] + 1);
             }
         }
-        // predecessors form valid shortest-path links
+        // every reached non-source node has an in-neighbour one step closer
         for n in 0..num_nodes {
             if n != source && r.reached(n) {
-                let p = r.predecessor[n];
-                prop_assert!(r.reached(p));
-                prop_assert_eq!(r.distance[n], r.distance[p] + 1);
+                let closer = (0..num_nodes).any(|a| {
+                    adj[a].contains(&n) && r.reached(a) && r.distance[a] + 1 == r.distance[n]
+                });
+                prop_assert!(closer, "node {} has no in-neighbour one step closer", n);
             }
         }
     }
@@ -94,7 +95,6 @@ proptest! {
         for &t in targets.iter().filter(|&&t| t < num_nodes) {
             prop_assert_eq!(early.distance[t], full.distance[t], "distance of {}", t);
             prop_assert_eq!(early.source[t], full.source[t], "source of {}", t);
-            prop_assert_eq!(early.predecessor[t], full.predecessor[t], "predecessor of {}", t);
         }
     }
 

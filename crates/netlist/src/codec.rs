@@ -10,14 +10,14 @@
 //! # Example
 //!
 //! ```
-//! use netlist::codec::{put_u32, put_u32_slice, Reader};
+//! use netlist::codec::{put_str, put_u32, Reader};
 //!
 //! let mut buf = Vec::new();
 //! put_u32(&mut buf, 7);
-//! put_u32_slice(&mut buf, &[1, 2, 3]);
+//! put_str(&mut buf, "u_mem/ram0");
 //! let mut r = Reader::new(&buf);
 //! assert_eq!(r.take_u32(), Some(7));
-//! assert_eq!(r.take_u32_vec(), Some(vec![1, 2, 3]));
+//! assert_eq!(r.take_str().as_deref(), Some("u_mem/ram0"));
 //! assert!(r.is_exhausted());
 //! ```
 
@@ -39,22 +39,6 @@ pub fn put_u64(out: &mut Vec<u8>, v: u64) {
 /// Appends an `i64` little-endian.
 pub fn put_i64(out: &mut Vec<u8>, v: i64) {
     out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends a length-prefixed `u32` array.
-pub fn put_u32_slice(out: &mut Vec<u8>, vs: &[u32]) {
-    put_u64(out, vs.len() as u64);
-    for &v in vs {
-        put_u32(out, v);
-    }
-}
-
-/// Appends a length-prefixed `u64` array.
-pub fn put_u64_slice(out: &mut Vec<u8>, vs: &[u64]) {
-    put_u64(out, vs.len() as u64);
-    for &v in vs {
-        put_u64(out, v);
-    }
 }
 
 /// Appends a length-prefixed UTF-8 string.
@@ -135,22 +119,13 @@ impl<'a> Reader<'a> {
         Some(len as usize)
     }
 
-    /// Reads a length-prefixed `u32` array.
+    /// Reads a `u32` array written as a `u64` length then the elements.
     pub fn take_u32_vec(&mut self) -> Option<Vec<u32>> {
         let len = self.take_len()?;
         if self.remaining() / 4 < len {
             return None;
         }
         (0..len).map(|_| self.take_u32()).collect()
-    }
-
-    /// Reads a length-prefixed `u64` array.
-    pub fn take_u64_vec(&mut self) -> Option<Vec<u64>> {
-        let len = self.take_len()?;
-        if self.remaining() / 8 < len {
-            return None;
-        }
-        (0..len).map(|_| self.take_u64()).collect()
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -182,14 +157,22 @@ mod tests {
         assert!(r.is_exhausted());
     }
 
+    /// A `u32` array in the form [`Reader::take_u32_vec`] reads.
+    fn put_u32s(out: &mut Vec<u8>, vs: &[u32]) {
+        put_u64(out, vs.len() as u64);
+        for &v in vs {
+            put_u32(out, v);
+        }
+    }
+
     #[test]
     fn arrays_round_trip() {
         let mut buf = Vec::new();
-        put_u32_slice(&mut buf, &[3, 2, 1]);
-        put_u64_slice(&mut buf, &[]);
+        put_u32s(&mut buf, &[3, 2, 1]);
+        put_u32s(&mut buf, &[]);
         let mut r = Reader::new(&buf);
         assert_eq!(r.take_u32_vec(), Some(vec![3, 2, 1]));
-        assert_eq!(r.take_u64_vec(), Some(Vec::new()));
+        assert_eq!(r.take_u32_vec(), Some(Vec::new()));
         assert!(r.is_exhausted());
     }
 
@@ -197,7 +180,7 @@ mod tests {
     fn every_truncation_point_returns_none() {
         let mut buf = Vec::new();
         put_u32(&mut buf, 7);
-        put_u32_slice(&mut buf, &[1, 2, 3]);
+        put_u32s(&mut buf, &[1, 2, 3]);
         put_str(&mut buf, "tail");
         for cut in 0..buf.len() {
             let mut r = Reader::new(&buf[..cut]);

@@ -1,21 +1,22 @@
-//! Flat CSR connectivity view of a [`Design`].
+//! The wiring of a [`Design`](crate::design::Design), in flat CSR form.
 //!
 //! The hot loops of the flow — Gauss–Seidel placement sweeps, HPWL, RUDY
 //! congestion, affinity construction — repeatedly walk cell↔net incidence.
-//! The [`Design`] stores that incidence as per-cell and per-net `Vec`s
-//! (`cell.fanin`, `net.sink_cells`, …), which means a pointer chase per cell
-//! and per net on every traversal.  [`Connectivity`] packs the same
-//! information into four flat arrays in *compressed sparse row* form:
+//! [`Connectivity`] is the design's only copy of that incidence: flat arrays
+//! in *compressed sparse row* form, with no pointer chase per cell or net:
 //!
 //! * `cell→net`: for every cell, its fanin nets followed by its fanout nets,
 //!   all in one contiguous `Vec<NetId>` with an offsets array,
 //! * `net→pin`: for every net, its pins in the canonical order
-//!   *driver cell, sink cells, driver port, sink ports* — the exact order the
-//!   pre-CSR walks used — as packed [`PinRef`]s with an offsets array.
+//!   *driver cell, sink cells, driver port, sink ports*, as packed
+//!   [`PinRef`]s with an offsets array.
 //!
-//! The view is built once per design (see [`Design::connectivity`], which
-//! caches it) and is immutable; mutating accessors on `Design` invalidate the
-//! cache.
+//! [`crate::design::DesignBuilder::build`] packs it once from the builder's
+//! connection log, and
+//! [`Design::apply_edits`](crate::design::Design::apply_edits) rewrites it
+//! in place (see [`crate::edit`]);
+//! [`Design::connectivity`](crate::design::Design::connectivity) hands it
+//! out.
 //!
 //! # Example
 //!
@@ -36,7 +37,7 @@
 //! assert_eq!(pins, vec![Some(f), Some(g)]);
 //! ```
 
-use crate::design::{CellId, Design, NetId, PortId};
+use crate::design::{CellId, NetId, PortId};
 
 /// A packed pin reference: a cell or a port, marked as driver or sink.
 ///
@@ -100,7 +101,7 @@ impl PinRef {
     }
 }
 
-/// The CSR connectivity view: flat `cell→net` and `net→pin` incidence.
+/// The CSR wiring: flat `cell→net` and `net→pin` incidence.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Connectivity {
     /// `cell_net_start[c]..cell_net_start[c + 1]` indexes `cell_nets`.
@@ -115,43 +116,89 @@ pub struct Connectivity {
     /// Concatenated per-net pin lists in canonical order (driver cell, sink
     /// cells, driver port, sink ports).
     net_pins: Vec<PinRef>,
-    /// FNV-1a hash of the flat arrays, computed once at build time — a cheap
+    /// FNV-1a hash of the flat arrays, folded whenever they change — a cheap
     /// wiring identity for design-keyed caches (see
     /// [`Connectivity::fingerprint`]).
     fingerprint: u64,
 }
 
 impl Connectivity {
-    /// Builds the CSR view of a design.
-    pub fn build(design: &Design) -> Self {
-        let num_cells = design.num_cells();
-        let num_nets = design.num_nets();
-
-        let mut cell_net_start = Vec::with_capacity(num_cells + 1);
-        let mut cell_fanout_start = Vec::with_capacity(num_cells);
-        let mut cell_nets = Vec::new();
-        cell_net_start.push(0u32);
-        for (_, cell) in design.cells() {
-            cell_nets.extend_from_slice(&cell.fanin);
-            cell_fanout_start.push(cell_nets.len() as u32);
-            cell_nets.extend_from_slice(&cell.fanout);
-            cell_net_start.push(cell_nets.len() as u32);
-        }
-
-        let mut net_pin_start = Vec::with_capacity(num_nets + 1);
-        let mut net_pins = Vec::new();
-        net_pin_start.push(0u32);
-        for (_, net) in design.nets() {
-            if let Some(c) = net.driver_cell {
-                net_pins.push(PinRef::driver_cell(c));
+    /// Packs a builder's connection log (see
+    /// [`crate::design::DesignBuilder`]): `drivers` holds each net's current
+    /// driving cell and port, `log` every sink connection and driver change
+    /// in call order. A sink connected twice to one net is kept at its first
+    /// connection; every logged driver change stays in its cell's fanout.
+    pub(crate) fn pack(
+        num_cells: usize,
+        num_ports: usize,
+        drivers: &[(Option<CellId>, Option<PortId>)],
+        log: &[(NetId, PinRef)],
+    ) -> Self {
+        let num_nets = drivers.len();
+        // net → pin: each net's sinks in call order, cells before ports; a
+        // sink is kept at its first connection (`seen_*` holds the last net
+        // the cell or port was kept on)
+        let (net_pin_start, net_pins) = {
+            let (start, order) =
+                bucket(num_nets, log, |n, p| (!p.is_driver()).then_some(n.0 as usize));
+            let mut seen_cell = vec![u32::MAX; num_cells];
+            let mut seen_port = vec![u32::MAX; num_ports];
+            let mut net_pin_start = Vec::with_capacity(num_nets + 1);
+            let mut net_pins = Vec::with_capacity(order.len() + 2 * num_nets);
+            net_pin_start.push(0u32);
+            for (n, &(cell, port)) in drivers.iter().enumerate() {
+                let sinks = || {
+                    order[start[n] as usize..start[n + 1] as usize]
+                        .iter()
+                        .map(|&i| log[i as usize].1)
+                };
+                net_pins.extend(cell.map(PinRef::driver_cell));
+                for pin in sinks() {
+                    let Some(c) = pin.cell() else { continue };
+                    if std::mem::replace(&mut seen_cell[c.0 as usize], n as u32) != n as u32 {
+                        net_pins.push(pin);
+                    }
+                }
+                net_pins.extend(port.map(PinRef::driver_port));
+                for pin in sinks() {
+                    let Some(p) = pin.port() else { continue };
+                    if std::mem::replace(&mut seen_port[p.0 as usize], n as u32) != n as u32 {
+                        net_pins.push(pin);
+                    }
+                }
+                net_pin_start.push(net_pins.len() as u32);
             }
-            net_pins.extend(net.sink_cells.iter().map(|&c| PinRef::sink_cell(c)));
-            if let Some(p) = net.driver_port {
-                net_pins.push(PinRef::driver_port(p));
+            net_pins.shrink_to_fit();
+            (net_pin_start, net_pins)
+        };
+
+        // cell → net: each cell's sink nets (once each), then its driver
+        // changes, in call order
+        let (cell_net_start, cell_fanout_start, cell_nets) = {
+            let (start, order) = bucket(num_cells, log, |_, p| p.cell().map(|c| c.0 as usize));
+            let mut seen_net = vec![u32::MAX; num_nets];
+            let mut cell_net_start = Vec::with_capacity(num_cells + 1);
+            let mut cell_fanout_start = Vec::with_capacity(num_cells);
+            let mut cell_nets = Vec::with_capacity(order.len());
+            cell_net_start.push(0u32);
+            for c in 0..num_cells {
+                let entries = || {
+                    order[start[c] as usize..start[c + 1] as usize].iter().map(|&i| log[i as usize])
+                };
+                for (n, pin) in entries() {
+                    if !pin.is_driver()
+                        && std::mem::replace(&mut seen_net[n.0 as usize], c as u32) != c as u32
+                    {
+                        cell_nets.push(n);
+                    }
+                }
+                cell_fanout_start.push(cell_nets.len() as u32);
+                cell_nets.extend(entries().filter(|(_, pin)| pin.is_driver()).map(|(n, _)| n));
+                cell_net_start.push(cell_nets.len() as u32);
             }
-            net_pins.extend(net.sink_ports.iter().map(|&p| PinRef::sink_port(p)));
-            net_pin_start.push(net_pins.len() as u32);
-        }
+            cell_nets.shrink_to_fit();
+            (cell_net_start, cell_fanout_start, cell_nets)
+        };
 
         let mut view = Self {
             cell_net_start,
@@ -165,7 +212,79 @@ impl Connectivity {
         view
     }
 
-    /// FNV-1a over every flat array word, folded at build time.
+    /// Replaces the cell pins of `net` with `driver` and `sinks` (each sink
+    /// kept once, in order); the net's port pins stay. The net leaves every
+    /// occurrence in its old cell pins' lists (the old driver's fanout, the
+    /// old sinks' fanin) and is then appended to its new pins' lists. One
+    /// pass over both arrays, plus the fingerprint fold.
+    pub(crate) fn rewire(&mut self, net: NetId, driver: Option<CellId>, sinks: &[CellId]) {
+        let (lo, hi) = (
+            self.net_pin_start[net.0 as usize] as usize,
+            self.net_pin_start[net.0 as usize + 1] as usize,
+        );
+        let mut pins: Vec<PinRef> = driver.map(PinRef::driver_cell).into_iter().collect();
+        for &s in sinks {
+            let pin = PinRef::sink_cell(s);
+            if !pins.contains(&pin) {
+                pins.push(pin);
+            }
+        }
+        pins.extend(self.net_pins[lo..hi].iter().filter(|p| p.is_port()));
+
+        // the rows that change: bit 0/1 = drop the net from the fanin/fanout,
+        // bit 2/3 = append it to the fanin/fanout
+        let role = |pin: &PinRef, shift: u8| {
+            pin.cell().map(|c| (c.0, (1 + u8::from(pin.is_driver())) << shift))
+        };
+        let mut rows: Vec<(u32, u8)> = self.net_pins[lo..hi]
+            .iter()
+            .filter_map(|p| role(p, 0))
+            .chain(pins.iter().filter_map(|p| role(p, 2)))
+            .collect();
+        rows.sort_unstable();
+        rows.dedup_by(|later, earlier| {
+            let same = later.0 == earlier.0;
+            if same {
+                earlier.1 |= later.1;
+            }
+            same
+        });
+
+        let mut cell_nets = Vec::with_capacity(self.cell_nets.len() + pins.len());
+        let mut rows = rows.into_iter().peekable();
+        let mut row_lo = 0;
+        for c in 0..self.num_cells() {
+            let (mid, row_hi) =
+                (self.cell_fanout_start[c] as usize, self.cell_net_start[c + 1] as usize);
+            let flags = rows.next_if(|&(cell, _)| cell as usize == c).map_or(0, |(_, f)| f);
+            let keep = |drop: u8| move |n: &&NetId| flags & drop == 0 || **n != net;
+            cell_nets.extend(self.cell_nets[row_lo..mid].iter().filter(keep(1)));
+            if flags & 4 != 0 {
+                cell_nets.push(net);
+            }
+            self.cell_fanout_start[c] = cell_nets.len() as u32;
+            cell_nets.extend(self.cell_nets[mid..row_hi].iter().filter(keep(2)));
+            if flags & 8 != 0 {
+                cell_nets.push(net);
+            }
+            self.cell_net_start[c + 1] = cell_nets.len() as u32;
+            row_lo = row_hi;
+        }
+        cell_nets.shrink_to_fit();
+        self.cell_nets = cell_nets;
+
+        let mut net_pins = Vec::with_capacity(self.net_pins.len() - (hi - lo) + pins.len());
+        net_pins.extend_from_slice(&self.net_pins[..lo]);
+        net_pins.extend_from_slice(&pins);
+        net_pins.extend_from_slice(&self.net_pins[hi..]);
+        self.net_pins = net_pins;
+        for start in &mut self.net_pin_start[net.0 as usize + 1..] {
+            *start = (*start as usize + pins.len() - (hi - lo)) as u32;
+        }
+        self.fingerprint = self.compute_fingerprint();
+    }
+
+    /// FNV-1a over every flat array word, folded by `pack` and `rewire`.
     fn compute_fingerprint(&self) -> u64 {
         let mut h = crate::hash::Fnv1a::new();
         for &w in &self.cell_net_start {
@@ -186,119 +305,20 @@ impl Connectivity {
         h.finish()
     }
 
-    /// A build-time hash of the full cell↔net incidence: two designs with
-    /// the same wiring share it, any re-wiring (even one swapped sink)
-    /// changes it. Used by evaluation-session caches to key per-design state
+    /// A hash of the full cell↔net incidence: two designs with the same
+    /// wiring share it, any re-wiring (even one swapped sink) changes it. Used by evaluation-session caches to key per-design state
     /// without holding a reference to the design.
     #[inline]
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
 
-    /// The fingerprint [`Connectivity::build`] would compute for `design`,
-    /// streamed straight off the per-cell/per-net `Vec`s without
-    /// materializing the flat arrays. Folds the exact same `u32` sequence as
-    /// the private build-time fold (array by array, in order), so
-    /// `Connectivity::fingerprint_of(d) == Connectivity::build(d).fingerprint()`
-    /// always holds — the spill tier uses it to address a design's spilled
-    /// CSR before deciding whether to build one.
-    pub fn fingerprint_of(design: &Design) -> u64 {
-        let mut h = crate::hash::Fnv1a::new();
-        // cell_net_start: 0, then the cumulative net count after each cell
-        h.write_u32(0);
-        let mut total = 0u32;
-        for (_, cell) in design.cells() {
-            total += (cell.fanin.len() + cell.fanout.len()) as u32;
-            h.write_u32(total);
-        }
-        // cell_fanout_start: where each cell's fanout begins
-        let mut before = 0u32;
-        for (_, cell) in design.cells() {
-            h.write_u32(before + cell.fanin.len() as u32);
-            before += (cell.fanin.len() + cell.fanout.len()) as u32;
-        }
-        // cell_nets: fanin then fanout per cell
-        for (_, cell) in design.cells() {
-            for n in cell.fanin.iter().chain(cell.fanout.iter()) {
-                h.write_u32(n.0);
-            }
-        }
-        // net_pin_start: 0, then the cumulative pin count after each net
-        h.write_u32(0);
-        let mut pins = 0u32;
-        for (_, net) in design.nets() {
-            pins += net.degree() as u32;
-            h.write_u32(pins);
-        }
-        // net_pins in canonical order: driver cell, sink cells, driver port,
-        // sink ports — the PinRef words build() would have packed
-        for (_, net) in design.nets() {
-            if let Some(c) = net.driver_cell {
-                h.write_u32(PinRef::driver_cell(c).0);
-            }
-            for &c in &net.sink_cells {
-                h.write_u32(PinRef::sink_cell(c).0);
-            }
-            if let Some(p) = net.driver_port {
-                h.write_u32(PinRef::driver_port(p).0);
-            }
-            for &p in &net.sink_ports {
-                h.write_u32(PinRef::sink_port(p).0);
-            }
-        }
-        h.finish()
-    }
-
-    /// Serializes the flat arrays with the spill-tier codec
-    /// (see [`crate::codec`]). The fingerprint is not written: decode
-    /// recomputes it from the arrays, so a decoded view can never carry a
-    /// fingerprint its arrays do not hash to.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        crate::codec::put_u32_slice(out, &self.cell_net_start);
-        crate::codec::put_u32_slice(out, &self.cell_fanout_start);
-        crate::codec::put_u64(out, self.cell_nets.len() as u64);
-        for n in &self.cell_nets {
-            crate::codec::put_u32(out, n.0);
-        }
-        crate::codec::put_u32_slice(out, &self.net_pin_start);
-        crate::codec::put_u64(out, self.net_pins.len() as u64);
-        for p in &self.net_pins {
-            crate::codec::put_u32(out, p.0);
-        }
-    }
-
-    /// Decodes a view encoded by [`Connectivity::encode`]. Returns `None` on
-    /// any truncation, trailing garbage or malformed prefix; the fingerprint
-    /// is recomputed from the decoded arrays, so callers comparing it against
-    /// an expected wiring identity get end-to-end validation.
-    pub fn decode(bytes: &[u8]) -> Option<Self> {
-        let mut r = crate::codec::Reader::new(bytes);
-        let cell_net_start = r.take_u32_vec()?;
-        let cell_fanout_start = r.take_u32_vec()?;
-        let cell_nets: Vec<NetId> = r.take_u32_vec()?.into_iter().map(NetId).collect();
-        let net_pin_start = r.take_u32_vec()?;
-        let net_pins: Vec<PinRef> = r.take_u32_vec()?.into_iter().map(PinRef).collect();
-        if !r.is_exhausted() {
-            return None;
-        }
-        let mut view = Self {
-            cell_net_start,
-            cell_fanout_start,
-            cell_nets,
-            net_pin_start,
-            net_pins,
-            fingerprint: 0,
-        };
-        view.fingerprint = view.compute_fingerprint();
-        Some(view)
-    }
-
-    /// Number of cells covered by the view.
+    /// Number of cells the wiring covers.
     pub fn num_cells(&self) -> usize {
         self.cell_net_start.len().saturating_sub(1)
     }
 
-    /// Number of nets covered by the view.
+    /// Number of nets the wiring covers.
     pub fn num_nets(&self) -> usize {
         self.net_pin_start.len().saturating_sub(1)
     }
@@ -308,8 +328,8 @@ impl Connectivity {
         self.net_pins.len()
     }
 
-    /// All nets attached to a cell: fanin first, then fanout — the same
-    /// traversal order as `cell.fanin.iter().chain(cell.fanout.iter())`.
+    /// All nets attached to a cell: its [`Connectivity::fanin`] followed by
+    /// its [`Connectivity::fanout`].
     #[inline]
     pub fn nets_of(&self, cell: CellId) -> &[NetId] {
         let lo = self.cell_net_start[cell.0 as usize] as usize;
@@ -342,11 +362,39 @@ impl Connectivity {
         &self.net_pins[lo..hi]
     }
 
-    /// Number of pins on a net (equals [`crate::design::Net::degree`]).
+    /// Number of pins on a net (driver + sinks).
     #[inline]
     pub fn degree(&self, net: NetId) -> usize {
         (self.net_pin_start[net.0 as usize + 1] - self.net_pin_start[net.0 as usize]) as usize
     }
+}
+
+/// Stable counting sort of the positions of the `log` entries that `key`
+/// maps to one of `keys` buckets: the per-bucket offsets into the returned
+/// positions, with call order kept inside each bucket.
+fn bucket(
+    keys: usize,
+    log: &[(NetId, PinRef)],
+    key: impl Fn(NetId, PinRef) -> Option<usize>,
+) -> (Vec<u32>, Vec<u32>) {
+    let mut start = vec![0u32; keys + 1];
+    for &(n, p) in log {
+        if let Some(k) = key(n, p) {
+            start[k + 1] += 1;
+        }
+    }
+    for k in 0..keys {
+        start[k + 1] += start[k];
+    }
+    let mut next = start[..keys].to_vec();
+    let mut order = vec![0u32; start[keys] as usize];
+    for (i, &(n, p)) in log.iter().enumerate() {
+        if let Some(k) = key(n, p) {
+            order[next[k] as usize] = i as u32;
+            next[k] += 1;
+        }
+    }
+    (start, order)
 }
 
 impl crate::heap_size::HeapSize for Connectivity {
@@ -362,7 +410,7 @@ impl crate::heap_size::HeapSize for Connectivity {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::design::{DesignBuilder, PortDirection};
+    use crate::design::{Design, DesignBuilder, PortDirection};
 
     fn sample() -> Design {
         let mut b = DesignBuilder::new("t");
@@ -386,12 +434,19 @@ mod tests {
     fn csr_matches_per_cell_vecs() {
         let d = sample();
         let csr = d.connectivity();
-        for (id, cell) in d.cells() {
-            assert_eq!(csr.fanin(id), cell.fanin.as_slice(), "{}", cell.name);
-            assert_eq!(csr.fanout(id), cell.fanout.as_slice(), "{}", cell.name);
-            let chained: Vec<NetId> =
-                cell.fanin.iter().chain(cell.fanout.iter()).copied().collect();
-            assert_eq!(csr.nets_of(id), chained.as_slice());
+        let net = |name| d.find_net(name).unwrap();
+        // (cell, fanin, fanout) in the order the builder connected them
+        let expected = [
+            ("m", vec![net("n2")], vec![]),
+            ("f", vec![net("n1")], vec![net("n2")]),
+            ("g", vec![net("n2")], vec![]),
+        ];
+        for (name, fanin, fanout) in expected {
+            let id = d.find_cell(name).unwrap();
+            assert_eq!(csr.fanin(id), fanin.as_slice(), "{name}");
+            assert_eq!(csr.fanout(id), fanout.as_slice(), "{name}");
+            let chained: Vec<NetId> = fanin.iter().chain(&fanout).copied().collect();
+            assert_eq!(csr.nets_of(id), chained.as_slice(), "{name}");
         }
     }
 
@@ -401,7 +456,7 @@ mod tests {
         let csr = d.connectivity();
         let n2 = d.find_net("n2").unwrap();
         let pins = csr.pins(n2);
-        assert_eq!(pins.len(), d.net(n2).degree());
+        assert_eq!(pins.len(), csr.degree(n2));
         assert_eq!(csr.degree(n2), 4);
         assert!(pins[0].is_driver() && !pins[0].is_port());
         assert_eq!(pins[0].cell(), d.find_cell("f"));
@@ -451,41 +506,9 @@ mod tests {
     #[test]
     fn empty_design_is_empty_view() {
         let d = DesignBuilder::new("t").build();
-        let csr = Connectivity::build(&d);
+        let csr = d.connectivity();
         assert_eq!(csr.num_cells(), 0);
         assert_eq!(csr.num_nets(), 0);
         assert_eq!(csr.num_pins(), 0);
-    }
-
-    #[test]
-    fn streaming_fingerprint_matches_built_fingerprint() {
-        let d = sample();
-        assert_eq!(Connectivity::fingerprint_of(&d), Connectivity::build(&d).fingerprint());
-        let empty = DesignBuilder::new("t").build();
-        assert_eq!(Connectivity::fingerprint_of(&empty), Connectivity::build(&empty).fingerprint());
-    }
-
-    #[test]
-    fn encode_decode_round_trips_bit_identically() {
-        let d = sample();
-        let csr = Connectivity::build(&d);
-        let mut buf = Vec::new();
-        csr.encode(&mut buf);
-        let decoded = Connectivity::decode(&buf).expect("decodes");
-        assert_eq!(decoded, csr);
-        assert_eq!(decoded.fingerprint(), csr.fingerprint());
-    }
-
-    #[test]
-    fn truncated_or_padded_encodings_are_rejected() {
-        let d = sample();
-        let mut buf = Vec::new();
-        Connectivity::build(&d).encode(&mut buf);
-        for cut in 0..buf.len() {
-            assert!(Connectivity::decode(&buf[..cut]).is_none(), "cut at {cut}");
-        }
-        let mut padded = buf.clone();
-        padded.push(0);
-        assert!(Connectivity::decode(&padded).is_none());
     }
 }

@@ -94,7 +94,7 @@ impl DefFile {
         }
         for pin in &self.pins {
             if let (Some(pos), Some(pid)) = (pin.location, design.find_port(&pin.name)) {
-                design.port_mut(pid).position = Some(pos);
+                design.set_port_position(pid, Some(pos));
             }
         }
         out

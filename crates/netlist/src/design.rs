@@ -4,8 +4,12 @@
 //! gates), the primary ports, and the nets connecting them.  Each cell keeps
 //! the hierarchical path of the module instance it belongs to, which is what
 //! the [`crate::hierarchy::HierarchyTree`] is built from.
+//!
+//! Cells and nets carry no adjacency of their own: the wiring lives once, in
+//! the design's CSR [`Connectivity`], which [`DesignBuilder::build`] packs
+//! and [`Design::apply_edits`] rewrites in place.
 
-use crate::connectivity::Connectivity;
+use crate::connectivity::{Connectivity, PinRef};
 use crate::names::NameTable;
 use geometry::{Dbu, Point, Rect};
 use std::sync::OnceLock;
@@ -60,10 +64,6 @@ pub struct Cell {
     /// Hierarchical module path the instance lives in (e.g. `u_core/u_alu`).
     /// The empty string denotes the top level.
     pub hier_path: String,
-    /// Nets attached to this cell as a sink (inputs).
-    pub fanin: Vec<NetId>,
-    /// Nets driven by this cell (outputs).
-    pub fanout: Vec<NetId>,
 }
 
 impl Cell {
@@ -86,29 +86,12 @@ pub struct Port {
     pub net: Option<NetId>,
 }
 
-/// A net of the design (single driver, multiple sinks).
+/// A net of the design. Its pins (single driver, multiple sinks) are read
+/// through [`Design::connectivity`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Net {
     /// Net name.
     pub name: String,
-    /// Driving cell, if the net is driven by a cell.
-    pub driver_cell: Option<CellId>,
-    /// Driving port, if the net is driven by a primary input.
-    pub driver_port: Option<PortId>,
-    /// Cells reading this net.
-    pub sink_cells: Vec<CellId>,
-    /// Primary outputs reading this net.
-    pub sink_ports: Vec<PortId>,
-}
-
-impl Net {
-    /// Number of pins on the net (driver + sinks).
-    pub fn degree(&self) -> usize {
-        usize::from(self.driver_cell.is_some())
-            + usize::from(self.driver_port.is_some())
-            + self.sink_cells.len()
-            + self.sink_ports.len()
-    }
 }
 
 /// The circuit: cells, ports and nets, plus the die outline.
@@ -122,33 +105,16 @@ pub struct Design {
     ports: Vec<Port>,
     nets: Vec<Net>,
     die: Rect,
-    connectivity: ConnectivityCache,
+    connectivity: Connectivity,
     derived: DerivedCache,
-}
-
-/// Lazily-built CSR cache. Compares equal to everything so a design that has
-/// materialized its view still equals a pristine copy, and clones share
-/// nothing (the clone rebuilds on first use).
-#[derive(Debug, Default)]
-struct ConnectivityCache(OnceLock<Connectivity>);
-
-impl Clone for ConnectivityCache {
-    fn clone(&self) -> Self {
-        Self::default()
-    }
-}
-
-impl PartialEq for ConnectivityCache {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
 }
 
 /// Lazily-built derived state: the compact name→id indexes (seeded by the
 /// builder, rebuilt on demand after mutation) and the two identity
 /// fingerprints, which design-keyed stores recompute per fetch and would
-/// otherwise walk every cell each time.  Same equality/clone semantics as
-/// [`ConnectivityCache`]: derived state never distinguishes designs.
+/// otherwise walk every cell each time.  Compares equal to everything and
+/// clones share nothing (the clone rebuilds on first use): derived state
+/// never distinguishes designs.
 #[derive(Debug, Default)]
 struct DerivedCache {
     cell_names: OnceLock<NameTable>,
@@ -211,10 +177,9 @@ impl Design {
         &self.cells[id.0 as usize]
     }
 
-    /// Mutable cell accessor. Invalidates the cached connectivity view, the
-    /// cell name index and the cached fingerprints.
+    /// Mutable cell accessor. Invalidates the cell name index and the cached
+    /// fingerprints.
     pub fn cell_mut(&mut self, id: CellId) -> &mut Cell {
-        self.connectivity.0.take();
         self.derived.cell_names.take();
         self.derived.seq_names.take();
         self.derived.geometry.take();
@@ -226,10 +191,9 @@ impl Design {
         &self.ports[id.0 as usize]
     }
 
-    /// Mutable port accessor. Invalidates the cached connectivity view, the
-    /// port name index and the cached fingerprints.
+    /// Mutable port accessor. Invalidates the port name index and the cached
+    /// fingerprints.
     pub fn port_mut(&mut self, id: PortId) -> &mut Port {
-        self.connectivity.0.take();
         self.derived.port_names.take();
         self.derived.seq_names.take();
         self.derived.geometry.take();
@@ -241,12 +205,17 @@ impl Design {
         &self.nets[id.0 as usize]
     }
 
-    /// Mutable net accessor. Invalidates the cached connectivity view and the
-    /// net name index.
+    /// Mutable net accessor. Invalidates the net name index.
     pub fn net_mut(&mut self, id: NetId) -> &mut Net {
-        self.connectivity.0.take();
         self.derived.net_names.take();
         &mut self.nets[id.0 as usize]
+    }
+
+    /// Places (or, with `None`, un-places) a port. Invalidates the cached
+    /// geometry fingerprint only.
+    pub fn set_port_position(&mut self, id: PortId, position: Option<Point>) {
+        self.derived.geometry.take();
+        self.ports[id.0 as usize].position = position;
     }
 
     /// Raw mutable cell accessor with **no** cache invalidation.  Reserved
@@ -257,57 +226,21 @@ impl Design {
         &mut self.cells[id.0 as usize]
     }
 
-    /// Raw mutable port accessor with **no** cache invalidation (see
-    /// [`Design::cell_raw_mut`]).
-    pub(crate) fn port_raw_mut(&mut self, id: PortId) -> &mut Port {
-        &mut self.ports[id.0 as usize]
-    }
-
-    /// Raw mutable net accessor with **no** cache invalidation (see
-    /// [`Design::cell_raw_mut`]).
-    pub(crate) fn net_raw_mut(&mut self, id: NetId) -> &mut Net {
-        &mut self.nets[id.0 as usize]
-    }
-
     /// Drops the cached geometry fingerprint only.
     pub(crate) fn invalidate_geometry(&mut self) {
         self.derived.geometry.take();
     }
 
-    /// Drops the cached CSR connectivity view only.
-    pub(crate) fn invalidate_wiring(&mut self) {
-        self.connectivity.0.take();
-    }
-
-    /// The flat CSR connectivity view of the design (see
-    /// [`crate::connectivity`]), built on first use and cached.
-    ///
-    /// Mutable accessors ([`Design::cell_mut`], [`Design::net_mut`],
-    /// [`Design::port_mut`]) invalidate the cache, so the view always
-    /// reflects the current incidence.
+    /// The design's wiring: the flat CSR cell↔net incidence (see
+    /// [`crate::connectivity`]). Packed by [`DesignBuilder::build`] and
+    /// rewritten in place by [`Design::apply_edits`].
     pub fn connectivity(&self) -> &Connectivity {
-        self.connectivity.0.get_or_init(|| Connectivity::build(self))
+        &self.connectivity
     }
 
-    /// The cached CSR view, if one has been materialized — without building
-    /// it. The spill tier uses this at eviction time: only an already-built
-    /// view is worth writing to disk.
-    pub fn cached_connectivity(&self) -> Option<&Connectivity> {
-        self.connectivity.0.get()
-    }
-
-    /// Seeds the CSR cache with a pre-built view (e.g. one revived from the
-    /// disk spill tier) instead of rebuilding it on first use. The view is
-    /// verified against the design first — its fingerprint must equal the
-    /// streamed [`Connectivity::fingerprint_of`] of the current wiring — so
-    /// a stale or foreign view can never be installed. Returns whether the
-    /// view was accepted (`false` when it fails verification or a view is
-    /// already cached).
-    pub fn install_connectivity(&self, view: Connectivity) -> bool {
-        if view.fingerprint() != Connectivity::fingerprint_of(self) {
-            return false;
-        }
-        self.connectivity.0.set(view).is_ok()
+    /// Mutable wiring, for the rewires of [`crate::edit`].
+    pub(crate) fn connectivity_mut(&mut self) -> &mut Connectivity {
+        &mut self.connectivity
     }
 
     /// Looks a cell up by its hierarchical instance name.
@@ -475,38 +408,41 @@ impl Design {
         }
     }
 
-    /// Consistency check used by tests and debug builds: every net reference
-    /// from a cell exists and points back, and vice versa.
+    /// Consistency check used by tests and debug builds: the two CSR
+    /// directions agree. Every net in a cell's fanin (fanout) lists the cell
+    /// as a sink (its driver), and every cell pin of a net lists the net
+    /// back.
     pub fn validate(&self) -> Result<(), String> {
+        let csr = &self.connectivity;
+        if (csr.num_cells(), csr.num_nets()) != (self.cells.len(), self.nets.len()) {
+            return Err("the wiring does not cover the design's cells and nets".into());
+        }
         for (id, cell) in self.cells() {
-            for &n in cell.fanout.iter() {
-                let net = self
-                    .nets
-                    .get(n.0 as usize)
-                    .ok_or_else(|| format!("cell {} fanout dangling", cell.name))?;
-                if net.driver_cell != Some(id) {
-                    return Err(format!("net {} does not list {} as driver", net.name, cell.name));
-                }
-            }
-            for &n in cell.fanin.iter() {
-                let net = self
-                    .nets
-                    .get(n.0 as usize)
-                    .ok_or_else(|| format!("cell {} fanin dangling", cell.name))?;
-                if !net.sink_cells.contains(&id) {
-                    return Err(format!("net {} does not list {} as sink", net.name, cell.name));
+            let roles = [
+                ("sink", csr.fanin(id), PinRef::sink_cell(id)),
+                ("driver", csr.fanout(id), PinRef::driver_cell(id)),
+            ];
+            for (role, nets, pin) in roles {
+                for &n in nets {
+                    let net = self
+                        .nets
+                        .get(n.0 as usize)
+                        .ok_or_else(|| format!("cell {} {role} net dangling", cell.name))?;
+                    if !csr.pins(n).contains(&pin) {
+                        return Err(format!(
+                            "net {} does not list {} as {role}",
+                            net.name, cell.name
+                        ));
+                    }
                 }
             }
         }
         for (id, net) in self.nets() {
-            if let Some(c) = net.driver_cell {
-                if !self.cell(c).fanout.contains(&id) {
-                    return Err(format!("driver of net {} does not reference it", net.name));
-                }
-            }
-            for &c in &net.sink_cells {
-                if !self.cell(c).fanin.contains(&id) {
-                    return Err(format!("sink of net {} does not reference it", net.name));
+            for pin in csr.pins(id) {
+                let Some(c) = pin.cell() else { continue };
+                let nets = if pin.is_driver() { csr.fanout(c) } else { csr.fanin(c) };
+                if !nets.contains(&id) {
+                    return Err(format!("a pin of net {} does not reference it", net.name));
                 }
             }
         }
@@ -516,11 +452,7 @@ impl Design {
 
 impl crate::heap_size::HeapSize for Cell {
     fn heap_bytes(&self) -> usize {
-        self.name.heap_bytes()
-            + self.lib_cell.heap_bytes()
-            + self.hier_path.heap_bytes()
-            + self.fanin.heap_bytes()
-            + self.fanout.heap_bytes()
+        self.name.heap_bytes() + self.lib_cell.heap_bytes() + self.hier_path.heap_bytes()
     }
 }
 
@@ -532,13 +464,12 @@ impl crate::heap_size::HeapSize for Port {
 
 impl crate::heap_size::HeapSize for Net {
     fn heap_bytes(&self) -> usize {
-        self.name.heap_bytes() + self.sink_cells.heap_bytes() + self.sink_ports.heap_bytes()
+        self.name.heap_bytes()
     }
 }
 
-/// A design's resident bytes cover the cell/port/net stores, the
-/// materialized name indexes, and — when it has been materialized — the
-/// cached CSR connectivity view, so an interned design is accounted with
+/// A design's resident bytes cover the cell/port/net stores, the wiring and
+/// the materialized name indexes, so an interned design is accounted with
 /// everything that travels with it.
 impl crate::heap_size::HeapSize for Design {
     fn heap_bytes(&self) -> usize {
@@ -549,7 +480,7 @@ impl crate::heap_size::HeapSize for Design {
             + self.derived.cell_names.get().map_or(0, |t| t.heap_bytes())
             + self.derived.port_names.get().map_or(0, |t| t.heap_bytes())
             + self.derived.net_names.get().map_or(0, |t| t.heap_bytes())
-            + self.connectivity.0.get().map_or(0, |csr| csr.resident_bytes())
+            + self.connectivity.heap_bytes()
     }
 }
 
@@ -561,6 +492,17 @@ impl crate::heap_size::HeapSize for Design {
 /// the cell/port/net stores — no duplicated name `String`s), and
 /// [`DesignBuilder::build`] hands them to the design, so streaming parsers
 /// never materialize an intermediate name `HashMap`.
+///
+/// Connections go into one flat log in call order, beside the current
+/// drivers of each net; [`DesignBuilder::build`] packs the log into the
+/// design's CSR [`Connectivity`]. The rules:
+///
+/// * a sink is kept once per net, and its first connection wins;
+/// * a [`DesignBuilder::connect_driver`] naming a cell other than the net's
+///   current driver replaces the driver and appends the net to the new
+///   driver's fanout (the old driver keeps its fanout entry);
+/// * [`DesignBuilder::connect_port_driver`] overwrites the net's driving
+///   port, and port sinks are kept once.
 #[derive(Debug, Clone, Default)]
 // lint:allow(heap-size): builder is consumed by build(); only the Design it produces
 // is ever interned and accounted
@@ -573,6 +515,10 @@ pub struct DesignBuilder {
     cell_index: NameTable,
     port_index: NameTable,
     net_index: NameTable,
+    /// Every sink connection and every driver change, in call order.
+    pins: Vec<(NetId, PinRef)>,
+    /// Per net: its current driving cell and driving port.
+    drivers: Vec<(Option<CellId>, Option<PortId>)>,
 }
 
 impl DesignBuilder {
@@ -635,8 +581,6 @@ impl DesignBuilder {
             width,
             height,
             hier_path: hier_path.into(),
-            fanin: Vec::new(),
-            fanout: Vec::new(),
         });
         self.cell_index.insert(hash, id.0);
         id
@@ -665,60 +609,59 @@ impl DesignBuilder {
     pub fn add_net(&mut self, name: impl Into<String>) -> NetId {
         let name = name.into();
         let hash = NameTable::hash_name(&name);
-        self.find_net(hash, &name).unwrap_or_else(|| self.push_net(hash, name))
+        self.lookup_net(hash, &name).unwrap_or_else(|| self.push_net(hash, name))
     }
 
     /// Like [`DesignBuilder::add_net`], but borrows the name: only a net not
     /// seen before allocates, at the name's exact length.
     pub(crate) fn intern_net(&mut self, name: &str) -> NetId {
         let hash = NameTable::hash_name(name);
-        self.find_net(hash, name).unwrap_or_else(|| self.push_net(hash, name.to_owned()))
+        self.lookup_net(hash, name).unwrap_or_else(|| self.push_net(hash, name.to_owned()))
     }
 
-    fn find_net(&self, hash: u64, name: &str) -> Option<NetId> {
+    /// Looks a net up by name without adding it.
+    pub fn find_net(&self, name: &str) -> Option<NetId> {
+        self.lookup_net(NameTable::hash_name(name), name)
+    }
+
+    fn lookup_net(&self, hash: u64, name: &str) -> Option<NetId> {
         self.net_index.find(hash, |id| self.nets[id as usize].name == name).map(NetId)
     }
 
     fn push_net(&mut self, hash: u64, name: String) -> NetId {
         let id = NetId(self.nets.len() as u32);
-        self.nets.push(Net { name, ..Default::default() });
+        self.nets.push(Net { name });
+        self.drivers.push((None, None));
         self.net_index.insert(hash, id.0);
         id
     }
 
     /// Marks `cell` as the driver of `net`.
     pub fn connect_driver(&mut self, net: NetId, cell: CellId) -> &mut Self {
-        let n = &mut self.nets[net.0 as usize];
-        if n.driver_cell != Some(cell) {
-            n.driver_cell = Some(cell);
-            self.cells[cell.0 as usize].fanout.push(net);
+        let driver = &mut self.drivers[net.0 as usize].0;
+        if *driver != Some(cell) {
+            *driver = Some(cell);
+            self.pins.push((net, PinRef::driver_cell(cell)));
         }
         self
     }
 
     /// Marks `cell` as a sink of `net`.
     pub fn connect_sink(&mut self, net: NetId, cell: CellId) -> &mut Self {
-        let n = &mut self.nets[net.0 as usize];
-        if !n.sink_cells.contains(&cell) {
-            n.sink_cells.push(cell);
-            self.cells[cell.0 as usize].fanin.push(net);
-        }
+        self.pins.push((net, PinRef::sink_cell(cell)));
         self
     }
 
     /// Connects a primary port as the driver of `net` (for input ports).
     pub fn connect_port_driver(&mut self, net: NetId, port: PortId) -> &mut Self {
-        self.nets[net.0 as usize].driver_port = Some(port);
+        self.drivers[net.0 as usize].1 = Some(port);
         self.ports[port.0 as usize].net = Some(net);
         self
     }
 
     /// Connects a primary port as a sink of `net` (for output ports).
     pub fn connect_port_sink(&mut self, net: NetId, port: PortId) -> &mut Self {
-        let n = &mut self.nets[net.0 as usize];
-        if !n.sink_ports.contains(&port) {
-            n.sink_ports.push(port);
-        }
+        self.pins.push((net, PinRef::sink_port(port)));
         self.ports[port.0 as usize].net = Some(net);
         self
     }
@@ -728,10 +671,18 @@ impl DesignBuilder {
         self.cells.len()
     }
 
-    /// Finalizes the builder into an immutable [`Design`], seeding the
+    /// Iterates over the `(id, port)` pairs added so far.
+    pub fn ports(&self) -> impl Iterator<Item = (PortId, &Port)> + '_ {
+        self.ports.iter().enumerate().map(|(i, p)| (PortId(i as u32), p))
+    }
+
+    /// Finalizes the builder into an immutable [`Design`]: packs the
+    /// connection log into the design's [`Connectivity`] and seeds the
     /// design's name indexes with the builder's (no rebuild on first
     /// `find_*`).
     pub fn build(self) -> Design {
+        let connectivity =
+            Connectivity::pack(self.cells.len(), self.ports.len(), &self.drivers, &self.pins);
         let derived = DerivedCache::default();
         let _ = derived.cell_names.set(self.cell_index);
         let _ = derived.port_names.set(self.port_index);
@@ -742,7 +693,7 @@ impl DesignBuilder {
             ports: self.ports,
             nets: self.nets,
             die: self.die,
-            connectivity: ConnectivityCache::default(),
+            connectivity,
             derived,
         }
     }
@@ -805,9 +756,9 @@ mod tests {
     fn net_degree_counts_all_pins() {
         let d = small_design();
         let n = d.find_net("u_ctl/state").unwrap();
-        assert_eq!(d.net(n).degree(), 3);
+        assert_eq!(d.connectivity().degree(n), 3);
         let n2 = d.find_net("clk_en_net").unwrap();
-        assert_eq!(d.net(n2).degree(), 2);
+        assert_eq!(d.connectivity().degree(n2), 2);
     }
 
     #[test]
@@ -899,7 +850,8 @@ mod tests {
         b.connect_sink(n, g);
         b.connect_sink(n, g);
         let d = b.build();
-        assert_eq!(d.net(n).sink_cells.len(), 1);
+        assert_eq!(d.connectivity().degree(n), 2, "the driver and one sink");
+        assert_eq!(d.connectivity().fanin(g), &[n]);
         d.validate().unwrap();
     }
 }

@@ -3,9 +3,10 @@
 //! Engineering-change-order (ECO) traffic mutates a design that downstream
 //! stores and caches already fingerprinted.  Ad-hoc mutation through the
 //! blanket accessors ([`Design::cell_mut`], ...) is correct but maximally
-//! pessimistic: every touch drops the cached CSR view and both fingerprints,
-//! so a pure footprint resize looks identical to a rewire.  This module
-//! gives edits a *type* so the invalidation can be exact:
+//! pessimistic: every touch drops both name-based fingerprints, so a pure
+//! footprint resize looks identical to a rename, and the wiring has no
+//! blanket accessor at all.  This module gives edits a *type* so the
+//! invalidation can be exact, and rewires the design's CSR in place:
 //!
 //! * [`DesignEdit`] — the closed set of supported edit kinds, each with a
 //!   statically known [`EditEffect`] (which derived state it can invalidate).
@@ -101,7 +102,7 @@ pub enum DesignEdit {
 /// [`EditLog`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EditEffect {
-    /// May change the CSR view / connectivity fingerprint.
+    /// May rewrite the CSR wiring and change the connectivity fingerprint.
     pub wiring: bool,
     /// May change the sequential-name fingerprint.
     pub seq_names: bool,
@@ -370,37 +371,17 @@ impl Design {
                 log.placement_seed = true;
             }
             DesignEdit::RewireNet { net, driver, sinks } => {
-                self.invalidate_wiring();
-                // Detach the old cell pins (cross-references both ways).
-                let old = self.net(*net).clone();
-                if let Some(d) = old.driver_cell {
-                    self.cell_raw_mut(d).fanout.retain(|n| n != net);
-                    log.touch_cell(d);
-                }
-                for s in old.sink_cells {
-                    self.cell_raw_mut(s).fanin.retain(|n| n != net);
-                    log.touch_cell(s);
-                }
-                // Attach the new pins.
-                let mut new_sinks: Vec<CellId> = Vec::with_capacity(sinks.len());
-                for &s in sinks {
-                    if !new_sinks.contains(&s) {
-                        new_sinks.push(s);
-                    }
-                }
-                {
-                    let n = self.net_raw_mut(*net);
-                    n.driver_cell = *driver;
-                    n.sink_cells = new_sinks.clone();
-                }
-                if let Some(d) = *driver {
-                    self.cell_raw_mut(d).fanout.push(*net);
-                    log.touch_cell(d);
-                }
-                for s in new_sinks {
-                    self.cell_raw_mut(s).fanin.push(*net);
-                    log.touch_cell(s);
-                }
+                // the old cell pins, then the new ones, are touched
+                let touch = |d: &Design, log: &mut EditLog| {
+                    d.connectivity()
+                        .pins(*net)
+                        .iter()
+                        .filter_map(|p| p.cell())
+                        .for_each(|c| log.touch_cell(c))
+                };
+                touch(self, log);
+                self.connectivity_mut().rewire(*net, *driver, sinks);
+                touch(self, log);
                 log.touch_net(*net);
             }
             DesignEdit::SwapMaster { cell, lib_cell, width, height } => {
@@ -412,8 +393,7 @@ impl Design {
                 log.touch_cell(*cell);
             }
             DesignEdit::MovePort { port, to } => {
-                self.invalidate_geometry();
-                self.port_raw_mut(*port).position = *to;
+                self.set_port_position(*port, *to);
                 log.touch_port(*port);
             }
             DesignEdit::SetDie { die } => {
@@ -651,11 +631,82 @@ mod tests {
         assert!(!log.diff.seq_names_changed());
         assert!(!log.diff.geometry_changed());
         assert!(log.touched_nets.contains(&n));
-        assert_eq!(d.net(n).sink_cells, vec![m2]);
         d.validate().unwrap();
-        // the CSR view reflects the rewire
+        // the CSR reflects the rewire
         let pins: Vec<_> = d.connectivity().pins(n).iter().filter_map(|p| p.cell()).collect();
         assert_eq!(pins, vec![f, m2]);
+    }
+
+    /// A net's pins as `name:role` strings (`d` driver, `s` sink; ports
+    /// prefixed with `port `).
+    fn pin_names(d: &Design, net: NetId) -> Vec<String> {
+        let role = |driver: bool| if driver { "d" } else { "s" };
+        d.connectivity()
+            .pins(net)
+            .iter()
+            .map(|p| match (p.cell(), p.port()) {
+                (Some(c), _) => format!("{}:{}", d.cell(c).name, role(p.is_driver())),
+                (_, Some(q)) => format!("port {}:{}", d.port(q).name, role(p.is_driver())),
+                _ => unreachable!("a pin is a cell or a port"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn chained_rewires_in_one_batch_rewrite_both_directions() {
+        let mut b = DesignBuilder::new("rewire");
+        let names = ["f0", "f1", "g0", "g1", "g2", "g3"];
+        let c: Vec<CellId> = names.iter().map(|n| b.add_comb(*n, "")).collect();
+        let m0 = b.add_macro("m0", "RAM", 10, 10, "");
+        let pi = b.add_port("pi", PortDirection::Input);
+        let po = b.add_port("po", PortDirection::Output);
+        let [a, bb, cc, dd] = ["a", "b", "c", "d"].map(|n| b.add_net(n));
+        let (f0, f1, g0, g1, g2, g3) = (c[0], c[1], c[2], c[3], c[4], c[5]);
+        b.connect_driver(a, f0).connect_sink(a, g0).connect_sink(a, g1).connect_sink(a, m0);
+        b.connect_driver(bb, f1).connect_sink(bb, g1).connect_sink(bb, g2);
+        b.connect_driver(cc, g0).connect_sink(cc, f1).connect_port_sink(cc, po);
+        b.connect_port_driver(dd, pi).connect_sink(dd, f0).connect_sink(dd, g3);
+        let mut d = b.build();
+        let log = d
+            .apply_edits(&[
+                // shares sink g1 with net b; g1 is listed twice
+                DesignEdit::RewireNet { net: a, driver: Some(g2), sinks: vec![g1, g3, g1] },
+                // shares sinks g1 and g3 with the rewire above
+                DesignEdit::RewireNet { net: bb, driver: Some(f0), sinks: vec![g1, g3, m0] },
+                // net a again, now without a driver
+                DesignEdit::RewireNet { net: a, driver: None, sinks: vec![f1, g3] },
+                // drops the driver of a net that keeps its port sink
+                DesignEdit::RewireNet { net: cc, driver: None, sinks: vec![g0] },
+            ])
+            .unwrap();
+        assert_eq!(log.diff.connectivity_after, 0x4e58_a385_5d27_fc41);
+        assert_eq!(d.connectivity().fingerprint(), log.diff.connectivity_after);
+        let touched: Vec<&str> =
+            log.touched_cells.iter().map(|&id| d.cell(id).name.as_str()).collect();
+        assert_eq!(touched, ["f0", "g0", "g1", "m0", "g2", "g3", "f1"]);
+        assert_eq!(log.touched_nets, vec![a, bb, cc]);
+        // each cell's fanin and fanout, by net name
+        let csr = d.connectivity();
+        let names = |nets: &[NetId]| nets.iter().map(|&n| d.net(n).name.as_str()).collect();
+        let rows: Vec<(&str, Vec<&str>, Vec<&str>)> = d
+            .cells()
+            .map(|(id, cell)| (cell.name.as_str(), names(csr.fanin(id)), names(csr.fanout(id))))
+            .collect();
+        let expected: Vec<(&str, Vec<&str>, Vec<&str>)> = vec![
+            ("f0", vec!["d"], vec!["b"]),
+            ("f1", vec!["a"], vec![]),
+            ("g0", vec!["c"], vec![]),
+            ("g1", vec!["b"], vec![]),
+            ("g2", vec![], vec![]),
+            ("g3", vec!["d", "b", "a"], vec![]),
+            ("m0", vec!["b"], vec![]),
+        ];
+        assert_eq!(rows, expected);
+        assert_eq!(pin_names(&d, a), ["f1:s", "g3:s"]);
+        assert_eq!(pin_names(&d, bb), ["f0:d", "g1:s", "g3:s", "m0:s"]);
+        assert_eq!(pin_names(&d, cc), ["g0:s", "port po:s"]);
+        assert_eq!(pin_names(&d, dd), ["f0:s", "g3:s", "port pi:d"]);
+        d.validate().unwrap();
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Resident-byte accounting for design-derived structures.
 //!
 //! A long-lived placement service holds many designs and many derived
-//! artifacts (CSR views, netlist graphs, sequential graphs). Bounding that
+//! artifacts (netlist graphs, sequential graphs). Bounding that
 //! memory by *entry count* is meaningless when one design is a hundred times
 //! the size of another, so every cached structure reports its resident bytes
 //! through [`HeapSize`] and the caches budget in bytes instead.

@@ -17,8 +17,9 @@
 //!   the RTL array information the paper exploits for dataflow analysis.
 //! * [`dense`] — typed dense maps keyed by the contiguous design ids, the
 //!   per-cell/per-net stores of the hot paths.
-//! * [`connectivity`] — the flat CSR cell↔net incidence view built once per
-//!   design and cached (`Design::connectivity`).
+//! * [`connectivity`] — the design's wiring: the flat CSR cell↔net
+//!   incidence, packed by the builder and rewritten in place by edits
+//!   (`Design::connectivity`).
 //! * [`edit`] — the typed ECO mutation API ([`edit::DesignEdit`]) applied
 //!   through `Design` with exact cache invalidation, producing the
 //!   [`edit::EditLog`] fingerprint diff that drives selective artifact

@@ -30,7 +30,7 @@
 //! line, and nothing recurses on nesting depth that the input controls
 //! without a bound.
 
-use crate::design::{CellKind, Design, DesignBuilder, PortDirection};
+use crate::design::{CellKind, Design, DesignBuilder, NetId, PortDirection, PortId};
 use crate::error::ParseError;
 use crate::library::Library;
 use crate::names::NameTable;
@@ -653,32 +653,24 @@ pub fn parse_verilog(
         }
     }
     ctx.flatten(top_module, &PortMap::default())?;
-    let mut design = ctx.builder.build();
-    connect_top_ports(&mut design);
-    Ok(design)
+    connect_top_ports(&mut ctx.builder);
+    Ok(ctx.builder.build())
 }
 
-/// After flattening, nets named exactly like a top-level port are attached to it.
-fn connect_top_ports(design: &mut Design) {
-    let pairs: Vec<(crate::design::PortId, crate::design::NetId, PortDirection)> = design
+/// After flattening, nets named exactly like a top-level port are attached
+/// to it: an input port drives its net, any other port is a sink of it.
+fn connect_top_ports(builder: &mut DesignBuilder) {
+    let pairs: Vec<(PortId, NetId, PortDirection)> = builder
         .ports()
-        .filter_map(|(pid, port)| design.find_net(&port.name).map(|nid| (pid, nid, port.direction)))
+        .filter_map(|(pid, port)| {
+            builder.find_net(&port.name).map(|nid| (pid, nid, port.direction))
+        })
         .collect();
     for (pid, nid, dir) in pairs {
-        // fix up both directions of the association
-        {
-            let port = design.port_mut(pid);
-            port.net = Some(nid);
-        }
-        let net = design.net_mut(nid);
         match dir {
-            PortDirection::Input => net.driver_port = Some(pid),
-            _ => {
-                if !net.sink_ports.contains(&pid) {
-                    net.sink_ports.push(pid);
-                }
-            }
-        }
+            PortDirection::Input => builder.connect_port_driver(nid, pid),
+            _ => builder.connect_port_sink(nid, pid),
+        };
     }
 }
 
@@ -1007,8 +999,9 @@ endmodule
         let d = parse_verilog(SIMPLE, Some("top"), &opts_with_ram()).unwrap();
         // the net w[0] drives both u_sub/g1 (through port a[0]) and u_ram
         let n = d.find_net("w[0]").expect("net w[0] exists");
-        let net = d.net(n);
-        assert!(net.sink_cells.len() >= 2, "expected at least 2 sinks, got {:?}", net);
+        let pins = d.connectivity().pins(n);
+        let sinks = pins.iter().filter(|p| !p.is_driver() && p.cell().is_some()).count();
+        assert!(sinks >= 2, "expected at least 2 sinks, got {pins:?}");
     }
 
     #[test]
@@ -1056,8 +1049,8 @@ endmodule
 "#;
         let d = parse_verilog(src, Some("top"), &ElaborateOptions::default()).unwrap();
         let c = d.find_cell("u1").unwrap();
-        assert_eq!(d.cell(c).fanin.len(), 2);
-        assert_eq!(d.cell(c).fanout.len(), 1);
+        assert_eq!(d.connectivity().fanin(c).len(), 2);
+        assert_eq!(d.connectivity().fanout(c).len(), 1);
     }
 
     #[test]
@@ -1093,7 +1086,7 @@ endmodule
 "#;
         let d = parse_verilog(src, Some("top"), &ElaborateOptions::default()).unwrap();
         let g = d.find_cell("u/g").unwrap();
-        let fanin_net = d.cell(g).fanin[0];
+        let fanin_net = d.connectivity().fanin(g)[0];
         assert_eq!(d.net(fanin_net).name, "q");
     }
 
@@ -1178,9 +1171,9 @@ endmodule
             "module top (input a, output z);\n  BUF u1 (.A({nested}), .Y(z));\nendmodule\n"
         );
         let d = parse_verilog(&src, Some("top"), &ElaborateOptions::default()).unwrap();
-        let u1 = d.cell(d.find_cell("u1").unwrap());
-        assert_eq!(u1.fanin.len(), 1, "nesting only groups the one bit");
-        assert_eq!(d.net(u1.fanin[0]).name, "a");
+        let u1 = d.connectivity().fanin(d.find_cell("u1").unwrap());
+        assert_eq!(u1.len(), 1, "nesting only groups the one bit");
+        assert_eq!(d.net(u1[0]).name, "a");
         // one brace left open is an error at the connection's line
         let open = format!("{}a{}", "{".repeat(depth), "}".repeat(depth - 1));
         let src =

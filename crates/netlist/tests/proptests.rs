@@ -3,7 +3,7 @@
 use geometry::{Orientation, Point, Rect};
 use netlist::arrays::{group_by_array, split_array_name};
 use netlist::def::{parse_def, write_def, PlacementEntry};
-use netlist::design::{DesignBuilder, PortDirection};
+use netlist::design::{DesignBuilder, NetId, PortDirection};
 use netlist::hierarchy::HierarchyTree;
 use proptest::prelude::*;
 
@@ -144,66 +144,45 @@ proptest! {
 
     #[test]
     fn csr_traversal_matches_the_vec_walks(
-        num_cells in 2usize..32,
-        edges in prop::collection::vec((0usize..32, 0usize..32, any::<bool>()), 0..96),
-        num_ports in 0usize..6,
+        num_cells in 2usize..10,
+        num_nets in 1usize..8,
+        num_ports in 1usize..5,
+        ops in prop::collection::vec((0u8..4, 0usize..8, 0usize..10), 0..60),
     ) {
-        // Build a random design mixing cell→cell nets, multi-sink nets
-        // (every third edge reuses the previous net) and port connections.
+        // The CSR the builder packs against the Vec walks of a model of its
+        // connection rules. A fixed prefix of the edge cases (a net re-driven
+        // A → B → A, a duplicated sink, a re-driven port net, a duplicated
+        // port sink), then random calls over a small id space so they recur.
+        let prefix = [
+            (0, 0, 0), (0, 0, 1), (0, 0, 0),
+            (1, 0, 1), (1, 0, 1),
+            (2, 0, 0), (2, 0, 1),
+            (3, 0, 0), (3, 0, 0),
+        ];
         let mut b = DesignBuilder::new("prop");
-        let ids: Vec<_> = (0..num_cells).map(|i| {
-            if i % 4 == 0 {
-                b.add_macro(format!("m{i}"), "RAM", 20, 20, "u_mem")
-            } else {
-                b.add_comb(format!("g{i}"), "u_ctl")
-            }
-        }).collect();
-        for (i, &(from, to, reuse)) in edges.iter().enumerate() {
-            let (from, to) = (from % num_cells, to % num_cells);
-            if from == to { continue; }
-            let net_name = if reuse && i > 0 { format!("n{}", i - 1) } else { format!("n{i}") };
-            let n = b.add_net(net_name);
-            b.connect_driver(n, ids[from]);
-            b.connect_sink(n, ids[to]);
-        }
-        for p in 0..num_ports {
-            let n = b.add_net(format!("pn{p}"));
-            if p % 2 == 0 {
-                let port = b.add_port(format!("in{p}"), PortDirection::Input);
-                b.connect_port_driver(n, port);
-                b.connect_sink(n, ids[p % num_cells]);
-            } else {
-                let port = b.add_port(format!("out{p}"), PortDirection::Output);
-                b.connect_driver(n, ids[p % num_cells]);
-                b.connect_port_sink(n, port);
-            }
+        let cells: Vec<_> = (0..num_cells).map(|i| b.add_comb(format!("g{i}"), "")).collect();
+        let nets: Vec<_> = (0..num_nets).map(|i| b.add_net(format!("n{i}"))).collect();
+        let ports: Vec<_> =
+            (0..num_ports).map(|i| b.add_port(format!("p{i}"), PortDirection::Inout)).collect();
+        let mut model = BuilderModel::new(num_cells, num_nets, num_ports);
+        for &(kind, net, target) in prefix.iter().chain(&ops) {
+            let (n, cell, port) = (net % num_nets, target % num_cells, target % num_ports);
+            match kind {
+                0 => b.connect_driver(nets[n], cells[cell]),
+                1 => b.connect_sink(nets[n], cells[cell]),
+                2 => b.connect_port_driver(nets[n], ports[port]),
+                _ => b.connect_port_sink(nets[n], ports[port]),
+            };
+            model.apply(kind, n, cell, port);
         }
         let design = b.build();
         let csr = design.connectivity();
-
-        // cell→net: the CSR fanin/fanout slices equal the per-cell Vecs,
-        // and nets_of is exactly the fanin ++ fanout chain.
-        for (id, cell) in design.cells() {
-            prop_assert_eq!(csr.fanin(id), cell.fanin.as_slice());
-            prop_assert_eq!(csr.fanout(id), cell.fanout.as_slice());
-            let chained: Vec<_> = cell.fanin.iter().chain(cell.fanout.iter()).copied().collect();
-            prop_assert_eq!(csr.nets_of(id), chained.as_slice());
+        for (i, &id) in cells.iter().enumerate() {
+            let as_u32 = |nets: &[NetId]| nets.iter().map(|n| n.0).collect::<Vec<_>>();
+            prop_assert_eq!(as_u32(csr.fanin(id)), model.cell_fanin[i].clone());
+            prop_assert_eq!(as_u32(csr.fanout(id)), model.cell_fanout[i].clone());
         }
-
-        // net→pin: the CSR pin walk visits exactly the same (net, pin,
-        // driver?) triples, in the canonical order, as the Net field walk.
-        for (id, net) in design.nets() {
-            prop_assert_eq!(csr.degree(id), net.degree());
-            // legacy walk encoded as (is_port, index, is_driver)
-            let mut legacy: Vec<(bool, u32, bool)> = Vec::new();
-            if let Some(c) = net.driver_cell {
-                legacy.push((false, c.0, true));
-            }
-            legacy.extend(net.sink_cells.iter().map(|c| (false, c.0, false)));
-            if let Some(p) = net.driver_port {
-                legacy.push((true, p.0, true));
-            }
-            legacy.extend(net.sink_ports.iter().map(|p| (true, p.0, false)));
+        for (i, &id) in nets.iter().enumerate() {
             let csr_walk: Vec<(bool, u32, bool)> = csr
                 .pins(id)
                 .iter()
@@ -212,7 +191,76 @@ proptest! {
                     (pin.is_port(), idx.expect("pin is a cell or a port"), pin.is_driver())
                 })
                 .collect();
-            prop_assert_eq!(csr_walk, legacy);
+            prop_assert_eq!(csr_walk, model.pins(i));
         }
+        for (i, &id) in ports.iter().enumerate() {
+            prop_assert_eq!(design.port(id).net.map(|n| n.0), model.port_net[i]);
+        }
+    }
+}
+
+/// The builder's connection rules, written out over plain `Vec`s: a sink
+/// is kept once per net (first occurrence wins); a driver call that names a
+/// new cell replaces the driver and appends the net to that cell's fanout,
+/// while the old driver keeps its entry; a port driver call overwrites the
+/// net's driver port; port sinks are kept once. Every port call also
+/// attaches the port to the net.
+struct BuilderModel {
+    driver: Vec<Option<u32>>,
+    sinks: Vec<Vec<u32>>,
+    port_driver: Vec<Option<u32>>,
+    port_sinks: Vec<Vec<u32>>,
+    cell_fanin: Vec<Vec<u32>>,
+    cell_fanout: Vec<Vec<u32>>,
+    port_net: Vec<Option<u32>>,
+}
+
+impl BuilderModel {
+    fn new(cells: usize, nets: usize, ports: usize) -> Self {
+        Self {
+            driver: vec![None; nets],
+            sinks: vec![Vec::new(); nets],
+            port_driver: vec![None; nets],
+            port_sinks: vec![Vec::new(); nets],
+            cell_fanin: vec![Vec::new(); cells],
+            cell_fanout: vec![Vec::new(); cells],
+            port_net: vec![None; ports],
+        }
+    }
+
+    fn apply(&mut self, kind: u8, net: usize, cell: usize, port: usize) {
+        let (n, c, p) = (net as u32, cell as u32, port as u32);
+        match kind {
+            0 if self.driver[net] != Some(c) => {
+                self.driver[net] = Some(c);
+                self.cell_fanout[cell].push(n);
+            }
+            1 if !self.sinks[net].contains(&c) => {
+                self.sinks[net].push(c);
+                self.cell_fanin[cell].push(n);
+            }
+            2 => {
+                self.port_driver[net] = Some(p);
+                self.port_net[port] = Some(n);
+            }
+            3 => {
+                if !self.port_sinks[net].contains(&p) {
+                    self.port_sinks[net].push(p);
+                }
+                self.port_net[port] = Some(n);
+            }
+            _ => {}
+        }
+    }
+
+    /// A net's pins as `(is_port, index, is_driver)` in the canonical order:
+    /// driver cell, sink cells, driver port, sink ports.
+    fn pins(&self, net: usize) -> Vec<(bool, u32, bool)> {
+        let mut pins = Vec::new();
+        pins.extend(self.driver[net].map(|c| (false, c, true)));
+        pins.extend(self.sinks[net].iter().map(|&c| (false, c, false)));
+        pins.extend(self.port_driver[net].map(|p| (true, p, true)));
+        pins.extend(self.port_sinks[net].iter().map(|&p| (true, p, false)));
+        pins
     }
 }

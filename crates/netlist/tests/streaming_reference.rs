@@ -496,35 +496,25 @@ mod reference_verilog {
         }
         let mut ctx = Flattener { modules: &modules, opts, builder };
         ctx.flatten(&top_name, "", &HashMap::new())?;
+        connect_top_ports(&mut ctx.builder);
         let mut design = ctx.builder.build();
         design.bind_library(&opts.library);
-        connect_top_ports(&mut design);
         Ok(design)
     }
 
     /// After flattening, nets named exactly like a top-level port are attached to it.
-    fn connect_top_ports(design: &mut Design) {
-        let pairs: Vec<(netlist::design::PortId, netlist::design::NetId, PortDirection)> = design
+    fn connect_top_ports(builder: &mut DesignBuilder) {
+        let pairs: Vec<(netlist::design::PortId, netlist::design::NetId, PortDirection)> = builder
             .ports()
             .filter_map(|(pid, port)| {
-                design.find_net(&port.name).map(|nid| (pid, nid, port.direction))
+                builder.find_net(&port.name).map(|nid| (pid, nid, port.direction))
             })
             .collect();
         for (pid, nid, dir) in pairs {
-            // fix up both directions of the association
-            {
-                let port = design.port_mut(pid);
-                port.net = Some(nid);
-            }
-            let net = design.net_mut(nid);
             match dir {
-                PortDirection::Input => net.driver_port = Some(pid),
-                _ => {
-                    if !net.sink_ports.contains(&pid) {
-                        net.sink_ports.push(pid);
-                    }
-                }
-            }
+                PortDirection::Input => builder.connect_port_driver(nid, pid),
+                _ => builder.connect_port_sink(nid, pid),
+            };
         }
     }
 

@@ -127,10 +127,9 @@ impl Placer for HidapFlow {
                 // artifact cache: one `Gnet` build and one `Gseq` build per
                 // design (× register-width threshold for `Gseq`) across every
                 // run of a sweep or a multi-design service. Keyed off the
-                // *borrowed* request design (whose CSR view is cached), not
-                // the die-override clone whose connectivity cache starts
-                // empty — the graphs do not depend on the die, so the keys
-                // and graphs are identical either way.
+                // *borrowed* request design, not the die-override clone —
+                // the graphs do not depend on the die, so the keys and
+                // graphs are identical either way.
                 let gnet = ctx.artifacts().get_or_build_net(req.design);
                 let gseq = ctx
                     .artifacts()

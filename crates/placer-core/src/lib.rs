@@ -18,7 +18,7 @@
 //!   `--flow <name>` without hard-coding flow types,
 //! * [`DesignStore`] / [`PlacementService`] — the multi-design service
 //!   layer: designs interned behind cheap, refcounted [`DesignHandle`]s
-//!   with their derived artifacts (CSR connectivity, `Gnet`, `Gseq`) owned
+//!   with their derived artifacts (`Gnet`, `Gseq`) owned
 //!   centrally in a byte-budgeted [`eval::ArtifactCache`], and a queue of
 //!   heterogeneous [`PlaceJob`]s (designs × flows × seed/λ grids) drained
 //!   with per-job observers, cancellation and deterministic winners.

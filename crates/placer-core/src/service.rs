@@ -14,8 +14,8 @@
 //!   interleaving with other jobs never change it. Shared caches make warm
 //!   jobs *faster*, bit-identical, never different.
 //! * **artifact reuse** — every job runs in a context borrowing the store's
-//!   caches: the CSR connectivity is built once per design at intern time,
-//!   and the derived graphs (`Gnet`, `Gseq`) come from the store's
+//!   caches: each design carries its own CSR wiring from the moment it is
+//!   built, and the derived graphs (`Gnet`, `Gseq`) come from the store's
 //!   byte-budgeted [`crate::DesignStore`] artifact cache, so repeated
 //!   traffic against the same designs skips both the flow's graph
 //!   constructions and the dominant evaluation setup cost.
@@ -244,7 +244,7 @@ pub struct ServiceStats {
     pub interned_designs: usize,
     /// Identities whose design is currently resident.
     pub resident_designs: usize,
-    /// Resident bytes of the interned designs (CSR views included).
+    /// Resident bytes of the interned designs (their wiring included).
     pub design_bytes: usize,
     /// Resident bytes of the cached artifacts.
     pub artifact_bytes: usize,
@@ -261,11 +261,6 @@ pub struct ServiceStats {
     /// Per-kind artifact hit/miss/evict/spill/revive counters and byte
     /// accounting.
     pub artifacts: eval::ArtifactCacheStats,
-    /// CSR connectivity views spilled to disk on design eviction.
-    pub csr_spills: u64,
-    /// CSR connectivity views revived from disk at intern time (each skips
-    /// a full connectivity reconstruction).
-    pub csr_revives: u64,
     /// Warm-start seeds persisted to the spill directory after successful
     /// jobs (see [`crate::seeds`]).
     pub seed_spills: u64,
@@ -338,8 +333,8 @@ impl PlacementService {
     }
 
     /// Attaches a disk spill tier rooted at `dir` (see
-    /// [`DesignStore::with_spill_dir`]). On top of the store's artifact and
-    /// CSR spilling, the *service* persists every successful job's winning
+    /// [`DesignStore::with_spill_dir`]). On top of the store's artifact
+    /// spilling, the *service* persists every successful job's winning
     /// placement as a warm-start seed file and revives it to serve replace
     /// jobs whose base result is gone — so `replace` survives a daemon
     /// restart pointed at the same directory (see [`crate::seeds`]).
@@ -458,8 +453,6 @@ impl PlacementService {
             memory_budget: self.store.memory_budget(),
             design_evictions: self.store.design_evictions(),
             artifacts: self.store.artifacts().stats(),
-            csr_spills: self.store.csr_spills(),
-            csr_revives: self.store.csr_revives(),
             seed_spills: self.seed_spills,
             seed_revives: self.seed_revives,
         }

@@ -7,9 +7,10 @@
 //! * designs are **interned** — inserting the same design (same
 //!   [`DesignKey`] plus geometry fingerprint) twice returns the same dense,
 //!   copyable [`DesignHandle`],
-//! * the CSR [`netlist::Connectivity`] view is **built once per design** at
-//!   intern time and travels with the stored design, so every job placing or
-//!   evaluating through the store reuses it,
+//! * the CSR [`netlist::Connectivity`] is the design's own wiring, packed
+//!   when the design was built and stored with it, so interning computes no
+//!   wiring and every job placing or evaluating through the store reads the
+//!   same arrays,
 //! * the derived graphs (`Gnet`, `Gseq`) live in one **byte-budgeted**
 //!   [`ArtifactCache`] shared by every context the store hands out — a warm
 //!   design skips both the hidap flow's graph constructions and the dominant
@@ -34,13 +35,13 @@
 //! # Memory budget
 //!
 //! [`DesignStore::with_memory_budget`] bounds the store's total resident
-//! bytes — interned designs (with their CSR views) *plus* cached artifacts,
+//! bytes — interned designs (their wiring included) *plus* cached artifacts,
 //! both measured through [`netlist::HeapSize`]. The artifact cache enforces
 //! its share continuously; designs are evicted least-recently-interned
 //! first, but **only when unreferenced**, whenever an intern or release
 //! leaves the store over budget. An evicted design keeps its handle and its
-//! slot: re-interning an equal design revives the same handle, rebuilds the
-//! CSR view, and later fetches rebuild its artifacts on demand. With live
+//! slot: re-interning an equal design revives the same handle, and later
+//! fetches rebuild its artifacts on demand. With live
 //! references everywhere, the budget is a soft target — the store never
 //! invalidates a handle a caller still holds.
 
@@ -142,15 +143,10 @@ pub struct DesignStore {
     /// The most recent design evictions, newest last (bounded to
     /// [`DesignStore::EVICTION_LOG_CAP`] entries).
     eviction_log: VecDeque<EvictionRecord>,
-    /// The optional disk spill tier (shared with [`DesignStore::artifacts`]):
-    /// design eviction spills the cached CSR view, and intern tries to
-    /// revive one before rebuilding. `None` = no spilling (the default).
+    /// The optional disk spill tier, shared with [`DesignStore::artifacts`]
+    /// and with the service's warm-start seeds. `None` = no spilling (the
+    /// default).
     spill: Option<SpillTier>,
-    /// CSR connectivity views written to the spill tier on design eviction.
-    csr_spills: u64,
-    /// CSR views revived from the spill tier at intern time (each one skips
-    /// a full connectivity reconstruction).
-    csr_revives: u64,
 }
 
 impl Default for DesignStore {
@@ -173,8 +169,6 @@ impl DesignStore {
             eviction_log: VecDeque::new(),
             peak_bytes: 0,
             spill: None,
-            csr_spills: 0,
-            csr_revives: 0,
         }
     }
 
@@ -193,14 +187,10 @@ impl DesignStore {
 
     /// Attaches a disk spill tier rooted at `dir` to this store *and* its
     /// artifact cache (they share the directory, so one `--spill-dir` serves
-    /// all three spillable kinds — `Gnet`, `Gseq` and the CSR view; see
-    /// `docs/MEMORY.md`). With a tier attached:
-    ///
-    /// * evicting a design spills its cached CSR connectivity view to
-    ///   `csr-<fingerprint>.spill`,
-    /// * [`DesignStore::intern`] tries to revive a spilled CSR — verified
-    ///   against the incoming design — before rebuilding it from scratch,
-    /// * the artifact cache spills and revives `Gnet`/`Gseq` the same way.
+    /// the spillable artifacts `Gnet` and `Gseq` and the service's
+    /// warm-start seeds; see `docs/MEMORY.md`). Evicting a design writes
+    /// nothing: a design is always born with its wiring, so there is no
+    /// derived design state to revive.
     ///
     /// Spilling is strictly a timing optimization: revived structures are
     /// verified bit-identical, and every disk failure degrades to a plain
@@ -218,49 +208,15 @@ impl DesignStore {
         self.spill.as_ref()
     }
 
-    /// CSR connectivity views spilled to disk on design eviction.
-    pub fn csr_spills(&self) -> u64 {
-        self.csr_spills
-    }
-
-    /// CSR connectivity views revived from disk at intern time.
-    pub fn csr_revives(&self) -> u64 {
-        self.csr_revives
-    }
-
-    /// Tries to serve the design's CSR view from the spill tier: computes
-    /// the streaming connectivity fingerprint (no materialization), probes
-    /// `csr-<fingerprint>.spill`, and installs the decoded view after
-    /// verifying it matches this exact design. On success the later
-    /// [`DesignKey::of`] finds the view already cached and skips the
-    /// rebuild. Any failure leaves the design untouched.
-    fn try_revive_csr(&mut self, design: &Design) {
-        let Some(tier) = &self.spill else { return };
-        if design.cached_connectivity().is_some() {
-            return;
-        }
-        let fp = netlist::Connectivity::fingerprint_of(design);
-        let Some(payload) = tier.load(&format!("csr-{fp:016x}"), fp) else { return };
-        let Some(view) = netlist::Connectivity::decode(&payload) else { return };
-        if design.install_connectivity(view) {
-            self.csr_revives += 1;
-        }
-    }
-
     /// Interns a design and adds one reference to it.
     ///
     /// Returns the existing handle when a design with the same identity
     /// ([`DesignKey`] plus geometry fingerprint) was interned before —
-    /// reviving the slot (re-storing the design, rebuilding its CSR view)
-    /// if it had been evicted. Otherwise stores the design under a new
-    /// dense handle. Callers that are done with a handle pair each `intern`
-    /// with a [`DesignStore::release`].
+    /// reviving the slot (re-storing the design) if it had been evicted.
+    /// Otherwise stores the design under a new dense handle. Callers that
+    /// are done with a handle pair each `intern` with a
+    /// [`DesignStore::release`].
     pub fn intern(&mut self, design: Design) -> DesignHandle {
-        // with a spill tier, a previously evicted design's CSR view revives
-        // from disk here, so the keying below skips the reconstruction
-        self.try_revive_csr(&design);
-        // keying builds the CSR view; it stays cached inside the stored
-        // design, so every later borrower gets it for free
         let key = DesignKey::of(&design);
         let geometry = design.geometry_fingerprint();
         self.clock += 1;
@@ -467,7 +423,7 @@ impl DesignStore {
         &self.artifacts
     }
 
-    /// Resident bytes of the interned designs (their CSR views included).
+    /// Resident bytes of the interned designs (their wiring included).
     pub fn design_bytes(&self) -> usize {
         self.slots.iter().filter(|s| s.design.is_some()).map(|s| s.bytes).sum()
     }
@@ -631,20 +587,6 @@ impl DesignStore {
     /// resident geometry variant still shares the same identity key),
     /// logging the eviction.
     fn evict_slot(&mut self, i: usize) {
-        // demote the design's CSR view to the spill tier before dropping it:
-        // a re-intern revives it by deserialization instead of rebuilding
-        if let Some(tier) = &self.spill {
-            if let Some(view) =
-                self.slots[i].design.as_deref().and_then(|d| d.cached_connectivity())
-            {
-                let fp = view.fingerprint();
-                let mut payload = Vec::new();
-                view.encode(&mut payload);
-                if tier.store(&format!("csr-{fp:016x}"), fp, &payload) {
-                    self.csr_spills += 1;
-                }
-            }
-        }
         let bytes = self.slots[i].bytes;
         self.slots[i].design = None;
         self.slots[i].bytes = 0;
@@ -784,6 +726,10 @@ mod tests {
         assert!(store.is_resident(a));
         assert_eq!(store.ref_count(a), 1);
         assert_eq!(store.design(a).name(), "alpha");
+        // a fresh store (the daemon-restart case) keys an equal design alike
+        let mut other = DesignStore::new();
+        let b = other.intern(design("alpha", "r_reg[0]"));
+        assert_eq!(other.key(b), store.key(a), "identity keys match across stores");
     }
 
     #[test]
@@ -853,14 +799,7 @@ mod tests {
     #[test]
     fn redundant_release_does_not_perturb_eviction_recency() {
         use netlist::HeapSize;
-        // materialize the CSR views first so the byte accounting below
-        // matches what intern() will record
-        let build = |name| {
-            let d = design(name, "r_reg[0]");
-            d.connectivity();
-            d
-        };
-        let (da, db, dc) = (build("alpha"), build("beta"), build("gamma"));
+        let [da, db, dc] = ["alpha", "beta", "gamma"].map(|name| design(name, "r_reg[0]"));
         // room for two of the three designs: interning the third must evict
         // exactly one unreferenced design
         let budget = da.heap_bytes() + db.heap_bytes() + dc.heap_bytes() - 1;
@@ -1014,59 +953,6 @@ mod tests {
         assert_eq!(store.design(a).cell(ram).width, 200, "nothing was applied");
     }
 
-    fn spill_scratch(test: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("hidap-store-{}-{test}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    #[test]
-    fn evicted_csr_spills_and_revives_across_store_lifetimes() {
-        let dir = spill_scratch("csr-revive");
-        let mut store = DesignStore::new().with_spill_dir(&dir);
-        let a = store.intern(design("alpha", "r_reg[0]"));
-        let fp = store.design(a).connectivity().fingerprint();
-        store.release(a);
-        store.evict_unreferenced();
-        assert_eq!(store.csr_spills(), 1, "eviction demotes the CSR view to disk");
-
-        // same store: re-interning revives the CSR from disk, bit-identical
-        let d = design("alpha", "r_reg[0]");
-        assert!(d.cached_connectivity().is_none());
-        let revived = store.intern(d);
-        assert_eq!(revived, a);
-        assert_eq!(store.csr_revives(), 1, "re-intern deserializes instead of rebuilding");
-        assert_eq!(store.design(a).connectivity().fingerprint(), fp);
-
-        // fresh store over the same directory: the daemon-restart case
-        let mut store2 = DesignStore::new().with_spill_dir(&dir);
-        let b = store2.intern(design("alpha", "r_reg[0]"));
-        assert_eq!(store2.csr_revives(), 1);
-        assert_eq!(store2.design(b).connectivity().fingerprint(), fp);
-        assert_eq!(store2.key(b), store.key(a), "revived identity keys match");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_csr_spill_degrades_to_a_rebuild() {
-        let dir = spill_scratch("csr-corrupt");
-        let mut store = DesignStore::new().with_spill_dir(&dir);
-        let a = store.intern(design("alpha", "r_reg[0]"));
-        let fp = store.design(a).connectivity().fingerprint();
-        store.release(a);
-        store.evict_unreferenced();
-        // truncate every spill file in the directory
-        for entry in std::fs::read_dir(&dir).unwrap().filter_map(|e| e.ok()) {
-            let bytes = std::fs::read(entry.path()).unwrap();
-            std::fs::write(entry.path(), &bytes[..bytes.len() / 2]).unwrap();
-        }
-        let b = store.intern(design("alpha", "r_reg[0]"));
-        assert_eq!(b, a);
-        assert_eq!(store.csr_revives(), 0, "a corrupt file is a plain rebuild, not an error");
-        assert_eq!(store.design(a).connectivity().fingerprint(), fp, "the rebuild is identical");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     #[test]
     fn without_a_spill_dir_nothing_touches_disk_counters() {
         let mut store = DesignStore::new();
@@ -1074,7 +960,6 @@ mod tests {
         store.release(a);
         store.evict_unreferenced();
         store.intern(design("alpha", "r_reg[0]"));
-        assert_eq!((store.csr_spills(), store.csr_revives()), (0, 0));
         assert!(store.spill_tier().is_none());
     }
 

@@ -544,8 +544,6 @@ impl Server {
         reply(
             out,
             Frame::new("spill")
-                .field("csr_spills", stats.csr_spills)
-                .field("csr_revives", stats.csr_revives)
                 .field("seed_spills", stats.seed_spills)
                 .field("seed_revives", stats.seed_revives),
         )?;

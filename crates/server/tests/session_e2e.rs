@@ -26,12 +26,10 @@ fn preset(name: &str) -> Option<netlist::design::Design> {
     Some(SocGenerator::new(config).generate().design)
 }
 
-/// Bytes a preset will pin once interned (CSR view included).
+/// Bytes a preset will pin once interned (its wiring included).
 fn preset_bytes(name: &str) -> usize {
     use netlist::HeapSize;
-    let design = preset(name).unwrap();
-    design.connectivity();
-    design.heap_bytes()
+    preset(name).unwrap().heap_bytes()
 }
 
 /// A server whose store holds `small` (pinned) but not `small` + `large`.

@@ -86,7 +86,7 @@ pub fn adv_fanout() -> Design {
     design.set_die(die);
     for (i, pid) in design.port_ids().enumerate().collect::<Vec<_>>() {
         let frac = (i + 1) as f64 / 9.0;
-        design.port_mut(pid).position = Some(Point::new(0, (die.height() as f64 * frac) as Dbu));
+        design.set_port_position(pid, Some(Point::new(0, (die.height() as f64 * frac) as Dbu)));
     }
     design
 }
@@ -279,7 +279,8 @@ mod tests {
     fn fanout_preset_has_broadcast_nets_and_pinned_identity() {
         let d = adv_fanout();
         d.validate().expect("consistent design");
-        let max_degree = d.net_ids().map(|n| d.net(n).degree()).max().expect("design has nets");
+        let max_degree =
+            d.net_ids().map(|n| d.connectivity().degree(n)).max().expect("design has nets");
         assert!(max_degree >= 385, "broadcast nets fan out to every flop, got {max_degree}");
         // pinned id-family counts + identity fingerprints (mega_soc pattern)
         assert_eq!(d.num_cells(), 391);

@@ -64,17 +64,16 @@ pub fn emit_verilog(design: &Design) -> String {
             nets_of_group.entry(group.to_string()).or_default().insert(net);
             groups_of_net.entry(net).or_default().insert(group.to_string());
         };
+    let csr = design.connectivity();
     for (group, cells) in &groups {
         for &c in cells {
-            let cell = design.cell(c);
-            for &n in cell.fanin.iter().chain(cell.fanout.iter()) {
+            for &n in csr.nets_of(c) {
                 register_use(group, n, &mut nets_of_group, &mut groups_of_net);
             }
         }
     }
     for &c in &root_cells {
-        let cell = design.cell(c);
-        for &n in cell.fanin.iter().chain(cell.fanout.iter()) {
+        for &n in csr.nets_of(c) {
             register_use("<top>", n, &mut nets_of_group, &mut groups_of_net);
         }
     }
@@ -103,14 +102,13 @@ pub fn emit_verilog(design: &Design) -> String {
         let _ = write!(out, "{}", port_list.join(", "));
         let _ = writeln!(out, ");");
         for &n in &boundary {
-            // direction: output if driven inside this group, else input
-            let net = design.net(n);
-            let driven_inside = net
-                .driver_cell
-                .map(|d| top_component(design, d).as_deref() == Some(group.as_str()))
-                .unwrap_or(false);
+            // direction: output if driven inside this group, else input (a
+            // net's first driver pin is its driving cell, if it has one)
+            let driver = csr.pins(n).iter().find(|p| p.is_driver()).and_then(|p| p.cell());
+            let driven_inside =
+                driver.is_some_and(|d| top_component(design, d).as_deref() == Some(group.as_str()));
             let dir = if driven_inside { "output" } else { "input" };
-            let _ = writeln!(out, "  {dir} {};", escape(&net.name));
+            let _ = writeln!(out, "  {dir} {};", escape(&design.net(n).name));
         }
         for &n in nets_of_group[group].iter() {
             if !is_boundary(group, n) {
@@ -176,11 +174,12 @@ pub fn emit_verilog(design: &Design) -> String {
 fn emit_instance(out: &mut String, design: &Design, cell_id: CellId, _group: Option<&str>) {
     let cell = design.cell(cell_id);
     let _ = write!(out, "  {} {} (", escape(&cell.lib_cell), escape(&cell.name));
+    let csr = design.connectivity();
     let mut conns: Vec<String> = Vec::new();
-    for (i, &n) in cell.fanin.iter().enumerate() {
+    for (i, &n) in csr.fanin(cell_id).iter().enumerate() {
         conns.push(format!(".D{i}({})", escape(&design.net(n).name)));
     }
-    for (i, &n) in cell.fanout.iter().enumerate() {
+    for (i, &n) in csr.fanout(cell_id).iter().enumerate() {
         conns.push(format!(".Q{i}({})", escape(&design.net(n).name)));
     }
     let _ = write!(out, "{}", conns.join(", "));

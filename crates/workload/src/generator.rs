@@ -314,12 +314,12 @@ fn place_ports_on_boundary(design: &mut Design, die: Rect) {
     for (i, &p) in inputs.iter().enumerate() {
         let frac = (i + 1) as f64 / (inputs.len() + 1) as f64;
         let pos = Point::new(die.llx, die.lly + (die.height() as f64 * frac) as Dbu);
-        design.port_mut(p).position = Some(pos);
+        design.set_port_position(p, Some(pos));
     }
     for (i, &p) in outputs.iter().enumerate() {
         let frac = (i + 1) as f64 / (outputs.len() + 1) as f64;
         let pos = Point::new(die.urx, die.lly + (die.height() as f64 * frac) as Dbu);
-        design.port_mut(p).position = Some(pos);
+        design.set_port_position(p, Some(pos));
     }
 }
 

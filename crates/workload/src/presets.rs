@@ -295,7 +295,7 @@ pub fn fig3_design() -> Design {
     design.set_die(die);
     for (i, pid) in design.port_ids().enumerate().collect::<Vec<_>>() {
         let frac = (i + 1) as f64 / (bits + 1) as f64;
-        design.port_mut(pid).position = Some(Point::new(0, (die.height() as f64 * frac) as Dbu));
+        design.set_port_position(pid, Some(Point::new(0, (die.height() as f64 * frac) as Dbu)));
     }
     design
 }

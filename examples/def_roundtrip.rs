@@ -38,11 +38,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let opts = ElaborateOptions { library: lef.library.clone(), ..Default::default() };
     let mut design = parse_verilog(&verilog_text, Some("roundtrip_soc"), &opts)?;
     design.set_die(generated.design.die());
-    for (pid, port) in generated.design.ports() {
-        if let (Some(pos), Some(new_pid)) =
-            (port.position, design.find_port(&generated.design.port(pid).name))
-        {
-            design.port_mut(new_pid).position = Some(pos);
+    for (_, port) in generated.design.ports() {
+        if let (Some(pos), Some(new_pid)) = (port.position, design.find_port(&port.name)) {
+            design.set_port_position(new_pid, Some(pos));
         }
     }
     println!(

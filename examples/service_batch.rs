@@ -18,9 +18,9 @@ use workload::presets::{fig1_design, fig3_design};
 fn main() {
     let mut service = PlacementService::new(baselines::default_registry());
 
-    // Intern both presets: each design gets a cheap copyable handle, its CSR
-    // connectivity is built once, and its derived graphs (Gnet, Gseq) will
-    // live in the store's byte-budgeted artifact cache shared by every job.
+    // Intern both presets: each design gets a cheap copyable handle, and its
+    // derived graphs (Gnet, Gseq) will live in the store's byte-budgeted
+    // artifact cache shared by every job.
     let fig1 = service.intern(fig1_design().design);
     let fig3 = service.intern(fig3_design());
 

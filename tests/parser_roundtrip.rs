@@ -84,4 +84,17 @@ fn def_roundtrip_preserves_placement() {
     for placed in &placement.macros {
         assert_eq!(restored[&placed.cell], (placed.location, placed.orientation));
     }
+    // a design re-parsed from the emitted Verilog starts with every port
+    // unplaced; the DEF places each one where the generator did
+    let opts = ElaborateOptions { library: generated.library.clone(), ..Default::default() };
+    let mut reparsed =
+        parse_verilog(&emit_verilog(design), Some("rt_soc"), &opts).expect("emitted Verilog");
+    assert!(reparsed.ports().all(|(_, p)| p.position.is_none()));
+    assert!(design.ports().all(|(_, p)| p.position.is_some()));
+    parsed.apply_to(&mut reparsed);
+    assert_eq!(reparsed.num_ports(), design.num_ports());
+    for (_, port) in design.ports() {
+        let id = reparsed.find_port(&port.name).expect("port survives the round trip");
+        assert_eq!(reparsed.port(id).position, port.position, "position of {}", port.name);
+    }
 }
