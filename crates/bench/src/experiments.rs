@@ -15,8 +15,8 @@ use workload::presets::generate_circuit;
 /// The ~1M-cell `mega_soc` scale scenario is deliberately *not* part of the
 /// default set (a three-flow comparison at that size takes hours); request it
 /// explicitly with `--circuits mega_soc` — `generate_circuit` resolves it —
-/// or use `bench_placer --scale-sweep` for the single-flow scaling curve
-/// (see `docs/SCALING.md`).
+/// or run `hidap --report` on the emitted `mega_soc` files for one flow at
+/// that scale (see `docs/SCALING.md`).
 pub const TABLE_SCENARIOS: [&str; 9] =
     ["c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8", "large_soc"];
 

@@ -14,7 +14,6 @@
 //! | `lambda_sweep` | the λ ∈ {0.2, 0.5, 0.8} exploration of Sect. V |
 //! | `ablation_decluster` | sensitivity to `min_area` / `open_area` (Sect. IV-B) |
 //! | `ablation_score_k` | sensitivity to the latency exponent k (Sect. IV-D) |
-//! | `bench_placer` | hashmap-vs-dense placer + HPWL microbench → `BENCH_placer.json` |
 //!
 //! Every binary accepts `--effort fast|default|paper` (default `fast`) and,
 //! where applicable, `--circuits c1,c2,...`.

@@ -1,9 +1,11 @@
-//! Reference implementations kept as the *before* side of the
-//! `bench_placer` comparisons. They must produce exactly the same results as
-//! the current implementations — the bench binary asserts it — so the
-//! speedup numbers compare identical work. Every one of them reads the
-//! design's one wiring, the CSR [`netlist::Connectivity`]; what they keep is
-//! the older algorithm around it.
+//! Reference implementations that tests compare the current ones against.
+//! They must produce exactly the same results: `tests/scale_sweep.rs`
+//! checks the placer and HPWL at each scale point, the tests below check
+//! the one-shot pipeline against a reused [`eval::Evaluator`], and
+//! `tests/eco_fuzz.rs` re-derives ECO metrics with
+//! [`evaluate_placement_reference`]. Every one of them reads the design's
+//! one wiring, the CSR [`netlist::Connectivity`]; what they keep is the
+//! older algorithm around it.
 //!
 //! Two generations are kept:
 //!
@@ -22,10 +24,35 @@ use eval::{CellPlacement, EvalConfig, Hpwl, PlacementMetrics, PlacerConfig};
 use geometry::{Orientation, Point, Rect};
 use graphs::seqgraph::SeqGraphConfig;
 use graphs::{NetGraph, SeqGraph};
+use hidap::{MacroPlacement, PlacedMacro};
 use netlist::design::{CellId, CellKind, Design};
 use netlist::PinRef;
 use rand::{ChaCha8Rng, Rng, SeedableRng};
 use std::collections::HashMap;
+
+/// A deterministic macro grid placement, the fixture the reference
+/// comparisons place standard cells around. `rotation` shifts which macro
+/// lands in which grid slot, so rotations give distinct candidates.
+pub fn grid_macro_placement(design: &Design, rotation: usize) -> MacroPlacement {
+    let die = design.die();
+    let macros: Vec<CellId> = design.macros().collect();
+    let cols = (macros.len() as f64).sqrt().ceil() as i64;
+    let mut placement = MacroPlacement::default();
+    for (i, &m) in macros.iter().enumerate() {
+        let cell = design.cell(m);
+        let slot = (i + rotation) % macros.len();
+        let col = slot as i64 % cols;
+        let row = slot as i64 / cols;
+        let x = (die.llx + col * die.width() / cols).min(die.urx - cell.width).max(die.llx);
+        let y = (die.lly + row * die.height() / cols).min(die.ury - cell.height).max(die.lly);
+        placement.macros.push(PlacedMacro {
+            cell: m,
+            location: Point::new(x, y),
+            orientation: Orientation::N,
+        });
+    }
+    placement
+}
 
 /// The pre-refactor standard-cell placer: every per-cell datum in a
 /// `HashMap<CellId, …>`, looked up once per pin of every net walk.
@@ -428,7 +455,8 @@ fn spread_dense(
 /// plus [`NetGraph::from_design_reference`] and a fresh `SeqGraph` rebuilt
 /// on every call — what `evaluate_placement` did before the reused
 /// [`eval::Evaluator`] session existed. Metrics are bit-identical to
-/// `Evaluator::evaluate`; the bench binary asserts it.
+/// `Evaluator::evaluate`; `reference_pipeline_matches_session_evaluator`
+/// asserts it.
 pub fn evaluate_placement_reference(
     design: &Design,
     macro_placement: &HashMap<CellId, (Point, Orientation)>,
@@ -527,29 +555,45 @@ mod tests {
     fn reference_pipeline_matches_session_evaluator() {
         let generated = generate_circuit("c1");
         let design = &generated.design;
-        let mut mp = HashMap::new();
-        for (i, m) in design.macros().enumerate() {
-            let cell = design.cell(m);
-            let die = design.die();
-            let x = die.llx + (i as i64 % 6) * (die.width() / 6);
-            let y = die.lly + (i as i64 / 6) * (die.height() / 6);
-            mp.insert(
-                m,
-                (
-                    Point::new(x.min(die.urx - cell.width), y.min(die.ury - cell.height)),
-                    Orientation::N,
-                ),
-            );
-        }
         let cfg = EvalConfig::standard();
-        // the rescan placer is bit-identical to the incremental-sum placer
-        let rescan = place_standard_cells_rescan(design, &mp, &cfg.placer);
-        let current = eval::place_standard_cells(design, &mp, &cfg.placer);
-        assert_eq!(rescan, current);
-        // and the preserved one-shot pipeline matches the session evaluator
-        let reference = evaluate_placement_reference(design, &mp, &cfg);
-        let session = eval::Evaluator::new(cfg).evaluate(design, &mp);
-        assert_eq!(reference, session);
+        let candidates: Vec<MacroPlacement> =
+            (0..4).map(|c| grid_macro_placement(design, c * 7 + 1)).collect();
+
+        // the preserved one-shot pipeline: a map and a fresh Gseq per candidate
+        let one_shot: Vec<PlacementMetrics> = candidates
+            .iter()
+            .map(|candidate| {
+                let mp = candidate.to_map();
+                // the rescan placer is bit-identical to the incremental-sum placer
+                let rescan = place_standard_cells_rescan(design, &mp, &cfg.placer);
+                assert_eq!(rescan, eval::place_standard_cells(design, &mp, &cfg.placer));
+                evaluate_placement_reference(design, &mp, &cfg)
+            })
+            .collect();
+
+        // one reused session
+        let mut reused = eval::Evaluator::new(cfg);
+        let serial: Vec<PlacementMetrics> =
+            candidates.iter().map(|candidate| reused.evaluate(design, candidate)).collect();
+        assert_eq!(one_shot, serial, "one-shot and reused-session metrics disagree");
+        assert_eq!(reused.cache().stats().seq.misses, 1, "a reused session builds one Gseq");
+
+        // per-thread clones of one session on two threads share its cache
+        let session = eval::Evaluator::new(cfg);
+        let parallel: Vec<PlacementMetrics> = std::thread::scope(|scope| {
+            let workers: Vec<_> = candidates
+                .chunks(2)
+                .map(|chunk| {
+                    let mut worker = session.clone();
+                    scope.spawn(move || {
+                        chunk.iter().map(|c| worker.evaluate(design, c)).collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers.into_iter().flat_map(|w| w.join().expect("evaluation worker")).collect()
+        });
+        assert_eq!(one_shot, parallel, "one-shot and per-thread-clone metrics disagree");
+        assert_eq!(session.cache().stats().seq.misses, 1, "the clones share one Gseq");
     }
 
     #[test]

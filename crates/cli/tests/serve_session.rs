@@ -66,7 +66,6 @@ fn serve_session_places_files_with_priorities_and_zero_warm_rebuilds() {
         ])
         .unwrap();
         let (design, _) = cli::load_design(&opts).unwrap();
-        design.connectivity();
         design.heap_bytes()
     };
     let large_bytes = {
@@ -79,7 +78,6 @@ fn serve_session_places_files_with_priorities_and_zero_warm_rebuilds() {
         ])
         .unwrap();
         let (design, _) = cli::load_design(&opts).unwrap();
-        design.connectivity();
         design.heap_bytes()
     };
     let budget_mib = (small_bytes + large_bytes / 2) as f64 / (1u64 << 20) as f64;

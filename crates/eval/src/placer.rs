@@ -22,7 +22,8 @@
 //! (Σ degree listing-visits per iteration instead of Σ degree² pin-visits),
 //! which is bit-identical to rescanning every net's pins because the star
 //! sums are integer arithmetic; `bench::reference` preserves the rescan
-//! formulation and `bench_placer` asserts the equality at `large_soc` scale.
+//! formulation, and its `reference_pipeline_matches_session_evaluator` test
+//! asserts the equality.
 
 use crate::grid::BinGrid;
 use crate::wirelength::total_hpwl_with_ports;

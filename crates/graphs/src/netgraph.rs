@@ -91,11 +91,11 @@ impl NetGraph {
         Self { num_cells, num_ports, succ, pred }
     }
 
-    /// The first construction, kept as the *before* side of the
-    /// `bench_placer` evaluation-boundary comparison: fresh driver and sink
-    /// lists per net instead of reused scratch buffers. It reads the same
-    /// CSR pins as [`NetGraph::from_design`] and produces an identical graph
-    /// (the sort + dedup canonicalizes edge order).
+    /// The first construction, kept as the reference that
+    /// `bench::reference::evaluate_placement_reference` builds on: fresh
+    /// driver and sink lists per net instead of reused scratch buffers. It
+    /// reads the same CSR pins as [`NetGraph::from_design`] and produces an
+    /// identical graph (the sort + dedup canonicalizes edge order).
     pub fn from_design_reference(design: &Design) -> Self {
         let csr = design.connectivity();
         let num_cells = design.num_cells();

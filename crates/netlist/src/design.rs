@@ -234,6 +234,7 @@ impl Design {
     /// The design's wiring: the flat CSR cell↔net incidence (see
     /// [`crate::connectivity`]). Packed by [`DesignBuilder::build`] and
     /// rewritten in place by [`Design::apply_edits`].
+    #[must_use]
     pub fn connectivity(&self) -> &Connectivity {
         &self.connectivity
     }

@@ -288,8 +288,6 @@ mod tests {
         // rejected with the remedy in the message
         let small = pipeline_design("small", 4);
         let large = pipeline_design("large", 64);
-        small.connectivity();
-        large.connectivity();
         let budget = small.heap_bytes() + large.heap_bytes() / 2;
         let service = PlacementService::with_store(
             builtin_registry(),

@@ -1042,6 +1042,7 @@ mod tests {
         svc.run_all();
         let warm_stats = svc.store().artifacts().stats();
         assert!(warm_stats.seq.hits >= 3, "warm pass reuses the stored graphs");
+        assert!(warm_stats.net.hits > cold_stats.net.hits, "warm pass reuses the netlist graphs");
         assert_eq!(warm_stats.seq.misses, 3, "warm pass builds no sequential graph");
         assert_eq!(warm_stats.net.misses, 3, "warm pass builds no netlist graph");
         for (c, w) in cold.into_iter().zip(warm) {
@@ -1091,6 +1092,75 @@ mod tests {
         assert!(result.outcome.metrics.is_some());
         // the base result was only referenced, never consumed
         assert!(svc.take_result(base).unwrap().is_ok());
+    }
+
+    /// The ECO loop on a generated fleet design: the first macro made 10%
+    /// wider and re-placed by a replace job. The replace skips the global
+    /// stages the base job ran, builds no graph, stays legal, and equals the
+    /// warm flow run directly on the edited design.
+    #[test]
+    fn replace_job_matches_the_direct_warm_flow_and_skips_the_global_stages() {
+        use crate::context::PlaceContext;
+
+        let config = workload::presets::service_fleet_config(0, 0.05);
+        let design = workload::SocGenerator::new(config).generate().design;
+        let ram = design.macros().next().expect("fleet designs carry macros");
+        let (width, height) = (design.cell(ram).width, design.cell(ram).height);
+        let edits =
+            vec![netlist::DesignEdit::ResizeCell { cell: ram, width: width * 11 / 10, height }];
+        let mut edited = design.clone();
+        let log = edited.apply_edits(&edits).expect("the resize applies");
+        assert!(log.diff.is_pure_geometry(), "a resize keeps the design identity");
+
+        let mut svc = service();
+        let d = svc.intern(design);
+        let spec = || {
+            PlaceJob::new(d, "hidap")
+                .with_effort(EffortLevel::Fast)
+                .with_evaluation(EvalConfig::standard())
+        };
+        let base = svc.submit(spec());
+        svc.run_all();
+        let base_stats = svc.store().artifacts().stats();
+        let replace = svc.submit(spec().with_replace(base, edits));
+        svc.run_all();
+        let warm = svc.take_result(replace).unwrap().unwrap();
+        let warm_stats = svc.store().artifacts().stats();
+        assert_eq!(warm_stats.seq.misses, base_stats.seq.misses, "the replace builds no Gseq");
+        assert_eq!(warm_stats.net.misses, base_stats.net.misses, "the replace builds no Gnet");
+        assert!(warm.edit_log.as_ref().expect("edit log").diff.is_pure_geometry());
+        assert!(warm.outcome.placement.is_legal(&edited), "the replace stays legal");
+
+        let base = svc.take_result(base).unwrap().unwrap().outcome;
+        let stages = |outcome: &PlaceOutcome| -> Vec<String> {
+            outcome.stage_timings.iter().map(|t| t.stage.clone()).collect()
+        };
+        let (base_stages, warm_stages) = (stages(&base), stages(&warm.outcome));
+        for stage in ["hierarchy", "shape_curves", "floorplan"] {
+            assert!(base_stages.iter().any(|s| s == stage), "base lacks {stage}: {base_stages:?}");
+            assert!(warm_stages.iter().all(|s| s != stage), "replace ran {stage}: {warm_stages:?}");
+        }
+        for stage in ["legalize", "flipping", "evaluate"] {
+            assert!(
+                warm_stages.iter().any(|s| s == stage),
+                "replace lacks {stage}: {warm_stages:?}"
+            );
+        }
+
+        let base_cells = &base.metrics.as_ref().expect("base evaluated").cell_placement;
+        let request = PlaceRequest::new(&edited)
+            .with_seed(1)
+            .with_effort(EffortLevel::Fast)
+            .with_evaluation(EvalConfig::standard())
+            .with_warm_start(&base.placement)
+            .with_warm_cells(base_cells);
+        let direct = builtin_registry()
+            .create("hidap")
+            .unwrap()
+            .place(&request, &mut PlaceContext::new())
+            .unwrap();
+        assert_eq!(warm.outcome.placement, direct.placement, "replace and direct warm flow differ");
+        assert_eq!(warm.outcome.metrics, direct.metrics, "replace and direct warm metrics differ");
     }
 
     #[test]

@@ -157,6 +157,7 @@ fn evicted_and_rebuilt_results_are_bit_identical() {
     let mut service = PlacementService::with_store(placer_core::builtin_registry(), store);
     let handle = service.intern(pool_design(0));
     let cold = run_job(&mut service, handle, 7);
+    let cold_stats = service.store().artifacts().stats();
 
     service.release(handle);
     assert!(!service.store().is_resident(handle), "zero budget evicts on release");
@@ -167,4 +168,9 @@ fn evicted_and_rebuilt_results_are_bit_identical() {
     let rebuilt = run_job(&mut service, handle, 7);
     assert_eq!(cold.outcome.placement, rebuilt.outcome.placement);
     assert_eq!(cold.outcome.metrics, rebuilt.outcome.metrics);
+
+    // the rebuilt pass really rebuilt: one more build of each graph kind
+    let rebuilt_stats = service.store().artifacts().stats();
+    assert_eq!(rebuilt_stats.net.misses, cold_stats.net.misses + 1, "Gnet rebuilt after eviction");
+    assert_eq!(rebuilt_stats.seq.misses, cold_stats.seq.misses + 1, "Gseq rebuilt after eviction");
 }

@@ -10,6 +10,8 @@
 //!   **bit-identical** to the same replace run against the held base,
 //! * with no seed file present the structured dependency errors are
 //!   unchanged,
+//! * a fleet evicted to disk and re-interned places again with zero graph
+//!   builds, every graph revived, and the cold pass's results,
 //! * random schedules over a zero-budget store **with** a spill directory
 //!   (every eviction spills, every miss revives) match the unbounded,
 //!   spill-less oracle bit-identically.
@@ -130,6 +132,58 @@ fn without_a_seed_file_the_structured_errors_are_unchanged() {
     service.run_all();
     let err = service.take_result(replace).expect("ran").expect_err("no base, no seed");
     assert!(err.to_string().contains("never submitted"), "unexpected error: {err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The spill tier turns rebuilds into loads. A fleet placed cold on a
+/// spill-dir store, then released and evicted, leaves every `Gnet` and
+/// `Gseq` on disk; re-interned, it places again with zero graph builds
+/// (misses frozen at the cold count, one revive per graph) and the cold
+/// pass's results.
+#[test]
+fn evicted_fleet_revives_every_graph_from_disk_bit_identically() {
+    let dir = scratch("fleet-revive");
+    let fleet: Vec<netlist::design::Design> =
+        workload::presets::service_fleet(3, 0.05).into_iter().map(|g| g.design).collect();
+    let place_fleet = |service: &mut PlacementService, handles: &[DesignHandle]| {
+        let jobs: Vec<JobId> =
+            handles.iter().map(|&h| service.submit(evaluated_job(h, 1))).collect();
+        service.run_all();
+        jobs.into_iter()
+            .map(|j| service.take_result(j).expect("job ran").expect("job succeeded"))
+            .collect::<Vec<_>>()
+    };
+
+    let mut oracle = PlacementService::new(placer_core::builtin_registry());
+    let oracle_handles: Vec<_> = fleet.iter().map(|d| oracle.intern(d.clone())).collect();
+    let want = place_fleet(&mut oracle, &oracle_handles);
+
+    let mut service = PlacementService::new(placer_core::builtin_registry()).with_spill_dir(&dir);
+    let handles: Vec<_> = fleet.iter().map(|d| service.intern(d.clone())).collect();
+    let cold = place_fleet(&mut service, &handles);
+    for (got, want) in cold.iter().zip(&want) {
+        assert_eq!(got.outcome.placement, want.outcome.placement, "a spill dir moved a placement");
+        assert_eq!(got.outcome.metrics, want.outcome.metrics, "a spill dir moved the metrics");
+    }
+
+    for &h in &handles {
+        service.release(h);
+    }
+    assert_eq!(service.store_mut().evict_unreferenced(), 3, "every released design is evicted");
+    let evicted = service.store().artifacts().stats();
+    assert_eq!(evicted.spills(), 6, "eviction demotes every Gnet and Gseq to disk");
+    assert_eq!(evicted.resident_bytes, 0, "no graph stays resident");
+    let revived: Vec<_> = fleet.iter().map(|d| service.intern(d.clone())).collect();
+    assert_eq!(revived, handles, "re-interned designs revive their old handles");
+
+    let warm = place_fleet(&mut service, &handles);
+    let stats = service.store().artifacts().stats();
+    assert_eq!((stats.net.misses, stats.seq.misses), (3, 3), "the revived pass builds no graph");
+    assert_eq!((stats.net.revives, stats.seq.revives), (3, 3), "every graph is revived once");
+    for (cold, warm) in cold.iter().zip(&warm) {
+        assert_eq!(cold.outcome.placement, warm.outcome.placement, "revived placement differs");
+        assert_eq!(cold.outcome.metrics, warm.outcome.metrics, "revived metrics differ");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

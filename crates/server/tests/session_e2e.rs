@@ -180,10 +180,40 @@ drain
     assert!(cold_stats.seq.misses > 0, "the cold pass built graphs");
 
     // same commands again on the warm server: a second session, same store
-    let (_, warm) = run_script(&mut server, submit);
+    let (end, warm) = run_script(&mut server, submit);
+    assert_eq!(end, SessionEnd::Eof);
     let warm_stats = server.scheduler().service().store().artifacts().stats();
     assert_eq!(warm_stats.seq.misses, cold_stats.seq.misses, "zero warm seq-graph builds");
     assert_eq!(warm_stats.net.misses, cold_stats.net.misses, "zero warm net-graph builds");
+
+    // the wire reports exactly what a direct service run computes: `Display`
+    // of f64 and i128 is lossless, so equal strings are equal bits
+    let mut direct = PlacementService::new(placer_core::builtin_registry()).with_jobs(1);
+    let handle = direct.intern(preset("small").unwrap());
+    let job = direct.submit(
+        placer_core::PlaceJob::new(handle, "hidap")
+            .with_effort(placer_core::EffortLevel::Fast)
+            .with_seeds(vec![7])
+            .with_evaluation(eval::EvalConfig::standard()),
+    );
+    direct.run_all();
+    let outcome = direct.take_result(job).unwrap().unwrap().outcome;
+    let metrics = outcome.metrics.as_ref().expect("evaluated job");
+    let want = [
+        ("seed", outcome.seed.to_string()),
+        ("hpwl_dbu", metrics.hpwl.dbu.to_string()),
+        ("wirelength_m", metrics.wirelength_m.to_string()),
+        ("grc_percent", metrics.grc_percent().to_string()),
+        ("wns_percent", metrics.wns_percent().to_string()),
+        ("tns_ns", metrics.tns_ns().to_string()),
+    ];
+    for frames in [&cold, &warm] {
+        let done = named(frames, "job-done");
+        assert_eq!(done.len(), 1, "the session completes its one job");
+        for (key, value) in &want {
+            assert_eq!(done[0].get(key), Some(value.as_str()), "wire and direct {key} differ");
+        }
+    }
 
     // bit-identical completion frames modulo timing fields
     let strip = |frames: &[Frame]| -> Vec<Vec<(String, String)>> {
