@@ -11,12 +11,11 @@
 //! winner is picked deterministically (lowest wirelength, ties to the lowest
 //! grid index) regardless of the worker count.
 
-use eval::EvalConfig;
 use hidap::{HidapConfig, HidapError, HidapFlow, MacroPlacement};
 use netlist::design::Design;
 use placer_core::{
     BatchGrid, BatchOutcome, BatchRunner, EffortLevel, PlaceContext, PlaceError, PlaceOutcome,
-    PlaceRequest, Placer, WirelengthObjective,
+    PlaceRequest, Placer,
 };
 
 /// Configuration of the handFP proxy.
@@ -28,8 +27,6 @@ pub struct HandFpConfig {
     pub lambdas: Vec<f64>,
     /// Base placer configuration (effort knobs); seed and λ are overridden.
     pub base: HidapConfig,
-    /// Evaluation settings used to pick the winner.
-    pub eval: EvalConfig,
     /// Worker threads for the sweep (0 = all available cores).
     pub jobs: usize,
 }
@@ -40,7 +37,6 @@ impl Default for HandFpConfig {
             seeds: vec![1, 2, 3, 4],
             lambdas: vec![0.2, 0.5, 0.8],
             base: HidapConfig::high_effort(),
-            eval: EvalConfig::standard(),
             jobs: 0,
         }
     }
@@ -95,7 +91,9 @@ impl HandFp {
     }
 
     /// Runs the full seed×λ sweep through the engine's [`BatchRunner`],
-    /// returning the winner and every per-cell summary.
+    /// returning the winner and every per-cell summary. `template` names
+    /// the design and the evaluation every candidate is ranked by (the
+    /// standard evaluation when it has none).
     ///
     /// # Errors
     ///
@@ -104,32 +102,27 @@ impl HandFp {
     pub fn run_batch(
         &self,
         config: &HandFpConfig,
-        design: &Design,
+        template: &PlaceRequest<'_>,
         ctx: &mut PlaceContext,
     ) -> Result<BatchOutcome, PlaceError> {
         let placer = HidapFlow::new(config.base.clone());
         let grid = BatchGrid::new(config.seeds.clone(), config.lambdas.clone());
-        let runner = BatchRunner::new()
-            .with_jobs(config.jobs)
-            .with_objective(Box::new(WirelengthObjective { eval: config.eval }));
-        runner.run(&placer, &PlaceRequest::new(design), &grid, ctx)
+        BatchRunner::new().with_jobs(config.jobs).run(&placer, template, &grid, ctx)
     }
 
     /// Runs every candidate configuration (in parallel) and returns the
     /// placement with the lowest measured wirelength, together with that
-    /// wirelength in meters.
+    /// wirelength in meters under the standard evaluation.
     ///
     /// # Errors
     ///
     /// Propagates the first placement error if *every* candidate fails;
     /// otherwise failed candidates are simply skipped.
     pub fn run(&self, design: &Design) -> Result<(MacroPlacement, f64), HidapError> {
-        match self.run_batch(&self.config, design, &mut PlaceContext::new()) {
+        match self.run_batch(&self.config, &PlaceRequest::new(design), &mut PlaceContext::new()) {
             Ok(batch) => Ok((batch.winner.placement, batch.winner_score)),
             Err(PlaceError::Flow(e)) => Err(e),
-            Err(PlaceError::Cancelled) | Err(PlaceError::DeadlineExceeded) => {
-                Err(HidapError::Cancelled)
-            }
+            Err(PlaceError::Cancelled) => Err(HidapError::Cancelled),
             Err(other) => Err(HidapError::Internal(other.to_string())),
         }
     }
@@ -142,7 +135,8 @@ impl HandFp {
 
 /// The oracle's engine adapter. The flow's identity is its configured
 /// seed×λ grid, so `req.seed` / `req.lambda` do not apply: the request
-/// selects the design, die and effort tier, and the grid does the rest.
+/// selects the design, effort tier and evaluation, and the grid does the
+/// rest.
 impl Placer for HandFp {
     fn name(&self) -> &str {
         "handfp"
@@ -163,17 +157,15 @@ impl Placer for HandFp {
     ) -> Result<PlaceOutcome, PlaceError> {
         req.validate()?;
         let config = match req.effort {
-            // effort tiers pick the grid and base placer; the runner knobs
-            // (worker count, winner evaluation) stay as configured
-            Some(effort) => HandFpConfig {
-                jobs: self.config.jobs,
-                eval: self.config.eval,
-                ..HandFpConfig::for_effort(effort)
-            },
+            // effort tiers pick the grid and base placer; the worker count
+            // stays as configured
+            Some(effort) => {
+                HandFpConfig { jobs: self.config.jobs, ..HandFpConfig::for_effort(effort) }
+            }
             None => self.config.clone(),
         };
-        let design = req.effective_design();
-        let batch = self.run_batch(&config, design.as_ref(), ctx)?;
+        let template = PlaceRequest { evaluate: req.evaluate, ..PlaceRequest::new(req.design) };
+        let batch = self.run_batch(&config, &template, ctx)?;
         let mut outcome = batch.winner;
         outcome.flow = "handfp".into();
         Ok(outcome)
@@ -257,6 +249,6 @@ mod tests {
         let (direct, wl) = oracle.run(&d).unwrap();
         assert_eq!(via_trait.placement, direct);
         assert_eq!(via_trait.flow, "handfp");
-        assert_eq!(via_trait.metrics.expect("objective evaluates").wirelength_m, wl);
+        assert_eq!(via_trait.metrics.expect("the sweep evaluates").wirelength_m, wl);
     }
 }

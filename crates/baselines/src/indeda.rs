@@ -361,12 +361,12 @@ impl placer_core::Placer for IndEda {
             None => self.config,
         };
         config.seed = req.seed;
-        let design = req.effective_design();
+        let design = req.design;
         ctx.emit(StageEvent::FlowStarted { flow: "indeda".into(), seed: req.seed, lambda: None });
 
         // lint:allow(wall-clock): report-only wall_s stage timing; never influences placement
         let start = std::time::Instant::now();
-        let placement = IndEda::new(config).run(design.as_ref()).map_err(PlaceError::from)?;
+        let placement = IndEda::new(config).run(design).map_err(PlaceError::from)?;
         let wall_s = start.elapsed().as_secs_f64();
         let mut timings = vec![StageTiming { stage: "anneal".into(), seconds: wall_s }];
 
@@ -374,13 +374,13 @@ impl placer_core::Placer for IndEda {
             // lint:allow(wall-clock): report-only wall_s stage timing; never influences placement
             let t = std::time::Instant::now();
             // context-shared evaluator: one Gseq per sweep, no to_map()
-            let metrics = ctx.evaluator(*eval_cfg).evaluate(design.as_ref(), &placement);
+            let metrics = ctx.evaluator(*eval_cfg).evaluate(design, &placement);
             timings
                 .push(StageTiming { stage: "evaluate".into(), seconds: t.elapsed().as_secs_f64() });
             metrics
         });
 
-        ctx.emit(StageEvent::FlowFinished { wall_s, legal: placement.is_legal(design.as_ref()) });
+        ctx.emit(StageEvent::FlowFinished { wall_s, legal: placement.is_legal(design) });
         Ok(placer_core::PlaceOutcome {
             placement,
             flow: "indeda".into(),

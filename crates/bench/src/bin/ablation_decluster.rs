@@ -4,7 +4,7 @@
 //! and measured wirelength.
 //!
 //! ```text
-//! cargo run --release -p bench --bin ablation_decluster -- [--circuits c2] [--effort fast|default|paper]
+//! cargo run --release -p bench --bin ablation_decluster -- [--circuits c2] [--effort fast|default|high]
 //! ```
 
 use bench::experiments::parse_common_args;
@@ -13,6 +13,7 @@ use hidap::decluster::hierarchical_declustering;
 use hidap::shape_curves::ShapeCurveSet;
 use hidap::{HidapConfig, HidapFlow};
 use netlist::hierarchy::HierarchyTree;
+use placer_core::flows::hidap_config;
 use workload::presets::generate_circuit;
 
 fn main() {
@@ -31,7 +32,7 @@ fn main() {
     );
     for open_area_frac in [0.002, 0.01, 0.05] {
         for min_area_frac in [0.1, 0.4, 0.8] {
-            let config = HidapConfig { open_area_frac, min_area_frac, ..effort.hidap_config() };
+            let config = HidapConfig { open_area_frac, min_area_frac, ..hidap_config(effort) };
             // block count at the top level
             let curves = ShapeCurveSet::generate(design, &ht, &config);
             let blocks = hierarchical_declustering(design, &ht, &curves, ht.root(), &config);

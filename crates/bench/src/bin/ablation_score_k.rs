@@ -2,12 +2,13 @@
 //! larger `k` makes long-latency dataflow matter less for block adjacency.
 //!
 //! ```text
-//! cargo run --release -p bench --bin ablation_score_k -- [--circuits c2] [--effort fast|default|paper]
+//! cargo run --release -p bench --bin ablation_score_k -- [--circuits c2] [--effort fast|default|high]
 //! ```
 
 use bench::experiments::parse_common_args;
 use eval::{EvalConfig, Evaluator};
 use hidap::{HidapConfig, HidapFlow};
+use placer_core::flows::hidap_config;
 use workload::presets::generate_circuit;
 
 fn main() {
@@ -22,7 +23,7 @@ fn main() {
         let generated = generate_circuit(circuit);
         let design = &generated.design;
         for k in [0u32, 1, 2, 3] {
-            let config = HidapConfig { score_k: k, ..effort.hidap_config() };
+            let config = HidapConfig { score_k: k, ..hidap_config(effort) };
             let placement = HidapFlow::new(config).run(design).expect("flow failed");
             let metrics = evaluator.evaluate(design, &placement);
             println!(

@@ -3,12 +3,13 @@
 //! fixed macro locations.
 //!
 //! ```text
-//! cargo run --release -p bench --bin fig1 -- [--effort fast|default|paper]
+//! cargo run --release -p bench --bin fig1 -- [--effort fast|default|high]
 //! ```
 
 use bench::experiments::parse_common_args;
 use bench::report::ascii_floorplan;
 use hidap::{HidapFlow, MacroPlacement};
+use placer_core::flows::hidap_config;
 use workload::presets::fig1_design;
 
 fn main() {
@@ -26,7 +27,7 @@ fn main() {
     );
 
     let placement: MacroPlacement =
-        HidapFlow::new(effort.hidap_config()).run(design).expect("HiDaP flow failed");
+        HidapFlow::new(hidap_config(effort)).run(design).expect("HiDaP flow failed");
 
     // Stage (a): the top-level block partition found by declustering.
     println!("\n(a) top-level block floorplan (dark blocks hold macros):");

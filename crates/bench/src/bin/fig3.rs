@@ -7,13 +7,14 @@
 //! * λ = 0.5 — combined: both structures respected (the paper's Fig. 3c).
 //!
 //! ```text
-//! cargo run --release -p bench --bin fig3 -- [--effort fast|default|paper]
+//! cargo run --release -p bench --bin fig3 -- [--effort fast|default|high]
 //! ```
 
 use bench::experiments::parse_common_args;
 use bench::report::ascii_floorplan;
 use eval::{EvalConfig, Evaluator};
 use hidap::{HidapConfig, HidapFlow};
+use placer_core::flows::hidap_config;
 use workload::presets::fig3_design;
 
 fn main() {
@@ -32,7 +33,7 @@ fn main() {
         ("(b) macro flow only, lambda = 0.0", 0.0),
         ("(c) combined,        lambda = 0.5", 0.5),
     ] {
-        let config = HidapConfig { lambda, ..effort.hidap_config() };
+        let config = HidapConfig { lambda, ..hidap_config(effort) };
         let placement = HidapFlow::new(config).run(&design).expect("flow failed");
         let metrics = evaluator.evaluate(&design, &placement);
         println!(

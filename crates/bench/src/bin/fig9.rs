@@ -3,14 +3,15 @@
 //! derived from the dataflow graph (Fig. 9d).
 //!
 //! ```text
-//! cargo run --release -p bench --bin fig9 -- [--circuits c3] [--effort fast|default|paper]
+//! cargo run --release -p bench --bin fig9 -- [--circuits c3] [--effort fast|default|high]
 //! ```
 
-use baselines::{HandFp, IndEda};
+use baselines::{HandFp, HandFpConfig, IndEda, IndEdaConfig};
 use bench::experiments::parse_common_args;
 use bench::report::ascii_floorplan;
 use eval::{EvalConfig, Evaluator};
 use hidap::HidapFlow;
+use placer_core::flows::hidap_config;
 use workload::presets::generate_circuit;
 
 fn main() {
@@ -29,7 +30,7 @@ fn main() {
     let mut evaluator = Evaluator::new(EvalConfig::standard());
 
     // (a) IndEDA
-    let indeda = IndEda::new(effort.indeda_config()).run(design).expect("IndEDA failed");
+    let indeda = IndEda::new(IndEdaConfig::for_effort(effort)).run(design).expect("IndEDA failed");
     let m_ind = evaluator.evaluate(design, &indeda);
     println!(
         "\n(a) IndEDA   WL = {:.3} m, peak density = {:.2}",
@@ -39,7 +40,7 @@ fn main() {
     println!("{}", m_ind.density.to_ascii());
 
     // (c) HiDaP (printed before handFP to mirror the paper's layout order a/c/b)
-    let hidap = HidapFlow::new(effort.hidap_config()).run(design).expect("HiDaP failed");
+    let hidap = HidapFlow::new(hidap_config(effort)).run(design).expect("HiDaP failed");
     let m_hidap = evaluator.evaluate(design, &hidap);
     println!(
         "(c) HiDaP    WL = {:.3} m, peak density = {:.2}",
@@ -49,7 +50,8 @@ fn main() {
     println!("{}", m_hidap.density.to_ascii());
 
     // (b) handFP proxy
-    let (handfp, wl) = HandFp::new(effort.handfp_config()).run(design).expect("handFP failed");
+    let (handfp, wl) =
+        HandFp::new(HandFpConfig::for_effort(effort)).run(design).expect("handFP failed");
     let m_hand = evaluator.evaluate(design, &handfp);
     println!("(b) handFP   WL = {:.3} m, peak density = {:.2}", wl, m_hand.density.peak());
     println!("{}", m_hand.density.to_ascii());

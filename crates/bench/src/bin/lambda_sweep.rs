@@ -3,12 +3,13 @@
 //! per-λ measured wirelength is reported.
 //!
 //! ```text
-//! cargo run --release -p bench --bin lambda_sweep -- [--circuits c1,c2] [--effort fast|default|paper]
+//! cargo run --release -p bench --bin lambda_sweep -- [--circuits c1,c2] [--effort fast|default|high]
 //! ```
 
 use bench::experiments::parse_common_args;
 use eval::{EvalConfig, Evaluator};
 use hidap::{HidapConfig, HidapFlow};
+use placer_core::flows::hidap_config;
 use workload::presets::generate_circuit;
 
 fn main() {
@@ -31,7 +32,7 @@ fn main() {
         print!("{circuit:<8}");
         let mut best = (f64::INFINITY, 0.0);
         for lambda in lambdas {
-            let config = HidapConfig { lambda, ..effort.hidap_config() };
+            let config = HidapConfig { lambda, ..hidap_config(effort) };
             let placement = HidapFlow::new(config).run(design).expect("flow failed");
             let wl = evaluator.evaluate(design, &placement).wirelength_m;
             print!("  {wl:<8.3}");

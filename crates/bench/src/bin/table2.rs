@@ -2,7 +2,7 @@
 //! normalized to handFP, average WNS, and the effort of each flow.
 //!
 //! ```text
-//! cargo run --release -p bench --bin table2 -- [--circuits c1,c2] [--effort fast|default|paper]
+//! cargo run --release -p bench --bin table2 -- [--circuits c1,c2] [--effort fast|default|high]
 //! ```
 
 use bench::experiments::{compare_flows, parse_common_args};

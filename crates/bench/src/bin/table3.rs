@@ -6,7 +6,7 @@
 //! cells, 200 macros — expect minutes for that row even at fast effort).
 //!
 //! ```text
-//! cargo run --release -p bench --bin table3 -- [--circuits c1,c2,large_soc] [--effort fast|default|paper]
+//! cargo run --release -p bench --bin table3 -- [--circuits c1,c2,large_soc] [--effort fast|default|high]
 //! ```
 
 use bench::experiments::{compare_flows, parse_common_args, TABLE_SCENARIOS};

@@ -4,7 +4,8 @@ use baselines::{HandFp, HandFpConfig, IndEda, IndEdaConfig};
 use eval::{EvalConfig, Evaluator, PlacementMetrics};
 use hidap::{HidapConfig, HidapFlow, MacroPlacement};
 use netlist::design::Design;
-use placer_core::{BatchGrid, BatchRunner, PlaceContext, PlaceRequest, WirelengthObjective};
+use placer_core::flows::hidap_config;
+use placer_core::{BatchGrid, BatchRunner, EffortLevel, PlaceContext, PlaceRequest};
 use std::time::Instant;
 use workload::presets::generate_circuit;
 
@@ -19,72 +20,6 @@ use workload::presets::generate_circuit;
 /// that scale (see `docs/SCALING.md`).
 pub const TABLE_SCENARIOS: [&str; 9] =
     ["c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8", "large_soc"];
-
-/// How much compute each flow is allowed to spend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Effort {
-    /// Reduced effort: suitable for CI and quick experiments (the default of
-    /// every harness binary).
-    Fast,
-    /// The default effort of each flow's configuration.
-    Default,
-    /// Paper-style effort: high annealing budgets and the full handFP oracle
-    /// (multiple seeds × multiple λ at high effort). Expect minutes per circuit.
-    Paper,
-}
-
-impl Effort {
-    /// Parses the `--effort` command-line value.
-    pub fn parse(s: &str) -> Option<Effort> {
-        match s {
-            "fast" => Some(Effort::Fast),
-            "default" => Some(Effort::Default),
-            "paper" => Some(Effort::Paper),
-            _ => None,
-        }
-    }
-
-    /// HiDaP configuration for this effort tier.
-    pub fn hidap_config(self) -> HidapConfig {
-        match self {
-            Effort::Fast => HidapConfig::fast(),
-            Effort::Default => HidapConfig::default(),
-            Effort::Paper => HidapConfig::high_effort(),
-        }
-    }
-
-    /// IndEDA configuration for this effort tier.
-    pub fn indeda_config(self) -> IndEdaConfig {
-        match self {
-            Effort::Fast => IndEdaConfig::fast(),
-            Effort::Default => IndEdaConfig::default(),
-            Effort::Paper => IndEdaConfig {
-                moves_per_macro: 80,
-                temperature_steps: 90,
-                ..IndEdaConfig::default()
-            },
-        }
-    }
-
-    /// handFP oracle configuration for this effort tier.
-    pub fn handfp_config(self) -> HandFpConfig {
-        match self {
-            Effort::Fast => HandFpConfig {
-                seeds: vec![1, 2],
-                lambdas: vec![0.2, 0.5, 0.8],
-                base: HidapConfig::fast(),
-                ..HandFpConfig::default()
-            },
-            Effort::Default => HandFpConfig {
-                seeds: vec![1, 2, 3],
-                lambdas: vec![0.2, 0.5, 0.8],
-                base: HidapConfig::default(),
-                ..HandFpConfig::default()
-            },
-            Effort::Paper => HandFpConfig::default(),
-        }
-    }
-}
 
 /// The measured outcome of one flow on one circuit.
 #[derive(Debug, Clone, PartialEq)]
@@ -164,10 +99,9 @@ pub fn hidap_best_of_lambdas(
 ) -> Result<(MacroPlacement, f64, f64), hidap::HidapError> {
     let placer = HidapFlow::new(base.clone());
     let grid = BatchGrid::new(vec![base.seed], vec![0.2, 0.5, 0.8]);
-    let runner =
-        BatchRunner::new().with_objective(Box::new(WirelengthObjective { eval: *eval_cfg }));
-    let batch = runner
-        .run(&placer, &PlaceRequest::new(design), &grid, &mut PlaceContext::new())
+    let template = PlaceRequest::new(design).with_evaluation(*eval_cfg);
+    let batch = BatchRunner::new()
+        .run(&placer, &template, &grid, &mut PlaceContext::new())
         .map_err(|e| match e {
             placer_core::PlaceError::Flow(inner) => inner,
             other => hidap::HidapError::Internal(other.to_string()),
@@ -178,13 +112,13 @@ pub fn hidap_best_of_lambdas(
 
 /// Runs the three flows on one of the c1–c8 stand-ins and measures them with
 /// the shared evaluation pipeline.
-pub fn compare_flows(circuit: &str, effort: Effort) -> CircuitComparison {
+pub fn compare_flows(circuit: &str, effort: EffortLevel) -> CircuitComparison {
     let generated = generate_circuit(circuit);
     compare_flows_on(circuit, &generated.design, effort)
 }
 
 /// Runs the three flows on an arbitrary design.
-pub fn compare_flows_on(name: &str, design: &Design, effort: Effort) -> CircuitComparison {
+pub fn compare_flows_on(name: &str, design: &Design, effort: EffortLevel) -> CircuitComparison {
     let eval_cfg = EvalConfig::standard();
     // one evaluation session for all three flows: Gseq is built once
     let mut evaluator = Evaluator::new(eval_cfg);
@@ -192,7 +126,7 @@ pub fn compare_flows_on(name: &str, design: &Design, effort: Effort) -> CircuitC
     // IndEDA-style baseline.
     let t = Instant::now();
     let indeda_placement =
-        IndEda::new(effort.indeda_config()).run(design).expect("IndEDA baseline failed");
+        IndEda::new(IndEdaConfig::for_effort(effort)).run(design).expect("IndEDA baseline failed");
     let indeda_time = t.elapsed().as_secs_f64();
     let (mut indeda, _) =
         flow_result("IndEDA", design, &indeda_placement, indeda_time, &mut evaluator);
@@ -200,15 +134,14 @@ pub fn compare_flows_on(name: &str, design: &Design, effort: Effort) -> CircuitC
     // HiDaP, best of three λ.
     let t = Instant::now();
     let (hidap_placement, _, best_lambda) =
-        hidap_best_of_lambdas(design, &effort.hidap_config(), &eval_cfg)
-            .expect("HiDaP flow failed");
+        hidap_best_of_lambdas(design, &hidap_config(effort), &eval_cfg).expect("HiDaP flow failed");
     let hidap_time = t.elapsed().as_secs_f64();
     let (mut hidap, _) = flow_result("HiDaP", design, &hidap_placement, hidap_time, &mut evaluator);
 
     // handFP oracle.
     let t = Instant::now();
     let (handfp_placement, _) =
-        HandFp::new(effort.handfp_config()).run(design).expect("handFP oracle failed");
+        HandFp::new(HandFpConfig::for_effort(effort)).run(design).expect("handFP oracle failed");
     let handfp_time = t.elapsed().as_secs_f64();
     let (mut handfp, _) =
         flow_result("handFP", design, &handfp_placement, handfp_time, &mut evaluator);
@@ -237,11 +170,21 @@ pub fn geometric_mean(values: &[f64]) -> f64 {
     (sum_ln / values.len() as f64).exp()
 }
 
+/// Parses an `--effort` value: the engine's `fast`, `default` and `high`,
+/// plus `paper`, the harness spelling of `high`.
+fn parse_effort(s: &str) -> Option<EffortLevel> {
+    match s {
+        "paper" => Some(EffortLevel::High),
+        other => EffortLevel::parse(other),
+    }
+}
+
 /// Parses `--circuits` / `--effort` style command-line arguments shared by the
-/// harness binaries. Returns `(circuits, effort)`.
-pub fn parse_common_args(args: &[String], default_circuits: &[&str]) -> (Vec<String>, Effort) {
+/// harness binaries. Returns `(circuits, effort)`; the effort defaults to
+/// fast. An unknown `--effort` value exits the process with status 2.
+pub fn parse_common_args(args: &[String], default_circuits: &[&str]) -> (Vec<String>, EffortLevel) {
     let mut circuits: Vec<String> = default_circuits.iter().map(|s| s.to_string()).collect();
-    let mut effort = Effort::Fast;
+    let mut effort = EffortLevel::Fast;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -250,9 +193,12 @@ pub fn parse_common_args(args: &[String], default_circuits: &[&str]) -> (Vec<Str
                 i += 2;
             }
             "--effort" if i + 1 < args.len() => {
-                effort = Effort::parse(&args[i + 1]).unwrap_or_else(|| {
-                    eprintln!("unknown effort '{}', using fast", args[i + 1]);
-                    Effort::Fast
+                effort = parse_effort(&args[i + 1]).unwrap_or_else(|| {
+                    eprintln!(
+                        "unknown effort '{}' (expected fast|default|high, or paper)",
+                        args[i + 1]
+                    );
+                    std::process::exit(2)
                 });
                 i += 2;
             }
@@ -291,7 +237,7 @@ mod tests {
     #[test]
     fn compare_flows_on_tiny_design_produces_three_rows() {
         let d = tiny_design();
-        let cmp = compare_flows_on("tiny", &d, Effort::Fast);
+        let cmp = compare_flows_on("tiny", &d, EffortLevel::Fast);
         assert_eq!(cmp.results.len(), 3);
         assert_eq!(cmp.macros, 2);
         assert!(cmp.results.iter().all(|r| r.legal));
@@ -318,9 +264,9 @@ mod tests {
 
     #[test]
     fn effort_parsing() {
-        assert_eq!(Effort::parse("fast"), Some(Effort::Fast));
-        assert_eq!(Effort::parse("paper"), Some(Effort::Paper));
-        assert_eq!(Effort::parse("bogus"), None);
+        assert_eq!(parse_effort("fast"), Some(EffortLevel::Fast));
+        assert_eq!(parse_effort("paper"), Some(EffortLevel::High));
+        assert_eq!(parse_effort("bogus"), None);
     }
 
     #[test]
@@ -329,9 +275,9 @@ mod tests {
             ["--circuits", "c1,c3", "--effort", "default"].iter().map(|s| s.to_string()).collect();
         let (circuits, effort) = parse_common_args(&args, &["c1"]);
         assert_eq!(circuits, vec!["c1", "c3"]);
-        assert_eq!(effort, Effort::Default);
+        assert_eq!(effort, EffortLevel::Default);
         let (circuits, effort) = parse_common_args(&[], &["c1", "c2"]);
         assert_eq!(circuits, vec!["c1", "c2"]);
-        assert_eq!(effort, Effort::Fast);
+        assert_eq!(effort, EffortLevel::Fast);
     }
 }

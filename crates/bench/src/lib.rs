@@ -15,8 +15,9 @@
 //! | `ablation_decluster` | sensitivity to `min_area` / `open_area` (Sect. IV-B) |
 //! | `ablation_score_k` | sensitivity to the latency exponent k (Sect. IV-D) |
 //!
-//! Every binary accepts `--effort fast|default|paper` (default `fast`) and,
-//! where applicable, `--circuits c1,c2,...`.
+//! Every binary accepts `--effort fast|default|high` (default `fast`;
+//! `paper` is accepted as `high`, and an unknown value exits with status 2)
+//! and, where applicable, `--circuits c1,c2,...`.
 
 #![forbid(unsafe_code)]
 
@@ -24,4 +25,4 @@ pub mod experiments;
 pub mod reference;
 pub mod report;
 
-pub use experiments::{compare_flows, CircuitComparison, Effort, FlowResult};
+pub use experiments::{compare_flows, CircuitComparison, FlowResult};

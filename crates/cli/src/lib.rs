@@ -69,8 +69,8 @@ pub struct Options {
     pub flow: String,
     /// λ blend between block flow and macro flow.
     pub lambda: f64,
-    /// Effort preset: `fast`, `default` or `high`.
-    pub effort: String,
+    /// Effort preset (`--effort fast|default|high`).
+    pub effort: EffortLevel,
     /// Random seed (base seed of the sweep when `--sweep` is given).
     pub seed: u64,
     /// Run a seed×λ sweep and keep the lowest-wirelength winner.
@@ -121,7 +121,7 @@ impl Default for Options {
             top: None,
             flow: "hidap".to_string(),
             lambda: 0.5,
-            effort: "default".to_string(),
+            effort: EffortLevel::Default,
             seed: 1,
             sweep: false,
             jobs: 0,
@@ -214,10 +214,9 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--effort" => {
                 let effort = value(&mut i)?;
-                if EffortLevel::parse(&effort).is_none() {
-                    return Err(format!("unknown effort '{effort}' (expected fast|default|high)"));
-                }
-                opts.effort = effort;
+                opts.effort = EffortLevel::parse(&effort).ok_or_else(|| {
+                    format!("unknown effort '{effort}' (expected fast|default|high)")
+                })?;
             }
             "--seed" => {
                 opts.seed =
@@ -302,12 +301,6 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-/// The engine effort tier implied by the options.
-pub fn effort_level(opts: &Options) -> Result<EffortLevel, String> {
-    EffortLevel::parse(&opts.effort)
-        .ok_or_else(|| format!("unknown effort '{}' (expected fast|default|high)", opts.effort))
-}
-
 /// Loads the design described by the options: Verilog netlist, optional LEF
 /// footprints, optional DEF die/ports. Returns the design and the DBU scale.
 pub fn load_design(opts: &Options) -> Result<(Design, i64), String> {
@@ -374,7 +367,6 @@ pub fn place_outcome(
 ) -> Result<(PlaceOutcome, PlacementInfo), String> {
     let registry = baselines::default_registry();
     let placer = registry.create(&opts.flow).map_err(|e| e.to_string())?;
-    let effort = effort_level(opts)?;
     if opts.sweep {
         if placer.is_composite() {
             return Err(format!(
@@ -393,7 +385,7 @@ pub fn place_outcome(
         };
         let candidates = grid.len();
         let runner = BatchRunner::new().with_jobs(opts.jobs);
-        let template = PlaceRequest::new(design).with_effort(effort);
+        let template = PlaceRequest::new(design).with_effort(opts.effort);
         let batch = runner
             .run(placer.as_ref(), &template, &grid, ctx)
             .map_err(|e| format!("placement failed: {e}"))?;
@@ -407,7 +399,7 @@ pub fn place_outcome(
     } else {
         let request = PlaceRequest::new(design)
             .with_seed(opts.seed)
-            .with_effort(effort)
+            .with_effort(opts.effort)
             .with_lambda(opts.lambda);
         let outcome = placer.place(&request, ctx).map_err(|e| format!("placement failed: {e}"))?;
         let info =
@@ -445,7 +437,7 @@ pub struct ManifestEntry {
     /// with or without the global `--sweep`. Empty inherits.
     pub seeds: Vec<u64>,
     /// Effort preset for this design.
-    pub effort: String,
+    pub effort: EffortLevel,
 }
 
 /// Parses a `--manifest` file: one design per line, `#` starts a comment,
@@ -488,7 +480,7 @@ pub fn parse_manifest(
             lambdas: None,
             seed: defaults.seed,
             seeds: Vec::new(),
-            effort: defaults.effort.clone(),
+            effort: defaults.effort,
         };
         for token in tokens {
             let (key, value) = token
@@ -528,12 +520,9 @@ pub fn parse_manifest(
                 }
                 "seeds" => entry.seeds = parse_list(value, "seeds=").map_err(&at)?,
                 "effort" => {
-                    if EffortLevel::parse(value).is_none() {
-                        return Err(at(format!(
-                            "unknown effort '{value}' (expected fast|default|high)"
-                        )));
-                    }
-                    entry.effort = value.to_string();
+                    entry.effort = EffortLevel::parse(value).ok_or_else(|| {
+                        at(format!("unknown effort '{value}' (expected fast|default|high)"))
+                    })?;
                 }
                 other => return Err(at(format!("unknown key '{other}'"))),
             }
@@ -654,8 +643,6 @@ pub fn run_manifest(opts: &Options) -> Result<String, String> {
                 }
             }
         };
-        let effort = EffortLevel::parse(&entry.effort)
-            .ok_or_else(|| format!("unknown effort '{}'", entry.effort))?;
         // per-line grid resolution: an explicit lambdas= sweeps that grid,
         // lambda= pins a single λ (even under --sweep), and without either
         // the line inherits the global axis (--lambdas when sweeping,
@@ -681,7 +668,7 @@ pub fn run_manifest(opts: &Options) -> Result<String, String> {
             vec![entry.seed]
         };
         let mut job = PlaceJob::new(handle, &entry.flow)
-            .with_effort(effort)
+            .with_effort(entry.effort)
             .with_seeds(seeds)
             .with_lambdas(lambdas);
         if opts.report {
@@ -997,7 +984,7 @@ mod tests {
         .unwrap();
         assert_eq!(opts.flow, "indeda");
         assert_eq!(opts.lambda, 0.8);
-        assert_eq!(opts.effort, "high");
+        assert_eq!(opts.effort, EffortLevel::High);
         assert_eq!(opts.seed, 7);
         assert!(opts.sweep);
         assert_eq!(opts.jobs, 4);
@@ -1078,7 +1065,7 @@ sub/b.v lef=b.lef top=chip
         assert_eq!(entries[0].flow, "hidap");
         assert_eq!(entries[0].lambda, Some(0.25));
         assert_eq!(entries[0].seed, 9);
-        assert_eq!(entries[0].effort, "fast");
+        assert_eq!(entries[0].effort, EffortLevel::Fast);
         // unnamed keys inherit the command-line defaults (λ stays unpinned
         // so sweeps use the --lambdas axis)
         assert_eq!(entries[1].flow, "indeda");
@@ -1242,9 +1229,7 @@ sub/b.v lef=b.lef top=chip
 
     #[test]
     fn effort_mapping() {
-        let mut opts = parse_args(&args(&["--verilog", "a.v", "--effort", "fast"])).unwrap();
-        assert_eq!(effort_level(&opts).unwrap(), EffortLevel::Fast);
-        opts.effort = "nope".into();
-        assert!(effort_level(&opts).is_err());
+        let opts = parse_args(&args(&["--verilog", "a.v", "--effort", "fast"])).unwrap();
+        assert_eq!(opts.effort, EffortLevel::Fast);
     }
 }

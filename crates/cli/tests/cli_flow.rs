@@ -7,6 +7,14 @@ use workload::emit::{emit_lef, emit_verilog};
 use workload::{SocConfig, SocGenerator, SubsystemConfig};
 
 fn write_inputs(dir: &std::path::Path) -> (std::path::PathBuf, std::path::PathBuf) {
+    write_inputs_at(dir, 1000)
+}
+
+/// Writes the test SoC with a LEF at `dbu_per_micron` database units per µm.
+fn write_inputs_at(
+    dir: &std::path::Path,
+    dbu_per_micron: i64,
+) -> (std::path::PathBuf, std::path::PathBuf) {
     let generated = SocGenerator::new(SocConfig {
         name: "cli_soc".into(),
         subsystems: vec![
@@ -24,7 +32,7 @@ fn write_inputs(dir: &std::path::Path) -> (std::path::PathBuf, std::path::PathBu
     let verilog = dir.join("cli_soc.v");
     let lef = dir.join("cli_soc.lef");
     std::fs::write(&verilog, emit_verilog(&generated.design)).unwrap();
-    std::fs::write(&lef, emit_lef(&generated.design, &generated.library, 1000)).unwrap();
+    std::fs::write(&lef, emit_lef(&generated.design, &generated.library, dbu_per_micron)).unwrap();
     (verilog, lef)
 }
 
@@ -203,6 +211,60 @@ fn cli_manifest_per_line_grids_run_their_own_sweeps() {
     assert!(output.contains(", seed 5"), "{output}");
     assert!(output.contains("lambda 0."), "{output}");
     assert!(output.contains("budget 256.0 MiB"), "{output}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn cli_manifest_sweeps_report_wirelength_at_the_design_scale() {
+    // a LEF at 2000 DBU/µm: a sweep line and a handFP line must report the
+    // wirelength the single-design `--report` measures for the same
+    // placement, not one measured at the standard 1000 DBU/µm
+    let dir = temp_dir("manifest_dbu");
+    let (verilog, lef) = write_inputs_at(&dir, 2000);
+    let manifest = dir.join("designs.txt");
+    std::fs::write(
+        &manifest,
+        format!(
+            "{v} lef={l} top=cli_soc
+             {v} lef={l} top=cli_soc seeds=1 lambdas=0.5,0.5
+             {v} lef={l} top=cli_soc flow=handfp
+",
+            v = verilog.display(),
+            l = lef.display(),
+        ),
+    )
+    .unwrap();
+    let cli = |args: &[&str]| {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        run(&parse_args(&args).expect("arguments parse")).expect("CLI run succeeds")
+    };
+    let wirelengths = |output: &str| -> Vec<String> {
+        output
+            .lines()
+            .filter_map(|line| line.trim().strip_prefix("wirelength: "))
+            .map(|rest| rest.split(',').next().unwrap_or(rest).to_string())
+            .collect()
+    };
+    let batch = cli(&["--manifest", manifest.to_str().unwrap(), "--effort", "fast", "--report"]);
+    let single = |flow: &str| {
+        let output = cli(&[
+            "--verilog",
+            verilog.to_str().unwrap(),
+            "--lef",
+            lef.to_str().unwrap(),
+            "--top",
+            "cli_soc",
+            "--flow",
+            flow,
+            "--effort",
+            "fast",
+            "--report",
+        ]);
+        wirelengths(&output).pop().expect("--report prints the wirelength")
+    };
+    let hidap = single("hidap");
+    assert_ne!(hidap, "0.0000 m", "the design must be large enough to tell scales apart");
+    assert_eq!(wirelengths(&batch), [hidap.clone(), hidap, single("handfp")], "{batch}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

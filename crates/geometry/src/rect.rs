@@ -76,11 +76,6 @@ impl Rect {
         Point::new(self.llx, self.lly)
     }
 
-    /// Upper-right corner.
-    pub fn upper_right(&self) -> Point {
-        Point::new(self.urx, self.ury)
-    }
-
     /// Returns `true` if `p` lies inside or on the boundary.
     pub fn contains(&self, p: Point) -> bool {
         p.x >= self.llx && p.x <= self.urx && p.y >= self.lly && p.y <= self.ury

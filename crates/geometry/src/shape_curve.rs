@@ -105,16 +105,6 @@ impl ShapeCurve {
         self.points.iter().map(|&(w, h)| w as i128 * h as i128).min().unwrap_or(0)
     }
 
-    /// The smallest feasible width (0 for an unconstrained curve).
-    pub fn min_width(&self) -> Dbu {
-        self.points.first().map(|&(w, _)| w).unwrap_or(0)
-    }
-
-    /// The smallest feasible height (0 for an unconstrained curve).
-    pub fn min_height(&self) -> Dbu {
-        self.points.last().map(|&(_, h)| h).unwrap_or(0)
-    }
-
     /// For a given width budget, the minimum height needed (``None`` if no
     /// feasible point has width ≤ `width`; `Some(0)` for unconstrained curves).
     pub fn min_height_for_width(&self, width: Dbu) -> Option<Dbu> {

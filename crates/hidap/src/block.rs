@@ -89,11 +89,6 @@ impl BlockSet {
         &self.blocks[id.0]
     }
 
-    /// Mutable block accessor.
-    pub fn block_mut(&mut self, id: BlockId) -> &mut Block {
-        &mut self.blocks[id.0]
-    }
-
     /// Iterates over `(id, block)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (BlockId, &Block)> + '_ {
         self.blocks.iter().enumerate().map(|(i, b)| (BlockId(i), b))

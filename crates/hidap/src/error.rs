@@ -17,7 +17,7 @@ pub enum HidapError {
     /// An internal invariant was violated; indicates a bug.
     Internal(String),
     /// The run was aborted by a flow probe (see [`crate::flow::FlowStage`]),
-    /// typically on behalf of an engine-level cancellation or deadline.
+    /// typically on behalf of an engine-level cancellation.
     Cancelled,
 }
 

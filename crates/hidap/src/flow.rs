@@ -3,11 +3,11 @@
 use crate::config::HidapConfig;
 use crate::error::HidapError;
 use crate::flipping::macro_flipping;
-use crate::legalize::legalize_macros;
+use crate::legalize::{legalize_macros, MacroFootprint, MacroFootprints};
 use crate::placement::{MacroPlacement, PlacedMacro};
 use crate::recursive::RecursiveFloorplanner;
 use crate::shape_curves::ShapeCurveSet;
-use geometry::Orientation;
+use geometry::{Orientation, Rect};
 use graphs::seqgraph::SeqGraphConfig;
 use graphs::{NetGraph, SeqGraph};
 use netlist::design::Design;
@@ -19,8 +19,8 @@ use rand::{ChaCha8Rng, SeedableRng};
 /// Probes (see [`HidapFlow::run_probed`]) receive each checkpoint in order
 /// and return `true` to continue or `false` to abort the run with
 /// [`HidapError::Cancelled`]. This is the hook the `placer-core` engine uses
-/// for stage observability, cancellation and deadlines without this crate
-/// depending on the engine.
+/// for stage observability and cancellation without this crate depending on
+/// the engine.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FlowStage<'a> {
     /// The hierarchy tree was built (`nodes` hierarchy levels).
@@ -90,12 +90,27 @@ impl HidapFlow {
     /// * [`HidapError::MacrosExceedDie`] when the macros cannot possibly fit,
     /// * [`HidapError::Internal`] when the configuration is invalid.
     pub fn run(&self, design: &Design) -> Result<MacroPlacement, HidapError> {
-        self.run_probed(design, &mut |_| true)
+        self.run_probed(design, None, None, &mut |_| true)
     }
 
-    /// Runs the full flow, reporting each [`FlowStage`] checkpoint to
-    /// `probe`. When the probe returns `false` the run stops at that
-    /// boundary with [`HidapError::Cancelled`].
+    /// Runs the flow, reporting each [`FlowStage`] checkpoint to `probe`.
+    /// When the probe returns `false` the run stops at that boundary with
+    /// [`HidapError::Cancelled`].
+    ///
+    /// `graphs` are the design's [`NetGraph`] and the [`SeqGraph`] built
+    /// for it with this configuration's `min_register_bits`; multi-design
+    /// front ends fetch both from a design-keyed artifact cache so repeated
+    /// runs skip the constructions. `None` builds them internally, with the
+    /// same result.
+    ///
+    /// With a `warm` placement the run is the ECO warm-start path: macro
+    /// footprints start at the `warm` locations (macros it does not cover
+    /// start at the die origin), and only legalization and flipping run,
+    /// so the probe sees [`FlowStage::LegalizationDone`] and
+    /// [`FlowStage::FlippingDone`]. `top_blocks` carries over from `warm`.
+    /// When the edit defeats legalization, the run falls back to the full
+    /// flow (without `warm`), so a warm result is legal whenever a cold one
+    /// is.
     ///
     /// # Errors
     ///
@@ -104,24 +119,8 @@ impl HidapFlow {
     pub fn run_probed(
         &self,
         design: &Design,
-        probe: &mut FlowProbe<'_>,
-    ) -> Result<MacroPlacement, HidapError> {
-        self.run_probed_with(design, None, None, probe)
-    }
-
-    /// [`HidapFlow::run_probed`] with optionally prebuilt circuit graphs.
-    /// `gnet` must be the design's [`NetGraph`] and `gseq` the sequential
-    /// graph built for this design with this configuration's
-    /// `min_register_bits` — multi-design front ends fetch both from a
-    /// design-keyed artifact cache so repeated runs skip the constructions
-    /// entirely. `None` builds the missing graph internally (a supplied
-    /// `gnet` still feeds the internal `gseq` derivation, so passing only
-    /// the net graph already avoids the duplicate `NetGraph` build).
-    pub fn run_probed_with(
-        &self,
-        design: &Design,
-        gnet: Option<&NetGraph>,
-        gseq: Option<&SeqGraph>,
+        graphs: Option<(&NetGraph, &SeqGraph)>,
+        warm: Option<&MacroPlacement>,
         probe: &mut FlowProbe<'_>,
     ) -> Result<MacroPlacement, HidapError> {
         self.config.validate().map_err(HidapError::Internal)?;
@@ -137,147 +136,26 @@ impl HidapFlow {
             return Ok(MacroPlacement::default());
         }
 
-        // Circuit abstractions, built once per flow.
-        let ht = HierarchyTree::from_design(design);
-        if !probe(&FlowStage::HierarchyBuilt { nodes: ht.len() }) {
-            return Err(HidapError::Cancelled);
-        }
-        let shape_curves = ShapeCurveSet::generate(design, &ht, &self.config);
-        if !probe(&FlowStage::ShapeCurvesReady { curves: shape_curves.len() }) {
-            return Err(HidapError::Cancelled);
-        }
-        // reuse the supplied graphs, building what is missing: `from_netgraph`
-        // on the same design is bit-identical to `from_design`, so every
-        // combination of cached/None inputs produces the same placement
-        let built_gnet;
-        let gnet = match gnet {
-            Some(graph) => graph,
-            None => {
-                built_gnet = NetGraph::from_design(design);
-                &built_gnet
-            }
-        };
-        let built_gseq;
-        let gseq = match gseq {
-            Some(graph) => graph,
-            None => {
-                built_gseq = SeqGraph::from_netgraph(
-                    design,
-                    gnet,
-                    &SeqGraphConfig { min_register_bits: self.config.min_register_bits },
-                );
-                &built_gseq
-            }
-        };
-
-        // Recursive block floorplanning.
-        let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
-        let mut floorplanner =
-            RecursiveFloorplanner::new(design, &ht, gnet, gseq, &shape_curves, &self.config);
-        if !floorplanner.floorplan_probed(ht.root(), die, &[], 0, &mut rng, probe) {
-            return Err(HidapError::Cancelled);
-        }
-        let mut footprints = floorplanner.footprints;
-        let top_blocks = floorplanner.top_blocks;
-
-        // Any macro the recursion could not reach (e.g. isolated macros in a
-        // degenerate hierarchy) falls back to the die origin and is then
-        // legalized with everything else.
-        for m in design.macros() {
-            footprints.insert_if_absent(
-                m,
-                crate::legalize::MacroFootprint { location: die.lower_left(), rotated: false },
-            );
-        }
-
-        let moved = legalize_macros(design, die, &mut footprints);
-        if !probe(&FlowStage::LegalizationDone { moved }) {
-            return Err(HidapError::Cancelled);
-        }
-        let orientations = macro_flipping(design, &footprints);
-        let flipped = orientations.values().filter(|&&o| o != Orientation::N).count();
-        if !probe(&FlowStage::FlippingDone { flipped }) {
-            return Err(HidapError::Cancelled);
-        }
-
-        let mut macros: Vec<PlacedMacro> = footprints
-            .iter()
-            .map(|(cell, fp)| PlacedMacro {
-                cell,
-                location: fp.location,
-                orientation: orientations.get(cell).copied().unwrap_or(Orientation::N),
-            })
-            .collect();
-        macros.sort_by_key(|m| m.cell);
-        Ok(MacroPlacement { macros, top_blocks })
-    }
-
-    /// Runs only the placement tail of the flow, seeded from a previous
-    /// placement — the ECO warm-start path.
-    ///
-    /// Macro footprints start at the `warm` locations (macros the warm
-    /// placement does not cover fall back to the die origin), then the same
-    /// legalization and flipping passes as [`HidapFlow::run`] restore a
-    /// legal result. Hierarchy analysis, shape curves and the recursive
-    /// floorplan are skipped entirely — on a small design edit the warm
-    /// locations are already near-legal, so this converges in a fraction of
-    /// the full flow's work. `top_blocks` carries over from `warm` since no
-    /// new block-level floorplan exists.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`HidapFlow::run`] can return, plus
-    /// [`HidapError::Cancelled`] when the probe aborts the run.
-    pub fn run_warm(
-        &self,
-        design: &Design,
-        warm: &MacroPlacement,
-    ) -> Result<MacroPlacement, HidapError> {
-        self.run_warm_probed(design, warm, &mut |_| true)
-    }
-
-    /// [`HidapFlow::run_warm`] reporting [`FlowStage::LegalizationDone`] and
-    /// [`FlowStage::FlippingDone`] checkpoints to `probe` (the earlier stages
-    /// do not run on the warm path).
-    ///
-    /// # Errors
-    ///
-    /// Everything [`HidapFlow::run_warm`] can return.
-    pub fn run_warm_probed(
-        &self,
-        design: &Design,
-        warm: &MacroPlacement,
-        probe: &mut FlowProbe<'_>,
-    ) -> Result<MacroPlacement, HidapError> {
-        self.config.validate().map_err(HidapError::Internal)?;
-        let die = design.die();
-        if die.width() <= 0 || die.height() <= 0 {
-            return Err(HidapError::EmptyDie);
-        }
-        let macro_area: i128 = design.macros().map(|m| design.cell(m).area()).sum();
-        if macro_area > die.area() {
-            return Err(HidapError::MacrosExceedDie { macro_area, die_area: die.area() });
-        }
-        if design.num_macros() == 0 {
-            return Ok(MacroPlacement::default());
-        }
-
-        // Seed footprints from the warm placement; macros the edit introduced
-        // (or that the warm result never covered) start at the die origin and
-        // get a real spot during legalization.
-        let mut footprints = crate::legalize::MacroFootprints::for_design(design);
-        for m in design.macros() {
-            let fp = match warm.placement_of(m) {
-                Some(p) => crate::legalize::MacroFootprint {
-                    location: p.location,
-                    rotated: p.orientation.swaps_axes(),
-                },
-                None => {
-                    crate::legalize::MacroFootprint { location: die.lower_left(), rotated: false }
+        let (mut footprints, top_blocks) = match warm {
+            Some(warm) => {
+                // Seed footprints from the warm placement; macros the edit
+                // introduced (or that the warm result never covered) start
+                // at the die origin and get a real spot during legalization.
+                let mut footprints = MacroFootprints::for_design(design);
+                for m in design.macros() {
+                    let fp = match warm.placement_of(m) {
+                        Some(p) => MacroFootprint {
+                            location: p.location,
+                            rotated: p.orientation.swaps_axes(),
+                        },
+                        None => MacroFootprint { location: die.lower_left(), rotated: false },
+                    };
+                    footprints.insert(m, fp);
                 }
-            };
-            footprints.insert(m, fp);
-        }
+                (footprints, warm.top_blocks.clone())
+            }
+            None => self.floorplan(design, graphs, probe)?,
+        };
 
         let moved = legalize_macros(design, die, &mut footprints);
         if !probe(&FlowStage::LegalizationDone { moved }) {
@@ -285,7 +163,6 @@ impl HidapFlow {
         }
         let orientations = macro_flipping(design, &footprints);
         let flipped = orientations.values().filter(|&&o| o != Orientation::N).count();
-
         let mut macros: Vec<PlacedMacro> = footprints
             .iter()
             .map(|(cell, fp)| PlacedMacro {
@@ -295,7 +172,7 @@ impl HidapFlow {
             })
             .collect();
         macros.sort_by_key(|m| m.cell);
-        let placement = MacroPlacement { macros, top_blocks: warm.top_blocks.clone() };
+        let placement = MacroPlacement { macros, top_blocks };
 
         // Incremental legalization is best-effort: on a dense die an edit
         // can defeat both the greedy pass and the shelf fallback even though
@@ -304,14 +181,68 @@ impl HidapFlow {
         // — the fallback costs cold time, never correctness. The probe sees
         // the full stage sequence after the legalization checkpoint, which
         // is the true story of the run.
-        if !placement.is_legal(design) {
-            return self.run_probed(design, probe);
+        if warm.is_some() && !placement.is_legal(design) {
+            return self.run_probed(design, graphs, None, probe);
         }
-
         if !probe(&FlowStage::FlippingDone { flipped }) {
             return Err(HidapError::Cancelled);
         }
         Ok(placement)
+    }
+
+    /// The global stages of a cold run: hierarchy tree, shape curves and
+    /// the recursive block floorplan. Returns the macro footprints (every
+    /// macro the recursion could not reach sits at the die origin) and the
+    /// top-level blocks.
+    fn floorplan(
+        &self,
+        design: &Design,
+        graphs: Option<(&NetGraph, &SeqGraph)>,
+        probe: &mut FlowProbe<'_>,
+    ) -> Result<(MacroFootprints, Vec<(String, Rect)>), HidapError> {
+        let die = design.die();
+        let ht = HierarchyTree::from_design(design);
+        if !probe(&FlowStage::HierarchyBuilt { nodes: ht.len() }) {
+            return Err(HidapError::Cancelled);
+        }
+        let shape_curves = ShapeCurveSet::generate(design, &ht, &self.config);
+        if !probe(&FlowStage::ShapeCurvesReady { curves: shape_curves.len() }) {
+            return Err(HidapError::Cancelled);
+        }
+        // `from_netgraph` on the same design is bit-identical to what a
+        // cache holds, so cached and built graphs give the same placement
+        let built;
+        let (gnet, gseq) = match graphs {
+            Some(graphs) => graphs,
+            None => {
+                let gnet = NetGraph::from_design(design);
+                let gseq = SeqGraph::from_netgraph(
+                    design,
+                    &gnet,
+                    &SeqGraphConfig { min_register_bits: self.config.min_register_bits },
+                );
+                built = (gnet, gseq);
+                (&built.0, &built.1)
+            }
+        };
+
+        // Recursive block floorplanning.
+        let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
+        let mut floorplanner =
+            RecursiveFloorplanner::new(design, &ht, gnet, gseq, &shape_curves, &self.config);
+        if !floorplanner.floorplan(ht.root(), die, &[], 0, &mut rng, probe) {
+            return Err(HidapError::Cancelled);
+        }
+        let mut footprints = floorplanner.footprints;
+
+        // Any macro the recursion could not reach (e.g. isolated macros in a
+        // degenerate hierarchy) falls back to the die origin and is then
+        // legalized with everything else.
+        for m in design.macros() {
+            footprints
+                .insert_if_absent(m, MacroFootprint { location: die.lower_left(), rotated: false });
+        }
+        Ok((footprints, floorplanner.top_blocks))
     }
 }
 
@@ -423,7 +354,7 @@ mod tests {
         let design = soc_design();
         let mut stages: Vec<String> = Vec::new();
         HidapFlow::new(HidapConfig::fast())
-            .run_probed(&design, &mut |stage| {
+            .run_probed(&design, None, None, &mut |stage| {
                 stages.push(match stage {
                     FlowStage::HierarchyBuilt { .. } => "hierarchy".into(),
                     FlowStage::ShapeCurvesReady { .. } => "curves".into(),
@@ -444,14 +375,16 @@ mod tests {
     #[test]
     fn probe_can_cancel_the_run() {
         let design = soc_design();
-        let result = HidapFlow::new(HidapConfig::fast()).run_probed(&design, &mut |_| false);
+        let result =
+            HidapFlow::new(HidapConfig::fast()).run_probed(&design, None, None, &mut |_| false);
         assert_eq!(result.unwrap_err(), HidapError::Cancelled);
         // cancelling mid-floorplan also aborts
         let mut seen = 0;
-        let result = HidapFlow::new(HidapConfig::fast()).run_probed(&design, &mut |_| {
-            seen += 1;
-            seen < 3
-        });
+        let result =
+            HidapFlow::new(HidapConfig::fast()).run_probed(&design, None, None, &mut |_| {
+                seen += 1;
+                seen < 3
+            });
         assert_eq!(result.unwrap_err(), HidapError::Cancelled);
     }
 
@@ -460,7 +393,7 @@ mod tests {
         let design = soc_design();
         let flow = HidapFlow::new(HidapConfig::fast());
         let cold = flow.run(&design).unwrap();
-        let warm = flow.run_warm(&design, &cold).unwrap();
+        let warm = flow.run_probed(&design, None, Some(&cold), &mut |_| true).unwrap();
         assert!(warm.is_legal(&design));
         assert_eq!(warm.macros.len(), cold.macros.len());
         assert_eq!(warm.top_blocks, cold.top_blocks, "top blocks carry over");
@@ -470,7 +403,7 @@ mod tests {
             assert_eq!(c.location, w.location);
         }
         // and the path is deterministic
-        assert_eq!(warm, flow.run_warm(&design, &cold).unwrap());
+        assert_eq!(warm, flow.run_probed(&design, None, Some(&cold), &mut |_| true).unwrap());
     }
 
     #[test]
@@ -479,7 +412,7 @@ mod tests {
         let flow = HidapFlow::new(HidapConfig::fast());
         let mut seed = flow.run(&design).unwrap();
         seed.macros.truncate(3); // pretend the edit added five new macros
-        let warm = flow.run_warm(&design, &seed).unwrap();
+        let warm = flow.run_probed(&design, None, Some(&seed), &mut |_| true).unwrap();
         assert_eq!(warm.macros.len(), 8, "every design macro gets a footprint");
         assert!(warm.is_legal(&design));
     }
@@ -524,7 +457,7 @@ mod tests {
         let flow = HidapFlow::new(HidapConfig::fast());
         let mut stages: Vec<String> = Vec::new();
         let warm = flow
-            .run_warm_probed(&design, &seed, &mut |stage| {
+            .run_probed(&design, None, Some(&seed), &mut |stage| {
                 stages.push(format!("{stage:?}"));
                 true
             })
@@ -546,7 +479,7 @@ mod tests {
         let flow = HidapFlow::new(HidapConfig::fast());
         let cold = flow.run(&design).unwrap();
         let mut stages: Vec<&'static str> = Vec::new();
-        flow.run_warm_probed(&design, &cold, &mut |stage| {
+        flow.run_probed(&design, None, Some(&cold), &mut |stage| {
             stages.push(match stage {
                 FlowStage::LegalizationDone { .. } => "legalize",
                 FlowStage::FlippingDone { .. } => "flipping",
@@ -557,7 +490,7 @@ mod tests {
         .unwrap();
         assert_eq!(stages, ["legalize", "flipping"]);
         // cancellation still works on the warm path
-        let err = flow.run_warm_probed(&design, &cold, &mut |_| false).unwrap_err();
+        let err = flow.run_probed(&design, None, Some(&cold), &mut |_| false).unwrap_err();
         assert_eq!(err, HidapError::Cancelled);
     }
 
@@ -565,8 +498,9 @@ mod tests {
     fn probed_run_matches_plain_run() {
         let design = soc_design();
         let plain = HidapFlow::new(HidapConfig::fast()).run(&design).unwrap();
-        let probed =
-            HidapFlow::new(HidapConfig::fast()).run_probed(&design, &mut |_| true).unwrap();
+        let probed = HidapFlow::new(HidapConfig::fast())
+            .run_probed(&design, None, None, &mut |_| true)
+            .unwrap();
         assert_eq!(plain, probed);
     }
 }

@@ -26,7 +26,7 @@
 //!
 //! [`HidapFlow`] implements the engine's `placer_core::Placer` trait, so the
 //! recommended entry point is a `PlaceRequest` (design + seed + effort + λ)
-//! through a `PlaceContext` (observer, cancellation, deadline). The outcome
+//! through a `PlaceContext` (observer, cancellation). The outcome
 //! carries the placement plus per-stage timings:
 //!
 //! ```
@@ -91,8 +91,8 @@
 //! ```
 //!
 //! The lower-level [`HidapFlow::run`] / [`flow::HidapFlow::run_probed`]
-//! entry points remain available for callers that want the raw placement or
-//! custom stage probes.
+//! entry points remain available for callers that want the raw placement,
+//! custom stage probes, prebuilt circuit graphs or the ECO warm start.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::print_stdout)]

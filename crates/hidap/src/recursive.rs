@@ -12,7 +12,7 @@ use crate::block::{Block, BlockKind, BlockSet};
 use crate::config::HidapConfig;
 use crate::dataflow::{dataflow_inference, FixedGroup, LevelDataflow};
 use crate::decluster::hierarchical_declustering;
-use crate::flow::FlowStage;
+use crate::flow::{FlowProbe, FlowStage};
 use crate::layout::{generate_layout, LayoutBlock, LayoutProblem};
 use crate::legalize::{MacroFootprint, MacroFootprints};
 use crate::shape_curves::ShapeCurveSet;
@@ -59,7 +59,9 @@ impl<'a> RecursiveFloorplanner<'a> {
         }
     }
 
-    /// Floorplans the subtree of `node` inside `region` (Algorithm 2).
+    /// Floorplans the subtree of `node` inside `region` (Algorithm 2),
+    /// reporting every accepted level floorplan to `probe`. Returns `false`
+    /// when the probe asked to stop.
     ///
     /// `fixed` is the already-placed context: blocks of enclosing levels and
     /// their positions. `depth` is 0 at the top call.
@@ -70,21 +72,7 @@ impl<'a> RecursiveFloorplanner<'a> {
         fixed: &[FixedGroup],
         depth: usize,
         rng: &mut R,
-    ) {
-        self.floorplan_probed(node, region, fixed, depth, rng, &mut |_| true);
-    }
-
-    /// Like [`RecursiveFloorplanner::floorplan`], but reports every accepted
-    /// level floorplan to `probe` and stops early (returning `false`) when
-    /// the probe asks for cancellation.
-    pub fn floorplan_probed<R: Rng + ?Sized>(
-        &mut self,
-        node: HierarchyNodeId,
-        region: Rect,
-        fixed: &[FixedGroup],
-        depth: usize,
-        rng: &mut R,
-        probe: &mut (dyn FnMut(&FlowStage<'_>) -> bool + '_),
+        probe: &mut FlowProbe<'_>,
     ) -> bool {
         // Step 1: hierarchical declustering (Sect. IV-B).
         let mut blocks =
@@ -139,8 +127,7 @@ impl<'a> RecursiveFloorplanner<'a> {
                     let child_fixed = self.child_context(&blocks, idx, &layout.rects, fixed);
                     match block.kind {
                         BlockKind::Hierarchy(h) => {
-                            if !self.floorplan_probed(h, rect, &child_fixed, depth + 1, rng, probe)
-                            {
+                            if !self.floorplan(h, rect, &child_fixed, depth + 1, rng, probe) {
                                 return false;
                             }
                         }
@@ -304,7 +291,7 @@ mod tests {
         let gseq = SeqGraph::from_design(&design, &SeqGraphConfig { min_register_bits: 1 });
         let mut fp = RecursiveFloorplanner::new(&design, &ht, &gnet, &gseq, &curves, &config);
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        fp.floorplan(ht.root(), design.die(), &[], 0, &mut rng);
+        fp.floorplan(ht.root(), design.die(), &[], 0, &mut rng, &mut |_| true);
         assert_eq!(fp.footprints.len(), 8, "all 8 macros placed");
         // the top level identified the two clusters
         assert_eq!(fp.top_blocks.len(), 2);
@@ -326,7 +313,7 @@ mod tests {
         let gseq = SeqGraph::from_design(&design, &SeqGraphConfig { min_register_bits: 1 });
         let mut fp = RecursiveFloorplanner::new(&design, &ht, &gnet, &gseq, &curves, &config);
         let mut rng = ChaCha8Rng::seed_from_u64(2);
-        fp.floorplan(ht.root(), design.die(), &[], 0, &mut rng);
+        fp.floorplan(ht.root(), design.die(), &[], 0, &mut rng, &mut |_| true);
 
         let top: HashMap<&str, Rect> =
             fp.top_blocks.iter().map(|(n, r)| (n.as_str(), *r)).collect();
@@ -356,7 +343,7 @@ mod tests {
         let gseq = SeqGraph::from_design(&design, &SeqGraphConfig { min_register_bits: 1 });
         let mut fp = RecursiveFloorplanner::new(&design, &ht, &gnet, &gseq, &curves, &config);
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        fp.floorplan(ht.root(), design.die(), &[], 0, &mut rng);
+        fp.floorplan(ht.root(), design.die(), &[], 0, &mut rng, &mut |_| true);
         assert!(fp.footprints.is_empty());
     }
 }

@@ -153,11 +153,6 @@ impl<I: DenseId, T> DenseMap<I, T> {
     pub fn as_slice(&self) -> &[T] {
         &self.data
     }
-
-    /// The raw mutable value slice.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
 }
 
 impl<I: DenseId, T> std::ops::Index<I> for DenseMap<I, T> {

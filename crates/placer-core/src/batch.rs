@@ -5,11 +5,11 @@ use crate::error::PlaceError;
 use crate::observer::StageEvent;
 use crate::request::{PlaceOutcome, PlaceRequest, Placer};
 use eval::EvalConfig;
-use netlist::design::Design;
+use hidap::HidapError;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Per-cell result slot: the outcome and its objective score, or the error.
+/// Per-cell result slot: the outcome and its wirelength score, or the error.
 type CellResult = Result<(PlaceOutcome, f64), PlaceError>;
 
 /// The seed×λ grid a batch explores (row-major: all λ for the first seed,
@@ -66,51 +66,6 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Scores one outcome; the batch winner is the cell with the lowest score
-/// (ties broken by grid index, so winner selection is deterministic).
-pub trait Objective: Send + Sync {
-    /// The score of an outcome (lower is better).
-    fn score(&self, design: &Design, outcome: &PlaceOutcome) -> f64;
-
-    /// The evaluation the runner should attach to each request so
-    /// [`Objective::score`] can reuse it instead of re-measuring.
-    fn eval_config(&self) -> Option<EvalConfig> {
-        None
-    }
-}
-
-/// Picks the placement with the lowest measured wirelength, the selection
-/// rule of the paper's handFP oracle and best-of-λ experiments.
-#[derive(Debug, Clone)]
-pub struct WirelengthObjective {
-    /// Evaluation settings.
-    pub eval: EvalConfig,
-}
-
-impl WirelengthObjective {
-    /// Wirelength under the standard evaluation settings.
-    pub fn standard() -> Self {
-        Self { eval: EvalConfig::standard() }
-    }
-}
-
-impl Objective for WirelengthObjective {
-    fn score(&self, design: &Design, outcome: &PlaceOutcome) -> f64 {
-        match &outcome.metrics {
-            Some(metrics) => metrics.wirelength_m,
-            // cold path: flows evaluate themselves when the runner attaches
-            // this objective's eval config, so metrics is normally Some
-            None => {
-                eval::Evaluator::new(self.eval).evaluate(design, &outcome.placement).wirelength_m
-            }
-        }
-    }
-
-    fn eval_config(&self) -> Option<EvalConfig> {
-        Some(self.eval)
-    }
-}
-
 /// The fate of one grid cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSummary {
@@ -120,7 +75,8 @@ pub struct RunSummary {
     pub seed: u64,
     /// λ of the cell.
     pub lambda: f64,
-    /// Objective score (lower is better); `None` when the run failed.
+    /// Measured wirelength in meters, the score the winner is picked by
+    /// (lower is better); `None` when the run failed.
     pub score: Option<f64>,
     /// Error message when the run failed.
     pub error: Option<String>,
@@ -135,14 +91,20 @@ pub struct BatchOutcome {
     pub winner: PlaceOutcome,
     /// Grid index of the winner.
     pub winner_index: usize,
-    /// Objective score of the winner.
+    /// Measured wirelength of the winner in meters.
     pub winner_score: f64,
     /// One summary per grid cell, in grid order.
     pub runs: Vec<RunSummary>,
 }
 
-/// Executes a seed×λ grid, in parallel across worker threads, and picks the
-/// winner by a pluggable [`Objective`].
+/// Executes a seed×λ grid, in parallel across worker threads, and keeps the
+/// run with the lowest measured wirelength, the selection rule of the
+/// paper's handFP oracle and best-of-λ experiments.
+///
+/// Each cell is evaluated with the template's [`PlaceRequest::evaluate`]
+/// configuration, or [`EvalConfig::standard`] when the template has none,
+/// and scored by its [`eval::PlacementMetrics::wirelength_m`]. The winner
+/// therefore carries the metrics its score was read from.
 ///
 /// Guarantees:
 ///
@@ -150,12 +112,11 @@ pub struct BatchOutcome {
 ///   spec (its seed and λ), and the winner is the lowest score with ties
 ///   broken by grid index; the result is identical for any `jobs` value,
 /// * **isolation** — cells run with independent contexts sharing the
-///   caller's observer, cancel token and deadline,
+///   caller's observer, cancel token and artifact cache,
 /// * **error tolerance** — failed cells are skipped; the batch fails only
 ///   when every cell fails (reporting the first error in grid order).
 pub struct BatchRunner {
     jobs: usize,
-    objective: Box<dyn Objective>,
 }
 
 impl Default for BatchRunner {
@@ -165,20 +126,14 @@ impl Default for BatchRunner {
 }
 
 impl BatchRunner {
-    /// A runner using every available core and the wirelength objective.
+    /// A runner using every available core.
     pub fn new() -> Self {
-        Self { jobs: 0, objective: Box::new(WirelengthObjective::standard()) }
+        Self { jobs: 0 }
     }
 
     /// Sets the worker-thread count (0 = all available cores).
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs;
-        self
-    }
-
-    /// Sets the winner-selection objective.
-    pub fn with_objective(mut self, objective: Box<dyn Objective>) -> Self {
-        self.objective = objective;
         self
     }
 
@@ -191,15 +146,16 @@ impl BatchRunner {
 
     /// Runs every cell of `grid` through `placer` and returns the winner.
     ///
-    /// `template` supplies everything but seed and λ: the design, die
-    /// override and effort tier. The template's own seed/λ are ignored.
+    /// `template` supplies everything but seed and λ: the design, effort
+    /// tier, evaluation and warm start. The template's own seed/λ are
+    /// ignored.
     ///
     /// # Errors
     ///
     /// * [`PlaceError::InvalidRequest`] for an empty grid,
-    /// * [`PlaceError::Cancelled`] / [`PlaceError::DeadlineExceeded`] when
-    ///   the context interrupts the batch,
-    /// * the first cell error (in grid order) when every cell fails.
+    /// * [`PlaceError::Cancelled`] when the context cancels the batch,
+    /// * the first cell error (in grid order) when every cell fails. A cell
+    ///   whose flow attaches no metrics fails with [`PlaceError::Flow`].
     pub fn run(
         &self,
         placer: &dyn Placer,
@@ -219,8 +175,7 @@ impl BatchRunner {
         }
         let total = grid.len();
         let jobs = self.effective_jobs(total);
-        let scoring_design = template.effective_design();
-        let scoring_design = scoring_design.as_ref();
+        let evaluate = template.evaluate.unwrap_or_else(EvalConfig::standard);
         let next_cell = AtomicUsize::new(0);
         let results: Mutex<Vec<Option<CellResult>>> = Mutex::new(vec![None; total]);
 
@@ -238,15 +193,20 @@ impl BatchRunner {
                         continue;
                     }
                     child_ctx.emit(StageEvent::BatchRunStarted { index, total, seed, lambda });
-                    let mut request = template.clone().with_seed(seed).with_lambda(lambda);
-                    // the objective picks the winner, so its evaluation
-                    // settings take precedence over the template's
-                    if let Some(eval) = self.objective.eval_config() {
-                        request.evaluate = Some(eval);
-                    }
-                    let result = placer.place(&request, &mut child_ctx).map(|outcome| {
-                        let score = self.objective.score(scoring_design, &outcome);
-                        (outcome, score)
+                    let request = template
+                        .clone()
+                        .with_seed(seed)
+                        .with_lambda(lambda)
+                        .with_evaluation(evaluate);
+                    let result = placer.place(&request, &mut child_ctx).and_then(|outcome| {
+                        let score =
+                            outcome.metrics.as_ref().map(|m| m.wirelength_m).ok_or_else(|| {
+                                PlaceError::Flow(HidapError::Internal(format!(
+                                    "flow '{}' attached no metrics, so its run cannot be ranked",
+                                    placer.name()
+                                )))
+                            })?;
+                        Ok((outcome, score))
                     });
                     child_ctx.emit(StageEvent::BatchRunFinished {
                         index,
@@ -316,7 +276,7 @@ mod tests {
     use super::*;
     use geometry::Rect;
     use hidap::{HidapConfig, HidapFlow};
-    use netlist::design::DesignBuilder;
+    use netlist::design::{Design, DesignBuilder};
 
     fn pipeline_design() -> Design {
         let mut b = DesignBuilder::new("t");
@@ -378,6 +338,67 @@ mod tests {
             .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
             .unwrap();
         assert_eq!(outcome.winner_index, best.0);
+    }
+
+    #[test]
+    fn cells_are_scored_at_the_template_evaluation() {
+        // a design whose LEF says 2000 DBU/µm: the template's config must
+        // score every cell, not the 1000 DBU/µm standard
+        let design = pipeline_design();
+        let config = EvalConfig { dbu_per_micron: 2000, ..EvalConfig::standard() };
+        let placer = HidapFlow::new(HidapConfig::fast());
+        let grid = BatchGrid::new(vec![1, 2], vec![0.2, 0.8]);
+        let template = PlaceRequest::new(&design).with_evaluation(config);
+        let outcome = BatchRunner::new()
+            .with_jobs(2)
+            .run(&placer, &template, &grid, &mut PlaceContext::new())
+            .unwrap();
+        for run in &outcome.runs {
+            let direct = placer
+                .place(
+                    &template.clone().with_seed(run.seed).with_lambda(run.lambda),
+                    &mut PlaceContext::new(),
+                )
+                .unwrap();
+            let metrics = direct.metrics.expect("the template asks for metrics");
+            assert_eq!(run.score, Some(metrics.wirelength_m), "cell {}", run.index);
+        }
+        let metrics = outcome.winner.metrics.as_ref().expect("the winner carries metrics");
+        assert_eq!(outcome.winner_score, metrics.wirelength_m);
+        let fresh = eval::Evaluator::new(config).evaluate(&design, &outcome.winner.placement);
+        assert_eq!(*metrics, fresh);
+    }
+
+    #[test]
+    fn a_run_without_metrics_fails_its_cell() {
+        struct Unevaluated;
+        impl crate::request::Placer for Unevaluated {
+            fn name(&self) -> &str {
+                "unevaluated"
+            }
+            fn place(
+                &self,
+                req: &PlaceRequest<'_>,
+                _ctx: &mut PlaceContext,
+            ) -> Result<PlaceOutcome, PlaceError> {
+                Ok(PlaceOutcome {
+                    placement: hidap::MacroPlacement::default(),
+                    flow: "unevaluated".into(),
+                    seed: req.seed,
+                    lambda: req.lambda,
+                    stage_timings: Vec::new(),
+                    wall_s: 0.0,
+                    metrics: None,
+                })
+            }
+        }
+        let design = pipeline_design();
+        let grid = BatchGrid::new(vec![1, 2], vec![0.5]);
+        let err = BatchRunner::new()
+            .run(&Unevaluated, &PlaceRequest::new(&design), &grid, &mut PlaceContext::new())
+            .unwrap_err();
+        assert!(matches!(err, PlaceError::Flow(HidapError::Internal(_))), "{err}");
+        assert!(err.to_string().contains("no metrics"), "{err}");
     }
 
     #[test]

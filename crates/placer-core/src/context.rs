@@ -1,12 +1,11 @@
-//! Per-run context: observer wiring, cancellation, deadlines and the shared
-//! evaluation session.
+//! Per-run context: observer wiring, cancellation and the shared evaluation
+//! session.
 
 use crate::error::PlaceError;
 use crate::observer::{FlowObserver, StageEvent};
 use eval::{ArtifactCache, EvalConfig, Evaluator};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// A shareable cancellation flag; clone it, hand it to another thread, and
 /// call [`CancelToken::cancel`] to stop an in-flight run at its next stage
@@ -33,14 +32,13 @@ impl CancelToken {
 
 /// Execution context threaded through every [`crate::Placer::place`] call.
 ///
-/// Carries the observer, the cancellation token and an optional deadline.
+/// Carries the observer, the cancellation token and the artifact cache.
 /// Flows poll [`PlaceContext::interrupted`] at stage boundaries and abort
-/// with [`PlaceError::Cancelled`] / [`PlaceError::DeadlineExceeded`].
+/// with [`PlaceError::Cancelled`].
 #[derive(Default)]
 pub struct PlaceContext {
     observer: Option<Arc<dyn FlowObserver>>,
     cancel: CancelToken,
-    deadline: Option<Instant>,
     /// Artifact cache (`Gnet`, `Gseq`) shared by every flow run and
     /// evaluation of this context and its children, so a seed×λ sweep builds
     /// each derived graph once, not per run. Contexts created by a
@@ -50,7 +48,7 @@ pub struct PlaceContext {
 }
 
 impl PlaceContext {
-    /// A context with no observer, no deadline and a fresh cancel token.
+    /// A context with no observer and a fresh cancel token.
     pub fn new() -> Self {
         Self::default()
     }
@@ -58,14 +56,6 @@ impl PlaceContext {
     /// Attaches an observer receiving this run's stage events.
     pub fn with_observer(mut self, observer: Arc<dyn FlowObserver>) -> Self {
         self.observer = Some(observer);
-        self
-    }
-
-    /// Sets a deadline `budget` from now.
-    pub fn with_deadline(mut self, budget: Duration) -> Self {
-        // lint:allow(wall-clock): opt-in wall-time budget requested by the caller;
-        // deterministic flows never set a deadline
-        self.deadline = Some(Instant::now() + budget);
         self
     }
 
@@ -102,19 +92,9 @@ impl PlaceContext {
         }
     }
 
-    /// Checks cancellation and deadline; `Some(error)` means the flow must
-    /// abort now.
+    /// Checks cancellation; `Some(error)` means the flow must abort now.
     pub fn interrupted(&self) -> Option<PlaceError> {
-        if self.cancel.is_cancelled() {
-            return Some(PlaceError::Cancelled);
-        }
-        if let Some(deadline) = self.deadline {
-            // lint:allow(wall-clock): checks the caller's opt-in deadline (see with_deadline)
-            if Instant::now() >= deadline {
-                return Some(PlaceError::DeadlineExceeded);
-            }
-        }
-        None
+        self.cancel.is_cancelled().then_some(PlaceError::Cancelled)
     }
 
     /// An evaluation session with the given configuration, sharing this
@@ -126,12 +106,11 @@ impl PlaceContext {
     }
 
     /// A child context for one run of a batch: shares the observer, cancel
-    /// token, deadline and artifact cache of the parent.
+    /// token and artifact cache of the parent.
     pub fn child(&self) -> PlaceContext {
         PlaceContext {
             observer: self.observer.clone(),
             cancel: self.cancel.clone(),
-            deadline: self.deadline,
             artifacts: self.artifacts.clone(),
         }
     }
@@ -153,15 +132,6 @@ mod tests {
         assert!(ctx.interrupted().is_none());
         token.cancel();
         assert_eq!(ctx.interrupted(), Some(PlaceError::Cancelled));
-    }
-
-    #[test]
-    fn expired_deadline_interrupts() {
-        let ctx = PlaceContext::new().with_deadline(Duration::from_secs(0));
-        // lint:allow(test-env): a zero deadline is already expired; the sleep only
-        // guarantees clock monotonicity has ticked, and more load makes it *more* expired
-        std::thread::sleep(Duration::from_millis(2));
-        assert_eq!(ctx.interrupted(), Some(PlaceError::DeadlineExceeded));
     }
 
     #[test]

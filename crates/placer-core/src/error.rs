@@ -8,8 +8,6 @@ use std::fmt;
 pub enum PlaceError {
     /// The run was cancelled through its [`crate::CancelToken`].
     Cancelled,
-    /// The run exceeded the deadline set on its [`crate::PlaceContext`].
-    DeadlineExceeded,
     /// The request is malformed (bad λ, empty grid, ...).
     InvalidRequest(String),
     /// Admission control rejected a submit: the referenced (unevictable)
@@ -48,7 +46,6 @@ impl fmt::Display for PlaceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PlaceError::Cancelled => write!(f, "placement run was cancelled"),
-            PlaceError::DeadlineExceeded => write!(f, "placement run exceeded its deadline"),
             PlaceError::InvalidRequest(msg) => write!(f, "invalid placement request: {msg}"),
             PlaceError::AdmissionRejected { design, pinned_bytes, budget_bytes } => write!(
                 f,
@@ -87,7 +84,6 @@ mod tests {
     #[test]
     fn display_messages() {
         assert!(PlaceError::Cancelled.to_string().contains("cancelled"));
-        assert!(PlaceError::DeadlineExceeded.to_string().contains("deadline"));
         let e = PlaceError::UnknownFlow { requested: "x".into(), known: vec!["hidap".into()] };
         assert!(e.to_string().contains("hidap"));
         let e = PlaceError::AdmissionRejected { design: 3, pinned_bytes: 900, budget_bytes: 512 };

@@ -13,14 +13,18 @@ use graphs::seqgraph::SeqGraphConfig;
 use hidap::{FlowStage, HidapConfig, HidapFlow};
 use std::time::Instant;
 
+/// The HiDaP configuration of an effort tier.
+pub fn hidap_config(effort: EffortLevel) -> HidapConfig {
+    match effort {
+        EffortLevel::Fast => HidapConfig::fast(),
+        EffortLevel::Default => HidapConfig::default(),
+        EffortLevel::High => HidapConfig::high_effort(),
+    }
+}
+
 /// The HiDaP configuration a request implies, given a flow's base config.
 pub fn hidap_config_for(base: &HidapConfig, req: &PlaceRequest<'_>) -> HidapConfig {
-    let mut config = match req.effort {
-        Some(EffortLevel::Fast) => HidapConfig::fast(),
-        Some(EffortLevel::Default) => HidapConfig::default(),
-        Some(EffortLevel::High) => HidapConfig::high_effort(),
-        None => base.clone(),
-    };
+    let mut config = req.effort.map_or_else(|| base.clone(), hidap_config);
     config.seed = req.seed;
     if let Some(lambda) = req.lambda {
         config.lambda = lambda;
@@ -104,7 +108,7 @@ impl Placer for HidapFlow {
         }
         let config = hidap_config_for(self.config(), req);
         let lambda = config.lambda;
-        let design = req.effective_design();
+        let design = req.design;
         ctx.emit(StageEvent::FlowStarted {
             flow: "hidap".into(),
             seed: req.seed,
@@ -116,34 +120,22 @@ impl Placer for HidapFlow {
         let mut tracker = StageTracker::new(ctx, design.num_macros());
         let flow = HidapFlow::new(config);
         let min_register_bits = flow.config().min_register_bits;
+        let mut probe = |stage: &FlowStage<'_>| tracker.on_stage(stage);
         let placement = match req.warm_start {
             // the ECO warm path re-legalizes from the seed placement and
             // never floorplans, so it needs neither circuit graph
-            Some(warm) => {
-                flow.run_warm_probed(design.as_ref(), warm, &mut |stage| tracker.on_stage(stage))
-            }
+            Some(warm) => flow.run_probed(design, None, Some(warm), &mut probe),
             None => {
                 // both circuit graphs come from the context's design-keyed
                 // artifact cache: one `Gnet` build and one `Gseq` build per
                 // design (× register-width threshold for `Gseq`) across every
-                // run of a sweep or a multi-design service. Keyed off the
-                // *borrowed* request design, not the die-override clone —
-                // the graphs do not depend on the die, so the keys and
-                // graphs are identical either way.
-                let gnet = ctx.artifacts().get_or_build_net(req.design);
-                let gseq = ctx
-                    .artifacts()
-                    .get_or_build_seq(req.design, &SeqGraphConfig { min_register_bits });
-                flow.run_probed_with(design.as_ref(), Some(&gnet), Some(&gseq), &mut |stage| {
-                    tracker.on_stage(stage)
-                })
+                // run of a sweep or a multi-design service
+                let gnet = ctx.artifacts().get_or_build_net(design);
+                let gseq =
+                    ctx.artifacts().get_or_build_seq(design, &SeqGraphConfig { min_register_bits });
+                flow.run_probed(design, Some((&gnet, &gseq)), None, &mut probe)
             }
-        }
-        .map_err(|e| match e {
-            // the probe aborted on behalf of the context: surface why
-            hidap::HidapError::Cancelled => ctx.interrupted().unwrap_or(PlaceError::Cancelled),
-            other => PlaceError::from(other),
-        })?;
+        }?;
         let mut timings = tracker.timings;
         let wall_s = start.elapsed().as_secs_f64();
 
@@ -153,17 +145,15 @@ impl Placer for HidapFlow {
             // the context's evaluator shares the Gseq cache across a sweep,
             // and the flow output is read directly as a PlacementView
             let metrics = match req.warm_cells {
-                Some(cells) => {
-                    ctx.evaluator(*eval_cfg).evaluate_warm(design.as_ref(), &placement, cells).0
-                }
-                None => ctx.evaluator(*eval_cfg).evaluate(design.as_ref(), &placement),
+                Some(cells) => ctx.evaluator(*eval_cfg).evaluate_warm(design, &placement, cells).0,
+                None => ctx.evaluator(*eval_cfg).evaluate(design, &placement),
             };
             timings
                 .push(StageTiming { stage: "evaluate".into(), seconds: t.elapsed().as_secs_f64() });
             metrics
         });
 
-        ctx.emit(StageEvent::FlowFinished { wall_s, legal: placement.is_legal(design.as_ref()) });
+        ctx.emit(StageEvent::FlowFinished { wall_s, legal: placement.is_legal(design) });
         Ok(PlaceOutcome {
             placement,
             flow: "hidap".into(),
@@ -192,7 +182,6 @@ mod tests {
     use geometry::Rect;
     use netlist::design::DesignBuilder;
     use std::sync::Arc;
-    use std::time::Duration;
 
     fn pipeline_design() -> netlist::design::Design {
         let mut b = DesignBuilder::new("t");
@@ -267,19 +256,6 @@ mod tests {
             .place(&PlaceRequest::new(&design), &mut ctx)
             .unwrap_err();
         assert_eq!(err, PlaceError::Cancelled);
-    }
-
-    #[test]
-    fn zero_deadline_is_reported_as_deadline() {
-        let design = pipeline_design();
-        let mut ctx = PlaceContext::new().with_deadline(Duration::from_secs(0));
-        // lint:allow(test-env): a zero deadline is already expired; the sleep only
-        // guarantees clock monotonicity has ticked, and more load makes it *more* expired
-        std::thread::sleep(Duration::from_millis(2));
-        let err = HidapFlow::new(HidapConfig::fast())
-            .place(&PlaceRequest::new(&design), &mut ctx)
-            .unwrap_err();
-        assert_eq!(err, PlaceError::DeadlineExceeded);
     }
 
     #[test]

@@ -5,15 +5,15 @@
 //! interface instead of exposing its own ad-hoc entry point:
 //!
 //! * [`Placer`] — the flow trait: `place(&PlaceRequest, &mut PlaceContext)`,
-//! * [`PlaceRequest`] / [`PlaceOutcome`] — what goes in (design, die, seed,
+//! * [`PlaceRequest`] / [`PlaceOutcome`] — what goes in (design, seed,
 //!   effort, constraints) and what comes out (placement, per-stage timings,
 //!   quality metrics),
 //! * [`FlowObserver`] — typed stage events (hierarchy built, shape curves,
 //!   per-level floorplans, flipping, legalization) for progress reporting,
-//! * [`PlaceContext`] — cancellation tokens and deadlines threaded through
-//!   every flow,
+//! * [`PlaceContext`] — cancellation tokens threaded through every flow,
 //! * [`BatchRunner`] — parallel seed×λ grid execution with deterministic
-//!   per-run RNG derivation and a pluggable winner [`Objective`],
+//!   per-run RNG derivation, keeping the run with the lowest measured
+//!   wirelength,
 //! * [`FlowRegistry`] — string-keyed flow lookup so front ends resolve
 //!   `--flow <name>` without hard-coding flow types,
 //! * [`DesignStore`] / [`PlacementService`] — the multi-design service
@@ -77,7 +77,7 @@ pub mod seeds;
 pub mod service;
 pub mod store;
 
-pub use batch::{BatchGrid, BatchOutcome, BatchRunner, Objective, RunSummary, WirelengthObjective};
+pub use batch::{BatchGrid, BatchOutcome, BatchRunner, RunSummary};
 pub use context::{CancelToken, PlaceContext};
 pub use error::PlaceError;
 pub use flows::builtin_registry;

@@ -70,7 +70,8 @@ pub enum StageEvent {
     BatchRunFinished {
         /// Grid index (row-major over seeds×λ).
         index: usize,
-        /// Objective score (lower is better); `None` when the cell failed.
+        /// Measured wirelength in meters (lower is better); `None` when the
+        /// cell failed.
         score: Option<f64>,
     },
 }
@@ -80,11 +81,6 @@ pub enum StageEvent {
 pub trait FlowObserver: Send + Sync {
     /// Called once per event, in the emitting run's stage order.
     fn on_event(&self, event: &StageEvent);
-}
-
-/// No-op observer.
-impl FlowObserver for () {
-    fn on_event(&self, _event: &StageEvent) {}
 }
 
 /// An observer that records every event, for tests and progress inspection.

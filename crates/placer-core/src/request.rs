@@ -3,10 +3,8 @@
 use crate::context::PlaceContext;
 use crate::error::PlaceError;
 use eval::{CellPlacement, EvalConfig, PlacementMetrics};
-use geometry::Rect;
 use hidap::MacroPlacement;
 use netlist::design::Design;
-use std::borrow::Cow;
 
 /// Compute-budget tiers shared by every flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,16 +31,14 @@ impl EffortLevel {
 
 /// What to place and under which knobs.
 ///
-/// A request is flow-agnostic: it carries the design, an optional die
-/// override, the RNG seed, an optional effort tier (when `None`, the flow
-/// uses whatever configuration it was constructed with), an optional λ
+/// A request is flow-agnostic: it carries the design (placed inside its own
+/// die), the RNG seed, an optional effort tier (when `None`, the flow uses
+/// whatever configuration it was constructed with), an optional λ
 /// constraint, and optionally which evaluation to run on the result.
 #[derive(Clone)]
 pub struct PlaceRequest<'a> {
     /// The design to place.
     pub design: &'a Design,
-    /// Overrides the design's die rectangle when set.
-    pub die: Option<Rect>,
     /// RNG seed; every flow must be deterministic for a fixed seed.
     pub seed: u64,
     /// Effort tier; `None` keeps the flow's configured effort.
@@ -71,7 +67,6 @@ impl<'a> PlaceRequest<'a> {
     pub fn new(design: &'a Design) -> Self {
         Self {
             design,
-            die: None,
             seed: 1,
             effort: None,
             lambda: None,
@@ -96,12 +91,6 @@ impl<'a> PlaceRequest<'a> {
     /// Sets the λ constraint.
     pub fn with_lambda(mut self, lambda: f64) -> Self {
         self.lambda = Some(lambda);
-        self
-    }
-
-    /// Overrides the die rectangle.
-    pub fn with_die(mut self, die: Rect) -> Self {
-        self.die = Some(die);
         self
     }
 
@@ -134,18 +123,6 @@ impl<'a> PlaceRequest<'a> {
             }
         }
         Ok(())
-    }
-
-    /// The design with the die override applied (clones only when needed).
-    pub fn effective_design(&self) -> Cow<'a, Design> {
-        match self.die {
-            Some(die) if die != self.design.die() => {
-                let mut design = self.design.clone();
-                design.set_die(die);
-                Cow::Owned(design)
-            }
-            _ => Cow::Borrowed(self.design),
-        }
     }
 }
 
@@ -188,8 +165,8 @@ impl PlaceOutcome {
 /// A macro-placement flow behind the unified engine API.
 ///
 /// Implementations must be deterministic for a fixed request and must poll
-/// [`PlaceContext::interrupted`] at stage boundaries so cancellation and
-/// deadlines take effect. `Send + Sync` is required so [`crate::BatchRunner`]
+/// [`PlaceContext::interrupted`] at stage boundaries so cancellation takes
+/// effect. `Send + Sync` is required so [`crate::BatchRunner`]
 /// can fan one placer out across worker threads.
 pub trait Placer: Send + Sync {
     /// The flow's registry name (`hidap`, `indeda`, `handfp`, ...).
@@ -237,19 +214,6 @@ mod tests {
         let design = netlist::design::DesignBuilder::new("t").build();
         let req = PlaceRequest::new(&design).with_lambda(1.5);
         assert!(matches!(req.validate(), Err(PlaceError::InvalidRequest(_))));
-    }
-
-    #[test]
-    fn die_override_clones_lazily() {
-        let mut b = netlist::design::DesignBuilder::new("t");
-        b.set_die(Rect::new(0, 0, 100, 100));
-        let design = b.build();
-        let same = PlaceRequest::new(&design).with_die(Rect::new(0, 0, 100, 100));
-        assert!(matches!(same.effective_design(), Cow::Borrowed(_)));
-        let other = PlaceRequest::new(&design).with_die(Rect::new(0, 0, 200, 200));
-        let effective = other.effective_design();
-        assert!(matches!(effective, Cow::Owned(_)));
-        assert_eq!(effective.die(), Rect::new(0, 0, 200, 200));
     }
 
     #[test]

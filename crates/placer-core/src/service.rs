@@ -62,7 +62,6 @@ use crate::request::{EffortLevel, PlaceOutcome, PlaceRequest};
 use crate::seeds::{decode_seed, encode_seed, seed_fingerprint, seed_stem, WarmSeed};
 use crate::store::{DesignHandle, DesignStore};
 use eval::EvalConfig;
-use geometry::Rect;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -111,8 +110,6 @@ pub struct PlaceJob {
     /// When set, outcomes carry metrics evaluated with this configuration
     /// (through the store's shared artifact caches).
     pub evaluate: Option<EvalConfig>,
-    /// Overrides the design's die rectangle when set.
-    pub die: Option<Rect>,
     /// Per-job observer receiving this job's stage events.
     pub observer: Option<Arc<dyn FlowObserver>>,
     /// Scheduling priority: higher-priority jobs drain first. Jobs of equal
@@ -138,7 +135,6 @@ impl PlaceJob {
             lambdas: Vec::new(),
             effort: None,
             evaluate: None,
-            die: None,
             observer: None,
             priority: 0,
             replace: None,
@@ -166,12 +162,6 @@ impl PlaceJob {
     /// Requests metrics evaluation of every run.
     pub fn with_evaluation(mut self, eval: EvalConfig) -> Self {
         self.evaluate = Some(eval);
-        self
-    }
-
-    /// Overrides the die rectangle.
-    pub fn with_die(mut self, die: Rect) -> Self {
-        self.die = Some(die);
         self
     }
 
@@ -395,12 +385,6 @@ impl PlacementService {
 
     /// Number of jobs waiting in the queue.
     pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Number of jobs waiting in the queue (alias of
-    /// [`PlacementService::pending`] matching the daemon's vocabulary).
-    pub fn queued_len(&self) -> usize {
         self.queue.len()
     }
 
@@ -705,9 +689,6 @@ impl PlacementService {
         if let Some(effort) = job.effort {
             template = template.with_effort(effort);
         }
-        if let Some(die) = job.die {
-            template = template.with_die(die);
-        }
         if let Some(eval) = job.evaluate {
             template = template.with_evaluation(eval);
         }
@@ -847,7 +828,7 @@ mod tests {
         let d = svc.intern(pipeline_design("p1", 8));
         let job = svc.submit(PlaceJob::new(d, "hidap"));
         assert!(svc.take_result(job).is_none(), "queued jobs have no result yet");
-        assert_eq!(svc.queued_len(), 1, "probing must not consume the job");
+        assert_eq!(svc.pending(), 1, "probing must not consume the job");
     }
 
     #[test]
@@ -929,7 +910,7 @@ mod tests {
         let kept = svc.submit(PlaceJob::new(d, "hidap").with_effort(EffortLevel::Fast));
         assert!(svc.cancel_queued(doomed));
         assert!(!svc.cancel_queued(doomed), "a job can only be cancelled once");
-        assert_eq!(svc.queued_len(), 1);
+        assert_eq!(svc.pending(), 1);
         assert!(matches!(svc.take_result(doomed), Some(Err(PlaceError::Cancelled))));
         svc.run_all();
         assert!(svc.take_result(kept).unwrap().is_ok(), "the other job still runs");

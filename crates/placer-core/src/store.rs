@@ -356,19 +356,6 @@ impl DesignStore {
         self.slots[handle.index()].design.as_deref()
     }
 
-    /// A shared reference to the design behind a handle (for jobs that need
-    /// to outlive a borrow of the store).
-    ///
-    /// # Panics
-    ///
-    /// Like [`DesignStore::design`], panics on foreign or evicted handles.
-    pub fn design_arc(&self, handle: DesignHandle) -> Arc<Design> {
-        self.slots[handle.index()]
-            .design
-            .clone()
-            .unwrap_or_else(|| panic!("design handle {} was evicted; re-intern it", handle.0))
-    }
-
     /// The identity key a handle was interned under (valid even while the
     /// design is evicted).
     pub fn key(&self, handle: DesignHandle) -> &DesignKey {
@@ -505,9 +492,8 @@ impl DesignStore {
     /// it. If another handle already held the post-edit identity, the edited
     /// handle takes over that index entry (the interning invariant is
     /// per-identity-at-intern-time; edits may create duplicates knowingly).
-    /// Borrowers holding [`DesignStore::design_arc`] of the pre-edit design
-    /// keep an unedited snapshot — in-flight jobs finish on the design they
-    /// started with.
+    /// A clone of the store shares its designs and keeps the unedited one:
+    /// the edit copies a shared design before changing it.
     ///
     /// Returns the [`netlist::EditLog`]; a rejected script (unknown id, bad
     /// dimensions) is a [`crate::PlaceError::InvalidRequest`] and leaves design,
@@ -534,7 +520,7 @@ impl DesignStore {
             };
             let old_key = slot.key.clone();
             let old_geometry = arc.geometry_fingerprint();
-            // in-flight borrowers keep their pre-edit snapshot: make_mut
+            // a clone of the store keeps its pre-edit snapshot: make_mut
             // clones only when the Arc is shared
             let design = Arc::make_mut(arc);
             let log = design

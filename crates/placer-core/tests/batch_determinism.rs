@@ -2,9 +2,7 @@
 //! produce the identical winner regardless of `jobs` / thread count.
 
 use hidap::{HidapConfig, HidapFlow};
-use placer_core::{
-    BatchGrid, BatchOutcome, BatchRunner, PlaceContext, PlaceRequest, WirelengthObjective,
-};
+use placer_core::{BatchGrid, BatchOutcome, BatchRunner, PlaceContext, PlaceRequest};
 use workload::presets::fig1_design;
 use workload::{SocConfig, SocGenerator, SubsystemConfig};
 
@@ -12,7 +10,6 @@ fn run_with_jobs(design: &netlist::design::Design, grid: &BatchGrid, jobs: usize
     let placer = HidapFlow::new(HidapConfig::fast());
     BatchRunner::new()
         .with_jobs(jobs)
-        .with_objective(Box::new(WirelengthObjective::standard()))
         .run(&placer, &PlaceRequest::new(design), grid, &mut PlaceContext::new())
         .expect("batch succeeds")
 }

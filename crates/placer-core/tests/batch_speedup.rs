@@ -11,7 +11,7 @@
 //! ```
 
 use hidap::{HidapConfig, HidapFlow};
-use placer_core::{BatchGrid, BatchRunner, PlaceContext, PlaceRequest, WirelengthObjective};
+use placer_core::{BatchGrid, BatchRunner, PlaceContext, PlaceRequest};
 use std::time::Instant;
 use workload::presets::generate_circuit;
 
@@ -24,9 +24,7 @@ fn parallel_sweep_beats_serial_sweep() {
     // 8 seeds × 2 λ = 16 candidates, the shape of a handFP-style sweep
     let grid = BatchGrid::new((1..=8).collect(), vec![0.2, 0.8]);
     let placer = HidapFlow::new(HidapConfig::fast());
-    let runner = |jobs: usize| {
-        BatchRunner::new().with_jobs(jobs).with_objective(Box::new(WirelengthObjective::standard()))
-    };
+    let runner = |jobs: usize| BatchRunner::new().with_jobs(jobs);
 
     // warm-up so allocator/page-cache effects don't skew the serial baseline
     runner(1)

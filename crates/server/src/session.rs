@@ -644,7 +644,6 @@ fn error_frame(cmd: &str, job: Option<u64>, error: &PlaceError) -> Frame {
     }
     let code = match error {
         PlaceError::Cancelled => "cancelled",
-        PlaceError::DeadlineExceeded => "deadline-exceeded",
         PlaceError::InvalidRequest(_) => "invalid-request",
         PlaceError::AdmissionRejected { design, pinned_bytes, budget_bytes } => {
             frame = frame

@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release --example lambda_sweep_example`
 
 use hidap::{HidapConfig, HidapFlow};
-use placer_core::{BatchGrid, BatchRunner, PlaceContext, PlaceRequest, WirelengthObjective};
+use placer_core::{BatchGrid, BatchRunner, PlaceContext, PlaceRequest};
 use workload::presets::fig1_design;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let placer = HidapFlow::new(HidapConfig::default());
     let grid = BatchGrid::new(vec![1], vec![0.0, 0.2, 0.5, 0.8, 1.0]);
-    let batch = BatchRunner::new().with_objective(Box::new(WirelengthObjective::standard())).run(
+    let batch = BatchRunner::new().run(
         &placer,
         &PlaceRequest::new(design),
         &grid,

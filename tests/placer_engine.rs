@@ -1,10 +1,9 @@
 //! End-to-end tests of the unified engine API across every registered flow:
-//! registry resolution, the `Placer` trait, stage observability, deadlines,
-//! batch sweeps, and the CLI's `--sweep`/`--jobs` path.
+//! registry resolution, the `Placer` trait, stage observability, batch
+//! sweeps, and the CLI's `--sweep`/`--jobs` path.
 
 use placer_core::{
-    BatchGrid, BatchRunner, CollectingObserver, EffortLevel, PlaceContext, PlaceError,
-    PlaceRequest, StageEvent,
+    BatchGrid, BatchRunner, CollectingObserver, EffortLevel, PlaceContext, PlaceRequest, StageEvent,
 };
 use std::sync::Arc;
 use workload::presets::fig1_design;
@@ -80,26 +79,12 @@ fn batch_runner_works_over_any_registered_flow() {
 }
 
 #[test]
-fn deadline_cancels_a_long_batch() {
-    let generated = fig1_design();
-    let design = &generated.design;
-    let placer = baselines::default_registry().create("hidap").unwrap();
-    let grid = BatchGrid::new((1..=16).collect(), vec![0.2, 0.5, 0.8]);
-    let mut ctx = PlaceContext::new().with_deadline(std::time::Duration::from_millis(1));
-    let err = BatchRunner::new()
-        .with_jobs(2)
-        .run(placer.as_ref(), &PlaceRequest::new(design), &grid, &mut ctx)
-        .unwrap_err();
-    assert_eq!(err, PlaceError::DeadlineExceeded);
-}
-
-#[test]
 fn sweeping_the_composite_handfp_flow_is_rejected() {
     let generated = fig1_design();
     let opts = cli::Options {
         flow: "handfp".into(),
         sweep: true,
-        effort: "fast".into(),
+        effort: EffortLevel::Fast,
         ..cli::Options::default()
     };
     let err = cli::place(&generated.design, &opts).unwrap_err();
@@ -112,7 +97,7 @@ fn indeda_sweep_collapses_the_lambda_axis() {
     let opts = cli::Options {
         flow: "indeda".into(),
         sweep: true,
-        effort: "fast".into(),
+        effort: EffortLevel::Fast,
         seeds: vec![1, 2],
         lambdas: vec![0.2, 0.5, 0.8],
         ..cli::Options::default()
@@ -120,27 +105,6 @@ fn indeda_sweep_collapses_the_lambda_axis() {
     let (_, info) = cli::place_outcome(&generated.design, &opts, &mut PlaceContext::new()).unwrap();
     // 2 seeds x 1 collapsed λ, not 2 x 3
     assert_eq!(info.candidates, 2);
-}
-
-#[test]
-fn handfp_honors_the_die_override() {
-    use geometry::Rect;
-    let generated = fig1_design();
-    let design = &generated.design;
-    let original = design.die();
-    let wider = Rect::new(original.llx, original.lly, original.urx * 2, original.ury);
-    let oracle = baselines::HandFp::new(baselines::HandFpConfig::fast());
-    let outcome = placer_core::Placer::place(
-        &oracle,
-        &PlaceRequest::new(design).with_die(wider),
-        &mut PlaceContext::new(),
-    )
-    .unwrap();
-    // macros may use (and with this aspect ratio, some do) area outside the
-    // original die; all stay inside the override
-    let mut widened = design.clone();
-    widened.set_die(wider);
-    assert!(outcome.placement.is_legal(&widened));
 }
 
 #[test]
