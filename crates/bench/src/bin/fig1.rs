@@ -39,8 +39,8 @@ fn main() {
         .macros
         .iter()
         .map(|m| {
-            let cell = design.cell(m.cell);
-            (cell.name.clone(), placement.rect_of(m.cell, design).expect("placed macro"))
+            let rect = placement.rect_of(m.cell, design).expect("placed macro");
+            (design.cell_name(m.cell).to_owned(), rect)
         })
         .collect();
     println!("{}", ascii_floorplan(design.die(), &macro_rects, 64));

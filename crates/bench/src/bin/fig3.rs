@@ -46,7 +46,7 @@ fn main() {
             .iter()
             .map(|m| {
                 (
-                    design.cell(m.cell).name.clone(),
+                    design.cell_name(m.cell).to_owned(),
                     placement.rect_of(m.cell, &design).expect("placed"),
                 )
             })

@@ -201,14 +201,27 @@ impl BadInput {
     }
 }
 
+/// A top module instantiating a two-macro module under one escaped name of
+/// `segments` `/`-separated segments, each of which the hierarchy tree
+/// makes a level.
+fn deep_instance_path(segments: usize) -> String {
+    let name = vec!["a"; segments].join("/");
+    format!(
+        "module sub (input i, output o); COMB g (.A(i), .Y(o)); \
+         RAM m1 (.D(i), .Q(o)); RAM m2 (.D(i), .Q(o)); endmodule\n\
+         module top (input i, output o); sub \\{name}  (.i(i), .o(o)); endmodule\n"
+    )
+}
+
 /// A one-macro netlist for the LEF/DEF rows.
 const ONE_RAM: &str = "module top (input a, output y);\n  RAM u_ram (.A(a), .Y(y));\nendmodule\n";
 
 #[test]
 fn serve_session_rejects_an_overwide_vector_and_keeps_serving() {
     // each used to either slip through or abort the daemon: with a stack
-    // overflow (Verilog), a panic in the DEF reader (swapped DIEAREA
-    // corners) or a panic in the first placement (negative LEF SIZE)
+    // overflow (Verilog, or the hierarchy tree of a deep escaped instance
+    // path), a panic in the DEF reader (swapped DIEAREA corners) or a panic
+    // in the first placement (negative LEF SIZE)
     let depth = 200_000;
     let unclosed = format!("{}a{}", "{".repeat(depth), "}".repeat(depth - 1));
     let rows = [
@@ -242,6 +255,14 @@ fn serve_session_rejects_an_overwide_vector_and_keeps_serving() {
             None,
             "line 256: instance 'u' of module 'm256' is nested deeper than 256 levels",
         ),
+        BadInput {
+            verilog: deep_instance_path(20_000),
+            lef: Some("MACRO RAM\n  CLASS BLOCK ;\n  SIZE 60 BY 40 ;\nEND RAM\n"),
+            def: None,
+            top: Some("top"),
+            expected: "line 2: an instance of module 'sub' has a hierarchy path of 20000 levels, \
+                       more than 256",
+        },
         BadInput {
             verilog: ONE_RAM.into(),
             lef: Some("MACRO RAM\n  CLASS BLOCK ;\n  SIZE -60 BY 40 ;\nEND RAM\n"),

@@ -106,7 +106,8 @@ pub fn floorplan_svg(design: &Design, macro_placement: &impl PlacementView, titl
         let cell = design.cell(id);
         let (w, h) = orient.transformed_size(cell.width, cell.height);
         let rect = Rect::from_size(loc.x, loc.y, w, h);
-        let short = cell.name.rsplit('/').next().unwrap_or(&cell.name);
+        let name = design.cell_name(id);
+        let short = name.rsplit('/').next().unwrap_or(name);
         canvas.rect(rect, "#7a8ba8", "#2c3d57", Some(short));
     }
     for (_, port) in design.ports() {

@@ -193,11 +193,11 @@ impl SeqGraph {
             design
                 .cells()
                 .filter(|(_, c)| c.kind == CellKind::Flop)
-                .map(|(id, c)| (id, split_array_name(&c.name).base)),
+                .map(|(id, _)| (id, split_array_name(design.cell_name(id)).base)),
         );
         let mut port_arrays = NameGroups::build(
             design.num_ports(),
-            design.ports().map(|(id, p)| (id, split_array_name(&p.name).base)),
+            design.port_ids().map(|id| (id, split_array_name(design.port_name(id)).base)),
         );
 
         for (cell_id, cell) in design.cells() {
@@ -206,9 +206,9 @@ impl SeqGraph {
                     let idx = nodes.len();
                     nodes.push(SeqNode {
                         kind: SeqNodeKind::Macro,
-                        name: cell.name.clone(),
+                        name: design.cell_name(cell_id).to_owned(),
                         width: 0, // filled from connectivity below
-                        hier_path: cell.hier_path.clone(),
+                        hier_path: design.hier_path(cell.hier_path).to_owned(),
                         cells: vec![cell_id],
                         ports: Vec::new(),
                     });
@@ -221,7 +221,7 @@ impl SeqGraph {
                             kind: SeqNodeKind::Register,
                             name: base.to_string(),
                             width: 0,
-                            hier_path: cell.hier_path.clone(),
+                            hier_path: design.hier_path(cell.hier_path).to_owned(),
                             cells: Vec::new(),
                             ports: Vec::new(),
                         });

@@ -82,7 +82,7 @@ pub fn hierarchical_declustering(
         let cell = design.cell(c);
         blocks.push(Block {
             kind: BlockKind::SingleMacro(c),
-            name: cell.name.clone(),
+            name: design.cell_name(c).to_owned(),
             shape: ShapeCurve::from_macro(cell.width, cell.height, true),
             min_area: cell.area(),
             target_area: cell.area(),

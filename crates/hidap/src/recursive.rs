@@ -299,7 +299,7 @@ mod tests {
         // but corner placement keeps them inside their block rects)
         for (cell, footprint) in fp.footprints.iter() {
             let r = footprint.rect(&design, cell);
-            assert!(design.die().contains_rect(&r), "{} outside die: {r}", design.cell(cell).name);
+            assert!(design.die().contains_rect(&r), "{} outside die: {r}", design.cell_name(cell));
         }
     }
 

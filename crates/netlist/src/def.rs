@@ -15,7 +15,7 @@
 //! produced by a cursor with a small bounded lookahead buffer, never a
 //! materialized vector of owned `String` tokens.
 
-use crate::design::{CellId, Design, PortId};
+use crate::design::{CellId, Design};
 use crate::error::ParseError;
 use geometry::{Dbu, Orientation, Point, Rect};
 use std::collections::{HashMap, VecDeque};
@@ -516,15 +516,12 @@ pub fn placement_entries_from_view(
 ) -> Vec<PlacementEntry> {
     let mut entries: Vec<PlacementEntry> = placements
         .iter_placed()
-        .map(|(id, loc, orient)| {
-            let cell = design.cell(id);
-            PlacementEntry {
-                name: cell.name.clone(),
-                cell: cell.lib_cell.clone(),
-                location: loc,
-                orientation: orient,
-                fixed,
-            }
+        .map(|(id, loc, orient)| PlacementEntry {
+            name: design.cell_name(id).to_owned(),
+            cell: design.lib_cell(design.cell(id).lib_cell).to_owned(),
+            location: loc,
+            orientation: orient,
+            fixed,
         })
         .collect();
     entries.sort_by(|a, b| a.name.cmp(&b.name));
@@ -535,7 +532,7 @@ pub fn placement_entries_from_view(
 pub fn port_entries(design: &Design) -> Vec<(String, Point)> {
     design
         .ports()
-        .filter_map(|(_, p): (PortId, _)| p.position.map(|pos| (p.name.clone(), pos)))
+        .filter_map(|(id, p)| p.position.map(|pos| (design.port_name(id).to_owned(), pos)))
         .collect()
 }
 

@@ -5,12 +5,19 @@
 //! the hierarchical path of the module instance it belongs to, which is what
 //! the [`crate::hierarchy::HierarchyTree`] is built from.
 //!
+//! The design is stored as arrays. A [`Cell`] is 32 bytes of plain data: its
+//! kind, footprint, and the ids of its library cell and hierarchy path, each
+//! interned once per distinct value. Every name (cells, ports, nets, library
+//! cells, hierarchy paths) lives in a packed [`Names`] store and is read by
+//! id ([`Design::cell_name`], [`Design::lib_cell`], ...); names never change
+//! after [`DesignBuilder::build`].
+//!
 //! Cells and nets carry no adjacency of their own: the wiring lives once, in
 //! the design's CSR [`Connectivity`], which [`DesignBuilder::build`] packs
 //! and [`Design::apply_edits`] rewrites in place.
 
 use crate::connectivity::{Connectivity, PinRef};
-use crate::names::NameTable;
+use crate::names::{NameTable, Names};
 use geometry::{Dbu, Point, Rect};
 use std::sync::OnceLock;
 
@@ -25,6 +32,14 @@ pub struct PortId(pub u32);
 /// Identifier of a net inside a [`Design`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NetId(pub u32);
+
+/// Identifier of a distinct library cell name inside a [`Design`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct LibCellId(pub u32);
+
+/// Identifier of a distinct hierarchy path inside a [`Design`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct HierPathId(pub u32);
 
 /// What kind of circuit element a cell is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -48,23 +63,25 @@ pub enum PortDirection {
     Inout,
 }
 
-/// A cell instance of the design.
-#[derive(Debug, Clone, PartialEq)]
+/// A cell instance of the design. Its name is [`Design::cell_name`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Cell {
-    /// Full hierarchical instance name (e.g. `u_core/u_alu/add_42`).
-    pub name: String,
-    /// Library cell / macro name (e.g. `RAM256x32`, `DFFX1`, `NAND2X1`).
-    pub lib_cell: String,
     /// Kind of the cell.
     pub kind: CellKind,
     /// Footprint width in DBU (0 for standard cells until a library is bound).
     pub width: Dbu,
     /// Footprint height in DBU.
     pub height: Dbu,
-    /// Hierarchical module path the instance lives in (e.g. `u_core/u_alu`).
-    /// The empty string denotes the top level.
-    pub hier_path: String,
+    /// Library cell / macro name (e.g. `RAM256x32`, `DFFX1`, `NAND2X1`),
+    /// read through [`Design::lib_cell`].
+    pub lib_cell: LibCellId,
+    /// Hierarchical module path the instance lives in (e.g. `u_core/u_alu`),
+    /// read through [`Design::hier_path`]. The empty string denotes the top
+    /// level.
+    pub hier_path: HierPathId,
 }
+
+const _: () = assert!(std::mem::size_of::<Cell>() == 32);
 
 impl Cell {
     /// Cell footprint area in DBU².
@@ -73,11 +90,9 @@ impl Cell {
     }
 }
 
-/// A primary port of the design.
-#[derive(Debug, Clone, PartialEq)]
+/// A primary port of the design. Its name is [`Design::port_name`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Port {
-    /// Port name (e.g. `axi_rdata[31]`).
-    pub name: String,
     /// Direction.
     pub direction: PortDirection,
     /// Fixed location of the port on the die boundary, if known.
@@ -86,15 +101,10 @@ pub struct Port {
     pub net: Option<NetId>,
 }
 
-/// A net of the design. Its pins (single driver, multiple sinks) are read
-/// through [`Design::connectivity`].
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Net {
-    /// Net name.
-    pub name: String,
-}
-
 /// The circuit: cells, ports and nets, plus the die outline.
+///
+/// A net is only an id: its name is [`Design::net_name`] and its pins
+/// (single driver, multiple sinks) are read through [`Design::connectivity`].
 ///
 /// Construct one through [`DesignBuilder`] or one of the parsers
 /// ([`crate::verilog`], [`crate::def`]).
@@ -103,14 +113,18 @@ pub struct Design {
     name: String,
     cells: Vec<Cell>,
     ports: Vec<Port>,
-    nets: Vec<Net>,
+    cell_names: Names,
+    port_names: Names,
+    net_names: Names,
+    lib_cells: Names,
+    hier_paths: Names,
     die: Rect,
     connectivity: Connectivity,
     derived: DerivedCache,
 }
 
 /// Lazily-built derived state: the compact name→id indexes (seeded by the
-/// builder, rebuilt on demand after mutation) and the two identity
+/// builder, rebuilt on demand in a clone) and the two identity
 /// fingerprints, which design-keyed stores recompute per fetch and would
 /// otherwise walk every cell each time.  Compares equal to everything and
 /// clones share nothing (the clone rebuilds on first use): derived state
@@ -134,6 +148,13 @@ impl PartialEq for DerivedCache {
     fn eq(&self, _: &Self) -> bool {
         true
     }
+}
+
+/// Looks `name` up in `names` through its lazily built index.
+fn find_name(index: &OnceLock<NameTable>, names: &Names, name: &str) -> Option<u32> {
+    index
+        .get_or_init(|| NameTable::build(names.iter()))
+        .find(NameTable::hash_name(name), |id| names.get(id) == name)
 }
 
 impl Design {
@@ -160,7 +181,7 @@ impl Design {
 
     /// Number of nets.
     pub fn num_nets(&self) -> usize {
-        self.nets.len()
+        self.net_names.len()
     }
 
     /// Number of primary ports.
@@ -177,13 +198,17 @@ impl Design {
         &self.cells[id.0 as usize]
     }
 
-    /// Mutable cell accessor. Invalidates the cell name index and the cached
-    /// fingerprints.
+    /// Mutable cell accessor. Invalidates the cached fingerprints.
     pub fn cell_mut(&mut self, id: CellId) -> &mut Cell {
-        self.derived.cell_names.take();
         self.derived.seq_names.take();
         self.derived.geometry.take();
         &mut self.cells[id.0 as usize]
+    }
+
+    /// The full hierarchical instance name of a cell (e.g.
+    /// `u_core/u_alu/add_42`).
+    pub fn cell_name(&self, id: CellId) -> &str {
+        self.cell_names.get(id.0)
     }
 
     /// Port accessor.
@@ -191,24 +216,43 @@ impl Design {
         &self.ports[id.0 as usize]
     }
 
-    /// Mutable port accessor. Invalidates the port name index and the cached
-    /// fingerprints.
+    /// Mutable port accessor. Invalidates the cached geometry fingerprint.
     pub fn port_mut(&mut self, id: PortId) -> &mut Port {
-        self.derived.port_names.take();
-        self.derived.seq_names.take();
         self.derived.geometry.take();
         &mut self.ports[id.0 as usize]
     }
 
-    /// Net accessor.
-    pub fn net(&self, id: NetId) -> &Net {
-        &self.nets[id.0 as usize]
+    /// The name of a port (e.g. `axi_rdata[31]`).
+    pub fn port_name(&self, id: PortId) -> &str {
+        self.port_names.get(id.0)
     }
 
-    /// Mutable net accessor. Invalidates the net name index.
-    pub fn net_mut(&mut self, id: NetId) -> &mut Net {
-        self.derived.net_names.take();
-        &mut self.nets[id.0 as usize]
+    /// The name of a net.
+    pub fn net_name(&self, id: NetId) -> &str {
+        self.net_names.get(id.0)
+    }
+
+    /// A library cell name, as interned by [`Cell::lib_cell`].
+    pub fn lib_cell(&self, id: LibCellId) -> &str {
+        self.lib_cells.get(id.0)
+    }
+
+    /// A hierarchy path, as interned by [`Cell::hier_path`].
+    pub fn hier_path(&self, id: HierPathId) -> &str {
+        self.hier_paths.get(id.0)
+    }
+
+    /// Iterates over the interned hierarchy paths, in the order they were
+    /// first interned.
+    pub fn hier_paths(&self) -> impl Iterator<Item = (HierPathId, &str)> + '_ {
+        self.hier_paths.iter().enumerate().map(|(i, n)| (HierPathId(i as u32), n))
+    }
+
+    /// The id of library cell `name`, interning it if the design has none
+    /// yet. A design holds few distinct library cells, so a scan suffices.
+    pub(crate) fn intern_lib_cell(&mut self, name: &str) -> LibCellId {
+        let found = self.lib_cells.iter().position(|n| n == name);
+        LibCellId(found.map_or_else(|| self.lib_cells.push(name), |i| i as u32))
     }
 
     /// Places (or, with `None`, un-places) a port. Invalidates the cached
@@ -246,33 +290,17 @@ impl Design {
 
     /// Looks a cell up by its hierarchical instance name.
     pub fn find_cell(&self, name: &str) -> Option<CellId> {
-        let table = self
-            .derived
-            .cell_names
-            .get_or_init(|| NameTable::build(self.cells.iter().map(|c| c.name.as_str())));
-        table
-            .find(NameTable::hash_name(name), |id| self.cells[id as usize].name == name)
-            .map(CellId)
+        find_name(&self.derived.cell_names, &self.cell_names, name).map(CellId)
     }
 
     /// Looks a port up by name.
     pub fn find_port(&self, name: &str) -> Option<PortId> {
-        let table = self
-            .derived
-            .port_names
-            .get_or_init(|| NameTable::build(self.ports.iter().map(|p| p.name.as_str())));
-        table
-            .find(NameTable::hash_name(name), |id| self.ports[id as usize].name == name)
-            .map(PortId)
+        find_name(&self.derived.port_names, &self.port_names, name).map(PortId)
     }
 
     /// Looks a net up by name.
     pub fn find_net(&self, name: &str) -> Option<NetId> {
-        let table = self
-            .derived
-            .net_names
-            .get_or_init(|| NameTable::build(self.nets.iter().map(|n| n.name.as_str())));
-        table.find(NameTable::hash_name(name), |id| self.nets[id as usize].name == name).map(NetId)
+        find_name(&self.derived.net_names, &self.net_names, name).map(NetId)
     }
 
     /// Iterates over all cell ids.
@@ -287,7 +315,7 @@ impl Design {
 
     /// Iterates over all net ids.
     pub fn net_ids(&self) -> impl Iterator<Item = NetId> + '_ {
-        (0..self.nets.len() as u32).map(NetId)
+        (0..self.net_names.len() as u32).map(NetId)
     }
 
     /// Iterates over `(id, cell)` pairs.
@@ -298,11 +326,6 @@ impl Design {
     /// Iterates over `(id, port)` pairs.
     pub fn ports(&self) -> impl Iterator<Item = (PortId, &Port)> + '_ {
         self.ports.iter().enumerate().map(|(i, p)| (PortId(i as u32), p))
-    }
-
-    /// Iterates over `(id, net)` pairs.
-    pub fn nets(&self) -> impl Iterator<Item = (NetId, &Net)> + '_ {
-        self.nets.iter().enumerate().map(|(i, n)| (NetId(i as u32), n))
     }
 
     /// Iterates over the ids of all macro cells.
@@ -336,8 +359,9 @@ impl Design {
     /// holding a reference to it.
     ///
     /// Computed on first use and cached (stores and artifact caches key every
-    /// fetch by it, so the walk must not be O(cells) per fetch); mutable
-    /// accessors touching cells or ports invalidate the cache.
+    /// fetch by it, so the walk must not be O(cells) per fetch); a kind
+    /// change through [`Design::cell_mut`] or [`Design::bind_library`]
+    /// invalidates the cache.
     pub fn seq_name_fingerprint(&self) -> u64 {
         *self.derived.seq_names.get_or_init(|| {
             let mut h = crate::hash::Fnv1a::new();
@@ -346,14 +370,14 @@ impl Design {
                 h.write_bytes(bytes);
                 h.write_sep();
             };
-            for (_, cell) in self.cells() {
+            for (id, cell) in self.cells() {
                 if cell.kind != CellKind::Comb {
                     eat(&[cell.kind as u8]);
-                    eat(cell.name.as_bytes());
+                    eat(self.cell_name(id).as_bytes());
                 }
             }
-            for (_, port) in self.ports() {
-                eat(port.name.as_bytes());
+            for name in self.port_names.iter() {
+                eat(name.as_bytes());
             }
             h.finish()
         })
@@ -391,15 +415,17 @@ impl Design {
         })
     }
 
-    /// Binds footprints from a library: every cell whose `lib_cell` is found
-    /// in the library gets its width/height (and macro kind) updated.
-    /// Invalidates the cached fingerprints (footprints are geometry; a kind
-    /// flip to `Macro` changes the sequential-name walk).
+    /// Binds footprints from a library: every cell whose library cell is
+    /// found in the library gets its width/height (and macro kind) updated.
+    /// Each distinct library cell is looked up once. Invalidates the cached
+    /// fingerprints (footprints are geometry; a kind flip to `Macro` changes
+    /// the sequential-name walk).
     pub fn bind_library(&mut self, library: &crate::library::Library) {
         self.derived.geometry.take();
         self.derived.seq_names.take();
+        let masters: Vec<_> = self.lib_cells.iter().map(|name| library.find_macro(name)).collect();
         for cell in &mut self.cells {
-            if let Some(m) = library.find_macro(&cell.lib_cell) {
+            if let Some(m) = masters[cell.lib_cell.0 as usize] {
                 cell.width = m.width;
                 cell.height = m.height;
                 if m.is_block {
@@ -415,35 +441,38 @@ impl Design {
     /// back.
     pub fn validate(&self) -> Result<(), String> {
         let csr = &self.connectivity;
-        if (csr.num_cells(), csr.num_nets()) != (self.cells.len(), self.nets.len()) {
+        if (csr.num_cells(), csr.num_nets()) != (self.cells.len(), self.num_nets()) {
             return Err("the wiring does not cover the design's cells and nets".into());
         }
-        for (id, cell) in self.cells() {
+        for id in self.cell_ids() {
             let roles = [
                 ("sink", csr.fanin(id), PinRef::sink_cell(id)),
                 ("driver", csr.fanout(id), PinRef::driver_cell(id)),
             ];
             for (role, nets, pin) in roles {
                 for &n in nets {
-                    let net = self
-                        .nets
-                        .get(n.0 as usize)
-                        .ok_or_else(|| format!("cell {} {role} net dangling", cell.name))?;
+                    if n.0 as usize >= self.num_nets() {
+                        return Err(format!("cell {} {role} net dangling", self.cell_name(id)));
+                    }
                     if !csr.pins(n).contains(&pin) {
                         return Err(format!(
                             "net {} does not list {} as {role}",
-                            net.name, cell.name
+                            self.net_name(n),
+                            self.cell_name(id)
                         ));
                     }
                 }
             }
         }
-        for (id, net) in self.nets() {
+        for id in self.net_ids() {
             for pin in csr.pins(id) {
                 let Some(c) = pin.cell() else { continue };
                 let nets = if pin.is_driver() { csr.fanout(c) } else { csr.fanin(c) };
                 if !nets.contains(&id) {
-                    return Err(format!("a pin of net {} does not reference it", net.name));
+                    return Err(format!(
+                        "a pin of net {} does not reference it",
+                        self.net_name(id)
+                    ));
                 }
             }
         }
@@ -451,37 +480,50 @@ impl Design {
     }
 }
 
-impl crate::heap_size::HeapSize for Cell {
-    fn heap_bytes(&self) -> usize {
-        self.name.heap_bytes() + self.lib_cell.heap_bytes() + self.hier_path.heap_bytes()
-    }
-}
-
-impl crate::heap_size::HeapSize for Port {
-    fn heap_bytes(&self) -> usize {
-        self.name.heap_bytes()
-    }
-}
-
-impl crate::heap_size::HeapSize for Net {
-    fn heap_bytes(&self) -> usize {
-        self.name.heap_bytes()
-    }
-}
-
-/// A design's resident bytes cover the cell/port/net stores, the wiring and
-/// the materialized name indexes, so an interned design is accounted with
-/// everything that travels with it.
+/// A design's resident bytes cover the cell and port stores, the name
+/// stores, the wiring and the materialized name indexes, so an interned
+/// design is accounted with everything that travels with it.
 impl crate::heap_size::HeapSize for Design {
     fn heap_bytes(&self) -> usize {
         self.name.heap_bytes()
             + self.cells.heap_bytes()
             + self.ports.heap_bytes()
-            + self.nets.heap_bytes()
+            + self.cell_names.heap_bytes()
+            + self.port_names.heap_bytes()
+            + self.net_names.heap_bytes()
+            + self.lib_cells.heap_bytes()
+            + self.hier_paths.heap_bytes()
             + self.derived.cell_names.get().map_or(0, |t| t.heap_bytes())
             + self.derived.port_names.get().map_or(0, |t| t.heap_bytes())
             + self.derived.net_names.get().map_or(0, |t| t.heap_bytes())
             + self.connectivity.heap_bytes()
+    }
+}
+
+/// A [`Names`] store with the [`NameTable`] that finds its names: each
+/// distinct name is stored once.
+#[derive(Debug, Clone, Default)]
+struct Interner {
+    names: Names,
+    index: NameTable,
+}
+
+impl Interner {
+    fn find(&self, name: &str) -> Option<u32> {
+        self.index.find(NameTable::hash_name(name), |id| self.names.get(id) == name)
+    }
+
+    /// The id of `name` and whether this call added it.
+    fn intern(&mut self, name: &str) -> (u32, bool) {
+        let hash = NameTable::hash_name(name);
+        match self.index.find(hash, |id| self.names.get(id) == name) {
+            Some(id) => (id, false),
+            None => {
+                let id = self.names.push(name);
+                self.index.insert(hash, id);
+                (id, true)
+            }
+        }
     }
 }
 
@@ -490,9 +532,10 @@ impl crate::heap_size::HeapSize for Design {
 /// The builder keeps name → id indexes so that parsers and generators can
 /// attach connectivity in any order.  The indexes are the same compact
 /// [`NameTable`]s the finished design uses (hash + id slots verified against
-/// the cell/port/net stores — no duplicated name `String`s), and
+/// the packed [`Names`] stores — no duplicated name `String`s), and
 /// [`DesignBuilder::build`] hands them to the design, so streaming parsers
-/// never materialize an intermediate name `HashMap`.
+/// never materialize an intermediate name `HashMap`. Library cell names and
+/// hierarchy paths are interned: a cell stores their ids.
 ///
 /// Connections go into one flat log in call order, beside the current
 /// drivers of each net; [`DesignBuilder::build`] packs the log into the
@@ -511,11 +554,12 @@ pub struct DesignBuilder {
     name: String,
     cells: Vec<Cell>,
     ports: Vec<Port>,
-    nets: Vec<Net>,
+    cell_names: Interner,
+    port_names: Interner,
+    net_names: Interner,
+    lib_cells: Interner,
+    hier_paths: Interner,
     die: Rect,
-    cell_index: NameTable,
-    port_index: NameTable,
-    net_index: NameTable,
     /// Every sink connection and every driver change, in call order.
     pins: Vec<(NetId, PinRef)>,
     /// Per net: its current driving cell and driving port.
@@ -537,22 +581,22 @@ impl DesignBuilder {
     /// Adds a macro cell and returns its id.
     pub fn add_macro(
         &mut self,
-        name: impl Into<String>,
-        lib_cell: impl Into<String>,
+        name: impl AsRef<str>,
+        lib_cell: impl AsRef<str>,
         width: Dbu,
         height: Dbu,
-        hier_path: impl Into<String>,
+        hier_path: impl AsRef<str>,
     ) -> CellId {
         self.add_cell(name, lib_cell, CellKind::Macro, width, height, hier_path)
     }
 
     /// Adds a flip-flop cell (unit footprint until a library is bound).
-    pub fn add_flop(&mut self, name: impl Into<String>, hier_path: impl Into<String>) -> CellId {
+    pub fn add_flop(&mut self, name: impl AsRef<str>, hier_path: impl AsRef<str>) -> CellId {
         self.add_cell(name, "DFF", CellKind::Flop, 1, 1, hier_path)
     }
 
     /// Adds a combinational cell (unit footprint until a library is bound).
-    pub fn add_comb(&mut self, name: impl Into<String>, hier_path: impl Into<String>) -> CellId {
+    pub fn add_comb(&mut self, name: impl AsRef<str>, hier_path: impl AsRef<str>) -> CellId {
         self.add_cell(name, "COMB", CellKind::Comb, 1, 1, hier_path)
     }
 
@@ -562,42 +606,64 @@ impl DesignBuilder {
     /// existing cell is left untouched.
     pub fn add_cell(
         &mut self,
-        name: impl Into<String>,
-        lib_cell: impl Into<String>,
+        name: impl AsRef<str>,
+        lib_cell: impl AsRef<str>,
         kind: CellKind,
         width: Dbu,
         height: Dbu,
-        hier_path: impl Into<String>,
+        hier_path: impl AsRef<str>,
     ) -> CellId {
-        let name = name.into();
-        let hash = NameTable::hash_name(&name);
-        if let Some(id) = self.cell_index.find(hash, |id| self.cells[id as usize].name == name) {
-            return CellId(id);
-        }
-        let id = CellId(self.cells.len() as u32);
-        self.cells.push(Cell {
-            name,
-            lib_cell: lib_cell.into(),
+        let (lib_cell, hier_path) = (lib_cell.as_ref(), hier_path.as_ref());
+        self.add_cell_with(name.as_ref(), |b| Cell {
             kind,
             width,
             height,
-            hier_path: hier_path.into(),
-        });
-        self.cell_index.insert(hash, id.0);
-        id
+            lib_cell: b.intern_lib_cell(lib_cell),
+            hier_path: b.intern_hier_path(hier_path),
+        })
+    }
+
+    /// Adds a cell named `name` unless one exists, like
+    /// [`DesignBuilder::add_cell`]; only a new cell calls `new_cell`, which
+    /// interns its library cell and hierarchy path and returns it.
+    pub(crate) fn add_cell_with(
+        &mut self,
+        name: &str,
+        new_cell: impl FnOnce(&mut Self) -> Cell,
+    ) -> CellId {
+        let (id, added) = self.cell_names.intern(name);
+        if added {
+            let cell = new_cell(self);
+            self.cells.push(cell);
+        }
+        CellId(id)
+    }
+
+    /// The id of library cell `name`, interned on first use.
+    pub(crate) fn intern_lib_cell(&mut self, name: &str) -> LibCellId {
+        LibCellId(self.lib_cells.intern(name).0)
+    }
+
+    /// The id of hierarchy path `path`, interned on first use.
+    pub(crate) fn intern_hier_path(&mut self, path: &str) -> HierPathId {
+        HierPathId(self.hier_paths.intern(path).0)
+    }
+
+    /// Whether a name of `len` bytes fits in every name store of the
+    /// builder; elaboration checks before it adds a name of outside input.
+    pub(crate) fn name_fits(&self, len: usize) -> bool {
+        [&self.cell_names, &self.port_names, &self.net_names, &self.lib_cells, &self.hier_paths]
+            .into_iter()
+            .all(|store| store.names.fits(len))
     }
 
     /// Adds a primary port; returns its id.
-    pub fn add_port(&mut self, name: impl Into<String>, direction: PortDirection) -> PortId {
-        let name = name.into();
-        let hash = NameTable::hash_name(&name);
-        if let Some(id) = self.port_index.find(hash, |id| self.ports[id as usize].name == name) {
-            return PortId(id);
+    pub fn add_port(&mut self, name: impl AsRef<str>, direction: PortDirection) -> PortId {
+        let (id, added) = self.port_names.intern(name.as_ref());
+        if added {
+            self.ports.push(Port { direction, position: None, net: None });
         }
-        let id = PortId(self.ports.len() as u32);
-        self.ports.push(Port { name, direction, position: None, net: None });
-        self.port_index.insert(hash, id.0);
-        id
+        PortId(id)
     }
 
     /// Fixes a port position on the die boundary.
@@ -607,34 +673,17 @@ impl DesignBuilder {
     }
 
     /// Adds (or finds) a net by name; returns its id.
-    pub fn add_net(&mut self, name: impl Into<String>) -> NetId {
-        let name = name.into();
-        let hash = NameTable::hash_name(&name);
-        self.lookup_net(hash, &name).unwrap_or_else(|| self.push_net(hash, name))
-    }
-
-    /// Like [`DesignBuilder::add_net`], but borrows the name: only a net not
-    /// seen before allocates, at the name's exact length.
-    pub(crate) fn intern_net(&mut self, name: &str) -> NetId {
-        let hash = NameTable::hash_name(name);
-        self.lookup_net(hash, name).unwrap_or_else(|| self.push_net(hash, name.to_owned()))
+    pub fn add_net(&mut self, name: impl AsRef<str>) -> NetId {
+        let (id, added) = self.net_names.intern(name.as_ref());
+        if added {
+            self.drivers.push((None, None));
+        }
+        NetId(id)
     }
 
     /// Looks a net up by name without adding it.
     pub fn find_net(&self, name: &str) -> Option<NetId> {
-        self.lookup_net(NameTable::hash_name(name), name)
-    }
-
-    fn lookup_net(&self, hash: u64, name: &str) -> Option<NetId> {
-        self.net_index.find(hash, |id| self.nets[id as usize].name == name).map(NetId)
-    }
-
-    fn push_net(&mut self, hash: u64, name: String) -> NetId {
-        let id = NetId(self.nets.len() as u32);
-        self.nets.push(Net { name });
-        self.drivers.push((None, None));
-        self.net_index.insert(hash, id.0);
-        id
+        self.net_names.find(name).map(NetId)
     }
 
     /// Marks `cell` as the driver of `net`.
@@ -677,23 +726,61 @@ impl DesignBuilder {
         self.ports.iter().enumerate().map(|(i, p)| (PortId(i as u32), p))
     }
 
+    /// The name of a port added so far.
+    pub fn port_name(&self, id: PortId) -> &str {
+        self.port_names.names.get(id.0)
+    }
+
     /// Finalizes the builder into an immutable [`Design`]: packs the
-    /// connection log into the design's [`Connectivity`] and seeds the
-    /// design's name indexes with the builder's (no rebuild on first
-    /// `find_*`).
+    /// connection log into the design's [`Connectivity`], sizes every store
+    /// to its length and seeds the design's name indexes with the builder's
+    /// (no rebuild on first `find_*`).
     pub fn build(self) -> Design {
-        let connectivity =
-            Connectivity::pack(self.cells.len(), self.ports.len(), &self.drivers, &self.pins);
+        let Self {
+            name,
+            mut cells,
+            mut ports,
+            cell_names,
+            port_names,
+            net_names,
+            lib_cells,
+            hier_paths,
+            die,
+            pins,
+            drivers,
+        } = self;
+        let connectivity = Connectivity::pack(cells.len(), ports.len(), &drivers, &pins);
+        // the connection log goes before the stores are resized, so the
+        // resizing never holds both
+        drop((pins, drivers));
+        cells.shrink_to_fit();
+        ports.shrink_to_fit();
         let derived = DerivedCache::default();
-        let _ = derived.cell_names.set(self.cell_index);
-        let _ = derived.port_names.set(self.port_index);
-        let _ = derived.net_names.set(self.net_index);
+        let _ = derived.cell_names.set(cell_names.index);
+        let _ = derived.port_names.set(port_names.index);
+        let _ = derived.net_names.set(net_names.index);
+        let [mut cell_names, mut port_names, mut net_names, mut lib_cells, mut hier_paths] = [
+            cell_names.names,
+            port_names.names,
+            net_names.names,
+            lib_cells.names,
+            hier_paths.names,
+        ];
+        for names in
+            [&mut cell_names, &mut port_names, &mut net_names, &mut lib_cells, &mut hier_paths]
+        {
+            names.shrink_to_fit();
+        }
         Design {
-            name: self.name,
-            cells: self.cells,
-            ports: self.ports,
-            nets: self.nets,
-            die: self.die,
+            name,
+            cells,
+            ports,
+            cell_names,
+            port_names,
+            net_names,
+            lib_cells,
+            hier_paths,
+            die,
             connectivity,
             derived,
         }
@@ -705,11 +792,17 @@ mod tests {
     use super::*;
 
     fn small_design() -> Design {
+        named_design("u_ctl/state_reg", "u_ctl/and_1", "clk_en")
+    }
+
+    /// [`small_design`] with its flop, its combinational cell and its port
+    /// named `flop`, `comb` and `port`.
+    fn named_design(flop: &str, comb: &str, port: &str) -> Design {
         let mut b = DesignBuilder::new("top");
         let m = b.add_macro("u_mem/ram0", "RAM16", 200, 100, "u_mem");
-        let f = b.add_flop("u_ctl/state_reg", "u_ctl");
-        let g = b.add_comb("u_ctl/and_1", "u_ctl");
-        let p = b.add_port("clk_en", PortDirection::Input);
+        let f = b.add_flop(flop, "u_ctl");
+        let g = b.add_comb(comb, "u_ctl");
+        let p = b.add_port(port, PortDirection::Input);
         let n1 = b.add_net("u_ctl/state");
         let n2 = b.add_net("clk_en_net");
         b.connect_driver(n1, f);
@@ -773,33 +866,14 @@ mod tests {
         let d = small_design();
         assert_eq!(d.seq_name_fingerprint(), small_design().seq_name_fingerprint());
         // renaming a combinational cell leaves the fingerprint unchanged
-        let mut comb_renamed = small_design();
-        comb_renamed.cell_mut(d.find_cell("u_ctl/and_1").unwrap()).name = "u_ctl/and_X".into();
+        let comb_renamed = named_design("u_ctl/state_reg", "u_ctl/and_X", "clk_en");
         assert_eq!(d.seq_name_fingerprint(), comb_renamed.seq_name_fingerprint());
         // renaming a flop changes it
-        let mut flop_renamed = small_design();
-        flop_renamed.cell_mut(d.find_cell("u_ctl/state_reg").unwrap()).name = "u_ctl/other".into();
+        let flop_renamed = named_design("u_ctl/other", "u_ctl/and_1", "clk_en");
         assert_ne!(d.seq_name_fingerprint(), flop_renamed.seq_name_fingerprint());
         // renaming a port changes it
-        let mut port_renamed = small_design();
-        port_renamed.port_mut(d.find_port("clk_en").unwrap()).name = "clk_dis".into();
+        let port_renamed = named_design("u_ctl/state_reg", "u_ctl/and_1", "clk_dis");
         assert_ne!(d.seq_name_fingerprint(), port_renamed.seq_name_fingerprint());
-    }
-
-    #[test]
-    fn name_lookup_tracks_renames() {
-        let mut d = small_design();
-        let m = d.find_cell("u_mem/ram0").unwrap();
-        d.cell_mut(m).name = "u_mem/ram_renamed".into();
-        assert_eq!(d.find_cell("u_mem/ram_renamed"), Some(m));
-        assert!(d.find_cell("u_mem/ram0").is_none());
-        let p = d.find_port("clk_en").unwrap();
-        d.port_mut(p).name = "clk_en2".into();
-        assert_eq!(d.find_port("clk_en2"), Some(p));
-        let n = d.find_net("clk_en_net").unwrap();
-        d.net_mut(n).name = "clk_net".into();
-        assert_eq!(d.find_net("clk_net"), Some(n));
-        assert!(d.find_net("clk_en_net").is_none());
     }
 
     #[test]
@@ -839,6 +913,46 @@ mod tests {
         d.bind_library(&lib);
         assert_ne!(d.geometry_fingerprint(), geo, "footprints changed");
         assert_ne!(d.seq_name_fingerprint(), seq, "a flop became a macro");
+    }
+
+    #[test]
+    fn names_and_interned_values_read_back_by_id() {
+        let d = small_design();
+        let f = d.find_cell("u_ctl/state_reg").unwrap();
+        assert_eq!(d.cell_name(f), "u_ctl/state_reg");
+        assert_eq!(d.lib_cell(d.cell(f).lib_cell), "DFF");
+        assert_eq!(d.hier_path(d.cell(f).hier_path), "u_ctl");
+        assert_eq!(d.port_name(d.find_port("clk_en").unwrap()), "clk_en");
+        assert_eq!(d.net_name(d.find_net("clk_en_net").unwrap()), "clk_en_net");
+        // each distinct value once, in first-appearance order
+        assert_eq!([0, 1, 2].map(|i| d.lib_cell(LibCellId(i))), ["RAM16", "DFF", "COMB"]);
+        let paths: Vec<&str> = d.hier_paths().map(|(_, p)| p).collect();
+        assert_eq!(paths, ["u_mem", "u_ctl"]);
+        let g = d.find_cell("u_ctl/and_1").unwrap();
+        assert_eq!(d.cell(g).hier_path, d.cell(f).hier_path);
+    }
+
+    #[test]
+    fn built_design_holds_no_spare_capacity() {
+        use crate::heap_size::HeapSize;
+        use std::mem::size_of;
+        let d = small_design();
+        // every name store holds its bytes plus one u32 end offset per name
+        let names = |names: &[&str]| names.iter().map(|n| n.len() + 4).sum::<usize>();
+        let name_tables = d.derived.cell_names.get().unwrap().heap_bytes()
+            + d.derived.port_names.get().unwrap().heap_bytes()
+            + d.derived.net_names.get().unwrap().heap_bytes();
+        let expected = "top".len()
+            + 3 * size_of::<Cell>()
+            + size_of::<Port>()
+            + names(&["u_mem/ram0", "u_ctl/state_reg", "u_ctl/and_1"])
+            + names(&["clk_en"])
+            + names(&["u_ctl/state", "clk_en_net"])
+            + names(&["RAM16", "DFF", "COMB"])
+            + names(&["u_mem", "u_ctl"])
+            + name_tables
+            + d.connectivity().heap_bytes();
+        assert_eq!(d.heap_bytes(), expected);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! Engineering-change-order (ECO) traffic mutates a design that downstream
 //! stores and caches already fingerprinted.  Ad-hoc mutation through the
 //! blanket accessors ([`Design::cell_mut`], ...) is correct but maximally
-//! pessimistic: every touch drops both name-based fingerprints, so a pure
-//! footprint resize looks identical to a rename, and the wiring has no
-//! blanket accessor at all.  This module gives edits a *type* so the
+//! pessimistic: every touch drops both the geometry and the sequential-name
+//! fingerprint, so a pure footprint resize looks identical to a kind change,
+//! and the wiring has no blanket accessor at all.  This module gives edits a *type* so the
 //! invalidation can be exact, and rewires the design's CSR in place:
 //!
 //! * [`DesignEdit`] — the closed set of supported edit kinds, each with a
@@ -65,9 +65,9 @@ pub enum DesignEdit {
         /// New sink cells (deduplicated in order).
         sinks: Vec<CellId>,
     },
-    /// Swaps a cell's library master: new `lib_cell` name and footprint,
-    /// same [`CellKind`].  Pure geometry — the master name is not part of
-    /// any identity fingerprint.
+    /// Swaps a cell's library master: new `lib_cell` name (interned into
+    /// the design's library cells) and footprint, same [`CellKind`].  Pure
+    /// geometry — the master name is not part of any identity fingerprint.
     SwapMaster {
         /// The cell whose master changes.
         cell: CellId,
@@ -386,8 +386,9 @@ impl Design {
             }
             DesignEdit::SwapMaster { cell, lib_cell, width, height } => {
                 self.invalidate_geometry();
+                let lib_cell = self.intern_lib_cell(lib_cell);
                 let c = self.cell_raw_mut(*cell);
-                c.lib_cell = lib_cell.clone();
+                c.lib_cell = lib_cell;
                 c.width = *width;
                 c.height = *height;
                 log.touch_cell(*cell);
@@ -413,33 +414,26 @@ pub fn format_edit_script(edits: &[DesignEdit], design: &Design) -> String {
     for edit in edits {
         out.push(match edit {
             DesignEdit::ResizeCell { cell, width, height } => {
-                format!("resize {} {} {}", design.cell(*cell).name, width, height)
+                format!("resize {} {} {}", design.cell_name(*cell), width, height)
             }
             DesignEdit::MoveMacro { cell, to } => {
-                format!("move {} {} {}", design.cell(*cell).name, to.x, to.y)
+                format!("move {} {} {}", design.cell_name(*cell), to.x, to.y)
             }
             DesignEdit::RewireNet { net, driver, sinks } => {
-                let d = match driver {
-                    Some(c) => design.cell(*c).name.clone(),
-                    None => "-".into(),
-                };
+                let d = driver.map_or("-", |c| design.cell_name(c));
                 let s = if sinks.is_empty() {
                     "-".into()
                 } else {
-                    sinks
-                        .iter()
-                        .map(|c| design.cell(*c).name.as_str())
-                        .collect::<Vec<_>>()
-                        .join(",")
+                    sinks.iter().map(|&c| design.cell_name(c)).collect::<Vec<_>>().join(",")
                 };
-                format!("rewire {} {} {}", design.net(*net).name, d, s)
+                format!("rewire {} {} {}", design.net_name(*net), d, s)
             }
             DesignEdit::SwapMaster { cell, lib_cell, width, height } => {
-                format!("swap {} {} {} {}", design.cell(*cell).name, lib_cell, width, height)
+                format!("swap {} {} {} {}", design.cell_name(*cell), lib_cell, width, height)
             }
             DesignEdit::MovePort { port, to } => match to {
-                Some(p) => format!("move_port {} {} {}", design.port(*port).name, p.x, p.y),
-                None => format!("unplace_port {}", design.port(*port).name),
+                Some(p) => format!("move_port {} {} {}", design.port_name(*port), p.x, p.y),
+                None => format!("unplace_port {}", design.port_name(*port)),
             },
             DesignEdit::SetDie { die } => {
                 format!("die {} {} {} {}", die.llx, die.lly, die.urx, die.ury)
@@ -614,7 +608,7 @@ mod tests {
         assert_eq!(log.touched_ports, vec![p]);
         assert!(log.die_touched);
         assert_eq!(d.cell(m).width, 260);
-        assert_eq!(d.cell(m).lib_cell, "RAM32");
+        assert_eq!(d.lib_cell(d.cell(m).lib_cell), "RAM32");
         d.validate().unwrap();
     }
 
@@ -645,8 +639,8 @@ mod tests {
             .pins(net)
             .iter()
             .map(|p| match (p.cell(), p.port()) {
-                (Some(c), _) => format!("{}:{}", d.cell(c).name, role(p.is_driver())),
-                (_, Some(q)) => format!("port {}:{}", d.port(q).name, role(p.is_driver())),
+                (Some(c), _) => format!("{}:{}", d.cell_name(c), role(p.is_driver())),
+                (_, Some(q)) => format!("port {}:{}", d.port_name(q), role(p.is_driver())),
                 _ => unreachable!("a pin is a cell or a port"),
             })
             .collect()
@@ -681,16 +675,15 @@ mod tests {
             .unwrap();
         assert_eq!(log.diff.connectivity_after, 0x4e58_a385_5d27_fc41);
         assert_eq!(d.connectivity().fingerprint(), log.diff.connectivity_after);
-        let touched: Vec<&str> =
-            log.touched_cells.iter().map(|&id| d.cell(id).name.as_str()).collect();
+        let touched: Vec<&str> = log.touched_cells.iter().map(|&id| d.cell_name(id)).collect();
         assert_eq!(touched, ["f0", "g0", "g1", "m0", "g2", "g3", "f1"]);
         assert_eq!(log.touched_nets, vec![a, bb, cc]);
         // each cell's fanin and fanout, by net name
         let csr = d.connectivity();
-        let names = |nets: &[NetId]| nets.iter().map(|&n| d.net(n).name.as_str()).collect();
+        let names = |nets: &[NetId]| nets.iter().map(|&n| d.net_name(n)).collect();
         let rows: Vec<(&str, Vec<&str>, Vec<&str>)> = d
-            .cells()
-            .map(|(id, cell)| (cell.name.as_str(), names(csr.fanin(id)), names(csr.fanout(id))))
+            .cell_ids()
+            .map(|id| (d.cell_name(id), names(csr.fanin(id)), names(csr.fanout(id))))
             .collect();
         let expected: Vec<(&str, Vec<&str>, Vec<&str>)> = vec![
             ("f0", vec!["d"], vec!["b"]),

@@ -61,11 +61,16 @@ macro_rules! impl_heap_size_pod {
 
 impl_heap_size_pod!(u8, u16, u32, u64, usize, i8, i16, i32, i64, i128, isize, f32, f64, bool, char);
 
-// The id families, pin references and geometry primitives are plain words.
+// The id families, cells, ports, pin references and geometry primitives are
+// plain words.
 impl_heap_size_pod!(
     crate::design::CellId,
     crate::design::NetId,
     crate::design::PortId,
+    crate::design::LibCellId,
+    crate::design::HierPathId,
+    crate::design::Cell,
+    crate::design::Port,
     crate::design::CellKind,
     crate::design::PortDirection,
     crate::connectivity::PinRef,

@@ -31,6 +31,21 @@ pub struct HierarchyNode {
     pub subtree_cells: usize,
 }
 
+impl HierarchyNode {
+    /// A node with no children, cells or stats yet.
+    fn new(path: String, parent: Option<HierarchyNodeId>) -> Self {
+        Self {
+            path,
+            parent,
+            children: Vec::new(),
+            direct_cells: Vec::new(),
+            subtree_area: 0,
+            subtree_macros: 0,
+            subtree_cells: 0,
+        }
+    }
+}
+
 /// The hierarchy tree `HT`.
 ///
 /// # Example
@@ -57,56 +72,49 @@ pub struct HierarchyTree {
 impl HierarchyTree {
     /// Builds the hierarchy tree of a design from the `hier_path` annotations
     /// of its cells, and computes subtree area / macro / cell counts.
+    ///
+    /// Nodes are created in the order the cells (in id order) first reach
+    /// them, each missing ancestor before its descendants. Each distinct
+    /// path is resolved once; a cell then finds its node by path id.
     pub fn from_design(design: &Design) -> Self {
-        let mut nodes = vec![HierarchyNode {
-            path: String::new(),
-            parent: None,
-            children: Vec::new(),
-            direct_cells: Vec::new(),
-            subtree_area: 0,
-            subtree_macros: 0,
-            subtree_cells: 0,
-        }];
-        let mut index: HashMap<String, HierarchyNodeId> = HashMap::new();
-        index.insert(String::new(), HierarchyNodeId(0));
-
-        // Create nodes for every hierarchy path (and all its prefixes).
+        let mut tree = Self {
+            nodes: vec![HierarchyNode::new(String::new(), None)],
+            root: HierarchyNodeId(0),
+            index: HashMap::from([(String::new(), HierarchyNodeId(0))]),
+        };
+        let mut node_of_path: Vec<Option<HierarchyNodeId>> =
+            vec![None; design.hier_paths().count()];
         for (cell_id, cell) in design.cells() {
-            let node = Self::ensure_path(&mut nodes, &mut index, &cell.hier_path);
-            nodes[node.0 as usize].direct_cells.push(cell_id);
+            let slot = &mut node_of_path[cell.hier_path.0 as usize];
+            let node =
+                *slot.get_or_insert_with(|| tree.ensure_path(design.hier_path(cell.hier_path)));
+            tree.nodes[node.0 as usize].direct_cells.push(cell_id);
         }
-
-        let mut tree = Self { nodes, root: HierarchyNodeId(0), index };
         tree.recompute_stats(design);
         tree
     }
 
-    fn ensure_path(
-        nodes: &mut Vec<HierarchyNode>,
-        index: &mut HashMap<String, HierarchyNodeId>,
-        path: &str,
-    ) -> HierarchyNodeId {
-        if let Some(&id) = index.get(path) {
-            return id;
-        }
-        let parent_path = match path.rfind('/') {
-            Some(pos) => &path[..pos],
-            None => "",
+    /// The node of `path`, creating it and every missing ancestor level
+    /// (each `/` ends one), outermost first.
+    fn ensure_path(&mut self, path: &str) -> HierarchyNodeId {
+        // the deepest level of `path` that exists; the root always does
+        let mut end = path.len();
+        let mut parent = loop {
+            if let Some(&id) = self.index.get(&path[..end]) {
+                break id;
+            }
+            end = path[..end].rfind('/').unwrap_or(0);
         };
-        let parent = Self::ensure_path(nodes, index, parent_path);
-        let id = HierarchyNodeId(nodes.len() as u32);
-        nodes.push(HierarchyNode {
-            path: path.to_string(),
-            parent: Some(parent),
-            children: Vec::new(),
-            direct_cells: Vec::new(),
-            subtree_area: 0,
-            subtree_macros: 0,
-            subtree_cells: 0,
-        });
-        nodes[parent.0 as usize].children.push(id);
-        index.insert(path.to_string(), id);
-        id
+        let missing = path.match_indices('/').map(|(i, _)| i).chain([path.len()]);
+        for level_end in missing.filter(|&i| i > end) {
+            let level = &path[..level_end];
+            let id = HierarchyNodeId(self.nodes.len() as u32);
+            self.nodes.push(HierarchyNode::new(level.to_string(), Some(parent)));
+            self.nodes[parent.0 as usize].children.push(id);
+            self.index.insert(level.to_string(), id);
+            parent = id;
+        }
+        parent
     }
 
     /// Recomputes the per-subtree area, macro and cell counts (bottom-up).
@@ -298,6 +306,24 @@ mod tests {
         assert!(ht.is_ancestor(ua, umem));
         assert!(!ht.is_ancestor(ub, umem));
         assert!(ht.is_ancestor(umem, umem));
+    }
+
+    #[test]
+    fn nodes_follow_the_cells_first_reach() {
+        let mut b = DesignBuilder::new("top");
+        b.add_comb("a/b/c/g0", "a/b/c");
+        b.add_comb("a/x/g1", "a/x");
+        b.add_comb("a/g2", "a");
+        b.add_comb("/lead/g3", "/lead");
+        b.add_comb("d//e/g4", "d//e");
+        let ht = HierarchyTree::from_design(&b.build());
+        let paths: Vec<&str> = ht.iter().map(|(_, n)| n.path.as_str()).collect();
+        assert_eq!(paths, ["", "a", "a/b", "a/b/c", "a/x", "/lead", "d", "d/", "d//e"]);
+        let parent =
+            |p: &str| ht.node(ht.find(p).unwrap()).parent.map(|id| ht.node(id).path.as_str());
+        assert_eq!(parent("/lead"), Some(""));
+        assert_eq!(parent("d//e"), Some("d/"));
+        assert_eq!(parent("d/"), Some("d"));
     }
 
     #[test]

@@ -26,9 +26,11 @@
 //!   invalidation.
 //! * [`heap_size`] — the [`HeapSize`] resident-byte accounting trait behind
 //!   byte-budgeted artifact caches and design stores.
-//! * [`names`] — the compact open-addressed name→id index behind
-//!   `Design::find_cell`/`find_port`/`find_net` (12 bytes per slot instead of
-//!   a duplicated `String` per entry).
+//! * [`names`] — the packed name stores behind `Design::cell_name`,
+//!   `port_name`, `net_name`, `lib_cell` and `hier_path`, and the compact
+//!   open-addressed name→id index behind `Design::find_cell`/`find_port`/
+//!   `find_net` (12 bytes per slot instead of a duplicated `String` per
+//!   entry).
 //! * [`placement`] — the [`placement::PlacementView`] read trait over macro
 //!   placements, the dense interchange between flows, evaluation and DEF.
 //!
@@ -70,7 +72,9 @@ pub mod verilog;
 
 pub use connectivity::{Connectivity, PinRef};
 pub use dense::{DenseId, DenseMap};
-pub use design::{CellId, CellKind, Design, DesignBuilder, NetId, PortDirection, PortId};
+pub use design::{
+    CellId, CellKind, Design, DesignBuilder, HierPathId, LibCellId, NetId, PortDirection, PortId,
+};
 pub use edit::{DesignEdit, EditEffect, EditError, EditLog, FingerprintDiff};
 pub use error::ParseError;
 pub use hash::Fnv1a;

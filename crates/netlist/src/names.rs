@@ -1,4 +1,9 @@
-//! Compact open-addressed name → dense-id index.
+//! Name storage and the compact open-addressed name → dense-id index.
+//!
+//! [`Names`] holds every name of one id family (cells, ports, nets, library
+//! cells, hierarchy paths) end to end in one string, so a name costs its
+//! bytes plus a 4-byte end offset instead of a 24-byte `String` and its own
+//! heap chunk.
 //!
 //! [`NameTable`] replaces the `HashMap<String, Id>` name indexes that used to
 //! duplicate every cell/port/net name `String` inside [`crate::design::Design`]
@@ -6,10 +11,87 @@
 //! and a `u32` id per slot (two parallel arrays, 12 bytes per slot at ≤ 75%
 //! load), and resolves lookups against the canonical name storage through a
 //! caller-supplied verification closure — so the names themselves live exactly
-//! once, in the `Vec<Cell>`/`Vec<Port>`/`Vec<Net>` stores.  At a million cells
-//! this is the difference between ~25 MB and >100 MB of index.
+//! once, in their [`Names`] store.  At a million cells this is the difference
+//! between ~25 MB and >100 MB of index.
 
 use crate::hash::Fnv1a;
+
+/// The names of one id family, packed end to end: name `i` is the bytes
+/// between the end of name `i - 1` and `ends[i]`.
+///
+/// Names are append-only; the total is capped at `u32::MAX` bytes, which
+/// [`Names::push`] checks and [`Names::fits`] tells in advance.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Names {
+    text: String,
+    ends: Vec<u32>,
+}
+
+impl Names {
+    /// Number of names.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether the store holds no name.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Name `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    pub fn get(&self, id: u32) -> &str {
+        let i = id as usize;
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.text[start..self.ends[i] as usize]
+    }
+
+    /// The end offset of one more name of `len` bytes, if the store can
+    /// hold it.
+    fn end_after(&self, len: usize) -> Option<u32> {
+        self.text.len().checked_add(len).and_then(|end| u32::try_from(end).ok())
+    }
+
+    /// Whether one more name of `len` bytes fits in the store.
+    pub fn fits(&self, len: usize) -> bool {
+        self.end_after(len).is_some()
+    }
+
+    /// Appends `name` and returns its id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store would exceed `u32::MAX` bytes (see
+    /// [`Names::fits`]).
+    pub fn push(&mut self, name: &str) -> u32 {
+        let end = self
+            .end_after(name.len())
+            .unwrap_or_else(|| panic!("a name store holds at most {} bytes", u32::MAX));
+        self.text.push_str(name);
+        self.ends.push(end);
+        (self.ends.len() - 1) as u32
+    }
+
+    /// The names in id order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        (0..self.ends.len() as u32).map(|id| self.get(id))
+    }
+
+    /// Frees the spare capacity of both buffers.
+    pub fn shrink_to_fit(&mut self) {
+        self.text.shrink_to_fit();
+        self.ends.shrink_to_fit();
+    }
+}
+
+impl crate::heap_size::HeapSize for Names {
+    fn heap_bytes(&self) -> usize {
+        self.text.heap_bytes() + self.ends.heap_bytes()
+    }
+}
 
 const EMPTY: u32 = u32::MAX;
 
@@ -172,5 +254,26 @@ mod tests {
         let table = NameTable::with_capacity(100);
         let slots = table.hashes.len();
         assert_eq!(table.heap_bytes(), slots * 8 + slots * 4);
+    }
+
+    #[test]
+    fn names_pack_end_to_end() {
+        use crate::heap_size::HeapSize;
+        let mut names = Names::default();
+        assert!(names.is_empty());
+        for (i, name) in ["u_a/ram", "", "clk", "rst_n"].iter().enumerate() {
+            assert_eq!(names.push(name), i as u32);
+        }
+        assert_eq!(names.len(), 4);
+        assert_eq!(names.get(0), "u_a/ram");
+        assert_eq!(names.get(1), "");
+        assert_eq!(names.iter().collect::<Vec<_>>(), ["u_a/ram", "", "clk", "rst_n"]);
+        names.shrink_to_fit();
+        assert_eq!(names.heap_bytes(), "u_a/ramclkrst_n".len() + 4 * 4);
+        // the store is capped at `u32::MAX` bytes in total
+        let room = u32::MAX as usize - "u_a/ramclkrst_n".len();
+        assert!(names.fits(room));
+        assert!(!names.fits(room + 1));
+        assert!(!names.fits(usize::MAX));
     }
 }

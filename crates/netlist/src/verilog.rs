@@ -21,19 +21,25 @@
 //! The parser is *streaming* and *borrowing*: tokens are slices of the
 //! source text produced one at a time by a cursor — never a materialized
 //! token vector, which costs gigabytes at a million cells — and the module
-//! table holds those slices too, with every instance's connections in one
-//! per-module vector. Flattening writes each net name into reused buffers
-//! and allocates only the names the [`Design`] keeps, at their exact length.
+//! table records every name as a `u32` span of the source text, with every
+//! instance's connections in one per-module vector. Flattening writes each
+//! net and cell name into reused buffers, interns library cells and
+//! hierarchy paths once per distinct value, and drops the module table
+//! before the builder packs the wiring.
 //!
-//! Elaboration is total: a recursive instantiation, a hierarchy deeper than
-//! 256 levels or a vector wider than 2^20 bits is a [`ParseError`] with a
-//! line, and nothing recurses on nesting depth that the input controls
-//! without a bound.
+//! Elaboration is total: a source over `u32::MAX` bytes, a recursive
+//! instantiation, a hierarchy deeper than 256 levels (module nesting or `/`
+//! segments of an instance path) or a vector wider than 2^20 bits is a
+//! [`ParseError`] with a line, and nothing recurses on nesting depth that
+//! the input controls without a bound.
 
-use crate::design::{CellKind, Design, DesignBuilder, NetId, PortDirection, PortId};
+use crate::design::{
+    Cell, CellKind, Design, DesignBuilder, HierPathId, NetId, PortDirection, PortId,
+};
 use crate::error::ParseError;
 use crate::library::Library;
 use crate::names::NameTable;
+use geometry::Dbu;
 use std::fmt::Write as _;
 use std::ops::Range;
 
@@ -44,53 +50,74 @@ use std::ops::Range;
 const MAX_VECTOR_BITS: u64 = 1 << 20;
 
 /// The deepest module hierarchy, in levels counting the top module, that
-/// elaboration descends. Flattening recurses once per level, so the bound
-/// keeps it well inside a 2 MiB thread stack; real hierarchies are tens of
-/// levels deep.
+/// elaboration descends, and the most `/`-separated segments an instance
+/// path may have (the hierarchy tree makes each one a level). Flattening,
+/// and the floorplanner over the tree, recurse once per level, so the bound
+/// keeps them well inside a 2 MiB thread stack; real hierarchies are tens
+/// of levels deep.
 const MAX_HIERARCHY_DEPTH: usize = 256;
 
-/// A port declaration: name, direction, optional (msb, lsb) range.
-type PortDecl<'a> = (&'a str, PortDirection, Option<(i64, i64)>);
-
-/// A parsed (unflattened) Verilog module. Names borrow the source text.
-struct Module<'a> {
-    name: &'a str,
-    ports: Vec<PortDecl<'a>>,
-    instances: Vec<Instance<'a>>,
-    /// The connections of every instance, in source order.
-    connections: Vec<Connection<'a>>,
+/// Where a name is spelled in the source text. The source is at most
+/// `u32::MAX` bytes, so an offset and a length fit in 32 bits each.
+#[derive(Clone, Copy)]
+struct Span {
+    start: u32,
+    len: u32,
 }
 
-struct Instance<'a> {
-    cell: &'a str,
-    name: &'a str,
+impl Span {
+    /// The spelling of this span in `text`, the source it was cut from.
+    fn of(self, text: &str) -> &str {
+        let start = self.start as usize;
+        text.get(start..start + self.len as usize).unwrap_or_default()
+    }
+}
+
+/// A port declaration: name, direction, optional (msb, lsb) range.
+type PortDecl = (Span, PortDirection, Option<(i64, i64)>);
+
+/// A parsed (unflattened) Verilog module. Names are spans of the source.
+struct Module {
+    name: Span,
+    ports: Vec<PortDecl>,
+    instances: Vec<Instance>,
+    /// The connections of every instance, in source order.
+    connections: Vec<Connection>,
+}
+
+struct Instance {
+    cell: Span,
+    name: Span,
     /// Line of the instantiation, for elaboration errors.
-    line: usize,
+    line: u32,
     /// This instance's slice of [`Module::connections`].
-    connections: Range<usize>,
+    connections: Range<u32>,
 }
 
 /// One connected pin bit. Unconnected pins (`.X()`, or an escaped name of
 /// zero length) are not recorded: flattening would skip them anyway.
 #[derive(Clone, Copy)]
-struct Connection<'a> {
-    pin: Pin<'a>,
-    net: NetBit<'a>,
+struct Connection {
+    pin: Pin,
+    net: NetBit,
 }
+
+const _: () = assert!(std::mem::size_of::<Instance>() <= 32);
+const _: () = assert!(std::mem::size_of::<Connection>() <= 56);
 
 /// A pin name: `base`, then the `[index]` of a `.D[3](...)` connection (not
 /// legal Verilog but seen in some netlists), then the `[bit]` of a
 /// multi-bit connection.
 #[derive(Clone, Copy)]
-struct Pin<'a> {
-    base: &'a str,
+struct Pin {
+    base: Span,
     index: Option<i64>,
-    bit: Option<usize>,
+    bit: Option<u32>,
 }
 
-impl Pin<'_> {
-    fn write_to(self, out: &mut String) {
-        out.push_str(self.base);
+impl Pin {
+    fn write_to(self, text: &str, out: &mut String) {
+        out.push_str(self.base.of(text));
         if let Some(i) = self.index {
             let _ = write!(out, "[{i}]");
         }
@@ -103,25 +130,25 @@ impl Pin<'_> {
 /// One bit of a net expression, written out as a name only when the
 /// flattener needs it.
 #[derive(Clone, Copy)]
-enum NetBit<'a> {
+enum NetBit {
     /// `name`
-    Name(&'a str),
+    Name(Span),
     /// `name[i]`
-    Bit(&'a str, i64),
+    Bit(Span, i64),
     /// A constant like `1'b0`, an anonymous tie net `__const_1'b0`.
-    Const(&'a str),
+    Const(Span),
 }
 
-impl NetBit<'_> {
-    fn write_to(self, out: &mut String) {
+impl NetBit {
+    fn write_to(self, text: &str, out: &mut String) {
         match self {
-            NetBit::Name(name) => out.push_str(name),
+            NetBit::Name(name) => out.push_str(name.of(text)),
             NetBit::Bit(name, i) => {
-                let _ = write!(out, "{name}[{i}]");
+                let _ = write!(out, "{}[{i}]", name.of(text));
             }
             NetBit::Const(value) => {
                 out.push_str("__const_");
-                out.push_str(value);
+                out.push_str(value.of(text));
             }
         }
     }
@@ -136,10 +163,21 @@ enum Token<'a> {
     Number(&'a str),
 }
 
+/// A token with the line it is on and its byte offset in the source.
+#[derive(Clone, Copy)]
+struct Lexeme<'a> {
+    line: usize,
+    start: usize,
+    token: Token<'a>,
+}
+
 /// Streaming tokenizer: a cursor over the rest of the source text producing
 /// one token per call.
 struct Lexer<'a> {
     rest: &'a str,
+    /// Length of the whole source, so `len - rest.len()` is the cursor's
+    /// offset.
+    len: usize,
     line: usize,
 }
 
@@ -150,17 +188,18 @@ fn split(s: &str, n: usize) -> (&str, &str) {
 
 impl<'a> Lexer<'a> {
     fn new(text: &'a str) -> Self {
-        Self { rest: text, line: 1 }
+        Self { rest: text, len: text.len(), line: 1 }
     }
 
-    /// Takes the first `n` bytes of the rest of the text.
-    fn take(&mut self, n: usize) -> &'a str {
-        let (token, rest) = split(self.rest, n);
+    /// Takes the first `n` bytes of the rest of the text as a token.
+    fn take(&mut self, n: usize, token: impl FnOnce(&'a str) -> Token<'a>) -> Lexeme<'a> {
+        let start = self.len - self.rest.len();
+        let (taken, rest) = split(self.rest, n);
         self.rest = rest;
-        token
+        Lexeme { line: self.line, start, token: token(taken) }
     }
 
-    fn next_token(&mut self) -> Result<Option<(usize, Token<'a>)>, ParseError> {
+    fn next_token(&mut self) -> Result<Option<Lexeme<'a>>, ParseError> {
         loop {
             let mut chars = self.rest.chars();
             let Some(c) = chars.next() else { return Ok(None) };
@@ -196,26 +235,25 @@ impl<'a> Lexer<'a> {
                     // escaped identifier: `\name with specials ` terminated by whitespace
                     self.rest = after;
                     let n = after.find(char::is_whitespace).unwrap_or(after.len());
-                    return Ok(Some((self.line, Token::Ident(self.take(n)))));
+                    return Ok(Some(self.take(n, Token::Ident)));
                 }
                 c if c.is_alphabetic() || c == '_' => {
                     let n = self
                         .rest
                         .find(|c2: char| !(c2.is_alphanumeric() || c2 == '_' || c2 == '$'))
                         .unwrap_or(self.rest.len());
-                    return Ok(Some((self.line, Token::Ident(self.take(n)))));
+                    return Ok(Some(self.take(n, Token::Ident)));
                 }
                 c if c.is_ascii_digit() => {
                     let n = self
                         .rest
                         .find(|c2: char| !(c2.is_alphanumeric() || c2 == '\'' || c2 == '_'))
                         .unwrap_or(self.rest.len());
-                    return Ok(Some((self.line, Token::Number(self.take(n)))));
+                    return Ok(Some(self.take(n, Token::Number)));
                 }
                 '(' | ')' | '[' | ']' | '{' | '}' | ',' | ';' | ':' | '.' | '=' | '-' | '+'
                 | '/' => {
-                    self.rest = after;
-                    return Ok(Some((self.line, Token::Symbol(c))));
+                    return Ok(Some(self.take(c.len_utf8(), |_| Token::Symbol(c))));
                 }
                 other => {
                     return Err(ParseError::at_line(
@@ -230,32 +268,41 @@ impl<'a> Lexer<'a> {
 
 struct Parser<'a> {
     lexer: Lexer<'a>,
-    peeked: Option<(usize, Token<'a>)>,
+    peeked: Option<Lexeme<'a>>,
+    /// Line and source offset of the last token taken.
     line: usize,
+    start: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
-        Self { lexer: Lexer::new(text), peeked: None, line: 1 }
+        Self { lexer: Lexer::new(text), peeked: None, line: 1, start: 0 }
     }
 
     fn peek(&mut self) -> Result<Option<Token<'a>>, ParseError> {
         if self.peeked.is_none() {
             self.peeked = self.lexer.next_token()?;
         }
-        Ok(self.peeked.map(|(_, t)| t))
+        Ok(self.peeked.map(|l| l.token))
     }
 
     fn line(&self) -> usize {
-        self.peeked.map(|(l, _)| l).unwrap_or(self.line)
+        self.peeked.map(|l| l.line).unwrap_or(self.line)
     }
 
     fn next(&mut self) -> Result<Option<Token<'a>>, ParseError> {
         self.peek()?;
-        Ok(self.peeked.take().map(|(l, t)| {
-            self.line = l;
-            t
+        Ok(self.peeked.take().map(|l| {
+            self.line = l.line;
+            self.start = l.start;
+            l.token
         }))
+    }
+
+    /// The span of `word`, the text of the last token taken.
+    fn span(&self, word: &str) -> Span {
+        // both fit: the source is at most `u32::MAX` bytes
+        Span { start: self.start as u32, len: word.len() as u32 }
     }
 
     fn expect_symbol(&mut self, c: char) -> Result<(), ParseError> {
@@ -267,9 +314,9 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect_ident(&mut self) -> Result<&'a str, ParseError> {
+    fn expect_ident(&mut self) -> Result<Span, ParseError> {
         match self.next()? {
-            Some(Token::Ident(s)) => Ok(s),
+            Some(Token::Ident(s)) => Ok(self.span(s)),
             other => Err(ParseError::at_line(
                 self.line(),
                 format!("expected identifier, found {other:?}"),
@@ -333,7 +380,7 @@ impl<'a> Parser<'a> {
     /// or a concatenation `{a, b[3], ...}` — and appends its bits to `bits`
     /// in source order. Concatenations are parsed without recursion: nesting
     /// only groups bits, so a depth counter is all the state it needs.
-    fn parse_net_expr(&mut self, bits: &mut Vec<NetBit<'a>>) -> Result<(), ParseError> {
+    fn parse_net_expr(&mut self, bits: &mut Vec<NetBit>) -> Result<(), ParseError> {
         let mut depth = 0usize;
         loop {
             while self.eat_symbol('{')? {
@@ -354,9 +401,10 @@ impl<'a> Parser<'a> {
     }
 
     /// Parses one operand of a net expression (no braces).
-    fn parse_net_term(&mut self, bits: &mut Vec<NetBit<'a>>) -> Result<(), ParseError> {
+    fn parse_net_term(&mut self, bits: &mut Vec<NetBit>) -> Result<(), ParseError> {
         match self.next()? {
             Some(Token::Ident(base)) => {
+                let base = self.span(base);
                 if self.eat_symbol('[')? {
                     let a = self.parse_int()?;
                     if self.eat_symbol(':')? {
@@ -379,7 +427,7 @@ impl<'a> Parser<'a> {
                 Ok(())
             }
             Some(Token::Number(n)) => {
-                bits.push(NetBit::Const(n));
+                bits.push(NetBit::Const(self.span(n)));
                 Ok(())
             }
             other => Err(ParseError::at_line(
@@ -390,24 +438,26 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// The module table: definition-ordered modules with a compact name index.
-#[derive(Default)]
+/// The module table: definition-ordered modules with a compact name index,
+/// and the source text their spans point into.
 struct ModuleTable<'a> {
-    modules: Vec<Module<'a>>,
+    text: &'a str,
+    modules: Vec<Module>,
     index: NameTable,
 }
 
 impl<'a> ModuleTable<'a> {
     /// The id (definition position) and definition of module `name`.
-    fn find(&self, name: &str) -> Option<(usize, &Module<'a>)> {
+    fn find(&self, name: &str) -> Option<(usize, &Module)> {
         let id = self.index.find(NameTable::hash_name(name), |id| {
-            self.modules.get(id as usize).is_some_and(|m| m.name == name)
+            self.modules.get(id as usize).is_some_and(|m| m.name.of(self.text) == name)
         })? as usize;
         self.modules.get(id).map(|m| (id, m))
     }
 
-    fn insert(&mut self, m: Module<'a>) {
-        match self.find(m.name) {
+    fn insert(&mut self, m: Module) {
+        let name = m.name.of(self.text);
+        match self.find(name) {
             // a redefinition overwrites the earlier one, like map insertion did
             Some((id, _)) => {
                 if let Some(slot) = self.modules.get_mut(id) {
@@ -415,17 +465,30 @@ impl<'a> ModuleTable<'a> {
                 }
             }
             None => {
-                self.index.insert(NameTable::hash_name(m.name), self.modules.len() as u32);
+                self.index.insert(NameTable::hash_name(name), self.modules.len() as u32);
                 self.modules.push(m);
             }
         }
     }
 }
 
+/// Rejects a source too long for the module table's `u32` spans.
+fn check_source_len(len: usize) -> Result<(), ParseError> {
+    if u32::try_from(len).is_ok() {
+        Ok(())
+    } else {
+        Err(ParseError::new(format!(
+            "the Verilog source is {len} bytes, over the {} bytes a netlist may span",
+            u32::MAX
+        )))
+    }
+}
+
 /// Parses Verilog source text into the module table.
 fn parse_modules(text: &str) -> Result<ModuleTable<'_>, ParseError> {
+    check_source_len(text.len())?;
     let mut p = Parser::new(text);
-    let mut table = ModuleTable::default();
+    let mut table = ModuleTable { text, modules: Vec::new(), index: NameTable::default() };
     let mut bits = Vec::new();
     while let Some(tok) = p.peek()? {
         p.next()?;
@@ -436,12 +499,15 @@ fn parse_modules(text: &str) -> Result<ModuleTable<'_>, ParseError> {
     Ok(table)
 }
 
+/// `n` as a `u32`, or an error at `line` saying which count overflowed.
+fn to_u32(n: usize, line: usize, what: &str) -> Result<u32, ParseError> {
+    u32::try_from(n)
+        .map_err(|_| ParseError::at_line(line, format!("{what} {n} exceeds {}", u32::MAX)))
+}
+
 /// Parses one module after its `module` keyword. `bits` is scratch space for
 /// the bits of one net expression.
-fn parse_module<'a>(
-    p: &mut Parser<'a>,
-    bits: &mut Vec<NetBit<'a>>,
-) -> Result<Module<'a>, ParseError> {
+fn parse_module(p: &mut Parser<'_>, bits: &mut Vec<NetBit>) -> Result<Module, ParseError> {
     let name = p.expect_ident()?;
     let mut module =
         Module { name, ports: Vec::new(), instances: Vec::new(), connections: Vec::new() };
@@ -467,7 +533,7 @@ fn parse_module<'a>(
                 Some(Token::Ident(pname)) => {
                     p.next()?;
                     if let Some(d) = dir {
-                        module.ports.push((pname, d, range));
+                        module.ports.push((p.span(pname), d, range));
                     }
                 }
                 _ => {
@@ -524,6 +590,7 @@ fn parse_module<'a>(
             }
             Token::Ident(cell) => {
                 p.next()?;
+                let cell = p.span(cell);
                 let line = p.line();
                 let name = p.expect_ident()?;
                 p.expect_symbol('(')?;
@@ -546,10 +613,11 @@ fn parse_module<'a>(
                         }
                         p.expect_symbol(')')?;
                         // a multi-bit connection becomes one pin per bit, msb first
-                        let multi = bits.len() > 1;
-                        for (i, &net) in bits.iter().enumerate() {
-                            if !matches!(net, NetBit::Name("")) {
-                                let bit = multi.then(|| bits.len() - 1 - i);
+                        let width = to_u32(bits.len(), p.line(), "the connection's bit count")?;
+                        let multi = width > 1;
+                        for (msb_first, &net) in (0..width).rev().zip(bits.iter()) {
+                            if !matches!(net, NetBit::Name(Span { len: 0, .. })) {
+                                let bit = multi.then_some(msb_first);
                                 module
                                     .connections
                                     .push(Connection { pin: Pin { base, index, bit }, net });
@@ -562,8 +630,11 @@ fn parse_module<'a>(
                     p.expect_symbol(')')?;
                 }
                 p.expect_symbol(';')?;
-                let connections = start..module.connections.len();
-                module.instances.push(Instance { cell, name, line, connections });
+                let end = to_u32(module.connections.len(), line, "the module's connection count")?;
+                // `start` is at most `end`, and a line at most the source
+                // length, so both fit in `u32`
+                let connections = start as u32..end;
+                module.instances.push(Instance { cell, name, line: line as u32, connections });
             }
             _ => {
                 p.next()?;
@@ -615,6 +686,19 @@ pub fn parse_verilog(
     top: Option<&str>,
     opts: &ElaborateOptions,
 ) -> Result<Design, ParseError> {
+    let mut builder = elaborate(text, top, opts)?;
+    connect_top_ports(&mut builder);
+    Ok(builder.build())
+}
+
+/// Parses `text` and flattens the top module into a builder. The module
+/// table is dropped on return, so it is gone before the builder packs the
+/// wiring.
+fn elaborate(
+    text: &str,
+    top: Option<&str>,
+    opts: &ElaborateOptions,
+) -> Result<DesignBuilder, ParseError> {
     let modules = parse_modules(text)?;
     if modules.modules.is_empty() {
         return Err(ParseError::new("no modules found"));
@@ -632,6 +716,9 @@ pub fn parse_verilog(
         builder: DesignBuilder::new(top_name),
         active: vec![top_id],
         path: String::new(),
+        segments: 0,
+        path_id: None,
+        classes: Vec::new(),
         pin: String::new(),
         net: String::new(),
         global: String::new(),
@@ -639,22 +726,24 @@ pub fn parse_verilog(
     // top-level ports
     let mut port = String::new();
     for &(pname, dir, range) in &top_module.ports {
+        let pname = pname.of(text);
         match range {
             Some((msb, lsb)) => {
                 for i in msb.min(lsb)..=msb.max(lsb) {
                     port.clear();
                     let _ = write!(port, "{pname}[{i}]");
+                    check_room(&ctx.builder, &port, None)?;
                     ctx.builder.add_port(port.as_str(), dir);
                 }
             }
             None => {
+                check_room(&ctx.builder, pname, None)?;
                 ctx.builder.add_port(pname, dir);
             }
         }
     }
     ctx.flatten(top_module, &PortMap::default())?;
-    connect_top_ports(&mut ctx.builder);
-    Ok(ctx.builder.build())
+    Ok(ctx.builder)
 }
 
 /// After flattening, nets named exactly like a top-level port are attached
@@ -663,7 +752,7 @@ fn connect_top_ports(builder: &mut DesignBuilder) {
     let pairs: Vec<(PortId, NetId, PortDirection)> = builder
         .ports()
         .filter_map(|(pid, port)| {
-            builder.find_net(&port.name).map(|nid| (pid, nid, port.direction))
+            builder.find_net(builder.port_name(pid)).map(|nid| (pid, nid, port.direction))
         })
         .collect();
     for (pid, nid, dir) in pairs {
@@ -675,14 +764,15 @@ fn connect_top_ports(builder: &mut DesignBuilder) {
 }
 
 fn infer_top<'a>(modules: &ModuleTable<'a>) -> Result<&'a str, ParseError> {
+    let text = modules.text;
     let mut instantiated: Vec<&str> =
-        modules.modules.iter().flat_map(|m| m.instances.iter().map(|i| i.cell)).collect();
+        modules.modules.iter().flat_map(|m| m.instances.iter().map(|i| i.cell.of(text))).collect();
     instantiated.sort_unstable();
     instantiated.dedup();
     let candidates: Vec<&'a str> = modules
         .modules
         .iter()
-        .map(|m| m.name)
+        .map(|m| m.name.of(text))
         .filter(|k| instantiated.binary_search(k).is_err())
         .collect();
     match candidates.as_slice() {
@@ -763,6 +853,9 @@ fn push_path(path: &mut String, name: &str) {
     path.push_str(name);
 }
 
+/// A leaf cell's kind and footprint, decided once per library cell.
+type CellClass = (CellKind, Dbu, Dbu);
+
 struct Flattener<'t, 'a> {
     modules: &'t ModuleTable<'a>,
     opts: &'t ElaborateOptions,
@@ -771,6 +864,12 @@ struct Flattener<'t, 'a> {
     active: Vec<usize>,
     /// Instance path of the module being flattened (`u_core/u_alu`).
     path: String,
+    /// Number of `/`-separated segments of `path` (0 at the top).
+    segments: usize,
+    /// `path` interned as a hierarchy path, once a leaf cell lives under it.
+    path_id: Option<HierPathId>,
+    /// The class of each library cell the builder has interned, by id.
+    classes: Vec<CellClass>,
     /// Reused buffers: a pin name, a local net name, its global name.
     pin: String,
     net: String,
@@ -780,12 +879,13 @@ struct Flattener<'t, 'a> {
 impl<'t, 'a> Flattener<'t, 'a> {
     /// Instantiates the cells of `module` under the current path. `port_map`
     /// maps the module's local net names to global net names.
-    fn flatten(&mut self, module: &'t Module<'a>, port_map: &PortMap) -> Result<(), ParseError> {
+    fn flatten(&mut self, module: &'t Module, port_map: &PortMap) -> Result<(), ParseError> {
         for inst in &module.instances {
-            let connections = module.connections.get(inst.connections.clone()).unwrap_or_default();
-            match self.modules.find(inst.cell) {
+            let range = inst.connections.start as usize..inst.connections.end as usize;
+            let connections = module.connections.get(range).unwrap_or_default();
+            match self.modules.find(inst.cell.of(self.modules.text)) {
                 Some((id, child)) => self.flatten_child(inst, id, child, connections, port_map)?,
-                None => self.add_leaf(inst, connections, port_map),
+                None => self.add_leaf(inst, connections, port_map)?,
             }
         }
         Ok(())
@@ -795,42 +895,56 @@ impl<'t, 'a> Flattener<'t, 'a> {
     /// `id`): builds the child's port map, then descends one level.
     fn flatten_child(
         &mut self,
-        inst: &Instance<'a>,
+        inst: &Instance,
         id: usize,
-        child: &'t Module<'a>,
-        connections: &[Connection<'a>],
+        child: &'t Module,
+        connections: &[Connection],
         port_map: &PortMap,
     ) -> Result<(), ParseError> {
+        let text = self.modules.text;
+        let (name, line) = (inst.name.of(text), inst.line as usize);
         if self.active.contains(&id) {
             return Err(ParseError::at_line(
-                inst.line,
+                line,
                 format!(
-                    "instance '{}' instantiates module '{}' inside itself",
-                    inst.name, child.name
+                    "instance '{name}' instantiates module '{}' inside itself",
+                    child.name.of(text)
                 ),
             ));
         }
         if self.active.len() >= MAX_HIERARCHY_DEPTH {
             return Err(ParseError::at_line(
-                inst.line,
+                line,
                 format!(
-                    "instance '{}' of module '{}' is nested deeper than {MAX_HIERARCHY_DEPTH} levels",
-                    inst.name, child.name
+                    "instance '{name}' of module '{}' is nested deeper than {MAX_HIERARCHY_DEPTH} levels",
+                    child.name.of(text)
+                ),
+            ));
+        }
+        let segments = self.segments + 1 + name.matches('/').count();
+        if segments > MAX_HIERARCHY_DEPTH {
+            // the name itself may be the long part, so it is not repeated
+            return Err(ParseError::at_line(
+                line,
+                format!(
+                    "an instance of module '{}' has a hierarchy path of {segments} levels, \
+                     more than {MAX_HIERARCHY_DEPTH}",
+                    child.name.of(text)
                 ),
             ));
         }
         // Child port ranges are looked up through a sorted slice so a wide
         // port list stays O(C log P) rather than O(C·P).
         let mut child_ranges: Vec<(&str, Option<(i64, i64)>)> =
-            child.ports.iter().map(|&(n, _, r)| (n, r)).collect();
+            child.ports.iter().map(|&(n, _, r)| (n.of(text), r)).collect();
         child_ranges.sort_by(|a, b| a.0.cmp(b.0)); // stable: first decl of a duplicate wins
         child_ranges.dedup_by(|a, b| a.0 == b.0);
         let mut map = PortMap::default();
         for conn in connections {
             self.pin.clear();
-            conn.pin.write_to(&mut self.pin);
+            conn.pin.write_to(text, &mut self.pin);
             self.net.clear();
-            conn.net.write_to(&mut self.net);
+            conn.net.write_to(text, &mut self.net);
             let child_range = child_ranges
                 .binary_search_by(|(n, _)| (*n).cmp(self.pin.as_str()))
                 .ok()
@@ -858,52 +972,88 @@ impl<'t, 'a> Flattener<'t, 'a> {
             }
         }
         let map = map.sorted();
-        let outer = self.path.len();
-        push_path(&mut self.path, inst.name);
+        let (outer, outer_segments, outer_id) = (self.path.len(), self.segments, self.path_id);
+        push_path(&mut self.path, name);
+        self.segments = segments;
+        self.path_id = None;
         self.active.push(id);
         let result = self.flatten(child, &map);
         self.active.pop();
         self.path.truncate(outer);
+        self.segments = outer_segments;
+        self.path_id = outer_id;
         result
     }
 
     /// Adds leaf instance `inst` as a cell and connects its pins, creating
-    /// each net at its first reference.
+    /// each net at its first reference. A new cell interns its library cell,
+    /// classified at its first use, and the current path, interned once per
+    /// module instance.
     fn add_leaf(
         &mut self,
-        inst: &Instance<'a>,
-        connections: &[Connection<'a>],
+        inst: &Instance,
+        connections: &[Connection],
         port_map: &PortMap,
-    ) {
-        let def = self.opts.library.find_macro(inst.cell);
-        let kind = match def {
-            Some(m) if m.is_block => CellKind::Macro,
-            _ if self.opts.flop_prefixes.iter().any(|p| inst.cell.starts_with(p.as_str())) => {
-                CellKind::Flop
-            }
-            _ => CellKind::Comb,
-        };
-        let (width, height) = def.map_or((1, 1), |m| (m.width, m.height));
-        // every name the design keeps is allocated at its exact length
-        // (`String::clone` allocates `len` bytes)
-        let hier_path = self.path.clone();
+    ) -> Result<(), ParseError> {
+        let (text, line) = (self.modules.text, Some(inst.line as usize));
+        let lib_name = inst.cell.of(text);
         let outer = self.path.len();
-        push_path(&mut self.path, inst.name);
-        let cell_name = self.path.clone();
+        push_path(&mut self.path, inst.name.of(text));
+        // a new cell also interns its library cell, spelled in the source,
+        // and its path, a prefix of its name: neither store can outgrow these
+        check_room(&self.builder, &self.path, line)?;
+        let (opts, classes, path_id) = (self.opts, &mut self.classes, &mut self.path_id);
+        let (name, hier_path) = (self.path.as_str(), self.path.get(..outer).unwrap_or_default());
+        let cell = self.builder.add_cell_with(name, |b| {
+            let lib_cell = b.intern_lib_cell(lib_name);
+            let (kind, width, height) = match classes.get(lib_cell.0 as usize) {
+                Some(&class) => class,
+                None => {
+                    let class = classify(opts, lib_name);
+                    classes.push(class);
+                    class
+                }
+            };
+            let hier_path = *path_id.get_or_insert_with(|| b.intern_hier_path(hier_path));
+            Cell { kind, width, height, lib_cell, hier_path }
+        });
         self.path.truncate(outer);
-        let cell = self.builder.add_cell(cell_name, inst.cell, kind, width, height, hier_path);
         for conn in connections {
             self.net.clear();
-            conn.net.write_to(&mut self.net);
+            conn.net.write_to(text, &mut self.net);
             resolve_net(&mut self.global, &self.path, port_map, &self.net);
-            let net = self.builder.intern_net(&self.global);
-            if is_output_pin(conn.pin.base) {
+            check_room(&self.builder, &self.global, line)?;
+            let net = self.builder.add_net(&self.global);
+            if is_output_pin(conn.pin.base.of(text)) {
                 self.builder.connect_driver(net, cell);
             } else {
                 self.builder.connect_sink(net, cell);
             }
         }
+        Ok(())
     }
+}
+
+/// Rejects elaboration whose next name, `name`, would overflow the design's
+/// name stores: elaborated names can outgrow the source many times over.
+fn check_room(builder: &DesignBuilder, name: &str, line: Option<usize>) -> Result<(), ParseError> {
+    if builder.name_fits(name.len()) {
+        return Ok(());
+    }
+    let message = format!("the elaborated names exceed the {} bytes a design may hold", u32::MAX);
+    Err(ParseError { line, message })
+}
+
+/// The kind and footprint of a leaf instance of library cell `cell`.
+fn classify(opts: &ElaborateOptions, cell: &str) -> CellClass {
+    let def = opts.library.find_macro(cell);
+    let kind = match def {
+        Some(m) if m.is_block => CellKind::Macro,
+        _ if opts.flop_prefixes.iter().any(|p| cell.starts_with(p.as_str())) => CellKind::Flop,
+        _ => CellKind::Comb,
+    };
+    let (width, height) = def.map_or((1, 1), |m| (m.width, m.height));
+    (kind, width, height)
 }
 
 /// Heuristic classification of a pin name as an output.
@@ -985,7 +1135,7 @@ endmodule
         assert_eq!(d.cell(ram).width, 500);
         let r1 = d.find_cell("u_sub/r1").unwrap();
         assert_eq!(d.cell(r1).kind, CellKind::Flop);
-        assert_eq!(d.cell(r1).hier_path, "u_sub");
+        assert_eq!(d.hier_path(d.cell(r1).hier_path), "u_sub");
     }
 
     #[test]
@@ -1069,7 +1219,7 @@ endmodule
 "#;
         let d = parse_verilog(src, Some("top"), &ElaborateOptions::default()).unwrap();
         assert_eq!(d.num_cells(), 2);
-        assert_eq!(d.cell(d.find_cell("u/g0").unwrap()).lib_cell, "INV");
+        assert_eq!(d.lib_cell(d.cell(d.find_cell("u/g0").unwrap()).lib_cell), "INV");
     }
 
     #[test]
@@ -1087,7 +1237,7 @@ endmodule
         let d = parse_verilog(src, Some("top"), &ElaborateOptions::default()).unwrap();
         let g = d.find_cell("u/g").unwrap();
         let fanin_net = d.connectivity().fanin(g)[0];
-        assert_eq!(d.net(fanin_net).name, "q");
+        assert_eq!(d.net_name(fanin_net), "q");
     }
 
     /// Parses `src` and expects the width check to reject it on `line`.
@@ -1173,7 +1323,7 @@ endmodule
         let d = parse_verilog(&src, Some("top"), &ElaborateOptions::default()).unwrap();
         let u1 = d.connectivity().fanin(d.find_cell("u1").unwrap());
         assert_eq!(u1.len(), 1, "nesting only groups the one bit");
-        assert_eq!(d.net(u1[0]).name, "a");
+        assert_eq!(d.net_name(u1[0]), "a");
         // one brace left open is an error at the connection's line
         let open = format!("{}a{}", "{".repeat(depth), "}".repeat(depth - 1));
         let src =
@@ -1216,6 +1366,66 @@ endmodule
         let d = parse_verilog(&module_chain(MAX_HIERARCHY_DEPTH), None, &opts).unwrap();
         assert!(d.find_cell(&format!("{}g", "u/".repeat(MAX_HIERARCHY_DEPTH - 1))).is_some());
         assert!(parse_verilog(&module_chain(MAX_HIERARCHY_DEPTH + 1), None, &opts).is_err());
+    }
+
+    /// A top module instantiating `sub` under one escaped name of
+    /// `segments` `/`-separated segments; `sub` holds a gate and two macros.
+    fn escaped_path(segments: usize) -> String {
+        let name = vec!["a"; segments].join("/");
+        format!(
+            "module sub (input i, output o); COMB g (.A(i), .Y(o)); \
+             RAM m1 (.D(i), .Q(o)); RAM m2 (.D(i), .Q(o)); endmodule\n\
+             module top (input i, output o);\n  sub \\{name} (.i(i), .o(o));\nendmodule\n"
+        )
+    }
+
+    #[test]
+    fn instance_path_deeper_than_the_limit_is_rejected() {
+        // one escaped name makes as many hierarchy levels as it has segments
+        let opts = opts_with_ram();
+        let d = parse_verilog(&escaped_path(MAX_HIERARCHY_DEPTH), None, &opts).unwrap();
+        let g = d.find_cell(&format!("{}/g", vec!["a"; MAX_HIERARCHY_DEPTH].join("/"))).unwrap();
+        assert_eq!(d.hier_path(d.cell(g).hier_path).split('/').count(), MAX_HIERARCHY_DEPTH);
+        let err = parse_verilog(&escaped_path(MAX_HIERARCHY_DEPTH + 1), None, &opts).unwrap_err();
+        assert_eq!(err.line, Some(3), "{err}");
+        assert_eq!(
+            err.message,
+            "an instance of module 'sub' has a hierarchy path of 257 levels, more than 256"
+        );
+        // the segments add up across module levels
+        let src = "module leaf (input a); BUF g (.A(a)); endmodule\n\
+                   module mid (input a); leaf \\b/c  (.a(a)); endmodule\n\
+                   module top (input a); mid \\a/a  (.a(a)); endmodule\n";
+        let d = parse_verilog(src, Some("top"), &ElaborateOptions::default()).unwrap();
+        assert!(d.find_cell("a/a/b/c/g").is_some());
+    }
+
+    #[test]
+    fn source_longer_than_u32_is_rejected() {
+        assert!(check_source_len(u32::MAX as usize).is_ok());
+        let err = check_source_len(u32::MAX as usize + 1).unwrap_err();
+        assert_eq!(err.line, None);
+        assert_eq!(
+            err.message,
+            "the Verilog source is 4294967296 bytes, over the 4294967295 bytes a netlist may span"
+        );
+    }
+
+    #[test]
+    fn names_are_spelled_as_written() {
+        // a bit-select is elaborated through its integer, an escaped name
+        // and a constant verbatim
+        let src = "module top (input [7:0] bus, output z);\n\
+                   BUF u1 (.A(bus[007]), .Y(\\w[0]$x ));\n\
+                   BUF \\u/2  (.A(\\w[0]$x ), .B(1'b0), .Y(z));\nendmodule\n";
+        let d = parse_verilog(src, Some("top"), &ElaborateOptions::default()).unwrap();
+        let fanin = |name: &str| -> Vec<&str> {
+            let c = d.find_cell(name).unwrap();
+            d.connectivity().fanin(c).iter().map(|&n| d.net_name(n)).collect()
+        };
+        assert_eq!(fanin("u1"), ["bus[7]"]);
+        assert_eq!(fanin("u/2"), ["w[0]$x", "__const_1'b0"]);
+        assert_eq!(d.hier_path(d.cell(d.find_cell("u/2").unwrap()).hier_path), "");
     }
 
     #[test]

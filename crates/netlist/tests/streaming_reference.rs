@@ -507,7 +507,7 @@ mod reference_verilog {
         let pairs: Vec<(netlist::design::PortId, netlist::design::NetId, PortDirection)> = builder
             .ports()
             .filter_map(|(pid, port)| {
-                builder.find_net(&port.name).map(|nid| (pid, nid, port.direction))
+                builder.find_net(builder.port_name(pid)).map(|nid| (pid, nid, port.direction))
             })
             .collect();
         for (pid, nid, dir) in pairs {
@@ -1123,8 +1123,8 @@ fn assert_designs_identical(streaming: &Design, reference: &Design) {
         assert_eq!(cs.pins(id), cr.pins(id), "CSR pin rows differ at net {id:?}");
     }
     // name→id lookups agree for every element
-    for (id, cell) in streaming.cells() {
-        assert_eq!(streaming.find_cell(&cell.name), Some(id));
+    for id in streaming.cell_ids() {
+        assert_eq!(streaming.find_cell(streaming.cell_name(id)), Some(id));
     }
 }
 
@@ -1169,8 +1169,8 @@ fn def_streaming_matches_reference_on_written_def() {
         .macros()
         .enumerate()
         .map(|(i, id)| netlist::def::PlacementEntry {
-            name: design.cell(id).name.clone(),
-            cell: design.cell(id).lib_cell.clone(),
+            name: design.cell_name(id).to_owned(),
+            cell: design.lib_cell(design.cell(id).lib_cell).to_owned(),
             location: geometry::Point::new(i as i64 * 1000, i as i64 * 500),
             orientation: geometry::Orientation::N,
             fixed: i % 2 == 0,

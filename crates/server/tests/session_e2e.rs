@@ -234,7 +234,7 @@ fn replace_session_chains_in_one_drain_and_keeps_artifacts_warm() {
     // author the edit script against the same preset the daemon will intern
     let design = preset("small").unwrap();
     let macro_id = design.macros().next().expect("preset has macros");
-    let macro_name = design.cell(macro_id).name.clone();
+    let macro_name = design.cell_name(macro_id).to_owned();
     let script = format!(
         "\
 hello client=ci

@@ -32,7 +32,7 @@ fn escape(name: &str) -> String {
 /// The top-level component a cell belongs to (first path segment), or `None`
 /// for cells that live directly at the root.
 fn top_component(design: &Design, cell: CellId) -> Option<String> {
-    let path = &design.cell(cell).hier_path;
+    let path = design.hier_path(design.cell(cell).hier_path);
     if path.is_empty() {
         None
     } else {
@@ -97,8 +97,7 @@ pub fn emit_verilog(design: &Design) -> String {
         let boundary: Vec<NetId> =
             nets_of_group[group].iter().copied().filter(|&n| is_boundary(group, n)).collect();
         let _ = write!(out, "module {module_name} (");
-        let port_list: Vec<String> =
-            boundary.iter().map(|&n| escape(&design.net(n).name)).collect();
+        let port_list: Vec<String> = boundary.iter().map(|&n| escape(design.net_name(n))).collect();
         let _ = write!(out, "{}", port_list.join(", "));
         let _ = writeln!(out, ");");
         for &n in &boundary {
@@ -108,11 +107,11 @@ pub fn emit_verilog(design: &Design) -> String {
             let driven_inside =
                 driver.is_some_and(|d| top_component(design, d).as_deref() == Some(group.as_str()));
             let dir = if driven_inside { "output" } else { "input" };
-            let _ = writeln!(out, "  {dir} {};", escape(&design.net(n).name));
+            let _ = writeln!(out, "  {dir} {};", escape(design.net_name(n)));
         }
         for &n in nets_of_group[group].iter() {
             if !is_boundary(group, n) {
-                let _ = writeln!(out, "  wire {};", escape(&design.net(n).name));
+                let _ = writeln!(out, "  wire {};", escape(design.net_name(n)));
             }
         }
         for &c in cells {
@@ -123,16 +122,16 @@ pub fn emit_verilog(design: &Design) -> String {
 
     // top module
     let _ = write!(out, "module {} (", escape(design.name()));
-    let port_names: Vec<String> = design.ports().map(|(_, p)| escape(&p.name)).collect();
+    let port_names: Vec<String> = design.port_ids().map(|p| escape(design.port_name(p))).collect();
     let _ = write!(out, "{}", port_names.join(", "));
     let _ = writeln!(out, ");");
-    for (_, port) in design.ports() {
+    for (id, port) in design.ports() {
         let dir = match port.direction {
             netlist::design::PortDirection::Input => "input",
             netlist::design::PortDirection::Output => "output",
             netlist::design::PortDirection::Inout => "inout",
         };
-        let _ = writeln!(out, "  {dir} {};", escape(&port.name));
+        let _ = writeln!(out, "  {dir} {};", escape(design.port_name(id)));
     }
     // top-level wires: every net that crosses a boundary or is used at top
     let mut top_wires: BTreeSet<NetId> = BTreeSet::new();
@@ -142,10 +141,10 @@ pub fn emit_verilog(design: &Design) -> String {
         }
     }
     for &n in &top_wires {
-        let net = design.net(n);
+        let net = design.net_name(n);
         // ports already declare their own name
-        if design.find_port(&net.name).is_none() {
-            let _ = writeln!(out, "  wire {};", escape(&net.name));
+        if design.find_port(net).is_none() {
+            let _ = writeln!(out, "  wire {};", escape(net));
         }
     }
     // child module instances
@@ -156,7 +155,7 @@ pub fn emit_verilog(design: &Design) -> String {
         let conns: Vec<String> = boundary
             .iter()
             .map(|&n| {
-                let name = escape(&design.net(n).name);
+                let name = escape(design.net_name(n));
                 format!(".{name}({name})")
             })
             .collect();
@@ -172,15 +171,15 @@ pub fn emit_verilog(design: &Design) -> String {
 }
 
 fn emit_instance(out: &mut String, design: &Design, cell_id: CellId, _group: Option<&str>) {
-    let cell = design.cell(cell_id);
-    let _ = write!(out, "  {} {} (", escape(&cell.lib_cell), escape(&cell.name));
+    let lib_cell = design.lib_cell(design.cell(cell_id).lib_cell);
+    let _ = write!(out, "  {} {} (", escape(lib_cell), escape(design.cell_name(cell_id)));
     let csr = design.connectivity();
     let mut conns: Vec<String> = Vec::new();
     for (i, &n) in csr.fanin(cell_id).iter().enumerate() {
-        conns.push(format!(".D{i}({})", escape(&design.net(n).name)));
+        conns.push(format!(".D{i}({})", escape(design.net_name(n))));
     }
     for (i, &n) in csr.fanout(cell_id).iter().enumerate() {
-        conns.push(format!(".Q{i}({})", escape(&design.net(n).name)));
+        conns.push(format!(".Q{i}({})", escape(design.net_name(n))));
     }
     let _ = write!(out, "{}", conns.join(", "));
     let _ = writeln!(out, ");");
@@ -218,9 +217,10 @@ pub fn emit_lef(design: &Design, library: &Library, dbu_per_micron: i64) -> Stri
     }
     // generic standard cells referenced by the netlist
     for (_, cell) in design.cells() {
-        if cell.kind != CellKind::Macro && !emitted.contains(&cell.lib_cell) {
-            emitted.insert(cell.lib_cell.clone());
-            let _ = writeln!(out, "MACRO {}", cell.lib_cell);
+        let lib_cell = design.lib_cell(cell.lib_cell);
+        if cell.kind != CellKind::Macro && !emitted.contains(lib_cell) {
+            emitted.insert(lib_cell.to_owned());
+            let _ = writeln!(out, "MACRO {lib_cell}");
             let _ = writeln!(out, "  CLASS CORE ;");
             let _ = writeln!(
                 out,
@@ -228,7 +228,7 @@ pub fn emit_lef(design: &Design, library: &Library, dbu_per_micron: i64) -> Stri
                 to_um(cell.width.max(1)),
                 to_um(cell.height.max(1))
             );
-            let _ = writeln!(out, "END {}\n", cell.lib_cell);
+            let _ = writeln!(out, "END {lib_cell}\n");
         }
     }
     out

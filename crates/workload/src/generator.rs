@@ -364,7 +364,7 @@ mod tests {
         assert!(ht.find("u_noc").is_some());
         // all macros live under the memory groups
         for m in g.design.macros() {
-            assert!(g.design.cell(m).hier_path.contains("u_mem"));
+            assert!(g.design.hier_path(g.design.cell(m).hier_path).contains("u_mem"));
         }
     }
 
@@ -408,10 +408,10 @@ mod tests {
     fn channels_create_cross_subsystem_paths() {
         let g = SocGenerator::new(small_config()).generate();
         // a register in u_noc must exist per channel bit
-        let noc_regs = g
-            .design
+        let d = &g.design;
+        let noc_regs = d
             .cells()
-            .filter(|(_, c)| c.hier_path == "u_noc" && c.kind == CellKind::Flop)
+            .filter(|(_, c)| d.hier_path(c.hier_path) == "u_noc" && c.kind == CellKind::Flop)
             .count();
         assert_eq!(noc_regs, 2 * 8);
     }

@@ -259,7 +259,7 @@ pub fn fig3_design() -> Design {
     let names = ["u_a", "u_b", "u_c", "u_d"];
     let macros: Vec<_> = names
         .iter()
-        .map(|n| b.add_macro(format!("{n}/mac"), "MACRO_BLOCK", macro_w, macro_h, n.to_string()))
+        .map(|n| b.add_macro(format!("{n}/mac"), "MACRO_BLOCK", macro_w, macro_h, n))
         .collect();
     let connect = |b: &mut DesignBuilder, from: usize, to: &[usize], tag: &str| {
         for bit in 0..bits {

@@ -38,8 +38,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let opts = ElaborateOptions { library: lef.library.clone(), ..Default::default() };
     let mut design = parse_verilog(&verilog_text, Some("roundtrip_soc"), &opts)?;
     design.set_die(generated.design.die());
-    for (_, port) in generated.design.ports() {
-        if let (Some(pos), Some(new_pid)) = (port.position, design.find_port(&port.name)) {
+    for (id, port) in generated.design.ports() {
+        let name = generated.design.port_name(id);
+        if let (Some(pos), Some(new_pid)) = (port.position, design.find_port(name)) {
             design.set_port_position(new_pid, Some(pos));
         }
     }

@@ -36,10 +36,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("placed {} macros (legal: {}):", placement.macros.len(), placement.is_legal(&design));
     for placed in &placement.macros {
-        let cell = design.cell(placed.cell);
         println!(
             "  {:<16} at ({:>8}, {:>8})  orientation {}",
-            cell.name, placed.location.x, placed.location.y, placed.orientation
+            design.cell_name(placed.cell),
+            placed.location.x,
+            placed.location.y,
+            placed.orientation
         );
     }
     println!("\nstage timings:");

@@ -72,7 +72,7 @@ fn def_roundtrip_preserves_placement() {
     assert_eq!(parsed.components.len(), design.num_macros());
     // every macro's location survives the round trip
     for placed in &placement.macros {
-        let name = &design.cell(placed.cell).name;
+        let name = design.cell_name(placed.cell);
         let comp = parsed.find_component(name).expect("component present");
         assert_eq!(comp.location, placed.location, "location of {name}");
         assert_eq!(comp.orientation, placed.orientation, "orientation of {name}");
@@ -93,8 +93,9 @@ fn def_roundtrip_preserves_placement() {
     assert!(design.ports().all(|(_, p)| p.position.is_some()));
     parsed.apply_to(&mut reparsed);
     assert_eq!(reparsed.num_ports(), design.num_ports());
-    for (_, port) in design.ports() {
-        let id = reparsed.find_port(&port.name).expect("port survives the round trip");
-        assert_eq!(reparsed.port(id).position, port.position, "position of {}", port.name);
+    for (id, port) in design.ports() {
+        let name = design.port_name(id);
+        let id = reparsed.find_port(name).expect("port survives the round trip");
+        assert_eq!(reparsed.port(id).position, port.position, "position of {name}");
     }
 }
