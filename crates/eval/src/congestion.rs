@@ -7,6 +7,7 @@
 //! The reported `GRC%` is the percentage of bins whose demand exceeds their
 //! capacity, matching the "global routing overflow percentage" of Table III.
 
+use crate::exact::area_f64;
 use crate::grid::BinGrid;
 use crate::placer::CellPlacement;
 use geometry::{Point, Rect};
@@ -29,10 +30,11 @@ pub struct CongestionConfig {
 
 impl Default for CongestionConfig {
     fn default() -> Self {
-        // The supply constant is calibrated so that the synthetic c1–c8
-        // workloads land in the single-digit to low-double-digit GRC% range
-        // the paper reports, with congested floorplans clearly separated from
-        // clean ones.
+        // 0.55 tracks per DBU of bin edge, summed over layers, is a fixed
+        // constant, not a calibration: `table3 --effort fast` reads GRC% of
+        // 76.6–99.1 on every flow × circuit row. Capacity grows with the bin
+        // edge while RUDY demand grows with the bin area; ROADMAP item 3
+        // covers the capacity model and its calibration.
         Self { bins: 32, supply_per_dbu: 0.55, wire_pitch: 1.0, macro_capacity_fraction: 0.2 }
     }
 }
@@ -98,7 +100,8 @@ pub(crate) fn estimate_congestion_with_ports(
             let rect = grid.bin_rect(bx, by);
             let base = (rect.width() + rect.height()) as f64 * config.supply_per_dbu;
             let i = bx * bins + by;
-            let frac_covered = (covered[i] / (rect.area() as f64).max(1.0)).min(1.0);
+            let bin_area = area_f64(rect.width(), rect.height()).max(1.0);
+            let frac_covered = (covered[i] / bin_area).min(1.0);
             capacity[i] = base * (1.0 - frac_covered * (1.0 - config.macro_capacity_fraction));
         }
     }

@@ -1,5 +1,6 @@
 //! Standard-cell density maps (the Fig. 9 visualization).
 
+use crate::exact::area_f64;
 use crate::grid::BinGrid;
 use crate::placer::CellPlacement;
 use geometry::Rect;
@@ -47,7 +48,7 @@ impl DensityMap {
             }
             let Some(p) = placement.position(id) else { continue };
             let (bx, by) = grid.bin_of(p);
-            cell_area[bx * bins + by] += cell.area() as f64;
+            cell_area[bx * bins + by] += area_f64(cell.width, cell.height);
         }
 
         let covered = grid.macro_coverage(&macro_rects);

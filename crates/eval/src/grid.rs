@@ -1,7 +1,13 @@
 //! The bin grid shared by spreading, congestion and density: the bin edges
 //! computed once, the point-to-bin lookup, per-bin macro coverage and the
 //! per-column and per-row overlaps of a box.
+//!
+//! A box's overlap with a bin is at most the bin's width times its height,
+//! so no RUDY overlap product exceeds the grid's width times its height:
+//! when that extent fits in `i64` the products are formed in `i64`, else in
+//! `i128` ([`crate::exact`]). Either way they are exact.
 
+use crate::exact::{area_f64, fits_i64, Acc};
 use geometry::{Point, Rect};
 
 /// A `bins × bins` grid over the die. Bin width is
@@ -79,9 +85,9 @@ impl BinGrid {
             for bx in x0..x1 {
                 let ox = overlap(self.xs[bx], self.xs[bx + 1], m.llx, m.urx);
                 for by in y0..y1 {
-                    let area = ox * overlap(self.ys[by], self.ys[by + 1], m.lly, m.ury);
-                    if area > 0 {
-                        covered[bx * self.bins + by] += area as f64;
+                    let area = area_f64(ox, overlap(self.ys[by], self.ys[by + 1], m.lly, m.ury));
+                    if area > 0.0 {
+                        covered[bx * self.bins + by] += area;
                     }
                 }
             }
@@ -103,20 +109,34 @@ impl BinGrid {
         boxes: impl IntoIterator<Item = Rect>,
         wire_pitch: f64,
     ) -> Vec<f64> {
+        let width = self.xs[self.bins].abs_diff(self.xs[0]);
+        let height = self.ys[self.bins].abs_diff(self.ys[0]);
+        if fits_i64(width as u128 * height as u128) {
+            self.rudy_demand_in::<i64>(boxes, wire_pitch)
+        } else {
+            self.rudy_demand_in::<i128>(boxes, wire_pitch)
+        }
+    }
+
+    fn rudy_demand_in<T: Acc>(
+        &self,
+        boxes: impl IntoIterator<Item = Rect>,
+        wire_pitch: f64,
+    ) -> Vec<f64> {
         let mut demand = vec![0.0f64; self.bins * self.bins];
         let (mut cols, mut rows) = (Vec::new(), Vec::new());
         for bb in boxes {
-            let wire = (bb.width() + bb.height()) as f64 * wire_pitch;
-            let bb_area = (bb.area() as f64).max(1.0);
-            let density = wire / bb_area; // demand per unit area
-            let floor = if bb.area() == 0 { 1 } else { 0 };
+            let (w, h) = (bb.width(), bb.height());
+            let wire = (w + h) as f64 * wire_pitch;
+            let density = wire / area_f64(w, h).max(1.0); // demand per unit area
+            let floor = T::from(i64::from(w == 0 || h == 0));
             let (x, y) = self.bin_span(&bb);
             self.column_overlaps(&bb, x, &mut cols);
             self.row_overlaps(&bb, y, &mut rows);
             for (bx, &ox) in (x.0..=x.1).zip(&cols) {
-                let column = &mut demand[bx * self.bins..(bx + 1) * self.bins];
-                for (by, &oy) in (y.0..=y.1).zip(&rows) {
-                    column[by] += density * (ox * oy).max(floor) as f64;
+                let column = &mut demand[bx * self.bins + y.0..=bx * self.bins + y.1];
+                for (d, &oy) in column.iter_mut().zip(&rows) {
+                    *d += density * (T::from(ox) * T::from(oy)).max(floor).to_f64();
                 }
             }
         }
@@ -135,14 +155,14 @@ impl BinGrid {
     /// clamped at 0, written to `out`. With [`BinGrid::row_overlaps`], the
     /// overlap of `r` with bin `(bx, by)` is `cols[bx] · rows[by]`, equal to
     /// `bin_rect(bx, by).overlap_area(r)`.
-    pub(crate) fn column_overlaps(&self, r: &Rect, cols: (usize, usize), out: &mut Vec<i128>) {
+    pub(crate) fn column_overlaps(&self, r: &Rect, cols: (usize, usize), out: &mut Vec<i64>) {
         out.clear();
         out.extend((cols.0..=cols.1).map(|b| overlap(self.xs[b], self.xs[b + 1], r.llx, r.urx)));
     }
 
     /// The y-overlap of `r` with each row of the inclusive range `rows`; see
     /// [`BinGrid::column_overlaps`].
-    pub(crate) fn row_overlaps(&self, r: &Rect, rows: (usize, usize), out: &mut Vec<i128>) {
+    pub(crate) fn row_overlaps(&self, r: &Rect, rows: (usize, usize), out: &mut Vec<i64>) {
         out.clear();
         out.extend((rows.0..=rows.1).map(|b| overlap(self.ys[b], self.ys[b + 1], r.lly, r.ury)));
     }
@@ -153,9 +173,15 @@ fn axis_bin(offset: i64, bin_size: f64, bins: usize) -> usize {
     ((offset as f64 / bin_size) as usize).min(bins - 1)
 }
 
-/// The length of `[a0, a1] ∩ [b0, b1]`, 0 when the interiors are disjoint.
-fn overlap(a0: i64, a1: i64, b0: i64, b1: i64) -> i128 {
-    (a1.min(b1) as i128 - a0.max(b0) as i128).max(0)
+/// The length of `[a0, a1] ∩ [b0, b1]`, 0 when the interiors are disjoint;
+/// at most `a1 - a0`, so it is exact in `i64`.
+fn overlap(a0: i64, a1: i64, b0: i64, b1: i64) -> i64 {
+    let (lo, hi) = (a0.max(b0), a1.min(b1));
+    if hi > lo {
+        hi - lo
+    } else {
+        0
+    }
 }
 
 /// The half-open range of intervals `[edges[b], edges[b + 1]]` whose

@@ -37,6 +37,7 @@
 pub mod artifacts;
 pub mod congestion;
 pub mod density;
+mod exact;
 mod grid;
 pub mod metrics;
 pub mod placer;

@@ -3,8 +3,10 @@
 //! A lightweight analytical placer in the spirit of quadratic placement with
 //! grid-based spreading:
 //!
-//! 1. cells start at the centroid of the fixed objects they connect to
-//!    (macros and ports), or at the die center,
+//! 1. each cell starts at the centroid of its nets' placed drivers (macros,
+//!    input ports and cells initialized earlier in id order; the die center
+//!    when there are none) plus a seeded jitter, clamped to the die — or, in
+//!    a warm run, at its seed position,
 //! 2. several Gauss–Seidel sweeps move every cell to the connectivity-weighted
 //!    average position of its neighbours (the minimizer of the star-model
 //!    quadratic wirelength),
@@ -23,8 +25,11 @@
 //! which is bit-identical to rescanning every net's pins because the star
 //! sums are integer arithmetic; `bench::reference` preserves the rescan
 //! formulation, and its `reference_pipeline_matches_session_evaluator` test
-//! asserts the equality.
+//! asserts the equality. The sums run in `i64` when the largest coordinate
+//! times a bound on the coordinates one star sum adds fits, and in `i128`
+//! past that bound, one generic kernel instantiated at both widths.
 
+use crate::exact::{area_f64, fits_i64, Acc};
 use crate::grid::BinGrid;
 use crate::wirelength::total_hpwl_with_ports;
 use geometry::{Orientation, Point, Rect};
@@ -140,18 +145,15 @@ fn place_cells_impl(
 ) -> (CellPlacement, usize) {
     let die = design.die();
     let die_center = die.center();
-    let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-    let csr = design.connectivity();
     let n = design.num_cells();
 
-    // Dense per-cell state: working positions, fixedness, area.
+    // Dense per-cell state: working positions and fixedness.
     let mut pos: Vec<Point> = vec![die_center; n];
     let mut is_fixed: Vec<bool> = vec![false; n];
-    let area: Vec<i128> = design.cells().map(|(_, c)| c.area()).collect();
     // Port positions, fetched once.
     let port_pos: Vec<Option<Point>> = design.ports().map(|(_, p)| p.position).collect();
 
-    // Fixed positions: macro centers and port locations.
+    // Fixed positions: macro centers.
     let mut macro_rects: Vec<Rect> = Vec::new();
     for (id, cell) in design.cells() {
         if cell.kind == CellKind::Macro {
@@ -165,6 +167,79 @@ fn place_cells_impl(
         }
     }
 
+    // Every value the star sums form is at most `reach · weight` in
+    // magnitude. `reach` bounds every coordinate (at least 1, so the pin
+    // counts are covered too): free cells only ever sit inside the die, the
+    // rest at a macro center or a port. A net's running sum stays within
+    // pins(n) + 2 · listings(n) coordinates: its pins, plus one displacement
+    // per listing without a pin behind it (a re-driven net's stale fanout).
+    // A cell lists each net at most `max_occ` times and subtracts `occ`
+    // copies of its own position per listing, so its sum stays within
+    // `weight` = max_occ · (pins + 3 · listings) over the whole design.
+    let occ = occurrences(design);
+    let max_occ = occ.iter().copied().max().unwrap_or(0);
+    let pins = design.connectivity().num_pins() as u128;
+    let weight = u128::from(max_occ) * (pins + 3 * occ.len() as u128);
+    let fixed = pos.iter().zip(&is_fixed).filter_map(|(&p, &fixed)| fixed.then_some(p));
+    let reach = [die.lower_left(), Point::new(die.urx, die.ury)]
+        .into_iter()
+        .chain(fixed)
+        .chain(port_pos.iter().flatten().copied())
+        .map(|p| p.x.unsigned_abs().max(p.y.unsigned_abs()))
+        .max()
+        .unwrap_or(0)
+        .max(1);
+    let sweeps_run = if fits_i64(u128::from(reach).saturating_mul(weight)) {
+        star_place::<i64>(design, config, warm, &mut pos, &is_fixed, &port_pos, &occ)
+    } else {
+        star_place::<i128>(design, config, warm, &mut pos, &is_fixed, &port_pos, &occ)
+    };
+
+    // Spreading: push cells out of over-full bins (macros occupy capacity).
+    spread(design, &mut pos, &is_fixed, &macro_rects, config);
+
+    (CellPlacement { positions: pos.into_iter().map(Some).collect() }, sweeps_run)
+}
+
+/// How often each cell appears on each of its net listings, flat and aligned
+/// with the concatenation of the `nets_of` slices in cell-id order (a cell
+/// that both drives and sinks a net has 2 on both listings), counted with
+/// one per-net scratch counter in O(degree) per cell.
+fn occurrences(design: &Design) -> Vec<u32> {
+    let csr = design.connectivity();
+    let mut seen = vec![0u32; design.num_nets()];
+    let mut occ = Vec::with_capacity(csr.num_pins());
+    for id in design.cell_ids() {
+        let listings = csr.nets_of(id);
+        for &net in listings {
+            seen[net.0 as usize] += 1;
+        }
+        occ.extend(listings.iter().map(|net| seen[net.0 as usize]));
+        for &net in listings {
+            seen[net.0 as usize] = 0;
+        }
+    }
+    occ
+}
+
+/// The centroid initialization and the Gauss–Seidel sweeps, with every star
+/// sum in the accumulator `T`. Leaves the working positions in `pos` and
+/// returns the number of sweeps run.
+fn star_place<T: Acc>(
+    design: &Design,
+    config: &PlacerConfig,
+    warm: Option<&CellPlacement>,
+    pos: &mut [Point],
+    is_fixed: &[bool],
+    port_pos: &[Option<Point>],
+    occ: &[u32],
+) -> usize {
+    let die = design.die();
+    let die_center = die.center();
+    let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
+    let csr = design.connectivity();
+    let one = T::from(1);
+
     // Initial positions: centroid of connected already-placed drivers
     // (macros, ports, and cells initialized earlier in this very sweep), else
     // die center with a small deterministic jitter so co-located cells can
@@ -175,9 +250,9 @@ fn place_cells_impl(
     // are maintained and updated as cells place — exact integer arithmetic,
     // so the result is bit-identical to the rescan.
     let num_nets = design.num_nets();
-    let mut drv_sum_x = vec![0i128; num_nets];
-    let mut drv_sum_y = vec![0i128; num_nets];
-    let mut drv_count = vec![0i128; num_nets];
+    let mut drv_sum_x = vec![T::ZERO; num_nets];
+    let mut drv_sum_y = vec![T::ZERO; num_nets];
+    let mut drv_count = vec![T::ZERO; num_nets];
     for net in design.net_ids() {
         for &pin in csr.pins(net) {
             if !pin.is_driver() {
@@ -190,9 +265,9 @@ fn place_cells_impl(
             };
             if let Some(p) = p {
                 let i = net.0 as usize;
-                drv_sum_x[i] += p.x as i128;
-                drv_sum_y[i] += p.y as i128;
-                drv_count[i] += 1;
+                drv_sum_x[i] += T::from(p.x);
+                drv_sum_y[i] += T::from(p.y);
+                drv_count[i] += one;
             }
         }
     }
@@ -207,21 +282,21 @@ fn place_cells_impl(
             pos[id.0 as usize] = w;
             for &net in csr.fanout(id) {
                 let i = net.0 as usize;
-                drv_sum_x[i] += w.x as i128;
-                drv_sum_y[i] += w.y as i128;
-                drv_count[i] += 1;
+                drv_sum_x[i] += T::from(w.x);
+                drv_sum_y[i] += T::from(w.y);
+                drv_count[i] += one;
             }
             continue;
         }
-        let mut sum = (0i128, 0i128);
-        let mut count = 0i128;
+        let mut sum = (T::ZERO, T::ZERO);
+        let mut count = T::ZERO;
         for &net in csr.nets_of(id) {
             sum.0 += drv_sum_x[net.0 as usize];
             sum.1 += drv_sum_y[net.0 as usize];
             count += drv_count[net.0 as usize];
         }
-        let base = if count > 0 {
-            Point::new((sum.0 / count) as i64, (sum.1 / count) as i64)
+        let base = if count > T::ZERO {
+            Point::new((sum.0 / count).to_i64(), (sum.1 / count).to_i64())
         } else {
             die_center
         };
@@ -232,9 +307,9 @@ fn place_cells_impl(
         // this cell's driver pins now count for cells initialized after it
         for &net in csr.fanout(id) {
             let i = net.0 as usize;
-            drv_sum_x[i] += placed_at.x as i128;
-            drv_sum_y[i] += placed_at.y as i128;
-            drv_count[i] += 1;
+            drv_sum_x[i] += T::from(placed_at.x);
+            drv_sum_y[i] += T::from(placed_at.y);
+            drv_count[i] += one;
         }
     }
 
@@ -251,9 +326,9 @@ fn place_cells_impl(
     // itself has on the net; after the move, each incident net's sum shifts
     // by the position delta once per pin. This turns the sweep from
     // Σ degree² pin visits per iteration into Σ degree listing visits.
-    let mut net_sum_x = vec![0i128; num_nets];
-    let mut net_sum_y = vec![0i128; num_nets];
-    let mut net_count = vec![0i128; num_nets];
+    let mut net_sum_x = vec![T::ZERO; num_nets];
+    let mut net_sum_y = vec![T::ZERO; num_nets];
+    let mut net_count = vec![T::ZERO; num_nets];
     for net in design.net_ids() {
         for &pin in csr.pins(net) {
             let p = match pin.cell() {
@@ -262,60 +337,46 @@ fn place_cells_impl(
             };
             if let Some(p) = p {
                 let i = net.0 as usize;
-                net_sum_x[i] += p.x as i128;
-                net_sum_y[i] += p.y as i128;
-                net_count[i] += 1;
+                net_sum_x[i] += T::from(p.x);
+                net_sum_y[i] += T::from(p.y);
+                net_count[i] += one;
             }
         }
-    }
-    // occurrences of the owning cell on each of its incident net listings
-    // (flat, aligned with the concatenation of `nets_of(cell)` slices): a
-    // cell that both drives and sinks a net has occ 2 on both listings
-    let occ: Vec<i128> = {
-        let mut occ = Vec::with_capacity(csr.num_pins());
-        for id in design.cell_ids() {
-            let listings = csr.nets_of(id);
-            for &net in listings {
-                occ.push(listings.iter().filter(|&&m| m == net).count() as i128);
-            }
-        }
-        occ
-    };
-    let mut occ_start = vec![0usize; n + 1];
-    for id in 0..n {
-        occ_start[id + 1] = occ_start[id] + csr.nets_of(CellId(id as u32)).len();
     }
     // Warm runs stop as soon as a sweep that moved a cell did not lower the
     // HPWL of the working positions (one full pass before the first sweep
     // and after each moving one); cold runs keep the fixed iteration count.
     let hpwl =
-        |pos: &[Point]| total_hpwl_with_ports(design, |c| Some(pos[c.0 as usize]), &port_pos).dbu;
-    let mut warm_hpwl = warm.map(|_| hpwl(&pos));
+        |pos: &[Point]| total_hpwl_with_ports(design, |c| Some(pos[c.0 as usize]), port_pos).dbu;
+    let mut warm_hpwl = warm.map(|_| hpwl(pos));
     let mut sweeps_run = 0usize;
     for _ in 0..config.iterations {
         sweeps_run += 1;
         let mut moved_any = false;
-        for id in 0..n {
+        let mut at = 0;
+        for id in 0..pos.len() {
+            let listings = csr.nets_of(CellId(id as u32));
+            let occ = &occ[at..at + listings.len()];
+            at += listings.len();
             if is_fixed[id] {
                 continue;
             }
-            let listings = csr.nets_of(CellId(id as u32));
             let old = pos[id];
-            let mut sum = (0i128, 0i128);
-            let mut count = 0i128;
-            for (j, &net) in listings.iter().enumerate() {
-                let o = occ[occ_start[id] + j];
+            let mut sum = (T::ZERO, T::ZERO);
+            let mut count = T::ZERO;
+            for (&net, &o) in listings.iter().zip(occ) {
+                let o = T::from(i64::from(o));
                 let i = net.0 as usize;
-                sum.0 += net_sum_x[i] - o * old.x as i128;
-                sum.1 += net_sum_y[i] - o * old.y as i128;
+                sum.0 += net_sum_x[i] - o * T::from(old.x);
+                sum.1 += net_sum_y[i] - o * T::from(old.y);
                 count += net_count[i] - o;
             }
-            if count > 0 {
-                let target = Point::new((sum.0 / count) as i64, (sum.1 / count) as i64);
+            if count > T::ZERO {
+                let target = Point::new((sum.0 / count).to_i64(), (sum.1 / count).to_i64());
                 let new = die.clamp_point(target);
                 if new != old {
-                    let dx = (new.x - old.x) as i128;
-                    let dy = (new.y - old.y) as i128;
+                    let dx = T::from(new.x) - T::from(old.x);
+                    let dy = T::from(new.y) - T::from(old.y);
                     // one update per listing = one update per pin of the cell
                     for &net in listings {
                         let i = net.0 as usize;
@@ -331,28 +392,28 @@ fn place_cells_impl(
             if !moved_any {
                 break;
             }
-            let after = hpwl(&pos);
+            let after = hpwl(pos);
             if after >= *before {
                 break;
             }
             *before = after;
         }
     }
-
-    // Spreading: push cells out of over-full bins (macros occupy capacity).
-    spread(die, &mut pos, &is_fixed, &area, &macro_rects, config);
-
-    (CellPlacement { positions: pos.into_iter().map(Some).collect() }, sweeps_run)
+    sweeps_run
 }
 
 fn spread(
-    die: Rect,
+    design: &Design,
     pos: &mut [Point],
     is_fixed: &[bool],
-    area: &[i128],
     macro_rects: &[Rect],
     config: &PlacerConfig,
 ) {
+    let die = design.die();
+    // The usage sums add each cell's area as `f64`, converted once; the
+    // smallest-first order compares the exact `Cell::area`, since `f64`
+    // would tie distinct areas past 2^53.
+    let area: Vec<f64> = design.cells().map(|(_, c)| area_f64(c.width, c.height)).collect();
     let grid = BinGrid::new(die, config.bins);
     let bins = grid.bins();
     let bin_area = grid.bin_area();
@@ -364,17 +425,43 @@ fn spread(
         .map(|macro_overlap| ((bin_area - macro_overlap) * config.target_utilization).max(0.0))
         .collect();
 
+    // Each free cell's bin, kept across passes: only a moved cell's changes.
+    let bin_index = |p: Point| {
+        let (bx, by) = grid.bin_of(p);
+        bx * bins + by
+    };
+    let mut cell_bin: Vec<usize> =
+        pos.iter().zip(is_fixed).map(|(&p, &fixed)| if fixed { 0 } else { bin_index(p) }).collect();
+    // The free cells of each pass, counting-sorted by bin in cell-id order:
+    // bin `b` holds `members[start[b]..start[b + 1]]`.
+    let mut start = vec![0usize; bins * bins + 1];
+    let mut members: Vec<CellId> = Vec::new();
     for _ in 0..config.spreading_passes {
-        // Usage and membership per bin, accumulated in cell-id order.
+        // Usage per bin, accumulated in cell-id order.
         let mut usage = vec![0.0f64; bins * bins];
-        let mut members: Vec<Vec<CellId>> = vec![Vec::new(); bins * bins];
+        start.fill(0);
         for id in 0..pos.len() {
-            if is_fixed[id] {
-                continue;
+            if !is_fixed[id] {
+                usage[cell_bin[id]] += area[id];
+                start[cell_bin[id]] += 1;
             }
-            let (bx, by) = grid.bin_of(pos[id]);
-            usage[bx * bins + by] += area[id] as f64;
-            members[bx * bins + by].push(CellId(id as u32));
+        }
+        // no bin over-full: nothing would move
+        if usage.iter().zip(&capacity).all(|(&u, &c)| u - c <= 0.0) {
+            break;
+        }
+        // running totals make `start[b]` the end of bin `b`; the fill below,
+        // in falling id order, walks each back to its bin's beginning
+        for b in 1..bins * bins {
+            start[b] += start[b - 1];
+        }
+        start[bins * bins] = start[bins * bins - 1];
+        members.resize(start[bins * bins], CellId(0));
+        for id in (0..pos.len()).rev() {
+            if !is_fixed[id] {
+                start[cell_bin[id]] -= 1;
+                members[start[cell_bin[id]]] = CellId(id as u32);
+            }
         }
         // Move cells from over-full bins to the nearest bin with headroom.
         let mut moved_any = false;
@@ -386,8 +473,8 @@ fn spread(
                     continue;
                 }
                 // move the smallest cells first until the bin fits
-                let mut cells = std::mem::take(&mut members[b]);
-                cells.sort_by_key(|&c| area[c.0 as usize]);
+                let cells = &mut members[start[b]..start[b + 1]];
+                cells.sort_by_key(|&c| design.cell(c).area());
                 let mut to_free = over;
                 // The nearest-bin search only depends on the free room of
                 // *other* bins, and moves out of this bin change exactly one
@@ -396,7 +483,7 @@ fn spread(
                 // per moved cell (O(moved × bins²) at scale) returns the
                 // same bin bit for bit.
                 let mut cached_target: Option<(usize, usize)> = None;
-                for cell in cells {
+                for &cell in cells.iter() {
                     if to_free <= 0.0 {
                         break;
                     }
@@ -412,11 +499,13 @@ fn spread(
                         }
                     };
                     if let Some((tx, ty)) = target {
-                        let cell_area = area[cell.0 as usize] as f64;
+                        let cell_area = area[cell.0 as usize];
                         usage[b] -= cell_area;
                         usage[tx * bins + ty] += cell_area;
                         to_free -= cell_area;
-                        pos[cell.0 as usize] = die.clamp_point(grid.bin_center(tx, ty));
+                        let to = die.clamp_point(grid.bin_center(tx, ty));
+                        pos[cell.0 as usize] = to;
+                        cell_bin[cell.0 as usize] = bin_index(to);
                         moved_any = true;
                     } else {
                         break;
@@ -584,6 +673,88 @@ mod tests {
         for (_, p) in warm.placed() {
             assert!(d.die().contains(p));
         }
+    }
+
+    #[test]
+    fn occurrences_match_the_quadratic_count() {
+        // one wide cell listing 1,024 nets 1–4 times each: once as a sink,
+        // then once per time it drove the net before another cell re-drove
+        // it (every driver change stays in the fanout)
+        let mut b = DesignBuilder::new("t");
+        let wide = b.add_comb("wide", "");
+        let other = b.add_comb("other", "");
+        for i in 0..1024 {
+            let n = b.add_net(format!("n{i}"));
+            let c = b.add_comb(format!("c{i}"), "");
+            b.connect_sink(n, c);
+            b.connect_sink(n, wide);
+            for _ in 0..i % 4 {
+                b.connect_driver(n, wide);
+                b.connect_driver(n, other);
+            }
+        }
+        let d = b.build();
+        let csr = d.connectivity();
+        let mut quadratic = Vec::new();
+        for id in d.cell_ids() {
+            let listings = csr.nets_of(id);
+            quadratic.extend(listings.iter().map(|n| listings.iter().filter(|&m| m == n).count()));
+        }
+        let occ = occurrences(&d);
+        assert_eq!(occ.iter().map(|&o| o as usize).collect::<Vec<_>>(), quadratic);
+        let listed = csr.nets_of(wide);
+        let most = (1..=4).map(|k| occ[..listed.len()].iter().filter(|&&o| o == k).count());
+        assert_eq!(most.collect::<Vec<_>>(), [256, 2 * 256, 3 * 256, 4 * 256]);
+    }
+
+    #[test]
+    fn area_f64_equals_the_i128_conversion() {
+        let sides = [0, 1, 7, 3_037_000_499, 3_037_000_500, 1 << 40, i64::MAX, -5, i64::MIN + 1];
+        for &w in &sides {
+            for &h in &sides {
+                let exact = (w as i128 * h as i128) as f64;
+                assert_eq!(crate::exact::area_f64(w, h).to_bits(), exact.to_bits(), "{w} × {h}");
+            }
+        }
+    }
+
+    #[test]
+    fn i64_and_i128_kernels_agree_on_c1_cold_and_warm() {
+        use crate::exact::{i128_runs, with_i128};
+        use crate::{EvalConfig, Evaluator};
+        let design = workload::presets::generate_circuit("c1").design;
+        let die = design.die();
+        let macros: Vec<CellId> = design.macros().collect();
+        let cols = (macros.len() as f64).sqrt().ceil() as i64;
+        let grid = |shift: usize| -> HashMap<CellId, (Point, Orientation)> {
+            let slot = |i: usize| ((i + shift) % macros.len()) as i64;
+            let corner = |i: usize, m: CellId| {
+                let cell = design.cell(m);
+                let x = die.llx + slot(i) % cols * die.width() / cols;
+                let y = die.lly + slot(i) / cols * die.height() / cols;
+                Point::new(x.min(die.urx - cell.width), y.min(die.ury - cell.height))
+            };
+            macros.iter().enumerate().map(|(i, &m)| (m, (corner(i, m), Orientation::N))).collect()
+        };
+        let (first, second) = (grid(0), grid(3));
+        // cold, warm after every macro moved, and warm again on the same
+        // macros (an early exit)
+        let run = || {
+            let mut evaluator = Evaluator::new(EvalConfig::standard());
+            let cold = evaluator.evaluate(&design, &first);
+            let moved = evaluator.evaluate_warm(&design, &second, &cold.cell_placement);
+            let settled = evaluator.evaluate_warm(&design, &second, &moved.0.cell_placement);
+            (cold, moved, settled)
+        };
+        let before = i128_runs();
+        let narrow = run();
+        assert_eq!(i128_runs(), before, "c1 lies inside every i64 bound");
+        let wide = with_i128(run);
+        assert!(i128_runs() > before, "the override reaches the kernels");
+        assert_eq!(narrow.0, wide.0, "cold metrics");
+        assert_eq!(narrow.1, wide.1, "warm metrics and sweep count after the move");
+        assert_eq!(narrow.2, wide.2, "warm metrics and sweep count on settled macros");
+        assert!(narrow.2 .1 < PlacerConfig::default().iterations, "no early exit");
     }
 
     #[test]

@@ -9,9 +9,14 @@
 //!   macro coverage equals the all-pairs sum bit for bit, a box's column ×
 //!   row overlap equals `Rect::overlap_area`, and the RUDY demand of boxes
 //!   inside the die sums to their wire length (ROADMAP item 3), also on
-//!   dies narrower than the bin count.
+//!   dies narrower than the bin count; per bin, RUDY demand equals an
+//!   `i128` oracle bit for bit on both sides of the grid's `i64` bound.
 
-// The grid is crate-private; the tests compile its source as their own module.
+// The grid and its accumulators are crate-private; the tests compile their
+// sources as their own modules.
+#[allow(dead_code)]
+#[path = "../src/exact.rs"]
+mod exact;
 #[allow(dead_code)]
 #[path = "../src/grid.rs"]
 mod grid;
@@ -170,7 +175,7 @@ proptest! {
             for (bx, &ox) in cols.iter().enumerate() {
                 for (by, &oy) in rows.iter().enumerate() {
                     let exact = grid.bin_rect(bx, by).overlap_area(&r);
-                    prop_assert_eq!(ox * oy, exact, "bin ({}, {}) and {:?}", bx, by, r);
+                    prop_assert_eq!(i128::from(ox) * i128::from(oy), exact, "bin ({}, {}) and {:?}", bx, by, r);
                     let in_span = (x0..=x1).contains(&bx) && (y0..=y1).contains(&by);
                     prop_assert!(in_span || exact == 0, "bin ({}, {}) outside the span of {:?}", bx, by, r);
                 }
@@ -207,6 +212,70 @@ proptest! {
             (demand - wire).abs() <= 1e-9 * wire.max(1.0),
             "demand {} against wire {} on {:?} with {} bins", demand, wire, die, bins
         );
+    }
+
+    /// Per bin, RUDY demand equals the box-order sum of `density ·
+    /// |bin ∩ box|` with the intersection area taken in `i128` (a box of
+    /// zero area counts 1 in every bin it touches), bit for bit: on dies
+    /// from 1 DBU to 2^60 DBU a side, so the grid's extent falls on both
+    /// sides of the `i64` bound, and boxes reaching past ±2^60.
+    #[test]
+    fn rudy_demand_matches_the_i128_oracle(
+        scale in (0u32..61, 0u32..61),
+        corner in (-(1i64 << 60)..(1i64 << 60), -(1i64 << 60)..(1i64 << 60)),
+        size in (0i64..i64::MAX, 0i64..i64::MAX),
+        bins in 2usize..40,
+        wire_pitch in 0.1f64..4.0,
+        boxes in prop::collection::vec(
+            ((i64::MIN..i64::MAX, i64::MIN..i64::MAX, i64::MIN..i64::MAX, i64::MIN..i64::MAX), any::<bool>(), 0u8..4),
+            1..8,
+        ),
+    ) {
+        let side = |raw: i64, scale: u32| 1 + raw % (1i64 << scale);
+        let die = Rect::from_size(
+            corner.0 >> (60 - scale.0),
+            corner.1 >> (60 - scale.1),
+            side(size.0, scale.0),
+            side(size.1, scale.1),
+        );
+        let grid = BinGrid::new(die, bins);
+        let n = grid.bins();
+        // free boxes, bin-snapped ones, and boxes flattened to zero height
+        // or width
+        let rects: Vec<Rect> = boxes
+            .iter()
+            .map(|&(raw, snap, flat)| {
+                let r = rect_of(&grid, die, raw, snap);
+                match flat {
+                    0 => Rect::new(r.llx, r.lly, r.urx, r.lly),
+                    1 => Rect::new(r.llx, r.lly, r.llx, r.ury),
+                    _ => r,
+                }
+            })
+            .collect();
+        let mut oracle = vec![0.0f64; n * n];
+        for bb in &rects {
+            let area = bb.area();
+            let density = (bb.width() + bb.height()) as f64 * wire_pitch / (area as f64).max(1.0);
+            let floor = i128::from(area == 0);
+            // bins outside the span meet no box of positive area (see
+            // `column_times_row_overlap_equals_overlap_area`)
+            let ((x0, x1), (y0, y1)) = grid.bin_span(bb);
+            for bx in x0..=x1 {
+                for by in y0..=y1 {
+                    let overlap = grid.bin_rect(bx, by).overlap_area(bb);
+                    oracle[bx * n + by] += density * overlap.max(floor) as f64;
+                }
+            }
+        }
+        let demand = grid.rudy_demand(rects.iter().copied(), wire_pitch);
+        for (i, (d, o)) in demand.iter().zip(&oracle).enumerate() {
+            prop_assert_eq!(
+                d.to_bits(),
+                o.to_bits(),
+                "bin ({}, {}): {} against {} on {:?} with {} bins over {:?}", i / n, i % n, d, o, die, n, rects
+            );
+        }
     }
 
     /// Incremental deltas over a random move sequence stay bit-identical to
