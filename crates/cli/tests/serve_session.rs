@@ -208,7 +208,7 @@ fn deep_instance_path(segments: usize) -> String {
     let name = vec!["a"; segments].join("/");
     format!(
         "module sub (input i, output o); COMB g (.A(i), .Y(o)); \
-         RAM m1 (.D(i), .Q(o)); RAM m2 (.D(i), .Q(o)); endmodule\n\
+         RAM m1 (.D(i), .Q(q1)); RAM m2 (.D(i), .Q(q2)); endmodule\n\
          module top (input i, output o); sub \\{name}  (.i(i), .o(o)); endmodule\n"
     )
 }
@@ -221,7 +221,8 @@ fn serve_session_rejects_an_overwide_vector_and_keeps_serving() {
     // each used to either slip through or abort the daemon: with a stack
     // overflow (Verilog, or the hierarchy tree of a deep escaped instance
     // path), a panic in the DEF reader (swapped DIEAREA corners) or a panic
-    // in the first placement (negative LEF SIZE)
+    // in the first placement (negative LEF SIZE); a net driven by two cells
+    // used to load with the first driver left on a net it no longer drives
     let depth = 200_000;
     let unclosed = format!("{}a{}", "{".repeat(depth), "}".repeat(depth - 1));
     let rows = [
@@ -249,6 +250,13 @@ fn serve_session_rejects_an_overwide_vector_and_keeps_serving() {
             format!("module top (input a);\n  BUF u1 (.A({unclosed}));\nendmodule\n"),
             Some("top"),
             "line 2: expected '}', found Some(Symbol(')'))",
+        ),
+        BadInput::verilog(
+            "module top (input a, output y);\n  BUF g (.A(a), .Y(y));\n  \
+             BUF h (.A(a), .Y(y));\nendmodule\n"
+                .into(),
+            Some("top"),
+            "line 3: net 'y' is driven by instance 'g' and again by instance 'h'",
         ),
         BadInput::verilog(
             module_chain(40_000),

@@ -156,9 +156,6 @@ impl Default for DataflowConfig {
 
 impl DataflowGraph {
     /// Builds the dataflow graph for a given block assignment.
-    // the flow-search loops index `edges` from inside the hit callback, which
-    // an enumerate() rewrite cannot express
-    #[allow(clippy::needless_range_loop)]
     pub fn build(gseq: &SeqGraph, assignment: &BlockAssignment, config: &DataflowConfig) -> Self {
         let num_blocks = assignment.num_blocks;
         let mut nodes: Vec<DataflowNode> = (0..num_blocks)
@@ -195,19 +192,26 @@ impl DataflowGraph {
 
         let n = nodes.len();
         let mut edges = vec![DataflowEdge::default(); n * n];
+        // The member sequential nodes of every dataflow node, bucketed once
+        // by a stable sort, so each bucket lists its sources in `Gseq` id
+        // order, as a scan over all `Gseq` nodes would.
+        let mut members: Vec<usize> =
+            (0..gseq.num_nodes()).filter(|&s| df_of_seq[s].is_some()).collect();
+        members.sort_by_key(|&s| df_of_seq[s]);
+        let buckets = || {
+            members.chunk_by(|&a, &b| df_of_seq[a] == df_of_seq[b]).map(|sources| {
+                (df_of_seq[sources[0]].expect("members have a dataflow node"), sources)
+            })
+        };
+        let mut search = FlowSearch::new(gseq.num_nodes());
 
         // ---- block flow ---------------------------------------------------
         // For every dataflow node, BFS from all its member sequential nodes,
         // traversing only glue logic (seq nodes with no dataflow node).
-        for src_df in 0..n {
-            let sources: Vec<usize> =
-                (0..gseq.num_nodes()).filter(|&s| df_of_seq[s] == Some(src_df)).collect();
-            if sources.is_empty() {
-                continue;
-            }
-            Self::flow_search(
+        for (src_df, sources) in buckets() {
+            search.run(
                 gseq,
-                &sources,
+                sources,
                 |s| df_of_seq[s].is_none(), // traverse glue only
                 |s| df_of_seq[s],
                 config.max_latency,
@@ -225,14 +229,14 @@ impl DataflowGraph {
         let is_macro: Vec<bool> = (0..gseq.num_nodes())
             .map(|i| gseq.node(SeqNodeId(i as u32)).kind == SeqNodeKind::Macro)
             .collect();
-        for src_df in 0..n {
-            let sources: Vec<usize> = (0..gseq.num_nodes())
-                .filter(|&s| df_of_seq[s] == Some(src_df) && is_macro[s])
-                .collect();
+        let mut sources = Vec::new();
+        for (src_df, members) in buckets() {
+            sources.clear();
+            sources.extend(members.iter().copied().filter(|&s| is_macro[s]));
             if sources.is_empty() {
                 continue;
             }
-            Self::flow_search(
+            search.run(
                 gseq,
                 &sources,
                 |s| !is_macro[s], // traverse anything but macros
@@ -247,56 +251,6 @@ impl DataflowGraph {
         }
 
         Self { nodes, edges, num_blocks }
-    }
-
-    /// Generic flow search: BFS from `sources`, continuing through nodes for
-    /// which `can_traverse` is true, and invoking `record(dst, latency, bits)`
-    /// whenever `target_of` maps a reached node to a dataflow node.  `bits` is
-    /// the width of the predecessor node on the path, per the paper.
-    fn flow_search<T, G, R>(
-        gseq: &SeqGraph,
-        sources: &[usize],
-        mut can_traverse: T,
-        mut target_of: G,
-        max_latency: u32,
-        mut record: R,
-    ) where
-        T: FnMut(usize) -> bool,
-        G: FnMut(usize) -> Option<usize>,
-        R: FnMut(usize, u32, u64),
-    {
-        let n = gseq.num_nodes();
-        let mut dist = vec![u32::MAX; n];
-        let mut queue = VecDeque::new();
-        for &s in sources {
-            if dist[s] == u32::MAX {
-                dist[s] = 0;
-                queue.push_back(s);
-            }
-        }
-        while let Some(u) = queue.pop_front() {
-            if dist[u] >= max_latency {
-                continue;
-            }
-            // sources always expand; interior nodes only when traversable
-            if dist[u] != 0 && !can_traverse(u) {
-                continue;
-            }
-            let u_width = gseq.node(SeqNodeId(u as u32)).width;
-            for &(v, edge_bits) in gseq.successors(SeqNodeId(u as u32)) {
-                if dist[v] != u32::MAX {
-                    continue;
-                }
-                dist[v] = dist[u] + 1;
-                if let Some(dst_df) = target_of(v) {
-                    // width of the predecessor on the path, bounded by the
-                    // actual wires on the final hop
-                    let bits = u_width.min(edge_bits).max(1);
-                    record(dst_df, dist[v], bits);
-                }
-                queue.push_back(v);
-            }
-        }
     }
 
     /// Number of dataflow nodes (blocks + ports).
@@ -342,6 +296,75 @@ impl DataflowGraph {
             }
         }
         m
+    }
+}
+
+/// The flow searches of one [`DataflowGraph::build`]: one distance buffer
+/// and one queue shared by every search. A distance counts only when its
+/// stamp is the current search's, so no search clears the buffer.
+struct FlowSearch {
+    epoch: u32,
+    /// `(stamp, distance)` per `Gseq` node.
+    dist: Vec<(u32, u32)>,
+    queue: VecDeque<usize>,
+}
+
+impl FlowSearch {
+    fn new(num_nodes: usize) -> Self {
+        Self { epoch: 0, dist: vec![(0, 0); num_nodes], queue: VecDeque::new() }
+    }
+
+    /// BFS from `sources`, continuing through nodes for which `can_traverse`
+    /// is true, and invoking `record(dst, latency, bits)` whenever
+    /// `target_of` maps a reached node to a dataflow node.  `bits` is the
+    /// width of the predecessor node on the path, per the paper.
+    fn run<T, G, R>(
+        &mut self,
+        gseq: &SeqGraph,
+        sources: &[usize],
+        mut can_traverse: T,
+        mut target_of: G,
+        max_latency: u32,
+        mut record: R,
+    ) where
+        T: FnMut(usize) -> bool,
+        G: FnMut(usize) -> Option<usize>,
+        R: FnMut(usize, u32, u64),
+    {
+        // a build runs two searches per dataflow node, far fewer than 2^32
+        self.epoch += 1;
+        let Self { epoch, dist, queue } = self;
+        let epoch = *epoch;
+        for &s in sources {
+            if dist[s].0 != epoch {
+                dist[s] = (epoch, 0);
+                queue.push_back(s);
+            }
+        }
+        while let Some(u) = queue.pop_front() {
+            let du = dist[u].1;
+            if du >= max_latency {
+                continue;
+            }
+            // sources always expand; interior nodes only when traversable
+            if du != 0 && !can_traverse(u) {
+                continue;
+            }
+            let u_width = gseq.node(SeqNodeId(u as u32)).width;
+            for &(v, edge_bits) in gseq.successors(SeqNodeId(u as u32)) {
+                if dist[v].0 == epoch {
+                    continue;
+                }
+                dist[v] = (epoch, du + 1);
+                if let Some(dst_df) = target_of(v) {
+                    // width of the predecessor on the path, bounded by the
+                    // actual wires on the final hop
+                    let bits = u_width.min(edge_bits).max(1);
+                    record(dst_df, du + 1, bits);
+                }
+                queue.push_back(v);
+            }
+        }
     }
 }
 

@@ -20,7 +20,8 @@ pub enum NetGraphNode {
 /// The bit-level netlist connectivity graph `Gnet`.
 ///
 /// Node indices are dense: cells occupy `0..num_cells`, ports occupy
-/// `num_cells..num_cells+num_ports`.
+/// `num_cells..num_cells+num_ports`. Both directions are stored as CSR
+/// rows, each sorted and free of duplicates.
 ///
 /// # Example
 ///
@@ -43,59 +44,166 @@ pub enum NetGraphNode {
 pub struct NetGraph {
     num_cells: usize,
     num_ports: usize,
-    succ: Vec<Vec<usize>>,
-    pred: Vec<Vec<usize>>,
+    succ: Rows,
+    pred: Rows,
+}
+
+/// One direction of a graph in CSR form: row `i` is
+/// `targets[offsets[i]..offsets[i + 1]]`, sorted and free of duplicates.
+/// A node costs one 4-byte offset and an edge one 4-byte target.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Rows {
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+}
+
+impl Rows {
+    /// Row `i`.
+    fn row(&self, i: usize) -> &[u32] {
+        &self.targets[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// Number of rows.
+    fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Packs rows that are already sorted and free of duplicates.
+    fn from_rows<'r>(rows: impl ExactSizeIterator<Item = &'r [usize]>) -> Self {
+        let mut offsets = Vec::with_capacity(rows.len() + 1);
+        let mut targets = Vec::new();
+        offsets.push(0);
+        for row in rows {
+            targets.extend(row.iter().map(|&v| v as u32));
+            offsets.push(entry_offset(targets.len()));
+        }
+        Self { offsets, targets }
+    }
+}
+
+/// Builds [`Rows`] in two passes over the same `(from, to)` pairs: the first
+/// counts each row's length ([`RowPacker::count`]), the second fills the
+/// rows in place ([`RowPacker::push`]); [`RowPacker::finish`] then sorts and
+/// deduplicates every row and compacts the targets.
+struct RowPacker {
+    /// After counting: `offsets[i + 1]` is row `i`'s length; while
+    /// filling: `offsets[i]` is row `i`'s write cursor.
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+}
+
+impl RowPacker {
+    fn new(rows: usize) -> Self {
+        Self { offsets: vec![0; rows + 1], targets: Vec::new() }
+    }
+
+    fn count(&mut self, from: usize) {
+        let len = &mut self.offsets[from + 1];
+        *len = len.checked_add(1).expect("a node's edges fit in u32");
+    }
+
+    /// Turns the counts into row starts and sizes the targets.
+    fn start_filling(&mut self) {
+        let mut total = 0u32;
+        for slot in self.offsets.iter_mut() {
+            total = total.checked_add(*slot).expect("a design's driver-sink pairs fit in u32");
+            *slot = total;
+        }
+        // `offsets[i]` is now row `i`'s start, its first write cursor
+        self.targets = vec![0; total as usize];
+    }
+
+    fn push(&mut self, from: usize, to: usize) {
+        let cursor = &mut self.offsets[from];
+        self.targets[*cursor as usize] = to as u32;
+        *cursor += 1;
+    }
+
+    fn finish(mut self) -> Rows {
+        // every cursor now sits at its row's end, which is where the next
+        // row starts
+        let n = self.offsets.len() - 1;
+        let (mut start, mut write) = (0, 0);
+        for i in 0..n {
+            let end = self.offsets[i] as usize;
+            self.offsets[i] = entry_offset(write);
+            self.targets[start..end].sort_unstable();
+            for k in start..end {
+                let v = self.targets[k];
+                if k == start || self.targets[write - 1] != v {
+                    self.targets[write] = v;
+                    write += 1;
+                }
+            }
+            start = end;
+        }
+        self.offsets[n] = entry_offset(write);
+        self.targets.truncate(write);
+        self.targets.shrink_to_fit();
+        Rows { offsets: self.offsets, targets: self.targets }
+    }
+}
+
+/// A row offset: entry counts are bounded by the design's `u32` pin count.
+fn entry_offset(entries: usize) -> u32 {
+    u32::try_from(entries).expect("a graph's edges fit in u32")
+}
+
+/// The dense node index of a pin's cell or port.
+fn pin_node(num_cells: usize, pin: PinRef) -> usize {
+    match pin.cell() {
+        Some(c) => c.0 as usize,
+        None => num_cells + pin.port().expect("pin is a cell or a port").0 as usize,
+    }
+}
+
+/// Calls `f(driver, sink)` for every driver and sink node pair of every net,
+/// except a node paired with itself.
+fn for_each_edge(design: &Design, mut f: impl FnMut(usize, usize)) {
+    let num_cells = design.num_cells();
+    let csr = design.connectivity();
+    for net in design.net_ids() {
+        let pins = csr.pins(net);
+        for &d in pins.iter().filter(|p| p.is_driver()) {
+            let d = pin_node(num_cells, d);
+            for &s in pins.iter().filter(|p| !p.is_driver()) {
+                let s = pin_node(num_cells, s);
+                if d != s {
+                    f(d, s);
+                }
+            }
+        }
+    }
 }
 
 impl NetGraph {
-    /// Builds the graph from a design, walking the flat CSR
-    /// [`netlist::Connectivity`] view (`net→pin` packed arrays) instead of
-    /// the per-net `Vec`s, so construction shares the cache-friendly arrays
-    /// the evaluation hot loops already use.
+    /// Builds the graph from a design's CSR [`netlist::Connectivity`]: one
+    /// pass over the nets counts every row's length, a second fills the
+    /// rows in place, and each row is then sorted and deduplicated.
     pub fn from_design(design: &Design) -> Self {
         let num_cells = design.num_cells();
         let num_ports = design.num_ports();
         let n = num_cells + num_ports;
-        let csr = design.connectivity();
-        let mut succ = vec![Vec::new(); n];
-        let mut pred = vec![Vec::new(); n];
-        let mut drivers: Vec<usize> = Vec::new();
-        let mut sinks: Vec<usize> = Vec::new();
-        for net in design.net_ids() {
-            drivers.clear();
-            sinks.clear();
-            for &pin in csr.pins(net) {
-                let idx = match pin.cell() {
-                    Some(c) => c.0 as usize,
-                    None => num_cells + pin.port().expect("pin is a cell or a port").0 as usize,
-                };
-                if pin.is_driver() {
-                    drivers.push(idx);
-                } else {
-                    sinks.push(idx);
-                }
-            }
-            for &d in &drivers {
-                for &s in &sinks {
-                    if d != s {
-                        succ[d].push(s);
-                        pred[s].push(d);
-                    }
-                }
-            }
-        }
-        for v in succ.iter_mut().chain(pred.iter_mut()) {
-            v.sort_unstable();
-            v.dedup();
-        }
-        Self { num_cells, num_ports, succ, pred }
+        let mut succ = RowPacker::new(n);
+        let mut pred = RowPacker::new(n);
+        for_each_edge(design, |d, s| {
+            succ.count(d);
+            pred.count(s);
+        });
+        succ.start_filling();
+        pred.start_filling();
+        for_each_edge(design, |d, s| {
+            succ.push(d, s);
+            pred.push(s, d);
+        });
+        Self { num_cells, num_ports, succ: succ.finish(), pred: pred.finish() }
     }
 
     /// The first construction, kept as the reference that
-    /// `bench::reference::evaluate_placement_reference` builds on: fresh
-    /// driver and sink lists per net instead of reused scratch buffers. It
-    /// reads the same CSR pins as [`NetGraph::from_design`] and produces an
-    /// identical graph (the sort + dedup canonicalizes edge order).
+    /// `bench::reference::evaluate_placement_reference` builds on and that
+    /// the tests compare [`NetGraph::from_design`] with: fresh driver and
+    /// sink lists per net, one `Vec` per row, sorted and deduplicated, then
+    /// concatenated.
     pub fn from_design_reference(design: &Design) -> Self {
         let csr = design.connectivity();
         let num_cells = design.num_cells();
@@ -103,10 +211,7 @@ impl NetGraph {
         let n = num_cells + num_ports;
         let mut succ = vec![Vec::new(); n];
         let mut pred = vec![Vec::new(); n];
-        let node = |pin: &PinRef| match pin.cell() {
-            Some(c) => c.0 as usize,
-            None => num_cells + pin.port().expect("pin is a cell or a port").0 as usize,
-        };
+        let node = |pin: &PinRef| pin_node(num_cells, *pin);
         for net in design.net_ids() {
             let pins = csr.pins(net);
             let drivers: Vec<usize> = pins.iter().filter(|p| p.is_driver()).map(node).collect();
@@ -124,7 +229,12 @@ impl NetGraph {
             v.sort_unstable();
             v.dedup();
         }
-        Self { num_cells, num_ports, succ, pred }
+        Self {
+            num_cells,
+            num_ports,
+            succ: Rows::from_rows(succ.iter().map(Vec::as_slice)),
+            pred: Rows::from_rows(pred.iter().map(Vec::as_slice)),
+        }
     }
 
     /// Total number of nodes (cells + ports).
@@ -161,19 +271,19 @@ impl NetGraph {
         }
     }
 
-    /// Out-neighbors (fanout) of a node.
-    pub fn successors(&self, idx: usize) -> &[usize] {
-        &self.succ[idx]
+    /// Out-neighbors (fanout) of a node, sorted.
+    pub fn successors(&self, idx: usize) -> &[u32] {
+        self.succ.row(idx)
     }
 
-    /// In-neighbors (fanin) of a node.
-    pub fn predecessors(&self, idx: usize) -> &[usize] {
-        &self.pred[idx]
+    /// In-neighbors (fanin) of a node, sorted.
+    pub fn predecessors(&self, idx: usize) -> &[u32] {
+        self.pred.row(idx)
     }
 
     /// Total number of directed edges.
     pub fn num_edges(&self) -> usize {
-        self.succ.iter().map(Vec::len).sum()
+        self.succ.targets.len()
     }
 
     /// Returns `true` when the node is a sequential endpoint for dataflow
@@ -186,62 +296,74 @@ impl NetGraph {
     }
 
     /// Serializes the graph with the spill-tier codec ([`netlist::codec`]):
-    /// the node counts followed by both adjacency tables, node indices as
-    /// `u32` (they are bounded by the 30-bit design-id encoding).
+    /// the node counts followed by both adjacency tables, each as its row
+    /// count and then every row's length and node indices (`u32`).
     pub fn encode(&self, out: &mut Vec<u8>) {
         netlist::codec::put_u64(out, self.num_cells as u64);
         netlist::codec::put_u64(out, self.num_ports as u64);
         for table in [&self.succ, &self.pred] {
             netlist::codec::put_u64(out, table.len() as u64);
-            for row in table {
+            for i in 0..table.len() {
+                let row = table.row(i);
                 netlist::codec::put_u64(out, row.len() as u64);
                 for &v in row {
-                    netlist::codec::put_u32(out, v as u32);
+                    netlist::codec::put_u32(out, v);
                 }
             }
         }
     }
 
     /// Decodes a graph encoded by [`NetGraph::encode`]. Returns `None` on
-    /// truncation, trailing bytes, or adjacency tables whose shape does not
-    /// match the node counts.
+    /// truncation, trailing bytes, adjacency tables whose shape does not
+    /// match the node counts, rows that are not strictly increasing (unsorted
+    /// or duplicated), node indices out of range, or more entries than a
+    /// `u32` offset can address.
     pub fn decode(bytes: &[u8]) -> Option<Self> {
         let mut r = netlist::codec::Reader::new(bytes);
         let num_cells = r.take_u64()? as usize;
         let num_ports = r.take_u64()? as usize;
         let n = num_cells.checked_add(num_ports)?;
-        let mut tables = Vec::with_capacity(2);
-        for _ in 0..2 {
-            let rows = r.take_u64()? as usize;
-            // each row carries at least its 8-byte length prefix, so this
-            // also rejects corrupt counts before they size an allocation
-            if rows != n || r.remaining() / 8 < rows {
-                return None;
-            }
-            let mut table = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                let len = r.take_u64()? as usize;
-                if r.remaining() / 4 < len {
-                    return None;
-                }
-                let mut row = Vec::with_capacity(len);
-                for _ in 0..len {
-                    let v = r.take_u32()? as usize;
-                    if v >= n {
-                        return None;
-                    }
-                    row.push(v);
-                }
-                table.push(row);
-            }
-            tables.push(table);
-        }
+        let succ = decode_rows(&mut r, n)?;
+        let pred = decode_rows(&mut r, n)?;
         if !r.is_exhausted() {
             return None;
         }
-        let pred = tables.pop().expect("two tables decoded");
-        let succ = tables.pop().expect("two tables decoded");
         Some(Self { num_cells, num_ports, succ, pred })
+    }
+}
+
+/// Reads one adjacency table of `n` rows written by [`NetGraph::encode`].
+fn decode_rows(r: &mut netlist::codec::Reader<'_>, n: usize) -> Option<Rows> {
+    let rows = r.take_u64()? as usize;
+    // each row carries at least its 8-byte length prefix, so this also
+    // rejects corrupt counts before they size an allocation
+    if rows != n || r.remaining() / 8 < rows {
+        return None;
+    }
+    let mut offsets = Vec::with_capacity(rows + 1);
+    let mut targets = Vec::new();
+    offsets.push(0);
+    for _ in 0..rows {
+        let len = r.take_u64()? as usize;
+        if r.remaining() / 4 < len {
+            return None;
+        }
+        let start = targets.len();
+        for _ in 0..len {
+            let v = r.take_u32()?;
+            if v as usize >= n || targets.len() > start && targets.last() >= Some(&v) {
+                return None;
+            }
+            targets.push(v);
+        }
+        offsets.push(u32::try_from(targets.len()).ok()?);
+    }
+    Some(Rows { offsets, targets })
+}
+
+impl netlist::HeapSize for Rows {
+    fn heap_bytes(&self) -> usize {
+        self.offsets.heap_bytes() + self.targets.heap_bytes()
     }
 }
 
@@ -283,8 +405,8 @@ mod tests {
         assert_eq!(g.num_edges(), 3);
         let pnode = g.port_node(d.find_port("p").unwrap());
         let gnode = g.cell_node(d.find_cell("g").unwrap());
-        assert_eq!(g.successors(pnode), &[gnode]);
-        assert_eq!(g.predecessors(gnode), &[pnode]);
+        assert_eq!(g.successors(pnode), &[gnode as u32]);
+        assert_eq!(g.predecessors(gnode), &[pnode as u32]);
     }
 
     #[test]

@@ -17,7 +17,6 @@ use crate::netgraph::{NetGraph, NetGraphNode};
 use netlist::arrays::split_array_name;
 use netlist::dense::{DenseId, DenseMap};
 use netlist::design::{CellId, CellKind, Design, PortId};
-use std::collections::VecDeque;
 
 /// Identifier of a node in a [`SeqGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -282,73 +281,62 @@ impl SeqGraph {
         // source bits that reach dst and (b) the number of distinct dst bits
         // reached, which approximates the wire count even when one of the two
         // endpoints is a single-node macro.
-        // BTreeMaps, not HashMaps: the edge maps are *iterated* below to
-        // build succ/pred, and hash order must never reach a result
-        // (hidap-lint rule hash-iter).
-        let mut edge_src_bits: std::collections::BTreeMap<(usize, usize), u64> =
-            std::collections::BTreeMap::new();
-        let mut edge_dst_bits: std::collections::BTreeMap<
-            (usize, usize),
-            std::collections::HashSet<usize>,
-        > = std::collections::BTreeMap::new();
+        // The bits of one source node are searched one after another into
+        // buffers reused across the whole graph: `hits` gets a dst node once
+        // per source bit reaching it, `reached` every (dst node, dst bit)
+        // pair. Sorting both and counting their runs gives (a) and (b) per
+        // dst node, in dst order. A search is stamped with its source bit's
+        // index, which no other search shares.
         let mut visited = vec![u32::MAX; gnet.num_nodes()];
-        let mut epoch = 0u32;
-        for bit in 0..gnet.num_nodes() {
-            let src_node = node_of_bit[bit];
-            if src_node == NO_NODE {
-                continue;
-            }
-            let src_node = src_node as usize;
-            epoch += 1;
-            let mut queue = VecDeque::new();
-            let mut reached: Vec<(usize, usize)> = Vec::new(); // (dst_node, dst_bit)
-            visited[bit] = epoch;
-            queue.push_back(bit);
-            while let Some(u) = queue.pop_front() {
-                for &v in gnet.successors(u) {
-                    if visited[v] == epoch {
-                        continue;
-                    }
-                    visited[v] = epoch;
-                    match node_of_bit[v] {
-                        NO_NODE => {
-                            // combinational (or discarded) node: traverse through
-                            if is_traversable(gnet, v, design) {
-                                queue.push_back(v);
-                            }
-                        }
-                        dst_node => {
-                            if dst_node as usize != src_node {
-                                reached.push((dst_node as usize, v));
-                            }
-                        }
-                    }
-                }
-            }
-            let mut seen_dst: std::collections::HashSet<usize> = std::collections::HashSet::new();
-            for (dst_node, dst_bit) in reached {
-                if seen_dst.insert(dst_node) {
-                    *edge_src_bits.entry((src_node, dst_node)).or_insert(0) += 1;
-                }
-                edge_dst_bits.entry((src_node, dst_node)).or_default().insert(dst_bit);
-            }
-        }
-        let edge_bits: std::collections::BTreeMap<(usize, usize), u64> = edge_src_bits
-            .into_iter()
-            .map(|(key, src_count)| {
-                let dst_count = edge_dst_bits.get(&key).map(|s| s.len() as u64).unwrap_or(0);
-                (key, src_count.max(dst_count))
-            })
-            .collect();
-
+        let mut last_hit_by = vec![u32::MAX; nodes.len()];
+        let mut queue: Vec<u32> = Vec::new();
+        let mut hits: Vec<u32> = Vec::new();
+        let mut reached: Vec<(u32, u32)> = Vec::new();
         let mut succ = vec![Vec::new(); nodes.len()];
         let mut pred = vec![Vec::new(); nodes.len()];
-        for ((s, d), bits) in edge_bits {
-            succ[s].push((d, bits));
-            pred[d].push((s, bits));
-        }
-        for v in succ.iter_mut().chain(pred.iter_mut()) {
-            v.sort_unstable();
+        for (src, node) in nodes.iter().enumerate() {
+            hits.clear();
+            reached.clear();
+            let cell_bits = node.cells.iter().map(|&c| gnet.cell_node(c));
+            for bit in cell_bits.chain(node.ports.iter().map(|&p| gnet.port_node(p))) {
+                let stamp = bit as u32;
+                visited[bit] = stamp;
+                queue.clear();
+                queue.push(stamp);
+                let mut head = 0;
+                while let Some(&u) = queue.get(head) {
+                    head += 1;
+                    for &v in gnet.successors(u as usize) {
+                        if std::mem::replace(&mut visited[v as usize], stamp) == stamp {
+                            continue;
+                        }
+                        let dst = node_of_bit[v as usize];
+                        if dst == NO_NODE {
+                            // combinational (or discarded) node: traverse through
+                            if is_traversable(gnet, v as usize, design) {
+                                queue.push(v);
+                            }
+                        } else if dst as usize != src {
+                            if std::mem::replace(&mut last_hit_by[dst as usize], stamp) != stamp {
+                                hits.push(dst);
+                            }
+                            reached.push((dst, v));
+                        }
+                    }
+                }
+            }
+            hits.sort_unstable();
+            reached.sort_unstable();
+            reached.dedup();
+            let src_bits = hits.chunk_by(|a, b| a == b);
+            let dst_bits = reached.chunk_by(|a, b| a.0 == b.0);
+            for (src_run, dst_run) in src_bits.zip(dst_bits) {
+                let dst = src_run[0] as usize;
+                debug_assert_eq!(dst_run[0].0 as usize, dst, "both runs cover the same dst nodes");
+                let bits = (src_run.len() as u64).max(dst_run.len() as u64);
+                succ[src].push((dst, bits));
+                pred[dst].push((src, bits));
+            }
         }
 
         let mut graph = Self { nodes, succ, pred, macro_of_cell };
@@ -468,7 +456,8 @@ impl SeqGraph {
     }
 
     /// Decodes a graph encoded by [`SeqGraph::encode`]. Returns `None` on
-    /// truncation, trailing bytes, or indices out of the decoded node range.
+    /// truncation, trailing bytes, indices out of the decoded node range, or
+    /// adjacency rows whose targets are not strictly increasing.
     pub fn decode(bytes: &[u8]) -> Option<Self> {
         let mut r = netlist::codec::Reader::new(bytes);
         let num_nodes = r.take_u64()? as usize;
@@ -504,10 +493,10 @@ impl SeqGraph {
                 if r.remaining() / 12 < len {
                     return None;
                 }
-                let mut row = Vec::with_capacity(len);
+                let mut row: Vec<(usize, u64)> = Vec::with_capacity(len);
                 for _ in 0..len {
                     let target = r.take_u32()? as usize;
-                    if target >= num_nodes {
+                    if target >= num_nodes || row.last().is_some_and(|&(t, _)| t >= target) {
                         return None;
                     }
                     row.push((target, r.take_u64()?));

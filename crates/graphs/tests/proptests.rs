@@ -1,6 +1,6 @@
 //! Property-based tests of the graph abstractions.
 
-use graphs::bfs::multi_source_bfs;
+use graphs::bfs::{multi_source_bfs, BfsScratch};
 use graphs::seqgraph::SeqGraphConfig;
 use graphs::{FlowHistogram, NetGraph, SeqGraph};
 use netlist::design::DesignBuilder;
@@ -40,61 +40,77 @@ proptest! {
 
     #[test]
     fn bfs_distances_are_shortest_on_random_dags(
-        edges in prop::collection::vec((0usize..30, 0usize..30), 0..100),
-        num_nodes in 1usize..30,
-        source in 0usize..30,
+        edges in prop::collection::vec((0u32..30, 0u32..30), 0..100),
+        num_nodes in 1u32..30,
+        source in 0u32..30,
     ) {
         let source = source % num_nodes;
-        let adj: Vec<Vec<usize>> = {
-            let mut adj = vec![Vec::new(); num_nodes];
+        let n = num_nodes as usize;
+        let adj: Vec<Vec<u32>> = {
+            let mut adj = vec![Vec::new(); n];
             for &(a, b) in &edges {
                 let (a, b) = (a % num_nodes, b % num_nodes);
                 if a != b {
-                    adj[a].push(b);
+                    adj[a as usize].push(b);
                 }
             }
             adj
         };
-        let r = multi_source_bfs(num_nodes, &[source], None, |n| adj[n].clone(), |_| true);
-        prop_assert_eq!(r.distance[source], 0);
+        let mut r = BfsScratch::default();
+        multi_source_bfs(&mut r, n, &[source], None, |v| adj[v].clone(), |_| true);
+        prop_assert_eq!(r.distance(source as usize), Some(0));
         // relaxation check: no edge can shortcut a BFS distance by more than 1
         for (a, succs) in adj.iter().enumerate() {
-            if r.distance[a] == u32::MAX { continue; }
+            let Some(da) = r.distance(a) else { continue };
             for &b in succs {
-                prop_assert!(r.distance[b] <= r.distance[a] + 1);
+                prop_assert!(r.distance(b as usize).is_some_and(|db| db <= da + 1));
             }
         }
         // every reached non-source node has an in-neighbour one step closer
-        for n in 0..num_nodes {
-            if n != source && r.reached(n) {
-                let closer = (0..num_nodes).any(|a| {
-                    adj[a].contains(&n) && r.reached(a) && r.distance[a] + 1 == r.distance[n]
+        for v in 0..n {
+            if v != source as usize && r.reached(v) {
+                let closer = (0..n).any(|a| {
+                    adj[a].contains(&(v as u32))
+                        && r.distance(a).is_some_and(|da| Some(da + 1) == r.distance(v))
                 });
-                prop_assert!(closer, "node {} has no in-neighbour one step closer", n);
+                prop_assert!(closer, "node {} has no in-neighbour one step closer", v);
             }
         }
     }
 
     #[test]
     fn bfs_early_exit_matches_a_full_search_on_its_targets(
-        edges in prop::collection::vec((0usize..40, 0usize..40), 0..120),
-        num_nodes in 1usize..40,
-        sources in prop::collection::vec(0usize..40, 1..5),
-        targets in prop::collection::vec(0usize..45, 0..8),
+        edges in prop::collection::vec((0u32..40, 0u32..40), 0..120),
+        num_nodes in 1u32..40,
+        sources in prop::collection::vec(0u32..40, 1..5),
+        targets in prop::collection::vec(0u32..45, 0..8),
         blocked in prop::collection::vec(0usize..40, 0..6),
     ) {
-        let mut adj = vec![Vec::new(); num_nodes];
+        let n = num_nodes as usize;
+        let mut adj = vec![Vec::new(); n];
         for &(a, b) in &edges {
-            adj[a % num_nodes].push(b % num_nodes);
+            adj[(a % num_nodes) as usize].push(b % num_nodes);
         }
-        let sources: Vec<usize> = sources.iter().map(|s| s % num_nodes).collect();
-        let traverse = |n: usize| !blocked.contains(&n);
-        let full = multi_source_bfs(num_nodes, &sources, None, |n| adj[n].iter().copied(), traverse);
-        let early =
-            multi_source_bfs(num_nodes, &sources, Some(&targets), |n| adj[n].iter().copied(), traverse);
-        for &t in targets.iter().filter(|&&t| t < num_nodes) {
-            prop_assert_eq!(early.distance[t], full.distance[t], "distance of {}", t);
-            prop_assert_eq!(early.source[t], full.source[t], "source of {}", t);
+        let sources: Vec<u32> = sources.iter().map(|s| s % num_nodes).collect();
+        let traverse = |v: usize| !blocked.contains(&v);
+        // one scratch for both searches: the early exit runs on slots the
+        // full search left behind
+        let mut scratch = BfsScratch::default();
+        multi_source_bfs(&mut scratch, n, &sources, None, |v| adj[v].iter().copied(), traverse);
+        let full: Vec<(Option<u32>, Option<u32>)> =
+            (0..n).map(|v| (scratch.distance(v), scratch.source(v))).collect();
+        multi_source_bfs(
+            &mut scratch,
+            n,
+            &sources,
+            Some(&targets),
+            |v| adj[v].iter().copied(),
+            traverse,
+        );
+        for &t in targets.iter().filter(|&&t| (t as usize) < n) {
+            let t = t as usize;
+            prop_assert_eq!(scratch.distance(t), full[t].0, "distance of {}", t);
+            prop_assert_eq!(scratch.source(t), full[t].1, "source of {}", t);
         }
     }
 
@@ -150,5 +166,134 @@ proptest! {
         let design = b.build();
         let g = NetGraph::from_design(&design);
         prop_assert_eq!(g.num_edges(), expected.len());
+    }
+}
+
+/// A builder-made design over `kinds.len()` cells (`kind % 3`: comb, flop,
+/// macro), `num_ports` ports (even ones inputs) and `num_nets` nets, wired by
+/// `ops` in order: `(op % 4, net, end)` connects cell or port `end` as a
+/// driver (0, 2) or sink (1, 3) of `net`. Flops are named as the bits of
+/// three register arrays and ports as the bits of one bus, so `Gseq` has
+/// arrays to cluster. A net may get several driving cells (each replacing
+/// the last, the earlier ones keeping their fanout entries), a cell that
+/// drives it again, a driving port beside a driving cell, and many sinks.
+fn random_design(
+    kinds: &[u8],
+    num_ports: usize,
+    num_nets: usize,
+    ops: &[(u8, usize, usize)],
+) -> netlist::design::Design {
+    use netlist::design::PortDirection;
+    let mut b = DesignBuilder::new("random");
+    let cells: Vec<_> = kinds
+        .iter()
+        .enumerate()
+        .map(|(i, kind)| match kind % 3 {
+            0 => b.add_comb(format!("u/g{i}"), "u"),
+            1 => b.add_flop(format!("u/r{}_reg[{i}]", i % 3), "u"),
+            _ => b.add_macro(format!("u/m{i}"), "RAM", 10, 10, "u"),
+        })
+        .collect();
+    let ports: Vec<_> = (0..num_ports)
+        .map(|i| {
+            let dir = if i % 2 == 0 { PortDirection::Input } else { PortDirection::Output };
+            b.add_port(format!("bus[{i}]"), dir)
+        })
+        .collect();
+    let nets: Vec<_> = (0..num_nets).map(|i| b.add_net(format!("n{i}"))).collect();
+    for &(op, net, end) in ops {
+        let net = nets[net % num_nets];
+        match op % 4 {
+            0 => b.connect_driver(net, cells[end % cells.len()]),
+            1 => b.connect_sink(net, cells[end % cells.len()]),
+            2 if num_ports > 0 => b.connect_port_driver(net, ports[end % num_ports]),
+            3 if num_ports > 0 => b.connect_port_sink(net, ports[end % num_ports]),
+            _ => &mut b,
+        };
+    }
+    b.build()
+}
+
+/// Whether every row of `g` lists in-range nodes in strictly increasing
+/// order (sorted, no duplicates).
+fn netgraph_rows_are_canonical(g: &NetGraph) -> bool {
+    let n = g.num_nodes();
+    (0..n).all(|i| {
+        [g.successors(i), g.predecessors(i)]
+            .iter()
+            .all(|row| row.iter().all(|&v| (v as usize) < n) && row.windows(2).all(|w| w[0] < w[1]))
+    })
+}
+
+/// Whether every row of `g` lists in-range nodes in strictly increasing
+/// order, and every macro lookup names a node of the graph.
+fn seqgraph_rows_are_canonical(g: &SeqGraph, num_cells: u32) -> bool {
+    let n = g.num_nodes();
+    let rows_ok = (0..n).all(|i| {
+        let id = graphs::SeqNodeId(i as u32);
+        [g.successors(id), g.predecessors(id)]
+            .iter()
+            .all(|row| row.iter().all(|&(t, _)| t < n) && row.windows(2).all(|w| w[0].0 < w[1].0))
+    });
+    let macros_ok = (0..num_cells)
+        .all(|c| g.macro_node(netlist::design::CellId(c)).is_none_or(|id| (id.0 as usize) < n));
+    rows_ok && macros_ok
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256 })]
+
+    #[test]
+    fn netgraph_matches_the_reference_on_random_designs(
+        kinds in prop::collection::vec(0u8..3, 1..24),
+        num_ports in 0usize..6,
+        num_nets in 1usize..16,
+        ops in prop::collection::vec((0u8..4, 0usize..16, 0usize..32), 0..80),
+    ) {
+        let design = random_design(&kinds, num_ports, num_nets, &ops);
+        let g = NetGraph::from_design(&design);
+        prop_assert_eq!(&g, &NetGraph::from_design_reference(&design));
+        prop_assert!(netgraph_rows_are_canonical(&g));
+        let preds: usize = (0..g.num_nodes()).map(|i| g.predecessors(i).len()).sum();
+        prop_assert_eq!(preds, g.num_edges());
+    }
+
+    #[test]
+    fn graph_payloads_decode_to_canonical_graphs_or_none(
+        kinds in prop::collection::vec(0u8..3, 1..16),
+        num_ports in 0usize..5,
+        num_nets in 1usize..12,
+        ops in prop::collection::vec((0u8..4, 0usize..12, 0usize..32), 0..60),
+        cut in 0usize..1 << 20,
+        flip in (0usize..1 << 20, 0u32..8),
+        splice in (0usize..1 << 20, 0usize..1 << 20),
+    ) {
+        let design = random_design(&kinds, num_ports, num_nets, &ops);
+        let num_cells = design.num_cells() as u32;
+        let gnet = NetGraph::from_design(&design);
+        let gseq = SeqGraph::from_netgraph(&design, &gnet, &SeqGraphConfig { min_register_bits: 2 });
+        let (mut net_bytes, mut seq_bytes) = (Vec::new(), Vec::new());
+        gnet.encode(&mut net_bytes);
+        gseq.encode(&mut seq_bytes);
+        prop_assert_eq!(NetGraph::decode(&net_bytes), Some(gnet));
+        prop_assert_eq!(SeqGraph::decode(&seq_bytes), Some(gseq));
+        // truncated, one bit flipped, and a middle section dropped or repeated
+        let mutants = |bytes: &[u8]| {
+            let len = bytes.len();
+            let mut flipped = bytes.to_vec();
+            flipped[flip.0 % len] ^= 1 << flip.1;
+            let spliced = [&bytes[..splice.0 % len], &bytes[splice.1 % len..]].concat();
+            [bytes[..cut % len].to_vec(), flipped, spliced]
+        };
+        for bytes in mutants(&net_bytes) {
+            if let Some(g) = NetGraph::decode(&bytes) {
+                prop_assert!(netgraph_rows_are_canonical(&g), "decoded {:?}", g);
+            }
+        }
+        for bytes in mutants(&seq_bytes) {
+            if let Some(g) = SeqGraph::decode(&bytes) {
+                prop_assert!(seqgraph_rows_are_canonical(&g, num_cells), "decoded {:?}", g);
+            }
+        }
     }
 }

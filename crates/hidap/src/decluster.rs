@@ -13,7 +13,7 @@
 //! its own block), and macro cells that live directly at an explored level
 //! become single-macro blocks.
 
-use crate::block::{Block, BlockId, BlockKind, BlockSet};
+use crate::block::{Block, BlockKind, BlockSet};
 use crate::config::HidapConfig;
 use crate::shape_curves::ShapeCurveSet;
 use geometry::ShapeCurve;
@@ -123,18 +123,6 @@ fn display_name(ht: &HierarchyTree, node: HierarchyNodeId) -> String {
     }
 }
 
-/// Returns, for every block of the set, the id of the block a cell belongs
-/// to (used by target-area assignment and dataflow inference).
-pub fn cell_to_block_map(design: &Design, blocks: &BlockSet) -> Vec<Option<BlockId>> {
-    let mut map = vec![None; design.num_cells()];
-    for (id, block) in blocks.iter() {
-        for &c in &block.cells {
-            map[c.0 as usize] = Some(id);
-        }
-    }
-    map
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,15 +212,6 @@ mod tests {
         let set = hierarchical_declustering(&d, &ht, &curves, u_mem, &HidapConfig::fast());
         assert_eq!(set.len(), 4);
         assert!(set.blocks.iter().all(|b| b.macro_count() == 1));
-    }
-
-    #[test]
-    fn cell_to_block_map_covers_block_cells() {
-        let d = fig1_like_design();
-        let (_, set) = run(&d);
-        let map = cell_to_block_map(&d, &set);
-        let assigned = map.iter().filter(|m| m.is_some()).count();
-        assert_eq!(assigned, 16); // only the macro-cluster cells
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::flow::{FlowProbe, FlowStage};
 use crate::layout::{generate_layout, LayoutBlock, LayoutProblem};
 use crate::legalize::{MacroFootprint, MacroFootprints};
 use crate::shape_curves::ShapeCurveSet;
-use crate::target_area::target_area_assignment;
+use crate::target_area::{target_area_assignment, TargetAreaScratch};
 use geometry::{Point, Rect};
 use graphs::{NetGraph, SeqGraph};
 use netlist::design::Design;
@@ -35,6 +35,11 @@ pub struct RecursiveFloorplanner<'a> {
     pub footprints: MacroFootprints,
     /// Block rectangles of the topmost level (for Fig. 1a / Fig. 9d style output).
     pub top_blocks: Vec<(String, Rect)>,
+    /// Node slots each level's target-area search touched, in the order the
+    /// levels were floorplanned (see [`TargetAreaScratch::slots_touched`]).
+    pub target_area_slots: Vec<u64>,
+    /// The target-area search buffers, reused by every level.
+    target_area: TargetAreaScratch,
 }
 
 impl<'a> RecursiveFloorplanner<'a> {
@@ -56,6 +61,8 @@ impl<'a> RecursiveFloorplanner<'a> {
             config,
             footprints: MacroFootprints::for_design(design),
             top_blocks: Vec::new(),
+            target_area_slots: Vec::new(),
+            target_area: TargetAreaScratch::default(),
         }
     }
 
@@ -81,7 +88,14 @@ impl<'a> RecursiveFloorplanner<'a> {
             return true;
         }
         // Step 2: target-area assignment (Sect. IV-C).
-        target_area_assignment(self.design, self.gnet, &mut blocks, self.config);
+        target_area_assignment(
+            self.design,
+            self.gnet,
+            &mut blocks,
+            self.config,
+            &mut self.target_area,
+        );
+        self.target_area_slots.push(self.target_area.slots_touched());
         // Step 3: dataflow inference (Sect. IV-D).
         let df = dataflow_inference(self.design, self.gseq, &blocks, fixed, self.config);
         // Step 4: layout generation (Sect. IV-E).

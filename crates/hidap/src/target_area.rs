@@ -6,12 +6,41 @@
 //! each glue cell is assigned to the block whose cells reach it first, so
 //! glue logic ends up budgeted next to the logic it talks to.
 
-use crate::block::{BlockId, BlockSet};
+use crate::block::BlockSet;
 use crate::config::HidapConfig;
-use crate::decluster::cell_to_block_map;
-use graphs::bfs::multi_source_bfs;
-use graphs::NetGraph;
+use graphs::bfs::{multi_source_bfs, BfsScratch};
+use graphs::{NetGraph, NetGraphNode};
 use netlist::design::Design;
+
+/// The cell→block entry of a cell outside the level's blocks.
+const NO_BLOCK: u32 = u32::MAX;
+
+/// Buffers target-area assignment reuses from one floorplanning level to
+/// the next, so a level's search costs the nodes it reaches rather than
+/// the whole design.
+#[derive(Debug, Clone, Default)]
+pub struct TargetAreaScratch {
+    bfs: BfsScratch,
+    /// The block of every cell of the current level's blocks, `NO_BLOCK`
+    /// for every other cell: written before a level's search and cleared
+    /// after it.
+    cell_block: Vec<u32>,
+    /// The level's search sources: every cell of every block.
+    sources: Vec<u32>,
+    /// The level's glue cells, the nodes its search must discover.
+    targets: Vec<u32>,
+    slots_touched: u64,
+}
+
+impl TargetAreaScratch {
+    /// Per-node slots the last assignment wrote: the search's target marks
+    /// and discovered nodes, plus the cell→block entries of the level's
+    /// block cells, each written and then cleared. A clock-free measure of
+    /// one level's work.
+    pub fn slots_touched(&self) -> u64 {
+        self.slots_touched
+    }
+}
 
 /// Assigns glue-logic area to blocks and fills in their target areas.
 ///
@@ -26,29 +55,39 @@ pub fn target_area_assignment(
     gnet: &NetGraph,
     blocks: &mut BlockSet,
     config: &HidapConfig,
+    scratch: &mut TargetAreaScratch,
 ) {
+    scratch.slots_touched = 0;
     if blocks.is_empty() {
         return;
     }
-    let cell_block = cell_to_block_map(design, blocks);
+    let TargetAreaScratch { bfs, cell_block, sources, targets, slots_touched } = scratch;
+    if cell_block.len() < design.num_cells() {
+        cell_block.resize(design.num_cells(), NO_BLOCK);
+    }
 
-    // Sources: every cell of every block, tagged with the block id.
-    let mut sources: Vec<usize> = Vec::new();
-    let mut source_block: Vec<BlockId> = Vec::new();
+    // Sources: every cell of every block. A cell listed by two blocks keeps
+    // the first, as the search keeps a repeated source's first position.
+    sources.clear();
     for (id, block) in blocks.iter() {
         for &c in &block.cells {
-            sources.push(gnet.cell_node(c));
-            source_block.push(id);
+            let entry = &mut cell_block[c.0 as usize];
+            if *entry == NO_BLOCK {
+                *entry = id.0 as u32;
+            }
+            sources.push(gnet.cell_node(c) as u32);
         }
     }
 
     // Only the glue cells' entries are read, so the search stops once every
     // glue cell is discovered.
-    let glue_nodes: Vec<usize> = blocks.glue_cells.iter().map(|&c| gnet.cell_node(c)).collect();
-    let result = multi_source_bfs(
+    targets.clear();
+    targets.extend(blocks.glue_cells.iter().map(|&c| gnet.cell_node(c) as u32));
+    multi_source_bfs(
+        bfs,
         gnet.num_nodes(),
-        &sources,
-        Some(&glue_nodes),
+        sources,
+        Some(targets),
         |n| {
             // search the netlist as an undirected graph so glue on either side
             // of a block boundary is captured
@@ -57,23 +96,26 @@ pub fn target_area_assignment(
         |n| {
             // traverse through anything that is not part of another block
             match gnet.node(n) {
-                graphs::NetGraphNode::Cell(c) => cell_block[c.0 as usize].is_none(),
-                graphs::NetGraphNode::Port(_) => true,
+                NetGraphNode::Cell(c) => cell_block[c.0 as usize] == NO_BLOCK,
+                NetGraphNode::Port(_) => true,
             }
         },
     );
 
     let mut extra_area = vec![0_i128; blocks.len()];
     let mut unassigned_area: i128 = 0;
-    for (&glue, &node) in blocks.glue_cells.iter().zip(&glue_nodes) {
+    for &glue in &blocks.glue_cells {
         let area = design.cell(glue).area();
-        if result.reached(node) && result.source[node] != usize::MAX {
-            let block = source_block[result.source[node]];
-            extra_area[block.0] += area;
-        } else {
-            unassigned_area += area;
+        match bfs.source(gnet.cell_node(glue)) {
+            // sources are cell nodes, whose index is the cell id
+            Some(i) => extra_area[cell_block[sources[i as usize] as usize] as usize] += area,
+            None => unassigned_area += area,
         }
     }
+    for &s in sources.iter() {
+        cell_block[s as usize] = NO_BLOCK;
+    }
+    *slots_touched = bfs.slots_touched() + 2 * sources.len() as u64;
 
     // Spread unreachable glue proportionally to block minimum area.
     let total_min: i128 = blocks.blocks.iter().map(|b| b.min_area).sum::<i128>().max(1);
@@ -117,7 +159,8 @@ mod tests {
         let curves = ShapeCurveSet::generate(design, &ht, &config);
         let mut blocks = hierarchical_declustering(design, &ht, &curves, ht.root(), &config);
         let gnet = NetGraph::from_design(design);
-        target_area_assignment(design, &gnet, &mut blocks, &config);
+        let mut scratch = TargetAreaScratch::default();
+        target_area_assignment(design, &gnet, &mut blocks, &config, &mut scratch);
         blocks
     }
 
@@ -169,13 +212,46 @@ mod tests {
     }
 
     #[test]
+    fn cell_block_entries_cover_the_block_cells_and_are_cleared() {
+        // two 8-macro clusters and 60 glue cells, unwired
+        let mut b = DesignBuilder::new("fig1");
+        for i in 0..8 {
+            b.add_macro(format!("u_left/mem{i}"), "RAM", 100, 100, "u_left");
+            b.add_macro(format!("u_right/mem{i}"), "RAM", 100, 100, "u_right");
+        }
+        for i in 0..50 {
+            b.add_comb(format!("u_glue/g{i}"), "u_glue");
+        }
+        for i in 0..10 {
+            b.add_comb(format!("top_glue{i}"), "");
+        }
+        let d = b.build();
+        let config = HidapConfig::fast();
+        let ht = HierarchyTree::from_design(&d);
+        let curves = ShapeCurveSet::generate(&d, &ht, &config);
+        let mut blocks = hierarchical_declustering(&d, &ht, &curves, ht.root(), &config);
+        let gnet = NetGraph::from_design(&d);
+        let mut scratch = TargetAreaScratch::default();
+        target_area_assignment(&d, &gnet, &mut blocks, &config, &mut scratch);
+        // the search starts from the 16 macro-cluster cells only
+        assert_eq!(scratch.sources.len(), 16);
+        // 60 glue targets marked, 16 sources discovered, and 16 cell→block
+        // entries written and cleared
+        assert_eq!(scratch.slots_touched(), 60 + 16 + 2 * 16);
+        assert_eq!(scratch.cell_block.len(), d.num_cells());
+        assert!(scratch.cell_block.iter().all(|&entry| entry == NO_BLOCK));
+    }
+
+    #[test]
     fn empty_block_set_is_noop() {
         let mut b = DesignBuilder::new("t");
         b.add_comb("g", "");
         let d = b.build();
         let gnet = NetGraph::from_design(&d);
         let mut blocks = BlockSet::default();
-        target_area_assignment(&d, &gnet, &mut blocks, &HidapConfig::fast());
+        let mut scratch = TargetAreaScratch::default();
+        target_area_assignment(&d, &gnet, &mut blocks, &HidapConfig::fast(), &mut scratch);
         assert!(blocks.is_empty());
+        assert_eq!(scratch.slots_touched(), 0);
     }
 }

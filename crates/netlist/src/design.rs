@@ -686,6 +686,11 @@ impl DesignBuilder {
         self.net_names.find(name).map(NetId)
     }
 
+    /// The cell currently driving `net`, if any.
+    pub(crate) fn driver_cell(&self, net: NetId) -> Option<CellId> {
+        self.drivers.get(net.0 as usize).and_then(|&(cell, _)| cell)
+    }
+
     /// Marks `cell` as the driver of `net`.
     pub fn connect_driver(&mut self, net: NetId, cell: CellId) -> &mut Self {
         let driver = &mut self.drivers[net.0 as usize].0;
@@ -729,6 +734,11 @@ impl DesignBuilder {
     /// The name of a port added so far.
     pub fn port_name(&self, id: PortId) -> &str {
         self.port_names.names.get(id.0)
+    }
+
+    /// The name of a cell added so far.
+    pub(crate) fn cell_name(&self, id: CellId) -> &str {
+        self.cell_names.names.get(id.0)
     }
 
     /// Finalizes the builder into an immutable [`Design`]: packs the

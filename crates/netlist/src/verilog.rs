@@ -1025,6 +1025,17 @@ impl<'t, 'a> Flattener<'t, 'a> {
             check_room(&self.builder, &self.global, line)?;
             let net = self.builder.add_net(&self.global);
             if is_output_pin(conn.pin.base.of(text)) {
+                // the builder would keep only the last driver and leave the
+                // earlier one a fanout entry on a net it no longer drives
+                if let Some(other) = self.builder.driver_cell(net).filter(|&d| d != cell) {
+                    let message = format!(
+                        "net '{}' is driven by instance '{}' and again by instance '{}'",
+                        self.global,
+                        self.builder.cell_name(other),
+                        self.builder.cell_name(cell),
+                    );
+                    return Err(ParseError { line, message });
+                }
                 self.builder.connect_driver(net, cell);
             } else {
                 self.builder.connect_sink(net, cell);
@@ -1106,7 +1117,7 @@ module top (input [1:0] in_bus, input clk, output o);
   BUF b0 (.A(in_bus[0]), .Y(w[0]));
   BUF b1 (.A(in_bus[1]), .Y(w[1]));
   sub u_sub (.a(w), .y(o));
-  RAM16 u_ram (.D(w[0]), .Q(o));
+  RAM16 u_ram (.D(w[0]), .Q(ram_q));
 endmodule
 "#;
 
@@ -1211,7 +1222,7 @@ module sub (input a, output y);
 endmodule
 module sub (input a, output y);
   INV g0 (.A(a), .Y(y));
-  INV g1 (.A(y), .Y(y));
+  INV g1 (.A(y), .Y(y_n));
 endmodule
 module top (input a, output z);
   sub u (.a(a), .y(z));
@@ -1374,9 +1385,32 @@ endmodule
         let name = vec!["a"; segments].join("/");
         format!(
             "module sub (input i, output o); COMB g (.A(i), .Y(o)); \
-             RAM m1 (.D(i), .Q(o)); RAM m2 (.D(i), .Q(o)); endmodule\n\
+             RAM m1 (.D(i), .Q(q1)); RAM m2 (.D(i), .Q(q2)); endmodule\n\
              module top (input i, output o);\n  sub \\{name} (.i(i), .o(o));\nendmodule\n"
         )
+    }
+
+    #[test]
+    fn a_net_driven_by_two_instances_is_rejected() {
+        let opts = ElaborateOptions::default();
+        let src = "module top (input a, output y);\n  BUF g (.A(a), .Y(y));\n  \
+                   BUF h (.A(a), .Y(y));\nendmodule\n";
+        let err = parse_verilog(src, Some("top"), &opts).unwrap_err();
+        assert_eq!(err.line, Some(3), "{err}");
+        assert_eq!(err.message, "net 'y' is driven by instance 'g' and again by instance 'h'");
+        // across the hierarchy the net is named as it resolves at the top
+        let src = "module sub (input i, output o); BUF g (.A(i), .Y(o)); endmodule\n\
+                   module top (input a, output y);\n  sub u (.i(a), .o(y));\n  \
+                   BUF h (.A(a), .Y(y));\nendmodule\n";
+        let err = parse_verilog(src, Some("top"), &opts).unwrap_err();
+        assert_eq!(err.line, Some(4), "{err}");
+        assert_eq!(err.message, "net 'y' is driven by instance 'u/g' and again by instance 'h'");
+        // one cell with two outputs on one net stays legal, as in the builder
+        let src = "module top (input a, output y);\n  FA g (.A(a), .Q(y), .QN(y));\nendmodule\n";
+        let d = parse_verilog(src, Some("top"), &opts).unwrap();
+        let g = d.find_cell("g").unwrap();
+        assert_eq!(d.connectivity().fanout(g).len(), 1);
+        assert_eq!(d.validate(), Ok(()));
     }
 
     #[test]

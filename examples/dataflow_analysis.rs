@@ -39,7 +39,8 @@ fn main() {
     let curves = ShapeCurveSet::generate(&design, &ht, &config);
     let mut blocks = hierarchical_declustering(&design, &ht, &curves, ht.root(), &config);
     let gnet = graphs::NetGraph::from_design(&design);
-    hidap::target_area::target_area_assignment(&design, &gnet, &mut blocks, &config);
+    let mut scratch = hidap::target_area::TargetAreaScratch::default();
+    hidap::target_area::target_area_assignment(&design, &gnet, &mut blocks, &config, &mut scratch);
     let df = dataflow_inference(&design, &gseq, &blocks, &[], &config);
 
     println!("\ndataflow nodes:");
