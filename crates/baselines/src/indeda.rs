@@ -19,8 +19,8 @@
 use eval::{CellPlacement, IncrementalHpwl};
 use geometry::{Orientation, Point, Rect};
 use hidap::legalize::{legalize_macros, MacroFootprint, MacroFootprints};
-use hidap::placement::{MacroPlacement, PlacedMacro};
 use hidap::HidapError;
+use hidap::{MacroPlacement, PlacedMacro};
 use netlist::design::{CellId, Design};
 use rand::{ChaCha8Rng, Rng, SeedableRng};
 
@@ -373,7 +373,7 @@ impl placer_core::Placer for IndEda {
         let metrics = req.evaluate.as_ref().map(|eval_cfg| {
             // lint:allow(wall-clock): report-only wall_s stage timing; never influences placement
             let t = std::time::Instant::now();
-            // context-shared evaluator: one Gseq per sweep, no to_map()
+            // context-shared evaluator: one Gseq per sweep
             let metrics = ctx.evaluator(*eval_cfg).evaluate(design, &placement);
             timings
                 .push(StageTiming { stage: "evaluate".into(), seconds: t.elapsed().as_secs_f64() });

@@ -5,20 +5,16 @@
 //! `tests/eco_fuzz.rs` re-derives ECO metrics with
 //! [`evaluate_placement_reference`]. Every one of them reads the design's
 //! one wiring, the CSR [`netlist::Connectivity`]; what they keep is the
-//! older algorithm around it.
+//! older algorithm around it:
 //!
-//! Two generations are kept:
-//!
-//! * the pre-dense-data-plane (PR 2) versions of
-//!   [`eval::place_standard_cells`] and [`eval::total_hpwl`]
-//!   ([`place_standard_cells_hashmap`], [`total_hpwl_hashmap`]: per-cell
-//!   `HashMap` stores and lookups),
-//! * the pre-evaluation-session (PR 3) one-shot pipeline
+//! * the pre-evaluation-session one-shot pipeline
 //!   ([`evaluate_placement_reference`]: the dense placer with the
-//!   rescan-every-pin Gauss–Seidel sweep, plus the per-net driver × sink
-//!   `NetGraph` construction and a fresh `SeqGraph` per call — what
-//!   `eval::evaluate_placement` did before the reused [`eval::Evaluator`]
-//!   existed).
+//!   rescan-every-pin Gauss–Seidel sweep, [`place_standard_cells_rescan`],
+//!   plus the per-net driver × sink `NetGraph` construction and a fresh
+//!   `SeqGraph` per call — what `eval::evaluate_placement` did before the
+//!   reused [`eval::Evaluator`] existed),
+//! * [`total_hpwl_reference`]: HPWL as a bounding box over each net's
+//!   collected pin points, against [`eval::total_hpwl`]'s running extents.
 
 use eval::{CellPlacement, EvalConfig, Hpwl, PlacementMetrics, PlacerConfig};
 use geometry::{Orientation, Point, Rect};
@@ -26,9 +22,7 @@ use graphs::seqgraph::SeqGraphConfig;
 use graphs::{NetGraph, SeqGraph};
 use hidap::{MacroPlacement, PlacedMacro};
 use netlist::design::{CellId, CellKind, Design};
-use netlist::PinRef;
 use rand::{ChaCha8Rng, Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// A deterministic macro grid placement, the fixture the reference
 /// comparisons place standard cells around. `rotation` shifts which macro
@@ -54,213 +48,6 @@ pub fn grid_macro_placement(design: &Design, rotation: usize) -> MacroPlacement 
     placement
 }
 
-/// The pre-refactor standard-cell placer: every per-cell datum in a
-/// `HashMap<CellId, …>`, looked up once per pin of every net walk.
-pub fn place_standard_cells_hashmap(
-    design: &Design,
-    macro_placement: &HashMap<CellId, (Point, Orientation)>,
-    config: &PlacerConfig,
-) -> HashMap<CellId, Point> {
-    let csr = design.connectivity();
-    let die = design.die();
-    let die_center = die.center();
-    let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-
-    let mut positions: HashMap<CellId, Point> = HashMap::with_capacity(design.num_cells());
-    let mut is_fixed: HashMap<CellId, bool> = HashMap::with_capacity(design.num_cells());
-    let mut macro_rects: Vec<Rect> = Vec::new();
-    for (id, cell) in design.cells() {
-        if cell.kind == CellKind::Macro {
-            let (loc, orient) =
-                macro_placement.get(&id).copied().unwrap_or((die_center, Orientation::N));
-            let (w, h) = orient.transformed_size(cell.width, cell.height);
-            let rect = Rect::from_size(loc.x, loc.y, w, h);
-            positions.insert(id, rect.center());
-            macro_rects.push(rect);
-            is_fixed.insert(id, true);
-        } else {
-            is_fixed.insert(id, false);
-        }
-    }
-
-    for (id, cell) in design.cells() {
-        if cell.kind == CellKind::Macro {
-            continue;
-        }
-        let mut sum = (0i128, 0i128);
-        let mut count = 0i128;
-        for &net in csr.nets_of(id) {
-            for &pin in csr.pins(net).iter().filter(|p| p.is_driver()) {
-                if let Some(p) = pin_position(design, &positions, pin) {
-                    sum.0 += p.x as i128;
-                    sum.1 += p.y as i128;
-                    count += 1;
-                }
-            }
-        }
-        let base = if count > 0 {
-            Point::new((sum.0 / count) as i64, (sum.1 / count) as i64)
-        } else {
-            die_center
-        };
-        let jitter_x = rng.gen_range(-(die.width() / 64).max(1)..=(die.width() / 64).max(1));
-        let jitter_y = rng.gen_range(-(die.height() / 64).max(1)..=(die.height() / 64).max(1));
-        positions.insert(id, die.clamp_point(base.translated(jitter_x, jitter_y)));
-    }
-
-    for _ in 0..config.iterations {
-        for id in design.cell_ids() {
-            if is_fixed[&id] {
-                continue;
-            }
-            let mut sum = (0i128, 0i128);
-            let mut count = 0i128;
-            for &net in csr.nets_of(id) {
-                for &pin in csr.pins(net).iter().filter(|p| p.cell() != Some(id)) {
-                    if let Some(p) = pin_position(design, &positions, pin) {
-                        sum.0 += p.x as i128;
-                        sum.1 += p.y as i128;
-                        count += 1;
-                    }
-                }
-            }
-            if count > 0 {
-                let target = Point::new((sum.0 / count) as i64, (sum.1 / count) as i64);
-                positions.insert(id, die.clamp_point(target));
-            }
-        }
-    }
-
-    spread_hashmap(design, &mut positions, &is_fixed, &macro_rects, config);
-    positions
-}
-
-/// Where a pin sits: its cell's entry in `positions`, or its port's fixed
-/// position.
-fn pin_position(design: &Design, positions: &HashMap<CellId, Point>, pin: PinRef) -> Option<Point> {
-    match pin.cell() {
-        Some(c) => positions.get(&c).copied(),
-        None => pin.port().and_then(|p| design.port(p).position),
-    }
-}
-
-fn spread_hashmap(
-    design: &Design,
-    positions: &mut HashMap<CellId, Point>,
-    is_fixed: &HashMap<CellId, bool>,
-    macro_rects: &[Rect],
-    config: &PlacerConfig,
-) {
-    let die = design.die();
-    let bins = config.bins.max(2);
-    let bin_w = (die.width() as f64 / bins as f64).max(1.0);
-    let bin_h = (die.height() as f64 / bins as f64).max(1.0);
-    let bin_area = bin_w * bin_h;
-
-    let mut capacity = vec![vec![0.0f64; bins]; bins];
-    for (bx, row) in capacity.iter_mut().enumerate() {
-        for (by, cap) in row.iter_mut().enumerate() {
-            let bin_rect = Rect::new(
-                die.llx + (bx as f64 * bin_w) as i64,
-                die.lly + (by as f64 * bin_h) as i64,
-                die.llx + ((bx + 1) as f64 * bin_w) as i64,
-                die.lly + ((by + 1) as f64 * bin_h) as i64,
-            );
-            let macro_overlap: f64 =
-                macro_rects.iter().map(|m| m.overlap_area(&bin_rect) as f64).sum();
-            *cap = ((bin_area - macro_overlap) * config.target_utilization).max(0.0);
-        }
-    }
-
-    let bin_of = |p: Point| -> (usize, usize) {
-        let bx = (((p.x - die.llx) as f64 / bin_w) as usize).min(bins - 1);
-        let by = (((p.y - die.lly) as f64 / bin_h) as usize).min(bins - 1);
-        (bx, by)
-    };
-
-    for _ in 0..config.spreading_passes {
-        let mut usage = vec![vec![0.0f64; bins]; bins];
-        let mut members: HashMap<(usize, usize), Vec<CellId>> = HashMap::new();
-        for (id, cell) in design.cells() {
-            if is_fixed[&id] {
-                continue;
-            }
-            let b = bin_of(positions[&id]);
-            usage[b.0][b.1] += cell.area() as f64;
-            members.entry(b).or_default().push(id);
-        }
-        let mut moved_any = false;
-        for bx in 0..bins {
-            for by in 0..bins {
-                let over = usage[bx][by] - capacity[bx][by];
-                if over <= 0.0 {
-                    continue;
-                }
-                let Some(cells) = members.get(&(bx, by)) else { continue };
-                let mut cells = cells.clone();
-                cells.sort_by_key(|&c| design.cell(c).area());
-                let mut to_free = over;
-                for cell in cells {
-                    if to_free <= 0.0 {
-                        break;
-                    }
-                    if let Some((tx, ty)) = nearest_bin_with_room(&usage, &capacity, bins, bx, by) {
-                        let target_center = Point::new(
-                            die.llx + ((tx as f64 + 0.5) * bin_w) as i64,
-                            die.lly + ((ty as f64 + 0.5) * bin_h) as i64,
-                        );
-                        let area = design.cell(cell).area() as f64;
-                        usage[bx][by] -= area;
-                        usage[tx][ty] += area;
-                        to_free -= area;
-                        positions.insert(cell, die.clamp_point(target_center));
-                        moved_any = true;
-                    } else {
-                        break;
-                    }
-                }
-            }
-        }
-        if !moved_any {
-            break;
-        }
-    }
-}
-
-fn nearest_bin_with_room(
-    usage: &[Vec<f64>],
-    capacity: &[Vec<f64>],
-    bins: usize,
-    bx: usize,
-    by: usize,
-) -> Option<(usize, usize)> {
-    for radius in 1..bins {
-        let mut best: Option<(f64, (usize, usize))> = None;
-        let lo_x = bx.saturating_sub(radius);
-        let hi_x = (bx + radius).min(bins - 1);
-        let lo_y = by.saturating_sub(radius);
-        let hi_y = (by + radius).min(bins - 1);
-        for tx in lo_x..=hi_x {
-            for ty in lo_y..=hi_y {
-                if tx.abs_diff(bx).max(ty.abs_diff(by)) != radius {
-                    continue;
-                }
-                let room = capacity[tx][ty] - usage[tx][ty];
-                if room > 0.0 {
-                    let d = (tx.abs_diff(bx) + ty.abs_diff(by)) as f64;
-                    if best.as_ref().map(|(bd, _)| d < *bd).unwrap_or(true) {
-                        best = Some((d, (tx, ty)));
-                    }
-                }
-            }
-        }
-        if let Some((_, b)) = best {
-            return Some(b);
-        }
-    }
-    None
-}
-
 /// The pre-session dense standard-cell placer, preserved verbatim: the same
 /// dense id-indexed stores as [`eval::place_standard_cells`], but with the
 /// Gauss–Seidel sweep rescanning every pin of every incident net per cell
@@ -269,7 +56,7 @@ fn nearest_bin_with_room(
 /// traversal order never affects the result.
 pub fn place_standard_cells_rescan(
     design: &Design,
-    macro_placement: &HashMap<CellId, (Point, Orientation)>,
+    macro_placement: &MacroPlacement,
     config: &PlacerConfig,
 ) -> CellPlacement {
     let die = design.die();
@@ -286,8 +73,9 @@ pub fn place_standard_cells_rescan(
     let mut macro_rects: Vec<Rect> = Vec::new();
     for (id, cell) in design.cells() {
         if cell.kind == CellKind::Macro {
-            let (loc, orient) =
-                macro_placement.get(&id).copied().unwrap_or((die_center, Orientation::N));
+            let (loc, orient) = macro_placement
+                .placement_of(id)
+                .map_or((die_center, Orientation::N), |m| (m.location, m.orientation));
             let (w, h) = orient.transformed_size(cell.width, cell.height);
             let rect = Rect::from_size(loc.x, loc.y, w, h);
             pos[id.0 as usize] = rect.center();
@@ -451,6 +239,40 @@ fn spread_dense(
     }
 }
 
+fn nearest_bin_with_room(
+    usage: &[Vec<f64>],
+    capacity: &[Vec<f64>],
+    bins: usize,
+    bx: usize,
+    by: usize,
+) -> Option<(usize, usize)> {
+    for radius in 1..bins {
+        let mut best: Option<(f64, (usize, usize))> = None;
+        let lo_x = bx.saturating_sub(radius);
+        let hi_x = (bx + radius).min(bins - 1);
+        let lo_y = by.saturating_sub(radius);
+        let hi_y = (by + radius).min(bins - 1);
+        for tx in lo_x..=hi_x {
+            for ty in lo_y..=hi_y {
+                if tx.abs_diff(bx).max(ty.abs_diff(by)) != radius {
+                    continue;
+                }
+                let room = capacity[tx][ty] - usage[tx][ty];
+                if room > 0.0 {
+                    let d = (tx.abs_diff(bx) + ty.abs_diff(by)) as f64;
+                    if best.as_ref().map(|(bd, _)| d < *bd).unwrap_or(true) {
+                        best = Some((d, (tx, ty)));
+                    }
+                }
+            }
+        }
+        if let Some((_, b)) = best {
+            return Some(b);
+        }
+    }
+    None
+}
+
 /// The pre-session one-shot evaluation pipeline: the rescan-sweep placer,
 /// plus [`NetGraph::from_design_reference`] and a fresh `SeqGraph` rebuilt
 /// on every call — what `evaluate_placement` did before the reused
@@ -459,7 +281,7 @@ fn spread_dense(
 /// asserts it.
 pub fn evaluate_placement_reference(
     design: &Design,
-    macro_placement: &HashMap<CellId, (Point, Orientation)>,
+    macro_placement: &MacroPlacement,
     config: &EvalConfig,
 ) -> PlacementMetrics {
     let cell_placement = place_standard_cells_rescan(design, macro_placement, &config.placer);
@@ -485,19 +307,25 @@ pub fn evaluate_placement_reference(
     }
 }
 
-/// The pre-refactor HPWL: per-net point buffer, hash lookups per pin.
-pub fn total_hpwl_hashmap(design: &Design, positions: &HashMap<CellId, Point>) -> Hpwl {
+/// HPWL summed net by net: each net's placed pin points (cell positions and
+/// placed ports) collected into a buffer and bounded with
+/// [`Rect::bounding_box`]; nets with fewer than two points count for
+/// nothing.
+pub fn total_hpwl_reference(design: &Design, placement: &CellPlacement) -> Hpwl {
     let csr = design.connectivity();
     let mut total: i128 = 0;
     let mut routed = 0usize;
+    let mut points: Vec<Point> = Vec::new();
     for net in design.net_ids() {
-        let pins = csr.pins(net);
-        let mut points: Vec<Point> = Vec::with_capacity(pins.len());
-        points.extend(pins.iter().filter_map(|&pin| pin_position(design, positions, pin)));
+        points.clear();
+        points.extend(csr.pins(net).iter().filter_map(|pin| match pin.cell() {
+            Some(c) => placement.position(c),
+            None => pin.port().and_then(|p| design.port(p).position),
+        }));
         if points.len() < 2 {
             continue;
         }
-        if let Some(bb) = Rect::bounding_box(points) {
+        if let Some(bb) = Rect::bounding_box(points.iter().copied()) {
             total += (bb.width() + bb.height()) as i128;
             routed += 1;
         }
@@ -505,51 +333,10 @@ pub fn total_hpwl_hashmap(design: &Design, positions: &HashMap<CellId, Point>) -
     Hpwl { dbu: total, routed_nets: routed }
 }
 
-/// Converts a hash-map placement into the dense [`CellPlacement`] (for
-/// cross-checking against the dense pipeline).
-pub fn to_dense(design: &Design, positions: &HashMap<CellId, Point>) -> CellPlacement {
-    let mut placement = CellPlacement::with_num_cells(design.num_cells());
-    for (&c, &p) in positions {
-        placement.set_position(c, p);
-    }
-    placement
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netlist::design::DesignBuilder;
     use workload::presets::generate_circuit;
-
-    #[test]
-    fn reference_placer_matches_dense_placer() {
-        let generated = generate_circuit("c1");
-        let design = &generated.design;
-        // a deterministic macro grid placement
-        let mut mp = HashMap::new();
-        for (i, m) in design.macros().enumerate() {
-            let cell = design.cell(m);
-            let die = design.die();
-            let x = die.llx + (i as i64 % 6) * (die.width() / 6);
-            let y = die.lly + (i as i64 / 6) * (die.height() / 6);
-            mp.insert(
-                m,
-                (
-                    Point::new(x.min(die.urx - cell.width), y.min(die.ury - cell.height)),
-                    Orientation::N,
-                ),
-            );
-        }
-        let cfg = PlacerConfig::default();
-        let reference = place_standard_cells_hashmap(design, &mp, &cfg);
-        let dense = eval::place_standard_cells(design, &mp, &cfg);
-        for id in design.cell_ids() {
-            assert_eq!(dense.position(id), reference.get(&id).copied(), "cell {id:?}");
-        }
-        let wl_ref = total_hpwl_hashmap(design, &reference);
-        let wl_dense = eval::total_hpwl(design, &dense);
-        assert_eq!(wl_ref, wl_dense);
-    }
 
     #[test]
     fn reference_pipeline_matches_session_evaluator() {
@@ -559,15 +346,14 @@ mod tests {
         let candidates: Vec<MacroPlacement> =
             (0..4).map(|c| grid_macro_placement(design, c * 7 + 1)).collect();
 
-        // the preserved one-shot pipeline: a map and a fresh Gseq per candidate
+        // the preserved one-shot pipeline: a fresh Gseq per candidate
         let one_shot: Vec<PlacementMetrics> = candidates
             .iter()
             .map(|candidate| {
-                let mp = candidate.to_map();
                 // the rescan placer is bit-identical to the incremental-sum placer
-                let rescan = place_standard_cells_rescan(design, &mp, &cfg.placer);
-                assert_eq!(rescan, eval::place_standard_cells(design, &mp, &cfg.placer));
-                evaluate_placement_reference(design, &mp, &cfg)
+                let rescan = place_standard_cells_rescan(design, candidate, &cfg.placer);
+                assert_eq!(rescan, eval::place_standard_cells(design, candidate, &cfg.placer));
+                evaluate_placement_reference(design, candidate, &cfg)
             })
             .collect();
 
@@ -594,18 +380,5 @@ mod tests {
         });
         assert_eq!(one_shot, parallel, "one-shot and per-thread-clone metrics disagree");
         assert_eq!(session.cache().stats().seq.misses, 1, "the clones share one Gseq");
-    }
-
-    #[test]
-    fn to_dense_round_trips() {
-        let mut b = DesignBuilder::new("t");
-        let a = b.add_comb("a", "");
-        b.add_comb("b", "");
-        let d = b.build();
-        let mut positions = HashMap::new();
-        positions.insert(a, Point::new(3, 4));
-        let dense = to_dense(&d, &positions);
-        assert_eq!(dense.position(a), Some(Point::new(3, 4)));
-        assert_eq!(dense.num_placed(), 1);
     }
 }

@@ -28,10 +28,7 @@
 
 use bench::reference::evaluate_placement_reference;
 use eval::EvalConfig;
-use geometry::{Orientation, Point};
-use netlist::design::CellId;
 use placer_core::{DesignHandle, EffortLevel, PlaceJob, PlacementService};
-use std::collections::HashMap;
 use workload::{adversarial_design, random_edits, random_geometry_edits, ADVERSARIAL_PRESETS};
 
 fn job(design: DesignHandle) -> PlaceJob {
@@ -116,14 +113,11 @@ fn differential_round(preset: &str, seed: u64, count: usize, geometry_only: bool
     );
 
     // --- third opinion: the preserved one-shot reference pipeline ---------
-    let map: HashMap<CellId, (Point, Orientation)> = inc_cold
-        .outcome
-        .placement
-        .macros
-        .iter()
-        .map(|m| (m.cell, (m.location, m.orientation)))
-        .collect();
-    let reference = evaluate_placement_reference(&scratch, &map, &EvalConfig::standard());
+    let reference = evaluate_placement_reference(
+        &scratch,
+        &inc_cold.outcome.placement,
+        &EvalConfig::standard(),
+    );
     assert_eq!(
         &reference,
         inc_cold.outcome.metrics.as_ref().unwrap(),

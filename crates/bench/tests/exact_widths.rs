@@ -15,9 +15,7 @@ use bench::reference::{evaluate_placement_reference, place_standard_cells_rescan
 use eval::{place_standard_cells, EvalConfig, Evaluator, PlacerConfig};
 use geometry::{Orientation, Point, Rect};
 use netlist::design::{CellId, CellKind, Design, DesignBuilder, PortDirection};
-use std::collections::HashMap;
-
-type MacroMap = HashMap<CellId, (Point, Orientation)>;
+use netlist::{MacroPlacement, PlacedMacro};
 
 const FAR: i64 = 1 << 60;
 
@@ -72,13 +70,13 @@ fn far_design() -> Design {
 
 /// The macros at the corners of the upper-right quarter, scaled towards the
 /// origin by `1 / shrink`.
-fn corners(design: &Design, shrink: i64) -> MacroMap {
+fn corners(design: &Design, shrink: i64) -> MacroPlacement {
     let (half, top) = (FAR >> 1, FAR - (FAR >> 3));
     let at = [(half, half), (top, half), (half, top), (top, top)];
     design
         .macros()
         .zip(at)
-        .map(|(m, (x, y))| (m, (Point::new(x / shrink, y / shrink), Orientation::N)))
+        .map(|(m, (x, y))| PlacedMacro::new(m, Point::new(x / shrink, y / shrink), Orientation::N))
         .collect()
 }
 
@@ -149,7 +147,8 @@ fn a_wide_cell_on_1024_nets_places_like_the_rescan() {
 
     let cfg = PlacerConfig::default();
     for at in [Point::new(10_000, 20_000), Point::new(400_000, 300_000)] {
-        let macros: MacroMap = [(ram, (at, Orientation::N))].into_iter().collect();
+        let macros: MacroPlacement =
+            [PlacedMacro::new(ram, at, Orientation::N)].into_iter().collect();
         assert_eq!(
             place_standard_cells(&design, &macros, &cfg),
             place_standard_cells_rescan(&design, &macros, &cfg),
@@ -172,9 +171,9 @@ fn spreading_matches_the_rescan_on_overfull_bins_with_areas_inside_and_past_i64(
         let design = b.build();
         assert_eq!(design.cell(CellId(0)).area() > i64::MAX as i128, scale > 1);
         let cfg = PlacerConfig::default();
-        let spread = place_standard_cells(&design, &MacroMap::new(), &cfg);
-        assert_eq!(spread, place_standard_cells_rescan(&design, &MacroMap::new(), &cfg));
+        let spread = place_standard_cells(&design, &MacroPlacement::default(), &cfg);
+        assert_eq!(spread, place_standard_cells_rescan(&design, &MacroPlacement::default(), &cfg));
         let unspread = PlacerConfig { spreading_passes: 0, ..cfg };
-        assert_ne!(spread, place_standard_cells(&design, &MacroMap::new(), &unspread));
+        assert_ne!(spread, place_standard_cells(&design, &MacroPlacement::default(), &unspread));
     }
 }

@@ -3,8 +3,9 @@
 //! through the streaming parsers, then place and measure it on the dense
 //! path. At every point the parsed design must be the generated one, its
 //! resident bytes must stay under the per-cell ceiling, and the dense
-//! placement and HPWL must equal the hash-map reference's (`bench::reference`),
-//! on the generated design and on the parsed one.
+//! placement and HPWL must equal the references in `bench::reference` (the
+//! rescan placer and the point-buffer HPWL), on the generated design and on
+//! the parsed one.
 //!
 //! `cargo test` runs scale 0.05. The 0.1 and 0.25 points are `#[ignore]`d
 //! (about 25 s together in a debug build, 1.5 s in release on a 2-vCPU x86-64
@@ -14,9 +15,7 @@
 //! cargo test --release -p bench --test scale_sweep -- --ignored
 //! ```
 
-use bench::reference::{
-    grid_macro_placement, place_standard_cells_hashmap, to_dense, total_hpwl_hashmap,
-};
+use bench::reference::{grid_macro_placement, place_standard_cells_rescan, total_hpwl_reference};
 use eval::{place_standard_cells, total_hpwl, PlacerConfig};
 use netlist::design::Design;
 use netlist::HeapSize;
@@ -33,22 +32,21 @@ use workload::SocGenerator;
 /// cell slots) blows past it.
 const PARSE_BYTES_PER_CELL_CEILING: usize = 195;
 
-/// The dense placer and HPWL equal the hash-map reference's, bit for bit, on
-/// a grid macro placement of `design`.
+/// The dense placer and HPWL equal the references, bit for bit, on a grid
+/// macro placement of `design`.
 fn assert_dense_matches_reference(design: &Design, what: &str) {
     let base = grid_macro_placement(design, 0);
     let cfg = PlacerConfig::default();
     let dense = place_standard_cells(design, &base, &cfg);
-    let reference = place_standard_cells_hashmap(design, &base.to_map(), &cfg);
     assert_eq!(
-        total_hpwl_hashmap(design, &reference),
-        total_hpwl(design, &dense),
-        "dense and reference HPWL disagree on {what}"
-    );
-    assert_eq!(
-        to_dense(design, &reference),
+        place_standard_cells_rescan(design, &base, &cfg),
         dense,
         "dense and reference placements disagree on {what}"
+    );
+    assert_eq!(
+        total_hpwl_reference(design, &dense),
+        total_hpwl(design, &dense),
+        "dense and reference HPWL disagree on {what}"
     );
 }
 

@@ -157,8 +157,8 @@ docs/ECO.md covers incremental ECO re-placement: the edit-script language, selec
 artifact invalidation and the warm-start guarantees behind the replace command\n\
 docs/SCALING.md covers the million-cell scale axis: the mega_soc preset, the streaming \
 parsers, and placing under --memory-budget\n\
-docs/MEMORY.md covers the three-tier artifact plane: cost-aware eviction, the --spill-dir \
-disk tier and warm-start seed persistence";
+docs/MEMORY.md covers the three-tier artifact plane: eviction, the --spill-dir disk tier \
+and warm-start seed persistence";
 
 fn parse_list<T: std::str::FromStr>(value: &str, flag: &str) -> Result<Vec<T>, String> {
     value
@@ -884,8 +884,6 @@ fn run_placement(opts: &Options, ctx: &mut PlaceContext) -> Result<String, Strin
     }
 
     if let Some(out) = &opts.out {
-        // the flow output is a PlacementView: DEF entries come straight from
-        // its sorted entries, no intermediate map
         let entries = netlist::def::placement_entries_from_view(&design, placement, true);
         let pins = netlist::def::port_entries(&design);
         // stream straight to disk; a large_soc DEF is tens of MB and never

@@ -34,16 +34,13 @@
 //! is counted separately from a miss (`misses` still means "the constructor
 //! ran"), so a "zero graph rebuilds" gate keeps watching the miss counters.
 //!
-//! # Cost-aware eviction
+//! # Eviction
 //!
-//! Eviction is not flat LRU: each entry records the wall time its
-//! construction (or revival) took, and the victim is the entry with the
-//! lowest *build-nanoseconds per resident byte* — the cheapest entry to
-//! regain relative to the bytes it frees. An expensive `Gseq` is therefore
-//! pinned while a cheap same-size `Gnet` is shed first; ties fall back to
-//! least-recently-used, and the most-recently-touched entry is never the
-//! victim. Measured time feeds *only* this choice — eviction affects
-//! timing, never results.
+//! When an insert pushes the resident bytes over the budget, the least
+//! recently used entries are evicted until the cache fits, never the entry
+//! just touched. The victim order depends only on the sequence of fetches,
+//! not on the clock, so the eviction, spill and revive counters of a fixed
+//! workload are the same on every run.
 
 use crate::metrics::DesignKey;
 use crate::spill::SpillTier;
@@ -52,7 +49,6 @@ use graphs::{NetGraph, SeqGraph};
 use netlist::design::Design;
 use netlist::HeapSize;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// The kinds of design-derived artifacts the cache can hold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -181,20 +177,12 @@ struct Entry {
     value: ArtifactValue,
     /// [`HeapSize`] bytes of the artifact plus its key, fixed at insert.
     bytes: usize,
-    /// Measured wall nanoseconds the artifact's construction (or revival)
-    /// took — the numerator of the cost-aware eviction ratio.
-    cost_nanos: u64,
+    /// The cache's recency clock at the entry's insert or latest hit.
+    last_use: u64,
 }
 
-impl Entry {
-    /// Build-nanoseconds per resident byte: the cost-aware eviction metric.
-    /// Lower means cheaper to regain per byte freed — evicted first.
-    fn cost_per_byte(&self) -> f64 {
-        self.cost_nanos as f64 / self.bytes.max(1) as f64
-    }
-}
-
-/// The guarded LRU state: entries ordered least- to most-recently used.
+/// The guarded LRU state: entries in insertion order, each stamped with the
+/// recency clock at its last use.
 #[derive(Debug)]
 struct ArtifactLru {
     entries: Vec<Entry>,
@@ -205,6 +193,9 @@ struct ArtifactLru {
     /// The disk spill tier, when one is attached (`None` = evictions
     /// discard).
     spill: Option<SpillTier>,
+    /// Monotonic recency clock for [`Entry::last_use`]: one tick per insert
+    /// and per hit, never the wall clock.
+    clock: u64,
 }
 
 /// A cheap-clone, thread-safe, byte-budgeted LRU of design-derived
@@ -253,6 +244,7 @@ impl ArtifactCache {
                 seq: KindStats::default(),
                 net: KindStats::default(),
                 spill: None,
+                clock: 0,
             })),
         }
     }
@@ -297,19 +289,16 @@ impl ArtifactCache {
             return gseq;
         }
         // spilled? revive by deserialization — no Gnet needed, no miss
-        if let Some((ArtifactValue::Seq(gseq), cost)) = lru.revive(&seq_key) {
+        if let Some(ArtifactValue::Seq(gseq)) = lru.revive(&seq_key) {
             lru.seq.revives += 1;
-            lru.insert(seq_key, ArtifactValue::Seq(gseq.clone()), cost);
+            lru.insert(seq_key, ArtifactValue::Seq(gseq.clone()));
             lru.enforce_budget();
             return gseq;
         }
         let gnet = lru.net_graph(&key, design);
-        // timing feeds only the eviction policy, never a result
-        let start = Instant::now(); // lint:allow(wall-clock): eviction-cost measurement
         let gseq = Arc::new(SeqGraph::from_netgraph(design, &gnet, config));
-        let cost = start.elapsed().as_nanos() as u64;
         lru.seq.misses += 1;
-        lru.insert(seq_key, ArtifactValue::Seq(gseq.clone()), cost);
+        lru.insert(seq_key, ArtifactValue::Seq(gseq.clone()));
         lru.enforce_budget();
         gseq
     }
@@ -381,29 +370,22 @@ impl ArtifactCache {
     pub fn budget_bytes(&self) -> usize {
         self.inner.lock().expect("artifact cache lock").budget
     }
-
-    /// Test hook: pins the recorded build cost of every currently resident
-    /// entry matching `kind` and `key` (any config), making the cost-aware
-    /// eviction order deterministic under test.
-    #[cfg(test)]
-    fn set_cost(&self, kind: ArtifactKind, key: &DesignKey, cost_nanos: u64) {
-        let mut lru = self.inner.lock().expect("artifact cache lock");
-        for entry in &mut lru.entries {
-            if entry.key.kind == kind && entry.key.design == *key {
-                entry.cost_nanos = cost_nanos;
-            }
-        }
-    }
 }
 
 impl ArtifactLru {
+    /// Advances the recency clock and returns its new value.
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
     /// Looks a key up; on a hit, refreshes recency and returns the value.
     fn touch(&mut self, key: &ArtifactKey) -> Option<ArtifactValue> {
         let pos = self.entries.iter().position(|e| e.key == *key)?;
-        let entry = self.entries.remove(pos);
-        let value = entry.value.clone();
-        self.entries.push(entry);
-        Some(value)
+        let last_use = self.tick();
+        let entry = &mut self.entries[pos];
+        entry.last_use = last_use;
+        Some(entry.value.clone())
     }
 
     /// The `Gnet` of `design` (counting a hit, a revive or a miss), inserted
@@ -416,39 +398,33 @@ impl ArtifactLru {
             self.net.hits += 1;
             return gnet;
         }
-        if let Some((ArtifactValue::Net(gnet), cost)) = self.revive(&net_key) {
+        if let Some(ArtifactValue::Net(gnet)) = self.revive(&net_key) {
             self.net.revives += 1;
-            self.insert(net_key, ArtifactValue::Net(gnet.clone()), cost);
+            self.insert(net_key, ArtifactValue::Net(gnet.clone()));
             return gnet;
         }
-        // timing feeds only the eviction policy, never a result
-        let start = Instant::now(); // lint:allow(wall-clock): eviction-cost measurement
         let gnet = Arc::new(NetGraph::from_design(design));
-        let cost = start.elapsed().as_nanos() as u64;
         self.net.misses += 1;
-        self.insert(net_key, ArtifactValue::Net(gnet.clone()), cost);
+        self.insert(net_key, ArtifactValue::Net(gnet.clone()));
         gnet
     }
 
-    /// Tries the disk spill tier for `key`: on a validated decode, returns
-    /// the artifact and the wall nanoseconds the revival took (its eviction
-    /// cost — a revived entry is as cheap to regain as one deserialization).
-    /// Any failure (no tier, no file, corrupt file, decode error) is `None`
-    /// and the caller falls back to a rebuild.
-    fn revive(&mut self, key: &ArtifactKey) -> Option<(ArtifactValue, u64)> {
+    /// Tries the disk spill tier for `key`: the artifact on a validated
+    /// decode. Any failure (no tier, no file, corrupt file, decode error) is
+    /// `None` and the caller falls back to a rebuild.
+    fn revive(&mut self, key: &ArtifactKey) -> Option<ArtifactValue> {
         let tier = self.spill.as_ref()?;
         let (stem, fp) = key.spill_identity();
-        let start = Instant::now(); // lint:allow(wall-clock): eviction-cost measurement
         let payload = tier.load(&stem, fp)?;
-        let value = match key.kind {
+        Some(match key.kind {
             ArtifactKind::NetGraph => ArtifactValue::Net(Arc::new(NetGraph::decode(&payload)?)),
             ArtifactKind::SeqGraph => ArtifactValue::Seq(Arc::new(SeqGraph::decode(&payload)?)),
-        };
-        Some((value, start.elapsed().as_nanos() as u64))
+        })
     }
 
-    /// Appends an entry at the most-recent end, accounting its bytes.
-    fn insert(&mut self, key: ArtifactKey, value: ArtifactValue, cost_nanos: u64) {
+    /// Appends an entry stamped as the most recently used, accounting its
+    /// bytes.
+    fn insert(&mut self, key: ArtifactKey, value: ArtifactValue) {
         let bytes = std::mem::size_of::<Entry>()
             + key.design.name().len()
             + match &value {
@@ -456,36 +432,24 @@ impl ArtifactLru {
                 ArtifactValue::Seq(g) => g.resident_bytes(),
             };
         self.resident += bytes;
-        self.entries.push(Entry { key, value, bytes, cost_nanos });
+        let last_use = self.tick();
+        self.entries.push(Entry { key, value, bytes, last_use });
     }
 
-    /// Evicts entries until the cache fits its budget, always keeping the
-    /// most-recent entry. The victim each round is the entry cheapest to
-    /// regain per byte freed (lowest [`Entry::cost_per_byte`]); ties go to
-    /// the least recently used.
+    /// Evicts least-recently-used entries until the cache fits its budget.
+    /// The entry used last holds the highest stamp, so it is never the
+    /// victim: it stays even when it alone is over budget.
     fn enforce_budget(&mut self) {
         while self.resident > self.budget && self.entries.len() > 1 {
-            let victim = self.cheapest_victim();
+            let victim = self
+                .entries
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, e)| e.last_use)
+                .map_or(0, |(i, _)| i);
             let entry = self.entries.remove(victim);
             self.evict(entry);
         }
-    }
-
-    /// Index of the eviction victim: lowest cost-per-byte among every entry
-    /// but the most-recent one; the earliest (least recently used) entry
-    /// wins ties.
-    fn cheapest_victim(&self) -> usize {
-        let candidates = &self.entries[..self.entries.len() - 1];
-        let mut best = 0;
-        let mut best_ratio = f64::INFINITY;
-        for (i, entry) in candidates.iter().enumerate() {
-            let ratio = entry.cost_per_byte();
-            if ratio < best_ratio {
-                best = i;
-                best_ratio = ratio;
-            }
-        }
-        best
     }
 
     /// Books an eviction: demote to the spill tier when one is attached
@@ -537,13 +501,6 @@ mod tests {
             .collect()
     }
 
-    /// The resident bytes one design's `Gnet` + default `Gseq` occupy.
-    fn bytes_per_design(design: &Design) -> usize {
-        let probe = ArtifactCache::with_budget(usize::MAX);
-        probe.get_or_build(design);
-        probe.resident_bytes()
-    }
-
     #[test]
     fn seq_fetch_counts_hits_and_misses_and_caches_the_net_graph() {
         let designs = keyed_designs();
@@ -591,64 +548,38 @@ mod tests {
     }
 
     #[test]
-    fn byte_budget_evicts_cheapest_per_byte_first() {
-        let designs = keyed_designs();
-        let per_design = bytes_per_design(&designs[0]);
-        // room for two designs' worth of artifacts (the designs are
-        // near-identical in size), plus slack for name-length differences
-        let cache = ArtifactCache::with_budget(2 * per_design + per_design / 2);
-        cache.get_or_build(&designs[0]);
-        cache.get_or_build(&designs[1]);
-        let (k0, k1, k2) =
-            (DesignKey::of(&designs[0]), DesignKey::of(&designs[1]), DesignKey::of(&designs[2]));
-        // pin costs: design 0 was *older* but expensive to build, design 1
-        // newer but free — the cost-aware policy must shed design 1 first,
-        // where flat LRU would have shed design 0
-        for kind in [ArtifactKind::NetGraph, ArtifactKind::SeqGraph] {
-            cache.set_cost(kind, &k0, u64::MAX / 2);
-            cache.set_cost(kind, &k1, 0);
-        }
-        cache.get_or_build(&designs[2]);
-        assert!(cache.contains(ArtifactKind::SeqGraph, &k0), "expensive entries are pinned");
-        assert!(!cache.contains(ArtifactKind::SeqGraph, &k1), "cheapest-per-byte was evicted");
-        assert!(cache.contains(ArtifactKind::SeqGraph, &k2));
-        assert!(cache.stats().evictions() >= 2, "design 1's Gnet and Gseq both left");
-        assert!(cache.resident_bytes() <= cache.budget_bytes());
-        // re-requesting the evicted design rebuilds it (a fresh miss —
-        // no spill tier is attached here)
-        let misses = cache.stats().seq.misses;
-        cache.get_or_build(&designs[1]);
-        assert_eq!(cache.stats().seq.misses, misses + 1);
-    }
-
-    #[test]
-    fn expensive_gseq_is_pinned_while_cheap_gnet_is_shed() {
+    fn byte_budget_evicts_least_recently_used_first() {
         let designs = keyed_designs();
         let cache = ArtifactCache::with_budget(usize::MAX);
         cache.get_or_build(&designs[0]);
         cache.get_or_build(&designs[1]);
+        // a Gseq hit refreshes design 0's Gseq only: recency is now
+        // Gnet 0, Gnet 1, Gseq 1, Gseq 0 (least recent first)
+        cache.get_or_build(&designs[0]);
         let (k0, k1) = (DesignKey::of(&designs[0]), DesignKey::of(&designs[1]));
-        // every Gnet free to rebuild, every Gseq expensive
-        for k in [&k0, &k1] {
-            cache.set_cost(ArtifactKind::NetGraph, k, 0);
-            cache.set_cost(ArtifactKind::SeqGraph, k, u64::MAX / 2);
-        }
-        // shrink the budget one entry at a time and watch the victim order:
-        // both cheap Gnets must go (oldest first) before any pinned Gseq
+        // shrink the budget one byte below the resident total: each round
+        // sheds exactly one entry, the least recently used
         let shrink = || {
             let mut lru = cache.inner.lock().expect("artifact cache lock");
             lru.budget = lru.resident - 1;
             lru.enforce_budget();
         };
         shrink();
-        assert!(!cache.contains(ArtifactKind::NetGraph, &k0), "oldest cheap Gnet goes first");
-        assert!(cache.contains(ArtifactKind::NetGraph, &k1));
+        assert!(!cache.contains(ArtifactKind::NetGraph, &k0), "the oldest entry goes first");
+        assert!(cache.contains(ArtifactKind::SeqGraph, &k0), "a hit keeps design 0's Gseq");
         shrink();
-        assert!(!cache.contains(ArtifactKind::NetGraph, &k1), "second cheap Gnet next");
-        assert!(cache.contains(ArtifactKind::SeqGraph, &k0), "expensive Gseq still pinned");
+        assert!(!cache.contains(ArtifactKind::NetGraph, &k1), "then the next oldest");
         shrink();
-        assert!(!cache.contains(ArtifactKind::SeqGraph, &k0), "only then the older Gseq");
-        assert!(cache.contains(ArtifactKind::SeqGraph, &k1));
+        assert!(!cache.contains(ArtifactKind::SeqGraph, &k1), "then design 1's Gseq");
+        // the entry touched last stays, even over budget
+        shrink();
+        assert!(cache.contains(ArtifactKind::SeqGraph, &k0));
+        assert_eq!((cache.len(), cache.stats().evictions()), (1, 3));
+        // re-requesting an evicted design rebuilds it (a fresh miss — no
+        // spill tier is attached here)
+        let misses = cache.stats().seq.misses;
+        cache.get_or_build(&designs[1]);
+        assert_eq!(cache.stats().seq.misses, misses + 1);
     }
 
     fn spill_scratch(test: &str) -> std::path::PathBuf {

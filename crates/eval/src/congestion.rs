@@ -11,8 +11,8 @@ use crate::exact::area_f64;
 use crate::grid::BinGrid;
 use crate::placer::CellPlacement;
 use geometry::{Point, Rect};
-use netlist::design::{CellKind, Design};
-use netlist::PlacementView;
+use netlist::design::Design;
+use netlist::MacroPlacement;
 
 /// Configuration of the congestion estimator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,7 +63,7 @@ impl CongestionMap {
 pub fn estimate_congestion(
     design: &Design,
     placement: &CellPlacement,
-    macro_placement: &impl PlacementView,
+    macro_placement: &MacroPlacement,
     config: &CongestionConfig,
 ) -> CongestionMap {
     let port_pos: Vec<Option<Point>> = design.ports().map(|(_, p)| p.position).collect();
@@ -75,7 +75,7 @@ pub fn estimate_congestion(
 pub(crate) fn estimate_congestion_with_ports(
     design: &Design,
     placement: &CellPlacement,
-    macro_placement: &impl PlacementView,
+    macro_placement: &MacroPlacement,
     config: &CongestionConfig,
     port_pos: &[Option<Point>],
 ) -> CongestionMap {
@@ -83,16 +83,8 @@ pub(crate) fn estimate_congestion_with_ports(
     let bins = grid.bins();
 
     // capacity per bin
-    let macro_rects: Vec<Rect> = design
-        .cells()
-        .filter(|(_, c)| c.kind == CellKind::Macro)
-        .filter_map(|(id, c)| {
-            macro_placement.placement(id).map(|(loc, orient)| {
-                let (w, h) = orient.transformed_size(c.width, c.height);
-                Rect::from_size(loc.x, loc.y, w, h)
-            })
-        })
-        .collect();
+    let macro_rects: Vec<Rect> =
+        design.macros().filter_map(|id| macro_placement.rect_of(id, design)).collect();
     let covered = grid.macro_coverage(&macro_rects);
     let mut capacity = vec![0.0f64; bins * bins];
     for bx in 0..bins {
@@ -143,10 +135,10 @@ mod tests {
     use super::*;
     use geometry::Orientation;
     use netlist::design::{CellId, DesignBuilder};
-    use std::collections::HashMap;
+    use netlist::PlacedMacro;
 
-    fn no_macros() -> HashMap<CellId, (Point, Orientation)> {
-        HashMap::new()
+    fn no_macros() -> MacroPlacement {
+        MacroPlacement::default()
     }
 
     fn chain_design(n: usize, die: Rect) -> Design {
@@ -254,8 +246,8 @@ mod tests {
         placement.set_position(a, Point::new(0, 0));
         placement.set_position(c, Point::new(3199, 3199));
         placement.set_position(m, Point::new(800, 800));
-        let mut mp = HashMap::new();
-        mp.insert(m, (Point::new(0, 0), Orientation::N));
+        let mp: MacroPlacement =
+            [PlacedMacro::new(m, Point::new(0, 0), Orientation::N)].into_iter().collect();
         let cfg = CongestionConfig { bins: 8, supply_per_dbu: 0.0004, ..Default::default() };
         let with_macro = estimate_congestion(&d, &placement, &mp, &cfg);
         let without_macro = estimate_congestion(&d, &placement, &no_macros(), &cfg);

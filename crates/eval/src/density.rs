@@ -5,7 +5,7 @@ use crate::grid::BinGrid;
 use crate::placer::CellPlacement;
 use geometry::Rect;
 use netlist::design::{CellKind, Design};
-use netlist::PlacementView;
+use netlist::MacroPlacement;
 
 /// A grid of standard-cell density (cell area per bin area).
 #[derive(Debug, Clone, PartialEq)]
@@ -23,23 +23,15 @@ impl DensityMap {
     pub fn compute(
         design: &Design,
         placement: &CellPlacement,
-        macro_placement: &impl PlacementView,
+        macro_placement: &MacroPlacement,
         bins: usize,
     ) -> Self {
         let grid = BinGrid::new(design.die(), bins);
         let bins = grid.bins();
         let bin_area = grid.bin_area();
 
-        let macro_rects: Vec<Rect> = design
-            .cells()
-            .filter(|(_, c)| c.kind == CellKind::Macro)
-            .filter_map(|(id, c)| {
-                macro_placement.placement(id).map(|(loc, orient)| {
-                    let (w, h) = orient.transformed_size(c.width, c.height);
-                    Rect::from_size(loc.x, loc.y, w, h)
-                })
-            })
-            .collect();
+        let macro_rects: Vec<Rect> =
+            design.macros().filter_map(|id| macro_placement.rect_of(id, design)).collect();
 
         let mut cell_area = vec![0.0f64; bins * bins];
         for (id, cell) in design.cells() {
@@ -97,11 +89,11 @@ impl DensityMap {
 mod tests {
     use super::*;
     use geometry::{Orientation, Point};
-    use netlist::design::{CellId, DesignBuilder};
-    use std::collections::HashMap;
+    use netlist::design::DesignBuilder;
+    use netlist::PlacedMacro;
 
-    fn no_macros() -> HashMap<CellId, (Point, Orientation)> {
-        HashMap::new()
+    fn no_macros() -> MacroPlacement {
+        MacroPlacement::default()
     }
 
     #[test]
@@ -134,8 +126,8 @@ mod tests {
         let mut placement = CellPlacement::default();
         placement.set_position(c, Point::new(50, 50));
         placement.set_position(m, Point::new(45, 45));
-        let mut mp = HashMap::new();
-        mp.insert(m, (Point::new(0, 0), Orientation::N));
+        let mp: MacroPlacement =
+            [PlacedMacro::new(m, Point::new(0, 0), Orientation::N)].into_iter().collect();
         let with_macro = DensityMap::compute(&d, &placement, &mp, 8);
         let without = DensityMap::compute(&d, &placement, &no_macros(), 8);
         assert!(with_macro.at(0, 0) > without.at(0, 0));

@@ -20,16 +20,15 @@
 //! * [`metrics`] — the [`Evaluator`] session driving all of the above,
 //! * [`artifacts`] — the typed, byte-budgeted [`ArtifactCache`] of
 //!   design-derived graphs (`Gnet`, `Gseq`) behind every session and store,
-//!   with cost-aware eviction (build time weighed against bytes),
+//!   evicting the least recently used artifact first,
 //! * [`spill`] — the optional disk spill tier beneath the cache: evicted
 //!   artifacts demote to content-addressed files and revive by
 //!   deserialization instead of reconstruction (see `docs/MEMORY.md`).
 //!
-//! Placements enter the pipeline through the dense, id-indexed
-//! [`netlist::PlacementView`] trait: flow outputs evaluate directly
-//! (`evaluator.evaluate(&design, &placement)`), with no intermediate
-//! `HashMap`. Build one [`Evaluator`] per sweep — it caches the sequential
-//! graph and its scratch buffers across candidates.
+//! Placements enter the pipeline as a [`netlist::MacroPlacement`], the type
+//! every flow returns (`evaluator.evaluate(&design, &placement)`). Build one
+//! [`Evaluator`] per sweep — it caches the sequential graph and its scratch
+//! buffers across candidates.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::print_stdout)]

@@ -11,7 +11,7 @@ use crate::wirelength::{total_hpwl_with_ports, Hpwl};
 use geometry::Point;
 use graphs::SeqGraph;
 use netlist::design::Design;
-use netlist::PlacementView;
+use netlist::MacroPlacement;
 use std::sync::Arc;
 
 /// Configuration of the whole evaluation pipeline.
@@ -157,7 +157,7 @@ impl DesignKey {
 /// use eval::{EvalConfig, Evaluator};
 /// use geometry::{Orientation, Point, Rect};
 /// use netlist::design::DesignBuilder;
-/// use netlist::DenseMacroPlacementView;
+/// use netlist::{MacroPlacement, PlacedMacro};
 ///
 /// let mut b = DesignBuilder::new("t");
 /// let m = b.add_macro("ram", "RAM", 50_000, 50_000, "");
@@ -175,8 +175,8 @@ impl DesignKey {
 /// let mut evaluator = Evaluator::new(EvalConfig::standard());
 /// let mut best: Option<(i128, Point)> = None;
 /// for x in [10_000, 150_000, 300_000] {
-///     let mut candidate = DenseMacroPlacementView::with_num_cells(design.num_cells());
-///     candidate.place(m, Point::new(x, 10_000), Orientation::N);
+///     let candidate: MacroPlacement =
+///         [PlacedMacro::new(m, Point::new(x, 10_000), Orientation::N)].into_iter().collect();
 ///     let metrics = evaluator.evaluate(&design, &candidate);
 ///     if best.map(|(wl, _)| metrics.hpwl.dbu < wl).unwrap_or(true) {
 ///         best = Some((metrics.hpwl.dbu, Point::new(x, 10_000)));
@@ -233,13 +233,10 @@ impl Evaluator {
 
     /// Evaluates a macro placement: places the standard cells around it with
     /// the shared placer, then measures every Table III metric.
-    ///
-    /// Accepts any [`PlacementView`]; flow outputs evaluate directly, with no
-    /// intermediate map.
     pub fn evaluate(
         &mut self,
         design: &Design,
-        macro_placement: &impl PlacementView,
+        macro_placement: &MacroPlacement,
     ) -> PlacementMetrics {
         let cell_placement = place_standard_cells(design, macro_placement, &self.config.placer);
         self.finish_evaluation(design, macro_placement, cell_placement)
@@ -253,7 +250,7 @@ impl Evaluator {
     pub fn evaluate_warm(
         &mut self,
         design: &Design,
-        macro_placement: &impl PlacementView,
+        macro_placement: &MacroPlacement,
         warm: &CellPlacement,
     ) -> (PlacementMetrics, usize) {
         let (cell_placement, sweeps) = crate::placer::place_standard_cells_warm(
@@ -270,7 +267,7 @@ impl Evaluator {
     fn finish_evaluation(
         &mut self,
         design: &Design,
-        macro_placement: &impl PlacementView,
+        macro_placement: &MacroPlacement,
         cell_placement: CellPlacement,
     ) -> PlacementMetrics {
         let config = self.config;
@@ -305,7 +302,12 @@ mod tests {
     use super::*;
     use geometry::{Orientation, Rect};
     use netlist::design::{CellId, DesignBuilder};
-    use std::collections::HashMap;
+    use netlist::PlacedMacro;
+
+    /// One unrotated macro with its lower-left corner at `(x, y)`.
+    fn at(cell: CellId, x: i64, y: i64) -> MacroPlacement {
+        [PlacedMacro::new(cell, Point::new(x, y), Orientation::N)].into_iter().collect()
+    }
 
     /// A macro and a register bank talking to it, placed either near or far.
     fn design() -> (Design, CellId) {
@@ -324,8 +326,7 @@ mod tests {
     #[test]
     fn pipeline_produces_all_metrics() {
         let (d, m) = design();
-        let mut mp = HashMap::new();
-        mp.insert(m, (Point::new(10_000, 10_000), Orientation::N));
+        let mp = at(m, 10_000, 10_000);
         let metrics = Evaluator::standard().evaluate(&d, &mp);
         assert!(metrics.hpwl.dbu > 0);
         assert!(metrics.wirelength_m > 0.0);
@@ -357,10 +358,8 @@ mod tests {
         b.set_die(Rect::new(0, 0, 400_000, 400_000));
         let d2 = b.build();
 
-        let mut near = HashMap::new();
-        near.insert(m2, (Point::new(20_000, 175_000), Orientation::N));
-        let mut far = HashMap::new();
-        far.insert(m2, (Point::new(350_000, 0), Orientation::N));
+        let near = at(m2, 20_000, 175_000);
+        let far = at(m2, 350_000, 0);
         // one session across two candidates of the same design
         let mut evaluator = Evaluator::standard();
         let near_m = evaluator.evaluate(&d2, &near);
@@ -372,8 +371,7 @@ mod tests {
     #[test]
     fn metrics_are_deterministic_across_sessions() {
         let (d, m) = design();
-        let mut mp = HashMap::new();
-        mp.insert(m, (Point::new(10_000, 10_000), Orientation::N));
+        let mp = at(m, 10_000, 10_000);
         let mut evaluator = Evaluator::standard();
         let a = evaluator.evaluate(&d, &mp);
         let b = evaluator.evaluate(&d, &mp);
@@ -403,11 +401,9 @@ mod tests {
         let d2 = b.build();
 
         let mut evaluator = Evaluator::standard();
-        let mut mp = HashMap::new();
-        mp.insert(m, (Point::new(10_000, 10_000), Orientation::N));
+        let mp = at(m, 10_000, 10_000);
         let first = evaluator.evaluate(&d, &mp);
-        let mut mp2 = HashMap::new();
-        mp2.insert(m2, (Point::new(10_000, 10_000), Orientation::N));
+        let mp2 = at(m2, 10_000, 10_000);
         let second = evaluator.evaluate(&d2, &mp2);
         // a stale cached graph would report the first design's edge count
         assert_eq!(first.timing.analyzed_edges, 1); // data_reg → ram
@@ -436,12 +432,10 @@ mod tests {
         };
         let (one_array, m1) = build(false);
         let (two_arrays, m2) = build(true);
-        let mut mp = HashMap::new();
-        mp.insert(m1, (Point::new(10_000, 10_000), Orientation::N));
+        let mp = at(m1, 10_000, 10_000);
         let mut evaluator = Evaluator::standard();
         let first = evaluator.evaluate(&one_array, &mp);
-        let mut mp2 = HashMap::new();
-        mp2.insert(m2, (Point::new(10_000, 10_000), Orientation::N));
+        let mp2 = at(m2, 10_000, 10_000);
         let second = evaluator.evaluate(&two_arrays, &mp2);
         // a stale cached graph would leave the edge count at 1
         assert_eq!(first.timing.analyzed_edges, 1); // ram → q_reg (2 bits)
@@ -455,8 +449,7 @@ mod tests {
         let gseq = evaluator.seq_graph(&d);
         let clone = evaluator.clone();
         assert!(Arc::ptr_eq(&gseq, &clone.seq_graph(&d)));
-        let mut mp = HashMap::new();
-        mp.insert(m, (Point::new(10_000, 10_000), Orientation::N));
+        let mp = at(m, 10_000, 10_000);
         let mut a = evaluator;
         let mut b = clone;
         assert_eq!(a.evaluate(&d, &mp), b.evaluate(&d, &mp));

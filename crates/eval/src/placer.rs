@@ -32,10 +32,10 @@
 use crate::exact::{area_f64, fits_i64, Acc};
 use crate::grid::BinGrid;
 use crate::wirelength::total_hpwl_with_ports;
-use geometry::{Orientation, Point, Rect};
+use geometry::{Point, Rect};
 use netlist::dense::DenseMap;
 use netlist::design::{CellId, CellKind, Design};
-use netlist::PlacementView;
+use netlist::MacroPlacement;
 use rand::{ChaCha8Rng, Rng, SeedableRng};
 
 /// Configuration of the standard-cell placer.
@@ -100,12 +100,12 @@ impl CellPlacement {
 
 /// Places the standard cells of a design around a fixed macro placement.
 ///
-/// `macro_placement` is any [`PlacementView`] giving each macro's lower-left
-/// corner and orientation — the flow output (`hidap::MacroPlacement`), a
-/// dense view or a hand-built `HashMap`.
+/// `macro_placement` gives each macro's lower-left corner and orientation; a
+/// macro it does not place sits, unrotated, with its lower-left corner at
+/// the die center.
 pub fn place_standard_cells(
     design: &Design,
-    macro_placement: &impl PlacementView,
+    macro_placement: &MacroPlacement,
     config: &PlacerConfig,
 ) -> CellPlacement {
     place_cells_impl(design, macro_placement, config, None).0
@@ -130,7 +130,7 @@ pub fn place_standard_cells(
 /// `docs/ECO.md`.
 pub fn place_standard_cells_warm(
     design: &Design,
-    macro_placement: &impl PlacementView,
+    macro_placement: &MacroPlacement,
     config: &PlacerConfig,
     warm: &CellPlacement,
 ) -> (CellPlacement, usize) {
@@ -139,7 +139,7 @@ pub fn place_standard_cells_warm(
 
 fn place_cells_impl(
     design: &Design,
-    macro_placement: &impl PlacementView,
+    macro_placement: &MacroPlacement,
     config: &PlacerConfig,
     warm: Option<&CellPlacement>,
 ) -> (CellPlacement, usize) {
@@ -157,10 +157,9 @@ fn place_cells_impl(
     let mut macro_rects: Vec<Rect> = Vec::new();
     for (id, cell) in design.cells() {
         if cell.kind == CellKind::Macro {
-            let (loc, orient) =
-                macro_placement.placement(id).unwrap_or((die_center, Orientation::N));
-            let (w, h) = orient.transformed_size(cell.width, cell.height);
-            let rect = Rect::from_size(loc.x, loc.y, w, h);
+            let rect = macro_placement.rect_of(id, design).unwrap_or_else(|| {
+                Rect::from_size(die_center.x, die_center.y, cell.width, cell.height)
+            });
             pos[id.0 as usize] = rect.center();
             macro_rects.push(rect);
             is_fixed[id.0 as usize] = true;
@@ -556,8 +555,14 @@ fn nearest_bin_with_room(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geometry::Orientation;
     use netlist::design::{DesignBuilder, PortDirection};
-    use std::collections::HashMap;
+    use netlist::PlacedMacro;
+
+    /// One unrotated macro with its lower-left corner at `(x, y)`.
+    fn at(cell: CellId, x: i64, y: i64) -> MacroPlacement {
+        [PlacedMacro::new(cell, Point::new(x, y), Orientation::N)].into_iter().collect()
+    }
 
     fn design_with_macro_and_cells() -> (Design, CellId) {
         let mut b = DesignBuilder::new("t");
@@ -582,8 +587,7 @@ mod tests {
     #[test]
     fn all_cells_get_positions_inside_die() {
         let (d, m) = design_with_macro_and_cells();
-        let mut mp = HashMap::new();
-        mp.insert(m, (Point::new(700, 400), Orientation::N));
+        let mp = at(m, 700, 400);
         let placement = place_standard_cells(&d, &mp, &PlacerConfig::default());
         assert_eq!(placement.positions.len(), d.num_cells());
         assert_eq!(placement.num_placed(), d.num_cells());
@@ -595,8 +599,7 @@ mod tests {
     #[test]
     fn macro_keeps_its_center() {
         let (d, m) = design_with_macro_and_cells();
-        let mut mp = HashMap::new();
-        mp.insert(m, (Point::new(700, 400), Orientation::N));
+        let mp = at(m, 700, 400);
         let placement = place_standard_cells(&d, &mp, &PlacerConfig::default());
         assert_eq!(placement.position(m).unwrap(), Point::new(800, 500));
     }
@@ -604,8 +607,7 @@ mod tests {
     #[test]
     fn chain_cells_sit_between_port_and_macro() {
         let (d, m) = design_with_macro_and_cells();
-        let mut mp = HashMap::new();
-        mp.insert(m, (Point::new(800, 400), Orientation::N));
+        let mp = at(m, 800, 400);
         let placement = place_standard_cells(&d, &mp, &PlacerConfig::default());
         // the middle of the chain should be strictly between the port (x=0)
         // and the macro center (x=900)
@@ -617,8 +619,7 @@ mod tests {
     #[test]
     fn deterministic_for_same_seed() {
         let (d, m) = design_with_macro_and_cells();
-        let mut mp = HashMap::new();
-        mp.insert(m, (Point::new(700, 400), Orientation::N));
+        let mp = at(m, 700, 400);
         let a = place_standard_cells(&d, &mp, &PlacerConfig::default());
         let b = place_standard_cells(&d, &mp, &PlacerConfig::default());
         assert_eq!(a, b);
@@ -639,8 +640,7 @@ mod tests {
     #[test]
     fn warm_start_is_deterministic_and_converges_early() {
         let (d, m) = design_with_macro_and_cells();
-        let mut mp = HashMap::new();
-        mp.insert(m, (Point::new(700, 400), Orientation::N));
+        let mp = at(m, 700, 400);
         let cfg = PlacerConfig::default();
         let cold = place_standard_cells(&d, &mp, &cfg);
         let (warm_a, sweeps_a) = place_standard_cells_warm(&d, &mp, &cfg, &cold);
@@ -661,8 +661,7 @@ mod tests {
     #[test]
     fn warm_start_falls_back_on_uncovered_cells() {
         let (d, m) = design_with_macro_and_cells();
-        let mut mp = HashMap::new();
-        mp.insert(m, (Point::new(700, 400), Orientation::N));
+        let mp = at(m, 700, 400);
         // a seed that covers nothing (and one out-of-die position) still
         // places every cell
         let mut stale = CellPlacement::with_num_cells(d.num_cells());
@@ -726,7 +725,7 @@ mod tests {
         let die = design.die();
         let macros: Vec<CellId> = design.macros().collect();
         let cols = (macros.len() as f64).sqrt().ceil() as i64;
-        let grid = |shift: usize| -> HashMap<CellId, (Point, Orientation)> {
+        let grid = |shift: usize| -> MacroPlacement {
             let slot = |i: usize| ((i + shift) % macros.len()) as i64;
             let corner = |i: usize, m: CellId| {
                 let cell = design.cell(m);
@@ -734,7 +733,11 @@ mod tests {
                 let y = die.lly + slot(i) / cols * die.height() / cols;
                 Point::new(x.min(die.urx - cell.width), y.min(die.ury - cell.height))
             };
-            macros.iter().enumerate().map(|(i, &m)| (m, (corner(i, m), Orientation::N))).collect()
+            macros
+                .iter()
+                .enumerate()
+                .map(|(i, &m)| PlacedMacro::new(m, corner(i, m), Orientation::N))
+                .collect()
         };
         let (first, second) = (grid(0), grid(3));
         // cold, warm after every macro moved, and warm again on the same
@@ -768,8 +771,7 @@ mod tests {
         b.set_die(Rect::new(0, 0, 320, 320));
         let d = b.build();
         let cfg = PlacerConfig { bins: 8, target_utilization: 0.5, ..Default::default() };
-        let no_macros: HashMap<CellId, (Point, Orientation)> = HashMap::new();
-        let placement = place_standard_cells(&d, &no_macros, &cfg);
+        let placement = place_standard_cells(&d, &MacroPlacement::default(), &cfg);
         // count cells per bin
         let mut counts = vec![vec![0usize; 8]; 8];
         for (_, p) in placement.placed() {

@@ -45,8 +45,9 @@ use std::path::{Path, PathBuf};
 /// `HSPL` as a little-endian `u32`.
 const MAGIC: u32 = u32::from_le_bytes(*b"HSPL");
 /// Format version; bumped on any layout change so stale files from an older
-/// build read as absent instead of mis-decoding.
-const VERSION: u32 = 1;
+/// build read as absent instead of mis-decoding. Version 2: warm-start seed
+/// payloads lead with the id of the job that wrote them.
+const VERSION: u32 = 2;
 /// Header bytes before the payload: magic + version + fingerprint + length.
 const HEADER_LEN: usize = 24;
 

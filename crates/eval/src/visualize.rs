@@ -14,7 +14,7 @@
 use crate::density::DensityMap;
 use geometry::{Point, Rect};
 use netlist::design::Design;
-use netlist::PlacementView;
+use netlist::MacroPlacement;
 use std::fmt::Write as _;
 
 /// Canvas width of the generated SVGs in pixels (height follows the die
@@ -97,18 +97,12 @@ fn xml_escape(s: &str) -> String {
 
 /// Renders a macro placement as SVG: macros as dark rectangles with their
 /// instance names, ports as small circles on the boundary.
-///
-/// Accepts any [`PlacementView`] — the flow output renders directly, no
-/// intermediate map.
-pub fn floorplan_svg(design: &Design, macro_placement: &impl PlacementView, title: &str) -> String {
+pub fn floorplan_svg(design: &Design, macro_placement: &MacroPlacement, title: &str) -> String {
     let mut canvas = Canvas::new(design.die());
-    for (id, loc, orient) in macro_placement.iter_placed() {
-        let cell = design.cell(id);
-        let (w, h) = orient.transformed_size(cell.width, cell.height);
-        let rect = Rect::from_size(loc.x, loc.y, w, h);
-        let name = design.cell_name(id);
+    for m in &macro_placement.macros {
+        let name = design.cell_name(m.cell);
         let short = name.rsplit('/').next().unwrap_or(name);
-        canvas.rect(rect, "#7a8ba8", "#2c3d57", Some(short));
+        canvas.rect(m.footprint(design), "#7a8ba8", "#2c3d57", Some(short));
     }
     for (_, port) in design.ports() {
         if let Some(pos) = port.position {
@@ -185,7 +179,7 @@ mod tests {
     use crate::placer::CellPlacement;
     use geometry::Orientation;
     use netlist::design::{CellId, DesignBuilder, PortDirection};
-    use std::collections::HashMap;
+    use netlist::PlacedMacro;
 
     fn design() -> (Design, CellId) {
         let mut b = DesignBuilder::new("t");
@@ -199,8 +193,8 @@ mod tests {
     #[test]
     fn floorplan_svg_contains_macro_and_port() {
         let (d, m) = design();
-        let mut mp = HashMap::new();
-        mp.insert(m, (Point::new(100, 100), Orientation::N));
+        let mp: MacroPlacement =
+            [PlacedMacro::new(m, Point::new(100, 100), Orientation::N)].into_iter().collect();
         let svg = floorplan_svg(&d, &mp, "test floorplan");
         assert!(svg.starts_with("<svg"));
         assert!(svg.contains("ram0"));
@@ -211,8 +205,8 @@ mod tests {
     #[test]
     fn density_svg_has_one_cell_per_bin() {
         let (d, _) = design();
-        let no_macros: HashMap<CellId, (Point, Orientation)> = HashMap::new();
-        let density = DensityMap::compute(&d, &CellPlacement::default(), &no_macros, 4);
+        let density =
+            DensityMap::compute(&d, &CellPlacement::default(), &MacroPlacement::default(), 4);
         let svg = density_svg(d.die(), &density, "density");
         assert_eq!(svg.matches("<rect").count(), 1 + 16); // background + bins
     }

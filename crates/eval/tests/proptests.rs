@@ -2,9 +2,9 @@
 //!
 //! * [`eval::IncrementalHpwl`] deltas applied over random single-cell move
 //!   sequences stay bit-identical to a full [`eval::total_hpwl`] recompute,
-//! * `hidap::MacroPlacement` read through [`netlist::PlacementView`] agrees
-//!   with its legacy `to_map()` interchange on every macro, and the
-//!   [`eval::Evaluator`] produces bit-identical metrics through either,
+//! * [`netlist::MacroPlacement::placement_of`] finds every macro of a
+//!   hand-built vector, sorted or not, and the [`eval::Evaluator`] produces
+//!   bit-identical metrics whatever order the vector lists its macros in,
 //! * the bin grid shared by spreading, congestion and density: its per-bin
 //!   macro coverage equals the all-pairs sum bit for bit, a box's column ×
 //!   row overlap equals `Rect::overlap_area`, and the RUDY demand of boxes
@@ -24,9 +24,8 @@ mod grid;
 use eval::{CellPlacement, Evaluator, IncrementalHpwl};
 use geometry::{Orientation, Point, Rect};
 use grid::BinGrid;
-use hidap::{MacroPlacement, PlacedMacro};
 use netlist::design::{CellId, Design, DesignBuilder, PortDirection};
-use netlist::PlacementView;
+use netlist::{MacroPlacement, PlacedMacro};
 use proptest::prelude::*;
 
 const DIE: i64 = 10_000;
@@ -314,10 +313,10 @@ proptest! {
         }
     }
 
-    /// `MacroPlacement` read as a `PlacementView` agrees with `to_map()` on
-    /// every macro, and the evaluator cannot tell the two apart.
+    /// `placement_of` finds every macro of a hand-built vector, also one in
+    /// reverse cell order, and the evaluator cannot tell the order apart.
     #[test]
-    fn macro_placement_view_agrees_with_to_map(
+    fn placement_of_finds_every_macro_of_a_hand_built_vector(
         entries in prop::collection::vec(
             (0i64..DIE / 2, 0i64..DIE / 2, any_orientation()),
             1..6,
@@ -336,37 +335,28 @@ proptest! {
         b.set_die(Rect::new(0, 0, DIE, DIE));
         let design = b.build();
 
-        let mut placement = MacroPlacement::default();
-        for (&cell, &(x, y, orient)) in macros.iter().zip(&entries) {
-            placement.macros.push(PlacedMacro {
-                cell,
-                location: Point::new(x, y),
-                orientation: orient,
-            });
-        }
+        let placed: Vec<PlacedMacro> = macros
+            .iter()
+            .zip(&entries)
+            .map(|(&cell, &(x, y, orient))| PlacedMacro::new(cell, Point::new(x, y), orient))
+            .collect();
+        let sorted = MacroPlacement { macros: placed.clone(), top_blocks: Vec::new() };
+        let mut hand_built = sorted.clone();
         if shuffle {
             // hand-built vectors need not be sorted by cell id
-            placement.macros.reverse();
+            hand_built.macros.reverse();
         }
 
-        let map = placement.to_map();
-        prop_assert_eq!(PlacementView::len(&placement), map.len());
-        for (&cell, &(loc, orient)) in &map {
-            prop_assert_eq!(placement.placement(cell), Some((loc, orient)));
-            prop_assert_eq!(placement.position(cell), Some(loc));
-            prop_assert_eq!(placement.orientation(cell), Some(orient));
+        for want in &placed {
+            prop_assert_eq!(hand_built.placement_of(want.cell), Some(want));
         }
-        let mut from_iter: Vec<_> = placement.iter_placed().collect();
-        from_iter.sort_by_key(|&(c, _, _)| c);
-        let mut from_map: Vec<_> = map.iter().map(|(&c, &(l, o))| (c, l, o)).collect();
-        from_map.sort_by_key(|&(c, _, _)| c);
-        prop_assert_eq!(from_iter, from_map);
+        prop_assert_eq!(hand_built.placement_of(CellId(entries.len() as u32)), None);
 
-        // the evaluator produces bit-identical metrics through either view
+        // the evaluator produces bit-identical metrics in either order
         let mut evaluator = Evaluator::standard();
         prop_assert_eq!(
-            evaluator.evaluate(&design, &placement),
-            evaluator.evaluate(&design, &map)
+            evaluator.evaluate(&design, &hand_built),
+            evaluator.evaluate(&design, &sorted)
         );
     }
 }

@@ -37,13 +37,6 @@ impl Point {
         (self.x - other.x).abs() + (self.y - other.y).abs()
     }
 
-    /// Euclidean distance to `other`, as `f64`.
-    pub fn euclidean_distance(self, other: Point) -> f64 {
-        let dx = (self.x - other.x) as f64;
-        let dy = (self.y - other.y) as f64;
-        (dx * dx + dy * dy).sqrt()
-    }
-
     /// Component-wise translation.
     pub fn translated(self, dx: Dbu, dy: Dbu) -> Point {
         Point::new(self.x + dx, self.y + dy)
@@ -86,13 +79,6 @@ mod tests {
         let b = Point::new(-1, 9);
         assert_eq!(a.manhattan_distance(b), b.manhattan_distance(a));
         assert_eq!(a.manhattan_distance(b), 4 + 13);
-    }
-
-    #[test]
-    fn euclidean_distance_matches_pythagoras() {
-        let a = Point::origin();
-        let b = Point::new(3, 4);
-        assert!((a.euclidean_distance(b) - 5.0).abs() < 1e-12);
     }
 
     #[test]

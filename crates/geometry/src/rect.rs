@@ -114,16 +114,6 @@ impl Rect {
         self.intersection(other).map(|r| r.area()).unwrap_or(0)
     }
 
-    /// The smallest rectangle containing both `self` and `other`.
-    pub fn union(&self, other: &Rect) -> Rect {
-        Rect::new(
-            self.llx.min(other.llx),
-            self.lly.min(other.lly),
-            self.urx.max(other.urx),
-            self.ury.max(other.ury),
-        )
-    }
-
     /// Bounding box of a set of points. Returns `None` for an empty iterator.
     pub fn bounding_box<I: IntoIterator<Item = Point>>(points: I) -> Option<Rect> {
         let mut it = points.into_iter();
@@ -222,16 +212,6 @@ mod tests {
         assert!(a.overlaps(&b));
         assert_eq!(a.overlap_area(&b), 25);
         assert_eq!(a.intersection(&b).unwrap(), Rect::new(5, 5, 10, 10));
-    }
-
-    #[test]
-    fn union_covers_both() {
-        let a = Rect::new(0, 0, 4, 4);
-        let b = Rect::new(10, 2, 12, 8);
-        let u = a.union(&b);
-        assert!(u.contains_rect(&a));
-        assert!(u.contains_rect(&b));
-        assert_eq!(u, Rect::new(0, 0, 12, 8));
     }
 
     #[test]

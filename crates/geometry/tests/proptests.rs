@@ -171,14 +171,6 @@ proptest! {
     }
 
     #[test]
-    fn rect_union_contains_both_and_is_minimal_in_area(a in arb_rect(), b in arb_rect()) {
-        let u = a.union(&b);
-        prop_assert!(u.contains_rect(&a));
-        prop_assert!(u.contains_rect(&b));
-        prop_assert!(u.area() >= a.area().max(b.area()));
-    }
-
-    #[test]
     fn overlap_is_symmetric(a in arb_rect(), b in arb_rect()) {
         prop_assert_eq!(a.overlaps(&b), b.overlaps(&a));
         prop_assert_eq!(a.overlap_area(&b), b.overlap_area(&a));

@@ -82,11 +82,6 @@ impl AffinityMatrix {
     pub fn as_slice(&self) -> &[f64] {
         &self.data
     }
-
-    /// The largest entry (0 for an empty matrix).
-    pub fn max_value(&self) -> f64 {
-        self.data.iter().copied().fold(0.0_f64, f64::max)
-    }
 }
 
 impl HeapSize for AffinityMatrix {
@@ -106,7 +101,6 @@ mod tests {
         m.set(1, 0, 3.5);
         assert_eq!(m.get(1, 0), 3.5);
         assert_eq!(m.get(0, 1), 0.0);
-        assert_eq!(m.max_value(), 3.5);
     }
 
     #[test]

@@ -401,11 +401,6 @@ impl SeqGraph {
         self.iter().filter(|(_, n)| n.kind == SeqNodeKind::Macro).map(|(id, _)| id)
     }
 
-    /// Ids of all port nodes.
-    pub fn port_nodes(&self) -> impl Iterator<Item = SeqNodeId> + '_ {
-        self.iter().filter(|(_, n)| n.kind == SeqNodeKind::Port).map(|(id, _)| id)
-    }
-
     /// Bits flowing on the edge `from → to`, 0 if absent.
     pub fn edge_bits(&self, from: SeqNodeId, to: SeqNodeId) -> u64 {
         self.succ[from.0 as usize]
@@ -668,7 +663,6 @@ mod tests {
         let node = g.macro_node(ram).unwrap();
         assert_eq!(g.node(node).kind, SeqNodeKind::Macro);
         assert_eq!(g.macro_nodes().count(), 1);
-        assert_eq!(g.port_nodes().count(), 2);
     }
 
     #[test]

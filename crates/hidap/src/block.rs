@@ -99,11 +99,6 @@ impl BlockSet {
         self.blocks.iter().map(|b| b.target_area).sum()
     }
 
-    /// Sum of the minimum areas of all blocks.
-    pub fn total_min_area(&self) -> i128 {
-        self.blocks.iter().map(|b| b.min_area).sum()
-    }
-
     /// Total number of macros across all blocks.
     pub fn total_macros(&self) -> usize {
         self.blocks.iter().map(Block::macro_count).sum()
@@ -149,7 +144,6 @@ mod tests {
             glue_cells: Vec::new(),
         };
         assert_eq!(set.len(), 3);
-        assert_eq!(set.total_min_area(), 350);
         assert_eq!(set.total_target_area(), 350);
         assert_eq!(set.total_macros(), 4);
         assert_eq!(set.block(BlockId(2)).name, "c");

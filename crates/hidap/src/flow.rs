@@ -4,9 +4,9 @@ use crate::config::HidapConfig;
 use crate::error::HidapError;
 use crate::flipping::macro_flipping;
 use crate::legalize::{legalize_macros, MacroFootprint, MacroFootprints};
-use crate::placement::{MacroPlacement, PlacedMacro};
 use crate::recursive::RecursiveFloorplanner;
 use crate::shape_curves::ShapeCurveSet;
+use crate::{MacroPlacement, PlacedMacro};
 use geometry::{Orientation, Rect};
 use graphs::seqgraph::SeqGraphConfig;
 use graphs::{NetGraph, SeqGraph};

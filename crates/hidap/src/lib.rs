@@ -93,6 +93,10 @@
 //! The lower-level [`HidapFlow::run`] / [`flow::HidapFlow::run_probed`]
 //! entry points remain available for callers that want the raw placement,
 //! custom stage probes, prebuilt circuit graphs or the ECO warm start.
+//!
+//! Every entry point returns a [`MacroPlacement`], re-exported from
+//! `netlist::placement` so the evaluation and the DEF reader and writer,
+//! which do not depend on this crate, share the one type.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::print_stdout)]
@@ -106,7 +110,6 @@ pub mod flipping;
 pub mod flow;
 pub mod layout;
 pub mod legalize;
-pub mod placement;
 pub mod recursive;
 pub mod shape_curves;
 pub mod target_area;
@@ -115,4 +118,4 @@ pub use block::{Block, BlockId, BlockKind};
 pub use config::HidapConfig;
 pub use error::HidapError;
 pub use flow::{FlowProbe, FlowStage, HidapFlow};
-pub use placement::{MacroPlacement, PlacedMacro};
+pub use netlist::placement::{MacroPlacement, PlacedMacro};

@@ -95,7 +95,7 @@ Scope: non-test src code of crates hidap, eval, graphs, placer-core, netlist.
 
 HashMap and HashSet iterate in randomized (or at best unspecified) order, so
 any result assembled by walking one is free to differ run-to-run. The repo's
-contract is bit-identical output: dense-vs-hashmap equality tests, warm==cold
+contract is bit-identical output: dense-vs-reference equality tests, warm==cold
 ECO placements, byte-identical daemon transcripts. Hash lookups are fine;
 it is only *iteration* (for-loops, .iter()/.keys()/.values()/.drain()/...)
 that leaks ordering into results.

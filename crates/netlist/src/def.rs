@@ -15,10 +15,11 @@
 //! produced by a cursor with a small bounded lookahead buffer, never a
 //! materialized vector of owned `String` tokens.
 
-use crate::design::{CellId, Design};
+use crate::design::Design;
 use crate::error::ParseError;
+use crate::placement::{MacroPlacement, PlacedMacro};
 use geometry::{Dbu, Orientation, Point, Rect};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Placement status of a DEF component.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,25 +80,36 @@ impl DefFile {
         self.components.iter().find(|c| c.name == name)
     }
 
-    /// Applies the placements in this DEF to a design: sets the die area and
-    /// returns the macro placement map (instance name → (location, orientation)).
-    pub fn apply_to(&self, design: &mut Design) -> HashMap<CellId, (Point, Orientation)> {
+    /// Applies the placements in this DEF to a design: sets the die area,
+    /// places the pins and returns the placed components that name a design
+    /// cell, one entry per cell, sorted by cell. A cell placed on more than
+    /// one line takes the last line's location and orientation.
+    pub fn apply_to(&self, design: &mut Design) -> MacroPlacement {
         design.set_die(self.die);
-        let mut out = HashMap::new();
-        for comp in &self.components {
-            if comp.status == PlaceStatus::Unplaced {
-                continue;
+        // collecting sorts by cell and keeps a cell's lines in file order, so
+        // the dedup folds each later line into the entry it keeps
+        let mut placement: MacroPlacement = self
+            .components
+            .iter()
+            .filter(|comp| comp.status != PlaceStatus::Unplaced)
+            .filter_map(|comp| {
+                let cell = design.find_cell(&comp.name)?;
+                Some(PlacedMacro::new(cell, comp.location, comp.orientation))
+            })
+            .collect();
+        placement.macros.dedup_by(|later, kept| {
+            let repeat = later.cell == kept.cell;
+            if repeat {
+                *kept = *later;
             }
-            if let Some(id) = design.find_cell(&comp.name) {
-                out.insert(id, (comp.location, comp.orientation));
-            }
-        }
+            repeat
+        });
         for pin in &self.pins {
             if let (Some(pos), Some(pid)) = (pin.location, design.find_port(&pin.name)) {
                 design.set_port_position(pid, Some(pos));
             }
         }
-        out
+        placement
     }
 }
 
@@ -496,31 +508,21 @@ pub fn write_def(
     String::from_utf8(buf).expect("the DEF emitter writes UTF-8 only")
 }
 
-/// Convenience: builds the [`PlacementEntry`] list for a set of macro
-/// placements of a design.
-pub fn placement_entries(
-    design: &Design,
-    placements: &HashMap<CellId, (Point, Orientation)>,
-    fixed: bool,
-) -> Vec<PlacementEntry> {
-    placement_entries_from_view(design, placements, fixed)
-}
-
-/// Builds the [`PlacementEntry`] list for any [`crate::PlacementView`] — the
-/// flow output (`MacroPlacement`), a dense view or the legacy map — without
-/// materializing an intermediate `HashMap`.
+/// Builds the [`PlacementEntry`] list of a macro placement, sorted by
+/// instance name.
 pub fn placement_entries_from_view(
     design: &Design,
-    placements: &impl crate::PlacementView,
+    placement: &MacroPlacement,
     fixed: bool,
 ) -> Vec<PlacementEntry> {
-    let mut entries: Vec<PlacementEntry> = placements
-        .iter_placed()
-        .map(|(id, loc, orient)| PlacementEntry {
-            name: design.cell_name(id).to_owned(),
-            cell: design.lib_cell(design.cell(id).lib_cell).to_owned(),
-            location: loc,
-            orientation: orient,
+    let mut entries: Vec<PlacementEntry> = placement
+        .macros
+        .iter()
+        .map(|m| PlacementEntry {
+            name: design.cell_name(m.cell).to_owned(),
+            cell: design.lib_cell(design.cell(m.cell).lib_cell).to_owned(),
+            location: m.location,
+            orientation: m.orientation,
             fixed,
         })
         .collect();
@@ -661,9 +663,38 @@ END DESIGN
         let mut design = b.build();
         let def = parse_def(DEF).unwrap();
         let placements = def.apply_to(&mut design);
-        assert_eq!(placements.len(), 2 - 1); // ram1 not in design, misc unplaced
+        assert_eq!(placements.macros.len(), 2 - 1); // ram1 not in design, misc unplaced
         assert_eq!(design.die().width(), 400000);
         let clk = design.find_port("clk").unwrap();
         assert_eq!(design.port(clk).position, Some(Point::new(0, 150000)));
+    }
+
+    #[test]
+    fn apply_to_sorts_by_cell_and_the_last_line_wins() {
+        use crate::design::DesignBuilder;
+        let mut b = DesignBuilder::new("top");
+        let m0 = b.add_macro("m0", "RAM", 100, 100, "");
+        let m1 = b.add_macro("m1", "RAM", 100, 100, "");
+        let m2 = b.add_macro("m2", "RAM", 100, 100, "");
+        let mut design = b.build();
+        let def = parse_def(
+            "DIEAREA ( 0 0 ) ( 1000 1000 ) ;\nCOMPONENTS 5 ;\n\
+             - m2 RAM + PLACED ( 30 30 ) N ;\n\
+             - m0 RAM + PLACED ( 10 10 ) FN ;\n\
+             - m2 RAM + FIXED ( 40 40 ) S ;\n\
+             - m1 RAM + UNPLACED ;\n\
+             - ghost RAM + PLACED ( 0 0 ) N ;\n\
+             END COMPONENTS\n",
+        )
+        .unwrap();
+        let placement = def.apply_to(&mut design);
+        let at = |cell, x, y, orientation| PlacedMacro::new(cell, Point::new(x, y), orientation);
+        assert_eq!(
+            placement.macros,
+            vec![at(m0, 10, 10, Orientation::FN), at(m2, 40, 40, Orientation::S)],
+            "one entry per placed design cell, in cell order, the later m2 line kept"
+        );
+        assert!(placement.placement_of(m1).is_none(), "an UNPLACED component is left out");
+        assert!(placement.top_blocks.is_empty());
     }
 }

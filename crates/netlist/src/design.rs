@@ -216,12 +216,6 @@ impl Design {
         &self.ports[id.0 as usize]
     }
 
-    /// Mutable port accessor. Invalidates the cached geometry fingerprint.
-    pub fn port_mut(&mut self, id: PortId) -> &mut Port {
-        self.derived.geometry.take();
-        &mut self.ports[id.0 as usize]
-    }
-
     /// The name of a port (e.g. `axi_rdata[31]`).
     pub fn port_name(&self, id: PortId) -> &str {
         self.port_names.get(id.0)

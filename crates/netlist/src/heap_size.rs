@@ -75,6 +75,7 @@ impl_heap_size_pod!(
     crate::design::PortDirection,
     crate::connectivity::PinRef,
     crate::hierarchy::HierarchyNodeId,
+    crate::placement::PlacedMacro,
     geometry::Point,
     geometry::Rect,
     geometry::Orientation

@@ -214,19 +214,6 @@ impl HierarchyTree {
         }
         d
     }
-
-    /// Returns `true` if `ancestor` is on the path from `node` to the root
-    /// (a node is considered its own ancestor).
-    pub fn is_ancestor(&self, ancestor: HierarchyNodeId, node: HierarchyNodeId) -> bool {
-        let mut cur = Some(node);
-        while let Some(n) = cur {
-            if n == ancestor {
-                return true;
-            }
-            cur = self.node(n).parent;
-        }
-        false
-    }
 }
 
 impl crate::heap_size::HeapSize for HierarchyNode {
@@ -292,20 +279,6 @@ mod tests {
         let ua = ht.find("u_a").unwrap();
         assert_eq!(ht.subtree_cells(ua).len(), 3);
         assert_eq!(ht.subtree_macros(ua, &d).len(), 2);
-    }
-
-    #[test]
-    fn ancestor_relation() {
-        let d = hier_design();
-        let ht = HierarchyTree::from_design(&d);
-        let root = ht.root();
-        let umem = ht.find("u_a/u_mem").unwrap();
-        let ua = ht.find("u_a").unwrap();
-        let ub = ht.find("u_b").unwrap();
-        assert!(ht.is_ancestor(root, umem));
-        assert!(ht.is_ancestor(ua, umem));
-        assert!(!ht.is_ancestor(ub, umem));
-        assert!(ht.is_ancestor(umem, umem));
     }
 
     #[test]

@@ -31,8 +31,9 @@
 //!   open-addressed name→id index behind `Design::find_cell`/`find_port`/
 //!   `find_net` (12 bytes per slot instead of a duplicated `String` per
 //!   entry).
-//! * [`placement`] — the [`placement::PlacementView`] read trait over macro
-//!   placements, the dense interchange between flows, evaluation and DEF.
+//! * [`placement`] — [`MacroPlacement`], the one macro-placement type: the
+//!   flows return it, the evaluation and the DEF writer read it and the DEF
+//!   reader rebuilds it.
 //!
 //! # Example
 //!
@@ -81,4 +82,4 @@ pub use hash::Fnv1a;
 pub use heap_size::HeapSize;
 pub use hierarchy::{HierarchyNodeId, HierarchyTree};
 pub use library::{Library, MacroDef, PinDef};
-pub use placement::{DenseMacroPlacementView, PlacementView};
+pub use placement::{MacroPlacement, PlacedMacro};

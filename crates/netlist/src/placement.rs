@@ -1,217 +1,284 @@
-//! Dense, id-indexed read access to a macro placement: the [`PlacementView`]
-//! trait and its builder-friendly [`DenseMacroPlacementView`] implementation.
+//! The macro placement: one location and orientation per macro, the result
+//! of a macro-placement flow (HiDaP's Algorithm 1 and the baselines).
 //!
-//! The flow→evaluation boundary used to be a `HashMap<CellId, (Point,
-//! Orientation)>`: every caller materialized the map from the flow output
-//! (`MacroPlacement::to_map`) before handing it to the evaluation pipeline or
-//! the DEF writer, re-hashing every macro id per candidate.  [`PlacementView`]
-//! replaces that interchange type with a read-only trait the flow output
-//! implements *zero-copy*:
+//! [`MacroPlacement`] is the one shape every stage passes around: the flows
+//! return it, the evaluation pipeline and the SVG renderer read it, the DEF
+//! writer emits it ([`crate::def::placement_entries_from_view`]) and the DEF
+//! reader rebuilds it ([`crate::def::DefFile::apply_to`]).
 //!
-//! * `hidap::MacroPlacement` — binary search over its sorted entries,
-//! * [`DenseMacroPlacementView`] — a [`DenseMap`]-backed store for builders
-//!   and tests,
-//! * `HashMap<CellId, (Point, Orientation)>` — an adapter kept for hand-built
-//!   test inputs (and for DEF files parsed into the legacy map shape).
-//!
-//! Consumers take `&impl PlacementView`, so every call site that used to pass
-//! `&placement.to_map()` now passes `&placement` directly.
-//!
-//! A placement's `position` is the **lower-left corner** of the oriented
-//! footprint — the same convention as the DEF `PLACED` location and the old
-//! map's `Point` — not the footprint center.
+//! A macro's `location` is the **lower-left corner** of its oriented
+//! footprint, the same convention as the DEF `PLACED` location, not the
+//! footprint center.
 
-use crate::dense::DenseMap;
-use crate::design::CellId;
-use geometry::{Orientation, Point};
+use crate::design::{CellId, Design};
+use crate::heap_size::HeapSize;
+use geometry::{Orientation, Point, Rect};
 use std::collections::HashMap;
 
-/// Read-only, id-indexed access to a (macro) placement.
-///
-/// Implementations must be consistent: [`PlacementView::position`] and
-/// [`PlacementView::orientation`] return `Some` for exactly the cells that
-/// [`PlacementView::iter_placed`] yields, and [`PlacementView::len`] is the
-/// number of placed cells.
-pub trait PlacementView {
-    /// Lower-left corner of the placed cell, `None` when the cell is not
-    /// placed by this view.
-    fn position(&self, cell: CellId) -> Option<Point>;
+/// Placement of a single macro.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlacedMacro {
+    /// The macro cell.
+    pub cell: CellId,
+    /// Lower-left corner of the (oriented) footprint.
+    pub location: Point,
+    /// Orientation of the macro.
+    pub orientation: Orientation,
+}
 
-    /// Orientation of the placed cell, `None` when the cell is not placed.
-    fn orientation(&self, cell: CellId) -> Option<Orientation>;
-
-    /// Location and orientation in one lookup.
-    fn placement(&self, cell: CellId) -> Option<(Point, Orientation)> {
-        Some((self.position(cell)?, self.orientation(cell)?))
+impl PlacedMacro {
+    /// A macro placed with its lower-left corner at `location`.
+    pub fn new(cell: CellId, location: Point, orientation: Orientation) -> Self {
+        Self { cell, location, orientation }
     }
 
-    /// Iterates over the placed cells as `(cell, location, orientation)`.
+    /// The placed footprint rectangle: the macro's size, rotated by its
+    /// orientation, from its lower-left corner.
+    pub fn footprint(&self, design: &Design) -> Rect {
+        let c = design.cell(self.cell);
+        let (w, h) = self.orientation.transformed_size(c.width, c.height);
+        Rect::from_size(self.location.x, self.location.y, w, h)
+    }
+}
+
+/// The result of a macro-placement flow: one entry per macro of the design.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct MacroPlacement {
+    /// Placed macros, sorted by cell id when they come out of a flow or a
+    /// DEF file.
+    pub macros: Vec<PlacedMacro>,
+    /// Block rectangles decided at the top hierarchy level, for visualization
+    /// of the block-level floorplan (Fig. 1a / Fig. 9d of the paper).
+    pub top_blocks: Vec<(String, Rect)>,
+}
+
+impl MacroPlacement {
+    /// Looks up the placement of a macro cell.
     ///
-    /// The iteration order is implementation-defined (id order for the dense
-    /// implementations, arbitrary for the `HashMap` adapter); callers that
-    /// need a canonical order sort the result (as the DEF writer does).
-    fn iter_placed(&self) -> Box<dyn Iterator<Item = (CellId, Point, Orientation)> + '_>;
-
-    /// Number of placed cells.
-    fn len(&self) -> usize;
-
-    /// Whether the view places no cell at all.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// The legacy hash-map interchange shape as a [`PlacementView`], kept for
-/// hand-built test inputs and DEF-parsed placements.
-impl PlacementView for HashMap<CellId, (Point, Orientation)> {
-    fn position(&self, cell: CellId) -> Option<Point> {
-        self.get(&cell).map(|&(loc, _)| loc)
-    }
-
-    fn orientation(&self, cell: CellId) -> Option<Orientation> {
-        self.get(&cell).map(|&(_, orient)| orient)
-    }
-
-    fn placement(&self, cell: CellId) -> Option<(Point, Orientation)> {
-        self.get(&cell).copied()
-    }
-
-    fn iter_placed(&self) -> Box<dyn Iterator<Item = (CellId, Point, Orientation)> + '_> {
-        // lint:allow(hash-iter): iter_placed is documented order-arbitrary; deterministic
-        // consumers sort (see placement_entries_from_view) or reduce order-independently
-        Box::new(self.iter().map(|(&cell, &(loc, orient))| (cell, loc, orient)))
-    }
-
-    fn len(&self) -> usize {
-        HashMap::len(self)
-    }
-}
-
-/// A dense, id-indexed macro placement store: one `Option<(Point,
-/// Orientation)>` slot per cell id, O(1) branch-free lookups.
-///
-/// This is the builder/test-side counterpart of the flow output: experiment
-/// harnesses that construct candidate placements directly (perturbation
-/// sweeps, hand-written fixtures) fill one of these instead of a `HashMap`.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DenseMacroPlacementView {
-    slots: DenseMap<CellId, Option<(Point, Orientation)>>,
-    placed: usize,
-}
-
-impl DenseMacroPlacementView {
-    /// An empty view (slots grow on [`DenseMacroPlacementView::place`]).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An all-unplaced view covering `num_cells` cells.
-    pub fn with_num_cells(num_cells: usize) -> Self {
-        Self { slots: DenseMap::with_len(num_cells), placed: 0 }
-    }
-
-    /// Copies any other view into a dense store.
-    pub fn from_view(view: &impl PlacementView) -> Self {
-        let mut out = Self::new();
-        for (cell, loc, orient) in view.iter_placed() {
-            out.place(cell, loc, orient);
+    /// `macros` is sorted by cell id whenever it comes out of a flow, so the
+    /// lookup is a binary search; hand-built unsorted vectors fall back to a
+    /// linear scan (a successful binary probe is always correct — only a miss
+    /// can be a false negative on unsorted data).
+    pub fn placement_of(&self, cell: CellId) -> Option<&PlacedMacro> {
+        if let Ok(i) = self.macros.binary_search_by_key(&cell, |m| m.cell) {
+            return Some(&self.macros[i]);
         }
-        out
+        self.macros.iter().find(|m| m.cell == cell)
     }
 
-    /// Places (or moves) a cell, growing the store as needed.
-    pub fn place(&mut self, cell: CellId, location: Point, orientation: Orientation) {
-        if self.slots.get(cell).map(|s| s.is_none()).unwrap_or(true) {
-            self.placed += 1;
+    /// The placed footprint rectangle of a macro.
+    pub fn rect_of(&self, cell: CellId, design: &Design) -> Option<Rect> {
+        self.placement_of(cell).map(|p| p.footprint(design))
+    }
+
+    /// Converts to a map keyed by cell id, the shape
+    /// `workload::emit::emit_def` takes.
+    pub fn to_map(&self) -> HashMap<CellId, (Point, Orientation)> {
+        self.macros.iter().map(|m| (m.cell, (m.location, m.orientation))).collect()
+    }
+
+    /// All placed footprint rectangles, in `macros` order (no per-macro
+    /// lookup: one pass over the vector).
+    pub fn rects(&self, design: &Design) -> Vec<Rect> {
+        self.macros.iter().map(|m| m.footprint(design)).collect()
+    }
+
+    /// Returns `true` when no two macro footprints overlap and every macro is
+    /// inside the die.
+    ///
+    /// Runs a sweep over x-sorted rectangles instead of the naive all-pairs
+    /// check: each rectangle is only compared against rectangles whose left
+    /// edge starts before its right edge, so legal placements check in
+    /// near-linear time after the sort.
+    pub fn is_legal(&self, design: &Design) -> bool {
+        let mut rects = self.rects(design);
+        let die = design.die();
+        // early exit: every rect must sit inside the die before any pairwise work
+        if rects.iter().any(|r| !die.contains_rect(r)) {
+            return false;
         }
-        self.slots.insert(cell, Some((location, orientation)));
-    }
-
-    /// Removes a cell's placement (no-op when it was not placed).
-    pub fn unplace(&mut self, cell: CellId) {
-        if let Some(slot) = self.slots.get_mut(cell) {
-            if slot.take().is_some() {
-                self.placed -= 1;
+        rects.sort_by_key(|r| (r.llx, r.lly));
+        for i in 0..rects.len() {
+            let r = rects[i];
+            for other in &rects[i + 1..] {
+                if other.llx >= r.urx {
+                    break;
+                }
+                if r.overlaps(other) {
+                    return false;
+                }
             }
         }
+        true
+    }
+
+    /// Total overlap area between macro footprints (0 for a legal placement),
+    /// computed with the same x-sweep as [`MacroPlacement::is_legal`].
+    pub fn total_overlap(&self, design: &Design) -> i128 {
+        let mut rects = self.rects(design);
+        rects.sort_by_key(|r| (r.llx, r.lly));
+        let mut total = 0;
+        for i in 0..rects.len() {
+            let r = rects[i];
+            for other in &rects[i + 1..] {
+                if other.llx >= r.urx {
+                    break;
+                }
+                total += r.overlap_area(other);
+            }
+        }
+        total
     }
 }
 
-impl PlacementView for DenseMacroPlacementView {
-    fn position(&self, cell: CellId) -> Option<Point> {
-        self.placement(cell).map(|(loc, _)| loc)
+/// Collects placed macros into a placement sorted by cell (a stable sort:
+/// repeats of one cell keep their order), with no top-level blocks.
+impl FromIterator<PlacedMacro> for MacroPlacement {
+    fn from_iter<I: IntoIterator<Item = PlacedMacro>>(iter: I) -> Self {
+        let mut macros: Vec<PlacedMacro> = iter.into_iter().collect();
+        macros.sort_by_key(|m| m.cell);
+        Self { macros, top_blocks: Vec::new() }
     }
+}
 
-    fn orientation(&self, cell: CellId) -> Option<Orientation> {
-        self.placement(cell).map(|(_, orient)| orient)
-    }
-
-    fn placement(&self, cell: CellId) -> Option<(Point, Orientation)> {
-        self.slots.get(cell).copied().flatten()
-    }
-
-    fn iter_placed(&self) -> Box<dyn Iterator<Item = (CellId, Point, Orientation)> + '_> {
-        Box::new(self.slots.iter().filter_map(|(cell, slot)| slot.map(|(l, o)| (cell, l, o))))
-    }
-
-    fn len(&self) -> usize {
-        self.placed
+impl HeapSize for MacroPlacement {
+    fn heap_bytes(&self) -> usize {
+        self.macros.heap_bytes() + self.top_blocks.heap_bytes()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::design::DesignBuilder;
 
-    #[test]
-    fn hashmap_adapter_reads_back_entries() {
-        let mut map = HashMap::new();
-        map.insert(CellId(3), (Point::new(10, 20), Orientation::FN));
-        map.insert(CellId(7), (Point::new(0, 0), Orientation::N));
-        assert_eq!(map.position(CellId(3)), Some(Point::new(10, 20)));
-        assert_eq!(map.orientation(CellId(3)), Some(Orientation::FN));
-        assert_eq!(map.placement(CellId(7)), Some((Point::new(0, 0), Orientation::N)));
-        assert_eq!(map.position(CellId(0)), None);
-        assert_eq!(PlacementView::len(&map), 2);
-        assert!(!PlacementView::is_empty(&map));
-        let mut placed: Vec<_> = map.iter_placed().collect();
-        placed.sort_by_key(|&(c, _, _)| c);
-        assert_eq!(placed.len(), 2);
-        assert_eq!(placed[0].0, CellId(3));
+    fn two_macro_design() -> (Design, CellId, CellId) {
+        let mut b = DesignBuilder::new("t");
+        let a = b.add_macro("a", "RAM", 100, 50, "");
+        let c = b.add_macro("c", "RAM", 100, 50, "");
+        b.set_die(Rect::new(0, 0, 1000, 1000));
+        (b.build(), a, c)
     }
 
     #[test]
-    fn dense_view_places_unplaces_and_counts() {
-        let mut view = DenseMacroPlacementView::with_num_cells(4);
-        assert!(view.is_empty());
-        view.place(CellId(1), Point::new(5, 6), Orientation::S);
-        view.place(CellId(6), Point::new(7, 8), Orientation::N); // grows past 4
-        assert_eq!(view.len(), 2);
-        assert_eq!(view.placement(CellId(1)), Some((Point::new(5, 6), Orientation::S)));
-        // replacing does not double-count
-        view.place(CellId(1), Point::new(9, 9), Orientation::N);
-        assert_eq!(view.len(), 2);
-        assert_eq!(view.position(CellId(1)), Some(Point::new(9, 9)));
-        view.unplace(CellId(1));
-        assert_eq!(view.len(), 1);
-        assert_eq!(view.placement(CellId(1)), None);
-        // unplacing an out-of-range or already-empty slot is a no-op
-        view.unplace(CellId(100));
-        view.unplace(CellId(2));
-        assert_eq!(view.len(), 1);
-        let placed: Vec<_> = view.iter_placed().collect();
-        assert_eq!(placed, vec![(CellId(6), Point::new(7, 8), Orientation::N)]);
+    fn legality_detects_overlap() {
+        let (d, a, c) = two_macro_design();
+        let mut p = MacroPlacement::default();
+        p.macros.push(PlacedMacro {
+            cell: a,
+            location: Point::new(0, 0),
+            orientation: Orientation::N,
+        });
+        p.macros.push(PlacedMacro {
+            cell: c,
+            location: Point::new(50, 10),
+            orientation: Orientation::N,
+        });
+        assert!(!p.is_legal(&d));
+        assert!(p.total_overlap(&d) > 0);
+        p.macros[1].location = Point::new(200, 0);
+        assert!(p.is_legal(&d));
+        assert_eq!(p.total_overlap(&d), 0);
     }
 
     #[test]
-    fn from_view_round_trips_a_hashmap() {
-        let mut map = HashMap::new();
-        map.insert(CellId(2), (Point::new(1, 2), Orientation::W));
-        map.insert(CellId(5), (Point::new(3, 4), Orientation::FS));
-        let dense = DenseMacroPlacementView::from_view(&map);
-        assert_eq!(dense.len(), 2);
-        for (cell, loc, orient) in map.iter_placed() {
-            assert_eq!(dense.placement(cell), Some((loc, orient)));
+    fn legality_detects_out_of_die() {
+        let (d, a, _) = two_macro_design();
+        let mut p = MacroPlacement::default();
+        p.macros.push(PlacedMacro {
+            cell: a,
+            location: Point::new(950, 0),
+            orientation: Orientation::N,
+        });
+        assert!(!p.is_legal(&d));
+    }
+
+    #[test]
+    fn rect_respects_orientation() {
+        let (d, a, _) = two_macro_design();
+        let mut p = MacroPlacement::default();
+        p.macros.push(PlacedMacro {
+            cell: a,
+            location: Point::new(0, 0),
+            orientation: Orientation::W,
+        });
+        let r = p.rect_of(a, &d).unwrap();
+        assert_eq!((r.width(), r.height()), (50, 100));
+    }
+
+    #[test]
+    fn lookup_missing_macro() {
+        let (_, _, c) = two_macro_design();
+        let p = MacroPlacement::default();
+        assert!(p.placement_of(c).is_none());
+    }
+
+    #[test]
+    fn lookup_works_on_unsorted_macros() {
+        let (_, a, c) = two_macro_design();
+        let mut p = MacroPlacement::default();
+        // insert in reverse id order so binary search alone would miss
+        p.macros.push(PlacedMacro {
+            cell: c,
+            location: Point::new(300, 0),
+            orientation: Orientation::FN,
+        });
+        p.macros.push(PlacedMacro {
+            cell: a,
+            location: Point::new(0, 0),
+            orientation: Orientation::N,
+        });
+        assert_eq!(p.placement_of(a).unwrap().location, Point::new(0, 0));
+        assert_eq!(p.placement_of(c).unwrap().orientation, Orientation::FN);
+    }
+
+    #[test]
+    fn to_map_and_def_agree_with_indexed_lookups() {
+        let (d, a, c) = two_macro_design();
+        let mut p = MacroPlacement::default();
+        p.macros.push(PlacedMacro {
+            cell: a,
+            location: Point::new(10, 20),
+            orientation: Orientation::N,
+        });
+        p.macros.push(PlacedMacro {
+            cell: c,
+            location: Point::new(400, 500),
+            orientation: Orientation::FN,
+        });
+        // to_map agrees with placement_of for every macro
+        let map = p.to_map();
+        assert_eq!(map.len(), p.macros.len());
+        for (&cell, &(loc, orient)) in &map {
+            let found = p.placement_of(cell).expect("indexed lookup finds every mapped macro");
+            assert_eq!(found.location, loc);
+            assert_eq!(found.orientation, orient);
         }
+        // the DEF entries carry the same locations and orientations
+        let entries = crate::def::placement_entries_from_view(&d, &p, true);
+        assert_eq!(entries.len(), p.macros.len());
+        for entry in &entries {
+            let cell = d.find_cell(&entry.name).expect("entry names a design cell");
+            let found = p.placement_of(cell).expect("indexed lookup finds every DEF entry");
+            assert_eq!(entry.location, found.location);
+            assert_eq!(entry.orientation, found.orientation);
+        }
+    }
+
+    #[test]
+    fn heap_bytes_count_both_vectors() {
+        let (_, a, _) = two_macro_design();
+        let mut p = MacroPlacement::default();
+        assert_eq!(p.heap_bytes(), 0);
+        p.macros.push(PlacedMacro {
+            cell: a,
+            location: Point::new(0, 0),
+            orientation: Orientation::N,
+        });
+        p.top_blocks.push(("u_core".to_string(), Rect::new(0, 0, 10, 10)));
+        let want = p.macros.capacity() * std::mem::size_of::<PlacedMacro>()
+            + p.top_blocks.capacity() * std::mem::size_of::<(String, Rect)>()
+            + p.top_blocks[0].0.capacity();
+        assert_eq!(p.heap_bytes(), want);
     }
 }

@@ -142,8 +142,7 @@ impl Placer for HidapFlow {
         let metrics = req.evaluate.as_ref().map(|eval_cfg| {
             // lint:allow(wall-clock): report-only wall_s stage timing; never influences placement
             let t = Instant::now();
-            // the context's evaluator shares the Gseq cache across a sweep,
-            // and the flow output is read directly as a PlacementView
+            // the context's evaluator shares the Gseq cache across a sweep
             let metrics = match req.warm_cells {
                 Some(cells) => ctx.evaluator(*eval_cfg).evaluate_warm(design, &placement, cells).0,
                 None => ctx.evaluator(*eval_cfg).evaluate(design, &placement),

@@ -12,12 +12,18 @@
 //! result was already taken — revives the seed from disk and warm-starts
 //! exactly as it would have from the held result.
 //!
-//! The payload is codec-encoded ([`netlist::codec`]): the winning macro
-//! placement (locations, orientations, top-level block rectangles) plus the
-//! standard-cell placement when the base job evaluated. Decoding is
-//! truncation-tolerant — any malformed payload reads as absent and the
-//! replace falls back to its structured dependency error.
+//! Every job that succeeds on one design state writes the same file, so the
+//! file holds the last one's outcome. The payload records that job's
+//! [`JobId`], and a replace revives the seed only when it names that job as
+//! its base.
+//!
+//! The payload is codec-encoded ([`netlist::codec`]): the writing job's id,
+//! the winning macro placement (locations, orientations, top-level block
+//! rectangles) plus the standard-cell placement when the job evaluated.
+//! Decoding is truncation-tolerant — any malformed payload reads as absent
+//! and the replace falls back to its structured dependency error.
 
+use crate::JobId;
 use eval::{CellPlacement, DesignKey};
 use geometry::{Orientation, Point, Rect};
 use hidap::{MacroPlacement, PlacedMacro};
@@ -67,9 +73,10 @@ fn orientation_tag(o: Orientation) -> u8 {
     Orientation::ALL.iter().position(|&x| x == o).unwrap_or(0) as u8
 }
 
-/// Encodes a warm seed into a spill payload.
-pub fn encode_seed(seed: &WarmSeed) -> Vec<u8> {
+/// Encodes the warm seed job `job` left behind into a spill payload.
+pub fn encode_seed(job: JobId, seed: &WarmSeed) -> Vec<u8> {
     let mut out = Vec::new();
+    put_u64(&mut out, job.0);
     put_u64(&mut out, seed.placement.macros.len() as u64);
     for m in &seed.placement.macros {
         put_u32(&mut out, m.cell.0);
@@ -103,11 +110,12 @@ pub fn encode_seed(seed: &WarmSeed) -> Vec<u8> {
     out
 }
 
-/// Decodes a spill payload back into a warm seed. `None` on any truncation,
-/// trailing garbage, or out-of-range tag — the caller degrades to running
-/// without the seed.
-pub fn decode_seed(bytes: &[u8]) -> Option<WarmSeed> {
+/// Decodes a spill payload back into the job that wrote it and its warm
+/// seed. `None` on any truncation, trailing garbage, or out-of-range tag —
+/// the caller degrades to running without the seed.
+pub fn decode_seed(bytes: &[u8]) -> Option<(JobId, WarmSeed)> {
     let mut r = Reader::new(bytes);
+    let job = JobId(r.take_u64()?);
     let num_macros = r.take_len()?;
     // every macro record is at least 4 + 16 + 1 bytes: reject length bombs
     // before sizing the vector
@@ -154,7 +162,7 @@ pub fn decode_seed(bytes: &[u8]) -> Option<WarmSeed> {
     if !r.is_exhausted() {
         return None;
     }
-    Some(WarmSeed { placement: MacroPlacement { macros, top_blocks }, cells })
+    Some((job, WarmSeed { placement: MacroPlacement { macros, top_blocks }, cells }))
 }
 
 #[cfg(test)]
@@ -190,14 +198,14 @@ mod tests {
     fn seed_round_trips_with_and_without_cells() {
         for with_cells in [false, true] {
             let seed = sample(with_cells);
-            let bytes = encode_seed(&seed);
-            assert_eq!(decode_seed(&bytes), Some(seed));
+            let bytes = encode_seed(JobId(41), &seed);
+            assert_eq!(decode_seed(&bytes), Some((JobId(41), seed)));
         }
     }
 
     #[test]
     fn truncated_and_padded_seed_payloads_read_as_absent() {
-        let bytes = encode_seed(&sample(true));
+        let bytes = encode_seed(JobId(0), &sample(true));
         for cut in 0..bytes.len() {
             assert_eq!(decode_seed(&bytes[..cut]), None, "cut at {cut}");
         }
@@ -208,14 +216,14 @@ mod tests {
 
     #[test]
     fn out_of_range_tags_read_as_absent() {
-        let mut bad_orient = encode_seed(&sample(false));
-        // last macro byte before the (empty) block and cells sections:
-        // macros len (8) + 2 × (4 + 16 + 1) = 50; orientation of macro 1 is
-        // at offset 49
-        bad_orient[49] = 8;
+        let mut bad_orient = encode_seed(JobId(0), &sample(false));
+        // last macro byte before the block and cells sections: job id (8) +
+        // macros len (8) + 2 × (4 + 16 + 1) = 58; orientation of macro 1 is
+        // at offset 57
+        bad_orient[57] = 8;
         assert_eq!(decode_seed(&bad_orient), None);
 
-        let mut bad_cells = encode_seed(&sample(false));
+        let mut bad_cells = encode_seed(JobId(0), &sample(false));
         let last = bad_cells.len() - 1;
         bad_cells[last] = 2;
         assert_eq!(decode_seed(&bad_cells), None);

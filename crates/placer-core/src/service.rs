@@ -534,7 +534,8 @@ impl PlacementService {
     /// issued by a previous incarnation of the daemon, or one whose result
     /// was already taken — falls back to the design's persisted warm-start
     /// seed file before erroring, so `replace` survives a restart pointed at
-    /// the same directory.
+    /// the same directory. A seed file some other job wrote is an error
+    /// naming both jobs.
     fn resolve_replace_base(
         &mut self,
         id: JobId,
@@ -560,34 +561,36 @@ impl PlacementService {
                  submit the replace after its base has run, or do not give it higher priority",
                 id.0, spec.base.0
             ))),
-            None if spec.base.0 >= self.next_job => self.revive_seed(design).ok_or_else(|| {
-                PlaceError::InvalidRequest(format!(
-                    "replace job {} depends on job {} which was never submitted to this \
+            None if spec.base.0 >= self.next_job => {
+                self.revive_seed(id, design, spec.base).unwrap_or_else(|| {
+                    Err(PlaceError::InvalidRequest(format!(
+                        "replace job {} depends on job {} which was never submitted to this \
                          service",
-                    id.0, spec.base.0
-                ))
-            }),
+                        id.0, spec.base.0
+                    )))
+                })
+            }
             None if self.queue.iter().any(|(qid, _)| *qid == spec.base) => {
                 Err(PlaceError::InvalidRequest(format!(
                     "replace job {} depends on job {} which is still queued and has not run",
                     id.0, spec.base.0
                 )))
             }
-            None => self.revive_seed(design).ok_or_else(|| {
-                PlaceError::InvalidRequest(format!(
+            None => self.revive_seed(id, design, spec.base).unwrap_or_else(|| {
+                Err(PlaceError::InvalidRequest(format!(
                     "replace job {} depends on job {} whose result was already taken \
                      (results are take-once); keep the base result until the replace has run",
                     id.0, spec.base.0
-                ))
+                )))
             }),
         }
     }
 
-    /// Persists a successful job's winning placement (and evaluated cell
+    /// Persists successful job `id`'s winning placement (and evaluated cell
     /// placement, when present) as the design's warm-start seed file. A
     /// no-op without a spill directory; a failed write is simply not
     /// counted.
-    fn persist_seed(&mut self, handle: DesignHandle, outcome: &PlaceOutcome) {
+    fn persist_seed(&mut self, id: JobId, handle: DesignHandle, outcome: &PlaceOutcome) {
         let Some(tier) = self.store.spill_tier().cloned() else { return };
         let Some(design) = self.store.get_design(handle) else { return };
         let fp = seed_fingerprint(self.store.key(handle), design.geometry_fingerprint());
@@ -595,20 +598,27 @@ impl PlacementService {
             placement: outcome.placement.clone(),
             cells: outcome.metrics.as_ref().map(|m| m.cell_placement.clone()),
         };
-        if tier.store(&seed_stem(fp), fp, &encode_seed(&seed)) {
+        if tier.store(&seed_stem(fp), fp, &encode_seed(id, &seed)) {
             self.seed_spills += 1;
         }
     }
 
     /// Revives the design's persisted warm-start seed from the spill
-    /// directory, validated against the resident design (macro count, cell
-    /// ids in range). `None` without a spill directory, without a resident
-    /// design, or on any malformed or mismatched file.
-    fn revive_seed(&mut self, handle: DesignHandle) -> Option<WarmSeed> {
+    /// directory for replace job `id`, validated against the resident design
+    /// (macro count, cell ids in range). `None` without a spill directory,
+    /// without a resident design, or on any malformed or mismatched file; a
+    /// structured [`PlaceError::InvalidRequest`] when a job other than `base`
+    /// wrote the seed.
+    fn revive_seed(
+        &mut self,
+        id: JobId,
+        handle: DesignHandle,
+        base: JobId,
+    ) -> Option<Result<WarmSeed, PlaceError>> {
         let tier = self.store.spill_tier().cloned()?;
         let design = self.store.get_design(handle)?;
         let fp = seed_fingerprint(self.store.key(handle), design.geometry_fingerprint());
-        let seed = decode_seed(&tier.load(&seed_stem(fp), fp)?)?;
+        let (writer, seed) = decode_seed(&tier.load(&seed_stem(fp), fp)?)?;
         let cells_ok = seed.cells.as_ref().is_none_or(|c| c.positions.len() <= design.num_cells());
         if seed.placement.macros.len() != design.num_macros()
             || seed.placement.macros.iter().any(|m| m.cell.0 as usize >= design.num_cells())
@@ -616,8 +626,15 @@ impl PlacementService {
         {
             return None;
         }
+        if writer != base {
+            return Some(Err(PlaceError::InvalidRequest(format!(
+                "replace job {} depends on job {} whose result is gone, and the seed persisted \
+                 for its design was written by job {}",
+                id.0, base.0, writer.0
+            ))));
+        }
         self.seed_revives += 1;
-        Some(seed)
+        Some(Ok(seed))
     }
 
     /// Runs one job through the engine, in a context borrowing the store's
@@ -750,7 +767,7 @@ impl PlacementService {
         };
         // the winning placement becomes the design's persisted warm-start
         // seed, so a later replace survives a service restart
-        self.persist_seed(job.design, &result.outcome);
+        self.persist_seed(id, job.design, &result.outcome);
         Ok(result)
     }
 }

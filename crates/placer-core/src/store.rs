@@ -374,13 +374,6 @@ impl DesignStore {
         self.slots.iter().position(|s| s.key == *key).map(DesignHandle::from_index)
     }
 
-    /// Finds the handle of the first interned design with this name. Like
-    /// [`DesignStore::find`], the returned handle may refer to an evicted
-    /// (non-resident) design.
-    pub fn find_by_name(&self, name: &str) -> Option<DesignHandle> {
-        self.slots.iter().position(|s| s.key.name() == name).map(DesignHandle::from_index)
-    }
-
     /// Number of distinct design identities interned (resident or evicted).
     pub fn len(&self) -> usize {
         self.slots.len()
@@ -649,8 +642,6 @@ mod tests {
         let rewired = store.intern(design("alpha", "other_reg[0]"));
         assert_ne!(a, rewired, "identity is content, not just the name");
         assert_eq!(store.len(), 2);
-        // name lookup returns the first intern
-        assert_eq!(store.find_by_name("alpha"), Some(a));
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!   the design's persisted warm-start seed and produces a result
 //!   **bit-identical** to the same replace run against the held base,
 //! * with no seed file present the structured dependency errors are
-//!   unchanged,
+//!   unchanged, and a seed file another job wrote is a structured error
+//!   naming both jobs, never another job's warm start,
 //! * a fleet evicted to disk and re-interned places again with zero graph
 //!   builds, every graph revived, and the cold pass's results,
 //! * random schedules over a zero-budget store **with** a spill directory
@@ -119,6 +120,43 @@ fn replace_after_the_base_was_taken_revives_from_the_spill_dir() {
     let result = service.take_result(replace).expect("ran").expect("seed file replaced the base");
     assert_eq!(service.stats().seed_revives, 1);
     assert_eq!(result.outcome.placement.macros.len(), base_result.outcome.placement.macros.len());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two jobs on one design state share its seed file, so the later one's
+/// outcome overwrites the earlier one's. A replace naming the earlier job
+/// after both results were taken must not warm-start from the later job's
+/// placement: it fails naming both jobs, and the writer still revives.
+#[test]
+fn a_seed_another_job_wrote_is_refused_naming_both_jobs() {
+    let dir = scratch("seed-of-another-job");
+    let mut service = PlacementService::new(placer_core::builtin_registry()).with_spill_dir(&dir);
+    let design = service.intern(pool_design(0));
+    let first = service.submit(evaluated_job(design, 7));
+    let second = service.submit(evaluated_job(design, 8));
+    service.run_all();
+    // take both results, as the daemon's `drain` streams them out
+    for job in [first, second] {
+        service.take_result(job).expect("ran").expect("succeeded");
+    }
+    let edits = resize_edits(&service, design);
+
+    let stale = service.submit(evaluated_job(design, 7).with_replace(first, edits.clone()));
+    service.run_all();
+    let err = service.take_result(stale).expect("ran").expect_err("the seed is job 1's");
+    let msg = err.to_string();
+    assert!(
+        msg.contains(&format!("depends on job {}", first.0))
+            && msg.contains(&format!("written by job {}", second.0)),
+        "the error names the base and the seed's writer: {msg}"
+    );
+    assert!(matches!(err, placer_core::PlaceError::InvalidRequest(_)), "{err:?}");
+    assert_eq!(service.stats().seed_revives, 0, "a refused seed is not a revive");
+
+    let fresh = service.submit(evaluated_job(design, 8).with_replace(second, edits));
+    service.run_all();
+    service.take_result(fresh).expect("ran").expect("the writer's seed revives");
+    assert_eq!(service.stats().seed_revives, 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -12,9 +12,11 @@
 //! `netlist` parsers keep verbatim), so array grouping still works after a
 //! round trip even though the re-parsed hierarchy tree only has two levels.
 
+use geometry::{Orientation, Point};
 use netlist::design::{CellId, CellKind, Design, NetId};
 use netlist::library::Library;
-use std::collections::{BTreeMap, BTreeSet};
+use netlist::{MacroPlacement, PlacedMacro};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
 
 /// Escapes an identifier for structural Verilog (hierarchical names contain
@@ -234,14 +236,26 @@ pub fn emit_lef(design: &Design, library: &Library, dbu_per_micron: i64) -> Stri
     out
 }
 
+/// The DEF component entries of `placements`, sorted by instance name.
+fn component_entries(
+    design: &Design,
+    placements: &HashMap<CellId, (Point, Orientation)>,
+) -> Vec<netlist::def::PlacementEntry> {
+    let placement: MacroPlacement = placements
+        .iter()
+        .map(|(&cell, &(location, orientation))| PlacedMacro::new(cell, location, orientation))
+        .collect();
+    netlist::def::placement_entries_from_view(design, &placement, true)
+}
+
 /// Emits a floorplan DEF: die area, port locations and (optionally) macro
-/// placements.
+/// placements (`MacroPlacement::to_map` converts a flow's output).
 pub fn emit_def(
     design: &Design,
     dbu_per_micron: i64,
-    placements: &std::collections::HashMap<CellId, (geometry::Point, geometry::Orientation)>,
+    placements: &HashMap<CellId, (Point, Orientation)>,
 ) -> String {
-    let entries = netlist::def::placement_entries(design, placements, true);
+    let entries = component_entries(design, placements);
     let pins = netlist::def::port_entries(design);
     netlist::def::write_def(design.name(), dbu_per_micron, design.die(), &entries, &pins)
 }
@@ -252,9 +266,9 @@ pub fn emit_def_to<W: std::io::Write>(
     out: &mut W,
     design: &Design,
     dbu_per_micron: i64,
-    placements: &std::collections::HashMap<CellId, (geometry::Point, geometry::Orientation)>,
+    placements: &HashMap<CellId, (Point, Orientation)>,
 ) -> std::io::Result<()> {
-    let entries = netlist::def::placement_entries(design, placements, true);
+    let entries = component_entries(design, placements);
     let pins = netlist::def::port_entries(design);
     netlist::def::write_def_to(out, design.name(), dbu_per_micron, design.die(), &entries, &pins)
 }

@@ -5,8 +5,10 @@
 //! scale, so the streaming rewrite cannot silently change the file format.
 
 use geometry::{Orientation, Point, Rect};
-use netlist::def::{placement_entries, port_entries, write_def, write_def_to, PlacementEntry};
-use std::collections::HashMap;
+use netlist::def::{
+    placement_entries_from_view, port_entries, write_def, write_def_to, PlacementEntry,
+};
+use netlist::{MacroPlacement, PlacedMacro};
 
 /// The pre-streaming emitter, copied verbatim: the reference for byte
 /// identity.
@@ -59,16 +61,19 @@ fn streaming_emitter_matches_reference_at_large_soc_scale() {
 
     // deterministic synthetic macro placement: a grid walk in macro-id order
     let die = design.die();
-    let mut placements: HashMap<netlist::CellId, (Point, Orientation)> = HashMap::new();
-    for (i, id) in design.macros().enumerate() {
-        let i = i as i64;
-        let x = die.llx + (i % 17) * 1000;
-        let y = die.lly + (i / 17) * 2000;
-        let orient = if i % 3 == 0 { Orientation::N } else { Orientation::FS };
-        placements.insert(id, (Point { x, y }, orient));
-    }
+    let placement: MacroPlacement = design
+        .macros()
+        .enumerate()
+        .map(|(i, id)| {
+            let i = i as i64;
+            let x = die.llx + (i % 17) * 1000;
+            let y = die.lly + (i / 17) * 2000;
+            let orient = if i % 3 == 0 { Orientation::N } else { Orientation::FS };
+            PlacedMacro::new(id, Point { x, y }, orient)
+        })
+        .collect();
 
-    let entries = placement_entries(design, &placements, true);
+    let entries = placement_entries_from_view(design, &placement, true);
     let pins = port_entries(design);
     assert!(entries.len() >= 200, "large_soc should have >= 200 macros, got {}", entries.len());
 
@@ -80,6 +85,7 @@ fn streaming_emitter_matches_reference_at_large_soc_scale() {
     assert_eq!(wrapped, reference, "write_def wrapper differs from the old emitter");
 
     // the streaming wrapper in workload takes the same path
+    let placements = placement.to_map();
     let mut via_workload = Vec::new();
     workload::emit::emit_def_to(&mut via_workload, design, 2000, &placements)
         .expect("Vec write cannot fail");

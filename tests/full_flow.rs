@@ -46,7 +46,7 @@ fn dataflow_aware_placement_beats_random_macro_scatter() {
     // adversarial scatter: place macros round-robin in opposite corners so
     // connected clusters are torn apart, then legalize via the same helper
     use hidap::legalize::{legalize_macros, MacroFootprint, MacroFootprints};
-    use std::collections::HashMap;
+    use hidap::{MacroPlacement, PlacedMacro};
     let die = design.die();
     let mut footprints = MacroFootprints::for_design(design);
     for (i, m) in design.macros().enumerate() {
@@ -60,9 +60,11 @@ fn dataflow_aware_placement_beats_random_macro_scatter() {
         footprints.insert(m, MacroFootprint { location: corner, rotated: false });
     }
     legalize_macros(design, die, &mut footprints);
-    let scatter_map: HashMap<_, _> =
-        footprints.iter().map(|(c, fp)| (c, (fp.location, geometry::Orientation::N))).collect();
-    let scatter_wl = evaluator.evaluate(design, &scatter_map).wirelength_m;
+    let scatter: MacroPlacement = footprints
+        .iter()
+        .map(|(c, fp)| PlacedMacro::new(c, fp.location, geometry::Orientation::N))
+        .collect();
+    let scatter_wl = evaluator.evaluate(design, &scatter).wirelength_m;
 
     assert!(
         hidap_wl < scatter_wl,
