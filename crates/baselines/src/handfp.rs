@@ -97,8 +97,8 @@ impl HandFp {
     ///
     /// # Errors
     ///
-    /// Fails only when every candidate fails (first grid-order error), the
-    /// grid is empty, or the context cancels the sweep.
+    /// Fails only when every candidate fails (first grid-order error) or the
+    /// grid is empty.
     pub fn run_batch(
         &self,
         config: &HandFpConfig,
@@ -122,7 +122,6 @@ impl HandFp {
         match self.run_batch(&self.config, &PlaceRequest::new(design), &mut PlaceContext::new()) {
             Ok(batch) => Ok((batch.winner.placement, batch.winner_score)),
             Err(PlaceError::Flow(e)) => Err(e),
-            Err(PlaceError::Cancelled) => Err(HidapError::Cancelled),
             Err(other) => Err(HidapError::Internal(other.to_string())),
         }
     }

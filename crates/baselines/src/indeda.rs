@@ -352,9 +352,6 @@ impl placer_core::Placer for IndEda {
         use placer_core::{PlaceError, StageEvent, StageTiming};
 
         req.validate()?;
-        if let Some(err) = ctx.interrupted() {
-            return Err(err);
-        }
         // λ is a dataflow-affinity knob this flat flow does not have
         let mut config = match req.effort {
             Some(effort) => IndEdaConfig::for_effort(effort),

@@ -101,7 +101,8 @@ pub struct Options {
     /// Unix-socket path for `--serve`: accept connections there instead of
     /// speaking on stdin/stdout, keeping the store warm across sessions.
     pub socket: Option<PathBuf>,
-    /// Per-client quota of queued jobs for `--serve` (0 keeps the default).
+    /// Per-client quota of queued jobs for `--serve` (0 keeps the default,
+    /// [`server::Server::DEFAULT_QUOTA`]).
     pub quota: usize,
     /// Output DEF path (optional).
     pub out: Option<PathBuf>,
@@ -772,8 +773,8 @@ pub fn run_manifest(opts: &Options) -> Result<String, String> {
 /// Builds the `--serve` daemon: a [`server::Server`] whose loader reads
 /// `intern verilog=<path> [lef=<path>] [def=<path>] [top=<name>]` commands
 /// through [`load_design`] (paths resolved against the daemon's working
-/// directory), over a store honoring `--memory-budget` and a scheduler
-/// honoring `--quota`. Jobs drain serially (`--jobs 1` semantics) so the
+/// directory), over a store honoring `--memory-budget`, with the per-client
+/// quota `--quota` sets. Jobs drain serially (`--jobs 1` semantics) so the
 /// event stream is deterministic; see `docs/PROTOCOL.md`.
 pub fn build_server(opts: &Options) -> server::Server {
     let mut store = match opts.memory_budget_mib {
@@ -786,11 +787,11 @@ pub fn build_server(opts: &Options) -> server::Server {
         store = store.with_spill_dir(dir.clone());
     }
     let service = PlacementService::with_store(baselines::default_registry(), store).with_jobs(1);
-    let mut scheduler = placer_core::Scheduler::with_service(service);
-    if opts.quota > 0 {
-        scheduler = scheduler.with_quota(opts.quota);
+    let server = server::Server::new(service, file_design_loader());
+    match opts.quota {
+        0 => server,
+        quota => server.with_quota(quota),
     }
-    server::Server::new(scheduler, file_design_loader())
 }
 
 /// The daemon's design loader: `intern` frames name input files like the

@@ -137,7 +137,7 @@ fn serve_session_places_files_with_priorities_and_zero_warm_rebuilds() {
 
     // and performed zero graph rebuilds: misses stayed at the cold count
     // (one per kind per design that ran)
-    let stats = daemon.scheduler().service().store().artifacts().stats();
+    let stats = daemon.service().store().artifacts().stats();
     assert_eq!(stats.seq.misses, 1, "only the cold run built the sequential graph");
     assert_eq!(stats.net.misses, 1, "only the cold run built the netlist graph");
     assert!(stats.seq.hits >= 1, "the warm run hit the cache");

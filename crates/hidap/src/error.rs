@@ -16,9 +16,6 @@ pub enum HidapError {
     },
     /// An internal invariant was violated; indicates a bug.
     Internal(String),
-    /// The run was aborted by a flow probe (see [`crate::flow::FlowStage`]),
-    /// typically on behalf of an engine-level cancellation.
-    Cancelled,
 }
 
 impl fmt::Display for HidapError {
@@ -29,7 +26,6 @@ impl fmt::Display for HidapError {
                 write!(f, "total macro area {macro_area} exceeds die area {die_area}")
             }
             HidapError::Internal(msg) => write!(f, "internal error: {msg}"),
-            HidapError::Cancelled => write!(f, "flow run was cancelled"),
         }
     }
 }

@@ -16,11 +16,9 @@ use rand::{ChaCha8Rng, SeedableRng};
 
 /// A checkpoint the flow reports as it moves through its stages.
 ///
-/// Probes (see [`HidapFlow::run_probed`]) receive each checkpoint in order
-/// and return `true` to continue or `false` to abort the run with
-/// [`HidapError::Cancelled`]. This is the hook the `placer-core` engine uses
-/// for stage observability and cancellation without this crate depending on
-/// the engine.
+/// Probes (see [`HidapFlow::run_probed`]) receive each checkpoint in order.
+/// This is the hook the `placer-core` engine uses for stage timings and
+/// events without this crate depending on the engine.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FlowStage<'a> {
     /// The hierarchy tree was built (`nodes` hierarchy levels).
@@ -54,8 +52,8 @@ pub enum FlowStage<'a> {
     },
 }
 
-/// A stage callback: return `false` to abort the run.
-pub type FlowProbe<'a> = dyn FnMut(&FlowStage<'_>) -> bool + 'a;
+/// A stage callback, called once per [`FlowStage`] checkpoint.
+pub type FlowProbe<'a> = dyn FnMut(&FlowStage<'_>) + 'a;
 
 /// The HiDaP macro placer.
 ///
@@ -90,12 +88,10 @@ impl HidapFlow {
     /// * [`HidapError::MacrosExceedDie`] when the macros cannot possibly fit,
     /// * [`HidapError::Internal`] when the configuration is invalid.
     pub fn run(&self, design: &Design) -> Result<MacroPlacement, HidapError> {
-        self.run_probed(design, None, None, &mut |_| true)
+        self.run_probed(design, None, None, &mut |_| {})
     }
 
     /// Runs the flow, reporting each [`FlowStage`] checkpoint to `probe`.
-    /// When the probe returns `false` the run stops at that boundary with
-    /// [`HidapError::Cancelled`].
     ///
     /// `graphs` are the design's [`NetGraph`] and the [`SeqGraph`] built
     /// for it with this configuration's `min_register_bits`; multi-design
@@ -114,8 +110,7 @@ impl HidapFlow {
     ///
     /// # Errors
     ///
-    /// Everything [`HidapFlow::run`] can return, plus
-    /// [`HidapError::Cancelled`] when the probe aborts the run.
+    /// Everything [`HidapFlow::run`] can return.
     pub fn run_probed(
         &self,
         design: &Design,
@@ -158,9 +153,7 @@ impl HidapFlow {
         };
 
         let moved = legalize_macros(design, die, &mut footprints);
-        if !probe(&FlowStage::LegalizationDone { moved }) {
-            return Err(HidapError::Cancelled);
-        }
+        probe(&FlowStage::LegalizationDone { moved });
         let orientations = macro_flipping(design, &footprints);
         let flipped = orientations.values().filter(|&&o| o != Orientation::N).count();
         let mut macros: Vec<PlacedMacro> = footprints
@@ -184,9 +177,7 @@ impl HidapFlow {
         if warm.is_some() && !placement.is_legal(design) {
             return self.run_probed(design, graphs, None, probe);
         }
-        if !probe(&FlowStage::FlippingDone { flipped }) {
-            return Err(HidapError::Cancelled);
-        }
+        probe(&FlowStage::FlippingDone { flipped });
         Ok(placement)
     }
 
@@ -202,13 +193,9 @@ impl HidapFlow {
     ) -> Result<(MacroFootprints, Vec<(String, Rect)>), HidapError> {
         let die = design.die();
         let ht = HierarchyTree::from_design(design);
-        if !probe(&FlowStage::HierarchyBuilt { nodes: ht.len() }) {
-            return Err(HidapError::Cancelled);
-        }
+        probe(&FlowStage::HierarchyBuilt { nodes: ht.len() });
         let shape_curves = ShapeCurveSet::generate(design, &ht, &self.config);
-        if !probe(&FlowStage::ShapeCurvesReady { curves: shape_curves.len() }) {
-            return Err(HidapError::Cancelled);
-        }
+        probe(&FlowStage::ShapeCurvesReady { curves: shape_curves.len() });
         // `from_netgraph` on the same design is bit-identical to what a
         // cache holds, so cached and built graphs give the same placement
         let built;
@@ -230,9 +217,7 @@ impl HidapFlow {
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
         let mut floorplanner =
             RecursiveFloorplanner::new(design, &ht, gnet, gseq, &shape_curves, &self.config);
-        if !floorplanner.floorplan(ht.root(), die, &[], 0, &mut rng, probe) {
-            return Err(HidapError::Cancelled);
-        }
+        floorplanner.floorplan(ht.root(), die, &[], 0, &mut rng, probe);
         let mut footprints = floorplanner.footprints;
 
         // Any macro the recursion could not reach (e.g. isolated macros in a
@@ -362,7 +347,6 @@ mod tests {
                     FlowStage::LegalizationDone { .. } => "legalize".into(),
                     FlowStage::FlippingDone { .. } => "flipping".into(),
                 });
-                true
             })
             .unwrap();
         assert_eq!(stages.first().map(String::as_str), Some("hierarchy"));
@@ -373,27 +357,11 @@ mod tests {
     }
 
     #[test]
-    fn probe_can_cancel_the_run() {
-        let design = soc_design();
-        let result =
-            HidapFlow::new(HidapConfig::fast()).run_probed(&design, None, None, &mut |_| false);
-        assert_eq!(result.unwrap_err(), HidapError::Cancelled);
-        // cancelling mid-floorplan also aborts
-        let mut seen = 0;
-        let result =
-            HidapFlow::new(HidapConfig::fast()).run_probed(&design, None, None, &mut |_| {
-                seen += 1;
-                seen < 3
-            });
-        assert_eq!(result.unwrap_err(), HidapError::Cancelled);
-    }
-
-    #[test]
     fn warm_run_of_a_legal_placement_is_stable_and_legal() {
         let design = soc_design();
         let flow = HidapFlow::new(HidapConfig::fast());
         let cold = flow.run(&design).unwrap();
-        let warm = flow.run_probed(&design, None, Some(&cold), &mut |_| true).unwrap();
+        let warm = flow.run_probed(&design, None, Some(&cold), &mut |_| {}).unwrap();
         assert!(warm.is_legal(&design));
         assert_eq!(warm.macros.len(), cold.macros.len());
         assert_eq!(warm.top_blocks, cold.top_blocks, "top blocks carry over");
@@ -403,7 +371,7 @@ mod tests {
             assert_eq!(c.location, w.location);
         }
         // and the path is deterministic
-        assert_eq!(warm, flow.run_probed(&design, None, Some(&cold), &mut |_| true).unwrap());
+        assert_eq!(warm, flow.run_probed(&design, None, Some(&cold), &mut |_| {}).unwrap());
     }
 
     #[test]
@@ -412,7 +380,7 @@ mod tests {
         let flow = HidapFlow::new(HidapConfig::fast());
         let mut seed = flow.run(&design).unwrap();
         seed.macros.truncate(3); // pretend the edit added five new macros
-        let warm = flow.run_probed(&design, None, Some(&seed), &mut |_| true).unwrap();
+        let warm = flow.run_probed(&design, None, Some(&seed), &mut |_| {}).unwrap();
         assert_eq!(warm.macros.len(), 8, "every design macro gets a footprint");
         assert!(warm.is_legal(&design));
     }
@@ -457,10 +425,7 @@ mod tests {
         let flow = HidapFlow::new(HidapConfig::fast());
         let mut stages: Vec<String> = Vec::new();
         let warm = flow
-            .run_probed(&design, None, Some(&seed), &mut |stage| {
-                stages.push(format!("{stage:?}"));
-                true
-            })
+            .run_probed(&design, None, Some(&seed), &mut |stage| stages.push(format!("{stage:?}")))
             .unwrap();
         assert!(warm.is_legal(&design), "the fallback produced a legal placement");
         // the fallback actually engaged: the full flow's global stages ran
@@ -485,13 +450,9 @@ mod tests {
                 FlowStage::FlippingDone { .. } => "flipping",
                 _ => "other",
             });
-            true
         })
         .unwrap();
         assert_eq!(stages, ["legalize", "flipping"]);
-        // cancellation still works on the warm path
-        let err = flow.run_probed(&design, None, Some(&cold), &mut |_| false).unwrap_err();
-        assert_eq!(err, HidapError::Cancelled);
     }
 
     #[test]
@@ -499,7 +460,7 @@ mod tests {
         let design = soc_design();
         let plain = HidapFlow::new(HidapConfig::fast()).run(&design).unwrap();
         let probed = HidapFlow::new(HidapConfig::fast())
-            .run_probed(&design, None, None, &mut |_| true)
+            .run_probed(&design, None, None, &mut |_| {})
             .unwrap();
         assert_eq!(plain, probed);
     }

@@ -26,7 +26,7 @@
 //!
 //! [`HidapFlow`] implements the engine's `placer_core::Placer` trait, so the
 //! recommended entry point is a `PlaceRequest` (design + seed + effort + λ)
-//! through a `PlaceContext` (observer, cancellation). The outcome
+//! through a `PlaceContext` (observer, shared artifact cache). The outcome
 //! carries the placement plus per-stage timings:
 //!
 //! ```

@@ -67,8 +67,7 @@ impl<'a> RecursiveFloorplanner<'a> {
     }
 
     /// Floorplans the subtree of `node` inside `region` (Algorithm 2),
-    /// reporting every accepted level floorplan to `probe`. Returns `false`
-    /// when the probe asked to stop.
+    /// reporting every accepted level floorplan to `probe`.
     ///
     /// `fixed` is the already-placed context: blocks of enclosing levels and
     /// their positions. `depth` is 0 at the top call.
@@ -80,12 +79,12 @@ impl<'a> RecursiveFloorplanner<'a> {
         depth: usize,
         rng: &mut R,
         probe: &mut FlowProbe<'_>,
-    ) -> bool {
+    ) {
         // Step 1: hierarchical declustering (Sect. IV-B).
         let mut blocks =
             hierarchical_declustering(self.design, self.ht, self.shape_curves, node, self.config);
         if blocks.is_empty() || blocks.total_macros() == 0 {
-            return true;
+            return;
         }
         // Step 2: target-area assignment (Sect. IV-C).
         target_area_assignment(
@@ -123,13 +122,11 @@ impl<'a> RecursiveFloorplanner<'a> {
                 .collect();
         }
         let node_path = self.ht.node(node).path.as_str();
-        if !probe(&FlowStage::LevelFloorplanned {
+        probe(&FlowStage::LevelFloorplanned {
             depth,
             node: node_path,
             blocks: blocks.blocks.len(),
-        }) {
-            return false;
-        }
+        });
 
         // Step 5: recurse into multi-macro blocks, pin single-macro blocks.
         for (idx, block) in blocks.blocks.iter().enumerate() {
@@ -141,9 +138,7 @@ impl<'a> RecursiveFloorplanner<'a> {
                     let child_fixed = self.child_context(&blocks, idx, &layout.rects, fixed);
                     match block.kind {
                         BlockKind::Hierarchy(h) => {
-                            if !self.floorplan(h, rect, &child_fixed, depth + 1, rng, probe) {
-                                return false;
-                            }
+                            self.floorplan(h, rect, &child_fixed, depth + 1, rng, probe);
                         }
                         BlockKind::SingleMacro(_) => {
                             // cannot happen: single-macro blocks have macro_count 1
@@ -153,7 +148,6 @@ impl<'a> RecursiveFloorplanner<'a> {
                 }
             }
         }
-        true
     }
 
     /// The fixed context passed to a child level: everything the parent level
@@ -305,7 +299,7 @@ mod tests {
         let gseq = SeqGraph::from_design(&design, &SeqGraphConfig { min_register_bits: 1 });
         let mut fp = RecursiveFloorplanner::new(&design, &ht, &gnet, &gseq, &curves, &config);
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        fp.floorplan(ht.root(), design.die(), &[], 0, &mut rng, &mut |_| true);
+        fp.floorplan(ht.root(), design.die(), &[], 0, &mut rng, &mut |_| {});
         assert_eq!(fp.footprints.len(), 8, "all 8 macros placed");
         // the top level identified the two clusters
         assert_eq!(fp.top_blocks.len(), 2);
@@ -327,7 +321,7 @@ mod tests {
         let gseq = SeqGraph::from_design(&design, &SeqGraphConfig { min_register_bits: 1 });
         let mut fp = RecursiveFloorplanner::new(&design, &ht, &gnet, &gseq, &curves, &config);
         let mut rng = ChaCha8Rng::seed_from_u64(2);
-        fp.floorplan(ht.root(), design.die(), &[], 0, &mut rng, &mut |_| true);
+        fp.floorplan(ht.root(), design.die(), &[], 0, &mut rng, &mut |_| {});
 
         let top: HashMap<&str, Rect> =
             fp.top_blocks.iter().map(|(n, r)| (n.as_str(), *r)).collect();
@@ -357,7 +351,7 @@ mod tests {
         let gseq = SeqGraph::from_design(&design, &SeqGraphConfig { min_register_bits: 1 });
         let mut fp = RecursiveFloorplanner::new(&design, &ht, &gnet, &gseq, &curves, &config);
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        fp.floorplan(ht.root(), design.die(), &[], 0, &mut rng, &mut |_| true);
+        fp.floorplan(ht.root(), design.die(), &[], 0, &mut rng, &mut |_| {});
         assert!(fp.footprints.is_empty());
     }
 }

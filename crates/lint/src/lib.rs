@@ -110,10 +110,9 @@ the site with // lint:allow(hash-iter): <why the order cannot escape>.",
         explain: "\
 daemon-panic (R2): panics reachable from a client request kill the daemon.
 
-Scope: non-test code of crates/server/src/* and placer-core's service.rs and
-scheduler.rs — everything between frame decode and job completion — plus
-netlist's verilog.rs, lef.rs and def.rs, which `intern` runs on client-named
-files.
+Scope: non-test code of crates/server/src/* and placer-core's service.rs —
+everything between frame decode and job completion — plus netlist's
+verilog.rs, lef.rs and def.rs, which `intern` runs on client-named files.
 
 `hidap --serve` promises that a malformed or hostile frame produces a
 structured `err code=...` frame and the session lives on. A stray .unwrap(),
@@ -122,7 +121,7 @@ bad input into a dead daemon for every connected client. The lint flags all
 of them, including `xs[i]` indexing (use .get() and map None to a typed
 PlaceError).
 
-Fix: return PlaceError (service/scheduler) or write an err frame (session),
+Fix: return PlaceError (service) or write an err frame (session),
 or prove the invariant locally and waive with
 // lint:allow(daemon-panic): <why this cannot panic / is pre-validated>.",
     },
@@ -700,7 +699,6 @@ fn rule_hash_iter(ctx: &Ctx<'_>, findings: &mut Vec<Finding>) {
 fn on_daemon_path(path: &str) -> bool {
     path.starts_with("crates/server/src/")
         || path == "crates/placer-core/src/service.rs"
-        || path == "crates/placer-core/src/scheduler.rs"
         || path == "crates/netlist/src/verilog.rs"
         || path == "crates/netlist/src/lef.rs"
         || path == "crates/netlist/src/def.rs"

@@ -134,8 +134,9 @@ mod tests {
 
 #[test]
 fn daemon_panic_pragma_waives_a_proven_infallible_site() {
-    let findings = check(
-        "crates/placer-core/src/scheduler.rs",
+    let path = "crates/server/src/session.rs";
+    let waived = check(
+        path,
         r#"
 pub fn first(jobs: &[u32]) -> u32 {
     // lint:allow(daemon-panic): jobs is never empty, checked by the caller
@@ -143,7 +144,18 @@ pub fn first(jobs: &[u32]) -> u32 {
 }
 "#,
     );
-    assert_eq!(findings, []);
+    assert_eq!(waived, []);
+    // the same body without the pragma is flagged there, so the waiver
+    // above is what silenced it
+    let unwaived = check(
+        path,
+        r#"
+pub fn first(jobs: &[u32]) -> u32 {
+    jobs[0]
+}
+"#,
+    );
+    assert_eq!(rules_of(&unwaived), ["daemon-panic"]);
 }
 
 // --------------------------------------------------------------- wall-clock

@@ -112,7 +112,7 @@ pub struct BatchOutcome {
 ///   spec (its seed and λ), and the winner is the lowest score with ties
 ///   broken by grid index; the result is identical for any `jobs` value,
 /// * **isolation** — cells run with independent contexts sharing the
-///   caller's observer, cancel token and artifact cache,
+///   caller's observer and artifact cache,
 /// * **error tolerance** — failed cells are skipped; the batch fails only
 ///   when every cell fails (reporting the first error in grid order).
 pub struct BatchRunner {
@@ -153,7 +153,6 @@ impl BatchRunner {
     /// # Errors
     ///
     /// * [`PlaceError::InvalidRequest`] for an empty grid,
-    /// * [`PlaceError::Cancelled`] when the context cancels the batch,
     /// * the first cell error (in grid order) when every cell fails. A cell
     ///   whose flow attaches no metrics fails with [`PlaceError::Flow`].
     pub fn run(
@@ -188,10 +187,6 @@ impl BatchRunner {
                     }
                     let (seed, lambda) = grid.cell(index);
                     let mut child_ctx = ctx.child();
-                    if let Some(err) = child_ctx.interrupted() {
-                        results.lock().expect("batch results lock")[index] = Some(Err(err));
-                        continue;
-                    }
                     child_ctx.emit(StageEvent::BatchRunStarted { index, total, seed, lambda });
                     let request = template
                         .clone()
@@ -216,11 +211,6 @@ impl BatchRunner {
                 });
             }
         });
-
-        // interruption wins over partial results so cancellation is prompt
-        if let Some(err) = ctx.interrupted() {
-            return Err(err);
-        }
 
         let results = results.into_inner().expect("batch results lock");
         let mut runs = Vec::with_capacity(total);
@@ -451,18 +441,5 @@ mod tests {
             .run(&Composite, &PlaceRequest::new(&design), &grid, &mut PlaceContext::new())
             .unwrap_err();
         assert!(matches!(err, PlaceError::InvalidRequest(_)), "{err}");
-    }
-
-    #[test]
-    fn pre_cancelled_batch_returns_cancelled() {
-        let design = pipeline_design();
-        let placer = HidapFlow::new(HidapConfig::fast());
-        let grid = BatchGrid::new(vec![1], vec![0.5]);
-        let mut ctx = PlaceContext::new();
-        ctx.cancel_token().cancel();
-        let err = BatchRunner::new()
-            .run(&placer, &PlaceRequest::new(&design), &grid, &mut ctx)
-            .unwrap_err();
-        assert_eq!(err, PlaceError::Cancelled);
     }
 }

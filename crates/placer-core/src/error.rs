@@ -6,7 +6,8 @@ use std::fmt;
 /// An error produced by the placement engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlaceError {
-    /// The run was cancelled through its [`crate::CancelToken`].
+    /// The job was cancelled while still queued (see
+    /// [`crate::PlacementService::cancel_queued`]).
     Cancelled,
     /// The request is malformed (bad λ, empty grid, ...).
     InvalidRequest(String),
@@ -70,10 +71,7 @@ impl std::error::Error for PlaceError {}
 
 impl From<HidapError> for PlaceError {
     fn from(e: HidapError) -> Self {
-        match e {
-            HidapError::Cancelled => PlaceError::Cancelled,
-            other => PlaceError::Flow(other),
-        }
+        PlaceError::Flow(e)
     }
 }
 
@@ -93,10 +91,5 @@ mod tests {
         assert!(e.to_string().contains("alice"), "{e}");
         assert!(e.to_string().contains("drain or cancel"), "the remedy is named: {e}");
         assert!(PlaceError::from(HidapError::EmptyDie).to_string().contains("empty die"));
-    }
-
-    #[test]
-    fn hidap_cancellation_maps_to_engine_cancellation() {
-        assert_eq!(PlaceError::from(HidapError::Cancelled), PlaceError::Cancelled);
     }
 }

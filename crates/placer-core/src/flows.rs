@@ -59,8 +59,8 @@ impl<'c> StageTracker<'c> {
         }
     }
 
-    /// Handles one probe checkpoint; returns `false` to cancel the flow.
-    fn on_stage(&mut self, stage: &FlowStage<'_>) -> bool {
+    /// Handles one probe checkpoint.
+    fn on_stage(&mut self, stage: &FlowStage<'_>) {
         let event = match stage {
             FlowStage::HierarchyBuilt { nodes } => {
                 self.record("hierarchy");
@@ -88,7 +88,6 @@ impl<'c> StageTracker<'c> {
             }
         };
         self.ctx.emit(event);
-        self.ctx.interrupted().is_none()
     }
 }
 
@@ -103,9 +102,6 @@ impl Placer for HidapFlow {
         ctx: &mut PlaceContext,
     ) -> Result<PlaceOutcome, PlaceError> {
         req.validate()?;
-        if let Some(err) = ctx.interrupted() {
-            return Err(err);
-        }
         let config = hidap_config_for(self.config(), req);
         let lambda = config.lambda;
         let design = req.design;
@@ -244,17 +240,6 @@ mod tests {
         assert!(obs.count(|e| matches!(e, StageEvent::LevelFloorplanned { .. })) >= 1);
         assert_eq!(obs.count(|e| matches!(e, StageEvent::FlippingDone { .. })), 1);
         assert_eq!(obs.count(|e| matches!(e, StageEvent::LegalizationDone { .. })), 1);
-    }
-
-    #[test]
-    fn cancellation_aborts_the_flow() {
-        let design = pipeline_design();
-        let mut ctx = PlaceContext::new();
-        ctx.cancel_token().cancel();
-        let err = HidapFlow::new(HidapConfig::fast())
-            .place(&PlaceRequest::new(&design), &mut ctx)
-            .unwrap_err();
-        assert_eq!(err, PlaceError::Cancelled);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!   quality metrics),
 //! * [`FlowObserver`] — typed stage events (hierarchy built, shape curves,
 //!   per-level floorplans, flipping, legalization) for progress reporting,
-//! * [`PlaceContext`] — cancellation tokens threaded through every flow,
+//! * [`PlaceContext`] — the per-run observer and the artifact cache every
+//!   flow and evaluation of a run shares,
 //! * [`BatchRunner`] — parallel seed×λ grid execution with deterministic
 //!   per-run RNG derivation, keeping the run with the lowest measured
 //!   wirelength,
@@ -21,7 +22,7 @@
 //!   with their derived artifacts (`Gnet`, `Gseq`) owned
 //!   centrally in a byte-budgeted [`eval::ArtifactCache`], and a queue of
 //!   heterogeneous [`PlaceJob`]s (designs × flows × seed/λ grids) drained
-//!   with per-job observers, cancellation and deterministic winners.
+//!   with per-job observers and deterministic winners.
 //!
 //! # Quick start
 //!
@@ -72,19 +73,17 @@ pub mod flows;
 pub mod observer;
 pub mod registry;
 pub mod request;
-pub mod scheduler;
 pub mod seeds;
 pub mod service;
 pub mod store;
 
 pub use batch::{BatchGrid, BatchOutcome, BatchRunner, RunSummary};
-pub use context::{CancelToken, PlaceContext};
+pub use context::PlaceContext;
 pub use error::PlaceError;
 pub use flows::builtin_registry;
 pub use observer::{CollectingObserver, FlowObserver, StageEvent};
 pub use registry::FlowRegistry;
 pub use request::{EffortLevel, PlaceOutcome, PlaceRequest, Placer, StageTiming};
-pub use scheduler::{ClientId, Scheduler};
 pub use seeds::WarmSeed;
 pub use service::{
     JobId, JobResult, JobState, PlaceJob, PlacementService, ReplaceSpec, ServiceStats,

@@ -164,10 +164,9 @@ impl PlaceOutcome {
 
 /// A macro-placement flow behind the unified engine API.
 ///
-/// Implementations must be deterministic for a fixed request and must poll
-/// [`PlaceContext::interrupted`] at stage boundaries so cancellation takes
-/// effect. `Send + Sync` is required so [`crate::BatchRunner`]
-/// can fan one placer out across worker threads.
+/// Implementations must be deterministic for a fixed request. `Send + Sync`
+/// is required so [`crate::BatchRunner`] can fan one placer out across
+/// worker threads.
 pub trait Placer: Send + Sync {
     /// The flow's registry name (`hidap`, `indeda`, `handfp`, ...).
     fn name(&self) -> &str;

@@ -19,9 +19,9 @@
 //!   byte-budgeted [`crate::DesignStore`] artifact cache, so repeated
 //!   traffic against the same designs skips both the flow's graph
 //!   constructions and the dominant evaluation setup cost.
-//! * **per-job observability and cancellation** — each job may carry its own
-//!   [`FlowObserver`]; the service-wide [`CancelToken`] aborts the drain at
-//!   the next stage boundary, and jobs still queued report
+//! * **per-job observability** — each job may carry its own
+//!   [`FlowObserver`]; a job cancelled while still queued
+//!   ([`PlacementService::cancel_queued`]) reports
 //!   [`PlaceError::Cancelled`].
 //!
 //! # Example
@@ -54,7 +54,6 @@
 //! ```
 
 use crate::batch::{BatchGrid, BatchRunner, RunSummary};
-use crate::context::CancelToken;
 use crate::error::PlaceError;
 use crate::observer::FlowObserver;
 use crate::registry::FlowRegistry;
@@ -184,12 +183,6 @@ impl PlaceJob {
         self.replace = Some(ReplaceSpec { base, edits });
         self
     }
-
-    /// Number of grid cells the job will run (seeds × λ, with a λ-less
-    /// single axis when no λ values are given).
-    pub fn num_runs(&self) -> usize {
-        self.seeds.len() * self.lambdas.len().max(1)
-    }
 }
 
 /// Where a submitted job currently is in its lifecycle (see
@@ -286,7 +279,6 @@ pub struct PlacementService {
     queue: VecDeque<(JobId, PlaceJob)>,
     results: HashMap<JobId, Result<JobResult, PlaceError>>,
     next_job: u64,
-    cancel: CancelToken,
     jobs: usize,
     peak_queued: usize,
     seed_spills: u64,
@@ -308,7 +300,6 @@ impl PlacementService {
             queue: VecDeque::new(),
             results: HashMap::new(),
             next_job: 0,
-            cancel: CancelToken::new(),
             jobs: 0,
             peak_queued: 0,
             seed_spills: 0,
@@ -356,16 +347,6 @@ impl PlacementService {
         &mut self.store
     }
 
-    /// The service-wide cancel token: cancelling it aborts the current drain
-    /// at the next stage boundary and fails all still-queued jobs with
-    /// [`PlaceError::Cancelled`]. The cancellation consumes itself: once the
-    /// drain has finished, the service arms a fresh token, so jobs submitted
-    /// afterwards run normally (re-request the token before cancelling
-    /// again — old clones are inert).
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
-    }
-
     /// Enqueues a job and returns its id. Jobs drain in priority order
     /// (higher [`PlaceJob::priority`] first, submission order within equal
     /// priority) on the next [`PlacementService::run_all`]; their results
@@ -376,21 +357,6 @@ impl PlacementService {
         self.queue.push_back((id, job));
         self.peak_queued = self.peak_queued.max(self.queue.len());
         id
-    }
-
-    /// High-water mark of the queue depth over the service's lifetime.
-    pub fn peak_queued(&self) -> usize {
-        self.peak_queued
-    }
-
-    /// Number of jobs waiting in the queue.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Number of finished jobs whose results have not been taken yet.
-    pub fn completed(&self) -> usize {
-        self.results.len()
     }
 
     /// The id the next [`PlacementService::submit`] will be issued — also
@@ -470,26 +436,15 @@ impl PlacementService {
     /// result. Returns the number of jobs that ran (successfully or not).
     /// The drain order is a deterministic function of the queued jobs alone
     /// and never changes any job's result, only when it runs.
-    ///
-    /// A cancellation only affects this drain: cancelled jobs report
-    /// [`PlaceError::Cancelled`], and the service re-arms a fresh token at
-    /// the end so later submissions run normally.
     pub fn run_all(&mut self) -> usize {
         let mut batch: Vec<(JobId, PlaceJob)> = self.queue.drain(..).collect();
         batch.sort_by_key(|(_, job)| std::cmp::Reverse(job.priority));
         let ids: Vec<JobId> = batch.iter().map(|(id, _)| *id).collect();
         let mut ran = 0;
         for (i, (id, job)) in batch.iter().enumerate() {
-            let result = if self.cancel.is_cancelled() {
-                Err(PlaceError::Cancelled)
-            } else {
-                self.run_job(*id, job, ids.get(i + 1..).unwrap_or(&[]))
-            };
+            let result = self.run_job(*id, job, ids.get(i + 1..).unwrap_or(&[]));
             self.results.insert(*id, result);
             ran += 1;
-        }
-        if self.cancel.is_cancelled() {
-            self.cancel = CancelToken::new();
         }
         // Artifact caches grow behind shared handles during the drain; fold
         // the post-drain residency into the store's high-water mark.
@@ -526,7 +481,9 @@ impl PlacementService {
     /// Resolves a replace job's warm-start seed: the base job's outcome,
     /// cloned out of the held results. Every failure is a structured
     /// [`PlaceError::InvalidRequest`] naming the dependency — in particular
-    /// a base whose result was already taken (results are take-once).
+    /// a base whose result was already taken (results are take-once), and a
+    /// held base that placed a different design (its placement would seed
+    /// the warm start by cell id).
     /// `later` lists the jobs scheduled after this one in the current drain,
     /// so a mis-ordered dependency is reported as such.
     ///
@@ -544,6 +501,11 @@ impl PlacementService {
         later: &[JobId],
     ) -> Result<WarmSeed, PlaceError> {
         match self.results.get(&spec.base) {
+            Some(Ok(base)) if base.design != design => Err(PlaceError::InvalidRequest(format!(
+                "replace job {} places design {} but its base job {} placed design {}; a warm \
+                 start needs a base that placed the same design",
+                id.0, design.0, spec.base.0, base.design.0
+            ))),
             Some(Ok(base)) => Ok(WarmSeed {
                 placement: base.outcome.placement.clone(),
                 cells: base.outcome.metrics.as_ref().map(|m| m.cell_placement.clone()),
@@ -638,7 +600,7 @@ impl PlacementService {
     }
 
     /// Runs one job through the engine, in a context borrowing the store's
-    /// caches and the service's cancel token. `later` lists the jobs
+    /// caches. `later` lists the jobs
     /// scheduled after this one in the current drain (for dependency
     /// diagnostics); it is empty outside a drain.
     fn run_job(
@@ -697,7 +659,7 @@ impl PlacementService {
             ))
         })?;
 
-        let mut ctx = self.store.context().with_cancel_token(self.cancel.clone());
+        let mut ctx = self.store.context();
         if let Some(observer) = &job.observer {
             ctx = ctx.with_observer(observer.clone());
         }
@@ -716,7 +678,7 @@ impl PlacementService {
             }
         }
 
-        let result = if job.num_runs() == 1 {
+        let result = if job.seeds.len() == 1 && job.lambdas.len() <= 1 {
             // single run: straight through the Placer trait (composite flows
             // like the handFP oracle are fine here)
             let &seed = job
@@ -808,9 +770,9 @@ mod tests {
         let mut svc = service();
         let d = svc.intern(pipeline_design("p1", 8));
         let job = svc.submit(PlaceJob::new(d, "hidap").with_effort(EffortLevel::Fast));
-        assert_eq!(svc.pending(), 1);
+        assert_eq!(svc.stats().queued, 1);
         assert_eq!(svc.run_all(), 1);
-        assert_eq!(svc.pending(), 0);
+        assert_eq!(svc.stats().queued, 0);
         let result = svc.take_result(job).expect("ran").expect("succeeded");
         assert_eq!(result.job, job);
         assert_eq!(result.design, d);
@@ -845,7 +807,7 @@ mod tests {
         let d = svc.intern(pipeline_design("p1", 8));
         let job = svc.submit(PlaceJob::new(d, "hidap"));
         assert!(svc.take_result(job).is_none(), "queued jobs have no result yet");
-        assert_eq!(svc.pending(), 1, "probing must not consume the job");
+        assert_eq!(svc.stats().queued, 1, "probing must not consume the job");
     }
 
     #[test]
@@ -927,7 +889,7 @@ mod tests {
         let kept = svc.submit(PlaceJob::new(d, "hidap").with_effort(EffortLevel::Fast));
         assert!(svc.cancel_queued(doomed));
         assert!(!svc.cancel_queued(doomed), "a job can only be cancelled once");
-        assert_eq!(svc.pending(), 1);
+        assert_eq!(svc.stats().queued, 1);
         assert!(matches!(svc.take_result(doomed), Some(Err(PlaceError::Cancelled))));
         svc.run_all();
         assert!(svc.take_result(kept).unwrap().is_ok(), "the other job still runs");
@@ -1291,6 +1253,31 @@ mod tests {
     }
 
     #[test]
+    fn replace_on_a_base_that_placed_another_design_is_a_structured_error() {
+        let mut svc = service();
+        let fleet = |index| {
+            let config = workload::presets::service_fleet_config(index, 0.05);
+            workload::SocGenerator::new(config).generate().design
+        };
+        let first = svc.intern(fleet(0));
+        let second = svc.intern(fleet(1));
+        let spec = |d| PlaceJob::new(d, "hidap").with_effort(EffortLevel::Fast);
+        let base = svc.submit(spec(first));
+        let replace = svc.submit(spec(second).with_replace(base, Vec::new()));
+        svc.run_all();
+        match svc.take_result(replace) {
+            Some(Err(PlaceError::InvalidRequest(msg))) => {
+                assert!(msg.contains(&format!("replace job {}", replace.0)), "{msg}");
+                assert!(msg.contains(&format!("design {}", second.0)), "{msg}");
+                assert!(msg.contains(&format!("base job {}", base.0)), "{msg}");
+                assert!(msg.contains(&format!("placed design {}", first.0)), "{msg}");
+            }
+            other => panic!("expected a structured design-mismatch error, got {other:?}"),
+        }
+        assert!(svc.take_result(base).unwrap().is_ok(), "the base itself still ran");
+    }
+
+    #[test]
     fn replace_with_an_unknown_base_is_a_structured_error() {
         let mut svc = service();
         let d = svc.intern(pipeline_design("p1", 8));
@@ -1347,20 +1334,6 @@ mod tests {
         assert_eq!(obs_a.count(|e| matches!(e, StageEvent::FlowStarted { .. })), 2);
         assert_eq!(obs_b.count(|e| matches!(e, StageEvent::BatchRunStarted { .. })), 0);
         assert_eq!(obs_b.count(|e| matches!(e, StageEvent::FlowStarted { .. })), 1);
-    }
-
-    #[test]
-    fn cancellation_fails_queued_jobs() {
-        let mut svc = service();
-        let d = svc.intern(pipeline_design("p1", 8));
-        let job = svc.submit(PlaceJob::new(d, "hidap").with_effort(EffortLevel::Fast));
-        svc.cancel_token().cancel();
-        svc.run_all();
-        assert!(matches!(svc.take_result(job), Some(Err(PlaceError::Cancelled))));
-        // the cancellation consumed itself: a job submitted afterwards runs
-        let retry = svc.submit(PlaceJob::new(d, "hidap").with_effort(EffortLevel::Fast));
-        svc.run_all();
-        assert!(svc.take_result(retry).unwrap().is_ok(), "service must recover after a cancel");
     }
 
     #[test]

@@ -15,9 +15,8 @@
 //!   [`ArtifactCache`] shared by every context the store hands out — a warm
 //!   design skips both the hidap flow's graph constructions and the dominant
 //!   evaluation setup cost, regardless of which job touches it,
-//! * handles are **refcounted** — every [`DesignStore::intern`] (or
-//!   [`DesignStore::retain`]) adds a reference, [`DesignStore::release`]
-//!   drops one, and only designs with zero live references are eligible for
+//! * handles are **refcounted** — every [`DesignStore::intern`] adds a
+//!   reference, [`DesignStore::release`] drops one, and only designs with zero live references are eligible for
 //!   eviction, so a handle a caller still holds always resolves.
 //!
 //! # Ownership model
@@ -102,12 +101,12 @@ struct DesignSlot {
     /// The identity key (the geometry half of the interning identity lives
     /// only in the index map — artifacts are keyed geometry-free).
     key: DesignKey,
-    /// Live references: intern/retain add one, release drops one. Only
+    /// Live references: intern adds one, release drops one. Only
     /// zero-reference designs may be evicted.
     refs: usize,
     /// [`HeapSize`] bytes of the stored design (0 while evicted).
     bytes: usize,
-    /// Recency stamp (from the store's clock) of the last intern/retain/
+    /// Recency stamp (from the store's clock) of the last intern or
     /// release, ordering eviction candidates.
     last_use: u64,
 }
@@ -135,7 +134,7 @@ pub struct DesignStore {
     /// the [`ArtifactCache`]).
     evictions: u64,
     /// High-water mark of [`DesignStore::resident_bytes`], sampled at every
-    /// accounting event the store sees (intern/retain/release/reclaim/evict
+    /// accounting event the store sees (intern/release/reclaim/evict
     /// and service drains). Under a memory budget the *current* resident
     /// bytes tell only the post-eviction tail; the peak tells what the run
     /// actually needed.
@@ -249,30 +248,6 @@ impl DesignStore {
         handle
     }
 
-    /// Adds a reference to a *resident* interned design (the counterpart of
-    /// handing a copy of the handle to another owner). Only resident designs
-    /// can be pinned — a reference on an evicted slot would promise a
-    /// [`DesignStore::design`] lookup the store cannot serve; revive the
-    /// design through [`DesignStore::intern`] instead (which also adds the
-    /// reference).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the handle does not belong to this store, or if the design
-    /// behind it was evicted.
-    pub fn retain(&mut self, handle: DesignHandle) {
-        self.clock += 1;
-        let clock = self.clock;
-        let slot = &mut self.slots[handle.index()];
-        assert!(
-            slot.design.is_some(),
-            "cannot retain design handle {} after eviction; re-intern it",
-            handle.0
-        );
-        slot.refs += 1;
-        slot.last_use = clock;
-    }
-
     /// Drops one reference to an interned design and returns the remaining
     /// count. At zero the design becomes eligible for budget-driven
     /// eviction (and is evicted immediately if the store is over budget);
@@ -362,18 +337,6 @@ impl DesignStore {
         &self.slots[handle.index()].key
     }
 
-    /// Finds the handle of the first interned design with this identity key
-    /// (designs interned under several geometries share the key; use
-    /// [`DesignStore::intern`] with the concrete design to resolve exactly).
-    ///
-    /// Identities survive eviction, so the returned handle may be
-    /// non-resident — probe with [`DesignStore::is_resident`] /
-    /// [`DesignStore::get_design`] (or re-intern to revive) before calling
-    /// the panicking accessors.
-    pub fn find(&self, key: &DesignKey) -> Option<DesignHandle> {
-        self.slots.iter().position(|s| s.key == *key).map(DesignHandle::from_index)
-    }
-
     /// Number of distinct design identities interned (resident or evicted).
     pub fn len(&self) -> usize {
         self.slots.len()
@@ -387,15 +350,6 @@ impl DesignStore {
     /// Number of identities whose design is currently resident.
     pub fn resident_designs(&self) -> usize {
         self.slots.iter().filter(|s| s.design.is_some()).count()
-    }
-
-    /// Iterates over the resident `(handle, design)` pairs in intern order
-    /// (evicted slots are skipped).
-    pub fn iter(&self) -> impl Iterator<Item = (DesignHandle, &Design)> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.design.as_deref().map(|d| (DesignHandle::from_index(i), d)))
     }
 
     /// The shared artifact cache (per-kind statistics included).
@@ -650,10 +604,8 @@ mod tests {
         let a = store.intern(design("alpha", "r_reg[0]"));
         let b = store.intern(design("beta", "r_reg[0]"));
         assert_eq!((a.index(), b.index()), (0, 1));
-        assert_eq!(store.find(store.key(a)), Some(a));
-        assert_eq!(store.find(store.key(b)), Some(b));
-        let handles: Vec<DesignHandle> = store.iter().map(|(h, _)| h).collect();
-        assert_eq!(handles, vec![a, b]);
+        assert_eq!(store.design(a).name(), "alpha");
+        assert_eq!(store.design(b).name(), "beta");
     }
 
     #[test]
@@ -748,29 +700,6 @@ mod tests {
             pinned,
             "the high-water mark remembers the pre-eviction residency"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot retain")]
-    fn retaining_an_evicted_design_panics() {
-        // a reference on an evicted slot would promise a design() lookup the
-        // store cannot serve — retain must reject it, not silently pin it
-        let mut store = DesignStore::new();
-        let a = store.intern(design("alpha", "r_reg[0]"));
-        store.release(a);
-        store.evict_unreferenced();
-        store.retain(a);
-    }
-
-    #[test]
-    fn retain_keeps_a_design_resident_under_budget_pressure() {
-        let mut store = DesignStore::with_memory_budget(0);
-        let a = store.intern(design("alpha", "r_reg[0]"));
-        store.retain(a);
-        assert_eq!(store.release(a), 1);
-        assert!(store.is_resident(a), "the retained reference still pins the design");
-        assert_eq!(store.release(a), 0);
-        assert!(!store.is_resident(a));
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! The full command/event vocabulary is documented in `docs/PROTOCOL.md` at
 //! the repository root.
 
+use placer_core::EffortLevel;
 use std::fmt;
 
 /// One protocol frame: a name plus ordered `key=value` fields.
@@ -218,8 +219,8 @@ pub struct SubmitSpec {
     pub seeds: Vec<u64>,
     /// λ values to sweep (`lambdas=0.2,0.8`); empty keeps the flow's λ.
     pub lambdas: Vec<f64>,
-    /// Effort tier name (`fast`, `default`, `high`), when given.
-    pub effort: Option<String>,
+    /// Effort tier (`effort=fast`, `default` or `high`), when given.
+    pub effort: Option<EffortLevel>,
     /// Whether to evaluate results (`evaluate=standard`).
     pub evaluate: bool,
 }
@@ -309,6 +310,15 @@ fn list<T: std::str::FromStr>(frame: &Frame, key: &str) -> Result<Vec<T>, String
 
 /// Parses the submit-shaped fields shared by `submit` and `replace`.
 fn submit_spec(frame: &Frame) -> Result<SubmitSpec, String> {
+    let effort = match frame.get("effort") {
+        None => None,
+        Some(name) => Some(EffortLevel::parse(name).ok_or_else(|| {
+            format!(
+                "'{}' has an unknown effort= value '{name}' (use fast, default or high)",
+                frame.name
+            )
+        })?),
+    };
     let evaluate = match frame.get("evaluate") {
         None => false,
         Some("standard") => true,
@@ -325,7 +335,7 @@ fn submit_spec(frame: &Frame) -> Result<SubmitSpec, String> {
         priority: optional(frame, "priority")?.unwrap_or(0),
         seeds: list(frame, "seeds")?,
         lambdas: list(frame, "lambdas")?,
-        effort: frame.get("effort").map(str::to_string),
+        effort,
         evaluate,
     })
 }
@@ -474,11 +484,14 @@ mod tests {
                 assert_eq!(spec.priority, -1);
                 assert_eq!(spec.seeds, vec![1, 2]);
                 assert_eq!(spec.lambdas, vec![0.25, 0.75]);
-                assert_eq!(spec.effort.as_deref(), Some("fast"));
+                assert_eq!(spec.effort, Some(EffortLevel::Fast));
                 assert!(spec.evaluate);
             }
             other => panic!("expected submit, got {other:?}"),
         }
+        let frame = Frame::parse("submit design=0 effort=paper").unwrap();
+        let err = Command::from_frame(&frame).unwrap_err();
+        assert!(err.contains("'paper'") && err.contains("fast, default or high"), "{err}");
         let frame = Frame::parse("submit flow=hidap").unwrap();
         assert!(Command::from_frame(&frame).unwrap_err().contains("design="));
         let frame = Frame::parse("submit design=zero").unwrap();
@@ -499,7 +512,7 @@ mod tests {
                 assert_eq!(spec.submit.design, 1);
                 assert_eq!(spec.base, 4);
                 assert_eq!(spec.edits, "resize u_a/ram 220 160; move u_b/ram 10 20");
-                assert_eq!(spec.submit.effort.as_deref(), Some("fast"));
+                assert_eq!(spec.submit.effort, Some(EffortLevel::Fast));
                 assert_eq!(spec.submit.priority, 2);
                 assert!(spec.submit.evaluate);
             }

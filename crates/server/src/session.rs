@@ -1,6 +1,6 @@
 //! The daemon session loop: commands in, replies and streamed events out.
 //!
-//! A [`Server`] owns the scheduling layer ([`placer_core::Scheduler`]) and a
+//! A [`Server`] owns a [`placer_core::PlacementService`] and a
 //! [`DesignLoader`] that turns `intern` specs into designs (the CLI loads
 //! Verilog/LEF from disk; tests and benches resolve generated presets). One
 //! call to [`Server::serve_once`] runs one session — read a command line,
@@ -9,20 +9,24 @@
 //! session, so a unix-socket deployment ([`Server::serve_unix`]) keeps
 //! designs and artifacts resident across client connections.
 //!
+//! The server applies the daemon's two admission policies to every `submit`
+//! and `replace`: a per-client quota of queued jobs, and admission control
+//! against the store's memory budget (see `docs/PROTOCOL.md`).
+//!
 //! # Determinism
 //!
 //! Jobs drain serially in priority order (stable within equal priority),
-//! admission and quota decisions are pure functions of scheduler state, and
-//! event frames stream from the single drain thread — so the same command
-//! script always produces the same frames in the same order, except for
-//! timing payloads (`wall_s=`, `score=`). `docs/PROTOCOL.md` states the
+//! admission and quota decisions are pure functions of the server's state,
+//! and event frames stream from the single drain thread — so the same
+//! command script always produces the same frames in the same order, except
+//! for timing payloads (`wall_s=`, `score=`). `docs/PROTOCOL.md` states the
 //! guarantee precisely.
 
 use crate::protocol::{event_frame, Command, Frame, InternSpec, ReplaceSpec, SubmitSpec};
 use netlist::design::Design;
 use placer_core::{
-    ClientId, DesignHandle, EffortLevel, FlowObserver, JobId, JobResult, PlaceError, PlaceJob,
-    Scheduler, StageEvent,
+    DesignHandle, DesignStore, FlowObserver, JobId, JobResult, JobState, PlaceError, PlaceJob,
+    PlacementService, StageEvent,
 };
 use std::io::{self, BufRead, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -126,33 +130,68 @@ impl<W: Write + Send + 'static> FlowObserver for FrameObserver<W> {
     }
 }
 
-/// The placement daemon: scheduler + loader + session loop. See the
-/// [module docs](crate::session).
+/// The client a session registered with `hello`.
+struct Client {
+    /// Display name (quota errors name it).
+    name: String,
+    /// The client's queued jobs, charged against its quota. A drain frees
+    /// every charge; a `cancel` frees its job's.
+    queued: Vec<JobId>,
+}
+
+/// The placement daemon: placement service + loader + session loop, with
+/// the daemon's two admission policies. See the [module docs](crate::session).
 pub struct Server {
-    sched: Scheduler,
+    service: PlacementService,
     loader: Box<dyn DesignLoader>,
-    client: Option<ClientId>,
+    /// Per-client quota of queued jobs.
+    quota: usize,
+    /// The current session's client: `None` until the session's `hello`.
+    /// Only this client can submit, so it is the only charge kept; a new
+    /// `hello` registers a new client with nothing queued.
+    client: Option<Client>,
+    /// The id the next `hello` registers: ids count up across sessions.
+    next_client: u64,
 }
 
 impl Server {
-    /// A server over a scheduling layer and a design loader.
-    pub fn new(scheduler: Scheduler, loader: impl DesignLoader + 'static) -> Self {
-        Self { sched: scheduler, loader: Box::new(loader), client: None }
+    /// Default per-client quota of queued jobs.
+    pub const DEFAULT_QUOTA: usize = 32;
+
+    /// A server over a placement service (whose store's memory budget, if
+    /// any, drives admission control) and a design loader.
+    pub fn new(service: PlacementService, loader: impl DesignLoader + 'static) -> Self {
+        Self {
+            service,
+            loader: Box::new(loader),
+            quota: Self::DEFAULT_QUOTA,
+            client: None,
+            next_client: 0,
+        }
     }
 
-    /// The scheduling layer (for out-of-band introspection in tests).
-    pub fn scheduler(&self) -> &Scheduler {
-        &self.sched
+    /// Sets the per-client quota of queued jobs (default
+    /// [`Server::DEFAULT_QUOTA`]).
+    pub fn with_quota(mut self, quota: usize) -> Self {
+        self.quota = quota;
+        self
+    }
+
+    /// The placement service (for out-of-band introspection in tests).
+    pub fn service(&self) -> &PlacementService {
+        &self.service
     }
 
     /// Serves one session: reads command lines from `reader` until
     /// `shutdown` or EOF, writing reply and event frames to `writer`. The
-    /// store stays warm for the next session on the same server.
+    /// session starts with no client; the store stays warm for the next
+    /// session on the same server.
     pub fn serve_once<R: BufRead, W: Write + Send + 'static>(
         &mut self,
         reader: R,
         writer: W,
     ) -> io::Result<SessionEnd> {
+        self.client = None;
         let mut out = SharedWriter::new(writer);
         for (i, line) in reader.lines().enumerate() {
             let line = line?;
@@ -224,22 +263,28 @@ impl Server {
     ) -> io::Result<SessionEnd> {
         match command {
             Command::Hello { client } => {
-                let id = self.sched.register_client(&client);
-                self.client = Some(id);
+                let id = self.next_client;
+                self.next_client += 1;
                 reply(
                     out,
                     Frame::new("ok")
                         .field("cmd", "hello")
-                        .field("client", id.0)
-                        .field("name", client)
-                        .field("quota", self.sched.quota()),
+                        .field("client", id)
+                        .field("name", &client)
+                        .field("quota", self.quota),
                 )?;
+                self.client = Some(Client { name: client, queued: Vec::new() });
             }
             Command::Intern(spec) => self.handle_intern(&spec, out)?,
-            Command::Submit(spec) => self.handle_submit(&spec, out)?,
-            Command::Replace(spec) => self.handle_replace(&spec, out)?,
+            Command::Submit(spec) => self.handle_submit("submit", &spec, None, out)?,
+            Command::Replace(ReplaceSpec { submit, base, edits }) => {
+                self.handle_submit("replace", &submit, Some((base, &edits)), out)?
+            }
             Command::Cancel { job } => {
-                if self.sched.cancel(JobId(job)) {
+                if self.service.cancel_queued(JobId(job)) {
+                    if let Some(client) = &mut self.client {
+                        client.queued.retain(|&id| id != JobId(job));
+                    }
                     reply(out, Frame::new("ok").field("cmd", "cancel").field("job", job))?;
                 } else {
                     reply(
@@ -253,10 +298,10 @@ impl Server {
                 }
             }
             Command::Release { design } => {
-                if (design as usize) < self.sched.service().store().len() {
-                    let refs = self.sched.service_mut().release(DesignHandle(design));
-                    self.sched.service_mut().store_mut().reclaim();
-                    let resident = self.sched.service().store().is_resident(DesignHandle(design));
+                if (design as usize) < self.service.store().len() {
+                    let refs = self.service.release(DesignHandle(design));
+                    self.service.store_mut().reclaim();
+                    let resident = self.service.store().is_resident(DesignHandle(design));
                     reply(
                         out,
                         Frame::new("ok")
@@ -276,7 +321,7 @@ impl Server {
                     )?;
                 }
             }
-            Command::Result { job } => match self.sched.take_result(JobId(job)) {
+            Command::Result { job } => match self.service.take_result(JobId(job)) {
                 None => reply(
                     out,
                     Frame::new("err")
@@ -319,8 +364,8 @@ impl Server {
             }
         };
         let name = loaded.design.name().to_string();
-        let handle = self.sched.service_mut().intern(loaded.design);
-        let store = self.sched.service().store();
+        let handle = self.service.intern(loaded.design);
+        let store = self.service.store();
         reply(
             out,
             Frame::new("ok")
@@ -334,37 +379,34 @@ impl Server {
         )
     }
 
+    /// Queues a `submit` job, or a `replace` job when `replace` carries its
+    /// base job and edit script, for the session's client. A `replace`
+    /// first resolves its edit script against the interned design. The job
+    /// is then charged to the client after the two policies:
+    ///
+    /// 1. quota — the client must have fewer than the server's quota of
+    ///    jobs queued, else [`PlaceError::QuotaExceeded`];
+    /// 2. admission — the store's pinned design bytes must not exceed its
+    ///    memory budget, else [`PlaceError::AdmissionRejected`]. A store
+    ///    without a budget admits everything.
+    ///
+    /// Both are pure functions of the server's state, so a script always
+    /// gets the same decisions.
     fn handle_submit<W: Write + Send + 'static>(
         &mut self,
+        cmd: &str,
         spec: &SubmitSpec,
+        replace: Option<(u64, &str)>,
         out: &mut SharedWriter<W>,
     ) -> io::Result<()> {
-        let Some(client) = self.client else {
+        let Some(client) = &mut self.client else {
             return reply(
                 out,
                 Frame::new("err")
-                    .field("cmd", "submit")
+                    .field("cmd", cmd)
                     .field("code", "no-client")
                     .field("reason", "send 'hello client=<name>' before submitting jobs"),
             );
-        };
-        let effort = match spec.effort.as_deref() {
-            None => None,
-            Some(name) => match EffortLevel::parse(name) {
-                Some(effort) => Some(effort),
-                None => {
-                    return reply(
-                        out,
-                        Frame::new("err")
-                            .field("cmd", "submit")
-                            .field("code", "bad-command")
-                            .field(
-                                "reason",
-                                format!("unknown effort '{name}' (use fast, default or high)"),
-                            ),
-                    );
-                }
-            },
         };
         let observer = Arc::new(FrameObserver::new(out.clone()));
         let mut job = PlaceJob::new(DesignHandle(spec.design), &spec.flow)
@@ -376,144 +418,38 @@ impl Server {
         if !spec.lambdas.is_empty() {
             job = job.with_lambdas(spec.lambdas.clone());
         }
-        if let Some(effort) = effort {
+        if let Some(effort) = spec.effort {
             job = job.with_effort(effort);
         }
         if spec.evaluate {
             job = job.with_evaluation(eval::EvalConfig::standard());
         }
-        match self.sched.submit(client, job) {
-            Ok(id) => {
-                observer.set_job(id);
-                reply(
-                    out,
-                    Frame::new("ok")
-                        .field("cmd", "submit")
-                        .field("job", id.0)
-                        .field("design", spec.design)
-                        .field("priority", spec.priority),
-                )
+        if let Some((base, script)) = replace {
+            match replace_edits(self.service.store(), spec.design, script) {
+                Ok(edits) => job = job.with_replace(JobId(base), edits),
+                Err(frame) => return reply(out, frame),
             }
-            Err(error) => reply(out, error_frame("submit", None, &error)),
         }
-    }
-
-    /// Handles a `replace` command: resolves the textual edit script against
-    /// the interned design, then queues an incremental re-place job
-    /// warm-started from the base job's held result.
-    fn handle_replace<W: Write + Send + 'static>(
-        &mut self,
-        spec: &ReplaceSpec,
-        out: &mut SharedWriter<W>,
-    ) -> io::Result<()> {
-        let Some(client) = self.client else {
-            return reply(
-                out,
-                Frame::new("err")
-                    .field("cmd", "replace")
-                    .field("code", "no-client")
-                    .field("reason", "send 'hello client=<name>' before submitting jobs"),
-            );
-        };
-        let effort = match spec.submit.effort.as_deref() {
-            None => None,
-            Some(name) => match EffortLevel::parse(name) {
-                Some(effort) => Some(effort),
-                None => {
-                    return reply(
-                        out,
-                        Frame::new("err")
-                            .field("cmd", "replace")
-                            .field("code", "bad-command")
-                            .field(
-                                "reason",
-                                format!("unknown effort '{name}' (use fast, default or high)"),
-                            ),
-                    );
-                }
-            },
-        };
-        let handle = DesignHandle(spec.submit.design);
-        let store = self.sched.service().store();
-        if (spec.submit.design as usize) >= store.len() {
-            return reply(
-                out,
-                Frame::new("err")
-                    .field("cmd", "replace")
-                    .field("code", "invalid-request")
-                    .field("design", spec.submit.design)
-                    .field("reason", format!("design {} was never interned", spec.submit.design)),
-            );
+        if let Err(error) = admit(client, self.quota, self.service.store(), spec.design) {
+            return reply(out, error_frame(cmd, None, &error));
         }
-        let Some(design) = store.get_design(handle) else {
-            return reply(
-                out,
-                Frame::new("err")
-                    .field("cmd", "replace")
-                    .field("code", "invalid-request")
-                    .field("design", spec.submit.design)
-                    .field(
-                        "reason",
-                        format!(
-                            "design {} was evicted; re-intern it before replacing",
-                            spec.submit.design
-                        ),
-                    ),
-            );
-        };
-        let edits = match netlist::edit::parse_edit_script(&spec.edits, design) {
-            Ok(edits) => edits,
-            Err(error) => {
-                return reply(
-                    out,
-                    Frame::new("err")
-                        .field("cmd", "replace")
-                        .field("code", "bad-edit-script")
-                        .field("reason", error.to_string()),
-                );
-            }
-        };
-        let num_edits = edits.len();
-        let observer = Arc::new(FrameObserver::new(out.clone()));
-        let mut job = PlaceJob::new(handle, &spec.submit.flow)
-            .with_priority(spec.submit.priority)
-            .with_observer(observer.clone())
-            .with_replace(JobId(spec.base), edits);
-        if !spec.submit.seeds.is_empty() {
-            job = job.with_seeds(spec.submit.seeds.clone());
+        let replaced = job.replace.as_ref().map(|r| (r.base.0, r.edits.len()));
+        let id = self.service.submit(job);
+        client.queued.push(id);
+        observer.set_job(id);
+        let mut ack =
+            Frame::new("ok").field("cmd", cmd).field("job", id.0).field("design", spec.design);
+        if let Some((base, edits)) = replaced {
+            ack = ack.field("base", base).field("edits", edits);
         }
-        if !spec.submit.lambdas.is_empty() {
-            job = job.with_lambdas(spec.submit.lambdas.clone());
-        }
-        if let Some(effort) = effort {
-            job = job.with_effort(effort);
-        }
-        if spec.submit.evaluate {
-            job = job.with_evaluation(eval::EvalConfig::standard());
-        }
-        match self.sched.submit(client, job) {
-            Ok(id) => {
-                observer.set_job(id);
-                reply(
-                    out,
-                    Frame::new("ok")
-                        .field("cmd", "replace")
-                        .field("job", id.0)
-                        .field("design", spec.submit.design)
-                        .field("base", spec.base)
-                        .field("edits", num_edits)
-                        .field("priority", spec.submit.priority),
-                )
-            }
-            Err(error) => reply(out, error_frame("replace", None, &error)),
-        }
+        reply(out, ack.field("priority", spec.priority))
     }
 
     fn handle_stats<W: Write + Send + 'static>(
         &mut self,
         out: &mut SharedWriter<W>,
     ) -> io::Result<()> {
-        let stats = self.sched.service().stats();
+        let stats = self.service.stats();
         reply(
             out,
             Frame::new("stats")
@@ -547,7 +483,7 @@ impl Server {
                 .field("seed_spills", stats.seed_spills)
                 .field("seed_revives", stats.seed_revives),
         )?;
-        let store = self.sched.service().store();
+        let store = self.service.store();
         for i in 0..store.len() {
             let handle = DesignHandle(i as u32);
             reply(
@@ -579,17 +515,19 @@ impl Server {
     ) -> io::Result<()> {
         // capture the deterministic drain order before running: job-done
         // frames come back in execution (priority) order
-        let service = self.sched.service();
         let mut order: Vec<(usize, JobId)> = Vec::new();
-        for id in (0..service.next_job_id()).map(JobId) {
-            if let placer_core::JobState::Queued { position, .. } = service.job_state(id) {
+        for id in (0..self.service.next_job_id()).map(JobId) {
+            if let JobState::Queued { position, .. } = self.service.job_state(id) {
                 order.push((position, id));
             }
         }
         order.sort_unstable();
-        let ran = self.sched.drain();
+        let ran = self.service.run_all();
+        if let Some(client) = &mut self.client {
+            client.queued.clear();
+        }
         for (_, id) in order {
-            match self.sched.take_result(id) {
+            match self.service.take_result(id) {
                 Some(Ok(result)) => reply(out, job_done_frame(&result))?,
                 Some(Err(error)) => reply(out, error_frame("job", Some(id.0), &error))?,
                 None => {}
@@ -597,6 +535,53 @@ impl Server {
         }
         reply(out, Frame::new("ok").field("cmd", "drain").field("ran", ran))
     }
+}
+
+/// Resolves a `replace` command's textual edit script against the interned
+/// design it names, or returns the `err` frame that rejects it.
+fn replace_edits(
+    store: &DesignStore,
+    design: u32,
+    script: &str,
+) -> Result<Vec<netlist::DesignEdit>, Frame> {
+    let err = |code: &str| Frame::new("err").field("cmd", "replace").field("code", code);
+    if design as usize >= store.len() {
+        return Err(err("invalid-request")
+            .field("design", design)
+            .field("reason", format!("design {design} was never interned")));
+    }
+    let Some(resident) = store.get_design(DesignHandle(design)) else {
+        return Err(err("invalid-request").field("design", design).field(
+            "reason",
+            format!("design {design} was evicted; re-intern it before replacing"),
+        ));
+    };
+    netlist::edit::parse_edit_script(script, resident)
+        .map_err(|error| err("bad-edit-script").field("reason", error.to_string()))
+}
+
+/// The quota and admission policies for one more job of `client` against
+/// `design` (see [`Server::handle_submit`]).
+fn admit(
+    client: &Client,
+    quota: usize,
+    store: &DesignStore,
+    design: u32,
+) -> Result<(), PlaceError> {
+    if client.queued.len() >= quota {
+        return Err(PlaceError::QuotaExceeded { client: client.name.clone(), quota });
+    }
+    if let Some(budget) = store.memory_budget() {
+        let pinned = store.pinned_design_bytes();
+        if pinned > budget {
+            return Err(PlaceError::AdmissionRejected {
+                design,
+                pinned_bytes: pinned,
+                budget_bytes: budget,
+            });
+        }
+    }
+    Ok(())
 }
 
 /// Writes one frame as one line.

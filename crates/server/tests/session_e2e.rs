@@ -1,8 +1,8 @@
 //! Scripted end-to-end daemon sessions: the full protocol loop against a
-//! real scheduler, asserting admission control, priority ordering, stats
-//! contents and handle revival — all over the wire.
+//! real placement service, asserting admission control, quotas, priority
+//! ordering, stats contents and handle revival — all over the wire.
 
-use placer_core::{DesignStore, PlacementService, Scheduler};
+use placer_core::{DesignStore, PlacementService};
 use server::{Frame, InternSpec, LoadedDesign, Server, SessionEnd, SharedWriter};
 use workload::SocGenerator;
 
@@ -40,7 +40,22 @@ fn tight_server() -> Server {
         DesignStore::with_memory_budget(budget),
     )
     .with_jobs(1);
-    Server::new(Scheduler::with_service(service), preset_loader())
+    Server::new(service, preset_loader())
+}
+
+/// A server with no memory budget: admission control never rejects.
+fn unbudgeted_server() -> Server {
+    let service = PlacementService::new(placer_core::builtin_registry()).with_jobs(1);
+    Server::new(service, preset_loader())
+}
+
+/// The `job=` of every `ok` frame acknowledging `cmd`, in transcript order.
+fn acked_jobs(frames: &[Frame], cmd: &str) -> Vec<String> {
+    frames
+        .iter()
+        .filter(|f| f.name == "ok" && f.get("cmd") == Some(cmd))
+        .map(|f| f.get("job").expect("acks carry the job id").to_string())
+        .collect()
 }
 
 /// Runs one scripted session, returning the transcript parsed frame by
@@ -176,13 +191,13 @@ drain
 ";
     let (end, cold) = run_script(&mut server, submit);
     assert_eq!(end, SessionEnd::Eof, "EOF keeps the daemon alive for the next session");
-    let cold_stats = server.scheduler().service().store().artifacts().stats();
+    let cold_stats = server.service().store().artifacts().stats();
     assert!(cold_stats.seq.misses > 0, "the cold pass built graphs");
 
     // same commands again on the warm server: a second session, same store
     let (end, warm) = run_script(&mut server, submit);
     assert_eq!(end, SessionEnd::Eof);
-    let warm_stats = server.scheduler().service().store().artifacts().stats();
+    let warm_stats = server.service().store().artifacts().stats();
     assert_eq!(warm_stats.seq.misses, cold_stats.seq.misses, "zero warm seq-graph builds");
     assert_eq!(warm_stats.net.misses, cold_stats.net.misses, "zero warm net-graph builds");
 
@@ -274,8 +289,8 @@ shutdown
         &mut baseline,
         "hello client=ci\nintern design=small\nsubmit design=0 flow=hidap effort=fast seeds=7 evaluate=standard\ndrain\nshutdown\n",
     );
-    let cold = baseline.scheduler().service().store().artifacts().stats();
-    let stats = server.scheduler().service().store().artifacts().stats();
+    let cold = baseline.service().store().artifacts().stats();
+    let stats = server.service().store().artifacts().stats();
     assert_eq!(stats.seq.misses, cold.seq.misses, "zero Gseq builds for the replace");
     assert_eq!(stats.net.misses, cold.net.misses, "zero Gnet builds for the replace");
 
@@ -362,7 +377,7 @@ fn quota_rejections_reach_the_wire() {
         DesignStore::with_memory_budget(budget),
     )
     .with_jobs(1);
-    let mut server = Server::new(Scheduler::with_service(service).with_quota(1), preset_loader());
+    let mut server = Server::new(service, preset_loader()).with_quota(1);
     let script = "\
 hello client=greedy
 intern design=small
@@ -418,7 +433,7 @@ fn unix_socket_sessions_share_one_warm_store() {
     let daemon = std::thread::spawn(move || {
         let mut server = tight_server();
         server.serve_unix(&path).expect("daemon io");
-        server.scheduler().service().store().artifacts().stats()
+        server.service().store().artifacts().stats()
     });
 
     let connect = |socket: &std::path::Path| {
@@ -494,4 +509,214 @@ shutdown
     let done = named(&frames, "job-done");
     assert_eq!(done.len(), 1, "exactly one job succeeds: {done:?}");
     assert_eq!(done[0].get("seed"), Some("5"));
+}
+
+#[test]
+fn replace_on_a_base_that_placed_another_design_fails_on_the_wire() {
+    // a warm start from another design's placement would match macros by
+    // cell id; the replace must fail with both designs named instead
+    let mut server = unbudgeted_server();
+    let script = "\
+hello client=ci
+intern design=small
+intern design=large
+submit design=0 flow=hidap effort=fast seeds=1
+replace design=1 base=0 effort=fast
+drain
+shutdown
+";
+    let (_, frames) = run_script(&mut server, script);
+    let done = named(&frames, "job-done");
+    assert_eq!(done.len(), 1, "only the base places: {done:?}");
+    assert_eq!(done[0].get("job"), Some("0"));
+    let failed: Vec<&Frame> =
+        frames.iter().filter(|f| f.name == "err" && f.get("cmd") == Some("job")).collect();
+    assert_eq!(failed.len(), 1, "{frames:?}");
+    assert_eq!(failed[0].get("job"), Some("1"));
+    assert_eq!(failed[0].get("code"), Some("invalid-request"));
+    let reason = failed[0].get("reason").unwrap();
+    assert!(reason.contains("replace job 1 places design 1"), "{reason}");
+    assert!(reason.contains("base job 0 placed design 0"), "{reason}");
+}
+
+#[test]
+fn each_session_starts_without_a_client() {
+    let mut server = unbudgeted_server();
+    let (_, first) =
+        run_script(&mut server, "hello client=first\nintern design=small\nsubmit design=0\n");
+    assert_eq!(acked_jobs(&first, "submit"), ["0"]);
+    // a new connection on the same server must say hello again: it does
+    // not inherit the previous connection's client or its quota charge
+    let (_, second) = run_script(&mut server, "submit design=0\nhello client=second\n");
+    let errs = named(&second, "err");
+    assert_eq!(errs.len(), 1, "{second:?}");
+    assert_eq!(errs[0].get("code"), Some("no-client"));
+    let hello = named(&second, "ok");
+    assert_eq!(hello[0].get("client"), Some("1"), "client ids keep counting across sessions");
+}
+
+#[test]
+fn two_hellos_in_one_session_keep_separate_quotas() {
+    let mut server = unbudgeted_server().with_quota(1);
+    let script = "\
+hello client=alice
+intern design=small
+submit design=0 seeds=1
+submit design=0 seeds=2
+hello client=bob
+submit design=0 seeds=3
+submit design=0 seeds=4
+shutdown
+";
+    let (_, frames) = run_script(&mut server, script);
+    let hellos: Vec<&Frame> =
+        frames.iter().filter(|f| f.name == "ok" && f.get("cmd") == Some("hello")).collect();
+    assert_eq!(hellos[0].get("client"), Some("0"));
+    assert_eq!(hellos[1].get("client"), Some("1"));
+    assert_eq!(hellos[1].get("quota"), Some("1"));
+    assert_eq!(acked_jobs(&frames, "submit"), ["0", "1"], "one job each");
+    let errs = named(&frames, "err");
+    assert_eq!(errs.len(), 2, "{errs:?}");
+    for (err, client) in errs.iter().zip(["alice", "bob"]) {
+        assert_eq!(err.get("code"), Some("quota-exceeded"));
+        assert!(err.get("reason").unwrap().contains(client), "{err:?}");
+    }
+}
+
+#[test]
+fn cancel_frees_only_its_owners_charge() {
+    let mut server = unbudgeted_server().with_quota(1);
+    let script = "\
+hello client=alice
+intern design=small
+submit design=0 seeds=1
+submit design=0 seeds=2
+cancel job=0
+submit design=0 seeds=3
+hello client=bob
+submit design=0 seeds=4
+cancel job=1
+submit design=0 seeds=5
+cancel job=2
+submit design=0 seeds=6
+shutdown
+";
+    let (_, frames) = run_script(&mut server, script);
+    // alice: over quota, cancel, the freed slot takes job 1; bob: job 2,
+    // then cancelling alice's job 1 leaves bob charged, and cancelling his
+    // own job 2 frees the slot job 3 takes
+    assert_eq!(acked_jobs(&frames, "submit"), ["0", "1", "2", "3"]);
+    assert_eq!(acked_jobs(&frames, "cancel"), ["0", "1", "2"]);
+    let errs = named(&frames, "err");
+    assert_eq!(errs.len(), 2, "{errs:?}");
+    assert!(errs[0].get("reason").unwrap().contains("alice"), "{:?}", errs[0]);
+    assert!(errs[1].get("reason").unwrap().contains("bob"), "{:?}", errs[1]);
+    assert!(errs.iter().all(|f| f.get("code") == Some("quota-exceeded")));
+}
+
+#[test]
+fn drain_frees_every_charge() {
+    let mut server = unbudgeted_server().with_quota(1);
+    let script = "\
+hello client=alice
+intern design=small
+submit design=0 effort=fast seeds=1
+hello client=bob
+submit design=0 effort=fast seeds=2
+submit design=0 effort=fast seeds=3
+drain
+submit design=0 effort=fast seeds=3
+shutdown
+";
+    let (_, frames) = run_script(&mut server, script);
+    let drained: Vec<&Frame> =
+        frames.iter().filter(|f| f.name == "ok" && f.get("cmd") == Some("drain")).collect();
+    assert_eq!(drained[0].get("ran"), Some("2"), "both clients' jobs ran");
+    let errs = named(&frames, "err");
+    assert_eq!(errs.len(), 1, "only the submit before the drain is over quota: {errs:?}");
+    assert_eq!(errs[0].get("code"), Some("quota-exceeded"));
+    assert_eq!(acked_jobs(&frames, "submit"), ["0", "1", "2"]);
+}
+
+#[test]
+fn a_server_without_a_budget_admits_every_submit() {
+    let mut server = unbudgeted_server();
+    let script = "\
+hello client=ci
+intern design=small
+intern design=large
+submit design=0
+submit design=1
+release design=0
+submit design=0
+submit design=1
+shutdown
+";
+    let (_, frames) = run_script(&mut server, script);
+    assert!(named(&frames, "err").is_empty(), "{frames:?}");
+    assert_eq!(acked_jobs(&frames, "submit"), ["0", "1", "2", "3"]);
+}
+
+#[test]
+fn admission_rejects_when_pinned_bytes_exceed_the_budget() {
+    // the budget holds the small design but not both: interning the large
+    // one pins the store past its budget, so the next submit is rejected;
+    // releasing the large design unpins it and the next submit is admitted
+    let mut server = tight_server();
+    let script = "\
+hello client=ci
+intern design=small
+submit design=0 effort=fast seeds=1
+intern design=large
+submit design=1 effort=fast seeds=2
+release design=1
+submit design=0 effort=fast seeds=3
+drain
+shutdown
+";
+    let (_, frames) = run_script(&mut server, script);
+    let errs = named(&frames, "err");
+    assert_eq!(errs.len(), 1, "only the submit against the large design is rejected: {errs:?}");
+    assert_eq!(errs[0].get("cmd"), Some("submit"));
+    assert_eq!(errs[0].get("code"), Some("admission-rejected"));
+    assert_eq!(errs[0].get("design"), Some("1"));
+    let pinned: usize = errs[0].get("pinned_bytes").unwrap().parse().unwrap();
+    let budget: usize = errs[0].get("budget_bytes").unwrap().parse().unwrap();
+    assert!(pinned > budget, "{pinned} vs {budget}");
+
+    let released: Vec<&Frame> =
+        frames.iter().filter(|f| f.name == "ok" && f.get("cmd") == Some("release")).collect();
+    assert_eq!(released[0].get("resident"), Some("false"), "the release evicts the large design");
+    let admitted = acked_jobs(&frames, "submit");
+    assert_eq!(admitted.len(), 2, "the first submit and the retry are admitted");
+    let done: Vec<&str> =
+        named(&frames, "job-done").iter().map(|f| f.get("job").unwrap()).collect();
+    assert_eq!(done, admitted, "both admitted jobs place");
+}
+
+#[test]
+fn unknown_effort_tiers_are_bad_commands() {
+    let mut server = unbudgeted_server();
+    let script = "\
+hello client=ci
+intern design=small
+submit design=0 effort=paper
+replace design=0 base=0 effort=turbo
+shutdown
+";
+    let (_, frames) = run_script(&mut server, script);
+    let errs = named(&frames, "err");
+    assert_eq!(errs.len(), 2, "{errs:?}");
+    for (err, (cmd, line, tier)) in
+        errs.iter().zip([("submit", "3", "paper"), ("replace", "4", "turbo")])
+    {
+        assert_eq!(err.get("cmd"), Some(cmd));
+        assert_eq!(err.get("code"), Some("bad-command"));
+        assert_eq!(err.get("line"), Some(line));
+        let reason = err.get("reason").unwrap();
+        for name in [tier, "fast", "default", "high"] {
+            assert!(reason.contains(name), "{reason} names {name}");
+        }
+    }
+    assert_eq!(server.service().stats().queued, 0, "nothing was queued");
 }

@@ -5,9 +5,9 @@
 //! `crates/`:
 //!
 //! * [`placer_core`] — the unified `Placer` engine API: trait-based flows,
-//!   stage observability ([`placer_core::FlowObserver`]), cancellation
-//!   ([`placer_core::PlaceContext`]), and parallel seed×λ batch execution
-//!   ([`placer_core::BatchRunner`]),
+//!   stage observability ([`placer_core::FlowObserver`]), the per-run
+//!   context ([`placer_core::PlaceContext`]), and parallel seed×λ batch
+//!   execution ([`placer_core::BatchRunner`]),
 //! * [`hidap`] — the paper's RTL-aware dataflow-driven macro placer,
 //! * [`baselines`] — the IndEDA-style flat placer and the handFP oracle,
 //! * [`eval`] — the shared measurement pipeline,
