@@ -730,6 +730,11 @@ impl DesignBuilder {
         self.port_names.names.get(id.0)
     }
 
+    /// The name of a net added so far.
+    pub(crate) fn net_name(&self, id: NetId) -> &str {
+        self.net_names.names.get(id.0)
+    }
+
     /// The name of a cell added so far.
     pub(crate) fn cell_name(&self, id: CellId) -> &str {
         self.cell_names.names.get(id.0)

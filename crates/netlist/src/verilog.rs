@@ -18,14 +18,25 @@
 //! hierarchy tree can be rebuilt (this is exactly the RTL-stage hierarchy
 //! information the paper exploits).
 //!
-//! The parser is *streaming* and *borrowing*: tokens are slices of the
-//! source text produced one at a time by a cursor — never a materialized
-//! token vector, which costs gigabytes at a million cells — and the module
-//! table records every name as a `u32` span of the source text, with every
-//! instance's connections in one per-module vector. Flattening writes each
-//! net and cell name into reused buffers, interns library cells and
-//! hierarchy paths once per distinct value, and drops the module table
-//! before the builder packs the wiring.
+//! The parser is *streaming* and *borrowing*: a byte-level cursor produces
+//! one token at a time as a span of the source text — never a materialized
+//! token vector, which costs gigabytes at a million cells. Each module keeps
+//! three local tables, filled in first-appearance order: the cell types its
+//! instances name, the pin names they connect (`base[index][bit]`, with the
+//! output flag decided once) and the net names they connect to (`n`,
+//! `bus[3]`, `__const_1'b0`). Names are interned by how they are written, so
+//! `\bus[3] ` and `bus[3]` are one net, and stored as spans of the source. A
+//! connection is then two local ids, 8 bytes.
+//!
+//! Flattening gives each module instance an array from local net to design
+//! net. An entry is filled at the net's first leaf connection in that
+//! instance: through the instance's port binding to its parent's entry, else
+//! by prefixing the instance path, and then the design's net table. So each
+//! net name is written and looked up once per module instance, not once per
+//! pin, and nets keep the ids of their first reference. A module's cell
+//! types resolve to a child module or a library cell once per definition;
+//! library cells and hierarchy paths are interned at first use, in flatten
+//! order. The module table is dropped before the builder packs the wiring.
 //!
 //! Elaboration is total: a source over `u32::MAX` bytes, a recursive
 //! instantiation, a hierarchy deeper than 256 levels (module nesting or `/`
@@ -34,14 +45,14 @@
 //! the input controls without a bound.
 
 use crate::design::{
-    Cell, CellKind, Design, DesignBuilder, HierPathId, NetId, PortDirection, PortId,
+    Cell, CellKind, Design, DesignBuilder, HierPathId, LibCellId, NetId, PortDirection, PortId,
 };
 use crate::error::ParseError;
+use crate::hash::Fnv1a;
 use crate::library::Library;
 use crate::names::NameTable;
 use geometry::Dbu;
 use std::fmt::Write as _;
-use std::ops::Range;
 
 /// The widest vector, in bits, that a declaration or part-select may span.
 /// Elaboration creates one name per bit, so wider ranges are rejected where
@@ -56,6 +67,9 @@ const MAX_VECTOR_BITS: u64 = 1 << 20;
 /// keeps them well inside a 2 MiB thread stack; real hierarchies are tens
 /// of levels deep.
 const MAX_HIERARCHY_DEPTH: usize = 256;
+
+/// The prefix that names the anonymous tie net of a constant.
+const CONST_PREFIX: &str = "__const_";
 
 /// Where a name is spelled in the source text. The source is at most
 /// `u32::MAX` bytes, so an offset and a length fit in 32 bits each.
@@ -73,37 +87,328 @@ impl Span {
     }
 }
 
+/// `[i]` selects written out as text, at most three of them.
+struct Suffix {
+    bytes: [u8; 66],
+    len: usize,
+}
+
+impl Suffix {
+    fn new(selects: &[i64]) -> Self {
+        let mut suffix = Self { bytes: [0; 66], len: 0 };
+        for i in selects {
+            // at most 3 × 22 bytes: the buffer never runs out
+            let _ = write!(suffix, "[{i}]");
+        }
+        suffix
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        self.bytes.get(..self.len).unwrap_or_default()
+    }
+}
+
+impl std::fmt::Write for Suffix {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        let end = self.len + s.len();
+        let slot = self.bytes.get_mut(self.len..end).ok_or(std::fmt::Error)?;
+        slot.copy_from_slice(s.as_bytes());
+        self.len = end;
+        Ok(())
+    }
+}
+
+/// A name as written: an optional `__const_` prefix, a span of the source
+/// and up to three `[i]` selects. Two spellings name the same thing when
+/// their written bytes are equal, however they were split: `\bus[3] ` is
+/// the root `bus[3]`, `bus[3]` the root `bus` and the select 3.
+#[derive(Clone, Copy)]
+struct Spelling {
+    konst: bool,
+    count: u8,
+    root: Span,
+    selects: [i64; 3],
+}
+
+impl Spelling {
+    fn new(root: Span) -> Self {
+        Self { konst: false, count: 0, root, selects: [0; 3] }
+    }
+
+    fn constant(value: Span) -> Self {
+        Self { konst: true, ..Self::new(value) }
+    }
+
+    /// This spelling with `[i]` appended; a fourth select is dropped, which
+    /// no caller asks for.
+    fn select(mut self, i: i64) -> Self {
+        if let Some(slot) = self.selects.get_mut(self.count as usize) {
+            *slot = i;
+            self.count += 1;
+        }
+        self
+    }
+
+    fn selects(&self) -> &[i64] {
+        self.selects.get(..self.count as usize).unwrap_or_default()
+    }
+
+    fn prefix(&self) -> &'static str {
+        if self.konst {
+            CONST_PREFIX
+        } else {
+            ""
+        }
+    }
+
+    /// The FNV-1a hash of the written bytes.
+    fn hash(&self, text: &str) -> u64 {
+        let mut h = Fnv1a::new();
+        h.write_bytes(self.prefix().as_bytes());
+        h.write_bytes(self.root.of(text).as_bytes());
+        if self.count > 0 {
+            h.write_bytes(Suffix::new(self.selects()).as_bytes());
+        }
+        h.finish()
+    }
+
+    /// Whether `self` and `other` write the same bytes.
+    fn same(&self, other: &Spelling, text: &str) -> bool {
+        if self.konst == other.konst && self.selects() == other.selects() {
+            return self.root.of(text) == other.root.of(text);
+        }
+        let (a, b) = (Suffix::new(self.selects()), Suffix::new(other.selects()));
+        let written = |s: &Spelling, suffix: &Suffix| -> Vec<u8> {
+            [s.prefix().as_bytes(), s.root.of(text).as_bytes(), suffix.as_bytes()].concat()
+        };
+        // only spellings split differently get here, such as an escaped
+        // name holding `[` or a plain name starting `__const_`
+        written(self, &a) == written(other, &b)
+    }
+
+    fn write_to(&self, text: &str, out: &mut String) {
+        out.push_str(self.prefix());
+        out.push_str(self.root.of(text));
+        for i in self.selects() {
+            let _ = write!(out, "[{i}]");
+        }
+    }
+
+    /// Whether the written name holds a `[`.
+    fn has_bracket(&self, text: &str) -> bool {
+        self.count > 0 || self.root.of(text).contains('[')
+    }
+}
+
+/// An entry of a [`Local`] table.
+trait Spelled: Copy {
+    /// How the entry is written; `text` is the source.
+    fn spelling(&self, text: &str) -> Spelling;
+}
+
+impl Spelled for Span {
+    fn spelling(&self, _: &str) -> Spelling {
+        Spelling::new(*self)
+    }
+}
+
+/// An open-addressed index from a name's hash to a dense id: like
+/// [`NameTable`], it keeps no names and `find` verifies candidates through a
+/// closure, but a slot is 8 bytes, the low 32 bits of the hash above the id.
+#[derive(Default)]
+struct Index {
+    slots: Vec<u64>,
+    len: usize,
+}
+
+const EMPTY_SLOT: u64 = u64::MAX;
+
+impl Index {
+    fn find(&self, hash: u64, mut verify: impl FnMut(u32) -> bool) -> Option<u32> {
+        let mask = self.slots.len().checked_sub(1)?;
+        let tag = hash as u32;
+        let mut at = tag as usize & mask;
+        loop {
+            let slot = *self.slots.get(at)?;
+            if slot == EMPTY_SLOT {
+                return None;
+            }
+            if (slot >> 32) as u32 == tag && verify(slot as u32) {
+                return Some(slot as u32);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Adds `id`, which no entry holds yet, under `hash`.
+    fn insert(&mut self, hash: u64, id: u32) {
+        if (self.len + 1) * 4 > self.slots.len() * 3 {
+            let mut grown = vec![EMPTY_SLOT; (self.slots.len() * 2).max(8)];
+            for &slot in self.slots.iter().filter(|&&s| s != EMPTY_SLOT) {
+                Self::place(&mut grown, slot);
+            }
+            self.slots = grown;
+        }
+        Self::place(&mut self.slots, u64::from(hash as u32) << 32 | u64::from(id));
+        self.len += 1;
+    }
+
+    /// Puts `slot` in the first free place from its hash on.
+    fn place(slots: &mut [u64], slot: u64) {
+        let mask = slots.len() - 1;
+        let mut at = (slot >> 32) as usize & mask;
+        while let Some(free) = slots.get_mut(at) {
+            if *free == EMPTY_SLOT {
+                *free = slot;
+                return;
+            }
+            at = (at + 1) & mask;
+        }
+    }
+}
+
+/// A module-local name table: each distinct written name once, in
+/// first-appearance order, found through a hash of its written bytes.
+struct Local<T> {
+    entries: Vec<T>,
+    index: Index,
+}
+
+impl<T> Default for Local<T> {
+    fn default() -> Self {
+        Self { entries: Vec::new(), index: Index::default() }
+    }
+}
+
+impl<T: Spelled> Local<T> {
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn get(&self, id: u32) -> Option<&T> {
+        self.entries.get(id as usize)
+    }
+
+    fn find_hashed(&self, text: &str, key: &Spelling, hash: u64) -> Option<u32> {
+        self.index.find(hash, |id| self.get(id).is_some_and(|e| e.spelling(text).same(key, text)))
+    }
+
+    fn find(&self, text: &str, key: &Spelling) -> Option<u32> {
+        self.find_hashed(text, key, key.hash(text))
+    }
+
+    /// The id of the name `key` writes, with the entry `make` returns added
+    /// at its first appearance. Callers keep the table under `u32::MAX`
+    /// entries.
+    fn intern_with(&mut self, text: &str, key: &Spelling, make: impl FnOnce() -> T) -> u32 {
+        let hash = key.hash(text);
+        if let Some(id) = self.find_hashed(text, key, hash) {
+            return id;
+        }
+        let id = self.entries.len() as u32;
+        self.index.insert(hash, id);
+        self.entries.push(make());
+        id
+    }
+
+    fn intern(&mut self, text: &str, entry: T) -> u32 {
+        self.intern_with(text, &entry.spelling(text), || entry)
+    }
+
+    #[cfg(test)]
+    fn heap_bytes(&self) -> usize {
+        self.entries.capacity() * std::mem::size_of::<T>() + self.index.slots.capacity() * 8
+    }
+}
+
 /// A port declaration: name, direction, optional (msb, lsb) range.
 type PortDecl = (Span, PortDirection, Option<(i64, i64)>);
 
-/// A parsed (unflattened) Verilog module. Names are spans of the source.
+/// A parsed (unflattened) Verilog module. Names are spans of the source;
+/// instances and connections refer to the module's local tables by id.
 struct Module {
     name: Span,
+    /// Every port declaration, in source order.
     ports: Vec<PortDecl>,
+    /// The first of [`Module::ports`] that declares each name, which gives
+    /// its range.
+    port_index: Index,
+    /// The cell types the instances name.
+    types: Local<Span>,
+    /// The pin names the instances connect.
+    pins: Local<Pin>,
+    /// The net names the instances connect to.
+    nets: Local<NetName>,
     instances: Vec<Instance>,
     /// The connections of every instance, in source order.
     connections: Vec<Connection>,
 }
 
+impl Module {
+    /// The connections of instance `k`.
+    fn connections_of(&self, k: usize) -> &[Connection] {
+        let first = |k: usize| self.instances.get(k).map(|i| i.connections as usize);
+        let (start, end) = (first(k).unwrap_or(0), first(k + 1).unwrap_or(self.connections.len()));
+        self.connections.get(start..end).unwrap_or_default()
+    }
+
+    /// The first declaration of port `name`, whose hash is `hash`.
+    fn find_port(&self, text: &str, name: &Spelling, hash: u64) -> Option<&PortDecl> {
+        let port = |id: u32| self.ports.get(id as usize);
+        let same = |id: u32| port(id).is_some_and(|p| Spelling::new(p.0).same(name, text));
+        port(self.port_index.find(hash, same)?)
+    }
+
+    /// The range of port `name`, as its first declaration gives it.
+    fn port_range(&self, text: &str, name: &Spelling) -> Option<(i64, i64)> {
+        self.find_port(text, name, name.hash(text)).and_then(|&(_, _, range)| range)
+    }
+
+    /// Indexes the ports and frees the spare room of every table once the
+    /// module is parsed.
+    fn finish(&mut self, text: &str) {
+        for (id, &(name, _, _)) in self.ports.iter().enumerate() {
+            let name = Spelling::new(name);
+            let hash = name.hash(text);
+            if self.find_port(text, &name, hash).is_none() {
+                // ids fit: each port takes bytes of the source
+                self.port_index.insert(hash, id as u32);
+            }
+        }
+        self.ports.shrink_to_fit();
+        self.types.entries.shrink_to_fit();
+        self.pins.entries.shrink_to_fit();
+        self.nets.entries.shrink_to_fit();
+        self.instances.shrink_to_fit();
+        self.connections.shrink_to_fit();
+    }
+}
+
+/// An instantiation: the instance of a cell type with its connections.
+#[derive(Clone, Copy)]
 struct Instance {
-    cell: Span,
+    /// Id of the cell type in [`Module::types`].
+    cell: u32,
     name: Span,
     /// Line of the instantiation, for elaboration errors.
     line: u32,
-    /// This instance's slice of [`Module::connections`].
-    connections: Range<u32>,
+    /// The first of this instance's [`Module::connections`]; the next
+    /// instance's first ends them.
+    connections: u32,
 }
 
-/// One connected pin bit. Unconnected pins (`.X()`, or an escaped name of
-/// zero length) are not recorded: flattening would skip them anyway.
+/// One connected pin bit: ids in [`Module::pins`] and [`Module::nets`].
+/// Unconnected pins (`.X()`, or an escaped name of zero length) are not
+/// recorded: flattening would skip them anyway.
 #[derive(Clone, Copy)]
 struct Connection {
-    pin: Pin,
-    net: NetBit,
+    pin: u32,
+    net: u32,
 }
 
-const _: () = assert!(std::mem::size_of::<Instance>() <= 32);
-const _: () = assert!(std::mem::size_of::<Connection>() <= 56);
+const _: () = assert!(std::mem::size_of::<Instance>() <= 20);
+const _: () = assert!(std::mem::size_of::<Connection>() <= 8);
+const _: () = assert!(std::mem::size_of::<NetName>() <= 16);
 
 /// A pin name: `base`, then the `[index]` of a `.D[3](...)` connection (not
 /// legal Verilog but seen in some netlists), then the `[bit]` of a
@@ -111,221 +416,380 @@ const _: () = assert!(std::mem::size_of::<Connection>() <= 56);
 #[derive(Clone, Copy)]
 struct Pin {
     base: Span,
-    index: Option<i64>,
-    bit: Option<u32>,
+    /// The `[index]`, or [`NO_SELECT`].
+    index: i64,
+    /// The `[bit]`, or `u32::MAX`: a connection has fewer bits than that.
+    bit: u32,
+    /// Whether the pin drives its net, decided once per distinct name.
+    output: bool,
 }
 
-impl Pin {
-    fn write_to(self, text: &str, out: &mut String) {
-        out.push_str(self.base.of(text));
-        if let Some(i) = self.index {
-            let _ = write!(out, "[{i}]");
+impl Spelled for Pin {
+    fn spelling(&self, _: &str) -> Spelling {
+        let mut s = Spelling::new(self.base);
+        if self.index != NO_SELECT {
+            s = s.select(self.index);
         }
-        if let Some(b) = self.bit {
-            let _ = write!(out, "[{b}]");
+        if self.bit != u32::MAX {
+            s = s.select(self.bit.into());
+        }
+        s
+    }
+}
+
+/// A select that is not there. No select reaches it: an integer is read as
+/// at most `i64::MAX` in magnitude.
+const NO_SELECT: i64 = i64::MIN;
+
+/// One bit of a net expression, as a net name: `name`, `name[select]`, or
+/// a constant like `1'b0`, which names the anonymous tie net `__const_1'b0`
+/// (and `__const_1'b0[select]` bit by bit when it is bound to a vectored
+/// port).
+#[derive(Clone, Copy)]
+struct NetName {
+    root: Span,
+    /// The `[select]`, or [`NO_SELECT`].
+    select: i64,
+}
+
+impl NetName {
+    fn name(root: Span) -> Self {
+        Self { root, select: NO_SELECT }
+    }
+
+    /// Bit `i` of this bare name, for a binding to a vectored port.
+    fn bit(self, i: i64) -> Self {
+        Self { select: i, ..self }
+    }
+}
+
+impl Spelled for NetName {
+    /// A root that starts with a digit is a constant unless it is an
+    /// escaped name: only a number token starts with a digit without a `\`
+    /// right before it.
+    fn spelling(&self, text: &str) -> Spelling {
+        let start = self.root.start as usize;
+        let bytes = text.as_bytes();
+        let digit = self.root.len > 0 && bytes.get(start).is_some_and(u8::is_ascii_digit);
+        let escaped = start.checked_sub(1).and_then(|b| bytes.get(b)) == Some(&b'\\');
+        let spelling = if digit && !escaped {
+            Spelling::constant(self.root)
+        } else {
+            Spelling::new(self.root)
+        };
+        if self.select == NO_SELECT {
+            spelling
+        } else {
+            spelling.select(self.select)
         }
     }
 }
 
-/// One bit of a net expression, written out as a name only when the
-/// flattener needs it.
+/// The kind of a [`Lexeme`]: one of these, or the ASCII byte of a symbol.
+const EOF: u8 = 0;
+const IDENT: u8 = 1;
+const NUMBER: u8 = 2;
+
+/// A token: its kind, where its text is, and the line it is on. A token
+/// takes at least one byte of a source of at most `u32::MAX` bytes, so its
+/// line fits in 32 bits.
 #[derive(Clone, Copy)]
-enum NetBit {
-    /// `name`
-    Name(Span),
-    /// `name[i]`
-    Bit(Span, i64),
-    /// A constant like `1'b0`, an anonymous tie net `__const_1'b0`.
-    Const(Span),
+struct Lexeme {
+    kind: u8,
+    start: u32,
+    len: u32,
+    line: u32,
 }
 
-impl NetBit {
-    fn write_to(self, text: &str, out: &mut String) {
-        match self {
-            NetBit::Name(name) => out.push_str(name.of(text)),
-            NetBit::Bit(name, i) => {
-                let _ = write!(out, "{}[{i}]", name.of(text));
-            }
-            NetBit::Const(value) => {
-                out.push_str("__const_");
-                out.push_str(value.of(text));
-            }
-        }
+impl Lexeme {
+    fn span(self) -> Span {
+        Span { start: self.start, len: self.len }
     }
 }
 
-/// Tokenizer output. Tokens borrow from the source text — no allocation per
-/// token.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Token<'a> {
-    Ident(&'a str),
-    Symbol(char),
-    Number(&'a str),
+/// What an ASCII byte starts or continues.
+const NEWLINE: u8 = 1;
+const SPACE: u8 = 2;
+const SLASH: u8 = 3;
+const BACKSLASH: u8 = 4;
+const LETTER: u8 = 5;
+const DIGIT: u8 = 6;
+const SYMBOL: u8 = 7;
+const DOLLAR: u8 = 8;
+const QUOTE: u8 = 9;
+const OTHER: u8 = 10;
+const NON_ASCII: u8 = 11;
+
+/// The class of every byte. The whitespace is exactly the ASCII part of
+/// `char::is_whitespace`, vertical tab and form feed included.
+const CLASSES: [u8; 256] = {
+    let mut classes = [OTHER; 256];
+    let mut b = 0;
+    while b < 256 {
+        // lint:allow(daemon-panic): evaluated at compile time, and `b` < 256
+        classes[b] = match b as u8 {
+            b'\n' => NEWLINE,
+            b' ' | b'\t' | b'\r' | 0x0b | 0x0c => SPACE,
+            b'/' => SLASH,
+            b'\\' => BACKSLASH,
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => LETTER,
+            b'0'..=b'9' => DIGIT,
+            b'(' | b')' | b'[' | b']' | b'{' | b'}' | b',' | b';' | b':' | b'.' | b'=' | b'-'
+            | b'+' => SYMBOL,
+            b'$' => DOLLAR,
+            b'\'' => QUOTE,
+            0x80..=0xff => NON_ASCII,
+            _ => OTHER,
+        };
+        b += 1;
+    }
+    classes
+};
+
+/// The class of byte `b`.
+fn class(b: u8) -> u8 {
+    CLASSES.get(b as usize).copied().unwrap_or(OTHER)
 }
 
-/// A token with the line it is on and its byte offset in the source.
-#[derive(Clone, Copy)]
-struct Lexeme<'a> {
-    line: usize,
-    start: usize,
-    token: Token<'a>,
-}
-
-/// Streaming tokenizer: a cursor over the rest of the source text producing
-/// one token per call.
+/// Streaming tokenizer: a cursor over the source bytes producing one token
+/// per call. ASCII bytes are classified by table; a non-ASCII byte is
+/// decoded as a `char`, so Unicode letters and whitespace count as they did
+/// for `char::is_alphabetic` and `char::is_whitespace`.
 struct Lexer<'a> {
-    rest: &'a str,
-    /// Length of the whole source, so `len - rest.len()` is the cursor's
-    /// offset.
-    len: usize,
+    text: &'a str,
+    pos: usize,
     line: usize,
-}
-
-/// Splits `s` at byte `n`, a char boundary `find` reported on `s`.
-fn split(s: &str, n: usize) -> (&str, &str) {
-    s.split_at_checked(n).unwrap_or((s, ""))
 }
 
 impl<'a> Lexer<'a> {
     fn new(text: &'a str) -> Self {
-        Self { rest: text, len: text.len(), line: 1 }
+        Self { text, pos: 0, line: 1 }
     }
 
-    /// Takes the first `n` bytes of the rest of the text as a token.
-    fn take(&mut self, n: usize, token: impl FnOnce(&'a str) -> Token<'a>) -> Lexeme<'a> {
-        let start = self.len - self.rest.len();
-        let (taken, rest) = split(self.rest, n);
-        self.rest = rest;
-        Lexeme { line: self.line, start, token: token(taken) }
+    fn byte(&self, at: usize) -> Option<u8> {
+        self.text.as_bytes().get(at).copied()
     }
 
-    fn next_token(&mut self) -> Result<Option<Lexeme<'a>>, ParseError> {
-        loop {
-            let mut chars = self.rest.chars();
-            let Some(c) = chars.next() else { return Ok(None) };
-            let after = chars.as_str();
-            match c {
-                '\n' => {
-                    self.line += 1;
-                    self.rest = after;
+    /// The char starting at byte `at`, a char boundary.
+    fn char_at(&self, at: usize) -> Option<char> {
+        self.text.get(at..).and_then(|s| s.chars().next())
+    }
+
+    /// The end of the run from `at` of bytes of class `ascii`, or of
+    /// non-ASCII chars that `unicode` accepts.
+    #[inline]
+    fn scan(&self, mut at: usize, ascii: impl Fn(u8) -> bool, unicode: fn(char) -> bool) -> usize {
+        while let Some(b) = self.byte(at) {
+            if b < 0x80 {
+                if !ascii(class(b)) {
+                    break;
                 }
-                c if c.is_whitespace() => self.rest = after,
-                '/' if after.starts_with('/') => match after.find('\n') {
-                    Some(n) => {
-                        self.line += 1;
-                        self.rest = split(after, n + 1).1;
-                    }
-                    None => self.rest = "",
-                },
-                '/' if after.starts_with('*') => {
-                    let body = split(after, 1).1;
-                    match body.find("*/") {
-                        Some(n) => {
-                            let (comment, rest) = split(body, n);
-                            self.line += comment.matches('\n').count();
-                            self.rest = split(rest, 2).1;
-                        }
-                        None => {
-                            self.line += body.matches('\n').count();
-                            self.rest = "";
-                        }
-                    }
-                }
-                '\\' => {
-                    // escaped identifier: `\name with specials ` terminated by whitespace
-                    self.rest = after;
-                    let n = after.find(char::is_whitespace).unwrap_or(after.len());
-                    return Ok(Some(self.take(n, Token::Ident)));
-                }
-                c if c.is_alphabetic() || c == '_' => {
-                    let n = self
-                        .rest
-                        .find(|c2: char| !(c2.is_alphanumeric() || c2 == '_' || c2 == '$'))
-                        .unwrap_or(self.rest.len());
-                    return Ok(Some(self.take(n, Token::Ident)));
-                }
-                c if c.is_ascii_digit() => {
-                    let n = self
-                        .rest
-                        .find(|c2: char| !(c2.is_alphanumeric() || c2 == '\'' || c2 == '_'))
-                        .unwrap_or(self.rest.len());
-                    return Ok(Some(self.take(n, Token::Number)));
-                }
-                '(' | ')' | '[' | ']' | '{' | '}' | ',' | ';' | ':' | '.' | '=' | '-' | '+'
-                | '/' => {
-                    return Ok(Some(self.take(c.len_utf8(), |_| Token::Symbol(c))));
-                }
-                other => {
-                    return Err(ParseError::at_line(
-                        self.line,
-                        format!("unexpected character '{other}'"),
-                    ));
+                at += 1;
+            } else {
+                match self.char_at(at) {
+                    Some(c) if unicode(c) => at += c.len_utf8(),
+                    _ => break,
                 }
             }
         }
+        at
+    }
+
+    /// A token of `kind` from `start` to `end`; the cursor moves past it.
+    #[inline]
+    fn token(&mut self, kind: u8, start: usize, end: usize) -> Lexeme {
+        self.pos = end;
+        // all fit: the source is at most `u32::MAX` bytes (only the end of
+        // the file can be on a later line)
+        let line = u32::try_from(self.line).unwrap_or(u32::MAX);
+        Lexeme { kind, start: start as u32, len: (end - start) as u32, line }
+    }
+
+    /// The end of the escaped identifier whose name starts at byte `at`: the
+    /// first whitespace char, as `char::is_whitespace` decides.
+    #[inline]
+    fn escaped_end(&self, mut at: usize) -> usize {
+        let bytes = self.text.as_bytes();
+        loop {
+            // every byte above the space is a name byte, unless it is not ASCII
+            let run = bytes.get(at..).unwrap_or_default();
+            at += run.iter().position(|&b| b <= b' ' || b >= 0x80).unwrap_or(run.len());
+            match self.byte(at) {
+                None => return at,
+                Some(b) if b < 0x80 => match class(b) {
+                    NEWLINE | SPACE => return at,
+                    _ => at += 1,
+                },
+                Some(_) => match self.char_at(at) {
+                    Some(c) if !c.is_whitespace() => at += c.len_utf8(),
+                    _ => return at,
+                },
+            }
+        }
+    }
+
+    #[inline]
+    fn next_token(&mut self) -> Result<Lexeme, ParseError> {
+        loop {
+            let pos = self.pos;
+            let Some(b) = self.byte(pos) else {
+                return Ok(self.token(EOF, pos, pos));
+            };
+            match class(b) {
+                NEWLINE => {
+                    self.line += 1;
+                    self.pos += 1;
+                }
+                SPACE => self.pos += 1,
+                SLASH if self.byte(pos + 1) == Some(b'/') => {
+                    let rest = self.text.as_bytes().get(pos + 2..).unwrap_or_default();
+                    match rest.iter().position(|&b| b == b'\n') {
+                        Some(n) => {
+                            self.line += 1;
+                            self.pos = pos + 2 + n + 1;
+                        }
+                        None => self.pos = self.text.len(),
+                    }
+                }
+                SLASH if self.byte(pos + 1) == Some(b'*') => {
+                    let body = self.text.get(pos + 2..).unwrap_or_default();
+                    let newlines = |s: &str| s.bytes().filter(|&b| b == b'\n').count();
+                    match body.find("*/") {
+                        Some(n) => {
+                            self.line += newlines(body.get(..n).unwrap_or_default());
+                            self.pos = pos + 2 + n + 2;
+                        }
+                        None => {
+                            self.line += newlines(body);
+                            self.pos = self.text.len();
+                        }
+                    }
+                }
+                SLASH | SYMBOL => return Ok(self.token(b, pos, pos + 1)),
+                BACKSLASH => {
+                    // escaped identifier: `\name with specials ` ended by whitespace
+                    let end = self.escaped_end(pos + 1);
+                    return Ok(self.token(IDENT, pos + 1, end));
+                }
+                LETTER => return Ok(self.ident(pos)),
+                DIGIT => {
+                    let end = self.scan(
+                        pos,
+                        |class| matches!(class, LETTER | DIGIT | QUOTE),
+                        char::is_alphanumeric,
+                    );
+                    return Ok(self.token(NUMBER, pos, end));
+                }
+                NON_ASCII => match self.char_at(pos) {
+                    Some(c) if c.is_whitespace() => self.pos += c.len_utf8(),
+                    Some(c) if c.is_alphabetic() => return Ok(self.ident(pos)),
+                    other => return Err(self.unexpected(other)),
+                },
+                _ => return Err(self.unexpected(char::from_u32(b.into()))),
+            }
+        }
+    }
+
+    fn ident(&mut self, start: usize) -> Lexeme {
+        let end = self.scan(
+            start,
+            |class| matches!(class, LETTER | DIGIT | DOLLAR),
+            char::is_alphanumeric,
+        );
+        self.token(IDENT, start, end)
+    }
+
+    fn unexpected(&self, c: Option<char>) -> ParseError {
+        let c = c.unwrap_or(char::REPLACEMENT_CHARACTER);
+        ParseError::at_line(self.line, format!("unexpected character '{c}'"))
     }
 }
 
 struct Parser<'a> {
     lexer: Lexer<'a>,
-    peeked: Option<Lexeme<'a>>,
-    /// Line and source offset of the last token taken.
+    peeked: Option<Lexeme>,
+    /// Line of the last token taken.
     line: usize,
-    start: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
-        Self { lexer: Lexer::new(text), peeked: None, line: 1, start: 0 }
+        Self { lexer: Lexer::new(text), peeked: None, line: 1 }
     }
 
-    fn peek(&mut self) -> Result<Option<Token<'a>>, ParseError> {
-        if self.peeked.is_none() {
-            self.peeked = self.lexer.next_token()?;
+    fn text(&self, l: Lexeme) -> &'a str {
+        l.span().of(self.lexer.text)
+    }
+
+    /// The token `l` as error messages print it: `Some(Ident("a"))`,
+    /// `Some(Number("1'b0"))`, `Some(Symbol(';'))`, or `None` at the end.
+    fn found(&self, l: Lexeme) -> String {
+        let text = self.text(l);
+        match l.kind {
+            EOF => "None".to_string(),
+            IDENT => format!("Some(Ident({text:?}))"),
+            NUMBER => format!("Some(Number({text:?}))"),
+            symbol => format!("Some(Symbol({:?}))", char::from(symbol)),
         }
-        Ok(self.peeked.map(|l| l.token))
     }
 
-    fn line(&self) -> usize {
-        self.peeked.map(|l| l.line).unwrap_or(self.line)
+    /// Whether `l` is the identifier `word`.
+    fn is(&self, l: Lexeme, word: &str) -> bool {
+        l.kind == IDENT && self.text(l) == word
     }
 
-    fn next(&mut self) -> Result<Option<Token<'a>>, ParseError> {
-        self.peek()?;
-        Ok(self.peeked.take().map(|l| {
-            self.line = l.line;
-            self.start = l.start;
-            l.token
-        }))
-    }
-
-    /// The span of `word`, the text of the last token taken.
-    fn span(&self, word: &str) -> Span {
-        // both fit: the source is at most `u32::MAX` bytes
-        Span { start: self.start as u32, len: word.len() as u32 }
-    }
-
-    fn expect_symbol(&mut self, c: char) -> Result<(), ParseError> {
-        match self.next()? {
-            Some(Token::Symbol(s)) if s == c => Ok(()),
-            other => {
-                Err(ParseError::at_line(self.line(), format!("expected '{c}', found {other:?}")))
+    #[inline]
+    fn peek(&mut self) -> Result<Lexeme, ParseError> {
+        match self.peeked {
+            Some(l) => Ok(l),
+            None => {
+                let l = self.lexer.next_token()?;
+                self.peeked = Some(l);
+                Ok(l)
             }
         }
     }
 
-    fn expect_ident(&mut self) -> Result<Span, ParseError> {
-        match self.next()? {
-            Some(Token::Ident(s)) => Ok(self.span(s)),
-            other => Err(ParseError::at_line(
-                self.line(),
-                format!("expected identifier, found {other:?}"),
-            )),
+    fn line(&self) -> usize {
+        match self.peeked {
+            Some(l) if l.kind != EOF => l.line as usize,
+            _ => self.line,
         }
     }
 
-    fn eat_symbol(&mut self, c: char) -> Result<bool, ParseError> {
-        if self.peek()? == Some(Token::Symbol(c)) {
+    #[inline]
+    fn next(&mut self) -> Result<Lexeme, ParseError> {
+        let l = self.peek()?;
+        if l.kind != EOF {
+            self.peeked = None;
+            self.line = l.line as usize;
+        }
+        Ok(l)
+    }
+
+    #[inline]
+    fn expect_symbol(&mut self, c: u8) -> Result<(), ParseError> {
+        let l = self.next()?;
+        if l.kind == c {
+            return Ok(());
+        }
+        let message = format!("expected '{}', found {}", char::from(c), self.found(l));
+        Err(ParseError::at_line(self.line(), message))
+    }
+
+    #[inline]
+    fn expect_ident(&mut self) -> Result<Span, ParseError> {
+        let l = self.next()?;
+        if l.kind == IDENT {
+            return Ok(l.span());
+        }
+        let message = format!("expected identifier, found {}", self.found(l));
+        Err(ParseError::at_line(self.line(), message))
+    }
+
+    #[inline]
+    fn eat_symbol(&mut self, c: u8) -> Result<bool, ParseError> {
+        if self.peek()?.kind == c {
             self.next()?;
             Ok(true)
         } else {
@@ -335,13 +799,13 @@ impl<'a> Parser<'a> {
 
     /// Parses `[msb:lsb]` if present.
     fn parse_range(&mut self) -> Result<Option<(i64, i64)>, ParseError> {
-        if !self.eat_symbol('[')? {
+        if !self.eat_symbol(b'[')? {
             return Ok(None);
         }
         let msb = self.parse_int()?;
-        self.expect_symbol(':')?;
+        self.expect_symbol(b':')?;
         let lsb = self.parse_int()?;
-        self.expect_symbol(']')?;
+        self.expect_symbol(b']')?;
         self.check_width(msb, lsb)?;
         Ok(Some((msb, lsb)))
     }
@@ -359,31 +823,27 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_int(&mut self) -> Result<i64, ParseError> {
-        let mut negative = false;
-        if self.eat_symbol('-')? {
-            negative = true;
+        let negative = self.eat_symbol(b'-')?;
+        let l = self.next()?;
+        if l.kind != NUMBER {
+            let message = format!("expected integer, found {}", self.found(l));
+            return Err(ParseError::at_line(self.line(), message));
         }
-        match self.next()? {
-            Some(Token::Number(n)) => {
-                let v: i64 = n.parse().map_err(|_| {
-                    ParseError::at_line(self.line(), format!("invalid integer '{n}'"))
-                })?;
-                Ok(if negative { -v } else { v })
-            }
-            other => {
-                Err(ParseError::at_line(self.line(), format!("expected integer, found {other:?}")))
-            }
-        }
+        let n = self.text(l);
+        let v: i64 = n
+            .parse()
+            .map_err(|_| ParseError::at_line(self.line(), format!("invalid integer '{n}'")))?;
+        Ok(if negative { -v } else { v })
     }
 
     /// Parses a net expression — `name`, `name[3]`, `name[7:4]`, a constant,
     /// or a concatenation `{a, b[3], ...}` — and appends its bits to `bits`
     /// in source order. Concatenations are parsed without recursion: nesting
     /// only groups bits, so a depth counter is all the state it needs.
-    fn parse_net_expr(&mut self, bits: &mut Vec<NetBit>) -> Result<(), ParseError> {
+    fn parse_net_expr(&mut self, bits: &mut Vec<NetName>) -> Result<(), ParseError> {
         let mut depth = 0usize;
         loop {
-            while self.eat_symbol('{')? {
+            while self.eat_symbol(b'{')? {
                 depth += 1;
             }
             self.parse_net_term(bits)?;
@@ -391,49 +851,51 @@ impl<'a> Parser<'a> {
                 if depth == 0 {
                     return Ok(());
                 }
-                if self.eat_symbol(',')? {
+                if self.eat_symbol(b',')? {
                     break;
                 }
-                self.expect_symbol('}')?;
+                self.expect_symbol(b'}')?;
                 depth -= 1;
             }
         }
     }
 
     /// Parses one operand of a net expression (no braces).
-    fn parse_net_term(&mut self, bits: &mut Vec<NetBit>) -> Result<(), ParseError> {
-        match self.next()? {
-            Some(Token::Ident(base)) => {
-                let base = self.span(base);
-                if self.eat_symbol('[')? {
+    fn parse_net_term(&mut self, bits: &mut Vec<NetName>) -> Result<(), ParseError> {
+        let l = self.next()?;
+        match l.kind {
+            IDENT => {
+                let base = l.span();
+                if self.eat_symbol(b'[')? {
                     let a = self.parse_int()?;
-                    if self.eat_symbol(':')? {
+                    if self.eat_symbol(b':')? {
                         let b = self.parse_int()?;
-                        self.expect_symbol(']')?;
+                        self.expect_symbol(b']')?;
                         self.check_width(a, b)?;
                         // bits are listed in source order, i.e. from `a` to `b`
                         if a >= b {
-                            bits.extend((b..=a).rev().map(|i| NetBit::Bit(base, i)));
+                            bits.extend((b..=a).rev().map(|i| NetName { root: base, select: i }));
                         } else {
-                            bits.extend((a..=b).map(|i| NetBit::Bit(base, i)));
+                            bits.extend((a..=b).map(|i| NetName { root: base, select: i }));
                         }
                     } else {
-                        self.expect_symbol(']')?;
-                        bits.push(NetBit::Bit(base, a));
+                        self.expect_symbol(b']')?;
+                        bits.push(NetName { root: base, select: a });
                     }
                 } else {
-                    bits.push(NetBit::Name(base));
+                    bits.push(NetName::name(base));
                 }
                 Ok(())
             }
-            Some(Token::Number(n)) => {
-                bits.push(NetBit::Const(self.span(n)));
+            NUMBER => {
+                // a number token, so the name is a constant's
+                bits.push(NetName::name(l.span()));
                 Ok(())
             }
-            other => Err(ParseError::at_line(
-                self.line(),
-                format!("expected net expression, found {other:?}"),
-            )),
+            _ => {
+                let message = format!("expected net expression, found {}", self.found(l));
+                Err(ParseError::at_line(self.line(), message))
+            }
         }
     }
 }
@@ -470,6 +932,23 @@ impl<'a> ModuleTable<'a> {
             }
         }
     }
+
+    /// The table's heap bytes: instances, connections and local tables.
+    #[cfg(test)]
+    fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.modules
+            .iter()
+            .map(|m| {
+                m.instances.capacity() * size_of::<Instance>()
+                    + m.connections.capacity() * size_of::<Connection>()
+                    + m.port_index.slots.capacity() * 8
+                    + m.types.heap_bytes()
+                    + m.pins.heap_bytes()
+                    + m.nets.heap_bytes()
+            })
+            .sum()
+    }
 }
 
 /// Rejects a source too long for the module table's `u32` spans.
@@ -490,9 +969,9 @@ fn parse_modules(text: &str) -> Result<ModuleTable<'_>, ParseError> {
     let mut p = Parser::new(text);
     let mut table = ModuleTable { text, modules: Vec::new(), index: NameTable::default() };
     let mut bits = Vec::new();
-    while let Some(tok) = p.peek()? {
-        p.next()?;
-        if tok == Token::Ident("module") {
+    while p.peek()?.kind != EOF {
+        let tok = p.next()?;
+        if p.is(tok, "module") {
             table.insert(parse_module(&mut p, &mut bits)?);
         }
     }
@@ -507,141 +986,173 @@ fn to_u32(n: usize, line: usize, what: &str) -> Result<u32, ParseError> {
 
 /// Parses one module after its `module` keyword. `bits` is scratch space for
 /// the bits of one net expression.
-fn parse_module(p: &mut Parser<'_>, bits: &mut Vec<NetBit>) -> Result<Module, ParseError> {
+fn parse_module(p: &mut Parser<'_>, bits: &mut Vec<NetName>) -> Result<Module, ParseError> {
+    let text = p.lexer.text;
     let name = p.expect_ident()?;
-    let mut module =
-        Module { name, ports: Vec::new(), instances: Vec::new(), connections: Vec::new() };
+    let mut module = Module {
+        name,
+        ports: Vec::new(),
+        port_index: Index::default(),
+        types: Local::default(),
+        pins: Local::default(),
+        nets: Local::default(),
+        instances: Vec::new(),
+        connections: Vec::new(),
+    };
     // Header port list. ANSI-style declarations (`input [1:0] a, output y`)
     // are recorded directly; non-ANSI headers only list names and the
     // directions come from declarations in the body.
-    if p.eat_symbol('(')? {
+    if p.eat_symbol(b'(')? {
         let mut dir: Option<PortDirection> = None;
         let mut range: Option<(i64, i64)> = None;
         loop {
-            if p.eat_symbol(')')? {
+            if p.eat_symbol(b')')? {
                 break;
             }
-            match p.peek()? {
-                Some(Token::Ident(kw @ ("input" | "output" | "inout"))) => {
-                    p.next()?;
-                    dir = Some(direction(kw));
-                    if matches!(p.peek()?, Some(Token::Ident("wire" | "reg"))) {
-                        p.next()?;
-                    }
-                    range = p.parse_range()?;
-                }
-                Some(Token::Ident(pname)) => {
-                    p.next()?;
-                    if let Some(d) = dir {
-                        module.ports.push((p.span(pname), d, range));
-                    }
-                }
-                _ => {
+            let tok = p.peek()?;
+            if tok.kind == EOF {
+                // a header cut off by the end of the file
+                return Err(ParseError::new("unexpected end of file in module"));
+            }
+            let word = if tok.kind == IDENT { p.text(tok) } else { "" };
+            if matches!(word, "input" | "output" | "inout") {
+                p.next()?;
+                dir = Some(direction(word));
+                let next = p.peek()?;
+                if p.is(next, "wire") || p.is(next, "reg") {
                     p.next()?;
                 }
+                range = p.parse_range()?;
+            } else if tok.kind == IDENT {
+                p.next()?;
+                if let Some(d) = dir {
+                    module.ports.push((tok.span(), d, range));
+                }
+            } else {
+                p.next()?;
             }
         }
     }
-    p.expect_symbol(';')?;
+    p.expect_symbol(b';')?;
 
     loop {
-        let tok = p.peek()?.ok_or_else(|| ParseError::new("unexpected end of file in module"))?;
-        match tok {
-            Token::Ident("endmodule") => {
+        let tok = p.peek()?;
+        if tok.kind == EOF {
+            return Err(ParseError::new("unexpected end of file in module"));
+        }
+        if tok.kind != IDENT {
+            p.next()?;
+            continue;
+        }
+        let word = p.text(tok);
+        match word {
+            "endmodule" => {
                 p.next()?;
                 break;
             }
-            Token::Ident(kw @ ("input" | "output" | "inout")) => {
+            "input" | "output" | "inout" => {
                 p.next()?;
-                let dir = direction(kw);
+                let dir = direction(word);
                 // optional `wire` keyword
-                if p.peek()? == Some(Token::Ident("wire")) {
+                let next = p.peek()?;
+                if p.is(next, "wire") {
                     p.next()?;
                 }
                 let range = p.parse_range()?;
                 loop {
                     let pname = p.expect_ident()?;
                     module.ports.push((pname, dir, range));
-                    if !p.eat_symbol(',')? {
+                    if !p.eat_symbol(b',')? {
                         break;
                     }
                 }
-                p.expect_symbol(';')?;
+                p.expect_symbol(b';')?;
             }
-            Token::Ident("wire" | "tri") => {
+            "wire" | "tri" => {
                 p.next()?;
                 let _range = p.parse_range()?;
                 loop {
                     p.expect_ident()?;
-                    if !p.eat_symbol(',')? {
+                    if !p.eat_symbol(b',')? {
                         break;
                     }
                 }
-                p.expect_symbol(';')?;
+                p.expect_symbol(b';')?;
             }
-            Token::Ident("assign" | "parameter" | "supply0" | "supply1") => {
+            "assign" | "parameter" | "supply0" | "supply1" => {
                 // skip to semicolon
                 p.next()?;
-                while let Some(t) = p.next()? {
-                    if t == Token::Symbol(';') {
+                loop {
+                    let t = p.next()?;
+                    if t.kind == EOF || t.kind == b';' {
                         break;
                     }
                 }
             }
-            Token::Ident(cell) => {
-                p.next()?;
-                let cell = p.span(cell);
-                let line = p.line();
-                let name = p.expect_ident()?;
-                p.expect_symbol('(')?;
-                let start = module.connections.len();
-                if !p.eat_symbol(')')? {
-                    loop {
-                        p.expect_symbol('.')?;
-                        let base = p.expect_ident()?;
-                        let index = if p.eat_symbol('[')? {
-                            let i = p.parse_int()?;
-                            p.expect_symbol(']')?;
-                            Some(i)
-                        } else {
-                            None
-                        };
-                        p.expect_symbol('(')?;
-                        bits.clear();
-                        if p.peek()? != Some(Token::Symbol(')')) {
-                            p.parse_net_expr(bits)?;
-                        }
-                        p.expect_symbol(')')?;
-                        // a multi-bit connection becomes one pin per bit, msb first
-                        let width = to_u32(bits.len(), p.line(), "the connection's bit count")?;
-                        let multi = width > 1;
-                        for (msb_first, &net) in (0..width).rev().zip(bits.iter()) {
-                            if !matches!(net, NetBit::Name(Span { len: 0, .. })) {
-                                let bit = multi.then_some(msb_first);
-                                module
-                                    .connections
-                                    .push(Connection { pin: Pin { base, index, bit }, net });
-                            }
-                        }
-                        if !p.eat_symbol(',')? {
-                            break;
-                        }
-                    }
-                    p.expect_symbol(')')?;
-                }
-                p.expect_symbol(';')?;
-                let end = to_u32(module.connections.len(), line, "the module's connection count")?;
-                // `start` is at most `end`, and a line at most the source
-                // length, so both fit in `u32`
-                let connections = start as u32..end;
-                module.instances.push(Instance { cell, name, line: line as u32, connections });
-            }
-            _ => {
-                p.next()?;
-            }
+            _ => parse_instance(p, &mut module, text, bits)?,
         }
     }
+    module.finish(text);
     Ok(module)
+}
+
+/// Parses one instantiation, its cell type `p` peeked, into `module`.
+fn parse_instance(
+    p: &mut Parser<'_>,
+    module: &mut Module,
+    text: &str,
+    bits: &mut Vec<NetName>,
+) -> Result<(), ParseError> {
+    let cell = p.next()?.span();
+    let line = p.line();
+    let name = p.expect_ident()?;
+    p.expect_symbol(b'(')?;
+    let start = module.connections.len();
+    if !p.eat_symbol(b')')? {
+        loop {
+            p.expect_symbol(b'.')?;
+            let base = p.expect_ident()?;
+            let index = if p.eat_symbol(b'[')? {
+                let i = p.parse_int()?;
+                p.expect_symbol(b']')?;
+                i
+            } else {
+                NO_SELECT
+            };
+            p.expect_symbol(b'(')?;
+            bits.clear();
+            if p.peek()?.kind != b')' {
+                p.parse_net_expr(bits)?;
+            }
+            p.expect_symbol(b')')?;
+            // a multi-bit connection becomes one pin per bit, msb first
+            let width = to_u32(bits.len(), p.line(), "the connection's bit count")?;
+            let multi = width > 1;
+            for (msb_first, &net) in (0..width).rev().zip(bits.iter()) {
+                if net.root.len > 0 || net.select != NO_SELECT {
+                    let bit = if multi { msb_first } else { u32::MAX };
+                    let pin = Pin { base, index, bit, output: false };
+                    let pin = module.pins.intern_with(text, &pin.spelling(text), || Pin {
+                        output: is_output_pin(base.of(text)),
+                        ..pin
+                    });
+                    let net = module.nets.intern(text, net);
+                    module.connections.push(Connection { pin, net });
+                }
+            }
+            if !p.eat_symbol(b',')? {
+                break;
+            }
+        }
+        p.expect_symbol(b')')?;
+    }
+    p.expect_symbol(b';')?;
+    to_u32(module.connections.len(), line, "the module's connection count")?;
+    let cell = module.types.intern(text, cell);
+    // `start` is at most the checked count, and a line at most the source
+    // length, so both fit in `u32`
+    module.instances.push(Instance { cell, name, line: line as u32, connections: start as u32 });
+    Ok(())
 }
 
 fn direction(keyword: &str) -> PortDirection {
@@ -686,19 +1197,19 @@ pub fn parse_verilog(
     top: Option<&str>,
     opts: &ElaborateOptions,
 ) -> Result<Design, ParseError> {
-    let mut builder = elaborate(text, top, opts)?;
+    let (mut builder, _) = elaborate(text, top, opts)?;
     connect_top_ports(&mut builder);
     Ok(builder.build())
 }
 
-/// Parses `text` and flattens the top module into a builder. The module
-/// table is dropped on return, so it is gone before the builder packs the
-/// wiring.
+/// Parses `text` and flattens the top module into a builder; also returns
+/// the number of design-net resolutions flattening made. The module table is
+/// dropped on return, so it is gone before the builder packs the wiring.
 fn elaborate(
     text: &str,
     top: Option<&str>,
     opts: &ElaborateOptions,
-) -> Result<DesignBuilder, ParseError> {
+) -> Result<(DesignBuilder, usize), ParseError> {
     let modules = parse_modules(text)?;
     if modules.modules.is_empty() {
         return Err(ParseError::new("no modules found"));
@@ -714,14 +1225,15 @@ fn elaborate(
         modules: &modules,
         opts,
         builder: DesignBuilder::new(top_name),
-        active: vec![top_id],
+        prepared: std::iter::repeat_with(|| None).take(modules.modules.len()).collect(),
+        frames: Vec::new(),
+        slots: Vec::new(),
         path: String::new(),
         segments: 0,
         path_id: None,
         classes: Vec::new(),
-        pin: String::new(),
-        net: String::new(),
         global: String::new(),
+        resolutions: 0,
     };
     // top-level ports
     let mut port = String::new();
@@ -742,8 +1254,9 @@ fn elaborate(
             }
         }
     }
-    ctx.flatten(top_module, &PortMap::default())?;
-    Ok(ctx.builder)
+    ctx.enter(top_id);
+    ctx.flatten(top_id)?;
+    Ok((ctx.builder, ctx.resolutions))
 }
 
 /// After flattening, nets named exactly like a top-level port are attached
@@ -766,7 +1279,7 @@ fn connect_top_ports(builder: &mut DesignBuilder) {
 fn infer_top<'a>(modules: &ModuleTable<'a>) -> Result<&'a str, ParseError> {
     let text = modules.text;
     let mut instantiated: Vec<&str> =
-        modules.modules.iter().flat_map(|m| m.instances.iter().map(|i| i.cell.of(text))).collect();
+        modules.modules.iter().flat_map(|m| m.types.entries.iter().map(|t| t.of(text))).collect();
     instantiated.sort_unstable();
     instantiated.dedup();
     let candidates: Vec<&'a str> = modules
@@ -785,66 +1298,6 @@ fn infer_top<'a>(modules: &ModuleTable<'a>) -> Result<&'a str, ParseError> {
     }
 }
 
-/// Sorted (local net → global net) map used while flattening one hierarchical
-/// instance. Keys and values are written into one string arena, so a map
-/// allocates per instance, not per binding.
-#[derive(Default)]
-struct PortMap {
-    text: String,
-    /// `(key start, key end = value start, value end)` offsets into `text`.
-    entries: Vec<(usize, usize, usize)>,
-}
-
-impl PortMap {
-    fn insert(&mut self, key: &str, value: &str) {
-        let start = self.text.len();
-        self.text.push_str(key);
-        let mid = self.text.len();
-        self.text.push_str(value);
-        self.entries.push((start, mid, self.text.len()));
-    }
-
-    /// Sorts the bindings by key for [`PortMap::get`], keeping the *last*
-    /// binding of a duplicated port, like map insertion did.
-    fn sorted(mut self) -> Self {
-        let text = self.text.as_str();
-        let key = |&(start, mid, _): &(usize, usize, usize)| text.get(start..mid);
-        self.entries.sort_by(|a, b| key(a).cmp(&key(b))); // stable: source order within a key
-        self.entries.dedup_by(|later, earlier| {
-            let duplicate = key(later) == key(earlier);
-            if duplicate {
-                *earlier = *later;
-            }
-            duplicate
-        });
-        self
-    }
-
-    fn get(&self, key: &str) -> Option<&str> {
-        let i = self
-            .entries
-            .binary_search_by(|&(start, mid, _)| self.text.get(start..mid).cmp(&Some(key)))
-            .ok()?;
-        self.entries.get(i).and_then(|&(_, mid, end)| self.text.get(mid..end))
-    }
-}
-
-/// Writes the global name of local net `net` into `out`: through the port
-/// map if the net is a port of the enclosing module, otherwise by prefixing
-/// the instance path.
-fn resolve_net(out: &mut String, path: &str, port_map: &PortMap, net: &str) {
-    out.clear();
-    if let Some(global) = port_map.get(net) {
-        out.push_str(global);
-    } else if net.starts_with("__const_") || path.is_empty() {
-        out.push_str(net);
-    } else {
-        out.push_str(path);
-        out.push('/');
-        out.push_str(net);
-    }
-}
-
 /// Appends instance `name` to the hierarchical `path`.
 fn push_path(path: &mut String, name: &str) {
     if !path.is_empty() {
@@ -856,12 +1309,57 @@ fn push_path(path: &mut String, name: &str) {
 /// A leaf cell's kind and footprint, decided once per library cell.
 type CellClass = (CellKind, Dbu, Dbu);
 
+/// What a module's cell type elaborates to.
+#[derive(Clone, Copy)]
+enum CellType {
+    /// An instance of the module with this id.
+    Module(usize),
+    /// A leaf cell: its library cell, once a new cell of it was added.
+    Leaf(Option<LibCellId>),
+}
+
+/// What flattening works out once per module definition, at its first
+/// instance.
+struct Prepared {
+    /// What each of [`Module::types`] is.
+    types: Vec<CellType>,
+    /// The bits `n[i]` of each bare name `n` bound to a vectored child port
+    /// that the module does not spell itself. Their local ids follow
+    /// [`Module::nets`].
+    bits: Local<NetName>,
+}
+
+/// One module instance on the active instantiation path.
+struct Frame {
+    module: usize,
+    /// Where the instance's net slots start in [`Flattener::slots`].
+    slots: usize,
+    /// The length of the instance's path in [`Flattener::path`].
+    path: usize,
+}
+
+/// The design net of one local net of one module instance.
+#[derive(Clone, Copy)]
+enum Slot {
+    /// Not used by a leaf yet, and bound to no parent net.
+    Unresolved,
+    /// Bound by the instance's port connection to this local net of the
+    /// parent instance, not used by a leaf yet.
+    Bound(u32),
+    /// Resolved.
+    Net(NetId),
+}
+
 struct Flattener<'t, 'a> {
     modules: &'t ModuleTable<'a>,
     opts: &'t ElaborateOptions,
     builder: DesignBuilder,
-    /// Ids of the modules on the active instantiation path, top first.
-    active: Vec<usize>,
+    /// Per module id, once it has been instantiated.
+    prepared: Vec<Option<Prepared>>,
+    /// The module instances on the active instantiation path, top first.
+    frames: Vec<Frame>,
+    /// The net slots of every frame, end to end.
+    slots: Vec<Slot>,
     /// Instance path of the module being flattened (`u_core/u_alu`).
     path: String,
     /// Number of `/`-separated segments of `path` (0 at the top).
@@ -870,54 +1368,138 @@ struct Flattener<'t, 'a> {
     path_id: Option<HierPathId>,
     /// The class of each library cell the builder has interned, by id.
     classes: Vec<CellClass>,
-    /// Reused buffers: a pin name, a local net name, its global name.
-    pin: String,
-    net: String,
+    /// Reused buffer for a design net name.
     global: String,
+    /// Design-net resolutions so far: one per module instance and local net
+    /// that a leaf uses and no port binding resolved.
+    resolutions: usize,
 }
 
 impl<'t, 'a> Flattener<'t, 'a> {
-    /// Instantiates the cells of `module` under the current path. `port_map`
-    /// maps the module's local net names to global net names.
-    fn flatten(&mut self, module: &'t Module, port_map: &PortMap) -> Result<(), ParseError> {
-        for inst in &module.instances {
-            let range = inst.connections.start as usize..inst.connections.end as usize;
-            let connections = module.connections.get(range).unwrap_or_default();
-            match self.modules.find(inst.cell.of(self.modules.text)) {
-                Some((id, child)) => self.flatten_child(inst, id, child, connections, port_map)?,
-                None => self.add_leaf(inst, connections, port_map)?,
+    fn prepared(&self, id: usize) -> Option<&Prepared> {
+        self.prepared.get(id).and_then(Option::as_ref)
+    }
+
+    /// Resolves module `id`'s cell types and collects the bits it binds to
+    /// vectored ports, unless an earlier instance did.
+    fn prepare(&mut self, id: usize) {
+        if self.prepared(id).is_some() {
+            return;
+        }
+        let (modules, text) = (self.modules, self.modules.text);
+        let Some(module) = modules.modules.get(id) else { return };
+        let types: Vec<CellType> = module
+            .types
+            .entries
+            .iter()
+            .map(|t| match modules.find(t.of(text)) {
+                Some((child, _)) => CellType::Module(child),
+                None => CellType::Leaf(None),
+            })
+            .collect();
+        let mut bits = Local::default();
+        for (k, inst) in module.instances.iter().enumerate() {
+            let Some(&CellType::Module(child)) = types.get(inst.cell as usize) else { continue };
+            let Some(child) = modules.modules.get(child) else { continue };
+            for conn in module.connections_of(k) {
+                let (Some(pin), Some(&net)) =
+                    (module.pins.get(conn.pin), module.nets.get(conn.net))
+                else {
+                    continue;
+                };
+                let Some((msb, lsb)) = child.port_range(text, &pin.spelling(text)) else {
+                    continue;
+                };
+                if net.spelling(text).has_bracket(text) {
+                    continue;
+                }
+                for i in msb.min(lsb)..=msb.max(lsb) {
+                    let bit = net.bit(i);
+                    if module.nets.find(text, &bit.spelling(text)).is_none() {
+                        bits.intern(text, bit);
+                    }
+                }
+            }
+        }
+        if let Some(slot) = self.prepared.get_mut(id) {
+            *slot = Some(Prepared { types, bits });
+        }
+    }
+
+    /// The local id of net `name` in module `id`, counting its bound bits.
+    fn find_net(&self, id: usize, name: &Spelling) -> Option<u32> {
+        let (text, module) = (self.modules.text, self.modules.modules.get(id)?);
+        let hash = name.hash(text);
+        module.nets.find_hashed(text, name, hash).or_else(|| {
+            let bits = &self.prepared(id)?.bits;
+            let bit = bits.find_hashed(text, name, hash)?;
+            Some(module.nets.len() as u32 + bit)
+        })
+    }
+
+    /// How local net `local` of module `id` is written: one of its nets, or
+    /// one of the bits it binds.
+    fn net_spelling(&self, id: usize, local: u32) -> Option<Spelling> {
+        let nets = &self.modules.modules.get(id)?.nets;
+        let net = match local.checked_sub(nets.len() as u32) {
+            None => nets.get(local),
+            Some(bit) => self.prepared(id)?.bits.get(bit),
+        };
+        net.map(|n| n.spelling(self.modules.text))
+    }
+
+    /// Pushes a frame for an instance of module `id` at the current path,
+    /// every net slot unresolved; returns where its slots start.
+    fn enter(&mut self, id: usize) -> usize {
+        self.prepare(id);
+        let locals = self.modules.modules.get(id).map_or(0, |m| m.nets.len())
+            + self.prepared(id).map_or(0, |p| p.bits.len());
+        let start = self.slots.len();
+        self.slots.resize(start + locals, Slot::Unresolved);
+        self.frames.push(Frame { module: id, slots: start, path: self.path.len() });
+        start
+    }
+
+    /// Instantiates the cells of module `id`, whose frame is on top.
+    fn flatten(&mut self, id: usize) -> Result<(), ParseError> {
+        let Some(module) = self.modules.modules.get(id) else { return Ok(()) };
+        for (k, inst) in module.instances.iter().enumerate() {
+            let connections = module.connections_of(k);
+            let cell_type = self.prepared(id).and_then(|p| p.types.get(inst.cell as usize));
+            match cell_type.copied() {
+                Some(CellType::Module(child)) => {
+                    self.flatten_child(id, inst, child, connections)?
+                }
+                _ => self.add_leaf(id, inst, connections)?,
             }
         }
         Ok(())
     }
 
-    /// Flattens hierarchical instance `inst` of module `child` (with id
-    /// `id`): builds the child's port map, then descends one level.
+    /// Flattens hierarchical instance `inst` of module `child` inside module
+    /// `parent`: binds the child's nets to the parent's, then descends one
+    /// level.
     fn flatten_child(
         &mut self,
+        parent: usize,
         inst: &Instance,
-        id: usize,
-        child: &'t Module,
+        child: usize,
         connections: &[Connection],
-        port_map: &PortMap,
     ) -> Result<(), ParseError> {
         let text = self.modules.text;
+        let child_name = self.modules.modules.get(child).map_or("", |m| m.name.of(text));
         let (name, line) = (inst.name.of(text), inst.line as usize);
-        if self.active.contains(&id) {
+        if self.frames.iter().any(|f| f.module == child) {
             return Err(ParseError::at_line(
                 line,
-                format!(
-                    "instance '{name}' instantiates module '{}' inside itself",
-                    child.name.of(text)
-                ),
+                format!("instance '{name}' instantiates module '{child_name}' inside itself"),
             ));
         }
-        if self.active.len() >= MAX_HIERARCHY_DEPTH {
+        if self.frames.len() >= MAX_HIERARCHY_DEPTH {
             return Err(ParseError::at_line(
                 line,
                 format!(
-                    "instance '{name}' of module '{}' is nested deeper than {MAX_HIERARCHY_DEPTH} levels",
-                    child.name.of(text)
+                    "instance '{name}' of module '{child_name}' is nested deeper than {MAX_HIERARCHY_DEPTH} levels"
                 ),
             ));
         }
@@ -927,85 +1509,161 @@ impl<'t, 'a> Flattener<'t, 'a> {
             return Err(ParseError::at_line(
                 line,
                 format!(
-                    "an instance of module '{}' has a hierarchy path of {segments} levels, \
-                     more than {MAX_HIERARCHY_DEPTH}",
-                    child.name.of(text)
+                    "an instance of module '{child_name}' has a hierarchy path of {segments} levels, \
+                     more than {MAX_HIERARCHY_DEPTH}"
                 ),
             ));
         }
-        // Child port ranges are looked up through a sorted slice so a wide
-        // port list stays O(C log P) rather than O(C·P).
-        let mut child_ranges: Vec<(&str, Option<(i64, i64)>)> =
-            child.ports.iter().map(|&(n, _, r)| (n.of(text), r)).collect();
-        child_ranges.sort_by(|a, b| a.0.cmp(b.0)); // stable: first decl of a duplicate wins
-        child_ranges.dedup_by(|a, b| a.0 == b.0);
-        let mut map = PortMap::default();
-        for conn in connections {
-            self.pin.clear();
-            conn.pin.write_to(text, &mut self.pin);
-            self.net.clear();
-            conn.net.write_to(text, &mut self.net);
-            let child_range = child_ranges
-                .binary_search_by(|(n, _)| (*n).cmp(self.pin.as_str()))
-                .ok()
-                .and_then(|i| child_ranges.get(i))
-                .and_then(|&(_, r)| r);
-            match child_range {
-                // When a vectored child port is connected to a bare bus
-                // name, expand the connection bit by bit so nested levels
-                // resolve individual bits consistently.
-                Some((msb, lsb)) if !self.net.contains('[') => {
-                    let (pin_len, net_len) = (self.pin.len(), self.net.len());
-                    for i in msb.min(lsb)..=msb.max(lsb) {
-                        self.net.truncate(net_len);
-                        let _ = write!(self.net, "[{i}]");
-                        resolve_net(&mut self.global, &self.path, port_map, &self.net);
-                        self.pin.truncate(pin_len);
-                        let _ = write!(self.pin, "[{i}]");
-                        map.insert(&self.pin, &self.global);
-                    }
-                }
-                _ => {
-                    resolve_net(&mut self.global, &self.path, port_map, &self.net);
-                    map.insert(&self.pin, &self.global);
-                }
-            }
-        }
-        let map = map.sorted();
         let (outer, outer_segments, outer_id) = (self.path.len(), self.segments, self.path_id);
         push_path(&mut self.path, name);
+        let start = self.enter(child);
+        self.bind(parent, child, start, connections);
         self.segments = segments;
         self.path_id = None;
-        self.active.push(id);
-        let result = self.flatten(child, &map);
-        self.active.pop();
+        let result = self.flatten(child);
+        self.frames.pop();
+        self.slots.truncate(start);
         self.path.truncate(outer);
         self.segments = outer_segments;
         self.path_id = outer_id;
         result
     }
 
-    /// Adds leaf instance `inst` as a cell and connects its pins, creating
-    /// each net at its first reference. A new cell interns its library cell,
-    /// classified at its first use, and the current path, interned once per
-    /// module instance.
+    /// Binds the child's nets named by `connections` (of an instance in
+    /// `parent`) to the parent's nets, in the child's frame at `start`. A
+    /// pin names the child net spelled like it; a bare name bound to a
+    /// vectored port binds bit by bit; the last binding of a pin wins.
+    fn bind(&mut self, parent: usize, child: usize, start: usize, connections: &[Connection]) {
+        let (modules, text) = (self.modules, self.modules.text);
+        let (Some(pm), Some(cm)) = (modules.modules.get(parent), modules.modules.get(child)) else {
+            return;
+        };
+        for conn in connections {
+            let (Some(pin), Some(&net)) = (pm.pins.get(conn.pin), pm.nets.get(conn.net)) else {
+                continue;
+            };
+            let pin = pin.spelling(text);
+            match cm.port_range(text, &pin) {
+                Some((msb, lsb)) if !net.spelling(text).has_bracket(text) => {
+                    for i in msb.min(lsb)..=msb.max(lsb) {
+                        let bound = self.find_net(child, &pin.select(i));
+                        let from = self.find_net(parent, &net.bit(i).spelling(text));
+                        if let (Some(local), Some(from)) = (bound, from) {
+                            self.set(start + local as usize, Slot::Bound(from));
+                        }
+                    }
+                }
+                _ => {
+                    if let Some(local) = self.find_net(child, &pin) {
+                        self.set(start + local as usize, Slot::Bound(conn.net));
+                    }
+                }
+            }
+        }
+    }
+
+    fn set(&mut self, at: usize, slot: Slot) {
+        if let Some(s) = self.slots.get_mut(at) {
+            *s = slot;
+        }
+    }
+
+    /// The slot of local net `local` of frame `f`.
+    fn slot(&self, f: usize, local: u32) -> Option<Slot> {
+        let frame = self.frames.get(f)?;
+        self.slots.get(frame.slots + local as usize).copied()
+    }
+
+    /// The design net of local net `local` of the innermost frame, resolved
+    /// at its first use: up the chain of port bindings to the instance that
+    /// names the net, whose path prefixes the name unless it is a constant's
+    /// (or the instance is the top), then through the design's net table.
+    /// Every slot on the chain keeps the result.
+    fn net(&mut self, local: u32, line: Option<usize>) -> Result<NetId, ParseError> {
+        let top = self.frames.len().saturating_sub(1);
+        let (mut f, mut l) = (top, local);
+        let id = loop {
+            match self.slot(f, l) {
+                Some(Slot::Net(id)) => break id,
+                Some(Slot::Bound(p)) if f > 0 => (f, l) = (f - 1, p),
+                _ => break self.add_net(f, l, line)?,
+            }
+        };
+        let (mut f, mut l) = (top, local);
+        while let Some(frame) = self.frames.get(f) {
+            let Some(slot) = self.slots.get_mut(frame.slots + l as usize) else { break };
+            let next = *slot;
+            *slot = Slot::Net(id);
+            match next {
+                Slot::Bound(p) if f > 0 => (f, l) = (f - 1, p),
+                _ => break,
+            }
+        }
+        Ok(id)
+    }
+
+    /// Adds (or finds) the design net that local net `local` of frame `f`
+    /// names.
+    fn add_net(&mut self, f: usize, local: u32, line: Option<usize>) -> Result<NetId, ParseError> {
+        let text = self.modules.text;
+        let (module, path) = match self.frames.get(f) {
+            Some(frame) => (frame.module, self.path.get(..frame.path).unwrap_or_default()),
+            None => (0, ""),
+        };
+        let spelling = self.net_spelling(module, local);
+        let global = &mut self.global;
+        global.clear();
+        if !path.is_empty() {
+            global.push_str(path);
+            global.push('/');
+        }
+        let name = global.len();
+        if let Some(spelling) = spelling {
+            spelling.write_to(text, global);
+        }
+        if global.get(name..).is_some_and(|n| n.starts_with(CONST_PREFIX)) {
+            global.drain(..name);
+        }
+        check_room(&self.builder, global, line)?;
+        self.resolutions += 1;
+        Ok(self.builder.add_net(global.as_str()))
+    }
+
+    /// Adds leaf instance `inst` of module `id` as a cell and connects its
+    /// pins, creating each net at its first reference. A new cell interns
+    /// its library cell, classified at its first use, and the current path,
+    /// interned once per module instance.
     fn add_leaf(
         &mut self,
+        id: usize,
         inst: &Instance,
         connections: &[Connection],
-        port_map: &PortMap,
     ) -> Result<(), ParseError> {
-        let (text, line) = (self.modules.text, Some(inst.line as usize));
-        let lib_name = inst.cell.of(text);
+        let (modules, text, line) = (self.modules, self.modules.text, Some(inst.line as usize));
+        let Some(module) = modules.modules.get(id) else { return Ok(()) };
+        let lib_name = module.types.get(inst.cell).map_or("", |t| t.of(text));
         let outer = self.path.len();
         push_path(&mut self.path, inst.name.of(text));
         // a new cell also interns its library cell, spelled in the source,
         // and its path, a prefix of its name: neither store can outgrow these
         check_room(&self.builder, &self.path, line)?;
         let (opts, classes, path_id) = (self.opts, &mut self.classes, &mut self.path_id);
+        let cell_type = self
+            .prepared
+            .get_mut(id)
+            .and_then(Option::as_mut)
+            .and_then(|p| p.types.get_mut(inst.cell as usize));
         let (name, hier_path) = (self.path.as_str(), self.path.get(..outer).unwrap_or_default());
         let cell = self.builder.add_cell_with(name, |b| {
-            let lib_cell = b.intern_lib_cell(lib_name);
+            let lib_cell = match cell_type {
+                Some(CellType::Leaf(Some(lib_cell))) => *lib_cell,
+                Some(slot) => {
+                    let lib_cell = b.intern_lib_cell(lib_name);
+                    *slot = CellType::Leaf(Some(lib_cell));
+                    lib_cell
+                }
+                None => b.intern_lib_cell(lib_name),
+            };
             let (kind, width, height) = match classes.get(lib_cell.0 as usize) {
                 Some(&class) => class,
                 None => {
@@ -1019,18 +1677,14 @@ impl<'t, 'a> Flattener<'t, 'a> {
         });
         self.path.truncate(outer);
         for conn in connections {
-            self.net.clear();
-            conn.net.write_to(text, &mut self.net);
-            resolve_net(&mut self.global, &self.path, port_map, &self.net);
-            check_room(&self.builder, &self.global, line)?;
-            let net = self.builder.add_net(&self.global);
-            if is_output_pin(conn.pin.base.of(text)) {
+            let net = self.net(conn.net, line)?;
+            if module.pins.get(conn.pin).is_some_and(|p| p.output) {
                 // the builder would keep only the last driver and leave the
                 // earlier one a fanout entry on a net it no longer drives
                 if let Some(other) = self.builder.driver_cell(net).filter(|&d| d != cell) {
                     let message = format!(
                         "net '{}' is driven by instance '{}' and again by instance '{}'",
-                        self.global,
+                        self.builder.net_name(net),
                         self.builder.cell_name(other),
                         self.builder.cell_name(cell),
                     );
@@ -1460,6 +2114,60 @@ endmodule
         assert_eq!(fanin("u1"), ["bus[7]"]);
         assert_eq!(fanin("u/2"), ["w[0]$x", "__const_1'b0"]);
         assert_eq!(d.hier_path(d.cell(d.find_cell("u/2").unwrap()).hier_path), "");
+    }
+
+    #[test]
+    fn a_header_cut_off_by_the_end_of_the_file_is_an_error() {
+        // the header loop used to spin forever at the end of the file
+        for src in ["module m (", "module m (input a,", "module m (input [3:0] a, b"] {
+            let err = parse_err(src, None);
+            assert_eq!(err.line, None, "{src}: {err}");
+            assert_eq!(err.message, "unexpected end of file in module", "{src}");
+        }
+    }
+
+    #[test]
+    fn each_net_is_resolved_once_per_module_instance() {
+        // `sub` is instantiated twice; its local nets are a, b, n, y, m and
+        // the constant, and top's are p, q, w, z2, z1
+        let src = "module sub (input a, input b, output y);\n\
+                   AND2 g1 (.A(a), .B(b), .Y(n));\n\
+                   INV g2 (.A(n), .Y(y));\n\
+                   BUF g3 (.A(n), .B(1'b0), .Y(m));\nendmodule\n\
+                   module top (input p, input q, output z1, output z2);\n\
+                   sub u0 (.a(p), .b(q), .y(w));\n\
+                   sub u1 (.a(w), .b(q), .y(z2));\n\
+                   BUF g (.A(w), .Y(z1));\nendmodule\n";
+        let (builder, resolutions) =
+            elaborate(src, Some("top"), &ElaborateOptions::default()).unwrap();
+        let design = builder.build();
+        let leaf_pins = design.connectivity().num_pins();
+        assert_eq!(leaf_pins, 18);
+        // one resolution per (module instance, local net) that a leaf uses
+        // and no port binding resolved: p, q, w, z2 and z1 at the top, n, m
+        // and the constant in each `sub`; the pins bound to a, b and y reuse
+        // the top's entries, and the constant resolves in both instances to
+        // one design net
+        assert_eq!(resolutions, 5 + 2 * 3);
+        assert_eq!(design.num_nets(), 10);
+        assert!(resolutions < leaf_pins);
+    }
+
+    #[test]
+    fn module_table_is_under_half_the_bytes_per_connection() {
+        let text = workload::emit::emit_verilog(&workload::presets::generate_circuit("c1").design);
+        let table = parse_modules(&text).unwrap();
+        let connections: usize = table.modules.iter().map(|m| m.connections.len()).sum();
+        let instances: usize = table.modules.iter().map(|m| m.instances.len()).sum();
+        // the table this one replaced: a 56-byte connection record and a
+        // 28-byte instance record, with no local tables
+        let before = (56 * connections + 28 * instances) as f64 / connections as f64;
+        let after = table.heap_bytes() as f64 / connections as f64;
+        eprintln!(
+            "c1: {connections} connections, {instances} instances, module table \
+             {after:.1} B per connection (records alone before: {before:.1})"
+        );
+        assert!(after * 2.0 <= before, "{after:.1} B per connection against {before:.1}");
     }
 
     #[test]

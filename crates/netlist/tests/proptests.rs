@@ -264,3 +264,83 @@ impl BuilderModel {
         pins
     }
 }
+
+/// The emitted netlist of a small preset, the seed of every mutation.
+fn small_netlist() -> &'static str {
+    static TEXT: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+    TEXT.get_or_init(|| {
+        let config = workload::presets::service_fleet_config(0, 0.01);
+        workload::emit::emit_verilog(&workload::SocGenerator::new(config).generate().design)
+    })
+}
+
+/// The characters a mutation inserts: Verilog's punctuation, digits, a
+/// multi-byte letter, a no-break space and a vertical tab.
+const INSERTED: [char; 17] = [
+    '\\', '[', ']', '(', ')', '{', '}', ',', ';', '.', '\'', '/', '*', '7', '\u{e9}', '\u{a0}',
+    '\u{b}',
+];
+
+/// One mutation of `text`: 0 truncates it at the char boundary at or before
+/// `at`, 1 deletes `len` lines from line `at`, 2 repeats them, and 3 inserts
+/// `chars` at the char boundary at or before `at`.
+fn mutate(text: &str, (kind, at, len, chars): &(u8, usize, usize, Vec<char>)) -> String {
+    let mut cut = at % (text.len() + 1);
+    while !text.is_char_boundary(cut) {
+        cut -= 1;
+    }
+    let (head, tail) = text.split_at(cut);
+    let lines: Vec<&str> = text.split_inclusive('\n').collect();
+    let first = at % lines.len().max(1);
+    let last = (first + len).min(lines.len());
+    match kind {
+        0 => head.to_string(),
+        1 => [&lines[..first], &lines[last..]].concat().concat(),
+        2 => [&lines[..last], &lines[first..]].concat().concat(),
+        _ => format!("{head}{}{tail}", chars.iter().collect::<String>()),
+    }
+}
+
+/// Parses `text` mutated by each of `mutations` in turn, with the top
+/// inferred and named: the parser returns a design or a `ParseError`, and
+/// never panics.
+fn parse_mutated(mutations: &[(u8, usize, usize, Vec<char>)]) {
+    let text = mutations.iter().fold(small_netlist().to_string(), |text, m| mutate(&text, m));
+    let opts = netlist::verilog::ElaborateOptions::default();
+    for top in [None, Some("fleet_0")] {
+        let _ = netlist::verilog::parse_verilog(&text, top, &opts);
+    }
+}
+
+fn arb_mutations() -> impl Strategy<Value = Vec<(u8, usize, usize, Vec<char>)>> {
+    prop::collection::vec(
+        (
+            0u8..4,
+            0usize..1_000_000,
+            1usize..8,
+            prop::collection::vec(prop::sample::select(INSERTED.to_vec()), 1..6),
+        ),
+        1..4,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 128 })]
+
+    #[test]
+    fn mutated_verilog_never_panics_the_parser(mutations in arb_mutations()) {
+        parse_mutated(&mutations);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 3000 })]
+
+    /// The mutation sweep over 3,000 cases (`--ignored`; a few seconds in
+    /// release).
+    #[test]
+    #[ignore]
+    fn mutated_verilog_never_panics_the_parser_deep_sweep(mutations in arb_mutations()) {
+        parse_mutated(&mutations);
+    }
+}

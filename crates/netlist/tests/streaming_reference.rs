@@ -1203,6 +1203,25 @@ struct Shape {
     /// `top` connects `sub`'s vectored port to an escaped name containing
     /// `[`, which is bound as one name rather than expanded bit by bit.
     escaped_bus: bool,
+    /// Tabs, `\r\n`, vertical tabs and form feeds separate tokens.
+    odd_spacing: bool,
+    /// `sub` spells an escaped name holding multi-byte UTF-8, an escaped
+    /// name ended by U+00A0 and a plain identifier with a non-ASCII letter.
+    unicode_names: bool,
+    /// `top` instantiates `tail`, which is defined after it.
+    forward_reference: bool,
+    /// `top` binds `sub`'s `clk` twice in one instance: the last binding
+    /// wins.
+    double_binding: bool,
+    /// `top` binds a constant to `sub`'s vectored port, so the leaves see
+    /// the nets `__const_1'b0[i]`.
+    const_bus: bool,
+    /// A top-level leaf `\u0/g0 ` names the cell that `sub u0` also makes,
+    /// so its pins attach to that cell.
+    leaf_alias: bool,
+    /// `top` instantiates `wide`, a module of a few hundred instances, so
+    /// the parser's module-local tables grow.
+    wide_module: bool,
 }
 
 /// A random hierarchical netlist: leaf cells wired through bus and scalar
@@ -1228,6 +1247,12 @@ fn build_random_verilog(gates: &[(u8, u8, u8)], bus_width: usize, shape: Shape) 
     if shape.use_escaped {
         src.push_str("  wire \\esc$wire ;\n");
         src.push_str("  BUF e0 (.A(a[0]), .Y(\\esc$wire ));\n");
+    }
+    if shape.unicode_names {
+        src.push_str("  BUF uni0 (.A(a[0]), .Y(\\\u{fc}/\u{f1}$wire ));\n");
+        src.push_str("  BUF uni1 (.A(\\\u{fc}/\u{f1}$wire ), .Y(n\u{e9}t));\n");
+        src.push_str("  BUF uni2 (.A(n\u{e9}t), .Y(\\nb$x\u{a0}));\n");
+        src.push_str("  BUF uni3 (.A(\\nb$x\u{a0}), .Y(uni_y));\n");
     }
     for (i, &(kind, src_bit, dst_bit)) in gates.iter().enumerate() {
         let cell = match kind % 4 {
@@ -1272,8 +1297,122 @@ fn build_random_verilog(gates: &[(u8, u8, u8)], bus_width: usize, shape: Shape) 
     if shape.escaped_bus {
         src.push_str("  wire \\bus[0]x ;\n  sub u_esc (.a(\\bus[0]x ), .clk(clk), .y(esc_y));\n");
     }
+    if shape.leaf_alias {
+        src.push_str("  BUF \\u0/g0  (.A(clk), .Y(alias_y));\n");
+    }
+    if shape.double_binding {
+        src.push_str("  sub u_dup (.a(bus), .clk(clk), .clk(bus[0]), .y(dup_y));\n");
+    }
+    if shape.const_bus {
+        src.push_str("  sub u_const (.a(1'b0), .clk(clk), .y(const_y));\n");
+    }
+    if shape.forward_reference {
+        src.push_str("  tail u_tail (.a(bus[0]), .y(tail_y));\n");
+    }
+    if shape.wide_module {
+        src.push_str("  wide u_wide (.a(clk), .y(wide_y));\n");
+    }
     src.push_str("endmodule\n");
+    if shape.forward_reference {
+        src.push_str("module tail (input a, output y);\n  INVX2 t0 (.A(a), .Y(y));\nendmodule\n");
+    }
+    if shape.wide_module {
+        // 300 chained buffers on 37 input and 37 output pin names
+        src.push_str("module wide (input a, output y);\n  BUF w0 (.A(a), .Y(c1));\n");
+        for i in 1..300 {
+            src.push_str(&format!("  BUF w{i} (.D{j}(c{i}), .Q{j}(c{}));\n", i + 1, j = i % 37));
+        }
+        src.push_str("  BUF wl (.A(c300), .Y(y));\nendmodule\n");
+    }
+    if shape.odd_spacing {
+        src = src
+            .replace(" (", "\t(")
+            .replace(',', ",\u{c}")
+            .replace("  ", "\u{b} ")
+            .replace('\n', "\r\n");
+    }
     src
+}
+
+/// Parses `build_random_verilog`'s netlist with the streaming parser and
+/// the reference, and asserts the designs are identical.
+fn check_random_verilog(gates: &[(u8, u8, u8)], bus_width: usize, shape: Shape) {
+    let src = build_random_verilog(gates, bus_width, shape);
+    let opts = ElaborateOptions::default();
+    let streaming = netlist::verilog::parse_verilog(&src, Some("top"), &opts)
+        .expect("generated netlist parses (streaming)");
+    let reference = reference_verilog::parse_verilog(&src, Some("top"), &opts)
+        .expect("generated netlist parses (reference)");
+    assert_designs_identical(&streaming, &reference);
+}
+
+/// The [`Shape`] of two flag tuples drawn by the proptests.
+fn shape(
+    (use_escaped, blank_comment, non_ansi, redefined, three_levels, escaped_bus): (
+        bool,
+        bool,
+        bool,
+        bool,
+        bool,
+        bool,
+    ),
+    (
+        odd_spacing,
+        unicode_names,
+        forward_reference,
+        double_binding,
+        const_bus,
+        leaf_alias,
+        wide_module,
+    ): (bool, bool, bool, bool, bool, bool, bool),
+) -> Shape {
+    Shape {
+        use_escaped,
+        blank_comment,
+        non_ansi,
+        redefined,
+        three_levels,
+        escaped_bus,
+        odd_spacing,
+        unicode_names,
+        forward_reference,
+        double_binding,
+        const_bus,
+        leaf_alias,
+        wide_module,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 2000 })]
+
+    /// The random-netlist comparison over 2,000 cases (`--ignored`; a few
+    /// seconds in release).
+    #[test]
+    #[ignore]
+    fn verilog_streaming_matches_reference_deep_sweep(
+        gates in prop::collection::vec((0u8..28, 0u8..16, 0u8..16), 1..24),
+        bus_width in 1usize..9,
+        flags in (
+            any::<bool>(),
+            any::<bool>(),
+            any::<bool>(),
+            any::<bool>(),
+            any::<bool>(),
+            any::<bool>(),
+        ),
+        more in (
+            any::<bool>(),
+            any::<bool>(),
+            any::<bool>(),
+            any::<bool>(),
+            any::<bool>(),
+            any::<bool>(),
+            any::<bool>(),
+        ),
+    ) {
+        check_random_verilog(&gates, bus_width, shape(flags, more));
+    }
 }
 
 proptest! {
@@ -1291,17 +1430,17 @@ proptest! {
             any::<bool>(),
             any::<bool>(),
         ),
+        more in (
+            any::<bool>(),
+            any::<bool>(),
+            any::<bool>(),
+            any::<bool>(),
+            any::<bool>(),
+            any::<bool>(),
+            any::<bool>(),
+        ),
     ) {
-        let (use_escaped, blank_comment, non_ansi, redefined, three_levels, escaped_bus) = flags;
-        let shape =
-            Shape { use_escaped, blank_comment, non_ansi, redefined, three_levels, escaped_bus };
-        let src = build_random_verilog(&gates, bus_width, shape);
-        let opts = ElaborateOptions::default();
-        let streaming = netlist::verilog::parse_verilog(&src, Some("top"), &opts)
-            .expect("generated netlist parses (streaming)");
-        let reference = reference_verilog::parse_verilog(&src, Some("top"), &opts)
-            .expect("generated netlist parses (reference)");
-        assert_designs_identical(&streaming, &reference);
+        check_random_verilog(&gates, bus_width, shape(flags, more));
     }
 
     #[test]

@@ -152,6 +152,10 @@ pub struct Server {
     client: Option<Client>,
     /// The id the next `hello` registers: ids count up across sessions.
     next_client: u64,
+    /// The jobs the current session queued that no drain or `cancel` has
+    /// taken off the queue; they are cancelled when the session ends by EOF
+    /// or an I/O error, so no job outlives the connection it writes to.
+    session_jobs: Vec<JobId>,
 }
 
 impl Server {
@@ -167,6 +171,7 @@ impl Server {
             quota: Self::DEFAULT_QUOTA,
             client: None,
             next_client: 0,
+            session_jobs: Vec::new(),
         }
     }
 
@@ -185,14 +190,30 @@ impl Server {
     /// Serves one session: reads command lines from `reader` until
     /// `shutdown` or EOF, writing reply and event frames to `writer`. The
     /// session starts with no client; the store stays warm for the next
-    /// session on the same server.
+    /// session on the same server. A session that ends by EOF or an I/O
+    /// error cancels the jobs it queued and did not drain (each holds the
+    /// session's writer), as `cancel` would.
     pub fn serve_once<R: BufRead, W: Write + Send + 'static>(
         &mut self,
         reader: R,
         writer: W,
     ) -> io::Result<SessionEnd> {
         self.client = None;
-        let mut out = SharedWriter::new(writer);
+        let end = self.session(reader, SharedWriter::new(writer));
+        if !matches!(end, Ok(SessionEnd::Shutdown)) {
+            for id in std::mem::take(&mut self.session_jobs) {
+                self.service.cancel_queued(id);
+            }
+        }
+        end
+    }
+
+    /// The command loop of [`Server::serve_once`].
+    fn session<R: BufRead, W: Write + Send + 'static>(
+        &mut self,
+        reader: R,
+        mut out: SharedWriter<W>,
+    ) -> io::Result<SessionEnd> {
         for (i, line) in reader.lines().enumerate() {
             let line = line?;
             let trimmed = line.trim();
@@ -285,6 +306,7 @@ impl Server {
                     if let Some(client) = &mut self.client {
                         client.queued.retain(|&id| id != JobId(job));
                     }
+                    self.session_jobs.retain(|&id| id != JobId(job));
                     reply(out, Frame::new("ok").field("cmd", "cancel").field("job", job))?;
                 } else {
                     reply(
@@ -436,6 +458,7 @@ impl Server {
         let replaced = job.replace.as_ref().map(|r| (r.base.0, r.edits.len()));
         let id = self.service.submit(job);
         client.queued.push(id);
+        self.session_jobs.push(id);
         observer.set_job(id);
         let mut ack =
             Frame::new("ok").field("cmd", cmd).field("job", id.0).field("design", spec.design);
@@ -526,6 +549,7 @@ impl Server {
         if let Some(client) = &mut self.client {
             client.queued.clear();
         }
+        self.session_jobs.clear();
         for (_, id) in order {
             match self.service.take_result(id) {
                 Some(Ok(result)) => reply(out, job_done_frame(&result))?,

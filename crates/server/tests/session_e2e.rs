@@ -467,6 +467,91 @@ fn unix_socket_sessions_share_one_warm_store() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A writer that counts its live clones through a shared token.
+#[derive(Clone)]
+struct TokenWriter {
+    bytes: std::sync::Arc<std::sync::Mutex<Vec<u8>>>,
+    _token: std::sync::Arc<()>,
+}
+
+impl std::io::Write for TokenWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.bytes.lock().unwrap_or_else(std::sync::PoisonError::into_inner).extend(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn a_session_ending_at_eof_cancels_its_undrained_jobs() {
+    // regression: each queued job's observer held a clone of the session's
+    // writer, so a client that submitted and hung up without draining kept
+    // its connection open, and the job ran in the next session's drain
+    let mut server = unbudgeted_server();
+    let token = std::sync::Arc::new(());
+    let writer = TokenWriter { bytes: Default::default(), _token: std::sync::Arc::clone(&token) };
+    let script = "hello client=a\nintern design=small\nsubmit design=0 flow=hidap effort=fast\n";
+    let end = server.serve_once(script.as_bytes(), writer).expect("session io");
+    assert_eq!(end, SessionEnd::Eof);
+    assert_eq!(std::sync::Arc::strong_count(&token), 1, "the session's writer outlived it");
+    let (_, frames) = run_script(&mut server, "hello client=b\ndrain\nresult job=0\n");
+    let drained = named(&frames, "ok").into_iter().find(|f| f.get("cmd") == Some("drain"));
+    assert_eq!(drained.and_then(|f| f.get("ran")), Some("0"), "{frames:?}");
+    let cancelled = named(&frames, "err").into_iter().find(|f| f.get("cmd") == Some("result"));
+    assert_eq!(cancelled.and_then(|f| f.get("code")), Some("cancelled"), "{frames:?}");
+}
+
+#[cfg(unix)]
+#[test]
+fn a_client_that_half_closes_after_submitting_reads_eof() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::UnixStream;
+
+    let dir = std::env::temp_dir().join(format!("hidap_half_close_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let socket = dir.join("hidap.sock");
+    let path = socket.clone();
+    let daemon = std::thread::spawn(move || {
+        let mut server = unbudgeted_server();
+        server.serve_unix(&path).expect("daemon io");
+    });
+    let connect = |socket: &std::path::Path| {
+        for _ in 0..200 {
+            if let Ok(stream) = UnixStream::connect(socket) {
+                return stream;
+            }
+            // lint:allow(test-env): bounded poll while the daemon socket appears;
+            // load can only delay the connect, not change the outcome
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        panic!("daemon socket never came up");
+    };
+    let mut stream = connect(&socket);
+    // a generous bound: the daemon answers three commands, then closes
+    stream.set_read_timeout(Some(std::time::Duration::from_secs(60))).unwrap();
+    stream
+        .write_all(
+            b"hello client=ci\nintern design=small\nsubmit design=0 flow=hidap effort=fast\n",
+        )
+        .unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    let lines: Vec<String> = BufReader::new(stream)
+        .lines()
+        .map(|l| l.expect("EOF, not a read timeout, ends the session"))
+        .collect();
+    assert_eq!(lines.len(), 3, "{lines:?}");
+    assert!(lines.iter().all(|l| l.starts_with("ok ")), "{lines:?}");
+    let mut stop = connect(&socket);
+    stop.write_all(b"shutdown\n").unwrap();
+    stop.shutdown(std::net::Shutdown::Write).unwrap();
+    let _ = BufReader::new(stop).lines().count();
+    daemon.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn hostile_script_cannot_take_the_session_down() {
     // regression companion to the daemon-panic lint rule: every malformed or
