@@ -742,11 +742,12 @@ pub fn run_manifest(opts: &Options) -> Result<String, String> {
     ));
     if opts.spill_dir.is_some() {
         output.push_str(&format!(
-            "spill: {} artifacts spilled, {} revived; {} seeds persisted, {} revived\n",
+            "spill: {} artifacts spilled, {} revived; {} seeds persisted, {} revived, {} rejected\n",
             stats.artifacts.spills(),
             stats.artifacts.revives(),
             stats.seed_spills,
             stats.seed_revives,
+            stats.seed_rejects,
         ));
     }
     output.push_str(&format!(

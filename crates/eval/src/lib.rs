@@ -50,6 +50,6 @@ pub use congestion::{CongestionConfig, CongestionMap};
 pub use density::DensityMap;
 pub use metrics::{DesignKey, EvalConfig, Evaluator, PlacementMetrics};
 pub use placer::{place_standard_cells, place_standard_cells_warm, CellPlacement, PlacerConfig};
-pub use spill::SpillTier;
+pub use spill::{SpillMiss, SpillTier};
 pub use timing::{TimingConfig, TimingReport};
 pub use wirelength::{total_hpwl, Hpwl, IncrementalHpwl};

@@ -21,10 +21,17 @@
 //! | fingerprint  | 8    | the identity the caller will ask for       |
 //! | payload\_len | 8    | byte length of the payload                 |
 //! | payload      | n    | codec-encoded artifact ([`netlist::codec`])|
-//! | checksum     | 8    | FNV-1a of the payload                      |
+//! | checksum     | 8    | [`Fnv1a::write_words`] of the payload      |
 //!
-//! Files are written to a `.tmp` sibling and renamed into place, so a crash
-//! mid-write never leaves a half-written `.spill` file under the final name.
+//! Version 3 checksums the payload with the word fold, eight bytes per step;
+//! versions 1 and 2 used the byte-at-a-time FNV-1a and are refused. The
+//! payloads themselves are unchanged from version 2.
+//!
+//! A store writes the header, the caller's payload and the checksum straight
+//! to a `.tmp` sibling and renames it into place, so a crash mid-write never
+//! leaves a half-written `.spill` file under the final name. A load reads the
+//! payload into the buffer it returns and cuts the checksum off its end: the
+//! payload is never copied out of a framed buffer.
 //!
 //! # Failure model
 //!
@@ -33,23 +40,42 @@
 //! "absent" (`false` / `None`), **never** an error or a panic: the caches
 //! above degrade to a rebuild miss, identical to running without a spill
 //! directory. Spilling therefore affects timing, never results.
+//! [`SpillTier::read`] additionally tells a missing file
+//! ([`SpillMiss::Absent`]) from one that is there but failed a check
+//! ([`SpillMiss::Refused`]), so a caller can count disk rot and stale
+//! formats apart from plain misses.
 
 // lint:allow(fs-scope): this module IS the spill tier — the one place
 // deterministic crates touch the filesystem (see docs/MEMORY.md).
 
 use netlist::codec::{put_u32, put_u64, Reader};
 use netlist::Fnv1a;
-use std::fs;
+use std::fs::{self, File};
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 /// `HSPL` as a little-endian `u32`.
 const MAGIC: u32 = u32::from_le_bytes(*b"HSPL");
 /// Format version; bumped on any layout change so stale files from an older
 /// build read as absent instead of mis-decoding. Version 2: warm-start seed
-/// payloads lead with the id of the job that wrote them.
-const VERSION: u32 = 2;
+/// payloads lead with the id of the job that wrote them. Version 3: the
+/// payload checksum is the word fold ([`Fnv1a::write_words`]).
+const VERSION: u32 = 3;
 /// Header bytes before the payload: magic + version + fingerprint + length.
 const HEADER_LEN: usize = 24;
+/// Checksum bytes after the payload.
+const CHECKSUM_LEN: usize = 8;
+
+/// Why [`SpillTier::read`] returned no payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SpillMiss {
+    /// No file could be opened under the name.
+    Absent,
+    /// A file is there but was refused: short, wrong magic, version or
+    /// fingerprint, a length that disagrees with the file size, or a
+    /// checksum mismatch.
+    Refused,
+}
 
 /// A handle on one spill directory. Cheap to clone (a `PathBuf`); clones
 /// address the same files, so the artifact cache and the design store of one
@@ -75,21 +101,24 @@ impl SpillTier {
     /// temp-file rename. Returns whether the file landed; any filesystem
     /// failure returns `false` (the entry is simply not spilled).
     pub fn store(&self, stem: &str, fingerprint: u64, payload: &[u8]) -> bool {
-        let mut buf = Vec::with_capacity(HEADER_LEN + payload.len() + 8);
-        put_u32(&mut buf, MAGIC);
-        put_u32(&mut buf, VERSION);
-        put_u64(&mut buf, fingerprint);
-        put_u64(&mut buf, payload.len() as u64);
-        buf.extend_from_slice(payload);
-        let mut h = Fnv1a::new();
-        h.write_bytes(payload);
-        put_u64(&mut buf, h.finish());
+        let mut header = Vec::with_capacity(HEADER_LEN);
+        put_u32(&mut header, MAGIC);
+        put_u32(&mut header, VERSION);
+        put_u64(&mut header, fingerprint);
+        put_u64(&mut header, payload.len() as u64);
+        let mut sum = Fnv1a::new();
+        sum.write_words(payload);
 
         if fs::create_dir_all(&self.dir).is_err() {
             return false;
         }
         let tmp = self.dir.join(format!("{stem}.tmp"));
-        if fs::write(&tmp, &buf).is_err() {
+        let written = File::create(&tmp).and_then(|mut file| {
+            file.write_all(&header)?;
+            file.write_all(payload)?;
+            file.write_all(&sum.finish().to_le_bytes())
+        });
+        if written.is_err() {
             let _ = fs::remove_file(&tmp);
             return false;
         }
@@ -101,23 +130,42 @@ impl SpillTier {
     /// fingerprint other than the one asked for, a length that disagrees
     /// with the file size, or a checksum mismatch.
     pub fn load(&self, stem: &str, fingerprint: u64) -> Option<Vec<u8>> {
-        let bytes = fs::read(self.dir.join(format!("{stem}.spill"))).ok()?;
-        let mut r = Reader::new(&bytes);
-        if r.take_u32()? != MAGIC || r.take_u32()? != VERSION || r.take_u64()? != fingerprint {
-            return None;
+        self.read(stem, fingerprint).ok()
+    }
+
+    /// [`SpillTier::load`], telling a file that is not there
+    /// ([`SpillMiss::Absent`]) from one that failed a check
+    /// ([`SpillMiss::Refused`]). The payload is read into the returned
+    /// buffer, whose only other bytes are the checksum's spare capacity.
+    pub fn read(&self, stem: &str, fingerprint: u64) -> Result<Vec<u8>, SpillMiss> {
+        let mut file =
+            File::open(self.dir.join(format!("{stem}.spill"))).map_err(|_| SpillMiss::Absent)?;
+        let mut header = [0u8; HEADER_LEN];
+        file.read_exact(&mut header).map_err(|_| SpillMiss::Refused)?;
+        let mut r = Reader::new(&header);
+        if r.take_u32() != Some(MAGIC)
+            || r.take_u32() != Some(VERSION)
+            || r.take_u64() != Some(fingerprint)
+        {
+            return Err(SpillMiss::Refused);
         }
-        let len = r.take_u64()? as usize;
-        if r.remaining() != len.checked_add(8)? {
-            return None;
+        let len =
+            r.take_u64().and_then(|len| usize::try_from(len).ok()).ok_or(SpillMiss::Refused)?;
+        // `read_to_end` sizes the buffer from the file's remaining length,
+        // so a corrupt length field cannot allocate more than the file holds
+        let mut body = Vec::new();
+        file.read_to_end(&mut body).map_err(|_| SpillMiss::Refused)?;
+        if body.len().checked_sub(CHECKSUM_LEN) != Some(len) {
+            return Err(SpillMiss::Refused);
         }
-        let payload = &bytes[HEADER_LEN..HEADER_LEN + len];
-        let mut h = Fnv1a::new();
-        h.write_bytes(payload);
-        let mut tail = Reader::new(&bytes[HEADER_LEN + len..]);
-        if tail.take_u64()? != h.finish() {
-            return None;
+        let (payload, stored) = body.split_at_checked(len).ok_or(SpillMiss::Refused)?;
+        let mut sum = Fnv1a::new();
+        sum.write_words(payload);
+        if stored != sum.finish().to_le_bytes() {
+            return Err(SpillMiss::Refused);
         }
-        Some(payload.to_vec())
+        body.truncate(len);
+        Ok(body)
     }
 }
 
@@ -191,6 +239,51 @@ mod tests {
         assert_eq!(tier.load("seed-0abc", 7), None, "trailing garbage");
         fs::write(&path, &full).unwrap();
         assert!(tier.load("seed-0abc", 7).is_some(), "pristine file still loads");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn read_tells_a_missing_file_from_a_refused_one() {
+        let dir = scratch_dir("refused");
+        let tier = SpillTier::new(&dir);
+        assert_eq!(tier.read("seed-0abc", 7), Err(SpillMiss::Absent));
+        assert!(tier.store("seed-0abc", 7, b"some payload"));
+        assert_eq!(tier.read("seed-0abc", 8), Err(SpillMiss::Refused), "fingerprint");
+        let path = dir.join("seed-0abc.spill");
+        let full = fs::read(&path).unwrap();
+        fs::write(&path, &full[..HEADER_LEN - 1]).unwrap();
+        assert_eq!(tier.read("seed-0abc", 7), Err(SpillMiss::Refused), "short header");
+        let mut flipped = full.clone();
+        flipped[HEADER_LEN] ^= 1;
+        fs::write(&path, &flipped).unwrap();
+        assert_eq!(tier.read("seed-0abc", 7), Err(SpillMiss::Refused), "checksum");
+        fs::write(&path, &full).unwrap();
+        assert_eq!(tier.read("seed-0abc", 7).as_deref(), Ok(&b"some payload"[..]));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A file an older build wrote — version 2, byte-at-a-time FNV-1a — is
+    /// refused, not mis-read.
+    #[test]
+    fn a_version_2_frame_is_refused() {
+        let dir = scratch_dir("version-2");
+        let tier = SpillTier::new(&dir);
+        let payload = b"payload of an older build";
+        let mut frame = Vec::new();
+        put_u32(&mut frame, MAGIC);
+        put_u32(&mut frame, 2);
+        put_u64(&mut frame, 7);
+        put_u64(&mut frame, payload.len() as u64);
+        frame.extend_from_slice(payload);
+        let mut h = Fnv1a::new();
+        h.write_bytes(payload);
+        put_u64(&mut frame, h.finish());
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join("seed-0abc.spill"), &frame).unwrap();
+        assert_eq!(tier.read("seed-0abc", 7), Err(SpillMiss::Refused));
+        // the same payload in the current frame loads
+        assert!(tier.store("seed-0abc", 7, payload));
+        assert_eq!(tier.load("seed-0abc", 7).as_deref(), Some(&payload[..]));
         let _ = fs::remove_dir_all(&dir);
     }
 

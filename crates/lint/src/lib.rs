@@ -112,7 +112,10 @@ daemon-panic (R2): panics reachable from a client request kill the daemon.
 
 Scope: non-test code of crates/server/src/* and placer-core's service.rs —
 everything between frame decode and job completion — plus netlist's
-verilog.rs, lef.rs and def.rs, which `intern` runs on client-named files.
+verilog.rs, lef.rs and def.rs, which `intern` runs on client-named files, and
+the spill decoders eval's spill.rs, placer-core's seeds.rs and netlist's
+codec.rs, which read disk bytes when a `replace` revives a seed or a cache
+miss revives a graph.
 
 `hidap --serve` promises that a malformed or hostile frame produces a
 structured `err code=...` frame and the session lives on. A stray .unwrap(),
@@ -702,6 +705,9 @@ fn on_daemon_path(path: &str) -> bool {
         || path == "crates/netlist/src/verilog.rs"
         || path == "crates/netlist/src/lef.rs"
         || path == "crates/netlist/src/def.rs"
+        || path == "crates/eval/src/spill.rs"
+        || path == "crates/placer-core/src/seeds.rs"
+        || path == "crates/netlist/src/codec.rs"
 }
 
 /// R2: panic sources on the daemon request path.

@@ -124,9 +124,14 @@ mod tests {
     assert_eq!(rules_of(&check("crates/server/src/foo.rs", body)), ["daemon-panic"]);
     assert_eq!(check("crates/hidap/src/foo.rs", body), []);
     // `intern` reads client files through the Verilog, LEF and DEF parsers,
-    // but no other netlist module is on the request path
-    for parser in ["verilog", "lef", "def"] {
-        let path = format!("crates/netlist/src/{parser}.rs");
+    // and `replace` decodes spill files through the spill tier, the seed
+    // codec and the byte codec; no other netlist module is on the request
+    // path
+    let decoders = ["eval/src/spill", "placer-core/src/seeds", "netlist/src/codec"];
+    for file in
+        ["netlist/src/verilog", "netlist/src/lef", "netlist/src/def"].iter().chain(&decoders)
+    {
+        let path = format!("crates/{file}.rs");
         assert_eq!(rules_of(&check(&path, body)), ["daemon-panic"], "{path}");
     }
     assert_eq!(check("crates/netlist/src/design.rs", body), []);

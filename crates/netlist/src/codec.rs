@@ -84,24 +84,38 @@ impl<'a> Reader<'a> {
         Some(slice)
     }
 
+    fn take_array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        let (head, _) = self.bytes.get(self.pos..)?.split_first_chunk::<N>()?;
+        self.pos += N;
+        Some(*head)
+    }
+
+    /// Consumes and returns every byte not yet read, for decoders that walk
+    /// a final section record by record.
+    pub fn take_rest(&mut self) -> &'a [u8] {
+        let rest = self.bytes.get(self.pos..).unwrap_or_default();
+        self.pos = self.bytes.len();
+        rest
+    }
+
     /// Reads a `u8`.
     pub fn take_u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
+        self.take_array().map(|[b]| b)
     }
 
     /// Reads a little-endian `u32`.
     pub fn take_u32(&mut self) -> Option<u32> {
-        self.take(4).map(|b| u32::from_le_bytes(b.try_into().expect("4-byte slice")))
+        self.take_array().map(u32::from_le_bytes)
     }
 
     /// Reads a little-endian `u64`.
     pub fn take_u64(&mut self) -> Option<u64> {
-        self.take(8).map(|b| u64::from_le_bytes(b.try_into().expect("8-byte slice")))
+        self.take_array().map(u64::from_le_bytes)
     }
 
     /// Reads a little-endian `i64`.
     pub fn take_i64(&mut self) -> Option<i64> {
-        self.take(8).map(|b| i64::from_le_bytes(b.try_into().expect("8-byte slice")))
+        self.take_array().map(i64::from_le_bytes)
     }
 
     /// Reads an array-length prefix, rejecting lengths that cannot fit in
@@ -188,6 +202,16 @@ mod tests {
             let ok = r.take_u32().is_some() && r.take_u32_vec().is_some() && r.take_str().is_some();
             assert!(!ok, "cut at {cut} decoded successfully");
         }
+    }
+
+    #[test]
+    fn take_rest_consumes_the_unread_tail() {
+        let buf = [7, 1, 2, 3];
+        let mut r = Reader::new(&buf);
+        assert_eq!(r.take_u8(), Some(7));
+        assert_eq!(r.take_rest(), &[1, 2, 3]);
+        assert!(r.is_exhausted());
+        assert_eq!(r.take_rest(), &[] as &[u8]);
     }
 
     #[test]

@@ -84,7 +84,7 @@ pub use flows::builtin_registry;
 pub use observer::{CollectingObserver, FlowObserver, StageEvent};
 pub use registry::FlowRegistry;
 pub use request::{EffortLevel, PlaceOutcome, PlaceRequest, Placer, StageTiming};
-pub use seeds::WarmSeed;
+pub use seeds::{SeedRef, WarmSeed};
 pub use service::{
     JobId, JobResult, JobState, PlaceJob, PlacementService, ReplaceSpec, ServiceStats,
 };

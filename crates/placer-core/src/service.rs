@@ -58,9 +58,9 @@ use crate::error::PlaceError;
 use crate::observer::FlowObserver;
 use crate::registry::FlowRegistry;
 use crate::request::{EffortLevel, PlaceOutcome, PlaceRequest};
-use crate::seeds::{decode_seed, encode_seed, seed_fingerprint, seed_stem, WarmSeed};
+use crate::seeds::{decode_seed, encode_seed, seed_fingerprint, seed_stem, SeedRef, WarmSeed};
 use crate::store::{DesignHandle, DesignStore};
-use eval::EvalConfig;
+use eval::{EvalConfig, SpillMiss};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -250,6 +250,12 @@ pub struct ServiceStats {
     /// Warm-start seeds revived from the spill directory to serve replace
     /// jobs whose base result predates this service (daemon restarts).
     pub seed_revives: u64,
+    /// Warm-start seed files a replace found but could not use: a file the
+    /// spill tier refused (bad magic, version, fingerprint, length or
+    /// checksum, such as every seed an older build wrote), a payload that
+    /// does not decode, or a seed that does not fit the resident design.
+    /// Each one leaves the replace to its structured dependency error.
+    pub seed_rejects: u64,
 }
 
 /// The result of one completed job: the winning outcome plus per-run
@@ -283,6 +289,7 @@ pub struct PlacementService {
     peak_queued: usize,
     seed_spills: u64,
     seed_revives: u64,
+    seed_rejects: u64,
 }
 
 impl PlacementService {
@@ -304,6 +311,7 @@ impl PlacementService {
             peak_queued: 0,
             seed_spills: 0,
             seed_revives: 0,
+            seed_rejects: 0,
         }
     }
 
@@ -405,6 +413,7 @@ impl PlacementService {
             artifacts: self.store.artifacts().stats(),
             seed_spills: self.seed_spills,
             seed_revives: self.seed_revives,
+            seed_rejects: self.seed_rejects,
         }
     }
 
@@ -553,14 +562,14 @@ impl PlacementService {
     /// no-op without a spill directory; a failed write is simply not
     /// counted.
     fn persist_seed(&mut self, id: JobId, handle: DesignHandle, outcome: &PlaceOutcome) {
-        let Some(tier) = self.store.spill_tier().cloned() else { return };
+        let Some(tier) = self.store.spill_tier() else { return };
         let Some(design) = self.store.get_design(handle) else { return };
         let fp = seed_fingerprint(self.store.key(handle), design.geometry_fingerprint());
-        let seed = WarmSeed {
-            placement: outcome.placement.clone(),
-            cells: outcome.metrics.as_ref().map(|m| m.cell_placement.clone()),
+        let seed = SeedRef {
+            placement: &outcome.placement,
+            cells: outcome.metrics.as_ref().map(|m| &m.cell_placement),
         };
-        if tier.store(&seed_stem(fp), fp, &encode_seed(id, &seed)) {
+        if tier.store(&seed_stem(fp), fp, &encode_seed(id, seed)) {
             self.seed_spills += 1;
         }
     }
@@ -568,26 +577,36 @@ impl PlacementService {
     /// Revives the design's persisted warm-start seed from the spill
     /// directory for replace job `id`, validated against the resident design
     /// (macro count, cell ids in range). `None` without a spill directory,
-    /// without a resident design, or on any malformed or mismatched file; a
-    /// structured [`PlaceError::InvalidRequest`] when a job other than `base`
-    /// wrote the seed.
+    /// without a resident design, or on any missing, malformed or mismatched
+    /// file (the last two counted in `seed_rejects`); a structured
+    /// [`PlaceError::InvalidRequest`] when a job other than `base` wrote the
+    /// seed.
     fn revive_seed(
         &mut self,
         id: JobId,
         handle: DesignHandle,
         base: JobId,
     ) -> Option<Result<WarmSeed, PlaceError>> {
-        let tier = self.store.spill_tier().cloned()?;
+        let tier = self.store.spill_tier()?;
         let design = self.store.get_design(handle)?;
         let fp = seed_fingerprint(self.store.key(handle), design.geometry_fingerprint());
-        let (writer, seed) = decode_seed(&tier.load(&seed_stem(fp), fp)?)?;
-        let cells_ok = seed.cells.as_ref().is_none_or(|c| c.positions.len() <= design.num_cells());
-        if seed.placement.macros.len() != design.num_macros()
-            || seed.placement.macros.iter().any(|m| m.cell.0 as usize >= design.num_cells())
-            || !cells_ok
-        {
+        let payload = match tier.read(&seed_stem(fp), fp) {
+            Ok(payload) => payload,
+            Err(SpillMiss::Absent) => return None,
+            Err(SpillMiss::Refused) => {
+                self.seed_rejects += 1;
+                return None;
+            }
+        };
+        let fits = |seed: &WarmSeed| {
+            seed.placement.macros.len() == design.num_macros()
+                && seed.placement.macros.iter().all(|m| (m.cell.0 as usize) < design.num_cells())
+                && seed.cells.as_ref().is_none_or(|c| c.positions.len() <= design.num_cells())
+        };
+        let Some((writer, seed)) = decode_seed(&payload).filter(|(_, seed)| fits(seed)) else {
+            self.seed_rejects += 1;
             return None;
-        }
+        };
         if writer != base {
             return Some(Err(PlaceError::InvalidRequest(format!(
                 "replace job {} depends on job {} whose result is gone, and the seed persisted \

@@ -11,6 +11,9 @@
 //! * with no seed file present the structured dependency errors are
 //!   unchanged, and a seed file another job wrote is a structured error
 //!   naming both jobs, never another job's warm start,
+//! * a seed file that is there but refused — an older build's format, a
+//!   flipped byte, an undecodable or misfitting seed — is counted in
+//!   `seed_rejects` and otherwise reads as absent,
 //! * a fleet evicted to disk and re-interned places again with zero graph
 //!   builds, every graph revived, and the cold pass's results,
 //! * random schedules over a zero-budget store **with** a spill directory
@@ -157,6 +160,75 @@ fn a_seed_another_job_wrote_is_refused_naming_both_jobs() {
     service.run_all();
     service.take_result(fresh).expect("ran").expect("the writer's seed revives");
     assert_eq!(service.stats().seed_revives, 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A seed file a replace finds but cannot use is counted in `seed_rejects`
+/// and otherwise treated as absent: the replace fails with the structured
+/// dependency error a missing file gives. The four causes: a frame an older
+/// build wrote (format version 2, byte-wise FNV-1a checksum), one flipped
+/// byte, a payload that does not decode, and a seed that does not fit the
+/// resident design.
+#[test]
+fn refused_seed_files_are_counted_and_read_as_absent() {
+    let dir = scratch("refused-seed");
+    let mut service = PlacementService::new(placer_core::builtin_registry()).with_spill_dir(&dir);
+    let design = service.intern(pool_design(0));
+    let base = service.submit(evaluated_job(design, 7));
+    service.run_all();
+    service.take_result(base).expect("ran").expect("succeeded");
+
+    let name = std::fs::read_dir(&dir)
+        .expect("spill dir")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .find(|name| name.starts_with("seed-"))
+        .expect("the base persisted its seed");
+    let path = dir.join(&name);
+    let stem = name.trim_end_matches(".spill");
+    let fingerprint = u64::from_str_radix(&stem["seed-".len()..], 16).expect("hex stem");
+    let pristine = std::fs::read(&path).expect("seed file");
+    let payload = &pristine[24..pristine.len() - 8];
+
+    let mut version_2 = pristine[..24].to_vec();
+    version_2[4..8].copy_from_slice(&2u32.to_le_bytes());
+    version_2.extend_from_slice(payload);
+    let mut byte_fnv = netlist::Fnv1a::new();
+    byte_fnv.write_bytes(payload);
+    version_2.extend_from_slice(&byte_fnv.finish().to_le_bytes());
+    let mut flipped = pristine.clone();
+    flipped[24 + payload.len() / 2] ^= 0x10;
+    let tier = eval::SpillTier::new(&dir);
+    let (writer, mut misfit) = placer_core::seeds::decode_seed(payload).expect("seed decodes");
+    assert_eq!(writer, base);
+    misfit.placement.macros.pop();
+    let misfit = placer_core::seeds::encode_seed(base, &misfit);
+
+    let refusals: [&dyn Fn(); 4] = [
+        &|| std::fs::write(&path, &version_2).expect("write"),
+        &|| std::fs::write(&path, &flipped).expect("write"),
+        &|| assert!(tier.store(stem, fingerprint, b"not a seed")),
+        &|| assert!(tier.store(stem, fingerprint, &misfit)),
+    ];
+    for (i, plant) in refusals.iter().enumerate() {
+        plant();
+        let replace = service.submit(evaluated_job(design, 7).with_replace(base, Vec::new()));
+        service.run_all();
+        let err = service.take_result(replace).expect("ran").expect_err("the seed is refused");
+        assert!(
+            err.to_string().contains("whose result was already taken"),
+            "case {i}: a refused seed reads as absent: {err}"
+        );
+        let stats = service.stats();
+        assert_eq!((stats.seed_rejects, stats.seed_revives), (i as u64 + 1, 0), "case {i}");
+    }
+
+    // the pristine file still revives, and a revive is not a reject
+    std::fs::write(&path, &pristine).expect("write");
+    let replace = service.submit(evaluated_job(design, 7).with_replace(base, Vec::new()));
+    service.run_all();
+    service.take_result(replace).expect("ran").expect("the pristine seed revives");
+    let stats = service.stats();
+    assert_eq!((stats.seed_rejects, stats.seed_revives), (4, 1));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

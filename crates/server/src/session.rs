@@ -504,7 +504,8 @@ impl Server {
             out,
             Frame::new("spill")
                 .field("seed_spills", stats.seed_spills)
-                .field("seed_revives", stats.seed_revives),
+                .field("seed_revives", stats.seed_revives)
+                .field("seed_rejects", stats.seed_rejects),
         )?;
         let store = self.service.store();
         for i in 0..store.len() {
