@@ -87,13 +87,12 @@ pub struct Options {
     /// bounds the batch's peak resident bytes; in serve mode it also feeds
     /// admission control. `None` leaves the store unbounded.
     pub memory_budget_mib: Option<f64>,
-    /// Disk spill directory for the `--manifest` batch store or the
-    /// `--serve` daemon store: budget-evicted artifacts (`Gnet`, `Gseq`)
-    /// demote to content-addressed files there and revive by
-    /// deserialization instead of reconstruction, and every successful
-    /// job persists a warm-start seed so `replace` survives a daemon
-    /// restart pointed at the same directory (see `docs/MEMORY.md`).
-    /// `None` (the default) spills nothing.
+    /// Disk spill directory for the `--serve` daemon: every successful job
+    /// persists its warm-start seed there, so a `replace` whose base result
+    /// is gone (taken by a drain, or issued before a daemon restart pointed
+    /// at the same directory) revives it (see `docs/MEMORY.md`). Seeds are
+    /// all it holds; evicted graphs are rebuilt. `None` (the default)
+    /// writes nothing.
     pub spill_dir: Option<PathBuf>,
     /// Run the placement daemon: a long-lived session speaking the line
     /// protocol of `docs/PROTOCOL.md` over stdin/stdout (or `--socket`).
@@ -145,8 +144,7 @@ pub const USAGE: &str = "usage: hidap --verilog <file.v> [--lef <file.lef>] [--d
 [--top <module>] [--flow hidap|indeda|handfp] [--lambda <0..1>] [--effort fast|default|high] \
 [--seed <n>] [--sweep] [--jobs <n>] [--seeds <n,n,...>] [--lambdas <l,l,...>] \
 [--out <placed.def>] [--svg <floorplan.svg>] [--report]\n\
-       hidap --manifest <designs.txt> [--memory-budget <MiB>] [--spill-dir <dir>] [shared flags \
-as above]\n\
+       hidap --manifest <designs.txt> [--memory-budget <MiB>] [shared flags as above]\n\
        hidap --serve [--socket <path>] [--memory-budget <MiB>] [--spill-dir <dir>] [--quota \
 <n>]\n\
 manifest lines:  <file.v> [lef=<file>] [def=<file>] [top=<name>] [flow=<name>] \
@@ -158,8 +156,8 @@ docs/ECO.md covers incremental ECO re-placement: the edit-script language, selec
 artifact invalidation and the warm-start guarantees behind the replace command\n\
 docs/SCALING.md covers the million-cell scale axis: the mega_soc preset, the streaming \
 parsers, and placing under --memory-budget\n\
-docs/MEMORY.md covers the three-tier artifact plane: eviction, the --spill-dir disk tier \
-and warm-start seed persistence";
+docs/MEMORY.md covers the artifact plane: graphs resident or rebuilt under the byte \
+budget, and the --spill-dir warm-start seeds";
 
 fn parse_list<T: std::str::FromStr>(value: &str, flag: &str) -> Result<Vec<T>, String> {
     value
@@ -285,9 +283,9 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
              effect on a single-design run"
             .to_string());
     }
-    if opts.spill_dir.is_some() && opts.manifest.is_none() && !opts.serve {
-        return Err("--spill-dir backs the --manifest or --serve service store; it has no \
-             effect on a single-design run"
+    if opts.spill_dir.is_some() && !opts.serve {
+        return Err("--spill-dir holds the --serve daemon's warm-start seeds for replace; a \
+             single-design or --manifest run places no replace"
             .to_string());
     }
     if !(0.0..=1.0).contains(&opts.lambda) {
@@ -584,10 +582,7 @@ pub fn run_manifest(opts: &Options) -> Result<String, String> {
         .memory_budget_mib
         .map(|mib| (mib * (1u64 << 20) as f64) as usize)
         .unwrap_or(usize::MAX);
-    let mut store = placer_core::DesignStore::with_memory_budget(budget_bytes);
-    if let Some(dir) = &opts.spill_dir {
-        store = store.with_spill_dir(dir.clone());
-    }
+    let store = placer_core::DesignStore::with_memory_budget(budget_bytes);
     let mut service = PlacementService::with_store(registry, store).with_jobs(opts.jobs);
     // repeated lines with the same input files skip the parse entirely —
     // the front-end load is the dominant cost for large netlists
@@ -740,16 +735,6 @@ pub fn run_manifest(opts: &Options) -> Result<String, String> {
         stats.artifacts.net.hits,
         stats.artifacts.evictions(),
     ));
-    if opts.spill_dir.is_some() {
-        output.push_str(&format!(
-            "spill: {} artifacts spilled, {} revived; {} seeds persisted, {} revived, {} rejected\n",
-            stats.artifacts.spills(),
-            stats.artifacts.revives(),
-            stats.seed_spills,
-            stats.seed_revives,
-            stats.seed_rejects,
-        ));
-    }
     output.push_str(&format!(
         "memory: {:.1} MiB resident (designs {:.1} MiB + artifacts {:.1} MiB), peak {:.1} MiB{}{}\n",
         mib(stats.resident_bytes),
@@ -774,20 +759,22 @@ pub fn run_manifest(opts: &Options) -> Result<String, String> {
 /// Builds the `--serve` daemon: a [`server::Server`] whose loader reads
 /// `intern verilog=<path> [lef=<path>] [def=<path>] [top=<name>]` commands
 /// through [`load_design`] (paths resolved against the daemon's working
-/// directory), over a store honoring `--memory-budget`, with the per-client
-/// quota `--quota` sets. Jobs drain serially (`--jobs 1` semantics) so the
-/// event stream is deterministic; see `docs/PROTOCOL.md`.
+/// directory), over a store honoring `--memory-budget`, persisting
+/// warm-start seeds under `--spill-dir`, with the per-client quota `--quota`
+/// sets. Jobs drain serially (`--jobs 1` semantics) so the event stream is
+/// deterministic; see `docs/PROTOCOL.md`.
 pub fn build_server(opts: &Options) -> server::Server {
-    let mut store = match opts.memory_budget_mib {
+    let store = match opts.memory_budget_mib {
         Some(mib) => {
             placer_core::DesignStore::with_memory_budget((mib * (1u64 << 20) as f64) as usize)
         }
         None => placer_core::DesignStore::new(),
     };
+    let mut service =
+        PlacementService::with_store(baselines::default_registry(), store).with_jobs(1);
     if let Some(dir) = &opts.spill_dir {
-        store = store.with_spill_dir(dir.clone());
+        service = service.with_spill_dir(dir.clone());
     }
-    let service = PlacementService::with_store(baselines::default_registry(), store).with_jobs(1);
     let server = server::Server::new(service, file_design_loader());
     match opts.quota {
         0 => server,

@@ -322,55 +322,22 @@ fn cli_manifest_memory_budget_evicts_finished_designs() {
 }
 
 #[test]
-fn cli_manifest_spill_dir_revives_across_batch_runs() {
-    let dir = temp_dir("manifest_spill");
-    let (verilog, lef) = write_inputs(&dir);
-    let spill = dir.join("spill");
-    let manifest = dir.join("designs.txt");
-    std::fs::write(&manifest, format!("{} lef={} top=cli_soc\n", verilog.display(), lef.display()))
-        .unwrap();
-    // a zero-ish budget forces eviction (and therefore spilling) at every
-    // opportunity; the second batch over the same directory revives instead
-    // of rebuilding, with identical output
-    let opts = parse_args(
-        &[
-            "--manifest",
-            manifest.to_str().unwrap(),
-            "--effort",
-            "fast",
-            "--memory-budget",
-            "0.01",
-            "--spill-dir",
-            spill.to_str().unwrap(),
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect::<Vec<String>>(),
-    )
-    .unwrap();
-    let cold = run(&opts).expect("first batch succeeds");
-    assert!(cold.contains("spill: "), "{cold}");
-    assert!(cold.contains("1 seeds persisted"), "{cold}");
-    let warm = run(&opts).expect("second batch succeeds");
-    // the second batch serves both graphs from the first batch's spill files
-    assert!(warm.contains("2 artifacts spilled, 2 revived"), "{warm}");
-    let placed = |s: &str| {
-        s.lines().find(|l| l.contains("placed")).map(str::to_string).expect("placement line")
-    };
-    assert_eq!(placed(&cold), placed(&warm), "revival must not change the placement");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn cli_spill_dir_requires_a_service_mode() {
-    let err = parse_args(
-        &["--verilog", "x.v", "--spill-dir", "/tmp/spill"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<String>>(),
+    // the directory holds the daemon's warm-start seeds, which only a
+    // `replace` reads: a single design or a manifest has no use for it
+    for args in [
+        &["--verilog", "x.v", "--spill-dir", "/tmp/spill"][..],
+        &["--manifest", "designs.txt", "--spill-dir", "/tmp/spill"][..],
+    ] {
+        let err = parse_args(&args.iter().map(|s| s.to_string()).collect::<Vec<String>>())
+            .expect_err("--spill-dir without --serve is rejected");
+        assert!(err.contains("--spill-dir") && err.contains("--serve"), "{args:?}: {err}");
+    }
+    let opts = parse_args(
+        &["--serve", "--spill-dir", "/tmp/spill"].iter().map(|s| s.to_string()).collect::<Vec<_>>(),
     )
-    .expect_err("--spill-dir without --manifest/--serve is rejected");
-    assert!(err.contains("--spill-dir"), "{err}");
+    .expect("--serve takes a spill directory");
+    assert_eq!(opts.spill_dir.as_deref(), Some(std::path::Path::new("/tmp/spill")));
 }
 
 #[test]

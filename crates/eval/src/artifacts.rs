@@ -21,29 +21,23 @@
 //! both the hidap flow's dataflow analysis and every `Gseq` variant, and a
 //! "zero NetGraph builds" CI gate can watch a single per-kind miss counter.
 //!
-//! Per-kind hit/miss/spill/revive/eviction counters and resident-byte totals
-//! are exposed through [`ArtifactCache::stats`] for benchmarks, CI gates and
-//! the CLI's `--manifest` summary.
-//!
-//! # The three tiers (see `docs/MEMORY.md`)
-//!
-//! With a spill directory attached ([`ArtifactCache::with_spill_tier`]),
-//! eviction demotes the artifact to a content-addressed disk file instead of
-//! discarding it, and a later miss *revives* it by deserialization before
-//! falling back to reconstruction — resident → spilled → rebuilt. A revive
-//! is counted separately from a miss (`misses` still means "the constructor
-//! ran"), so a "zero graph rebuilds" gate keeps watching the miss counters.
+//! Per-kind hit/miss/eviction counters and resident-byte totals are exposed
+//! through [`ArtifactCache::stats`] for benchmarks, CI gates and the CLI's
+//! `--manifest` summary.
 //!
 //! # Eviction
 //!
-//! When an insert pushes the resident bytes over the budget, the least
-//! recently used entries are evicted until the cache fits, never the entry
-//! just touched. The victim order depends only on the sequence of fetches,
-//! not on the clock, so the eviction, spill and revive counters of a fixed
-//! workload are the same on every run.
+//! A graph is either resident or rebuilt (see `docs/MEMORY.md`): nothing
+//! writes one to disk. Both graphs are pure functions of the design,
+//! rebuilding `Gnet` costs less than writing it out and reading it back,
+//! and the graphs the benchmark's ECO session evicts belong to identities
+//! no later job asks for. When an insert pushes the resident bytes over the
+//! budget, the least recently used entries are evicted until the cache
+//! fits, never the entry just touched. The victim order depends only on the
+//! sequence of fetches, not on the clock, so the eviction counters of a
+//! fixed workload are the same on every run.
 
 use crate::metrics::DesignKey;
-use crate::spill::SpillTier;
 use graphs::seqgraph::SeqGraphConfig;
 use graphs::{NetGraph, SeqGraph};
 use netlist::design::Design;
@@ -69,9 +63,8 @@ impl ArtifactKind {
     }
 }
 
-/// Hit/miss/spill/revive/eviction counters of one artifact kind. A *miss*
-/// is a build: `misses` counts how many times this kind's constructor
-/// actually ran — a revive from the disk spill tier is **not** a miss.
+/// Hit/miss/eviction counters of one artifact kind. A *miss* is a build:
+/// `misses` counts how many times this kind's constructor actually ran.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KindStats {
     /// Fetches served from the cache.
@@ -81,11 +74,6 @@ pub struct KindStats {
     /// Entries dropped to stay under the byte budget (or by explicit
     /// design eviction).
     pub evictions: u64,
-    /// Evictions that demoted the artifact to the disk spill tier.
-    pub spills: u64,
-    /// Fetches served by deserializing a spilled artifact instead of
-    /// rebuilding it.
-    pub revives: u64,
 }
 
 /// A point-in-time snapshot of the cache: per-kind counters plus the
@@ -119,17 +107,6 @@ impl ArtifactCacheStats {
     pub fn evictions(&self) -> u64 {
         self.seq.evictions + self.net.evictions
     }
-
-    /// Total artifacts demoted to the disk spill tier, across kinds.
-    pub fn spills(&self) -> u64 {
-        self.seq.spills + self.net.spills
-    }
-
-    /// Total fetches served by deserializing a spilled artifact, across
-    /// kinds.
-    pub fn revives(&self) -> u64 {
-        self.seq.revives + self.net.revives
-    }
 }
 
 /// One cache slot identity: the design, the kind, and (for `Gseq`) the
@@ -141,27 +118,6 @@ struct ArtifactKey {
     kind: ArtifactKind,
     /// `Some` for sequential graphs, `None` for the config-less `Gnet`.
     seq_config: Option<SeqGraphConfig>,
-}
-
-impl ArtifactKey {
-    /// The content address of this key in the spill tier: the file stem
-    /// (kind prefix + 16 hex digits) and the fingerprint written into the
-    /// file header, folding the design identity and the construction config.
-    fn spill_identity(&self) -> (String, u64) {
-        let mut h = netlist::Fnv1a::new();
-        h.write_u64(self.design.fingerprint());
-        h.write_sep();
-        match self.seq_config {
-            None => h.write_sep(),
-            Some(cfg) => h.write_u64(cfg.min_register_bits),
-        }
-        let fp = h.finish();
-        let prefix = match self.kind {
-            ArtifactKind::NetGraph => "gnet",
-            ArtifactKind::SeqGraph => "gseq",
-        };
-        (format!("{prefix}-{fp:016x}"), fp)
-    }
 }
 
 /// A cached artifact (the cache's owning reference).
@@ -190,9 +146,6 @@ struct ArtifactLru {
     resident: usize,
     seq: KindStats,
     net: KindStats,
-    /// The disk spill tier, when one is attached (`None` = evictions
-    /// discard).
-    spill: Option<SpillTier>,
     /// Monotonic recency clock for [`Entry::last_use`]: one tick per insert
     /// and per hit, never the wall clock.
     clock: u64,
@@ -243,23 +196,9 @@ impl ArtifactCache {
                 resident: 0,
                 seq: KindStats::default(),
                 net: KindStats::default(),
-                spill: None,
                 clock: 0,
             })),
         }
-    }
-
-    /// Attaches a disk spill tier: evictions demote artifacts to
-    /// content-addressed files under the tier's directory, and misses try
-    /// deserialization before rebuilding (see the [module docs](self)).
-    pub fn with_spill_tier(self, tier: SpillTier) -> Self {
-        self.inner.lock().expect("artifact cache lock").spill = Some(tier);
-        self
-    }
-
-    /// The attached spill tier, if any (clones address the same directory).
-    pub fn spill_tier(&self) -> Option<SpillTier> {
-        self.inner.lock().expect("artifact cache lock").spill.clone()
     }
 
     /// The netlist graph `Gnet` of `design`, built on first use and cached.
@@ -286,13 +225,6 @@ impl ArtifactCache {
         };
         if let Some(ArtifactValue::Seq(gseq)) = lru.touch(&seq_key) {
             lru.seq.hits += 1;
-            return gseq;
-        }
-        // spilled? revive by deserialization — no Gnet needed, no miss
-        if let Some(ArtifactValue::Seq(gseq)) = lru.revive(&seq_key) {
-            lru.seq.revives += 1;
-            lru.insert(seq_key, ArtifactValue::Seq(gseq.clone()));
-            lru.enforce_budget();
             return gseq;
         }
         let gnet = lru.net_graph(&key, design);
@@ -388,8 +320,8 @@ impl ArtifactLru {
         Some(entry.value.clone())
     }
 
-    /// The `Gnet` of `design` (counting a hit, a revive or a miss), inserted
-    /// when absent. Shared by the public `Gnet` fetch and the `Gseq` miss
+    /// The `Gnet` of `design` (counting a hit or a miss), inserted when
+    /// absent. Shared by the public `Gnet` fetch and the `Gseq` miss
     /// path.
     fn net_graph(&mut self, key: &DesignKey, design: &Design) -> Arc<NetGraph> {
         let net_key =
@@ -398,28 +330,10 @@ impl ArtifactLru {
             self.net.hits += 1;
             return gnet;
         }
-        if let Some(ArtifactValue::Net(gnet)) = self.revive(&net_key) {
-            self.net.revives += 1;
-            self.insert(net_key, ArtifactValue::Net(gnet.clone()));
-            return gnet;
-        }
         let gnet = Arc::new(NetGraph::from_design(design));
         self.net.misses += 1;
         self.insert(net_key, ArtifactValue::Net(gnet.clone()));
         gnet
-    }
-
-    /// Tries the disk spill tier for `key`: the artifact on a validated
-    /// decode. Any failure (no tier, no file, corrupt file, decode error) is
-    /// `None` and the caller falls back to a rebuild.
-    fn revive(&mut self, key: &ArtifactKey) -> Option<ArtifactValue> {
-        let tier = self.spill.as_ref()?;
-        let (stem, fp) = key.spill_identity();
-        let payload = tier.load(&stem, fp)?;
-        Some(match key.kind {
-            ArtifactKind::NetGraph => ArtifactValue::Net(Arc::new(NetGraph::decode(&payload)?)),
-            ArtifactKind::SeqGraph => ArtifactValue::Seq(Arc::new(SeqGraph::decode(&payload)?)),
-        })
     }
 
     /// Appends an entry stamped as the most recently used, accounting its
@@ -452,24 +366,9 @@ impl ArtifactLru {
         }
     }
 
-    /// Books an eviction: demote to the spill tier when one is attached
-    /// (counting a spill if the file lands), then the byte accounting and
-    /// the per-kind eviction counter.
+    /// Books an eviction: the byte accounting and the per-kind eviction
+    /// counter. The entry's graph is dropped; its next fetch rebuilds it.
     fn evict(&mut self, entry: Entry) {
-        if let Some(tier) = &self.spill {
-            let (stem, fp) = entry.key.spill_identity();
-            let mut payload = Vec::new();
-            match &entry.value {
-                ArtifactValue::Net(g) => g.encode(&mut payload),
-                ArtifactValue::Seq(g) => g.encode(&mut payload),
-            }
-            if tier.store(&stem, fp, &payload) {
-                match entry.key.kind {
-                    ArtifactKind::NetGraph => self.net.spills += 1,
-                    ArtifactKind::SeqGraph => self.seq.spills += 1,
-                }
-            }
-        }
         self.resident -= entry.bytes;
         match entry.key.kind {
             ArtifactKind::NetGraph => self.net.evictions += 1,
@@ -575,87 +474,10 @@ mod tests {
         shrink();
         assert!(cache.contains(ArtifactKind::SeqGraph, &k0));
         assert_eq!((cache.len(), cache.stats().evictions()), (1, 3));
-        // re-requesting an evicted design rebuilds it (a fresh miss — no
-        // spill tier is attached here)
+        // re-requesting an evicted design rebuilds it (a fresh miss)
         let misses = cache.stats().seq.misses;
         cache.get_or_build(&designs[1]);
         assert_eq!(cache.stats().seq.misses, misses + 1);
-    }
-
-    fn spill_scratch(test: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("hidap-artifacts-{}-{test}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    #[test]
-    fn evicted_artifacts_spill_and_revive_bit_identically() {
-        let designs = keyed_designs();
-        let dir = spill_scratch("revive");
-        let cache = ArtifactCache::new().with_spill_tier(crate::SpillTier::new(&dir));
-        let cfg = SeqGraphConfig::default();
-        let fresh_seq = cache.get_or_build_seq(&designs[0], &cfg);
-        let fresh_net = cache.get_or_build_net(&designs[0]);
-        let key = DesignKey::of(&designs[0]);
-        assert_eq!(cache.evict_design(&key), 2);
-        let stats = cache.stats();
-        assert_eq!((stats.net.spills, stats.seq.spills), (1, 1), "both kinds spilled");
-
-        // the next fetch revives from disk: no rebuild (misses frozen)
-        let revived_seq = cache.get_or_build_seq(&designs[0], &cfg);
-        let revived_net = cache.get_or_build_net(&designs[0]);
-        let stats = cache.stats();
-        assert_eq!((stats.net.misses, stats.seq.misses), (1, 1), "zero graph rebuilds");
-        assert_eq!((stats.net.revives, stats.seq.revives), (1, 1));
-        assert_eq!(*revived_seq, *fresh_seq, "revived Gseq is bit-identical");
-        assert_eq!(*revived_net, *fresh_net, "revived Gnet is bit-identical");
-        assert_eq!(*revived_seq, SeqGraph::from_design(&designs[0], &cfg));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_spill_files_degrade_to_a_counted_rebuild_miss() {
-        let designs = keyed_designs();
-        let dir = spill_scratch("corrupt");
-        let cache = ArtifactCache::new().with_spill_tier(crate::SpillTier::new(&dir));
-        cache.get_or_build(&designs[0]);
-        cache.evict_design(&DesignKey::of(&designs[0]));
-        assert_eq!(cache.stats().spills(), 2);
-        // truncate every spill file in place
-        for entry in std::fs::read_dir(&dir).unwrap().filter_map(|e| e.ok()) {
-            let bytes = std::fs::read(entry.path()).unwrap();
-            std::fs::write(entry.path(), &bytes[..bytes.len() / 2]).unwrap();
-        }
-        let revived = cache.get_or_build(&designs[0]);
-        let stats = cache.stats();
-        assert_eq!(stats.revives(), 0, "corrupt files revive nothing");
-        assert_eq!((stats.net.misses, stats.seq.misses), (2, 2), "degraded to a rebuild miss");
-        assert_eq!(*revived, SeqGraph::from_design(&designs[0], &SeqGraphConfig::default()));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn unwritable_spill_dir_runs_like_no_spill_at_all() {
-        let designs = keyed_designs();
-        let root = spill_scratch("unwritable");
-        std::fs::create_dir_all(&root).unwrap();
-        let anchor = root.join("anchor");
-        std::fs::write(&anchor, b"").unwrap();
-        // the spill "directory" nests under a regular file: every store and
-        // load fails, and the cache must behave exactly like spill-less
-        let cache =
-            ArtifactCache::new().with_spill_tier(crate::SpillTier::new(anchor.join("nested")));
-        cache.get_or_build(&designs[0]);
-        cache.evict_design(&DesignKey::of(&designs[0]));
-        let stats = cache.stats();
-        assert_eq!(stats.spills(), 0, "nothing lands on disk");
-        assert_eq!(stats.evictions(), 2, "evictions still happen");
-        cache.get_or_build(&designs[0]);
-        let stats = cache.stats();
-        assert_eq!(stats.revives(), 0);
-        assert_eq!((stats.net.misses, stats.seq.misses), (2, 2), "rebuild misses as usual");
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -20,10 +20,11 @@
 //! * [`metrics`] — the [`Evaluator`] session driving all of the above,
 //! * [`artifacts`] — the typed, byte-budgeted [`ArtifactCache`] of
 //!   design-derived graphs (`Gnet`, `Gseq`) behind every session and store,
-//!   evicting the least recently used artifact first,
-//! * [`spill`] — the optional disk spill tier beneath the cache: evicted
-//!   artifacts demote to content-addressed files and revive by
-//!   deserialization instead of reconstruction (see `docs/MEMORY.md`).
+//!   evicting the least recently used artifact first; an evicted graph is
+//!   rebuilt on its next fetch,
+//! * [`spill`] — the framed, checksummed disk files of the placement
+//!   service's warm-start seeds, the one service state a design cannot
+//!   rebuild (see `docs/MEMORY.md`).
 //!
 //! Placements enter the pipeline as a [`netlist::MacroPlacement`], the type
 //! every flow returns (`evaluator.evaluate(&design, &placement)`). Build one

@@ -122,11 +122,13 @@ impl DesignKey {
         &self.name
     }
 
-    /// A single `u64` folding every identity field — the content address the
-    /// disk spill tier files artifacts under ([`crate::spill`]). Two designs
-    /// share it exactly when their keys are equal (modulo 64-bit hash
-    /// collisions, which the spill tier tolerates: a revived artifact is
-    /// verified against its design before use).
+    /// A single `u64` folding every identity field — the identity half of
+    /// the content address a warm-start seed files under in the spill tier
+    /// ([`crate::spill`]; the placement service folds it with the design's
+    /// geometry fingerprint). Two designs share it exactly when their keys
+    /// are equal (modulo 64-bit hash collisions, which the seed path
+    /// tolerates: a revived seed is checked against the resident design
+    /// before use).
     pub fn fingerprint(&self) -> u64 {
         let mut h = netlist::Fnv1a::new();
         h.write_bytes(self.name.as_bytes());

@@ -1,18 +1,18 @@
-//! The disk spill tier: content-addressed artifact files under one
-//! directory.
+//! The disk spill tier: framed, checksummed files under one directory.
 //!
-//! When a byte budget forces the [`crate::ArtifactCache`] (or a design
-//! store) to evict a derived structure, the spill tier demotes it to disk
-//! instead of discarding it outright: a later miss tries deserialization
-//! before falling back to reconstruction. Spilling is **off by default**
-//! and enabled by pointing a cache or store at a directory (the CLI's
-//! `--spill-dir`).
+//! Its one user is the placement service, which persists each finished
+//! job's warm-start seed here and reads it back when a `replace` finds its
+//! base result gone (`placer_core::seeds`). A seed is the one piece of
+//! service state that cannot be rebuilt from the design; the graphs the
+//! [`crate::ArtifactCache`] evicts can, so they are dropped and rebuilt,
+//! never written here. The tier is **off by default** and enabled by the
+//! daemon's `--spill-dir`.
 //!
 //! # File format
 //!
-//! One artifact per file, named `<stem>.spill` where the stem is a kind
+//! One payload per file, named `<stem>.spill` where the stem is a kind
 //! prefix plus the 16-hex-digit identity fingerprint (e.g.
-//! `gseq-1f00ba….spill`). Each file is:
+//! `seed-1f00ba….spill`). Each file is:
 //!
 //! | field        | size | contents                                   |
 //! |--------------|------|--------------------------------------------|
@@ -20,7 +20,7 @@
 //! | version      | 4    | format version (little-endian `u32`)       |
 //! | fingerprint  | 8    | the identity the caller will ask for       |
 //! | payload\_len | 8    | byte length of the payload                 |
-//! | payload      | n    | codec-encoded artifact ([`netlist::codec`])|
+//! | payload      | n    | codec-encoded payload ([`netlist::codec`]) |
 //! | checksum     | 8    | [`Fnv1a::write_words`] of the payload      |
 //!
 //! Version 3 checksums the payload with the word fold, eight bytes per step;
@@ -29,21 +29,19 @@
 //!
 //! A store writes the header, the caller's payload and the checksum straight
 //! to a `.tmp` sibling and renames it into place, so a crash mid-write never
-//! leaves a half-written `.spill` file under the final name. A load reads the
+//! leaves a half-written `.spill` file under the final name. A read loads the
 //! payload into the buffer it returns and cuts the checksum off its end: the
 //! payload is never copied out of a framed buffer.
 //!
 //! # Failure model
 //!
-//! Every failure — unwritable directory, truncated or corrupt file, magic or
-//! version or fingerprint mismatch, checksum mismatch — is reported as
-//! "absent" (`false` / `None`), **never** an error or a panic: the caches
-//! above degrade to a rebuild miss, identical to running without a spill
-//! directory. Spilling therefore affects timing, never results.
-//! [`SpillTier::read`] additionally tells a missing file
-//! ([`SpillMiss::Absent`]) from one that is there but failed a check
-//! ([`SpillMiss::Refused`]), so a caller can count disk rot and stale
-//! formats apart from plain misses.
+//! Every failure is a value, **never** a panic: a store that does not land
+//! returns `false`, and [`SpillTier::read`] returns [`SpillMiss::Absent`]
+//! for a file it cannot open and [`SpillMiss::Refused`] for one that is
+//! there but fails a check (short or corrupt, a magic, version or
+//! fingerprint mismatch, a length that disagrees with the file size, a
+//! checksum mismatch), so a caller can count disk rot and stale formats
+//! apart from plain misses.
 
 // lint:allow(fs-scope): this module IS the spill tier — the one place
 // deterministic crates touch the filesystem (see docs/MEMORY.md).
@@ -78,8 +76,7 @@ pub enum SpillMiss {
 }
 
 /// A handle on one spill directory. Cheap to clone (a `PathBuf`); clones
-/// address the same files, so the artifact cache and the design store of one
-/// service share a directory.
+/// address the same files.
 #[derive(Debug, Clone)]
 pub struct SpillTier {
     dir: PathBuf,
@@ -92,7 +89,7 @@ impl SpillTier {
         Self { dir: dir.into() }
     }
 
-    /// The directory this tier files artifacts under.
+    /// The directory this tier files payloads under.
     pub fn dir(&self) -> &Path {
         &self.dir
     }
@@ -125,17 +122,11 @@ impl SpillTier {
         fs::rename(&tmp, self.dir.join(format!("{stem}.spill"))).is_ok()
     }
 
-    /// Reads and validates `<stem>.spill`, returning its payload. `None` on
-    /// any failure: missing file, short file, wrong magic/version, a
-    /// fingerprint other than the one asked for, a length that disagrees
-    /// with the file size, or a checksum mismatch.
-    pub fn load(&self, stem: &str, fingerprint: u64) -> Option<Vec<u8>> {
-        self.read(stem, fingerprint).ok()
-    }
-
-    /// [`SpillTier::load`], telling a file that is not there
-    /// ([`SpillMiss::Absent`]) from one that failed a check
-    /// ([`SpillMiss::Refused`]). The payload is read into the returned
+    /// Reads and validates `<stem>.spill`, returning its payload. A file
+    /// that is not there is [`SpillMiss::Absent`]; a short file, wrong
+    /// magic or version, a fingerprint other than the one asked for, a
+    /// length that disagrees with the file size or a checksum mismatch is
+    /// [`SpillMiss::Refused`]. The payload is read into the returned
     /// buffer, whose only other bytes are the checksum's spare capacity.
     pub fn read(&self, stem: &str, fingerprint: u64) -> Result<Vec<u8>, SpillMiss> {
         let mut file =
@@ -183,9 +174,9 @@ mod tests {
     fn store_then_load_round_trips() {
         let dir = scratch_dir("roundtrip");
         let tier = SpillTier::new(&dir);
-        let payload = b"the artifact bytes".to_vec();
-        assert!(tier.store("gnet-00ff", 0xff00, &payload));
-        assert_eq!(tier.load("gnet-00ff", 0xff00), Some(payload));
+        let payload = b"the seed bytes".to_vec();
+        assert!(tier.store("seed-00ff", 0xff00, &payload));
+        assert_eq!(tier.read("seed-00ff", 0xff00), Ok(payload));
         // no leftover temp files after a clean store
         let stray: Vec<_> = fs::read_dir(&dir)
             .unwrap()
@@ -200,9 +191,9 @@ mod tests {
     fn missing_file_and_wrong_fingerprint_read_as_absent() {
         let dir = scratch_dir("absent");
         let tier = SpillTier::new(&dir);
-        assert_eq!(tier.load("gnet-0000", 0), None);
-        assert!(tier.store("gnet-0001", 1, b"x"));
-        assert_eq!(tier.load("gnet-0001", 2), None, "fingerprint mismatch");
+        assert_eq!(tier.read("seed-0000", 0), Err(SpillMiss::Absent));
+        assert!(tier.store("seed-0001", 1, b"x"));
+        assert_eq!(tier.read("seed-0001", 2), Err(SpillMiss::Refused), "fingerprint mismatch");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -210,12 +201,12 @@ mod tests {
     fn every_truncation_reads_as_absent() {
         let dir = scratch_dir("truncate");
         let tier = SpillTier::new(&dir);
-        assert!(tier.store("csr-0abc", 42, b"payload bytes"));
-        let path = dir.join("csr-0abc.spill");
+        assert!(tier.store("seed-0abc", 42, b"payload bytes"));
+        let path = dir.join("seed-0abc.spill");
         let full = fs::read(&path).unwrap();
         for cut in 0..full.len() {
             fs::write(&path, &full[..cut]).unwrap();
-            assert_eq!(tier.load("csr-0abc", 42), None, "cut at {cut}");
+            assert_eq!(tier.read("seed-0abc", 42), Err(SpillMiss::Refused), "cut at {cut}");
         }
         let _ = fs::remove_dir_all(&dir);
     }
@@ -231,14 +222,14 @@ mod tests {
             let mut bad = full.clone();
             bad[flip] ^= 0x40;
             fs::write(&path, &bad).unwrap();
-            assert_eq!(tier.load("seed-0abc", 7), None, "flip at {flip}");
+            assert_eq!(tier.read("seed-0abc", 7), Err(SpillMiss::Refused), "flip at {flip}");
         }
         let mut padded = full.clone();
         padded.push(0);
         fs::write(&path, &padded).unwrap();
-        assert_eq!(tier.load("seed-0abc", 7), None, "trailing garbage");
+        assert_eq!(tier.read("seed-0abc", 7), Err(SpillMiss::Refused), "trailing garbage");
         fs::write(&path, &full).unwrap();
-        assert!(tier.load("seed-0abc", 7).is_some(), "pristine file still loads");
+        assert!(tier.read("seed-0abc", 7).is_ok(), "pristine file still loads");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -283,7 +274,7 @@ mod tests {
         assert_eq!(tier.read("seed-0abc", 7), Err(SpillMiss::Refused));
         // the same payload in the current frame loads
         assert!(tier.store("seed-0abc", 7, payload));
-        assert_eq!(tier.load("seed-0abc", 7).as_deref(), Some(&payload[..]));
+        assert_eq!(tier.read("seed-0abc", 7).as_deref(), Ok(&payload[..]));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -295,8 +286,8 @@ mod tests {
         let anchor = file.join("anchor");
         fs::write(&anchor, b"").unwrap();
         let tier = SpillTier::new(anchor.join("nested"));
-        assert!(!tier.store("gnet-0000", 0, b"x"));
-        assert_eq!(tier.load("gnet-0000", 0), None);
+        assert!(!tier.store("seed-0000", 0, b"x"));
+        assert_eq!(tier.read("seed-0000", 0), Err(SpillMiss::Absent));
         let _ = fs::remove_dir_all(&file);
     }
 }

@@ -63,11 +63,6 @@ impl Rows {
         &self.targets[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
-    /// Number of rows.
-    fn len(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
     /// Packs rows that are already sorted and free of duplicates.
     fn from_rows<'r>(rows: impl ExactSizeIterator<Item = &'r [usize]>) -> Self {
         let mut offsets = Vec::with_capacity(rows.len() + 1);
@@ -294,71 +289,6 @@ impl NetGraph {
             NetGraphNode::Port(_) => true,
         }
     }
-
-    /// Serializes the graph with the spill-tier codec ([`netlist::codec`]):
-    /// the node counts followed by both adjacency tables, each as its row
-    /// count and then every row's length and node indices (`u32`).
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        netlist::codec::put_u64(out, self.num_cells as u64);
-        netlist::codec::put_u64(out, self.num_ports as u64);
-        for table in [&self.succ, &self.pred] {
-            netlist::codec::put_u64(out, table.len() as u64);
-            for i in 0..table.len() {
-                let row = table.row(i);
-                netlist::codec::put_u64(out, row.len() as u64);
-                for &v in row {
-                    netlist::codec::put_u32(out, v);
-                }
-            }
-        }
-    }
-
-    /// Decodes a graph encoded by [`NetGraph::encode`]. Returns `None` on
-    /// truncation, trailing bytes, adjacency tables whose shape does not
-    /// match the node counts, rows that are not strictly increasing (unsorted
-    /// or duplicated), node indices out of range, or more entries than a
-    /// `u32` offset can address.
-    pub fn decode(bytes: &[u8]) -> Option<Self> {
-        let mut r = netlist::codec::Reader::new(bytes);
-        let num_cells = r.take_u64()? as usize;
-        let num_ports = r.take_u64()? as usize;
-        let n = num_cells.checked_add(num_ports)?;
-        let succ = decode_rows(&mut r, n)?;
-        let pred = decode_rows(&mut r, n)?;
-        if !r.is_exhausted() {
-            return None;
-        }
-        Some(Self { num_cells, num_ports, succ, pred })
-    }
-}
-
-/// Reads one adjacency table of `n` rows written by [`NetGraph::encode`].
-fn decode_rows(r: &mut netlist::codec::Reader<'_>, n: usize) -> Option<Rows> {
-    let rows = r.take_u64()? as usize;
-    // each row carries at least its 8-byte length prefix, so this also
-    // rejects corrupt counts before they size an allocation
-    if rows != n || r.remaining() / 8 < rows {
-        return None;
-    }
-    let mut offsets = Vec::with_capacity(rows + 1);
-    let mut targets = Vec::new();
-    offsets.push(0);
-    for _ in 0..rows {
-        let len = r.take_u64()? as usize;
-        if r.remaining() / 4 < len {
-            return None;
-        }
-        let start = targets.len();
-        for _ in 0..len {
-            let v = r.take_u32()?;
-            if v as usize >= n || targets.len() > start && targets.last() >= Some(&v) {
-                return None;
-            }
-            targets.push(v);
-        }
-        offsets.push(u32::try_from(targets.len()).ok()?);
-    }
-    Some(Rows { offsets, targets })
 }
 
 impl netlist::HeapSize for Rows {
@@ -433,21 +363,6 @@ mod tests {
     fn reference_construction_matches_csr_construction() {
         let d = design_with_port();
         assert_eq!(NetGraph::from_design(&d), NetGraph::from_design_reference(&d));
-    }
-
-    #[test]
-    fn encode_decode_round_trips_bit_identically() {
-        let d = design_with_port();
-        let g = NetGraph::from_design(&d);
-        let mut buf = Vec::new();
-        g.encode(&mut buf);
-        assert_eq!(NetGraph::decode(&buf).expect("decodes"), g);
-        for cut in 0..buf.len() {
-            assert!(NetGraph::decode(&buf[..cut]).is_none(), "cut at {cut}");
-        }
-        let mut padded = buf.clone();
-        padded.push(0);
-        assert!(NetGraph::decode(&padded).is_none());
     }
 
     #[test]

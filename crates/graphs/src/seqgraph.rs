@@ -409,119 +409,6 @@ impl SeqGraph {
             .map(|&(_, b)| b)
             .unwrap_or(0)
     }
-
-    /// Serializes the graph with the spill-tier codec ([`netlist::codec`]):
-    /// nodes (kind tag, names, width, member ids), both weighted adjacency
-    /// tables, and the dense macro-cell lookup (`u32::MAX` for `None`).
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        netlist::codec::put_u64(out, self.nodes.len() as u64);
-        for node in &self.nodes {
-            let tag = match node.kind {
-                SeqNodeKind::Macro => 0u8,
-                SeqNodeKind::Register => 1,
-                SeqNodeKind::Port => 2,
-            };
-            netlist::codec::put_u8(out, tag);
-            netlist::codec::put_str(out, &node.name);
-            netlist::codec::put_u64(out, node.width);
-            netlist::codec::put_str(out, &node.hier_path);
-            netlist::codec::put_u64(out, node.cells.len() as u64);
-            for c in &node.cells {
-                netlist::codec::put_u32(out, c.0);
-            }
-            netlist::codec::put_u64(out, node.ports.len() as u64);
-            for p in &node.ports {
-                netlist::codec::put_u32(out, p.0);
-            }
-        }
-        for table in [&self.succ, &self.pred] {
-            netlist::codec::put_u64(out, table.len() as u64);
-            for row in table {
-                netlist::codec::put_u64(out, row.len() as u64);
-                for &(target, bits) in row {
-                    netlist::codec::put_u32(out, target as u32);
-                    netlist::codec::put_u64(out, bits);
-                }
-            }
-        }
-        netlist::codec::put_u64(out, self.macro_of_cell.len() as u64);
-        for (_, slot) in self.macro_of_cell.iter() {
-            netlist::codec::put_u32(out, slot.map_or(u32::MAX, |id| id.0));
-        }
-    }
-
-    /// Decodes a graph encoded by [`SeqGraph::encode`]. Returns `None` on
-    /// truncation, trailing bytes, indices out of the decoded node range, or
-    /// adjacency rows whose targets are not strictly increasing.
-    pub fn decode(bytes: &[u8]) -> Option<Self> {
-        let mut r = netlist::codec::Reader::new(bytes);
-        let num_nodes = r.take_u64()? as usize;
-        if r.remaining() < num_nodes {
-            return None;
-        }
-        let mut nodes = Vec::with_capacity(num_nodes);
-        for _ in 0..num_nodes {
-            let kind = match r.take_u8()? {
-                0 => SeqNodeKind::Macro,
-                1 => SeqNodeKind::Register,
-                2 => SeqNodeKind::Port,
-                _ => return None,
-            };
-            let name = r.take_str()?;
-            let width = r.take_u64()?;
-            let hier_path = r.take_str()?;
-            let cells = r.take_u32_vec()?.into_iter().map(CellId).collect();
-            let ports = r.take_u32_vec()?.into_iter().map(PortId).collect();
-            nodes.push(SeqNode { kind, name, width, hier_path, cells, ports });
-        }
-        let mut tables = Vec::with_capacity(2);
-        for _ in 0..2 {
-            let rows = r.take_u64()? as usize;
-            // each row carries at least its 8-byte length prefix, so this
-            // also rejects corrupt counts before they size an allocation
-            if rows != num_nodes || r.remaining() / 8 < rows {
-                return None;
-            }
-            let mut table = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                let len = r.take_u64()? as usize;
-                if r.remaining() / 12 < len {
-                    return None;
-                }
-                let mut row: Vec<(usize, u64)> = Vec::with_capacity(len);
-                for _ in 0..len {
-                    let target = r.take_u32()? as usize;
-                    if target >= num_nodes || row.last().is_some_and(|&(t, _)| t >= target) {
-                        return None;
-                    }
-                    row.push((target, r.take_u64()?));
-                }
-                table.push(row);
-            }
-            tables.push(table);
-        }
-        let slots = r.take_u64()? as usize;
-        if r.remaining() / 4 < slots {
-            return None;
-        }
-        let mut macro_slots = Vec::with_capacity(slots);
-        for _ in 0..slots {
-            let raw = r.take_u32()?;
-            if raw == u32::MAX {
-                macro_slots.push(None);
-            } else if (raw as usize) < num_nodes {
-                macro_slots.push(Some(SeqNodeId(raw)));
-            } else {
-                return None;
-            }
-        }
-        if !r.is_exhausted() {
-            return None;
-        }
-        let pred = tables.pop().expect("two tables decoded");
-        let succ = tables.pop().expect("two tables decoded");
-        Some(Self { nodes, succ, pred, macro_of_cell: DenseMap::from_vec(macro_slots) })
-    }
 }
 
 impl netlist::HeapSize for SeqNodeId {
@@ -663,26 +550,6 @@ mod tests {
         let node = g.macro_node(ram).unwrap();
         assert_eq!(g.node(node).kind, SeqNodeKind::Macro);
         assert_eq!(g.macro_nodes().count(), 1);
-    }
-
-    #[test]
-    fn encode_decode_round_trips_bit_identically() {
-        let d = pipeline_design();
-        for min_bits in [1, 3] {
-            let g = SeqGraph::from_design(&d, &SeqGraphConfig { min_register_bits: min_bits });
-            let mut buf = Vec::new();
-            g.encode(&mut buf);
-            assert_eq!(SeqGraph::decode(&buf).expect("decodes"), g);
-        }
-        let g = SeqGraph::from_design(&d, &SeqGraphConfig::default());
-        let mut buf = Vec::new();
-        g.encode(&mut buf);
-        for cut in 0..buf.len() {
-            assert!(SeqGraph::decode(&buf[..cut]).is_none(), "cut at {cut}");
-        }
-        let mut padded = buf.clone();
-        padded.push(0);
-        assert!(SeqGraph::decode(&padded).is_none());
     }
 
     #[test]

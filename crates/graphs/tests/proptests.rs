@@ -225,21 +225,6 @@ fn netgraph_rows_are_canonical(g: &NetGraph) -> bool {
     })
 }
 
-/// Whether every row of `g` lists in-range nodes in strictly increasing
-/// order, and every macro lookup names a node of the graph.
-fn seqgraph_rows_are_canonical(g: &SeqGraph, num_cells: u32) -> bool {
-    let n = g.num_nodes();
-    let rows_ok = (0..n).all(|i| {
-        let id = graphs::SeqNodeId(i as u32);
-        [g.successors(id), g.predecessors(id)]
-            .iter()
-            .all(|row| row.iter().all(|&(t, _)| t < n) && row.windows(2).all(|w| w[0].0 < w[1].0))
-    });
-    let macros_ok = (0..num_cells)
-        .all(|c| g.macro_node(netlist::design::CellId(c)).is_none_or(|id| (id.0 as usize) < n));
-    rows_ok && macros_ok
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256 })]
 
@@ -256,44 +241,5 @@ proptest! {
         prop_assert!(netgraph_rows_are_canonical(&g));
         let preds: usize = (0..g.num_nodes()).map(|i| g.predecessors(i).len()).sum();
         prop_assert_eq!(preds, g.num_edges());
-    }
-
-    #[test]
-    fn graph_payloads_decode_to_canonical_graphs_or_none(
-        kinds in prop::collection::vec(0u8..3, 1..16),
-        num_ports in 0usize..5,
-        num_nets in 1usize..12,
-        ops in prop::collection::vec((0u8..4, 0usize..12, 0usize..32), 0..60),
-        cut in 0usize..1 << 20,
-        flip in (0usize..1 << 20, 0u32..8),
-        splice in (0usize..1 << 20, 0usize..1 << 20),
-    ) {
-        let design = random_design(&kinds, num_ports, num_nets, &ops);
-        let num_cells = design.num_cells() as u32;
-        let gnet = NetGraph::from_design(&design);
-        let gseq = SeqGraph::from_netgraph(&design, &gnet, &SeqGraphConfig { min_register_bits: 2 });
-        let (mut net_bytes, mut seq_bytes) = (Vec::new(), Vec::new());
-        gnet.encode(&mut net_bytes);
-        gseq.encode(&mut seq_bytes);
-        prop_assert_eq!(NetGraph::decode(&net_bytes), Some(gnet));
-        prop_assert_eq!(SeqGraph::decode(&seq_bytes), Some(gseq));
-        // truncated, one bit flipped, and a middle section dropped or repeated
-        let mutants = |bytes: &[u8]| {
-            let len = bytes.len();
-            let mut flipped = bytes.to_vec();
-            flipped[flip.0 % len] ^= 1 << flip.1;
-            let spliced = [&bytes[..splice.0 % len], &bytes[splice.1 % len..]].concat();
-            [bytes[..cut % len].to_vec(), flipped, spliced]
-        };
-        for bytes in mutants(&net_bytes) {
-            if let Some(g) = NetGraph::decode(&bytes) {
-                prop_assert!(netgraph_rows_are_canonical(&g), "decoded {:?}", g);
-            }
-        }
-        for bytes in mutants(&seq_bytes) {
-            if let Some(g) = SeqGraph::decode(&bytes) {
-                prop_assert!(seqgraph_rows_are_canonical(&g, num_cells), "decoded {:?}", g);
-            }
-        }
     }
 }

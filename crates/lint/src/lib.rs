@@ -114,8 +114,7 @@ Scope: non-test code of crates/server/src/* and placer-core's service.rs —
 everything between frame decode and job completion — plus netlist's
 verilog.rs, lef.rs and def.rs, which `intern` runs on client-named files, and
 the spill decoders eval's spill.rs, placer-core's seeds.rs and netlist's
-codec.rs, which read disk bytes when a `replace` revives a seed or a cache
-miss revives a graph.
+codec.rs, which read disk bytes when a `replace` revives a seed.
 
 `hidap --serve` promises that a malformed or hostile frame produces a
 structured `err code=...` frame and the session lives on. A stray .unwrap(),
@@ -200,7 +199,7 @@ A crate that writes files on its own (caches, scratch state, logs) couples
 results to whatever the disk held from a previous run, and scatters state
 the daemon's memory budget cannot see. All persistence flows through
 eval::SpillTier, which is content-addressed, checksummed, and fails open:
-a bad file degrades to a rebuild, never a result change. The lint flags
+a bad file reads as absent, never as another result. The lint flags
 fs::write/create_dir*/remove_*/rename/copy/hard_link/set_permissions,
 File::create/create_new/options, and OpenOptions construction.
 

@@ -1,11 +1,11 @@
 //! Minimal little-endian binary codec for the disk spill tier.
 //!
-//! The workspace has no serialization framework, so spilled artifacts
-//! are written with this hand-rolled codec: fixed-width little-endian
-//! integers, length-prefixed arrays and strings, and a
+//! The workspace has no serialization framework, so spill files and the
+//! warm-start seeds they carry are written with this hand-rolled codec:
+//! fixed-width little-endian integers, length-prefixed strings, and a
 //! truncation-tolerant [`Reader`] whose every accessor returns `Option` —
-//! a short or corrupt buffer decodes to `None`, never a panic, so the
-//! spill tier can degrade to a rebuild miss on any malformed file.
+//! a short or corrupt buffer decodes to `None`, never a panic, so a
+//! malformed file reads as absent.
 //!
 //! # Example
 //!
@@ -53,7 +53,7 @@ const MAX_LEN: u64 = 1 << 30;
 
 /// A bounds-checked cursor over an encoded buffer. Every accessor returns
 /// `Option`: `None` on truncation or a malformed prefix, after which the
-/// caller abandons the decode (spill files degrade to a rebuild miss).
+/// caller abandons the decode (a malformed spill file reads as absent).
 #[derive(Debug, Clone)]
 pub struct Reader<'a> {
     bytes: &'a [u8],
@@ -133,15 +133,6 @@ impl<'a> Reader<'a> {
         Some(len as usize)
     }
 
-    /// Reads a `u32` array written as a `u64` length then the elements.
-    pub fn take_u32_vec(&mut self) -> Option<Vec<u32>> {
-        let len = self.take_len()?;
-        if self.remaining() / 4 < len {
-            return None;
-        }
-        (0..len).map(|_| self.take_u32()).collect()
-    }
-
     /// Reads a length-prefixed UTF-8 string.
     pub fn take_str(&mut self) -> Option<String> {
         let len = self.take_len()?;
@@ -171,35 +162,38 @@ mod tests {
         assert!(r.is_exhausted());
     }
 
-    /// A `u32` array in the form [`Reader::take_u32_vec`] reads.
-    fn put_u32s(out: &mut Vec<u8>, vs: &[u32]) {
-        put_u64(out, vs.len() as u64);
-        for &v in vs {
-            put_u32(out, v);
-        }
-    }
-
     #[test]
     fn arrays_round_trip() {
-        let mut buf = Vec::new();
-        put_u32s(&mut buf, &[3, 2, 1]);
-        put_u32s(&mut buf, &[]);
-        let mut r = Reader::new(&buf);
-        assert_eq!(r.take_u32_vec(), Some(vec![3, 2, 1]));
-        assert_eq!(r.take_u32_vec(), Some(Vec::new()));
-        assert!(r.is_exhausted());
+        // an array as the seed codec writes one: a `u64` length, then
+        // fixed-size records read back from the unread tail
+        for values in [&[3u32, 2, 1][..], &[]] {
+            let mut buf = Vec::new();
+            put_u64(&mut buf, values.len() as u64);
+            for &v in values {
+                put_u32(&mut buf, v);
+            }
+            let mut r = Reader::new(&buf);
+            assert_eq!(r.take_len(), Some(values.len()));
+            let records: Vec<u32> = r
+                .take_rest()
+                .chunks_exact(4)
+                .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+                .collect();
+            assert_eq!(records, values);
+            assert!(r.is_exhausted());
+        }
     }
 
     #[test]
     fn every_truncation_point_returns_none() {
         let mut buf = Vec::new();
         put_u32(&mut buf, 7);
-        put_u32s(&mut buf, &[1, 2, 3]);
+        put_i64(&mut buf, -3);
         put_str(&mut buf, "tail");
         for cut in 0..buf.len() {
             let mut r = Reader::new(&buf[..cut]);
             // whichever field the cut lands in, some accessor reports None
-            let ok = r.take_u32().is_some() && r.take_u32_vec().is_some() && r.take_str().is_some();
+            let ok = r.take_u32().is_some() && r.take_i64().is_some() && r.take_str().is_some();
             assert!(!ok, "cut at {cut} decoded successfully");
         }
     }
@@ -218,11 +212,12 @@ mod tests {
     fn oversized_length_prefix_is_rejected() {
         let mut buf = Vec::new();
         put_u64(&mut buf, u64::MAX); // absurd element count
-        assert_eq!(Reader::new(&buf).take_u32_vec(), None);
+        assert_eq!(Reader::new(&buf).take_len(), None);
         let mut buf = Vec::new();
         put_u64(&mut buf, 10); // more elements than bytes remain
         put_u32(&mut buf, 1);
-        assert_eq!(Reader::new(&buf).take_u32_vec(), None);
+        assert_eq!(Reader::new(&buf).take_len(), None);
+        assert_eq!(Reader::new(&buf).take_str(), None);
     }
 
     #[test]

@@ -313,15 +313,103 @@ fn parse_mutated(mutations: &[(u8, usize, usize, Vec<char>)]) {
 }
 
 fn arb_mutations() -> impl Strategy<Value = Vec<(u8, usize, usize, Vec<char>)>> {
+    arb_mutations_of(&INSERTED)
+}
+
+/// One to three mutations for [`mutate`], inserting characters of
+/// `alphabet`.
+fn arb_mutations_of(
+    alphabet: &[char],
+) -> impl Strategy<Value = Vec<(u8, usize, usize, Vec<char>)>> {
     prop::collection::vec(
         (
             0u8..4,
             0usize..1_000_000,
             1usize..8,
-            prop::collection::vec(prop::sample::select(INSERTED.to_vec()), 1..6),
+            prop::collection::vec(prop::sample::select(alphabet.to_vec()), 1..6),
         ),
         1..4,
     )
+}
+
+/// The LEF and DEF mutations insert Verilog's characters plus the signs,
+/// comment and quote marks and exponent letter the two formats read.
+fn lef_def_alphabet() -> Vec<char> {
+    [&INSERTED[..], &['-', '+', '#', '"', 'e']].concat()
+}
+
+/// The emitted LEF and DEF of the preset [`small_netlist`] comes from, and
+/// the design they describe, parsed from the emitted text. The DEF places
+/// every macro of the parsed design, under the names it elaborated.
+struct Physical {
+    lef: String,
+    def: String,
+    design: netlist::design::Design,
+}
+
+fn small_physical() -> &'static Physical {
+    static PHYSICAL: std::sync::OnceLock<Physical> = std::sync::OnceLock::new();
+    PHYSICAL.get_or_init(|| {
+        let config = workload::presets::service_fleet_config(0, 0.01);
+        let generated = workload::SocGenerator::new(config).generate();
+        let lef = workload::emit::emit_lef(&generated.design, &generated.library, 1000);
+        let opts = netlist::verilog::ElaborateOptions {
+            library: netlist::lef::parse_lef(&lef).expect("the emitted LEF parses").library,
+            ..Default::default()
+        };
+        let mut design = netlist::verilog::parse_verilog(small_netlist(), None, &opts)
+            .expect("the emitted netlist parses");
+        // the generated floorplan gives the parsed design its die and pins
+        let floorplan = workload::emit::emit_def(&generated.design, 1000, &Default::default());
+        parse_def(&floorplan).expect("the emitted DEF parses").apply_to(&mut design);
+        let placements = design
+            .macros()
+            .enumerate()
+            .map(|(i, cell)| {
+                let at = Point::new(1000 * i as i64, 500 * i as i64);
+                (cell, (at, Orientation::ALL[i % Orientation::ALL.len()]))
+            })
+            .collect();
+        let def = workload::emit::emit_def(&design, 1000, &placements);
+        Physical { lef, def, design }
+    })
+}
+
+/// A parse error points at a line of the text it read, when it names one.
+fn check_error_line(text: &str, err: &netlist::ParseError) -> Result<(), TestCaseError> {
+    if let Some(line) = err.line {
+        prop_assert!((1..=text.lines().count() + 1).contains(&line), "{}", err);
+    }
+    Ok(())
+}
+
+/// Parses the emitted LEF mutated by each of `mutations` in turn: a library
+/// or a `ParseError`, never a panic.
+fn parse_mutated_lef(mutations: &[(u8, usize, usize, Vec<char>)]) -> Result<(), TestCaseError> {
+    let text = mutations.iter().fold(small_physical().lef.clone(), |text, m| mutate(&text, m));
+    if let Err(err) = netlist::lef::parse_lef(&text) {
+        check_error_line(&text, &err)?;
+    }
+    Ok(())
+}
+
+/// Parses the emitted DEF mutated by each of `mutations` in turn, and
+/// applies a DEF that parses to the design: a `ParseError` or a placement,
+/// never a panic.
+fn parse_mutated_def(mutations: &[(u8, usize, usize, Vec<char>)]) -> Result<(), TestCaseError> {
+    let physical = small_physical();
+    let text = mutations.iter().fold(physical.def.clone(), |text, m| mutate(&text, m));
+    match netlist::def::parse_def(&text) {
+        Ok(def) => {
+            let mut design = physical.design.clone();
+            let placement = def.apply_to(&mut design);
+            prop_assert_eq!(design.die(), def.die);
+            // one entry per named cell, sorted by cell
+            prop_assert!(placement.macros.windows(2).all(|w| w[0].cell < w[1].cell));
+        }
+        Err(err) => check_error_line(&text, &err)?,
+    }
+    Ok(())
 }
 
 proptest! {
@@ -330,6 +418,18 @@ proptest! {
     #[test]
     fn mutated_verilog_never_panics_the_parser(mutations in arb_mutations()) {
         parse_mutated(&mutations);
+    }
+
+    #[test]
+    fn mutated_lef_never_panics_the_parser(mutations in arb_mutations_of(&lef_def_alphabet())) {
+        parse_mutated_lef(&mutations)?;
+    }
+
+    #[test]
+    fn mutated_def_never_panics_the_parser_or_its_apply(
+        mutations in arb_mutations_of(&lef_def_alphabet()),
+    ) {
+        parse_mutated_def(&mutations)?;
     }
 }
 
@@ -342,5 +442,23 @@ proptest! {
     #[ignore]
     fn mutated_verilog_never_panics_the_parser_deep_sweep(mutations in arb_mutations()) {
         parse_mutated(&mutations);
+    }
+
+    /// The LEF mutation sweep over 3,000 cases (`--ignored`).
+    #[test]
+    #[ignore]
+    fn mutated_lef_never_panics_the_parser_deep_sweep(
+        mutations in arb_mutations_of(&lef_def_alphabet()),
+    ) {
+        parse_mutated_lef(&mutations)?;
+    }
+
+    /// The DEF mutation sweep over 3,000 cases (`--ignored`).
+    #[test]
+    #[ignore]
+    fn mutated_def_never_panics_the_parser_or_its_apply_deep_sweep(
+        mutations in arb_mutations_of(&lef_def_alphabet()),
+    ) {
+        parse_mutated_def(&mutations)?;
     }
 }

@@ -4,8 +4,8 @@
 //! lifetime the base result is held in memory; when a spill directory is
 //! configured ([`crate::PlacementService::with_spill_dir`]) the service also
 //! persists every successful job's winning placement as a **seed file** in
-//! the same framed format the artifact spill tier uses ([`eval::SpillTier`],
-//! stem `seed-<fingerprint>`), keyed by the design identity
+//! the spill tier's framed format ([`eval::SpillTier`], stem
+//! `seed-<fingerprint>`), keyed by the design identity
 //! ([`eval::DesignKey::fingerprint`]) folded with the design's geometry
 //! fingerprint. After a daemon restart, a replace job whose base result is
 //! gone — a [`crate::JobId`] from the previous incarnation, or one whose

@@ -60,7 +60,7 @@ use crate::registry::FlowRegistry;
 use crate::request::{EffortLevel, PlaceOutcome, PlaceRequest};
 use crate::seeds::{decode_seed, encode_seed, seed_fingerprint, seed_stem, SeedRef, WarmSeed};
 use crate::store::{DesignHandle, DesignStore};
-use eval::{EvalConfig, SpillMiss};
+use eval::{EvalConfig, SpillMiss, SpillTier};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -241,8 +241,7 @@ pub struct ServiceStats {
     pub memory_budget: Option<usize>,
     /// Designs evicted so far.
     pub design_evictions: u64,
-    /// Per-kind artifact hit/miss/evict/spill/revive counters and byte
-    /// accounting.
+    /// Per-kind artifact hit/miss/eviction counters and byte accounting.
     pub artifacts: eval::ArtifactCacheStats,
     /// Warm-start seeds persisted to the spill directory after successful
     /// jobs (see [`crate::seeds`]).
@@ -287,6 +286,9 @@ pub struct PlacementService {
     next_job: u64,
     jobs: usize,
     peak_queued: usize,
+    /// Where warm-start seeds are persisted and revived (`None` = nowhere,
+    /// the default).
+    spill: Option<SpillTier>,
     seed_spills: u64,
     seed_revives: u64,
     seed_rejects: u64,
@@ -309,6 +311,7 @@ impl PlacementService {
             next_job: 0,
             jobs: 0,
             peak_queued: 0,
+            spill: None,
             seed_spills: 0,
             seed_revives: 0,
             seed_rejects: 0,
@@ -321,14 +324,14 @@ impl PlacementService {
         self
     }
 
-    /// Attaches a disk spill tier rooted at `dir` (see
-    /// [`DesignStore::with_spill_dir`]). On top of the store's artifact
-    /// spilling, the *service* persists every successful job's winning
-    /// placement as a warm-start seed file and revives it to serve replace
-    /// jobs whose base result is gone — so `replace` survives a daemon
-    /// restart pointed at the same directory (see [`crate::seeds`]).
+    /// Attaches a disk spill tier rooted at `dir`: the service persists
+    /// every successful job's winning placement there as a warm-start seed
+    /// file and revives it to serve replace jobs whose base result is gone
+    /// — so `replace` survives a daemon restart pointed at the same
+    /// directory (see [`crate::seeds`]). Seeds are all it holds: the
+    /// store's graphs are rebuilt from their design when evicted.
     pub fn with_spill_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.store = self.store.with_spill_dir(dir);
+        self.spill = Some(SpillTier::new(dir));
         self
     }
 
@@ -562,7 +565,7 @@ impl PlacementService {
     /// no-op without a spill directory; a failed write is simply not
     /// counted.
     fn persist_seed(&mut self, id: JobId, handle: DesignHandle, outcome: &PlaceOutcome) {
-        let Some(tier) = self.store.spill_tier() else { return };
+        let Some(tier) = &self.spill else { return };
         let Some(design) = self.store.get_design(handle) else { return };
         let fp = seed_fingerprint(self.store.key(handle), design.geometry_fingerprint());
         let seed = SeedRef {
@@ -587,7 +590,7 @@ impl PlacementService {
         handle: DesignHandle,
         base: JobId,
     ) -> Option<Result<WarmSeed, PlaceError>> {
-        let tier = self.store.spill_tier()?;
+        let tier = self.spill.as_ref()?;
         let design = self.store.get_design(handle)?;
         let fp = seed_fingerprint(self.store.key(handle), design.geometry_fingerprint());
         let payload = match tier.read(&seed_stem(fp), fp) {

@@ -45,7 +45,7 @@
 //! invalidates a handle a caller still holds.
 
 use crate::context::PlaceContext;
-use eval::{ArtifactCache, DesignKey, SpillTier};
+use eval::{ArtifactCache, DesignKey};
 use netlist::dense::DenseId;
 use netlist::design::Design;
 use netlist::HeapSize;
@@ -142,10 +142,6 @@ pub struct DesignStore {
     /// The most recent design evictions, newest last (bounded to
     /// [`DesignStore::EVICTION_LOG_CAP`] entries).
     eviction_log: VecDeque<EvictionRecord>,
-    /// The optional disk spill tier, shared with [`DesignStore::artifacts`]
-    /// and with the service's warm-start seeds. `None` = no spilling (the
-    /// default).
-    spill: Option<SpillTier>,
 }
 
 impl Default for DesignStore {
@@ -167,7 +163,6 @@ impl DesignStore {
             evictions: 0,
             eviction_log: VecDeque::new(),
             peak_bytes: 0,
-            spill: None,
         }
     }
 
@@ -182,29 +177,6 @@ impl DesignStore {
             memory_budget: Some(budget),
             ..Self::new()
         }
-    }
-
-    /// Attaches a disk spill tier rooted at `dir` to this store *and* its
-    /// artifact cache (they share the directory, so one `--spill-dir` serves
-    /// the spillable artifacts `Gnet` and `Gseq` and the service's
-    /// warm-start seeds; see `docs/MEMORY.md`). Evicting a design writes
-    /// nothing: a design is always born with its wiring, so there is no
-    /// derived design state to revive.
-    ///
-    /// Spilling is strictly a timing optimization: revived structures are
-    /// verified bit-identical, and every disk failure degrades to a plain
-    /// rebuild miss.
-    pub fn with_spill_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        let tier = SpillTier::new(dir);
-        self.artifacts = self.artifacts.with_spill_tier(tier.clone());
-        self.spill = Some(tier);
-        self
-    }
-
-    /// The attached spill tier, if any (cheap to clone; clones address the
-    /// same directory).
-    pub fn spill_tier(&self) -> Option<&SpillTier> {
-        self.spill.as_ref()
     }
 
     /// Interns a design and adds one reference to it.
@@ -857,16 +829,6 @@ mod tests {
         assert!(err.to_string().contains("unknown cell"));
         assert_eq!(store.key(a), &key);
         assert_eq!(store.design(a).cell(ram).width, 200, "nothing was applied");
-    }
-
-    #[test]
-    fn without_a_spill_dir_nothing_touches_disk_counters() {
-        let mut store = DesignStore::new();
-        let a = store.intern(design("alpha", "r_reg[0]"));
-        store.release(a);
-        store.evict_unreferenced();
-        store.intern(design("alpha", "r_reg[0]"));
-        assert!(store.spill_tier().is_none());
     }
 
     #[test]

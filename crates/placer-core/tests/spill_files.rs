@@ -4,8 +4,8 @@
 //! * Mutated files — truncated, bit-flipped, spliced, with a rewritten length
 //!   or version field — go through [`SpillTier::read`] and must read as
 //!   absent or refused, never panic and never load. The corpus is a real
-//!   seed file and a real `Gnet` file, both written by a placement on a
-//!   spill-dir service whose zero byte budget demotes every graph to disk.
+//!   seed file, written by a placement on a spill-dir service (the only kind
+//!   of file the daemon writes and reads back).
 //! * Mutated seed payloads are stored again under a fresh checksum, so the
 //!   tier accepts them and [`decode_seed`] really sees them. Each must decode
 //!   to `None` or to a seed whose re-encoding equals the payload.
@@ -21,7 +21,7 @@
 
 use eval::{EvalConfig, SpillMiss, SpillTier};
 use placer_core::seeds::{decode_seed, encode_seed, SeedRef};
-use placer_core::{DesignStore, EffortLevel, JobId, PlaceJob, PlacementService};
+use placer_core::{EffortLevel, JobId, PlaceJob, PlacementService};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -59,19 +59,13 @@ impl SpillFile {
     }
 }
 
-/// A real seed file and a real `Gnet` file, written once per test binary.
-struct Corpus {
-    seed: SpillFile,
-    gnet: SpillFile,
-}
-
-fn corpus() -> &'static Corpus {
-    static CORPUS: OnceLock<Corpus> = OnceLock::new();
+/// A real seed file, written once per test binary.
+fn corpus() -> &'static SpillFile {
+    static CORPUS: OnceLock<SpillFile> = OnceLock::new();
     CORPUS.get_or_init(|| {
         let dir = scratch("corpus");
-        // a zero byte budget evicts, and so spills, every graph
-        let store = DesignStore::with_memory_budget(0).with_spill_dir(&dir);
-        let mut service = PlacementService::with_store(placer_core::builtin_registry(), store);
+        let mut service =
+            PlacementService::new(placer_core::builtin_registry()).with_spill_dir(&dir);
         let design = workload::presets::service_fleet(1, 0.05).remove(0).design;
         let handle = service.intern(design);
         let job = service.submit(
@@ -81,10 +75,9 @@ fn corpus() -> &'static Corpus {
         );
         service.run_all();
         service.take_result(job).expect("ran").expect("placed");
-        let corpus =
-            Corpus { seed: SpillFile::find(&dir, "seed-"), gnet: SpillFile::find(&dir, "gnet-") };
+        let seed = SpillFile::find(&dir, "seed-");
         let _ = std::fs::remove_dir_all(&dir);
-        corpus
+        seed
     })
 }
 
@@ -164,7 +157,7 @@ fn check_file(tier: &SpillTier, file: &SpillFile, m: Mutation) -> Result<(), Tes
 /// A mutated seed payload, stored under a fresh checksum, must decode to
 /// `None` or to a seed that re-encodes to the same bytes.
 fn check_payload(tier: &SpillTier, m: Mutation) -> Result<(), TestCaseError> {
-    let seed = &corpus().seed;
+    let seed = corpus();
     let payload = &seed.bytes[24..seed.bytes.len() - 8];
     let bad = mutate(payload, m);
     prop_assert!(tier.store(&seed.stem, seed.fingerprint, &bad));
@@ -178,21 +171,16 @@ fn check_payload(tier: &SpillTier, m: Mutation) -> Result<(), TestCaseError> {
 
 #[test]
 fn the_corpus_loads_and_decodes() {
-    let corpus = corpus();
+    let file = corpus();
     let dir = scratch("pristine");
     let tier = SpillTier::new(&dir);
-    for file in [&corpus.seed, &corpus.gnet] {
-        std::fs::write(dir.join(format!("{}.spill", file.stem)), &file.bytes).expect("write");
-        let payload = tier.read(&file.stem, file.fingerprint).expect("the pristine file loads");
-        assert_eq!(payload.len() + 32, file.bytes.len());
-    }
-    let payload = tier.load(&corpus.seed.stem, corpus.seed.fingerprint).expect("seed");
+    std::fs::write(dir.join(format!("{}.spill", file.stem)), &file.bytes).expect("write");
+    let payload = tier.read(&file.stem, file.fingerprint).expect("the pristine file loads");
+    assert_eq!(payload.len() + 32, file.bytes.len());
     let (job, seed) = decode_seed(&payload).expect("the real seed decodes");
     assert_eq!(job, JobId(0));
     assert!(seed.cells.is_some(), "the job evaluated, so the seed carries its cells");
     assert_eq!(encode_seed(job, &seed), payload);
-    let gnet = tier.load(&corpus.gnet.stem, corpus.gnet.fingerprint).expect("gnet");
-    assert!(graphs::NetGraph::decode(&gnet).is_some(), "the real Gnet decodes");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -200,11 +188,9 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 128 })]
 
     #[test]
-    fn mutated_spill_files_read_as_refused(seed_m in mutation(), gnet_m in mutation()) {
+    fn mutated_spill_files_read_as_refused(m in mutation()) {
         let dir = scratch("files");
-        let tier = SpillTier::new(&dir);
-        check_file(&tier, &corpus().seed, seed_m)?;
-        check_file(&tier, &corpus().gnet, gnet_m)?;
+        check_file(&SpillTier::new(&dir), corpus(), m)?;
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -223,14 +209,9 @@ proptest! {
     /// release).
     #[test]
     #[ignore]
-    fn mutated_spill_files_read_as_refused_deep_sweep(
-        seed_m in mutation(),
-        gnet_m in mutation(),
-    ) {
+    fn mutated_spill_files_read_as_refused_deep_sweep(m in mutation()) {
         let dir = scratch("files-deep");
-        let tier = SpillTier::new(&dir);
-        check_file(&tier, &corpus().seed, seed_m)?;
-        check_file(&tier, &corpus().gnet, gnet_m)?;
+        check_file(&SpillTier::new(&dir), corpus(), m)?;
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -287,7 +268,7 @@ fn eco_session_base_seed_keeps_its_payload_bytes() {
     let result = service.take_result(job).expect("ran").expect("placed");
 
     let file = SpillFile::find(&dir, "seed-");
-    let payload = SpillTier::new(&dir).load(&file.stem, file.fingerprint).expect("seed loads");
+    let payload = SpillTier::new(&dir).read(&file.stem, file.fingerprint).expect("seed loads");
     assert_eq!(payload.len(), 429_463);
     assert_eq!(file.bytes.len(), 429_463 + 32);
     let mut h = netlist::Fnv1a::new();

@@ -1,5 +1,6 @@
-//! The spill tier across service lifetimes: warm-start seeds and revived
-//! artifacts must be a *timing* optimization, never a result change.
+//! The spill tier across service lifetimes: warm-start seeds must be a
+//! *timing* optimization, never a result change, and they are all the
+//! directory holds.
 //!
 //! These tests drive [`PlacementService`]s pointed at one spill directory
 //! and assert that:
@@ -14,11 +15,12 @@
 //! * a seed file that is there but refused — an older build's format, a
 //!   flipped byte, an undecodable or misfitting seed — is counted in
 //!   `seed_rejects` and otherwise reads as absent,
-//! * a fleet evicted to disk and re-interned places again with zero graph
-//!   builds, every graph revived, and the cold pass's results,
+//! * a `rewire` replace, which drops the stale identity's graphs, leaves
+//!   seed files only and runs like the same jobs without a spill directory,
 //! * random schedules over a zero-budget store **with** a spill directory
-//!   (every eviction spills, every miss revives) match the unbounded,
-//!   spill-less oracle bit-identically.
+//!   (every eviction drops a graph, every miss rebuilds one) match the
+//!   unbounded, spill-less oracle bit-identically and leave seed files
+//!   only.
 
 use eval::EvalConfig;
 use netlist::DesignEdit;
@@ -245,55 +247,76 @@ fn without_a_seed_file_the_structured_errors_are_unchanged() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The spill tier turns rebuilds into loads. A fleet placed cold on a
-/// spill-dir store, then released and evicted, leaves every `Gnet` and
-/// `Gseq` on disk; re-interned, it places again with zero graph builds
-/// (misses frozen at the cold count, one revive per graph) and the cold
-/// pass's results.
+/// The names in a spill directory, sorted.
+fn spill_files(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("spill dir")
+        .map(|e| e.expect("dir entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+/// Whether `name` is a warm-start seed file: `seed-<16 hex digits>.spill`.
+fn is_seed_file(name: &str) -> bool {
+    name.strip_prefix("seed-").and_then(|rest| rest.strip_suffix(".spill")).is_some_and(|hex| {
+        hex.len() == 16 && hex.bytes().all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
+    })
+}
+
+/// A `rewire` replace leaves its old identity, whose graphs the store drops
+/// and rebuilds under the new one. The spill directory gets the two jobs'
+/// seeds and nothing else, and the jobs place and measure exactly as they do
+/// on a service without a spill directory.
 #[test]
-fn evicted_fleet_revives_every_graph_from_disk_bit_identically() {
-    let dir = scratch("fleet-revive");
-    let fleet: Vec<netlist::design::Design> =
-        workload::presets::service_fleet(3, 0.05).into_iter().map(|g| g.design).collect();
-    let place_fleet = |service: &mut PlacementService, handles: &[DesignHandle]| {
-        let jobs: Vec<JobId> =
-            handles.iter().map(|&h| service.submit(evaluated_job(h, 1))).collect();
-        service.run_all();
-        jobs.into_iter()
-            .map(|j| service.take_result(j).expect("job ran").expect("job succeeded"))
-            .collect::<Vec<_>>()
+fn a_rewire_replace_over_a_spill_dir_leaves_only_seed_files() {
+    let dir = scratch("rewire-seeds-only");
+    let rewire = |service: &PlacementService, handle: DesignHandle| {
+        let design = service.store().design(handle);
+        let ram = design.find_cell("u_a/ram").expect("macro exists");
+        let sinks = ["u_x/pipe_reg[0]", "u_x/pipe_reg[1]"]
+            .map(|name| design.find_cell(name).expect("flop exists"))
+            .to_vec();
+        let net = design.find_net("n0_0").expect("net exists");
+        vec![DesignEdit::RewireNet { net, driver: Some(ram), sinks }]
     };
 
-    let mut oracle = PlacementService::new(placer_core::builtin_registry());
-    let oracle_handles: Vec<_> = fleet.iter().map(|d| oracle.intern(d.clone())).collect();
-    let want = place_fleet(&mut oracle, &oracle_handles);
-
     let mut service = PlacementService::new(placer_core::builtin_registry()).with_spill_dir(&dir);
-    let handles: Vec<_> = fleet.iter().map(|d| service.intern(d.clone())).collect();
-    let cold = place_fleet(&mut service, &handles);
-    for (got, want) in cold.iter().zip(&want) {
-        assert_eq!(got.outcome.placement, want.outcome.placement, "a spill dir moved a placement");
-        assert_eq!(got.outcome.metrics, want.outcome.metrics, "a spill dir moved the metrics");
-    }
+    let design = service.intern(pool_design(0));
+    let base = service.submit(evaluated_job(design, 7));
+    service.run_all();
+    // taking the base leaves the replace to revive its seed from disk
+    let base_result = service.take_result(base).expect("ran").expect("succeeded");
+    let edits = rewire(&service, design);
+    let replace = service.submit(evaluated_job(design, 7).with_replace(base, edits.clone()));
+    service.run_all();
+    let replaced = service.take_result(replace).expect("ran").expect("the seed served the base");
+    let stats = service.stats();
+    assert_eq!((stats.seed_spills, stats.seed_revives), (2, 1));
+    assert_eq!(
+        (stats.artifacts.net.misses, stats.artifacts.seq.misses),
+        (2, 2),
+        "one build per graph kind and design identity"
+    );
+    let files = spill_files(&dir);
+    assert_eq!(files.len(), 2, "one seed per design state: {files:?}");
+    assert!(files.iter().all(|name| is_seed_file(name)), "only seeds are spilled: {files:?}");
 
-    for &h in &handles {
-        service.release(h);
-    }
-    assert_eq!(service.store_mut().evict_unreferenced(), 3, "every released design is evicted");
-    let evicted = service.store().artifacts().stats();
-    assert_eq!(evicted.spills(), 6, "eviction demotes every Gnet and Gseq to disk");
-    assert_eq!(evicted.resident_bytes, 0, "no graph stays resident");
-    let revived: Vec<_> = fleet.iter().map(|d| service.intern(d.clone())).collect();
-    assert_eq!(revived, handles, "re-interned designs revive their old handles");
-
-    let warm = place_fleet(&mut service, &handles);
-    let stats = service.store().artifacts().stats();
-    assert_eq!((stats.net.misses, stats.seq.misses), (3, 3), "the revived pass builds no graph");
-    assert_eq!((stats.net.revives, stats.seq.revives), (3, 3), "every graph is revived once");
-    for (cold, warm) in cold.iter().zip(&warm) {
-        assert_eq!(cold.outcome.placement, warm.outcome.placement, "revived placement differs");
-        assert_eq!(cold.outcome.metrics, warm.outcome.metrics, "revived metrics differ");
-    }
+    // the same two jobs on a service without a spill directory, the base
+    // held in memory
+    let mut oracle = PlacementService::new(placer_core::builtin_registry());
+    let design = oracle.intern(pool_design(0));
+    let base = oracle.submit(evaluated_job(design, 7));
+    oracle.run_all();
+    let edits = rewire(&oracle, design);
+    let replace = oracle.submit(evaluated_job(design, 7).with_replace(base, edits));
+    oracle.run_all();
+    let want_base = oracle.take_result(base).expect("ran").expect("succeeded");
+    let want = oracle.take_result(replace).expect("ran").expect("succeeded");
+    assert_eq!(base_result.outcome.placement, want_base.outcome.placement);
+    assert_eq!(base_result.outcome.metrics, want_base.outcome.metrics);
+    assert_eq!(replaced.outcome.placement, want.outcome.placement, "a spill dir moved a placement");
+    assert_eq!(replaced.outcome.metrics, want.outcome.metrics, "a spill dir moved the metrics");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -327,15 +350,15 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 8 })]
 
     #[test]
-    fn spilled_and_revived_runs_match_the_spill_less_oracle(
+    fn evicted_runs_over_a_spill_dir_match_the_spill_less_oracle(
         ops in prop::collection::vec(op_strategy(), 1..8),
     ) {
-        // zero budget + spill dir: every eviction spills, every rebuild
-        // probes the spill tier first — the maximum-revive schedule
+        // zero budget + spill dir: every insert evicts, every fetch of an
+        // evicted graph rebuilds it, and every job persists a seed
         let dir = scratch("proptest");
-        let store =
-            placer_core::DesignStore::with_memory_budget(0).with_spill_dir(&dir);
-        let mut spilled = PlacementService::with_store(placer_core::builtin_registry(), store);
+        let store = placer_core::DesignStore::with_memory_budget(0);
+        let mut spilled = PlacementService::with_store(placer_core::builtin_registry(), store)
+            .with_spill_dir(&dir);
         let mut oracle = PlacementService::new(placer_core::builtin_registry());
         let mut handles: [Option<DesignHandle>; POOL] = [None; POOL];
 
@@ -352,11 +375,11 @@ proptest! {
                     let want = run_job(&mut oracle, oracle_handle, seed);
                     prop_assert_eq!(
                         &got.outcome.placement, &want.outcome.placement,
-                        "revived artifacts changed a placement"
+                        "eviction changed a placement"
                     );
                     prop_assert_eq!(
                         &got.outcome.metrics, &want.outcome.metrics,
-                        "revived artifacts changed metrics"
+                        "eviction changed metrics"
                     );
                 }
                 Op::Release(slot) => {
@@ -370,15 +393,21 @@ proptest! {
             }
         }
 
-        // zero budget evicts aggressively: any evicted artifact was spilled,
-        // and spilling must never be lossy under this schedule (the
-        // directory is always writable), so artifact spills track artifact
-        // evictions (a design eviction writes nothing)
+        // the evictions wrote nothing: the directory holds the seeds the
+        // jobs persisted, one per design state, and no graph
         let stats = spilled.stats();
+        let submits = ops.iter().filter(|op| matches!(op, Op::Submit(..))).count();
+        prop_assert_eq!(stats.seed_spills, submits as u64, "every job persists its seed");
+        let files = if submits == 0 { Vec::new() } else { spill_files(&dir) };
         prop_assert!(
-            stats.artifacts.spills() >= stats.artifacts.evictions().min(1),
-            "artifact evictions happened without spilling: {stats:?}"
+            files.iter().all(|name| is_seed_file(name)),
+            "only seeds are spilled: {:?}", files
         );
+        let designs = ops.iter().filter_map(|op| match op {
+            Op::Submit(slot, _) => Some(*slot),
+            _ => None,
+        });
+        prop_assert_eq!(files.len(), designs.collect::<std::collections::BTreeSet<_>>().len());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -489,6 +489,8 @@ impl Server {
                 .field("design_evictions", stats.design_evictions),
         )?;
         for (kind, counters) in [("net", stats.artifacts.net), ("seq", stats.artifacts.seq)] {
+            // graphs are never written to disk, so `spills` and `revives`
+            // are always 0; the fields stay for the clients that read them
             reply(
                 out,
                 Frame::new("artifact")
@@ -496,8 +498,8 @@ impl Server {
                     .field("hits", counters.hits)
                     .field("misses", counters.misses)
                     .field("evictions", counters.evictions)
-                    .field("spills", counters.spills)
-                    .field("revives", counters.revives),
+                    .field("spills", 0)
+                    .field("revives", 0),
             )?;
         }
         reply(

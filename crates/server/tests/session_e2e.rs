@@ -1,9 +1,19 @@
 //! Scripted end-to-end daemon sessions: the full protocol loop against a
 //! real placement service, asserting admission control, quotas, priority
 //! ordering, stats contents and handle revival — all over the wire.
+//!
+//! `mutated_scripts_cannot_take_the_session_down` runs 128 mutated hostile
+//! scripts here; its deep sweep of 3,000 is ignored and runs in CI's golden
+//! step:
+//!
+//! ```sh
+//! cargo test --release -p server --test session_e2e -- --ignored
+//! ```
 
 use placer_core::{DesignStore, PlacementService};
+use proptest::prelude::*;
 use server::{Frame, InternSpec, LoadedDesign, Server, SessionEnd, SharedWriter};
+use std::sync::OnceLock;
 use workload::SocGenerator;
 
 /// A loader resolving `design=<preset>` against generated designs: `small`
@@ -34,7 +44,8 @@ fn preset_bytes(name: &str) -> usize {
 
 /// A server whose store holds `small` (pinned) but not `small` + `large`.
 fn tight_server() -> Server {
-    let budget = preset_bytes("small") + preset_bytes("large") / 2;
+    static BUDGET: OnceLock<usize> = OnceLock::new();
+    let budget = *BUDGET.get_or_init(|| preset_bytes("small") + preset_bytes("large") / 2);
     let service = PlacementService::with_store(
         placer_core::builtin_registry(),
         DesignStore::with_memory_budget(budget),
@@ -552,13 +563,9 @@ fn a_client_that_half_closes_after_submitting_reads_eof() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn hostile_script_cannot_take_the_session_down() {
-    // regression companion to the daemon-panic lint rule: every malformed or
-    // out-of-order command must come back as an err frame on the wire, and
-    // the same session must still serve real work afterwards
-    let mut server = tight_server();
-    let script = "\
+/// Malformed and out-of-order commands, then one real job and its drain (the
+/// closing `shutdown` is added by each test).
+const HOSTILE_SCRIPT: &str = "\
 frobnicate x=1
 intern design=\"oops
 submit design=0 flow=hidap
@@ -570,9 +577,16 @@ submit design=0 flow=nosuchflow
 intern design=small
 submit design=0 flow=hidap effort=fast seeds=5
 drain
-shutdown
 ";
-    let (end, frames) = run_script(&mut server, script);
+
+#[test]
+fn hostile_script_cannot_take_the_session_down() {
+    // regression companion to the daemon-panic lint rule: every malformed or
+    // out-of-order command must come back as an err frame on the wire, and
+    // the same session must still serve real work afterwards
+    let mut server = tight_server();
+    let script = format!("{HOSTILE_SCRIPT}shutdown\n");
+    let (end, frames) = run_script(&mut server, &script);
     assert_eq!(end, SessionEnd::Shutdown, "the session reaches an orderly shutdown");
 
     let errs = named(&frames, "err");
@@ -804,4 +818,94 @@ shutdown
         }
     }
     assert_eq!(server.service().stats().queued, 0, "nothing was queued");
+}
+
+/// The characters a script mutation inserts: a quote, `=`, digits and a
+/// no-break space.
+const SCRIPT_INSERTED: [char; 6] = ['"', '=', '0', '7', '9', '\u{a0}'];
+
+/// One mutation of a script: 0 truncates it at the char boundary at or
+/// before `at`, 1 deletes `len` lines from line `at`, 2 repeats them, and 3
+/// inserts `chars` at the char boundary at or before `at`.
+fn mutate_script(text: &str, (kind, at, len, chars): &(u8, usize, usize, Vec<char>)) -> String {
+    let mut cut = at % (text.len() + 1);
+    while !text.is_char_boundary(cut) {
+        cut -= 1;
+    }
+    let (head, tail) = text.split_at(cut);
+    let lines: Vec<&str> = text.split_inclusive('\n').collect();
+    let first = at % lines.len().max(1);
+    let last = (first + len).min(lines.len());
+    match kind {
+        0 => head.to_string(),
+        1 => [&lines[..first], &lines[last..]].concat().concat(),
+        2 => [&lines[..last], &lines[first..]].concat().concat(),
+        _ => format!("{head}{}{tail}", chars.iter().collect::<String>()),
+    }
+}
+
+fn arb_script_mutations() -> impl Strategy<Value = Vec<(u8, usize, usize, Vec<char>)>> {
+    prop::collection::vec(
+        (
+            0u8..4,
+            0usize..10_000,
+            1usize..4,
+            prop::collection::vec(prop::sample::select(SCRIPT_INSERTED.to_vec()), 1..4),
+        ),
+        1..4,
+    )
+}
+
+/// Runs [`HOSTILE_SCRIPT`] mutated by each of `mutations` in turn, then a
+/// closing `stats` and `shutdown`, on a fresh budgeted server. The session
+/// must end without a panic at the closing `shutdown` (no mutation can spell
+/// one), every reply must parse as a frame, and the closing `stats` must
+/// answer.
+fn check_mutated_script(mutations: &[(u8, usize, usize, Vec<char>)]) -> Result<(), TestCaseError> {
+    let body = mutations.iter().fold(HOSTILE_SCRIPT.to_string(), |text, m| mutate_script(&text, m));
+    let script = format!("{body}\nstats\nshutdown\n");
+    let out = SharedWriter::new(Vec::new());
+    let session = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        tight_server().serve_once(script.as_bytes(), out.clone())
+    }));
+    let end = match session {
+        Ok(end) => end.map_err(|e| TestCaseError::fail(format!("session io: {e}")))?,
+        Err(_) => return Err(TestCaseError::fail(format!("the session panicked on {script:?}"))),
+    };
+    prop_assert_eq!(end, SessionEnd::Shutdown, "script {:?}", script);
+    let transcript = String::from_utf8(out.lock().clone()).expect("utf8 transcript");
+    let mut frames = Vec::new();
+    for line in transcript.lines() {
+        match Frame::parse(line) {
+            Ok(frame) => frames.push(frame),
+            Err(e) => return Err(TestCaseError::fail(format!("bad frame {line:?}: {e}"))),
+        }
+    }
+    prop_assert_eq!(named(&frames, "stats").len(), 1, "the closing stats answers: {:?}", script);
+    let last = frames.iter().rposition(|f| f.name == "ok" && f.get("cmd") == Some("shutdown"));
+    prop_assert_eq!(last, Some(frames.len() - 1), "the session ends at the shutdown");
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 128 })]
+
+    #[test]
+    fn mutated_scripts_cannot_take_the_session_down(mutations in arb_script_mutations()) {
+        check_mutated_script(&mutations)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 3000 })]
+
+    /// The mutated-script sweep over 3,000 cases (`--ignored`; run in
+    /// release).
+    #[test]
+    #[ignore]
+    fn mutated_scripts_cannot_take_the_session_down_deep_sweep(
+        mutations in arb_script_mutations(),
+    ) {
+        check_mutated_script(&mutations)?;
+    }
 }
